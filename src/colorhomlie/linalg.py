@@ -215,12 +215,27 @@ def quotient_representatives(z_basis, b_basis):
 
     Both inputs are lists of coordinate vectors with span(b) <= span(z); the
     returned representatives are drawn greedily from z_basis, so they are
-    reproducible for a fixed input order.
+    reproducible for a fixed input order.  Each vector is reduced once
+    against a growing echelon form of b_basis and the representatives so far.
     """
-    reps = []
-    current = list(b_basis)
-    for v in z_basis:
-        if not in_span(current, v):
-            reps.append(v)
-            current.append(v)
-    return reps
+    echelon = []  # (pivot column, sparse row scaled to 1 at the pivot)
+
+    def absorb(vec) -> bool:
+        """Add vec's residual to the echelon form; False when it is zero."""
+        v = list(vec)
+        for p, row in echelon:
+            f = v[p]
+            if not f.is_zero():
+                for c, a in row:
+                    v[c] = v[c] - f * a
+        for p, a in enumerate(v):
+            if not a.is_zero():
+                inv = a.inverse()
+                echelon.append((p, [(c, inv * x) for c, x in enumerate(v)
+                                    if not x.is_zero()]))
+                return True
+        return False
+
+    for b in b_basis:
+        absorb(b)
+    return [v for v in z_basis if absorb(v)]

@@ -8,6 +8,7 @@ import pytest
 from colorhomlie import linalg
 from colorhomlie.algebra_core import (BracketTable, ColorHomAlgebra, GradedBasis,
                                       check_color_hom_lie)
+from colorhomlie.cohomology import CochainSpace
 from colorhomlie.morphisms_twists import twist
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup)
@@ -142,6 +143,42 @@ def delta2_direct(A, R, psi, gamma, r):
                       - u1[k] + s02 * u2[k] + u3[k])
         out[(x, y, z)] = acc
     return out
+
+
+def compat_rows_direct(A, R, n, tuples):
+    """Equation rows of f o alpha^(x)n - beta o f over all basis n-tuples.
+
+    Dense and per free coordinate through the multilinear
+    ``CochainSpace.evaluate``: an oracle for the sparse rows behind
+    ``cochain_basis``.  Rows are grouped per basis n-tuple in ``product``
+    order, carrier index last.
+    """
+    mdim = R.dim
+    free_dim = len(tuples) * mdim
+    space = CochainSpace(A, R, n, A.basis.group.zero(), tuples, [])
+    one = CycloScalar.one(A.m)
+    if n == 0:
+        # constraint (I - beta) m = 0
+        rows = []
+        for r in range(mdim):
+            rows.append([(one if r == c else CycloScalar.zero(A.m)) - R.beta[r][c]
+                         for c in range(mdim)])
+        return rows
+    if free_dim == 0:
+        return []
+    alpha_images = [A.apply_alpha(A.basis_vector(i)) for i in range(A.dim)]
+    # one constraint column per free coordinate, then transpose into rows
+    cols = []
+    for ci in range(free_dim):
+        unit = space.zero_coords()
+        unit[ci] = one
+        col = []
+        for combo in product(range(A.dim), repeat=n):
+            lhs = space.evaluate(unit, [alpha_images[i] for i in combo])
+            rhs = linalg.mat_vec(R.beta, space.evaluate_basis(unit, combo))
+            col.extend(a - b for a, b in zip(lhs, rhs))
+        cols.append(col)
+    return [[cols[ci][ri] for ci in range(free_dim)] for ri in range(len(cols[0]))]
 
 
 # The arity-2 cocycle families the worked Z2xZ2 example lists per degree

@@ -2,22 +2,27 @@
 
 The arity-1 and arity-2 coboundaries have hand-written operator forms
 (``delta1_direct`` and ``delta2_direct`` in conftest); the tests use those as
-independent oracles against the general-arity assembly.
+independent oracles against the general-arity assembly.  The sparse operators
+behind ``delta_matrix`` and ``cochain_basis`` are checked entry for entry
+against the multilinear evaluation path (``coboundary_of_coords`` and
+``compat_rows_direct``).
 """
 import random
 from itertools import product
 
 import pytest
 
-from colorhomlie import linalg
+from colorhomlie import cohomology, linalg
 from colorhomlie.algebra_core import AlgebraStructureError
-from colorhomlie.cohomology import (canonical_tuples, cochain_basis,
-                                    coboundary_of_coords, cohomology_group)
-from colorhomlie.representations import adjoint
+from colorhomlie.cohomology import (CochainSpace, canonical_tuples, cochain_basis,
+                                    coboundary_of_coords, cohomology_group,
+                                    delta_matrix)
+from colorhomlie.representations import adjoint, alpha_s_adjoint
+from colorhomlie.scalars_grading import CycloScalar
 
-from conftest import (SL2C_Z2Z2_CASE_FAMILIES, build_algebra, delta1_direct,
-                      delta2_direct, random_multiplicative_algebra, sc, sl2c_z2z2,
-                      zero_algebra)
+from conftest import (SL2C_Z2Z2_CASE_FAMILIES, build_algebra, compat_rows_direct,
+                      delta1_direct, delta2_direct, random_multiplicative_algebra, sc,
+                      sl2c_z2z2, zero_algebra)
 
 
 def gamma_elems(A):
@@ -192,6 +197,107 @@ def test_square_zero_randomized_algebras(rng):
                     img, target = coboundary_of_coords(A, R, space1, v, r)
                     img2, _ = coboundary_of_coords(A, R, target, img, r)
                     assert all(c.is_zero() for c in img2)
+
+
+# -- sparse assembly against the multilinear oracles -------------------------------
+
+def _oracle_cases():
+    """20 seeded random algebras with their adjoint module, then the worked
+    Z2xZ2 example with the adjoint and the inverse-twist adjoint."""
+    rng = random.Random(20261017)
+    cases = []
+    for _ in range(20):
+        A = random_multiplicative_algebra(rng)
+        cases.append((A, adjoint(A)))
+    A = sl2c_z2z2()
+    cases.append((A, adjoint(A)))
+    cases.append((A, alpha_s_adjoint(A, -1)))
+    return cases
+
+
+ORACLE_CASES = _oracle_cases()
+
+
+@pytest.mark.parametrize("case", range(len(ORACLE_CASES)))
+def test_sparse_operators_match_multilinear_oracles(case):
+    A, R = ORACLE_CASES[case]
+    one = CycloScalar.one(A.m)
+    for n in range(4 if A.dim <= 3 else 3):
+        oracle = None
+        for gamma in A.basis.group.elements():
+            space = cochain_basis(A, R, n, gamma)
+            if oracle is None:
+                rows = compat_rows_direct(A, R, n, space.tuples)
+                oracle = linalg.kernel_basis(rows, space.free_dim, A.m)
+            assert space.compat_basis == oracle, (A.name, n)
+            for r in (0, 1):
+                columns, _ = delta_matrix(A, R, n, r, gamma, domain="free")
+                assert len(columns) == space.free_dim
+                for ci, column in enumerate(columns):
+                    unit = space.zero_coords()
+                    unit[ci] = one
+                    image, _ = coboundary_of_coords(A, R, space, unit, r)
+                    assert column == image, (A.name, n, r, gamma.components, ci)
+
+
+def test_oracle_cases_cover_the_edge_shapes():
+    kinds = {A.name for A, _ in ORACLE_CASES}
+    # eps(a,a) = -1 repeats, m = 3 scalars, and the twisted Z2^3 bracket
+    assert {"super_z2_rescaled", "heis_z3_rescaled", "sl2_twisted_rescaled"} <= kinds
+    assert any(A.m == 3 and A.dim == 3 for A, _ in ORACLE_CASES)
+
+
+def test_compatible_delta_columns_are_images_of_the_compatible_basis():
+    A = sl2c_z2z2()
+    R = adjoint(A)
+    gamma = gamma_elems(A)["g1"]
+    for n in (0, 1, 2):
+        columns, space = delta_matrix(A, R, n, 0, gamma, domain="compatible")
+        assert len(columns) == space.compat_dim
+        for column, v in zip(columns, space.compat_basis):
+            assert column == coboundary_of_coords(A, R, space, v, 0)[0]
+
+
+def test_unknown_modes_are_refused_before_assembly(monkeypatch):
+    A = sl2c_z2z2()
+    R = adjoint(A)
+
+    def no_assembly(*args):
+        raise AssertionError("cochain spaces were assembled before validation")
+    monkeypatch.setattr(cohomology, "cochain_basis", no_assembly)
+    with pytest.raises(ValueError):
+        cohomology_group(A, R, 2, 0, A.basis.group.zero(), restrict="bogus")
+    with pytest.raises(ValueError):
+        delta_matrix(A, R, 1, 0, A.basis.group.zero(), domain="bogus")
+
+
+def test_cochain_space_lookup_by_tuple():
+    A = sl2c_z2z2()
+    R = adjoint(A)
+    tuples = canonical_tuples(A, 2)
+    space = CochainSpace(A, R, 2, A.basis.group.zero(), tuples, [])
+    for t, tup in enumerate(tuples):
+        assert space.coord_index(tup, 2) == t * R.dim + 2
+    coords = [sc(i + 1) for i in range(space.free_dim)]
+    # f(e2, e1) = -eps(g2, g1) f(e1, e2) = f(e1, e2) on this grading
+    assert space.evaluate_basis(coords, (1, 0)) == coords[0:3]
+    assert space.evaluate_basis(coords, (1, 1)) == [sc(0)] * 3
+
+
+def test_quotient_representatives_are_the_greedy_picks(rng):
+    """Same picks, in the same order, as testing each z by span membership."""
+    m = 2
+    for _ in range(30):
+        ncols = rng.randint(1, 6)
+        vec = lambda: [sc(rng.choice([0, 0, 1, -1, 2]), m) for _ in range(ncols)]
+        z_basis = [vec() for _ in range(rng.randint(0, 6))]
+        b_basis = [vec() for _ in range(rng.randint(0, 3))]
+        expected, current = [], list(b_basis)
+        for v in z_basis:
+            if not linalg.in_span(current, v):
+                expected.append(v)
+                current.append(v)
+        assert linalg.quotient_representatives(z_basis, b_basis) == expected
 
 
 # -- cohomology groups -----------------------------------------------------------
