@@ -346,8 +346,9 @@ def coboundary_of_coords(A: ColorHomAlgebra, R: Representation, space: CochainSp
     target_tuples = canonical_tuples(A, n + 1)
     target = CochainSpace(A, R, n + 1, gamma, target_tuples, [])
     out = target.zero_coords()
-    alpha_img = [A.apply_alpha(A.basis_vector(i)) for i in range(A.dim)]
-    rho_arg = [A.apply_alpha(A.basis_vector(i), rho_power) for i in range(A.dim)]
+    # alpha e_i and rho(alpha^(r+n-1) e_i), once per call
+    alpha_img = linalg.transpose(A.alpha)
+    rho_img = [R.rho_of(col) for col in linalg.transpose(A.alpha_power(rho_power))]
     for t_index, tup in enumerate(target_tuples):
         acc = [CycloScalar.zero(m)] * mdim
         degs = [A.degree(i) for i in tup]
@@ -378,7 +379,7 @@ def coboundary_of_coords(A: ColorHomAlgebra, R: Representation, space: CochainSp
             factor = sign if s % 2 == 0 else -sign
             rest = [A.basis_vector(tup[pos]) for pos in range(n + 1) if pos != s]
             fval = space.evaluate(coords, rest)
-            acted = R.act(rho_arg[tup[s]], fval)
+            acted = linalg.mat_vec(rho_img[tup[s]], fval)
             acc = [a + factor * v for a, v in zip(acc, acted)]
         base = t_index * mdim
         for k in range(mdim):

@@ -416,6 +416,9 @@ class BiCharacter:
                 f"exponent matrix must be {group.rank}x{group.rank}")
         self.exponent_matrix = E
         self._validate()
+        # zeta^0 .. zeta^(m-1); scalars are immutable, so callers share them
+        self._roots = tuple(CycloScalar.root_of_unity(root_order, k)
+                            for k in range(root_order))
 
     def _validate(self):
         m = self.root_order
@@ -453,7 +456,7 @@ class BiCharacter:
     def __call__(self, a: GroupElement, b: GroupElement) -> CycloScalar:
         if a.group != self.group or b.group != self.group:
             raise GroupMismatchError("bi-character applied to foreign group elements")
-        return CycloScalar.root_of_unity(self.root_order, self._exponent(a, b))
+        return self._roots[self._exponent(a, b)]
 
     def sign_is_minus_one(self, a: GroupElement, b: GroupElement) -> bool:
         """True iff eps(a,b) = -1; only meaningful when values are +-1."""

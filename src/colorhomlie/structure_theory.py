@@ -52,24 +52,51 @@ def _unit_matrices(A: ColorHomAlgebra, pattern):
     return units
 
 
-def _commute_rows(A: ColorHomAlgebra, units, offset, nvars):
-    """Rows of [D, alpha] = 0 for the variable block starting at offset."""
-    rows = []
+def _commute_rows(A: ColorHomAlgebra, pattern, offset, nvars):
+    """Rows of [D, alpha] = 0 for the variable block starting at offset.
+
+    Unknown t is the coefficient of E_ij, (i, j) = pattern[t], and
+    (E_ij alpha - alpha E_ij)[a][b] = delta_ai alpha[j][b] - alpha[a][i] delta_jb;
+    rows are in (a, b) order and the zero ones are dropped.
+    """
+    alpha = A.alpha
+    cells = {}  # (a, b) -> {column: value}
+    for t, (i, j) in enumerate(pattern):
+        col = offset + t
+        for b in range(A.dim):
+            if not alpha[j][b].is_zero():
+                cells.setdefault((i, b), {})[col] = alpha[j][b]
+        for a in range(A.dim):
+            if not alpha[a][i].is_zero():
+                cell = cells.setdefault((a, j), {})
+                cell[col] = cell[col] - alpha[a][i] if col in cell else -alpha[a][i]
     z = CycloScalar.zero(A.m)
-    images = [linalg.mat_add(linalg.mat_mul(U, A.alpha),
-                             linalg.mat_scale(CycloScalar.from_rational(-1, A.m),
-                                              linalg.mat_mul(A.alpha, U)))
-              for U in units]
-    for i in range(A.dim):
-        for j in range(A.dim):
+    rows = []
+    for key in sorted(cells):
+        entries = [(col, v) for col, v in cells[key].items() if not v.is_zero()]
+        if entries:
             row = [z] * nvars
-            nonzero = False
-            for t, img in enumerate(images):
-                row[offset + t] = img[i][j]
-                nonzero = nonzero or not img[i][j].is_zero()
-            if nonzero:
-                rows.append(row)
+            for col, v in entries:
+                row[col] = v
+            rows.append(row)
     return rows
+
+
+# The defining identities on a basis pair (x, y).  Each inner list gives one
+# group of dim equation rows (one per component) as terms
+# (block, term, sign, twisted): term "d" is D([x,y]), "L" is [D x, a^k y] and
+# "R" is [a^k x, D y], with D the unknown map of that block; a twisted term
+# also carries eps(gamma, x).
+_IDENTITIES = {
+    "der": [[(0, "d", 1, False), (0, "L", -1, False), (0, "R", -1, True)]],
+    # D'([x,y]) = [D x, a^k y] + e [a^k x, D y]
+    "qder": [[(0, "L", -1, False), (0, "R", -1, True), (1, "d", 1, False)]],
+    # D''([x,y]) = [D x, a^k y] + e [a^k x, D' y]
+    "gder": [[(0, "L", -1, False), (1, "R", -1, True), (2, "d", 1, False)]],
+    "centroid": [[(0, "d", 1, False), (0, "L", -1, False)],
+                 [(0, "d", 1, False), (0, "R", -1, True)]],
+    "qcentroid": [[(0, "L", 1, False), (0, "R", -1, True)]],
+}
 
 
 def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
@@ -77,54 +104,62 @@ def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
     """Linear system whose kernel describes the requested space.
 
     Unknown layout: der/centroid/qcentroid use one block D; qder uses (D, D');
-    gder uses (D, D', D'').
+    gder uses (D, D', D'').  Unknown t of a block is the coefficient of the
+    unit matrix E_ij, (i, j) = pattern[t], which sends v to v[j] e_i.  On the
+    pair (x, y) it contributes [x,y][j] to component i of D([x,y]),
+    [e_i, a^k e_y] to [D x, a^k y] when j = x, and [a^k e_x, e_i] to
+    [a^k x, D y] when j = y; only these terms are formed.
     """
-    units = _unit_matrices(A, pattern)
+    dim = A.dim
     nD = len(pattern)
     blocks = {"der": 1, "centroid": 1, "qcentroid": 1, "qder": 2, "gder": 3}[kind]
     nvars = blocks * nD
     z = CycloScalar.zero(A.m)
+    E = [A.basis_vector(i) for i in range(dim)]
+    ak = A.alpha_power(k)
+    ak_cols = [[row[x] for row in ak] for x in range(dim)]
+
+    def support(vec):
+        return [(c, v) for c, v in enumerate(vec) if not v.is_zero()]
+
+    # L[i][y] = [e_i, a^k e_y] and R[x][i] = [a^k e_x, e_i], by their supports
+    L = [[support(A.bracket.bilinear(E[i], ak_cols[y])) for y in range(dim)]
+         for i in range(dim)]
+    R = [[support(A.bracket.bilinear(ak_cols[x], E[i])) for i in range(dim)]
+         for x in range(dim)]
+    in_column = [[] for _ in range(dim)]  # j -> [(t, i) : pattern[t] = (i, j)]
+    for t, (i, j) in enumerate(pattern):
+        in_column[j].append((t, i))
     rows = []
-    E = [A.basis_vector(i) for i in range(A.dim)]
-    for x in range(A.dim):
-        akx = A.apply_alpha(E[x], k)
+    for x in range(dim):
         e = A.eps(gamma, A.degree(x))
-        for y in range(A.dim):
-            aky = A.apply_alpha(E[y], k)
-            bxy = A.bracket.of_basis(x, y)
-            # per unit matrix, the three bracket-type contributions
-            d_of_bracket = [linalg.mat_vec(U, bxy) for U in units]
-            left = [A.bracket.bilinear(linalg.mat_vec(U, E[x]), aky) for U in units]
-            right = [A.bracket.bilinear(akx, linalg.mat_vec(U, E[y])) for U in units]
-            def emit(coeff_for):
-                for comp in range(A.dim):
-                    row = [z] * nvars
-                    for t in range(nD):
-                        for block, vec_scale in coeff_for(t):
-                            val = vec_scale[comp]
-                            if not val.is_zero():
-                                row[block * nD + t] = row[block * nD + t] + val
-                    rows.append(row)
-            if kind == "der":
-                emit(lambda t: [(0, [a - b - e * c for a, b, c in
-                                     zip(d_of_bracket[t], left[t], right[t])])])
-            elif kind == "qder":
-                # D'([x,y]) = [D x, a^k y] + e [a^k x, D y]
-                emit(lambda t: [(0, [-(b + e * c) for b, c in zip(left[t], right[t])]),
-                                (1, d_of_bracket[t])])
-            elif kind == "gder":
-                # D''([x,y]) = [D x, a^k y] + e [a^k x, D' y]
-                emit(lambda t: [(0, [-b for b in left[t]]),
-                                (1, [-(e * c) for c in right[t]]),
-                                (2, d_of_bracket[t])])
-            elif kind == "centroid":
-                emit(lambda t: [(0, [a - b for a, b in zip(d_of_bracket[t], left[t])])])
-                emit(lambda t: [(0, [a - e * c for a, c in zip(d_of_bracket[t], right[t])])])
-            elif kind == "qcentroid":
-                emit(lambda t: [(0, [b - e * c for b, c in zip(left[t], right[t])])])
+        for y in range(dim):
+            bxy = support(A.bracket.of_basis(x, y))
+            for group in _IDENTITIES[kind]:
+                acc = {}  # (component, column) -> value
+                for block, term, sign, twisted in group:
+                    base = block * nD
+                    if term == "d":
+                        terms = [(i, base + t, v) for j, v in bxy for t, i in in_column[j]]
+                    elif term == "L":
+                        terms = [(c, base + t, v) for t, i in in_column[x] for c, v in L[i][y]]
+                    else:
+                        terms = [(c, base + t, v) for t, i in in_column[y] for c, v in R[x][i]]
+                    for comp, col, v in terms:
+                        if twisted:
+                            v = e * v
+                        if sign < 0:
+                            v = -v
+                        key = (comp, col)
+                        acc[key] = acc[key] + v if key in acc else v
+                group_rows = [[z] * nvars for _ in range(dim)]
+                for (comp, col), v in acc.items():
+                    if not v.is_zero():
+                        group_rows[comp][col] = v
+                rows.extend(group_rows)
     if commute:
         for block in range(blocks):
-            rows.extend(_commute_rows(A, units, block * nD, nvars))
+            rows.extend(_commute_rows(A, pattern, block * nD, nvars))
     return rows, nvars, nD
 
 
@@ -245,7 +280,7 @@ def _partner_solution(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: 
                     rows.append(row)
                     rhs.append(t1[comp])
     for block in range(blocks):
-        commute = _commute_rows(A, units, block * nD, nvars)
+        commute = _commute_rows(A, pattern, block * nD, nvars)
         rows.extend(commute)
         rhs.extend([z] * len(commute))
     sol = linalg.solve(rows, rhs, A.m)
@@ -269,13 +304,15 @@ def _direct_identity_holds(A: ColorHomAlgebra, kind: str, k: int,
                     return False
         return True
     if kind in ("der", "centroid", "qcentroid"):
+        # a^k e_x and D e_x once per x; D and the bracket are applied per pair
+        ak = A.alpha_power(k)
+        ak_e = [[row[x] for row in ak] for x in range(A.dim)]
+        d_e = [linalg.mat_vec(D, E[x]) for x in range(A.dim)]
         def identity(x, y):
-            akx = A.apply_alpha(E[x], k)
-            aky = A.apply_alpha(E[y], k)
             e = A.eps(gamma, A.degree(x))
             dxy = linalg.mat_vec(D, A.bracket.of_basis(x, y))
-            left = A.bracket.bilinear(linalg.mat_vec(D, E[x]), aky)
-            right = A.bracket.bilinear(akx, linalg.mat_vec(D, E[y]))
+            left = A.bracket.bilinear(d_e[x], ak_e[y])
+            right = A.bracket.bilinear(ak_e[x], d_e[y])
             if kind == "der":
                 want = [a + e * b for a, b in zip(left, right)]
                 return all((p - q).is_zero() for p, q in zip(dxy, want))
@@ -392,35 +429,42 @@ def quasi_centroid_jordan(A: ColorHomAlgebra, max_power: int = 2,
 
 
 def check_hom_jordan(J: ProductAlgebraData) -> dict:
-    """Commutativity law on pairs; the twisted Jordan identity on quadruples."""
+    """Commutativity law on pairs; the twisted Jordan identity on quadruples.
+
+    The basis products e_a.e_b, the twist images alpha e_t and each distinct
+    associator as(e_a.e_b, alpha e_z, alpha e_c) are formed once.
+    """
     n = J.dim
     m = J.m
     E = linalg.identity(n, m)
+    prod = [[J.product(E[a], E[b]) for b in range(n)] for a in range(n)]
+    alpha = [linalg.mat_vec(J.alpha_action, E[t]) for t in range(n)]
     hcj1 = []
     for i in range(n):
         for j in range(n):
             e = J.eps(J.degrees[i], J.degrees[j])
-            lhs = J.product(E[i], E[j])
-            rhs = [e * c for c in J.product(E[j], E[i])]
+            lhs = prod[i][j]
+            rhs = [e * c for c in prod[j][i]]
             if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
                 hcj1.append({"pair": [i, j]})
-    def _assoc(u, v, w):
-        """Plain Hom-associator as(u,v,w) = (u.v).alpha(w) - alpha(u).(v.w)."""
-        aw = linalg.mat_vec(J.alpha_action, w)
-        au = linalg.mat_vec(J.alpha_action, u)
-        t1 = J.product(J.product(u, v), aw)
-        t2 = J.product(au, J.product(v, w))
-        return [a - b for a, b in zip(t1, t2)]
+    # Hom-associators as(u,v,w) = (u.v).alpha(w) - alpha(u).(v.w) at
+    # u = e_a.e_b, v = alpha e_z, w = alpha e_c, on every index quadruple
+    alpha2 = [linalg.mat_vec(J.alpha_action, v) for v in alpha]
+    alpha_prod = [[linalg.mat_vec(J.alpha_action, v) for v in row] for row in prod]
+    left = {(a, b, z): J.product(prod[a][b], alpha[z])
+            for a, b, z in product(range(n), repeat=3)}
+    right = {(z, c): J.product(alpha[z], alpha[c]) for z, c in product(range(n), repeat=2)}
+    assoc = {}
+    for a, b, z, c in product(range(n), repeat=4):
+        t1 = J.product(left[(a, b, z)], alpha2[c])
+        t2 = J.product(alpha_prod[a][b], right[(z, c)])
+        assoc[(a, b, z, c)] = [p - q for p, q in zip(t1, t2)]
     hcj2 = []
     for x, y, z, w in product(range(n), repeat=4):
         dx, dy, dz, dw = (J.degrees[t] for t in (x, y, z, w))
-        az = linalg.mat_vec(J.alpha_action, E[z])
-        ax = linalg.mat_vec(J.alpha_action, E[x])
-        ay = linalg.mat_vec(J.alpha_action, E[y])
-        aw = linalg.mat_vec(J.alpha_action, E[w])
-        t1 = _assoc(J.product(E[x], E[y]), az, aw)
-        t2 = _assoc(J.product(E[y], E[w]), az, ax)
-        t3 = _assoc(J.product(E[w], E[x]), az, ay)
+        t1 = assoc[(x, y, z, w)]
+        t2 = assoc[(y, w, z, x)]
+        t3 = assoc[(w, x, z, y)]
         e1 = J.eps(dw, dx + dz)
         e2 = J.eps(dx, dy + dz)
         e3 = J.eps(dy, dw + dz)

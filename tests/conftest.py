@@ -1,4 +1,4 @@
-"""Shared algebra constructions and coboundary oracles for the test suite."""
+"""Shared algebra constructions and the dense oracles of the test suite."""
 import random
 from fractions import Fraction
 from itertools import product
@@ -6,8 +6,8 @@ from itertools import product
 import pytest
 
 from colorhomlie import linalg
-from colorhomlie.algebra_core import (BracketTable, ColorHomAlgebra, GradedBasis,
-                                      check_color_hom_lie)
+from colorhomlie.algebra_core import (BracketTable, CheckResult, ColorHomAlgebra,
+                                      GradedBasis, check_color_hom_lie)
 from colorhomlie.cohomology import CochainSpace
 from colorhomlie.morphisms_twists import twist
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
@@ -71,6 +71,32 @@ def motion_z2z3():
         [(1, 1, 0), (1, 0, 1), (0, 1, 1)],
         {(0, 1): [0, 0, 1], (0, 2): [0, 1, 0]},
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]], name="motion_z2z3")
+
+
+def heis_zeta3():
+    """The Z3 Heisenberg algebra with alpha = diag(2,3,6), Yau-twisted by
+    diag(zeta, zeta, zeta^2); its structure constants lie in Q(zeta_3)."""
+    H = build_algebra([3], [[0]], 3, ["e1", "e2", "e3"], [(1,), (1,), (2,)],
+                      {(0, 1): [0, 0, 1]}, [[2, 0, 0], [0, 3, 0], [0, 0, 6]],
+                      name="heis_z3")
+    z, o = CycloScalar.root_of_unity(3, 1), CycloScalar.zero(3)
+    beta = [[z, o, o], [o, z, o], [o, o, z * z]]
+    return twist(H, beta, name="heis_zeta3")
+
+
+def direct_sum(A, B, name):
+    """Block-diagonal sum of two algebras over the same grading and root order."""
+    zero = CycloScalar.zero(A.m)
+    dim = A.dim + B.dim
+    basis = GradedBasis(tuple(f"e{i + 1}" for i in range(dim)),
+                        A.basis.degrees + B.basis.degrees, A.basis.group)
+    entries = {key: list(vec) + [zero] * B.dim for key, vec in A.bracket.pairs.items()}
+    for (i, j), vec in B.bracket.pairs.items():
+        entries[(i + A.dim, j + A.dim)] = [zero] * A.dim + list(vec)
+    alpha = ([list(row) + [zero] * B.dim for row in A.alpha]
+             + [[zero] * A.dim + list(row) for row in B.alpha])
+    return ColorHomAlgebra(basis, A.eps, BracketTable(basis, A.eps, entries, A.m),
+                           alpha, A.m, name=name)
 
 
 def zero_algebra(orders, eps_exponents, m, degrees, alpha=None):
@@ -179,6 +205,137 @@ def compat_rows_direct(A, R, n, tuples):
             col.extend(a - b for a, b in zip(lhs, rhs))
         cols.append(col)
     return [[cols[ci][ri] for ci in range(free_dim)] for ri in range(len(cols[0]))]
+
+
+def _unit_matrices_direct(A, pattern):
+    one = CycloScalar.one(A.m)
+    units = []
+    for (i, j) in pattern:
+        M = linalg.zeros(A.dim, A.dim, A.m)
+        M[i][j] = one
+        units.append(M)
+    return units
+
+
+def _commute_rows_direct(A, units, offset, nvars):
+    """Rows of [D, alpha] = 0 for the variable block starting at offset."""
+    rows = []
+    z = CycloScalar.zero(A.m)
+    images = [linalg.mat_add(linalg.mat_mul(U, A.alpha),
+                             linalg.mat_scale(CycloScalar.from_rational(-1, A.m),
+                                              linalg.mat_mul(A.alpha, U)))
+              for U in units]
+    for i in range(A.dim):
+        for j in range(A.dim):
+            row = [z] * nvars
+            nonzero = False
+            for t, img in enumerate(images):
+                row[offset + t] = img[i][j]
+                nonzero = nonzero or not img[i][j].is_zero()
+            if nonzero:
+                rows.append(row)
+    return rows
+
+
+def defining_rows_direct(A, k, gamma, kind, pattern, commute):
+    """Equation rows of a derivation-type space, through dense unit matrices.
+
+    Each unknown is the coefficient of a unit matrix E_ij on the degree
+    pattern, and every equation is evaluated by multiplying that matrix out:
+    an oracle for ``structure_theory._defining_rows``, with the same unknown
+    layout (der/centroid/qcentroid: D; qder: (D, D'); gder: (D, D', D''))
+    and the same rows in the same order.
+    """
+    units = _unit_matrices_direct(A, pattern)
+    nD = len(pattern)
+    blocks = {"der": 1, "centroid": 1, "qcentroid": 1, "qder": 2, "gder": 3}[kind]
+    nvars = blocks * nD
+    z = CycloScalar.zero(A.m)
+    rows = []
+    E = [A.basis_vector(i) for i in range(A.dim)]
+    for x in range(A.dim):
+        akx = A.apply_alpha(E[x], k)
+        e = A.eps(gamma, A.degree(x))
+        for y in range(A.dim):
+            aky = A.apply_alpha(E[y], k)
+            bxy = A.bracket.of_basis(x, y)
+            # per unit matrix, the three bracket-type contributions
+            d_of_bracket = [linalg.mat_vec(U, bxy) for U in units]
+            left = [A.bracket.bilinear(linalg.mat_vec(U, E[x]), aky) for U in units]
+            right = [A.bracket.bilinear(akx, linalg.mat_vec(U, E[y])) for U in units]
+            def emit(coeff_for):
+                for comp in range(A.dim):
+                    row = [z] * nvars
+                    for t in range(nD):
+                        for block, vec_scale in coeff_for(t):
+                            val = vec_scale[comp]
+                            if not val.is_zero():
+                                row[block * nD + t] = row[block * nD + t] + val
+                    rows.append(row)
+            if kind == "der":
+                emit(lambda t: [(0, [a - b - e * c for a, b, c in
+                                     zip(d_of_bracket[t], left[t], right[t])])])
+            elif kind == "qder":
+                # D'([x,y]) = [D x, a^k y] + e [a^k x, D y]
+                emit(lambda t: [(0, [-(b + e * c) for b, c in zip(left[t], right[t])]),
+                                (1, d_of_bracket[t])])
+            elif kind == "gder":
+                # D''([x,y]) = [D x, a^k y] + e [a^k x, D' y]
+                emit(lambda t: [(0, [-b for b in left[t]]),
+                                (1, [-(e * c) for c in right[t]]),
+                                (2, d_of_bracket[t])])
+            elif kind == "centroid":
+                emit(lambda t: [(0, [a - b for a, b in zip(d_of_bracket[t], left[t])])])
+                emit(lambda t: [(0, [a - e * c for a, c in zip(d_of_bracket[t], right[t])])])
+            elif kind == "qcentroid":
+                emit(lambda t: [(0, [b - e * c for b, c in zip(left[t], right[t])])])
+    if commute:
+        for block in range(blocks):
+            rows.extend(_commute_rows_direct(A, units, block * nD, nvars))
+    return rows, nvars, nD
+
+
+def hom_jordan_direct(J):
+    """Commutativity law on pairs and the twisted Jordan identity on
+    quadruples, every product and associator recomputed per quadruple: an
+    oracle for ``structure_theory.check_hom_jordan``."""
+    n = J.dim
+    m = J.m
+    E = linalg.identity(n, m)
+    hcj1 = []
+    for i in range(n):
+        for j in range(n):
+            e = J.eps(J.degrees[i], J.degrees[j])
+            lhs = J.product(E[i], E[j])
+            rhs = [e * c for c in J.product(E[j], E[i])]
+            if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
+                hcj1.append({"pair": [i, j]})
+    def _assoc(u, v, w):
+        """Plain Hom-associator as(u,v,w) = (u.v).alpha(w) - alpha(u).(v.w)."""
+        aw = linalg.mat_vec(J.alpha_action, w)
+        au = linalg.mat_vec(J.alpha_action, u)
+        t1 = J.product(J.product(u, v), aw)
+        t2 = J.product(au, J.product(v, w))
+        return [a - b for a, b in zip(t1, t2)]
+    hcj2 = []
+    for x, y, z, w in product(range(n), repeat=4):
+        dx, dy, dz, dw = (J.degrees[t] for t in (x, y, z, w))
+        az = linalg.mat_vec(J.alpha_action, E[z])
+        ax = linalg.mat_vec(J.alpha_action, E[x])
+        ay = linalg.mat_vec(J.alpha_action, E[y])
+        aw = linalg.mat_vec(J.alpha_action, E[w])
+        t1 = _assoc(J.product(E[x], E[y]), az, aw)
+        t2 = _assoc(J.product(E[y], E[w]), az, ax)
+        t3 = _assoc(J.product(E[w], E[x]), az, ay)
+        e1 = J.eps(dw, dx + dz)
+        e2 = J.eps(dx, dy + dz)
+        e3 = J.eps(dy, dw + dz)
+        acc = [e1 * a + e2 * b + e3 * c for a, b, c in zip(t1, t2, t3)]
+        if any(not a.is_zero() for a in acc):
+            hcj2.append({"quadruple": [x, y, z, w],
+                         "residual": [str(c) for c in acc]})
+    return {"hcj1": CheckResult(not hcj1, hcj1),
+            "hcj2": CheckResult(not hcj2, hcj2)}
 
 
 # The arity-2 cocycle families the worked Z2xZ2 example lists per degree

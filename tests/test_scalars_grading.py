@@ -163,6 +163,22 @@ def _z23_setup():
     return G, eps, degs
 
 
+# (cyclic orders, exponent matrix, m) of every grading the conftest builders
+# use, then two whose values go beyond +-1
+GRADINGS = [([2, 2], [[0, 1], [1, 0]], 2), ([2, 2, 2], [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2),
+            ([3], [[0]], 3), ([2], [[1]], 2),
+            ([3, 3], [[0, 1], [2, 0]], 3), ([4, 4], [[0, 1], [3, 0]], 4)]
+
+
+@pytest.mark.parametrize("orders,exponents,m", GRADINGS)
+def test_bicharacter_values_are_the_reduced_roots(orders, exponents, m):
+    G = FiniteAbelianGroup(tuple(orders))
+    eps = BiCharacter(G, exponents, m)
+    for a in G.elements():
+        for b in G.elements():
+            assert eps(a, b) == CycloScalar.root_of_unity(m, eps._exponent(a, b))
+
+
 def test_reorder_sign_identity():
     _, eps, degs = _z23_setup()
     assert reorder_sign(degs, (0, 1, 2), eps).as_rational() == 1

@@ -4,7 +4,9 @@ import random
 import pytest
 
 from colorhomlie import linalg
-from colorhomlie.structure_theory import (centroid_space,
+from colorhomlie.structure_theory import (KINDS, ProductAlgebraData,
+                                          _defining_rows, _express_in_span,
+                                          centroid_space,
                                           check_hom_jordan,
                                           check_inclusion_lattice,
                                           degree_pattern, derivation_space,
@@ -14,7 +16,9 @@ from colorhomlie.structure_theory import (centroid_space,
                                           quasi_centroid_space,
                                           quasi_derivation_space,
                                           reverify_space, solve_space)
-from conftest import (random_multiplicative_algebra, sc, sl2c_z2z2,
+from conftest import (build_algebra, defining_rows_direct, direct_sum,
+                      heis_zeta3, hom_jordan_direct, motion_z2z3,
+                      random_multiplicative_algebra, sc, sl2c_z2z2,
                       zero_algebra)
 
 
@@ -169,9 +173,7 @@ def test_quasi_centroid_single_power_not_closed():
     with pytest.raises(NotClosedError):
         # max_power = 1 keeps Id (power 0) and diag(1,1,-1) (power 1): closed;
         # build a deliberately broken span by hand instead
-        from colorhomlie.structure_theory import (ProductAlgebraData,
-                                                  _express_in_span,
-                                                  quasi_centroid_space)
+        from colorhomlie.structure_theory import quasi_centroid_space
         space = quasi_centroid_space(A, 1, A.basis.group.zero())
         mats = list(space.basis)
         for i, M1 in enumerate(mats):
@@ -182,10 +184,8 @@ def test_quasi_centroid_single_power_not_closed():
                     raise NotClosedError("power-1 span misses the square")
 
 
-def test_hom_jordan_on_plain_matrix_pair():
-    # sanity for the checker itself: the anticommutator on a commuting family
-    # of even operators satisfies the twisted Jordan law with identity twist
-    from colorhomlie.structure_theory import ProductAlgebraData
+def plain_matrix_pair_jordan():
+    """The anticommutator on {Id, diag(1,1,-1)}, built by hand, identity twist."""
     A = sl2c_z2z2()
     G = A.basis.group
     m = A.m
@@ -193,7 +193,6 @@ def test_hom_jordan_on_plain_matrix_pair():
             [[sc(1), sc(0), sc(0)], [sc(0), sc(1), sc(0)], [sc(0), sc(0), sc(-1)]]]
     degs = [G.zero(), G.zero()]
     table = []
-    from colorhomlie.structure_theory import _express_in_span, jordan_product
     for i in range(2):
         row = []
         for j in range(2):
@@ -202,9 +201,97 @@ def test_hom_jordan_on_plain_matrix_pair():
             assert coords is not None
             row.append(coords)
         table.append(row)
-    J = ProductAlgebraData(mats, degs, table, linalg.identity(2, m), A.eps, m)
-    report = check_hom_jordan(J)
+    return ProductAlgebraData(mats, degs, table, linalg.identity(2, m), A.eps, m)
+
+
+def test_hom_jordan_on_plain_matrix_pair():
+    # sanity for the checker itself: the anticommutator on a commuting family
+    # of even operators satisfies the twisted Jordan law with identity twist
+    report = check_hom_jordan(plain_matrix_pair_jordan())
     assert report["hcj1"].ok and report["hcj2"].ok
+
+
+def random_table_jordan():
+    """A product with random structure constants and twist: neither
+    eps-commutative nor Jordan, so every residual of the checker shows."""
+    A = sl2c_z2z2()
+    rng = random.Random(20261018)
+    def entry():
+        return sc(rng.randint(-2, 2))
+    table = [[[entry() for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    alpha = [[entry() for _ in range(3)] for _ in range(3)]
+    # no operator span behind it: the checker reads only the count of matrices
+    return ProductAlgebraData([None] * 3, list(A.basis.degrees), table, alpha, A.eps, A.m)
+
+
+# builder and (hcj1, hcj2) verdicts; the failing cases compare their failure
+# lists, residual strings included
+JORDAN_CASES = {
+    "heis_zeta3": (lambda: quasi_centroid_jordan(heis_zeta3(), max_power=2),
+                   (True, False)),
+    "sl2c_z2z2": (lambda: quasi_centroid_jordan(sl2c_z2z2(), max_power=2),
+                  (True, True)),
+    "plain_pair": (plain_matrix_pair_jordan, (True, True)),
+    "random_table": (random_table_jordan, (False, False)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(JORDAN_CASES))
+def test_hom_jordan_matches_quadruple_oracle(case):
+    build, verdicts = JORDAN_CASES[case]
+    J = build()
+    got = {name: res.to_dict() for name, res in check_hom_jordan(J).items()}
+    assert got == {name: res.to_dict() for name, res in hom_jordan_direct(J).items()}
+    assert (got["hcj1"]["ok"], got["hcj2"]["ok"]) == verdicts
+
+
+def _row_cases():
+    """Ten seeded random algebras, heis_zeta3, its direct square, motion_z2z3,
+    and the sl2c_z2z2 bracket under a dense twist (every generated twist is
+    diagonal; the rows are defined for any twist, multiplicative or not)."""
+    rng = random.Random(20261020)
+    cases = [random_multiplicative_algebra(rng) for _ in range(10)]
+    H = heis_zeta3()
+    dense = build_algebra(
+        [2, 2], [[0, 1], [1, 0]], 2, ["e1", "e2", "e3"], [(1, 0), (0, 1), (1, 1)],
+        {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0], (1, 2): [-1, 0, 0]},
+        [[1, 2, 0], [0, 1, -1], [1, 0, 3]], name="sl2c_z2z2_dense_twist")
+    return cases + [H, direct_sum(H, H, "heis_zeta3^2"), motion_z2z3(), dense]
+
+
+ROW_CASES = _row_cases()
+
+
+@pytest.mark.parametrize("case", range(len(ROW_CASES)))
+def test_defining_rows_match_dense_oracle(case):
+    A = ROW_CASES[case]
+    # The dense oracle needs about 80 s for the full range on the dim-6
+    # square, so there it runs at k = 1 with the commute rows on only; the
+    # rows without them are checked to be a prefix of those.
+    full = A.dim <= 3
+    for kind in KINDS:
+        for k in ((0, 1, 2) if full else (1,)):
+            for gamma in A.basis.group.elements():
+                pattern = degree_pattern(A, gamma)
+                if not pattern:
+                    continue
+                for commute in ((True, False) if full else (True,)):
+                    want = defining_rows_direct(A, k, gamma, kind, pattern, commute)
+                    assert _defining_rows(A, k, gamma, kind, pattern, commute) == want, \
+                        (A.name, kind, k, gamma.components, commute)
+                if not full:
+                    rows, _, _ = _defining_rows(A, k, gamma, kind, pattern, False)
+                    assert rows == want[0][:len(rows)]
+
+
+def test_row_cases_cover_the_edge_shapes():
+    names = {A.name for A in ROW_CASES}
+    # eps(a,a) = -1 self-brackets, m = 3 scalars, the twisted Z2^3 bracket,
+    # dim 6, and a twist with entries off the diagonal
+    assert {"super_z2_rescaled", "heis_z3_rescaled", "sl2_twisted_rescaled",
+            "heis_zeta3^2"} <= names
+    assert any(not A.alpha[i][j].is_zero() for A in ROW_CASES
+               for i in range(A.dim) for j in range(A.dim) if i != j)
 
 
 def test_gder_includes_centroid_construction():
