@@ -1,9 +1,8 @@
 """Exact computer algebra for finitely graded color Hom-Lie algebras."""
 
 from .scalars_grading import (BiCharacter, CycloScalar, FiniteAbelianGroup,
-                              GroupElement, cyclo_reduce, epsilon_eval,
-                              format_scalar, parse_scalar, reorder_sign,
-                              scalar_inverse)
+                              GroupElement, cyclo_reduce, format_scalar,
+                              parse_scalar, reorder_sign)
 from .algebra_core import (AxiomReport, BracketTable, CheckResult,
                            ColorHomAlgebra, GradedBasis,
                            HomAssociativeColorAlgebra, check_color_hom_lie,

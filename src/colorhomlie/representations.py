@@ -184,7 +184,3 @@ def dual_representation(A: ColorHomAlgebra, R: Representation) -> Representation
     rho = [linalg.mat_scale(CycloScalar.from_rational(-1, R.m), linalg.transpose(mat))
            for mat in R.rho]
     return Representation(dual_basis, rho, linalg.transpose(R.beta), R.m)
-
-
-def representation_from_action(A: ColorHomAlgebra, M: ModuleStructure) -> Representation:
-    return Representation(M.carrier, list(M.action), M.beta, M.m)

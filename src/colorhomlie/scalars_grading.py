@@ -1,9 +1,10 @@
 """Exact scalars in cyclotomic fields, finite abelian grading groups, bi-characters.
 
-Every quantity in this package is a ``CycloScalar``: an element of Q(zeta_m),
-stored as a coefficient vector in the power basis 1, zeta, ..., zeta^(phi(m)-1)
-with rational coefficients.  For m = 1 or 2 this degenerates to plain rationals,
-which is the fast path almost everything here runs on.
+Every quantity in this package is a ``CycloScalar``: an element of Q(zeta_m) in
+the power basis 1, zeta, ..., zeta^(phi(m)-1), stored as a tuple of integer
+numerators over one positive integer denominator, reduced by their gcd.
+Arithmetic is integer arithmetic with one gcd at the end; for m = 1 or 2 the
+numerator is a single integer, so a product is one integer multiply.
 """
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd, lcm
+from operator import add, neg, sub
 
 
 class ScalarError(ValueError):
@@ -96,7 +99,7 @@ def cyclotomic_polynomial(m: int):
 
 @lru_cache(maxsize=None)
 def _reduction_rows(m: int):
-    """x^k mod Phi_m for k = phi(m) .. 2*phi(m)-2, as coefficient tuples."""
+    """x^k mod Phi_m for k = phi(m) .. 2*phi(m)-2, as integer tuples (Phi_m is monic)."""
     phi = euler_phi(m)
     phim = list(cyclotomic_polynomial(m))
     rows = []
@@ -104,8 +107,7 @@ def _reduction_rows(m: int):
         p = [Fraction(0)] * (k + 1)
         p[k] = Fraction(1)
         _, rem = _poly_divmod(p, phim)
-        rem = rem + [Fraction(0)] * (phi - len(rem))
-        rows.append(tuple(rem))
+        rows.append(tuple(int(c) for c in rem) + (0,) * (phi - len(rem)))
     return tuple(rows)
 
 
@@ -120,25 +122,71 @@ def cyclo_reduce(raw_coeffs, m: int) -> "CycloScalar":
     return CycloScalar(tuple(coeffs[:phi]), m)
 
 
-@dataclass(frozen=True, slots=True)
-class CycloScalar:
-    """Element of Q(zeta_m) in the power basis modulo Phi_m.  Immutable."""
+_new = object.__new__
 
-    coeffs: tuple
-    root_order: int
+
+def _make(num, den, m):
+    """Scalar num/den (den > 0), divided by gcd(num, den) unless den is 1."""
+    if den != 1:
+        g = gcd(den, *num)
+        if g != 1:
+            num, den = tuple([n // g for n in num]), den // g
+    s = _new(CycloScalar)
+    s.num, s.den, s.root_order = num, den, m
+    return s
+
+
+def _additive(op):
+    """The method x op y for op = operator.add or operator.sub."""
+    def method(self, other):
+        m = self.root_order
+        if other.__class__ is not CycloScalar:
+            other = CycloScalar.from_rational(other, m)
+        if other.root_order != m:
+            raise ScalarError(f"mixed cyclotomic orders {m} and {other.root_order}")
+        a, b, da, db = self.num, other.num, self.den, other.den
+        if not any(b):
+            return self
+        if da == db:
+            return _make(tuple(map(op, a, b)), da, m)
+        return _make(tuple([op(p * db, q * da) for p, q in zip(a, b)]), da * db, m)
+    return method
+
+
+class CycloScalar:
+    """Element of Q(zeta_m) in the power basis modulo Phi_m.  Never mutated.
+
+    ``CycloScalar(coeffs, m)`` takes rational coefficients; they are stored as
+    integer numerators ``num`` over one positive integer denominator ``den``
+    with gcd(num, den) = 1, zero as (0, ..., 0)/1, so equality, hashing and
+    ``sort_key`` are structural.  ``coeffs`` gives the coefficients back as
+    ``Fraction``s.
+    """
+
+    __slots__ = ("num", "den", "root_order")
+
+    def __init__(self, coeffs, root_order: int):
+        fracs = [Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in fracs))
+        self.num = tuple(c.numerator * (den // c.denominator) for c in fracs)
+        self.den, self.root_order = den, root_order
+
+    @property
+    def coeffs(self) -> tuple:
+        return tuple(Fraction(n, self.den) for n in self.num)
 
     @staticmethod
     def from_rational(value, m: int = 1) -> "CycloScalar":
-        c = [Fraction(value)] + [Fraction(0)] * (euler_phi(m) - 1)
-        return CycloScalar(tuple(c), m)
+        q = Fraction(value)
+        return _make((q.numerator,) + (0,) * (euler_phi(m) - 1), q.denominator, m)
 
     @staticmethod
     def zero(m: int = 1) -> "CycloScalar":
-        return CycloScalar.from_rational(0, m)
+        return _constants(m)[0]
 
     @staticmethod
     def one(m: int = 1) -> "CycloScalar":
-        return CycloScalar.from_rational(1, m)
+        return _constants(m)[1]
 
     @staticmethod
     def root_of_unity(m: int, k: int = 1) -> "CycloScalar":
@@ -150,49 +198,44 @@ class CycloScalar:
 
     # -- ring structure ----------------------------------------------------
 
-    def _check(self, other: "CycloScalar"):
-        if self.root_order != other.root_order:
-            raise ScalarError(
-                f"mixed cyclotomic orders {self.root_order} and {other.root_order}")
-
-    def __add__(self, other):
-        other = _coerce(other, self.root_order)
-        self._check(other)
-        return CycloScalar(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
-                           self.root_order)
-
-    def __sub__(self, other):
-        other = _coerce(other, self.root_order)
-        self._check(other)
-        return CycloScalar(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
-                           self.root_order)
+    __add__ = _additive(add)
+    __sub__ = _additive(sub)
 
     def __neg__(self):
-        return CycloScalar(tuple(-a for a in self.coeffs), self.root_order)
+        return _make(tuple(map(neg, self.num)), self.den, self.root_order)
 
     def __mul__(self, other):
-        other = _coerce(other, self.root_order)
-        self._check(other)
-        a, b = self.coeffs, other.coeffs
+        m = self.root_order
+        if other.__class__ is not CycloScalar:
+            other = CycloScalar.from_rational(other, m)
+        if other.root_order != m:
+            raise ScalarError(f"mixed cyclotomic orders {m} and {other.root_order}")
+        a, b = self.num, other.num
+        if not any(a):
+            return self
+        if not any(b):
+            return other
+        den = self.den * other.den
         n = len(a)
         if n == 1:
-            return CycloScalar((a[0] * b[0],), self.root_order)
-        prod = [Fraction(0)] * (2 * n - 1)
+            return _make((a[0] * b[0],), den, m)
+        if n == 2:
+            (r0, r1), = _reduction_rows(m)
+            a0, a1 = a
+            b0, b1 = b
+            top = a1 * b1
+            return _make((a0 * b0 + r0 * top, a0 * b1 + a1 * b0 + r1 * top), den, m)
+        prod = [0] * (2 * n - 1)
         for i, ca in enumerate(a):
-            if ca == 0:
-                continue
-            for j, cb in enumerate(b):
-                if cb != 0:
+            if ca:
+                for j, cb in enumerate(b):
                     prod[i + j] += ca * cb
-        out = list(prod[:n])
-        rows = _reduction_rows(self.root_order)
-        for k in range(n, 2 * n - 1):
-            c = prod[k]
-            if c != 0:
-                row = rows[k - n]
+        out = prod[:n]
+        for row, c in zip(_reduction_rows(m), prod[n:]):
+            if c:
                 for t in range(n):
                     out[t] += c * row[t]
-        return CycloScalar(tuple(out), self.root_order)
+        return _make(tuple(out), den, m)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -201,13 +244,21 @@ class CycloScalar:
         return _coerce(other, self.root_order) - self
 
     def inverse(self) -> "CycloScalar":
-        """Field inverse via the extended Euclidean algorithm on Phi_m."""
+        """Field inverse: closed form for phi(m) <= 2, else extended Euclid on Phi_m."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
-        if len(self.coeffs) == 1:
-            return CycloScalar((1 / self.coeffs[0],), self.root_order)
+        m, a, d = self.root_order, self.num, self.den
+        if len(a) == 1:
+            return _make((d if a[0] > 0 else -d,), abs(a[0]), m)
+        if len(a) == 2:
+            # (a0 + a1 z)^-1 = (a0 + r1 a1 - a1 z) / N with z^2 = r0 + r1 z and
+            # the norm N = a0^2 + r1 a0 a1 - r0 a1^2, positive for m = 3, 4, 6
+            (r0, r1), = _reduction_rows(m)
+            a0, a1 = a
+            norm = a0 * a0 + r1 * a0 * a1 - r0 * a1 * a1
+            return _make(((a0 + r1 * a1) * d, -a1 * d), norm, m)
         # extended gcd of Phi_m and self; invariant s_i * self = r_i  (mod Phi_m)
-        r0 = list(cyclotomic_polynomial(self.root_order))
+        r0 = list(cyclotomic_polynomial(m))
         r1 = _poly_trim(list(self.coeffs))
         s0, s1 = [], [Fraction(1)]
         while r1:
@@ -218,7 +269,7 @@ class CycloScalar:
         if len(r0) != 1:
             raise ScalarError("scalar is a zero divisor; Phi_m should be irreducible")
         inv = [c / r0[0] for c in s0]
-        return cyclo_reduce(inv, self.root_order)
+        return cyclo_reduce(inv, m)
 
     def __truediv__(self, other):
         other = _coerce(other, self.root_order)
@@ -236,18 +287,28 @@ class CycloScalar:
             n >>= 1
         return result
 
-    # -- predicates and views ----------------------------------------------
+    # -- predicates, views, identity -----------------------------------------
+
+    def __eq__(self, other):
+        if other.__class__ is not CycloScalar:
+            return NotImplemented
+        return (self.num == other.num and self.den == other.den
+                and self.root_order == other.root_order)
+
+    def __hash__(self):
+        # equal to the hash of (coefficient Fractions, m) on every value
+        return hash((self.num if self.den == 1 else self.coeffs, self.root_order))
 
     def is_zero(self) -> bool:
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.num)
 
     def is_rational(self) -> bool:
-        return all(c == 0 for c in self.coeffs[1:])
+        return not any(self.num[1:])
 
     def as_rational(self) -> Fraction:
         if not self.is_rational():
             raise ScalarError(f"{self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.num[0], self.den)
 
     def sort_key(self):
         return (self.root_order,) + tuple((c.numerator, c.denominator) for c in self.coeffs)
@@ -262,14 +323,16 @@ class CycloScalar:
         return format_scalar(self)
 
 
+@lru_cache(maxsize=None)
+def _constants(m: int):
+    """The shared zero and one of Q(zeta_m)."""
+    return CycloScalar.from_rational(0, m), CycloScalar.from_rational(1, m)
+
+
 def _coerce(value, m: int) -> CycloScalar:
     if isinstance(value, CycloScalar):
         return value
     return CycloScalar.from_rational(value, m)
-
-
-def scalar_inverse(s: CycloScalar) -> CycloScalar:
-    return s.inverse()
 
 
 # ---------------------------------------------------------------------------
@@ -466,10 +529,6 @@ class BiCharacter:
         return self(a, a)
 
 
-def epsilon_eval(eps: BiCharacter, a: GroupElement, b: GroupElement) -> CycloScalar:
-    return eps(a, b)
-
-
 # ---------------------------------------------------------------------------
 # reorder signs for skew multilinear maps
 # ---------------------------------------------------------------------------
@@ -504,15 +563,6 @@ def reorder_sign(degrees, permutation, eps: BiCharacter) -> CycloScalar:
     perm = list(permutation)
     if sorted(perm) != list(range(len(degrees))):
         raise ValueError(f"{permutation} is not a permutation of 0..{len(degrees) - 1}")
-    sign = CycloScalar.one(eps.root_order)
-    # bubble perm back to the identity; each adjacent swap of the reordered
-    # tuple exchanges neighbouring arguments with known degrees
-    for i in range(1, len(perm)):
-        j = i
-        while j > 0 and perm[j - 1] > perm[j]:
-            a = degrees[perm[j - 1]]
-            b = degrees[perm[j]]
-            sign = sign * (-eps(a, b))
-            perm[j - 1], perm[j] = perm[j], perm[j - 1]
-            j -= 1
-    return sign
+    # bubbling perm back to the identity swaps neighbouring arguments of the
+    # reordered tuple, with the degrees of the entries they hold
+    return sort_with_sign(perm, degrees, eps)[1]

@@ -1,6 +1,8 @@
 """Shared algebra constructions and the dense oracles of the test suite."""
 import random
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 
 import pytest
@@ -11,7 +13,10 @@ from colorhomlie.algebra_core import (BracketTable, CheckResult, ColorHomAlgebra
 from colorhomlie.cohomology import CochainSpace
 from colorhomlie.morphisms_twists import twist
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
-                                         FiniteAbelianGroup)
+                                         FiniteAbelianGroup, ScalarError,
+                                         _poly_divmod, _poly_mul, _poly_sub,
+                                         _poly_trim, cyclotomic_polynomial,
+                                         euler_phi)
 
 import importlib.resources as resources
 
@@ -431,3 +436,188 @@ def random_multiplicative_algebra(rng: random.Random) -> ColorHomAlgebra:
 @pytest.fixture
 def rng():
     return random.Random(20240817)
+
+
+# ---------------------------------------------------------------------------
+# the Fraction-tuple scalar: oracle for the integer-numerator CycloScalar
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=None)
+def _fraction_reduction_rows(m: int):
+    """x^k mod Phi_m for k = phi(m) .. 2*phi(m)-2, as coefficient tuples."""
+    phi = euler_phi(m)
+    phim = list(cyclotomic_polynomial(m))
+    rows = []
+    for k in range(phi, 2 * phi - 1):
+        p = [Fraction(0)] * (k + 1)
+        p[k] = Fraction(1)
+        _, rem = _poly_divmod(p, phim)
+        rem = rem + [Fraction(0)] * (phi - len(rem))
+        rows.append(tuple(rem))
+    return tuple(rows)
+
+
+def _fraction_reduce(raw_coeffs, m: int):
+    """Canonical representative of a rational polynomial in zeta_m modulo Phi_m."""
+    phi = euler_phi(m)
+    coeffs = [Fraction(c) for c in raw_coeffs]
+    if len(coeffs) > phi:
+        _, rem = _poly_divmod(_poly_trim(coeffs), list(cyclotomic_polynomial(m)))
+        coeffs = rem
+    coeffs = coeffs + [Fraction(0)] * (phi - len(coeffs))
+    return FractionScalar(tuple(coeffs[:phi]), m)
+
+
+@dataclass(frozen=True, slots=True)
+class FractionScalar:
+    """Element of Q(zeta_m) in the power basis modulo Phi_m.  Immutable."""
+
+    coeffs: tuple
+    root_order: int
+
+    @staticmethod
+    def from_rational(value, m: int = 1) -> "FractionScalar":
+        c = [Fraction(value)] + [Fraction(0)] * (euler_phi(m) - 1)
+        return FractionScalar(tuple(c), m)
+
+    @staticmethod
+    def zero(m: int = 1) -> "FractionScalar":
+        return FractionScalar.from_rational(0, m)
+
+    @staticmethod
+    def one(m: int = 1) -> "FractionScalar":
+        return FractionScalar.from_rational(1, m)
+
+    @staticmethod
+    def root_of_unity(m: int, k: int = 1) -> "FractionScalar":
+        """zeta_m^k, reduced."""
+        k %= m
+        p = [Fraction(0)] * (k + 1)
+        p[k] = Fraction(1)
+        return _fraction_reduce(p, m)
+
+    # -- ring structure ----------------------------------------------------
+
+    def _check(self, other: "FractionScalar"):
+        if self.root_order != other.root_order:
+            raise ScalarError(
+                f"mixed cyclotomic orders {self.root_order} and {other.root_order}")
+
+    def __add__(self, other):
+        other = _fraction_coerce(other, self.root_order)
+        self._check(other)
+        return FractionScalar(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)),
+                           self.root_order)
+
+    def __sub__(self, other):
+        other = _fraction_coerce(other, self.root_order)
+        self._check(other)
+        return FractionScalar(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)),
+                           self.root_order)
+
+    def __neg__(self):
+        return FractionScalar(tuple(-a for a in self.coeffs), self.root_order)
+
+    def __mul__(self, other):
+        other = _fraction_coerce(other, self.root_order)
+        self._check(other)
+        a, b = self.coeffs, other.coeffs
+        n = len(a)
+        if n == 1:
+            return FractionScalar((a[0] * b[0],), self.root_order)
+        prod = [Fraction(0)] * (2 * n - 1)
+        for i, ca in enumerate(a):
+            if ca == 0:
+                continue
+            for j, cb in enumerate(b):
+                if cb != 0:
+                    prod[i + j] += ca * cb
+        out = list(prod[:n])
+        rows = _fraction_reduction_rows(self.root_order)
+        for k in range(n, 2 * n - 1):
+            c = prod[k]
+            if c != 0:
+                row = rows[k - n]
+                for t in range(n):
+                    out[t] += c * row[t]
+        return FractionScalar(tuple(out), self.root_order)
+
+    __radd__ = __add__
+    __rmul__ = __mul__
+
+    def __rsub__(self, other):
+        return _fraction_coerce(other, self.root_order) - self
+
+    def inverse(self) -> "FractionScalar":
+        """Field inverse via the extended Euclidean algorithm on Phi_m."""
+        if self.is_zero():
+            raise ZeroDivisionError("inverse of zero scalar")
+        if len(self.coeffs) == 1:
+            return FractionScalar((1 / self.coeffs[0],), self.root_order)
+        # extended gcd of Phi_m and self; invariant s_i * self = r_i  (mod Phi_m)
+        r0 = list(cyclotomic_polynomial(self.root_order))
+        r1 = _poly_trim(list(self.coeffs))
+        s0, s1 = [], [Fraction(1)]
+        while r1:
+            q, r = _poly_divmod(r0, r1)
+            s = _poly_sub(s0, _poly_mul(q, s1))
+            r0, r1 = r1, r
+            s0, s1 = s1, s
+        if len(r0) != 1:
+            raise ScalarError("scalar is a zero divisor; Phi_m should be irreducible")
+        inv = [c / r0[0] for c in s0]
+        return _fraction_reduce(inv, self.root_order)
+
+    def __truediv__(self, other):
+        other = _fraction_coerce(other, self.root_order)
+        return self * other.inverse()
+
+    def __pow__(self, n: int):
+        if n < 0:
+            return self.inverse() ** (-n)
+        result = FractionScalar.one(self.root_order)
+        base = self
+        while n:
+            if n & 1:
+                result = result * base
+            base = base * base
+            n >>= 1
+        return result
+
+    # -- predicates and views ----------------------------------------------
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self.coeffs)
+
+    def is_rational(self) -> bool:
+        return all(c == 0 for c in self.coeffs[1:])
+
+    def as_rational(self) -> Fraction:
+        if not self.is_rational():
+            raise ScalarError(f"{self} is not rational")
+        return self.coeffs[0]
+
+    def sort_key(self):
+        return (self.root_order,) + tuple((c.numerator, c.denominator) for c in self.coeffs)
+
+    def __bool__(self):
+        return not self.is_zero()
+
+    def __repr__(self):
+        return f"FractionScalar({format_fraction_scalar(self)!r}, m={self.root_order})"
+
+    def __str__(self):
+        return format_fraction_scalar(self)
+
+
+def _fraction_coerce(value, m: int) -> FractionScalar:
+    if isinstance(value, FractionScalar):
+        return value
+    return FractionScalar.from_rational(value, m)
+
+
+def format_fraction_scalar(s) -> str:
+    """Canonical literal; plain rationals serialize without brackets."""
+    if s.is_rational():
+        return str(s.coeffs[0])
+    return "[" + ";".join(str(c) for c in s.coeffs) + "]"

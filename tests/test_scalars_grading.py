@@ -1,15 +1,21 @@
 """Cyclotomic scalars, groups, bi-characters, reorder signs."""
 import random
+import types
+from collections import Counter
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from colorhomlie import scalars_grading
 from colorhomlie.scalars_grading import (BiCharacter, BiCharacterError,
                                          CycloScalar, FiniteAbelianGroup,
                                          cyclo_reduce, cyclotomic_polynomial,
-                                         epsilon_eval, euler_phi, format_scalar,
+                                         euler_phi, format_scalar,
                                          parse_scalar, reorder_sign,
-                                         scalar_inverse, sort_with_sign)
+                                         sort_with_sign)
+from conftest import FractionScalar, format_fraction_scalar
 
 
 def test_cyclotomic_polynomials():
@@ -39,12 +45,12 @@ def test_reduce_phi3_kills_its_own_polynomial():
 
 def test_inverse_rational():
     s = CycloScalar.from_rational(Fraction(2, 3))
-    assert scalar_inverse(s).coeffs == (Fraction(3, 2),)
+    assert s.inverse().coeffs == (Fraction(3, 2),)
 
 
 def test_inverse_one_plus_zeta4():
     s = CycloScalar.from_rational(1, 4) + CycloScalar.root_of_unity(4)
-    inv = scalar_inverse(s)
+    inv = s.inverse()
     assert (s * inv - CycloScalar.one(4)).is_zero()
     # (1 - zeta4)/2
     assert inv.coeffs == (Fraction(1, 2), Fraction(-1, 2))
@@ -52,12 +58,12 @@ def test_inverse_one_plus_zeta4():
 
 def test_minus_one_self_inverse():
     s = CycloScalar.from_rational(-1, 2)
-    assert scalar_inverse(s).coeffs == s.coeffs
+    assert s.inverse().coeffs == s.coeffs
 
 
 def test_zero_inverse_raises():
     with pytest.raises(ZeroDivisionError):
-        scalar_inverse(CycloScalar.zero(4))
+        CycloScalar.zero(4).inverse()
 
 
 def test_field_axioms_randomized():
@@ -72,7 +78,7 @@ def test_field_axioms_randomized():
             assert ((a * b) * c - a * (b * c)).is_zero()
             assert (a * (b + c) - (a * b + a * c)).is_zero()
             if not a.is_zero():
-                assert (a * scalar_inverse(a) - CycloScalar.one(m)).is_zero()
+                assert (a * a.inverse() - CycloScalar.one(m)).is_zero()
 
 
 def test_powers():
@@ -94,6 +100,128 @@ def test_bad_literal_rejected():
             parse_scalar(bad, 2)
 
 
+# -- integer representation against the Fraction-tuple oracle -----------------
+
+ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None, database=None)
+COEFF = st.one_of(st.just(Fraction(0)),
+                  st.fractions(min_value=-20, max_value=20, max_denominator=12))
+
+
+@st.composite
+def operand_pairs(draw):
+    """(m, x, y, ox, oy): two scalars of Q(zeta_m) and their oracle copies,
+    with mixed denominators and zero operands (whole or per coefficient)."""
+    m = draw(st.sampled_from(ORDERS))
+    phi = euler_phi(m)
+    vec = st.one_of(st.just((Fraction(0),) * phi), st.tuples(*[COEFF] * phi))
+    a, b = draw(vec), draw(vec)
+    return m, CycloScalar(a, m), CycloScalar(b, m), FractionScalar(a, m), FractionScalar(b, m)
+
+
+def assert_matches(x, ox):
+    """Same value as the oracle, stored reduced: den > 0, gcd(num, den) = 1."""
+    assert x.root_order == ox.root_order
+    assert x.coeffs == ox.coeffs
+    assert len(x.num) == euler_phi(x.root_order)
+    assert all(type(n) is int for n in x.num) and type(x.den) is int
+    assert x.den > 0 and gcd(x.den, *x.num) == 1
+
+
+@PROPERTY
+@given(operand_pairs())
+def test_ring_operations_match_fraction_oracle(case):
+    m, x, y, ox, oy = case
+    assert_matches(x, ox)
+    for got, want in ((x + y, ox + oy), (x - y, ox - oy), (x * y, ox * oy),
+                      (-x, -ox), (y * x, oy * ox), (x + 3, ox + 3), (2 - x, 2 - ox),
+                      (Fraction(-1, 4) * x, Fraction(-1, 4) * ox), (x ** 3, ox ** 3)):
+        assert_matches(got, want)
+
+
+@PROPERTY
+@given(operand_pairs())
+def test_inverse_matches_fraction_oracle(case):
+    m, x, y, ox, oy = case
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    assert_matches(x.inverse(), ox.inverse())
+    assert_matches(y / x, oy / ox)
+    assert (x * x.inverse()) == CycloScalar.one(m)
+
+
+@PROPERTY
+@given(operand_pairs())
+def test_equality_hash_and_sort_key_are_structural(case):
+    m, x, y, ox, oy = case
+    assert (x == y) == (ox == oy)
+    assert (x == x * CycloScalar.one(m)) and x == CycloScalar(ox.coeffs, m)
+    assert hash(x) == hash(ox) and hash(y) == hash(oy)
+    assert x.sort_key() == ox.sort_key()
+    assert (x.sort_key() < y.sort_key()) == (ox.sort_key() < oy.sort_key())
+
+
+@PROPERTY
+@given(operand_pairs())
+def test_literals_match_fraction_oracle_and_round_trip(case):
+    m, x, y, ox, oy = case
+    text = format_scalar(x)
+    assert text == format_fraction_scalar(ox)
+    assert parse_scalar(text, m) == x
+    assert_matches(parse_scalar(text, m), ox)
+
+
+def test_zero_and_one_are_shared_per_order():
+    for m in ORDERS:
+        assert CycloScalar.zero(m) is CycloScalar.zero(m)
+        assert CycloScalar.one(m) is CycloScalar.one(m)
+        assert_matches(CycloScalar.zero(m), FractionScalar.zero(m))
+        assert_matches(CycloScalar.one(m), FractionScalar.one(m))
+
+
+# perfbench/tracing.py counts scalar operations by reassigning these class
+# attributes and keys its counters by the operand's ``root_order``; every
+# public module function it wraps as a span.
+TRACED_OPS = ("__add__", "__radd__", "__sub__", "__neg__", "__mul__", "__rmul__", "inverse")
+PUBLIC_FUNCTIONS = {"euler_phi", "cyclo_reduce", "parse_scalar", "format_scalar",
+                    "sort_with_sign", "reorder_sign"}
+
+
+def test_scalar_operations_can_be_wrapped_one_call_each():
+    assert all(name in CycloScalar.__dict__ for name in TRACED_OPS)
+    for name in ("from_rational", "root_of_unity"):
+        assert isinstance(CycloScalar.__dict__[name], staticmethod)
+    saved = {name: CycloScalar.__dict__[name] for name in TRACED_OPS}
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+    x = CycloScalar.root_of_unity(3)
+    y = x + CycloScalar.from_rational(2, 3)
+    try:
+        for name, fn in saved.items():
+            setattr(CycloScalar, name, counting(name, fn))
+        results = [x + y, 1 + x, x - y, -x, x * y, 2 * x, y.inverse()]
+    finally:
+        for name, fn in saved.items():
+            setattr(CycloScalar, name, fn)
+    # each operation is one call of its own attribute, routed through no other
+    assert calls == Counter(TRACED_OPS)
+    assert all(r.root_order == 3 for r in results)
+
+
+def test_module_helpers_outside_the_public_api_are_private():
+    public = {name for name, fn in vars(scalars_grading).items()
+              if isinstance(fn, types.FunctionType) and not name.startswith("_")
+              and fn.__module__ == scalars_grading.__name__}
+    assert public == PUBLIC_FUNCTIONS
+
+
 # -- groups and bi-characters -------------------------------------------------
 
 def test_group_arithmetic():
@@ -111,8 +239,8 @@ def test_bicharacter_dot_form_z2_cubed():
     eps = BiCharacter(G, [[1, 0, 0], [0, 1, 0], [0, 0, 1]], 2)
     a = G.element((1, 1, 0))
     b = G.element((1, 0, 1))
-    assert epsilon_eval(eps, a, b).as_rational() == -1
-    assert epsilon_eval(eps, a, G.zero()).as_rational() == 1
+    assert eps(a, b).as_rational() == -1
+    assert eps(a, G.zero()).as_rational() == 1
     # exhaustive defining identities
     for x in G.elements():
         for y in G.elements():
