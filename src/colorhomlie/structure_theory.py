@@ -42,16 +42,6 @@ def _pattern_matrix(A: ColorHomAlgebra, pattern, coeffs):
     return M
 
 
-def _unit_matrices(A: ColorHomAlgebra, pattern):
-    one = CycloScalar.one(A.m)
-    units = []
-    for (i, j) in pattern:
-        M = linalg.zeros(A.dim, A.dim, A.m)
-        M[i][j] = one
-        units.append(M)
-    return units
-
-
 def _commute_rows(A: ColorHomAlgebra, pattern, offset, nvars):
     """Rows of [D, alpha] = 0 for the variable block starting at offset.
 
@@ -240,52 +230,61 @@ def reverify_space(A: ColorHomAlgebra, space: HomogeneousMapSpace) -> CheckResul
     return CheckResult(not failures, failures)
 
 
-def _partner_solution(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str):
-    """Recover partner maps witnessing a qder/gder identity for a given D.
+def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str, pattern):
+    """Equations (rows, rhs) on the partner maps of a qder/gder D.
 
     qder: one unknown P with P([x,y]) = [D x, a^k y] + eps(gamma,x)[a^k x, D y];
     gder: unknowns (P1, P2) with P2([x,y]) - eps(gamma,x)[a^k x, P1 y] = [D x, a^k y].
-    Partner maps must commute with alpha, matching the space definitions.
+    Unknown t of a block is the coefficient of E_ij, (i, j) = pattern[t], and
+    (E_ij v)[a] = delta_ai v[j]: it contributes [x,y][j] at component i of
+    P([x,y]) and, when j = y, [a^k e_x, e_i] to [a^k x, P1 y].  Rows run over
+    (x, y, component), then the [P, alpha] = 0 rows of each block.
     """
-    pattern = degree_pattern(A, gamma)
-    units = _unit_matrices(A, pattern)
-    nD = len(pattern)
+    dim, nD = A.dim, len(pattern)
     blocks = 1 if kind == "qder" else 2
     nvars = blocks * nD
     z = CycloScalar.zero(A.m)
+    ak = A.alpha_power(k)
+    ak_e = [[row[x] for row in ak] for x in range(dim)]
+    d_e = [linalg.mat_vec(D, A.basis_vector(x)) for x in range(dim)]
     rows, rhs = [], []
-    E = [A.basis_vector(i) for i in range(A.dim)]
-    for x in range(A.dim):
-        akx = A.apply_alpha(E[x], k)
+    for x in range(dim):
         e = A.eps(gamma, A.degree(x))
-        for y in range(A.dim):
-            aky = A.apply_alpha(E[y], k)
+        if kind == "gder":
+            right = [A.bracket.bilinear(ak_e[x], A.basis_vector(i)) for i in range(dim)]
+        for y in range(dim):
             bxy = A.bracket.of_basis(x, y)
-            p_of_bracket = [linalg.mat_vec(U, bxy) for U in units]
-            t1 = A.bracket.bilinear(linalg.mat_vec(D, E[x]), aky)
+            target = A.bracket.bilinear(d_e[x], ak_e[y])
             if kind == "qder":
-                t2 = A.bracket.bilinear(akx, linalg.mat_vec(D, E[y]))
-                target = [a + e * b for a, b in zip(t1, t2)]
-                for comp in range(A.dim):
-                    rows.append([u[comp] for u in p_of_bracket])
-                    rhs.append(target[comp])
-            else:
-                right_units = [A.bracket.bilinear(akx, linalg.mat_vec(U, E[y]))
-                               for U in units]
-                for comp in range(A.dim):
-                    row = [z] * nvars
-                    for t in range(nD):
-                        row[t] = -e * right_units[t][comp]
-                        row[nD + t] = p_of_bracket[t][comp]
-                    rows.append(row)
-                    rhs.append(t1[comp])
+                t2 = A.bracket.bilinear(ak_e[x], d_e[y])
+                target = [a + e * b for a, b in zip(target, t2)]
+            group = [[z] * nvars for _ in range(dim)]
+            for t, (i, j) in enumerate(pattern):
+                group[i][nvars - nD + t] = bxy[j]
+                if kind == "gder" and j == y:
+                    for comp, v in enumerate(right[i]):
+                        group[comp][t] = -e * v
+            rows.extend(group)
+            rhs.extend(target)
     for block in range(blocks):
         commute = _commute_rows(A, pattern, block * nD, nvars)
         rows.extend(commute)
         rhs.extend([z] * len(commute))
+    return rows, rhs
+
+
+def _partner_solution(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str):
+    """Recover partner maps witnessing a qder/gder identity for a given D.
+
+    Partner maps must commute with alpha, matching the space definitions.
+    """
+    pattern = degree_pattern(A, gamma)
+    rows, rhs = _partner_rows(A, k, gamma, D, kind, pattern)
     sol = linalg.solve(rows, rhs, A.m)
     if sol is None:
         return None
+    nD = len(pattern)
+    blocks = 1 if kind == "qder" else 2
     return tuple(_pattern_matrix(A, pattern, sol[b * nD:(b + 1) * nD])
                  for b in range(blocks))
 

@@ -300,6 +300,54 @@ def defining_rows_direct(A, k, gamma, kind, pattern, commute):
     return rows, nvars, nD
 
 
+def partner_rows_direct(A, k, gamma, D, kind):
+    """Equations (rows, rhs) on the qder/gder partner maps of D, through dense
+    unit matrices: an oracle for ``structure_theory._partner_rows``, with the
+    same unknown layout (qder: P; gder: (P1, P2)) and rows in the same order.
+
+    qder: one unknown P with P([x,y]) = [D x, a^k y] + eps(gamma,x)[a^k x, D y];
+    gder: unknowns (P1, P2) with P2([x,y]) - eps(gamma,x)[a^k x, P1 y] = [D x, a^k y].
+    """
+    pattern = [(i, j) for i in range(A.dim) for j in range(A.dim)
+               if A.degree(i) == A.degree(j) + gamma]
+    units = _unit_matrices_direct(A, pattern)
+    nD = len(pattern)
+    blocks = 1 if kind == "qder" else 2
+    nvars = blocks * nD
+    z = CycloScalar.zero(A.m)
+    rows, rhs = [], []
+    E = [A.basis_vector(i) for i in range(A.dim)]
+    for x in range(A.dim):
+        akx = A.apply_alpha(E[x], k)
+        e = A.eps(gamma, A.degree(x))
+        for y in range(A.dim):
+            aky = A.apply_alpha(E[y], k)
+            bxy = A.bracket.of_basis(x, y)
+            p_of_bracket = [linalg.mat_vec(U, bxy) for U in units]
+            t1 = A.bracket.bilinear(linalg.mat_vec(D, E[x]), aky)
+            if kind == "qder":
+                t2 = A.bracket.bilinear(akx, linalg.mat_vec(D, E[y]))
+                target = [a + e * b for a, b in zip(t1, t2)]
+                for comp in range(A.dim):
+                    rows.append([u[comp] for u in p_of_bracket])
+                    rhs.append(target[comp])
+            else:
+                right_units = [A.bracket.bilinear(akx, linalg.mat_vec(U, E[y]))
+                               for U in units]
+                for comp in range(A.dim):
+                    row = [z] * nvars
+                    for t in range(nD):
+                        row[t] = -e * right_units[t][comp]
+                        row[nD + t] = p_of_bracket[t][comp]
+                    rows.append(row)
+                    rhs.append(t1[comp])
+    for block in range(blocks):
+        commute = _commute_rows_direct(A, units, block * nD, nvars)
+        rows.extend(commute)
+        rhs.extend([z] * len(commute))
+    return rows, rhs
+
+
 def hom_jordan_direct(J):
     """Commutativity law on pairs and the twisted Jordan identity on
     quadruples, every product and associator recomputed per quadruple: an

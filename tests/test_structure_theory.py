@@ -6,6 +6,7 @@ import pytest
 from colorhomlie import linalg
 from colorhomlie.structure_theory import (KINDS, ProductAlgebraData,
                                           _defining_rows, _express_in_span,
+                                          _partner_rows,
                                           centroid_space,
                                           check_hom_jordan,
                                           check_inclusion_lattice,
@@ -18,8 +19,8 @@ from colorhomlie.structure_theory import (KINDS, ProductAlgebraData,
                                           reverify_space, solve_space)
 from conftest import (build_algebra, defining_rows_direct, direct_sum,
                       heis_zeta3, hom_jordan_direct, motion_z2z3,
-                      random_multiplicative_algebra, sc, sl2c_z2z2,
-                      zero_algebra)
+                      partner_rows_direct, random_multiplicative_algebra, sc,
+                      sl2c_z2z2, zero_algebra)
 
 
 def all_degrees(A):
@@ -292,6 +293,34 @@ def test_row_cases_cover_the_edge_shapes():
             "heis_zeta3^2"} <= names
     assert any(not A.alpha[i][j].is_zero() for A in ROW_CASES
                for i in range(A.dim) for j in range(A.dim) if i != j)
+
+
+PARTNER_CASES = [heis_zeta3(), sl2c_z2z2(), motion_z2z3()] + [
+    random_multiplicative_algebra(random.Random(seed)) for seed in range(4)]
+
+
+@pytest.mark.parametrize("case", range(len(PARTNER_CASES)))
+def test_partner_rows_match_dense_oracle(case):
+    A = PARTNER_CASES[case]
+    solved = 0
+    for kind in ("qder", "gder"):
+        for k in (0, 1):
+            for gamma in A.basis.group.elements():
+                pattern = degree_pattern(A, gamma)
+                if not pattern:
+                    continue
+                # every spanning matrix of the solved space, and one pattern
+                # matrix whose identity fails, so the right-hand sides differ
+                probe = linalg.zeros(A.dim, A.dim, A.m)
+                for t, (i, j) in enumerate(pattern):
+                    probe[i][j] = sc(t + 1, A.m)
+                basis = solve_space(A, kind, k, gamma).basis
+                solved += len(basis)
+                for D in basis + [probe]:
+                    got = _partner_rows(A, k, gamma, D, kind, pattern)
+                    assert got == partner_rows_direct(A, k, gamma, D, kind), \
+                        (A.name, kind, k, gamma.components)
+    assert solved > 0
 
 
 def test_gder_includes_centroid_construction():
