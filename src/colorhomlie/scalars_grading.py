@@ -149,6 +149,8 @@ def _additive(op):
             return self
         if da == db:
             return _make(tuple(map(op, a, b)), da, m)
+        if len(a) == 1:
+            return _make((op(a[0] * db, b[0] * da),), da * db, m)
         return _make(tuple([op(p * db, q * da) for p, q in zip(a, b)]), da * db, m)
     return method
 
@@ -218,7 +220,13 @@ class CycloScalar:
         den = self.den * other.den
         n = len(a)
         if n == 1:
-            return _make((a[0] * b[0],), den, m)
+            p = a[0] * b[0]
+            if den != 1:
+                g = gcd(p, den)
+                p, den = p // g, den // g
+            s = _new(CycloScalar)
+            s.num, s.den, s.root_order = (p,), den, m
+            return s
         if n == 2:
             (r0, r1), = _reduction_rows(m)
             a0, a1 = a
