@@ -5,14 +5,14 @@ from .scalars_grading import (BiCharacter, CycloScalar, FiniteAbelianGroup,
                               parse_scalar, reorder_sign)
 from .algebra_core import (AxiomReport, BracketTable, CheckResult,
                            ColorHomAlgebra, GradedBasis,
-                           HomAssociativeColorAlgebra, check_color_hom_lie,
-                           commutator_algebra, derived_algebra)
+                           HomAssociativeColorAlgebra, StructureConstants,
+                           check_color_hom_lie, commutator_algebra,
+                           derived_algebra)
 from .morphisms_twists import (BudgetExceededError, LinearMap,
                                enumerate_morphisms, twist, verify_morphism)
-from .representations import (ModuleStructure, Representation, adjoint,
-                              alpha_s_adjoint, check_coadjoint_condition,
-                              check_module, check_representation,
-                              dual_representation)
+from .representations import (Representation, adjoint, alpha_s_adjoint,
+                              check_coadjoint_condition, check_module,
+                              check_representation, dual_representation)
 from .cohomology import (Cochain, CochainSpace, cochain_basis, coboundary,
                          cohomology_group, delta_matrix)
 from .hls_bracket import (CommutativeColorAlgebra, SigmaDerivation,

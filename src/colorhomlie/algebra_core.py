@@ -1,18 +1,21 @@
 """Graded algebras by structure constants and the color Hom-Lie axiom checks.
 
-A ``ColorHomAlgebra`` carries a homogeneous basis, a bi-character, a sparse
-bracket table and a twist matrix.  Validation is reported, never enforced at
-construction: non-multiplicative algebras (and twisted algebras whose bracket
-leaves the original grading) are legal values everywhere except the few
-operations whose mathematics genuinely needs more.
+Every bilinear table of the package (brackets, products, induced brackets)
+is a ``StructureConstants``.  A ``ColorHomAlgebra`` carries a homogeneous
+basis, a bi-character, a skew ``BracketTable`` and a twist matrix.
+Validation is reported, never enforced at construction: non-multiplicative
+algebras (and twisted algebras whose bracket leaves the original grading)
+are legal values everywhere except the few operations whose mathematics
+genuinely needs more.
 """
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 from . import linalg
 from .scalars_grading import (BiCharacter, CycloScalar, FiniteAbelianGroup,
-                              GroupElement)
+                              GroupElement, format_scalar)
 
 
 class AlgebraStructureError(ValueError):
@@ -49,78 +52,132 @@ class GradedBasis:
         return self.names.index(name)
 
 
-class BracketTable:
-    """Sparse bilinear structure constants with the skew rule built in.
+class StructureConstants:
+    """A bilinear map by its structure constants on a basis of dim vectors.
 
-    Entries are stored for pairs (i, j) with i <= j; values for (j, i) are
-    derived via c_ji = -eps(d_j, d_i) c_ij.  Redundant input is validated.
+    ``rows[(i, j)]`` is the image of (e_i, e_j) as ``{k: nonzero scalar}``; a
+    pair without a row maps to zero.  Input vectors may be dense or sparse.
     """
 
-    def __init__(self, basis: GradedBasis, eps: BiCharacter, entries, m: int):
-        self.basis = basis
-        self.eps = eps
+    mirrored = False  # pairs with i > j follow from a commutation rule
+
+    def __init__(self, dim: int, m: int, entries):
+        self.dim = dim
         self.m = m
-        self.pairs = {}
-        zero = [CycloScalar.zero(m)] * basis.dim
+        self.rows = {}
         for (i, j), vec in entries.items():
-            vec = list(vec)
-            if len(vec) != basis.dim:
+            if not (0 <= i < dim and 0 <= j < dim):
+                raise AlgebraStructureError(f"pair ({i},{j}) is out of range for dimension {dim}")
+            if not isinstance(vec, dict) and len(vec) != dim:
                 raise AlgebraStructureError(
-                    f"bracket entry ({i},{j}) has length {len(vec)}, expected {basis.dim}")
-            if i <= j:
-                key, canon = (i, j), vec
-            else:
-                s = -eps(basis.degrees[i], basis.degrees[j])
-                key, canon = (j, i), [s * c for c in vec]
-            if key in self.pairs:
-                if any(not (a - b).is_zero() for a, b in zip(self.pairs[key], canon)):
-                    raise AlgebraStructureError(
-                        f"redundant bracket input at pair {key} violates skew-symmetry")
-            else:
-                self.pairs[key] = canon
-        self._zero = zero
+                    f"entry ({i},{j}) has length {len(vec)}, expected {dim}")
+            items = vec.items() if isinstance(vec, dict) else enumerate(vec)
+            row = {k: c for k, c in items if not c.is_zero()}
+            if row:
+                self.rows[(i, j)] = row
+
+    @classmethod
+    def of_cells(cls, cells, m: int) -> "StructureConstants":
+        """From a dense table: cells[i][j] is the image of (e_i, e_j)."""
+        return cls(len(cells), m, {(i, j): cell for i, row in enumerate(cells)
+                                   for j, cell in enumerate(row)})
 
     def of_basis(self, i: int, j: int):
-        """[e_i, e_j] as a coordinate vector."""
-        if i <= j:
-            return self.pairs.get((i, j), self._zero)
-        stored = self.pairs.get((j, i))
-        if stored is None:
-            return self._zero
-        s = -self.eps(self.basis.degrees[i], self.basis.degrees[j])
-        return [s * c for c in stored]
+        """The image of (e_i, e_j) as a dense coordinate vector."""
+        out = [CycloScalar.zero(self.m)] * self.dim
+        for k, c in self.rows.get((i, j), {}).items():
+            out[k] = c
+        return out
 
     def bilinear(self, u, v):
-        out = [CycloScalar.zero(self.m)] * self.basis.dim
+        """The image of (u, v), both dense coordinate vectors."""
+        acc = {}
+        v_support = [(j, b) for j, b in enumerate(v) if not b.is_zero()]
         for i, a in enumerate(u):
             if a.is_zero():
                 continue
-            for j, b in enumerate(v):
-                if b.is_zero():
+            for j, b in v_support:
+                row = self.rows.get((i, j))
+                if row is None:
                     continue
-                w = self.of_basis(i, j)
                 coeff = a * b
-                out = [o + coeff * c for o, c in zip(out, w)]
+                for k, c in row.items():
+                    t = coeff * c
+                    acc[k] = acc[k] + t if k in acc else t
+        z = CycloScalar.zero(self.m)
+        return [acc.get(k, z) for k in range(self.dim)]
+
+    def compose_with(self, matrix) -> "StructureConstants":
+        """Structure constants of matrix o (this map), under the same rule."""
+        out = copy.copy(self)
+        out.rows = StructureConstants(self.dim, self.m, {
+            key: linalg.mat_vec(matrix, self.of_basis(*key)) for key in self.rows}).rows
         return out
 
-    def compose_with(self, matrix) -> "BracketTable":
-        """Structure constants of matrix o [.,.]."""
-        new = {}
-        for key, vec in self.pairs.items():
-            new[key] = linalg.mat_vec(matrix, vec)
-        return BracketTable(self.basis, self.eps, new, self.m)
+    def endomorphism_failures(self, matrix):
+        """The basis pairs (i, j), in order, with matrix(c(e_i, e_j)) !=
+        c(matrix e_i, matrix e_j)."""
+        cols = [[row[j] for row in matrix] for j in range(self.dim)]
+        for i in range(self.dim):
+            for j in range(self.dim):
+                lhs = linalg.mat_vec(matrix, self.of_basis(i, j))
+                rhs = self.bilinear(cols[i], cols[j])
+                if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
+                    yield i, j
 
     def is_zero(self) -> bool:
-        return all(all(c.is_zero() for c in vec) for vec in self.pairs.values())
+        return not self.rows
 
-    def equals(self, other: "BracketTable") -> bool:
-        d = self.basis.dim
-        for i in range(d):
-            for j in range(d):
-                a, b = self.of_basis(i, j), other.of_basis(i, j)
-                if any(not (x - y).is_zero() for x, y in zip(a, b)):
-                    return False
-        return True
+    def equals(self, other: "StructureConstants") -> bool:
+        return self.dim == other.dim and self.rows == other.rows
+
+    def report(self, names):
+        """{"x,y": {"z": "c"}} over the nonzero pairs in index order; a
+        mirrored table lists only its pairs with i <= j."""
+        return {f"{names[i]},{names[j]}": {names[k]: format_scalar(c)
+                                          for k, c in sorted(row.items())}
+                for (i, j), row in sorted(self.rows.items())
+                if i <= j or not self.mirrored}
+
+
+def _complete(dim: int, m: int, entries, degrees, eps: BiCharacter, sign: int, rule: str):
+    """Sparse rows of entries with every missing pair (p, q) filled from the
+    given (q, p) as sign * eps(d_p, d_q) * c_qp: sign -1 is skew-symmetry,
+    +1 eps-commutativity.  A given pair (p, q) must agree with that value."""
+    given = StructureConstants(dim, m, entries).rows
+    rows = dict(given)
+    for (q, p), row in given.items():
+        if p == q:
+            continue
+        e = eps(degrees[p], degrees[q])
+        mirror = {k: (-e if sign < 0 else e) * c for k, c in row.items()}
+        if (p, q) not in entries:
+            rows[(p, q)] = mirror
+        elif given.get((p, q), {}) != mirror:
+            raise AlgebraStructureError(
+                f"redundant input at pair {(min(p, q), max(p, q))} violates {rule}")
+    return rows
+
+
+class BracketTable(StructureConstants):
+    """Structure constants with the skew rule built in.
+
+    Pairs may be given in either order; a missing (j, i) is derived via
+    c_ji = -eps(d_j, d_i) c_ij, and redundant input is validated.
+    """
+
+    mirrored = True
+
+    def __init__(self, basis: GradedBasis, eps: BiCharacter, entries, m: int):
+        super().__init__(basis.dim, m, _complete(basis.dim, m, entries, basis.degrees,
+                                                 eps, -1, "skew-symmetry"))
+        self.basis = basis
+        self.eps = eps
+
+    @property
+    def pairs(self):
+        """Dense view {(i, j): [e_i, e_j]} of the nonzero pairs with i <= j."""
+        return {(i, j): self.of_basis(i, j) for (i, j) in self.rows if i <= j}
 
 
 @dataclass
@@ -204,10 +261,12 @@ class ColorHomAlgebra:
 
     def check_grading(self) -> CheckResult:
         failures = []
-        for (i, j), vec in sorted(self.bracket.pairs.items()):
+        for (i, j), row in sorted(self.bracket.rows.items()):
+            if i > j:
+                continue
             target = self.degree(i) + self.degree(j)
-            for k, c in enumerate(vec):
-                if not c.is_zero() and self.degree(k) != target:
+            for k in sorted(row):
+                if self.degree(k) != target:
                     failures.append({
                         "pair": [self.basis.names[i], self.basis.names[j]],
                         "component": self.basis.names[k],
@@ -220,13 +279,12 @@ class ColorHomAlgebra:
         # the off-diagonal rule holds by construction; diagonal entries are
         # constrained only when eps(a,a) = +1
         failures = []
-        for (i, j), vec in sorted(self.bracket.pairs.items()):
+        for (i, j) in sorted(self.bracket.rows):
             if i == j and not self.eps.sign_is_minus_one(self.degree(i), self.degree(i)):
-                if any(not c.is_zero() for c in vec):
-                    failures.append({
-                        "pair": [self.basis.names[i], self.basis.names[i]],
-                        "reason": "diagonal bracket must vanish when eps(a,a) = +1",
-                    })
+                failures.append({
+                    "pair": [self.basis.names[i], self.basis.names[i]],
+                    "reason": "diagonal bracket must vanish when eps(a,a) = +1",
+                })
         return CheckResult(not failures, failures)
 
     def jacobi_residual(self, x: int, y: int, z: int):
@@ -268,9 +326,6 @@ class ColorHomAlgebra:
                     })
         return CheckResult(not failures, failures)
 
-    def is_multiplicative(self) -> bool:
-        return self.check_multiplicative().ok
-
 
 def check_color_hom_lie(A: ColorHomAlgebra) -> AxiomReport:
     return AxiomReport(
@@ -282,12 +337,17 @@ def check_color_hom_lie(A: ColorHomAlgebra) -> AxiomReport:
 
 
 class HomAssociativeColorAlgebra:
-    """Graded algebra (mu, alpha) with the twisted associativity law."""
+    """Graded algebra (mu, alpha) with the twisted associativity law.
+
+    mu is a ``StructureConstants`` or a dense table mu[i][j] of the images
+    of (e_i, e_j).
+    """
 
     def __init__(self, basis: GradedBasis, eps: BiCharacter, mu, alpha, m: int):
         self.basis = basis
         self.eps = eps
-        self.mu = mu  # dense: mu[i][j] -> coordinate vector of mu(e_i, e_j)
+        self.mu = mu if isinstance(mu, StructureConstants) else \
+            StructureConstants.of_cells(mu, m)
         self.alpha = alpha
         self.m = m
 
@@ -295,28 +355,21 @@ class HomAssociativeColorAlgebra:
     def dim(self):
         return self.basis.dim
 
-    def mu_vec(self, u, v):
-        out = [CycloScalar.zero(self.m)] * self.dim
-        for i, a in enumerate(u):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(v):
-                if b.is_zero():
-                    continue
-                coeff = a * b
-                out = [o + coeff * c for o, c in zip(out, self.mu[i][j])]
-        return out
+    def basis_vector(self, i: int):
+        return [CycloScalar.one(self.m) if j == i else CycloScalar.zero(self.m)
+                for j in range(self.dim)]
 
     def check_hom_associative(self) -> CheckResult:
         failures = []
+        mu = self.mu
         E = linalg.identity(self.dim, self.m)
         for x in range(self.dim):
             ax = linalg.mat_vec(self.alpha, E[x])
             for y in range(self.dim):
                 for z in range(self.dim):
                     az = linalg.mat_vec(self.alpha, E[z])
-                    lhs = self.mu_vec(ax, self.mu[y][z])
-                    rhs = self.mu_vec(self.mu[x][y], az)
+                    lhs = mu.bilinear(ax, mu.of_basis(y, z))
+                    rhs = mu.bilinear(mu.of_basis(x, y), az)
                     if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
                         failures.append({"triple": [self.basis.names[x],
                                                     self.basis.names[y],
@@ -327,8 +380,8 @@ class HomAssociativeColorAlgebra:
         for i in range(self.dim):
             for j in range(self.dim):
                 e = self.eps(self.basis.degrees[i], self.basis.degrees[j])
-                lhs = self.mu[i][j]
-                rhs = [e * c for c in self.mu[j][i]]
+                lhs = self.mu.of_basis(i, j)
+                rhs = [e * c for c in self.mu.of_basis(j, i)]
                 if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
                     return False
         return True
@@ -345,9 +398,8 @@ def commutator_algebra(H: HomAssociativeColorAlgebra) -> ColorHomAlgebra:
     for i in range(H.dim):
         for j in range(i, H.dim):
             e = H.eps(H.basis.degrees[i], H.basis.degrees[j])
-            vec = [a - e * b for a, b in zip(H.mu[i][j], H.mu[j][i])]
-            if any(not c.is_zero() for c in vec):
-                entries[(i, j)] = vec
+            entries[(i, j)] = [a - e * b for a, b in
+                               zip(H.mu.of_basis(i, j), H.mu.of_basis(j, i))]
     bracket = BracketTable(H.basis, H.eps, entries, H.m)
     return ColorHomAlgebra(H.basis, H.eps, bracket, H.alpha, H.m)
 

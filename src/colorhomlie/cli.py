@@ -68,13 +68,16 @@ def _degree(A, text):
     return A.basis.group.element(comps)
 
 
-def _matrix_arg(value: str, A):
+def _matrix_arg(value: str, A, option: str):
     if value.lstrip().startswith("["):
         rows = json.loads(value)
     else:
         with open(value, "r", encoding="utf-8") as fh:
             rows = json.load(fh)
-    return parse_matrix(rows, A.m, value)
+    matrix = parse_matrix(rows, A.m, value)
+    if len(matrix) != A.dim or any(len(row) != A.dim for row in matrix):
+        raise ParseError(f"{option} must be a {A.dim}x{A.dim} matrix")
+    return matrix
 
 
 def cmd_validate(args) -> int:
@@ -98,19 +101,11 @@ def cmd_twists(args) -> int:
                                  budget=args.budget)
     items = []
     for f in morphs:
-        T = twist(A, f)
-        table = {}
-        for (i, j) in sorted(T.bracket.pairs):
-            vec = T.bracket.pairs[(i, j)]
-            if any(not c.is_zero() for c in vec):
-                table[f"{A.basis.names[i]},{A.basis.names[j]}"] = {
-                    A.basis.names[k]: str(c) for k, c in enumerate(vec)
-                    if not c.is_zero()}
         items.append({
             "matrix": serialize_matrix(f.matrix),
             "even": f.even,
             "invertible": morphism_is_invertible(f),
-            "twisted_bracket": table,
+            "twisted_bracket": twist(A, f).bracket.report(A.basis.names),
         })
     doc = {"schema": SCHEMA, "command": "twists", "algebra": A.name,
            "entry_set": [str(s) for s in entry_set], "count": len(items),
@@ -190,14 +185,8 @@ def cmd_derived(args) -> int:
     A = parse_algebra_file(args.algebra)
     D = derived_algebra(A, args.n)
     report = check_color_hom_lie(D)
-    table = {}
-    for (i, j) in sorted(D.bracket.pairs):
-        vec = D.bracket.pairs[(i, j)]
-        if any(not c.is_zero() for c in vec):
-            table[f"{A.basis.names[i]},{A.basis.names[j]}"] = {
-                A.basis.names[k]: str(c) for k, c in enumerate(vec) if not c.is_zero()}
     doc = {"schema": SCHEMA, "command": "derived", "algebra": A.name, "n": args.n,
-           "bracket": table, "alpha": serialize_matrix(D.alpha),
+           "bracket": D.bracket.report(A.basis.names), "alpha": serialize_matrix(D.alpha),
            "report": report.to_dict()}
     _emit(doc, args)
     return EXIT_OK if report.is_color_hom_lie else EXIT_CHECK_FAILED
@@ -205,8 +194,8 @@ def cmd_derived(args) -> int:
 
 def cmd_hls(args) -> int:
     C = parse_commutative_algebra_file(args.algebra)
-    sigma = _matrix_arg(args.sigma, C)
-    delta_map = _matrix_arg(args.delta_map, C)
+    sigma = _matrix_arg(args.sigma, C, "--sigma")
+    delta_map = _matrix_arg(args.delta_map, C, "--delta-map")
     grade = _degree(C, args.grade) if args.grade else C.basis.group.zero()
     delta_scalar = parse_scalar(args.delta_scalar, C.m)
     D = SigmaDerivation(sigma, delta_map, grade, delta_scalar)

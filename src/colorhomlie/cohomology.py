@@ -127,11 +127,6 @@ class Cochain:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
 
-    def as_map(self):
-        return {self.space.tuples[t]: self.coords[t * self.space.module.dim:
-                                                  (t + 1) * self.space.module.dim]
-                for t in range(len(self.space.tuples))}
-
 
 # -- sparse operators assembled from basis terms ------------------------------
 #

@@ -58,26 +58,19 @@ class TruncatedBracket:
     def term(self, i: int):
         return self.terms[i] if i <= self.order else None
 
-    def skew_report(self) -> CheckResult:
-        failures = []
+    def _term_report(self, check) -> CheckResult:
+        """An axiom check of ColorHomAlgebra run on every term's table."""
         A = self.algebra
-        for s, table in enumerate(self.terms):
-            for (i, j), vec in sorted(table.pairs.items()):
-                if i == j and not A.eps.sign_is_minus_one(A.degree(i), A.degree(i)):
-                    if any(not c.is_zero() for c in vec):
-                        failures.append({"order": s, "pair": [i, j]})
+        failures = [{"order": s, **failure} for s, table in enumerate(self.terms)
+                    for failure in check(ColorHomAlgebra(A.basis, A.eps, table,
+                                                         A.alpha, A.m)).failures]
         return CheckResult(not failures, failures)
 
+    def skew_report(self) -> CheckResult:
+        return self._term_report(ColorHomAlgebra.check_skew)
+
     def grading_report(self) -> CheckResult:
-        failures = []
-        A = self.algebra
-        for s, table in enumerate(self.terms):
-            for (i, j), vec in sorted(table.pairs.items()):
-                target = A.degree(i) + A.degree(j)
-                for kk, c in enumerate(vec):
-                    if not c.is_zero() and A.degree(kk) != target:
-                        failures.append({"order": s, "pair": [i, j], "component": kk})
-        return CheckResult(not failures, failures)
+        return self._term_report(ColorHomAlgebra.check_grading)
 
 
 def check_deformation(A: ColorHomAlgebra, B: TruncatedBracket) -> dict:
@@ -140,7 +133,7 @@ def first_order_class(A: ColorHomAlgebra, B: TruncatedBracket) -> dict:
     image, _ = coboundary_of_coords(A, R, space, coords, r=0)
     is_cocycle = all(c.is_zero() for c in image)
     result = {"is_cocycle": is_cocycle}
-    if not linalg.det(A.alpha).is_zero():
+    if linalg.rank(A.alpha) == A.dim:
         result["adjoint_convention"] = "r=0; equals the inverse-twist adjoint pattern"
     else:
         result["warning"] = ("twist is singular; the inverse-twist adjoint "
@@ -292,8 +285,7 @@ def transport_bracket(A: ColorHomAlgebra, B1: TruncatedBracket,
                                 continue
                             inner = B1.terms[d].bilinear(px, py)
                             acc = [u + v for u, v in zip(acc, linalg.mat_vec(pa, inner))]
-                if any(not u.is_zero() for u in acc):
-                    entries[(i, j)] = acc
+                entries[(i, j)] = acc
         new_terms.append(BracketTable(A.basis, A.eps, entries, A.m))
     if B1.alpha_terms is None:
         base_alpha = [A.alpha]
@@ -360,19 +352,10 @@ def composition_deformation(L: ColorHomAlgebra, alphas, order: int = None,
                                alphas[0], L.m, name=L.name)
     else:
         base = L
-    if derived:
-        # bracket alpha_t^(2^n - 1) o [.,.]_t = alpha_t^(2^n) o [.,.], twist alpha_t^(2^n)
-        series = _matrix_series_power(alphas, 1 << derived, order, L.m, L.dim)
-        base_terms = [_series_term_table(L, series, s) for s in range(order + 1)]
-        result = TruncatedBracket(base, order, base_terms, list(series))
-    else:
-        terms = []
-        z = linalg.zeros(L.dim, L.dim, L.m)
-        for s in range(order + 1):
-            mat = alphas[s] if s < len(alphas) else z
-            terms.append(L.bracket.compose_with(mat))
-        alpha_series = [alphas[s] if s < len(alphas) else z for s in range(order + 1)]
-        result = TruncatedBracket(base, order, terms, alpha_series)
+    # bracket alpha_t^(2^n - 1) o [.,.]_t = alpha_t^(2^n) o [.,.], twist alpha_t^(2^n)
+    series = _matrix_series_power(alphas, 1 << derived, order, L.m, L.dim)
+    result = TruncatedBracket(base, order, [L.bracket.compose_with(a) for a in series],
+                              list(series))
     result.endomorphism_failing_orders = failing_orders
     return result
 
@@ -390,7 +373,3 @@ def _matrix_series_power(alphas, power: int, order: int, m: int, dim: int):
             new.append(acc)
         result = new
     return result
-
-
-def _series_term_table(L: ColorHomAlgebra, series, s: int):
-    return L.bracket.compose_with(series[s])

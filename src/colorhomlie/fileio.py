@@ -21,7 +21,9 @@ from __future__ import annotations
 
 import json
 
-from .algebra_core import BracketTable, ColorHomAlgebra, GradedBasis
+from . import linalg
+from .algebra_core import (BracketTable, ColorHomAlgebra, GradedBasis,
+                           StructureConstants, _complete)
 from .representations import Representation
 from .scalars_grading import (BiCharacter, CycloScalar, FiniteAbelianGroup,
                               ScalarError, format_scalar, parse_scalar)
@@ -68,45 +70,69 @@ def serialize_matrix(matrix):
     return [[format_scalar(c) for c in row] for row in matrix]
 
 
-def parse_algebra_document(text: str) -> ColorHomAlgebra:
-    doc = _load_json(text)
-    if not isinstance(doc, dict):
-        raise ParseError("algebra document must be a JSON object")
-    for key in ("group", "basis"):
-        if key not in doc:
-            raise ParseError(f"missing required section {key!r}")
-    group = FiniteAbelianGroup(tuple(int(n) for n in doc["group"]["orders"]))
+def _require(obj, key: str, where: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ParseError(f"{where} misses required key {key!r}")
+    return obj[key]
+
+
+def _parse_square(rows, n: int, m: int, source: str, what: str):
+    matrix = parse_matrix(rows, m, source)
+    if len(matrix) != n or any(len(r) != n for r in matrix):
+        raise ParseError(f"{what} must be a {n}x{n} matrix")
+    return matrix
+
+
+def _parse_basis(entries, group: FiniteAbelianGroup, what: str) -> GradedBasis:
+    names, degrees = [], []
+    for n, entry in enumerate(entries):
+        names.append(str(_require(entry, "name", f"{what} entry {n}")))
+        degree = _require(entry, "degree", f"{what} entry {n}")
+        degrees.append(group.element(tuple(int(c) for c in degree)))
+    return GradedBasis(tuple(names), tuple(degrees), group)
+
+
+def _parse_header(doc):
+    """Basis, bi-character and root order of an algebra document."""
+    group_doc = _require(doc, "group", "algebra document")
+    group = FiniteAbelianGroup(tuple(int(n) for n in _require(group_doc, "orders", "group")))
     m = int(doc.get("root_order", max(group.exponent, 1)))
     exponents = doc.get("epsilon", {}).get("exponents")
     if exponents is None:
         exponents = [[0] * group.rank for _ in range(group.rank)]
     eps = BiCharacter(group, exponents, m)
-    names, degrees = [], []
-    for entry in doc["basis"]:
-        names.append(str(entry["name"]))
-        degrees.append(group.element(tuple(int(c) for c in entry["degree"])))
-    basis = GradedBasis(tuple(names), tuple(degrees), group)
-    dim = basis.dim
+    return _parse_basis(_require(doc, "basis", "algebra document"), group, "basis"), eps, m
+
+
+def _parse_table(section, basis: GradedBasis, m: int, source: str, what: str):
+    """A {"x,y": {"z": "c"}} section as {(i, j): {k: c}}."""
+    names = basis.names
+
+    def index(name):
+        if name not in names:
+            raise ParseError(f"unknown basis name {name!r} in {what} section")
+        return names.index(name)
+
     entries = {}
-    for pair_key, value in doc.get("bracket", {}).items():
+    for pair_key, value in section.items():
         parts = [p.strip() for p in pair_key.split(",")]
-        if len(parts) != 2 or parts[0] not in names or parts[1] not in names:
-            raise ParseError(f"bad bracket pair key {pair_key!r}")
-        i, j = names.index(parts[0]), names.index(parts[1])
-        vec = [CycloScalar.zero(m)] * dim
-        for out_name, literal in value.items():
-            if out_name not in names:
-                raise ParseError(f"unknown basis name {out_name!r} in bracket value")
-            vec[names.index(out_name)] = _parse_scalar_located(str(literal), m, text)
-        entries[(i, j)] = vec  # redundant (j,i) input is validated by the table
+        if len(parts) != 2 or not isinstance(value, dict):
+            raise ParseError(f"bad {what} entry {pair_key!r}")
+        entries[(index(parts[0]), index(parts[1]))] = {
+            index(out): _parse_scalar_located(str(literal), m, source)
+            for out, literal in value.items()}
+    return entries
+
+
+def parse_algebra_document(text: str) -> ColorHomAlgebra:
+    doc = _load_json(text)
+    basis, eps, m = _parse_header(doc)
+    entries = _parse_table(doc.get("bracket", {}), basis, m, text, "bracket")
     bracket = BracketTable(basis, eps, entries, m)
     if "alpha" in doc:
-        alpha = parse_matrix(doc["alpha"], m, text)
-        if len(alpha) != dim or any(len(r) != dim for r in alpha):
-            raise ParseError(f"alpha must be a {dim}x{dim} matrix")
+        alpha = _parse_square(doc["alpha"], basis.dim, m, text, "alpha")
     else:
-        from . import linalg
-        alpha = linalg.identity(dim, m)
+        alpha = linalg.identity(basis.dim, m)
     return ColorHomAlgebra(basis, eps, bracket, alpha, m,
                            name=str(doc.get("name", "")))
 
@@ -125,16 +151,9 @@ def serialize_algebra(A: ColorHomAlgebra) -> str:
         "epsilon": {"exponents": [list(row) for row in A.eps.exponent_matrix]},
         "basis": [{"name": n, "degree": list(d.components)}
                   for n, d in zip(A.basis.names, A.basis.degrees)],
-        "bracket": {},
+        "bracket": A.bracket.report(A.basis.names),
         "alpha": serialize_matrix(A.alpha),
     }
-    for (i, j) in sorted(A.bracket.pairs):
-        vec = A.bracket.pairs[(i, j)]
-        if all(c.is_zero() for c in vec):
-            continue
-        key = f"{A.basis.names[i]},{A.basis.names[j]}"
-        doc["bracket"][key] = {A.basis.names[k]: format_scalar(c)
-                               for k, c in enumerate(vec) if not c.is_zero()}
     return json.dumps(doc, indent=2) + "\n"
 
 
@@ -143,37 +162,11 @@ def parse_commutative_algebra_document(text: str):
     of ordered-pair entries completed by the eps-commutativity rule."""
     from .hls_bracket import CommutativeColorAlgebra
     doc = _load_json(text)
-    group = FiniteAbelianGroup(tuple(int(n) for n in doc["group"]["orders"]))
-    m = int(doc.get("root_order", max(group.exponent, 1)))
-    exponents = doc.get("epsilon", {}).get("exponents")
-    if exponents is None:
-        exponents = [[0] * group.rank for _ in range(group.rank)]
-    eps = BiCharacter(group, exponents, m)
-    names, degrees = [], []
-    for entry in doc["basis"]:
-        names.append(str(entry["name"]))
-        degrees.append(group.element(tuple(int(c) for c in entry["degree"])))
-    basis = GradedBasis(tuple(names), tuple(degrees), group)
-    dim = basis.dim
-    if "product" not in doc:
-        raise ParseError("commutative algebra file needs a \"product\" section")
-    mu = [[None] * dim for _ in range(dim)]
-    for pair_key, value in doc["product"].items():
-        parts = [p.strip() for p in pair_key.split(",")]
-        i, j = names.index(parts[0]), names.index(parts[1])
-        vec = [CycloScalar.zero(m)] * dim
-        for out_name, literal in value.items():
-            vec[names.index(out_name)] = _parse_scalar_located(str(literal), m, text)
-        mu[i][j] = vec
-    for i in range(dim):
-        for j in range(dim):
-            if mu[i][j] is None:
-                if mu[j][i] is not None:
-                    e = eps(degrees[j], degrees[i])
-                    mu[i][j] = [e * c for c in mu[j][i]]
-                else:
-                    mu[i][j] = [CycloScalar.zero(m)] * dim
-    return CommutativeColorAlgebra(basis, eps, mu, m)
+    basis, eps, m = _parse_header(doc)
+    entries = _parse_table(_require(doc, "product", "commutative algebra document"),
+                           basis, m, text, "product")
+    rows = _complete(basis.dim, m, entries, basis.degrees, eps, 1, "eps-commutativity")
+    return CommutativeColorAlgebra(basis, eps, StructureConstants(basis.dim, m, rows), m)
 
 
 def parse_commutative_algebra_file(path: str):
@@ -197,39 +190,24 @@ def parse_matrix_bundle(text: str, m: int) -> dict:
 
 def parse_representation_document(text: str, A: ColorHomAlgebra) -> Representation:
     doc = _load_json(text)
-    group = A.basis.group
-    names, degrees = [], []
-    for entry in doc["carrier"]:
-        names.append(str(entry["name"]))
-        degrees.append(group.element(tuple(int(c) for c in entry["degree"])))
-    carrier = GradedBasis(tuple(names), tuple(degrees), group)
-    rho = []
-    for an in A.basis.names:
-        if an not in doc["rho"]:
-            raise ParseError(f"representation misses rho[{an!r}]")
-        rho.append(parse_matrix(doc["rho"][an], A.m, text))
-    beta = parse_matrix(doc["beta"], A.m, text)
+    carrier = _parse_basis(_require(doc, "carrier", "representation"), A.basis.group,
+                           "carrier")
+    rho_doc = _require(doc, "rho", "representation")
+    rho = [_parse_square(_require(rho_doc, an, "rho"), carrier.dim, A.m, text, f"rho[{an!r}]")
+           for an in A.basis.names]
+    beta = _parse_square(_require(doc, "beta", "representation"), carrier.dim, A.m, text,
+                         "beta")
     return Representation(carrier, rho, beta, A.m)
 
 
 def parse_bracket_terms(text: str, A: ColorHomAlgebra):
     """Deformation term file: {"terms": [{<bracket dict>}, ...]}."""
     doc = _load_json(text)
-    tables = []
-    for term in doc["terms"]:
-        entries = {}
-        for pair_key, value in term.items():
-            parts = [p.strip() for p in pair_key.split(",")]
-            i, j = A.basis.names.index(parts[0]), A.basis.names.index(parts[1])
-            vec = [CycloScalar.zero(A.m)] * A.dim
-            for out_name, literal in value.items():
-                vec[A.basis.names.index(out_name)] = \
-                    _parse_scalar_located(str(literal), A.m, text)
-            entries[(i, j)] = vec
-        tables.append(BracketTable(A.basis, A.eps, entries, A.m))
-    return tables
+    return [BracketTable(A.basis, A.eps, _parse_table(term, A.basis, A.m, text, "bracket"),
+                         A.m)
+            for term in _require(doc, "terms", "term file")]
 
 
 def parse_alpha_terms(text: str, A: ColorHomAlgebra):
     doc = _load_json(text)
-    return [parse_matrix(rows, A.m, text) for rows in doc["terms"]]
+    return [parse_matrix(rows, A.m, text) for rows in _require(doc, "terms", "term file")]

@@ -9,7 +9,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import linalg
-from .algebra_core import AlgebraStructureError, CheckResult, GradedBasis
+from .algebra_core import (AlgebraStructureError, CheckResult, GradedBasis,
+                           HomAssociativeColorAlgebra, StructureConstants)
 from .scalars_grading import BiCharacter, CycloScalar, GroupElement
 
 
@@ -17,51 +18,18 @@ class HLSError(AlgebraStructureError):
     pass
 
 
-class CommutativeColorAlgebra:
-    """Associative, eps-commutative graded algebra given by a dense product table."""
+class CommutativeColorAlgebra(HomAssociativeColorAlgebra):
+    """Associative, eps-commutative graded algebra: a Hom-associative color
+    algebra whose twist is the identity."""
 
     def __init__(self, basis: GradedBasis, eps: BiCharacter, mu, m: int):
-        self.basis = basis
-        self.eps = eps
-        self.mu = mu
-        self.m = m
-
-    @property
-    def dim(self):
-        return self.basis.dim
-
-    def basis_vector(self, i: int):
-        return [CycloScalar.one(self.m) if j == i else CycloScalar.zero(self.m)
-                for j in range(self.dim)]
-
-    def mu_vec(self, u, v):
-        out = [CycloScalar.zero(self.m)] * self.dim
-        for i, a in enumerate(u):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(v):
-                if b.is_zero():
-                    continue
-                coeff = a * b
-                out = [o + coeff * c for o, c in zip(out, self.mu[i][j])]
-        return out
+        super().__init__(basis, eps, mu, linalg.identity(basis.dim, m), m)
 
     def check_commutative_associative(self) -> CheckResult:
-        failures = []
-        for i in range(self.dim):
-            for j in range(self.dim):
-                e = self.eps(self.basis.degrees[i], self.basis.degrees[j])
-                rhs = [e * c for c in self.mu[j][i]]
-                if any(not (a - b).is_zero() for a, b in zip(self.mu[i][j], rhs)):
-                    failures.append({"kind": "commutativity", "pair": [i, j]})
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for k in range(self.dim):
-                    lhs = self.mu_vec(self.mu[i][j], self.basis_vector(k))
-                    rhs = self.mu_vec(self.basis_vector(i), self.mu[j][k])
-                    if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
-                        failures.append({"kind": "associativity", "triple": [i, j, k]})
-        return CheckResult(not failures, failures)
+        assoc = self.check_hom_associative()
+        if self.is_eps_commutative():
+            return assoc
+        return CheckResult(False, [{"kind": "commutativity"}] + assoc.failures)
 
 
 @dataclass
@@ -73,14 +41,7 @@ class SigmaDerivation:
 
 
 def check_sigma_endomorphism(A: CommutativeColorAlgebra, sigma) -> CheckResult:
-    failures = []
-    cols = [[sigma[i][j] for i in range(A.dim)] for j in range(A.dim)]
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = linalg.mat_vec(sigma, A.mu[i][j])
-            rhs = A.mu_vec(cols[i], cols[j])
-            if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
-                failures.append({"pair": [i, j]})
+    failures = [{"pair": [i, j]} for i, j in A.mu.endomorphism_failures(sigma)]
     return CheckResult(not failures, failures)
 
 
@@ -99,9 +60,9 @@ def check_sigma_derivation(A: CommutativeColorAlgebra, D: SigmaDerivation) -> di
         e = A.eps(D.grade_d, A.basis.degrees[i])
         for j in range(A.dim):
             dj = linalg.mat_vec(D.delta_map, A.basis_vector(j))
-            lhs = linalg.mat_vec(D.delta_map, A.mu[i][j])
+            lhs = linalg.mat_vec(D.delta_map, A.mu.of_basis(i, j))
             rhs = [a + e * b for a, b in
-                   zip(A.mu_vec(di, A.basis_vector(j)), A.mu_vec(si, dj))]
+                   zip(A.mu.bilinear(di, A.basis_vector(j)), A.mu.bilinear(si, dj))]
             if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
                 lhs_s = [str(c) for c in lhs]
                 rhs_s = [str(c) for c in rhs]
@@ -119,8 +80,9 @@ def annihilator(A: CommutativeColorAlgebra, D: SigmaDerivation):
     rows = []
     for w in range(A.dim):
         dw = linalg.mat_vec(D.delta_map, A.basis_vector(w))
+        products = [A.mu.bilinear(A.basis_vector(a), dw) for a in range(A.dim)]
         for comp in range(A.dim):
-            rows.append([A.mu_vec(A.basis_vector(a), dw)[comp] for a in range(A.dim)])
+            rows.append([products[a][comp] for a in range(A.dim)])
     return linalg.kernel_basis(rows, A.dim, A.m)
 
 
@@ -159,21 +121,18 @@ def hls_bracket_element(A: CommutativeColorAlgebra, D: SigmaDerivation, x, y,
     x, y are coordinate vectors; homogeneous inputs use their degrees for eps;
     non-homogeneous inputs are expanded bilinearly.
     """
-    out = [CycloScalar.zero(A.m)] * A.dim
-    for i, a in enumerate(x):
-        if a.is_zero():
-            continue
-        for j, b in enumerate(y):
-            if b.is_zero():
-                continue
-            e = A.eps(A.basis.degrees[i], A.basis.degrees[j])
-            si = linalg.mat_vec(D.sigma, A.basis_vector(i))
-            sj = linalg.mat_vec(D.sigma, A.basis_vector(j))
-            di = linalg.mat_vec(D.delta_map, A.basis_vector(i))
-            dj = linalg.mat_vec(D.delta_map, A.basis_vector(j))
-            term = [p - e * q for p, q in zip(A.mu_vec(si, dj), A.mu_vec(sj, di))]
-            coeff = a * b
-            out = [o + coeff * t for o, t in zip(out, term)]
+    def value(i, j):
+        e = A.eps(A.basis.degrees[i], A.basis.degrees[j])
+        si = linalg.mat_vec(D.sigma, A.basis_vector(i))
+        sj = linalg.mat_vec(D.sigma, A.basis_vector(j))
+        di = linalg.mat_vec(D.delta_map, A.basis_vector(i))
+        dj = linalg.mat_vec(D.delta_map, A.basis_vector(j))
+        return [p - e * q for p, q in zip(A.mu.bilinear(si, dj), A.mu.bilinear(sj, di))]
+
+    # the bracket's structure constants on the basis pairs the inputs reach
+    values = {(i, j): value(i, j) for i, a in enumerate(x) if not a.is_zero()
+              for j, b in enumerate(y) if not b.is_zero()}
+    out = StructureConstants(A.dim, A.m, values).bilinear(x, y)
     return quotient.reduce(out) if quotient is not None else out
 
 
@@ -261,11 +220,6 @@ def check_hls_jacobi(A: CommutativeColorAlgebra, D: SigmaDerivation) -> dict:
 def induced_bracket_table(A: CommutativeColorAlgebra, D: SigmaDerivation):
     """Bracket values on basis pairs, reduced to the quotient representatives."""
     quotient = QuotientSpace(A, annihilator(A, D))
-    table = {}
-    for i in range(A.dim):
-        for j in range(A.dim):
-            val = hls_bracket_element(A, D, A.basis_vector(i), A.basis_vector(j), quotient)
-            if any(not c.is_zero() for c in val):
-                table[f"{A.basis.names[i]},{A.basis.names[j]}"] = {
-                    A.basis.names[k]: str(c) for k, c in enumerate(val) if not c.is_zero()}
-    return table
+    values = {(i, j): hls_bracket_element(A, D, A.basis_vector(i), A.basis_vector(j), quotient)
+              for i in range(A.dim) for j in range(A.dim)}
+    return StructureConstants(A.dim, A.m, values).report(A.basis.names)

@@ -167,34 +167,6 @@ def solve(M, target, m: int):
     return x
 
 
-def det(M):
-    """Determinant by fraction-free-style elimination with exact division."""
-    n = len(M)
-    A = [list(r) for r in M]
-    if n == 0:
-        raise ValueError("empty matrix")
-    m = A[0][0].root_order
-    result = CycloScalar.one(m)
-    for c in range(n):
-        pivot = None
-        for i in range(c, n):
-            if not A[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            return CycloScalar.zero(m)
-        if pivot != c:
-            A[c], A[pivot] = A[pivot], A[c]
-            result = -result
-        result = result * A[c][c]
-        inv = A[c][c].inverse()
-        for i in range(c + 1, n):
-            if not A[i][c].is_zero():
-                f = A[i][c] * inv
-                A[i] = [a - f * b for a, b in zip(A[i], A[c])]
-    return result
-
-
 def inverse(M):
     """Exact inverse via Gauss-Jordan; raises ValueError when singular."""
     n = len(M)

@@ -75,25 +75,9 @@ def check_representation(A: ColorHomAlgebra, R: Representation) -> CheckResult:
     return CheckResult(not failures, failures)
 
 
-@dataclass
-class ModuleStructure:
-    """Action table [.,.]_M with carrier twist beta (the two-axiom variant)."""
-    carrier: GradedBasis
-    action: list        # action[i] = matrix of [e_i, .]_M
-    beta: list
-    m: int
-
-    def act(self, coords, mvec):
-        n = self.carrier.dim
-        out = [CycloScalar.zero(self.m)] * n
-        for i, c in enumerate(coords):
-            if c.is_zero():
-                continue
-            out = [o + c * t for o, t in zip(out, linalg.mat_vec(self.action[i], mvec))]
-        return out
-
-
-def check_module(A: ColorHomAlgebra, M: ModuleStructure) -> CheckResult:
+def check_module(A: ColorHomAlgebra, M: Representation) -> CheckResult:
+    """Module axioms of the action [x, m]_M = rho(x) m with carrier twist
+    beta (the two-axiom variant): twist compatibility and the Leibniz rule."""
     failures = []
     n = M.carrier.dim
     E = linalg.identity(n, M.m)

@@ -533,9 +533,6 @@ class BiCharacter:
         """True iff eps(a,b) = -1; only meaningful when values are +-1."""
         return self._exponent(a, b) * 2 == self.root_order
 
-    def value_on_diagonal(self, a: GroupElement) -> CycloScalar:
-        return self(a, a)
-
 
 # ---------------------------------------------------------------------------
 # reorder signs for skew multilinear maps

@@ -7,11 +7,12 @@ its defining identity through an evaluation path independent of the solver.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import product
 
 from . import linalg
-from .algebra_core import AlgebraStructureError, CheckResult, ColorHomAlgebra
+from .algebra_core import (AlgebraStructureError, CheckResult, ColorHomAlgebra,
+                           StructureConstants)
 from .scalars_grading import BiCharacter, CycloScalar, GroupElement
 
 KINDS = ("der", "gder", "qder", "centroid", "qcentroid")
@@ -350,22 +351,14 @@ class ProductAlgebraData:
     alpha_action: list  # matrix of conjugation by alpha on the span
     eps: BiCharacter
     m: int
+    mu: StructureConstants = field(init=False)  # the product, from table
+
+    def __post_init__(self):
+        self.mu = StructureConstants.of_cells(self.table, self.m)
 
     @property
     def dim(self):
         return len(self.matrices)
-
-    def product(self, u, v):
-        out = [CycloScalar.zero(self.m)] * self.dim
-        for i, a in enumerate(u):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(v):
-                if b.is_zero():
-                    continue
-                coeff = a * b
-                out = [o + coeff * c for o, c in zip(out, self.table[i][j])]
-        return out
 
 
 class NotClosedError(AlgebraStructureError):
@@ -436,7 +429,7 @@ def check_hom_jordan(J: ProductAlgebraData) -> dict:
     n = J.dim
     m = J.m
     E = linalg.identity(n, m)
-    prod = [[J.product(E[a], E[b]) for b in range(n)] for a in range(n)]
+    prod = [[J.mu.of_basis(a, b) for b in range(n)] for a in range(n)]
     alpha = [linalg.mat_vec(J.alpha_action, E[t]) for t in range(n)]
     hcj1 = []
     for i in range(n):
@@ -450,13 +443,13 @@ def check_hom_jordan(J: ProductAlgebraData) -> dict:
     # u = e_a.e_b, v = alpha e_z, w = alpha e_c, on every index quadruple
     alpha2 = [linalg.mat_vec(J.alpha_action, v) for v in alpha]
     alpha_prod = [[linalg.mat_vec(J.alpha_action, v) for v in row] for row in prod]
-    left = {(a, b, z): J.product(prod[a][b], alpha[z])
+    left = {(a, b, z): J.mu.bilinear(prod[a][b], alpha[z])
             for a, b, z in product(range(n), repeat=3)}
-    right = {(z, c): J.product(alpha[z], alpha[c]) for z, c in product(range(n), repeat=2)}
+    right = {(z, c): J.mu.bilinear(alpha[z], alpha[c]) for z, c in product(range(n), repeat=2)}
     assoc = {}
     for a, b, z, c in product(range(n), repeat=4):
-        t1 = J.product(left[(a, b, z)], alpha2[c])
-        t2 = J.product(alpha_prod[a][b], right[(z, c)])
+        t1 = J.mu.bilinear(left[(a, b, z)], alpha2[c])
+        t2 = J.mu.bilinear(alpha_prod[a][b], right[(z, c)])
         assoc[(a, b, z, c)] = [p - q for p, q in zip(t1, t2)]
     hcj2 = []
     for x, y, z, w in product(range(n), repeat=4):

@@ -117,6 +117,23 @@ def linalg_identity_rows(n):
 
 # -- independent operator-form oracles ------------------------------------------
 
+def bilinear_direct(table, u, v):
+    """The dense double loop over every basis pair of the inputs' supports:
+    an oracle for ``StructureConstants.bilinear``."""
+    out = [CycloScalar.zero(table.m)] * table.dim
+    for i, a in enumerate(u):
+        if a.is_zero():
+            continue
+        for j, b in enumerate(v):
+            if b.is_zero():
+                continue
+            w = table.of_basis(i, j)
+            coeff = a * b
+            out = [o + coeff * c for o, c in zip(out, w)]
+    return out
+
+
+
 def delta1_direct(A, R, fmat, gamma, r):
     """eps(g,x) rho(a^r x)(f(y)) - eps(g+x,y) rho(a^r y)(f(x)) - f([x,y])."""
     out = {}
@@ -359,16 +376,16 @@ def hom_jordan_direct(J):
     for i in range(n):
         for j in range(n):
             e = J.eps(J.degrees[i], J.degrees[j])
-            lhs = J.product(E[i], E[j])
-            rhs = [e * c for c in J.product(E[j], E[i])]
+            lhs = J.mu.bilinear(E[i], E[j])
+            rhs = [e * c for c in J.mu.bilinear(E[j], E[i])]
             if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
                 hcj1.append({"pair": [i, j]})
     def _assoc(u, v, w):
         """Plain Hom-associator as(u,v,w) = (u.v).alpha(w) - alpha(u).(v.w)."""
         aw = linalg.mat_vec(J.alpha_action, w)
         au = linalg.mat_vec(J.alpha_action, u)
-        t1 = J.product(J.product(u, v), aw)
-        t2 = J.product(au, J.product(v, w))
+        t1 = J.mu.bilinear(J.mu.bilinear(u, v), aw)
+        t2 = J.mu.bilinear(au, J.mu.bilinear(v, w))
         return [a - b for a, b in zip(t1, t2)]
     hcj2 = []
     for x, y, z, w in product(range(n), repeat=4):
@@ -377,9 +394,9 @@ def hom_jordan_direct(J):
         ax = linalg.mat_vec(J.alpha_action, E[x])
         ay = linalg.mat_vec(J.alpha_action, E[y])
         aw = linalg.mat_vec(J.alpha_action, E[w])
-        t1 = _assoc(J.product(E[x], E[y]), az, aw)
-        t2 = _assoc(J.product(E[y], E[w]), az, ax)
-        t3 = _assoc(J.product(E[w], E[x]), az, ay)
+        t1 = _assoc(J.mu.bilinear(E[x], E[y]), az, aw)
+        t2 = _assoc(J.mu.bilinear(E[y], E[w]), az, ax)
+        t3 = _assoc(J.mu.bilinear(E[w], E[x]), az, ay)
         e1 = J.eps(dw, dx + dz)
         e2 = J.eps(dx, dy + dz)
         e3 = J.eps(dy, dw + dz)

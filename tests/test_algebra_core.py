@@ -1,17 +1,22 @@
-"""Axiom checks, commutator construction, derived Hom-algebras."""
+"""Axiom checks, commutator construction, derived Hom-algebras, and the
+structure-constant type."""
 import random
+from fractions import Fraction
 
 import pytest
 
 from colorhomlie import linalg
-from colorhomlie.algebra_core import (BracketTable, GradedBasis,
-                                      HomAssociativeColorAlgebra,
+from colorhomlie.algebra_core import (AlgebraStructureError, BracketTable,
+                                      GradedBasis, HomAssociativeColorAlgebra,
                                       NotHomAssociativeError,
-                                      NotMultiplicativeError, check_color_hom_lie,
-                                      commutator_algebra, derived_algebra)
-from colorhomlie.scalars_grading import BiCharacter, FiniteAbelianGroup
+                                      NotMultiplicativeError, StructureConstants,
+                                      check_color_hom_lie, commutator_algebra,
+                                      derived_algebra)
+from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
+                                         FiniteAbelianGroup, euler_phi)
 
-from conftest import build_algebra, sc, sl2c_z2z2, zero_algebra
+from conftest import (bilinear_direct, build_algebra, sc, sl2c_z2z2,
+                      zero_algebra)
 
 
 def test_sl2c_z2z2_all_axioms_pass():
@@ -242,3 +247,146 @@ def test_derived_requires_multiplicative():
         [[-1, 0, 0], [0, -1, 0], [0, 0, 2]])
     with pytest.raises(NotMultiplicativeError):
         derived_algebra(A, 1)
+
+
+# -- the structure-constant type against the dense oracle ---------------------
+
+# grading per root order: (group orders, eps exponents); m = 3 is the Z3xZ3
+# grading whose eps is not symmetric, so eps(a,b) and eps(b,a) differ
+GRADINGS = {1: ((), []), 2: ((2, 2), [[0, 1], [1, 0]]),
+            3: ((3, 3), [[0, 1], [2, 0]]), 4: ((4, 4), [[0, 1], [3, 0]])}
+
+
+def _z3z3_basis():
+    G = FiniteAbelianGroup((3, 3))
+    eps = BiCharacter(G, [[0, 1], [2, 0]], 3)
+    degrees = tuple(G.element(d) for d in ((1, 0), (0, 1), (1, 1)))
+    return GradedBasis(("x", "y", "z"), degrees, G), eps
+
+
+def _random_scalar(rng, m):
+    if rng.random() < 0.4:
+        return CycloScalar.zero(m)
+    return CycloScalar([rng.choice([-2, -1, 1, 2, Fraction(1, 2)]) * rng.randint(0, 1)
+                        for _ in range(euler_phi(m))], m)
+
+
+def _random_vector(rng, m, dim):
+    return [_random_scalar(rng, m) for _ in range(dim)]
+
+
+def _random_table(rng, m, kind):
+    orders, exps = GRADINGS[m]
+    G = FiniteAbelianGroup(orders)
+    eps = BiCharacter(G, exps, m)
+    dim = rng.randint(2, 4)
+    elements = list(G.elements())
+    # the first two degrees differ (m > 1), so the all-ones vector is inhomogeneous
+    degrees = elements[:2] if m > 1 else elements * 2
+    basis = GradedBasis(tuple(f"e{i}" for i in range(dim)),
+                        tuple(degrees + [rng.choice(elements) for _ in range(dim - 2)]), G)
+    if kind == "skew":
+        # pairs in either order; the mirror of a given pair is left out
+        entries = {}
+        for i in range(dim):
+            for j in range(i, dim):
+                if rng.random() < 0.7:
+                    key = (i, j) if rng.random() < 0.5 else (j, i)
+                    entries[key] = _random_vector(rng, m, dim)
+        return BracketTable(basis, eps, entries, m), entries, basis, eps
+    entries = {(i, j): _random_vector(rng, m, dim)
+               for i in range(dim) for j in range(dim) if rng.random() < 0.7}
+    return StructureConstants(dim, m, entries), entries, basis, eps
+
+
+def _dense_equal(a, b):
+    return all(a.of_basis(i, j) == b.of_basis(i, j)
+               for i in range(a.dim) for j in range(a.dim))
+
+
+@pytest.mark.parametrize("kind", ["skew", "product"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_structure_constants_match_dense_oracle(m, kind):
+    rng = random.Random(20261018 + 10 * m + (kind == "skew"))
+    for _ in range(6):
+        table, entries, basis, eps = _random_table(rng, m, kind)
+        dim, z = table.dim, CycloScalar.zero(m)
+        # of_basis returns the input, and the skew rule on the other order
+        for (i, j), vec in entries.items():
+            assert table.of_basis(i, j) == vec
+            if kind == "skew" and i != j:
+                e = -eps(basis.degrees[j], basis.degrees[i])
+                assert table.of_basis(j, i) == [e * c for c in vec]
+        vectors = ([[z] * dim, _random_vector(rng, m, dim), [CycloScalar.one(m)] * dim]
+                   + [[CycloScalar.one(m) if k == t else z for k in range(dim)]
+                      for t in range(dim)])
+        for u in vectors:
+            for v in vectors:
+                assert table.bilinear(u, v) == bilinear_direct(table, u, v)
+        M = [_random_vector(rng, m, dim) for _ in range(dim)]
+        composed = table.compose_with(M)
+        assert type(composed) is type(table)
+        for i in range(dim):
+            for j in range(dim):
+                assert composed.of_basis(i, j) == linalg.mat_vec(M, table.of_basis(i, j))
+        for u in vectors[:3]:
+            for v in vectors[:3]:
+                assert composed.bilinear(u, v) == linalg.mat_vec(M, bilinear_direct(table, u, v))
+        others = [composed, table.compose_with(linalg.identity(dim, m)),
+                  table.compose_with(linalg.zeros(dim, dim, m))]
+        for other in others:
+            assert table.equals(other) == _dense_equal(table, other)
+            assert other.is_zero() == all(c.is_zero() for i in range(dim)
+                                          for j in range(dim) for c in other.of_basis(i, j))
+        assert table.equals(others[1]) and others[2].is_zero()
+        # the report lists every nonzero pair, or only i <= j for a skew table
+        names = basis.names
+        want = {f"{names[i]},{names[j]}": {names[k]: str(c)
+                                           for k, c in enumerate(table.of_basis(i, j))
+                                           if not c.is_zero()}
+                for i in range(dim) for j in range(dim)
+                if (i <= j or kind == "product")
+                and any(not c.is_zero() for c in table.of_basis(i, j))}
+        assert table.report(names) == want
+
+
+@pytest.mark.parametrize("key", [(0, 2), (2, 0), (-1, 0), (0, 5)])
+def test_out_of_range_pair_keys_are_rejected(key):
+    with pytest.raises(AlgebraStructureError):
+        StructureConstants(2, 2, {key: [sc(1), sc(0)]})
+    G = FiniteAbelianGroup((2,))
+    basis = GradedBasis(("a", "b"), (G.zero(), G.zero()), G)
+    with pytest.raises(AlgebraStructureError):
+        BracketTable(basis, BiCharacter(G, [[0]], 2), {key: [sc(1), sc(0)]}, 2)
+
+
+def test_wrong_vector_length_is_rejected():
+    with pytest.raises(AlgebraStructureError):
+        StructureConstants(2, 2, {(0, 1): [sc(1)]})
+
+
+def test_bracket_either_order_gives_the_same_table():
+    # [y,x] = z given directly, or as [x,y] = -eps(x,y) z = -zeta z
+    basis, eps = _z3z3_basis()
+    zeta = CycloScalar.root_of_unity(3)
+    zero, one = CycloScalar.zero(3), CycloScalar.one(3)
+    from_yx = BracketTable(basis, eps, {(1, 0): [zero, zero, one]}, 3)
+    from_xy = BracketTable(basis, eps, {(0, 1): [zero, zero, -zeta]}, 3)
+    assert from_yx.equals(from_xy)
+    assert from_yx.of_basis(1, 0) == [zero, zero, one]
+    assert from_yx.of_basis(0, 1) == [zero, zero, -zeta]
+
+
+def test_bracket_redundant_input_under_asymmetric_eps():
+    # [x,y] = z forces [y,x] = -eps(y,x) z = -zeta^2 z = (1 + zeta) z
+    basis, eps = _z3z3_basis()
+    zeta = CycloScalar.root_of_unity(3)
+    zero, one = CycloScalar.zero(3), CycloScalar.one(3)
+    BracketTable(basis, eps, {(0, 1): [zero, zero, one],
+                              (1, 0): [zero, zero, one + zeta]}, 3)
+    with pytest.raises(AlgebraStructureError):
+        BracketTable(basis, eps, {(0, 1): [zero, zero, one],
+                                  (1, 0): [zero, zero, -zeta]}, 3)
+    with pytest.raises(AlgebraStructureError):
+        BracketTable(basis, eps, {(0, 1): [zero, zero, zero],
+                                  (1, 0): [zero, zero, one]}, 3)

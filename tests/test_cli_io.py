@@ -291,3 +291,103 @@ def test_validate_strict_flag(capsys):
         assert code_strict == 1
     finally:
         os.unlink(path)
+
+
+# -- malformed input exits 2 with the offending key named ---------------------
+
+_HLS_ARGS = ["--sigma", '[["1","0","0"],["0","2","0"],["0","0","4"]]',
+             "--delta-map", '[["0","1","0"],["0","0","3"],["0","0","0"]]',
+             "--delta-scalar", "2"]
+
+
+def _data_doc(name):
+    with open(data_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _adjoint_doc():
+    from colorhomlie.fileio import serialize_matrix
+    from colorhomlie.representations import adjoint
+    A = parse_algebra_file(data_path("sl2c_z2z2.alg"))
+    R = adjoint(A)
+    return {"schema": 1,
+            "carrier": [{"name": n, "degree": list(d.components)}
+                        for n, d in zip(A.basis.names, A.basis.degrees)],
+            "rho": {name: serialize_matrix(R.rho[i])
+                    for i, name in enumerate(A.basis.names)},
+            "beta": serialize_matrix(R.beta)}
+
+
+def _without(doc, *path):
+    *outer, key = path
+    target = doc
+    for step in outer:
+        target = target[step]
+    del target[key]
+    return doc
+
+
+def _with(doc, value, *path):
+    *outer, key = path
+    target = doc
+    for step in outer:
+        target = target[step]
+    target[key] = value
+    return doc
+
+
+def _validate(doc):
+    return ("algebra.alg", doc, lambda f: ["validate", f])
+
+
+def _hls(doc, sigma=None):
+    args = list(_HLS_ARGS)
+    if sigma is not None:
+        args[1] = sigma
+    return ("product.alg", doc, lambda f: ["hls", "--algebra", f] + args)
+
+
+def _module(doc):
+    return ("rep.json", doc, lambda f: [
+        "cohomology", "--algebra", data_path("sl2c_z2z2.alg"), "--module", f,
+        "--n", "1", "--degree", "1,0"])
+
+
+MALFORMED = {
+    "basis-without-degree": (lambda: _validate(_without(
+        _data_doc("sl2c_z2z2.alg"), "basis", 0, "degree")), "'degree'"),
+    "group-without-orders": (lambda: _validate(_without(
+        _data_doc("sl2c_z2z2.alg"), "group", "orders")), "'orders'"),
+    "product-file-without-group": (lambda: _hls(_without(
+        _data_doc("qwitt_trunc_q2.alg"), "group")), "'group'"),
+    "sigma-wrong-shape": (lambda: _hls(_data_doc("qwitt_trunc_q2.alg"),
+                                       sigma='[["1"]]'), "--sigma"),
+    "module-without-rho": (lambda: _module(_without(_adjoint_doc(), "rho")), "'rho'"),
+    "rho-wrong-shape": (lambda: _module(_with(_adjoint_doc(), [["1"]], "rho", "e1")),
+                        "rho['e1']"),
+    "product-key-unknown-name": (lambda: _hls(_with(
+        _data_doc("qwitt_trunc_q2.alg"), {"u1": "1"}, "product", "u0,b")),
+        "unknown basis name 'b'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_input_exits_two_and_names_the_key(case, tmp_path, capsys):
+    build, key = MALFORMED[case]
+    filename, doc, argv = build()
+    path = tmp_path / filename
+    path.write_text(json.dumps(doc))
+    code, _, err = run_cli(argv(str(path)), capsys)
+    assert code == 2, err
+    assert key in err and "Traceback" not in err
+
+
+def test_inconsistent_redundant_bracket_exits_two(tmp_path, capsys):
+    # [e1,e2] = e3 forces [e2,e1] = -eps(e2,e1) e3 = e3 in sl2c_z2z2
+    doc = _data_doc("sl2c_z2z2.alg")
+    path = tmp_path / "consistent.alg"
+    path.write_text(json.dumps(_with(doc, {"e3": "1"}, "bracket", "e2,e1")))
+    assert run_cli(["validate", str(path)], capsys)[0] == 0
+    path.write_text(json.dumps(_with(doc, {"e3": "-1"}, "bracket", "e2,e1")))
+    code, _, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2 and "skew-symmetry" in err

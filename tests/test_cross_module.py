@@ -73,7 +73,7 @@ def test_one_cocycles_are_twisted_derivations_randomized(rng):
     for _ in range(12):
         A = random_multiplicative_algebra(rng)
         _assert_match(A, adjoint(A), r=1, k=1)
-        if not linalg.det(A.alpha).is_zero():
+        if linalg.rank(A.alpha) == A.dim:
             _assert_match(A, alpha_s_adjoint(A, -1), r=1, k=0)
 
 

@@ -1,11 +1,14 @@
 """Twisted derivations and the induced bracket on the annihilator quotient."""
+import json
 from fractions import Fraction
 
 import pytest
 
 from colorhomlie import linalg
 from colorhomlie.algebra_core import GradedBasis
-from colorhomlie.fileio import parse_commutative_algebra_file
+from colorhomlie.cli import run_command
+from colorhomlie.fileio import (parse_commutative_algebra_document,
+                                parse_commutative_algebra_file)
 from colorhomlie.hls_bracket import (CommutativeColorAlgebra, HLSError,
                                      QuotientSpace, SigmaDerivation, annihilator,
                                      check_ann_invariance, check_hls_jacobi,
@@ -200,7 +203,7 @@ def test_operator_form_equals_element_form():
     A, D, q = q_difference_instance(m=3)
     def op_apply(a, w):
         # (a.D)(w) = a * Delta(w)
-        return A.mu_vec(a, linalg.mat_vec(D.delta_map, w))
+        return A.mu.bilinear(a, linalg.mat_vec(D.delta_map, w))
     for i in range(3):
         for j in range(3):
             x, y = A.basis_vector(i), A.basis_vector(j)
@@ -224,3 +227,53 @@ def test_invertible_delta_trivial_annihilator():
     full = SigmaDerivation(D.sigma, delta, A.basis.group.zero(), one)
     assert annihilator(A, full) == []
     assert check_ann_invariance(A, full)
+
+
+# -- completion of the product table by eps-commutativity ---------------------
+
+def _z3z3_product_doc(product):
+    """A unit u and x, y, z of degrees (1,0), (0,1), (1,1) under the Z3xZ3
+    bi-character with eps(x,y) = zeta, eps(y,x) = zeta^2."""
+    return {"schema": 1, "name": "z3z3_units", "group": {"orders": [3, 3]},
+            "root_order": 3, "epsilon": {"exponents": [[0, 1], [2, 0]]},
+            "basis": [{"name": n, "degree": d} for n, d in
+                      (("u", [0, 0]), ("x", [1, 0]), ("y", [0, 1]), ("z", [1, 1]))],
+            "product": dict({"u,u": {"u": "1"}, "u,x": {"x": "1"}, "u,y": {"y": "1"},
+                             "u,z": {"z": "1"}}, **product)}
+
+
+def test_completed_product_is_eps_commutative_under_asymmetric_eps():
+    A = parse_commutative_algebra_document(json.dumps(_z3z3_product_doc(
+        {"x,y": {"z": "1"}})))
+    assert A.check_commutative_associative().ok
+    # y.x = eps(y,x) x.y = zeta^2 z = (-1 - zeta) z
+    assert A.mu.of_basis(2, 1) == [CycloScalar.zero(3)] * 3 + [
+        CycloScalar([-1, -1], 3)]
+
+
+def test_product_either_order_gives_the_same_table():
+    A = parse_commutative_algebra_document(json.dumps(_z3z3_product_doc(
+        {"x,y": {"z": "1"}})))
+    B = parse_commutative_algebra_document(json.dumps(_z3z3_product_doc(
+        {"y,x": {"z": "[-1;-1]"}})))
+    assert A.mu.equals(B.mu)
+
+
+def test_redundant_product_input_is_validated(tmp_path, capsys):
+    consistent = _z3z3_product_doc({"x,y": {"z": "1"}, "y,x": {"z": "[-1;-1]"}})
+    parse_commutative_algebra_document(json.dumps(consistent))
+    inconsistent = _z3z3_product_doc({"x,y": {"z": "1"}, "y,x": {"z": "[0;1]"}})
+    with pytest.raises(ValueError):
+        parse_commutative_algebra_document(json.dumps(inconsistent))
+    # the shipped q = 2 line with a conflicting u1.u0 is refused through the CLI
+    with open(data_path("qwitt_trunc_q2.alg"), encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["product"]["u1,u0"] = {"u1": "5"}
+    path = tmp_path / "conflict.alg"
+    path.write_text(json.dumps(doc))
+    code = run_command(["hls", "--algebra", str(path),
+                        "--sigma", '[["1","0","0"],["0","2","0"],["0","0","4"]]',
+                        "--delta-map", '[["0","1","0"],["0","0","3"],["0","0","0"]]',
+                        "--delta-scalar", "2"])
+    err = capsys.readouterr().err
+    assert code == 2 and "eps-commutativity" in err

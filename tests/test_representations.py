@@ -6,7 +6,7 @@ import pytest
 from colorhomlie import linalg
 from colorhomlie.algebra_core import AlgebraStructureError
 from colorhomlie.representations import (CoadjointUnavailableError,
-                                         ModuleStructure, Representation,
+                                         Representation,
                                          adjoint, alpha_s_adjoint,
                                          check_coadjoint_condition, check_module,
                                          check_representation,
@@ -51,14 +51,14 @@ def test_adjoint_matrices_match_bracket_columns():
 def test_module_axioms_for_self_action():
     A = sl2c_z2z2()
     action = adjoint(A).rho
-    M = ModuleStructure(A.basis, action, A.alpha, A.m)
+    M = Representation(A.basis, action, A.alpha, A.m)
     assert check_module(A, M).ok
 
 
 def test_zero_action_module_passes():
     A = sl2c_z2z2()
     zero = linalg.zeros(3, 3, A.m)
-    M = ModuleStructure(A.basis, [zero] * 3, A.alpha, A.m)
+    M = Representation(A.basis, [zero] * 3, A.alpha, A.m)
     assert check_module(A, M).ok
 
 
@@ -66,7 +66,7 @@ def test_perturbed_action_fails():
     A = sl2c_z2z2()
     action = [linalg.mat_scale(sc(2, A.m), m) for m in adjoint(A).rho[:1]] \
         + adjoint(A).rho[1:]
-    M = ModuleStructure(A.basis, action, A.alpha, A.m)
+    M = Representation(A.basis, action, A.alpha, A.m)
     assert not check_module(A, M).ok
 
 
