@@ -227,7 +227,6 @@ class ColorHomAlgebra:
         self.m = m
         self.name = name
         self._alpha_pows = {0: linalg.identity(basis.dim, m), 1: alpha}
-        self._alpha_inv = None
 
     @property
     def dim(self) -> int:
@@ -241,17 +240,18 @@ class ColorHomAlgebra:
                 for j in range(self.dim)]
 
     def alpha_power(self, k: int):
-        """alpha^k; negative k needs an invertible twist."""
-        if k < 0:
-            if self._alpha_inv is None:
+        """alpha^k, cached for every k; negative k needs an invertible twist."""
+        if k not in self._alpha_pows:
+            if k == -1:
                 try:
-                    self._alpha_inv = linalg.inverse(self.alpha)
+                    self._alpha_pows[-1] = linalg.inverse(self.alpha)
                 except ValueError:
                     raise AlgebraStructureError(
                         "negative twist power requested but alpha is singular")
-            return linalg.mat_pow(self._alpha_inv, -k, self.m)
-        if k not in self._alpha_pows:
-            self._alpha_pows[k] = linalg.mat_mul(self.alpha, self.alpha_power(k - 1))
+            else:
+                step = 1 if k > 0 else -1
+                self._alpha_pows[k] = linalg.mat_mul(self.alpha_power(step),
+                                                     self.alpha_power(k - step))
         return self._alpha_pows[k]
 
     def apply_alpha(self, v, k: int = 1):

@@ -153,33 +153,33 @@ def _pruned(rows):
     return out
 
 
-def _dense_rows(rows, ncols: int, m: int):
-    """The present rows in row order, as dense lists."""
-    zero = CycloScalar.zero(m)
-    out = []
-    for r in sorted(rows):
-        dense = [zero] * ncols
-        for c, v in rows[r].items():
-            dense[c] = v
-        out.append(dense)
-    return out
+def _transpose(vectors):
+    """Dense vectors as the sparse matrix they are the columns of."""
+    rows = {}
+    for j, v in enumerate(vectors):
+        for c, a in _support(v):
+            rows.setdefault(c, {})[j] = a
+    return rows
 
 
-def _dot(row, vec, m: int):
-    """One sparse row times a dense coordinate vector."""
-    acc = CycloScalar.zero(m)
-    for c, v in row.items():
-        if not vec[c].is_zero():
-            acc = acc + v * vec[c]
-    return acc
-
-
-def _apply(rows, nrows: int, vec, m: int):
-    """The matrix times a dense coordinate vector, as a dense vector."""
-    out = [CycloScalar.zero(m)] * nrows
+def _product(rows, other):
+    """The product of two sparse matrices."""
+    out = {}
     for r, row in rows.items():
-        out[r] = _dot(row, vec, m)
-    return out
+        for c, v in row.items():
+            for j, a in other.get(c, {}).items():
+                _add_entry(out, r, j, v * a)
+    return _pruned(out)
+
+
+def _columns(rows, nrows: int, ncols: int, m: int):
+    """The columns of a sparse matrix, as dense vectors."""
+    zero = CycloScalar.zero(m)
+    columns = [[zero] * nrows for _ in range(ncols)]
+    for r, row in rows.items():
+        for c, v in row.items():
+            columns[c][r] = v
+    return columns
 
 
 def _locator(space: CochainSpace):
@@ -205,7 +205,10 @@ def _compat_rows(space: CochainSpace):
     """Sparse rows of f o alpha^(x)n - beta o f.
 
     Row c * dim(V) + k is carrier component k on the c-th basis n-tuple in
-    ``product`` order (for n = 0, the rows of I - beta).
+    ``product`` order (for n = 0, the rows of I - beta).  When alpha keeps
+    every degree, the block of a reordered tuple is the reorder sign times
+    the block of its sorted tuple, and a repeat that every skew map kills
+    gives zero rows, so only the canonical tuples are used.
     """
     A, R, n = space.algebra, space.module, space.n
     mdim = R.dim
@@ -219,7 +222,10 @@ def _compat_rows(space: CochainSpace):
     locate = _locator(space)
     alpha_cols = [_support(A.apply_alpha(A.basis_vector(i))) for i in range(A.dim)]
     beta = [(k, l, b) for k, brow in enumerate(R.beta) for l, b in _support(brow)]
-    for block, combo in enumerate(product(range(A.dim), repeat=n)):
+    keeps_degrees = all(A.degree(j) == A.degree(i)
+                        for i in range(A.dim) for j, _ in alpha_cols[i])
+    combos = space.tuples if keeps_degrees else product(range(A.dim), repeat=n)
+    for block, combo in enumerate(combos):
         base = block * mdim
         # f(alpha x_1, ..., alpha x_n): the same carrier component k
         coeffs = {}
@@ -313,7 +319,8 @@ def _delta_images(space: CochainSpace, r: int, vectors):
     if not vectors:
         return []
     rows, nrows = _delta_rows(space, r)
-    return [_apply(rows, nrows, v, space.algebra.m) for v in vectors]
+    return _columns(_product(rows, _transpose(vectors)), nrows, len(vectors),
+                    space.algebra.m)
 
 
 def cochain_basis(A: ColorHomAlgebra, R: Representation, n: int,
@@ -322,7 +329,7 @@ def cochain_basis(A: ColorHomAlgebra, R: Representation, n: int,
     if n < 0:
         raise CochainError("cochain arity must be non-negative")
     space = CochainSpace(A, R, n, gamma, canonical_tuples(A, n), [])
-    rows = _dense_rows(_compat_rows(space), space.free_dim, A.m)
+    rows = list(_compat_rows(space).values())
     space.compat_basis = linalg.kernel_basis(rows, space.free_dim, A.m)
     return space
 
@@ -400,12 +407,7 @@ def delta_matrix(A: ColorHomAlgebra, R: Representation, n: int, r: int,
     if domain == "compatible":
         return _delta_images(space, r, space.compat_basis), space
     rows, nrows = _delta_rows(space, r)
-    zero = CycloScalar.zero(A.m)
-    columns = [[zero] * nrows for _ in range(space.free_dim)]
-    for ri, row in rows.items():
-        for c, v in row.items():
-            columns[c][ri] = v
-    return columns, space
+    return _columns(rows, nrows, space.free_dim, A.m), space
 
 
 @dataclass
@@ -460,27 +462,19 @@ def cohomology_group(A: ColorHomAlgebra, R: Representation, n: int, r: int,
     space = cochain_basis(A, R, n, gamma)
     rows, _ = _delta_rows(space, r)
     if restrict == "free":
-        Z = linalg.kernel_basis(_dense_rows(rows, space.free_dim, A.m),
-                                space.free_dim, A.m)
-    elif space.compat_basis:
-        # kernel equations of delta restricted to the compatible basis
-        restricted = [[_dot(row, v, A.m) for v in space.compat_basis]
-                      for _, row in sorted(rows.items())]
-        combo = linalg.kernel_basis(restricted, space.compat_dim, A.m)
-        Z = []
-        for kv in combo:
-            vec = space.zero_coords()
-            for coeff, basis_vec in zip(kv, space.compat_basis):
-                if not coeff.is_zero():
-                    vec = [a + coeff * b for a, b in zip(vec, basis_vec)]
-            Z.append(vec)
+        Z = linalg.kernel_basis(list(rows.values()), space.free_dim, A.m)
     else:
-        Z = []
-    Z = linalg.row_space_basis(Z) if Z else []
+        # kernel of delta restricted to the compatible basis, and the
+        # cocycles its vectors give as sums of compatible basis vectors
+        basis = _transpose(space.compat_basis)
+        combos = linalg.kernel_basis(list(_product(rows, basis).values()),
+                                     space.compat_dim, A.m)
+        Z = _columns(_product(basis, _transpose(combos)), space.free_dim, len(combos), A.m)
+    Z = linalg.row_space_basis(Z)
     # coboundaries from the compatible lower space
     lower = cochain_basis(A, R, n - 1, gamma)
     lower_cols = _delta_images(lower, r, lower.compat_basis)
-    B = linalg.row_space_basis(lower_cols) if lower_cols else []
+    B = linalg.row_space_basis(lower_cols)
     if B and linalg.rank(Z + B) != len(Z):
         raise CochainError(
             "coboundary escaped the cocycle space; the complex is inconsistent here")

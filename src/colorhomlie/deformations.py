@@ -141,14 +141,13 @@ def first_order_class(A: ColorHomAlgebra, B: TruncatedBracket) -> dict:
     if is_cocycle:
         lower_cols, _ = delta_matrix(A, R, 1, 0, A.basis.group.zero(),
                                      domain="compatible")
-        Bbasis = linalg.row_space_basis(lower_cols) if lower_cols else []
+        red, pivots = linalg.rref(lower_cols)
         residue = list(coords)
-        if Bbasis:
-            red, pivots = linalg.rref(Bbasis)
-            for row, pc in zip(red, pivots):
-                c = residue[pc]
-                if not c.is_zero():
-                    residue = [a - c * b for a, b in zip(residue, row)]
+        for row, pc in zip(red, pivots):
+            c = residue[pc]
+            if not c.is_zero():
+                for col, b in row.items():
+                    residue[col] = residue[col] - c * b
         result["class_is_zero"] = all(c.is_zero() for c in residue)
         result["class_representative"] = Cochain(space, residue)
     return result

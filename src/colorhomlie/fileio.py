@@ -210,4 +210,5 @@ def parse_bracket_terms(text: str, A: ColorHomAlgebra):
 
 def parse_alpha_terms(text: str, A: ColorHomAlgebra):
     doc = _load_json(text)
-    return [parse_matrix(rows, A.m, text) for rows in _require(doc, "terms", "term file")]
+    return [_parse_square(rows, A.dim, A.m, text, f"terms[{i}]")
+            for i, rows in enumerate(_require(doc, "terms", "term file"))]

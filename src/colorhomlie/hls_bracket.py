@@ -101,9 +101,8 @@ class QuotientSpace:
     def __init__(self, A: CommutativeColorAlgebra, ann_basis):
         self.A = A
         self.ann_rref = linalg.row_space_basis(ann_basis)
-        _, pivots = linalg.rref(self.ann_rref) if self.ann_rref else ([], [])
-        self.pivots = pivots
-        self.complement_indices = [i for i in range(A.dim) if i not in pivots]
+        self.pivots = linalg.rref(self.ann_rref)[1]
+        self.complement_indices = [i for i in range(A.dim) if i not in self.pivots]
 
     def reduce(self, v):
         v = list(v)

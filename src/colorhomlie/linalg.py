@@ -1,6 +1,8 @@
 """Exact linear algebra over cyclotomic scalars.
 
 Matrices are plain lists of lists of ``CycloScalar`` with a shared root order.
+Elimination works on one sparse row type, {column: nonzero scalar}; the
+solvers take dense or sparse rows and convert a dense row once, on entry.
 Everything is Gauss-Jordan with exact division and canonical pivot
 normalization, so reduced forms (and hence reported bases) are reproducible.
 """
@@ -76,88 +78,113 @@ def mat_eq(A, B):
         for ra, rb in zip(A, B))
 
 
+def _sparse(row):
+    """A dense or sparse row as a fresh {column: nonzero scalar} dict: the one
+    place where a dense row enters elimination."""
+    items = row.items() if isinstance(row, dict) else enumerate(row)
+    return {c: a for c, a in items if not a.is_zero()}
+
+
+def _sub_scaled(v, f, row):
+    """v -= f * row on sparse rows, in place, dropping the zeros."""
+    for c, b in row.items():
+        y = v[c] - f * b if c in v else -(f * b)
+        if y.is_zero():
+            del v[c]
+        else:
+            v[c] = y
+
+
+def _absorb(echelon, row) -> bool:
+    """Add a row to a fully reduced echelon form {pivot column: sparse row}.
+
+    The row is reduced against every pivot in one pass, scaled to 1 at its
+    leftmost nonzero, and that column is cleared from the earlier pivot rows.
+    Returns False, changing nothing, when the row lies in the span.
+    """
+    v = _sparse(row)
+    for p, f in [(p, v[p]) for p in v if p in echelon]:
+        _sub_scaled(v, f, echelon[p])
+    if not v:
+        return False
+    c = min(v)
+    inv = v[c].inverse()
+    v = {k: inv * a for k, a in v.items()}
+    for prow in echelon.values():
+        if c in prow:
+            _sub_scaled(prow, prow[c], v)
+    echelon[c] = v
+    return True
+
+
+def _echelon(rows):
+    echelon = {}
+    for row in rows:
+        _absorb(echelon, row)
+    return echelon
+
+
 def rref(rows):
-    """Reduced row echelon form (in place on a copy); returns (rows, pivot_cols)."""
-    rows = [list(r) for r in rows]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot = None
-        for i in range(r, nrows):
-            if not rows[i][c].is_zero():
-                pivot = i
-                break
-        if pivot is None:
-            continue
-        rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][c].inverse()
-        rows[r] = [inv * a for a in rows[r]]
-        for i in range(nrows):
-            if i != r and not rows[i][c].is_zero():
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+    """Reduced row echelon form of dense or sparse rows: (rows, pivot_cols),
+    the nonzero rows as sparse dicts sorted by pivot column.  It is unique
+    over a field, so neither the row order nor the row type changes it."""
+    echelon = _echelon(rows)
+    pivots = sorted(echelon)
+    return [echelon[c] for c in pivots], pivots
 
 
 def rank(rows) -> int:
-    return len(rref(rows)[1]) if rows else 0
+    return len(rref(rows)[1])
 
 
 def kernel_basis(M, ncols: int, m: int):
-    """Basis of {v : M v = 0}; M given as a list of equation rows."""
-    red, pivots = rref(M) if M else ([], [])
-    free = [c for c in range(ncols) if c not in pivots]
+    """Basis of {v : M v = 0} as dense vectors; M is a list of equation rows."""
+    red, pivots = rref(M)
     z, o = CycloScalar.zero(m), CycloScalar.one(m)
-    basis = []
-    for fc in free:
-        v = [z] * ncols
-        v[fc] = o
-        for ri, pc in enumerate(pivots):
-            v[pc] = -red[ri][fc]
-        basis.append(v)
-    return basis
+    pivot_set = set(pivots)
+    basis = {fc: [o if c == fc else z for c in range(ncols)]
+             for fc in range(ncols) if fc not in pivot_set}
+    for row, pc in zip(red, pivots):
+        for c, a in row.items():
+            if c != pc:
+                basis[c][pc] = -a
+    return list(basis.values())
 
 
 def row_space_basis(rows):
-    """Canonical (rref) basis of the span of the given rows."""
-    red, _ = rref(rows) if rows else ([], [])
-    return [r for r in red if any(not a.is_zero() for a in r)]
+    """Canonical (rref) basis of the span of the given dense vectors."""
+    red, pivots = rref(rows)
+    return [[r.get(c, CycloScalar.zero(r[pc].root_order)) for c in range(len(rows[0]))]
+            for r, pc in zip(red, pivots)]
 
 
 def in_span(rows, vec) -> bool:
-    if not rows:
-        return all(a.is_zero() for a in vec)
-    base = rank(rows)
-    return rank(rows + [vec]) == base
+    return not _absorb(_echelon(rows), vec)
 
 
 def span_equal(rows_a, rows_b) -> bool:
-    ra, rb = rank(rows_a), rank(rows_b)
-    return ra == rb == rank(rows_a + rows_b)
+    return rank(rows_a) == rank(rows_b) == rank(rows_a + rows_b)
 
 
 def solve(M, target, m: int):
-    """One solution x of M x = target, or None.  M is a list of rows."""
-    ncols = len(M[0]) if M else 0
-    aug = [list(row) + [t] for row, t in zip(M, target)]
-    red, pivots = rref(aug)
+    """One solution x of M x = target, or None.  M is a list of dense or
+    sparse rows; x has one entry per column they reach (a dense row's
+    length, one past a sparse row's last column)."""
+    rows = [_sparse(row) for row in M]
+    ncols = max((max(row, default=-1) + 1 if isinstance(row, dict) else len(row)
+                 for row in M), default=0)
+    red, pivots = rref([{**row, ncols: t} for row, t in zip(rows, target)])
     z = CycloScalar.zero(m)
     x = [z] * ncols
-    for ri, pc in enumerate(pivots):
+    for row, pc in zip(red, pivots):
         if pc == ncols:
             return None  # inconsistent row 0 ... 0 | 1
-        x[pc] = red[ri][ncols]
+        x[pc] = row.get(ncols, z)
     # verify (cheap; guards the free-variable positions)
-    for row, t in zip(M, target):
+    for row, t in zip(rows, target):
         acc = None
-        for a, b in zip(row, x):
-            term = a * b
+        for c, a in row.items():
+            term = a * x[c]
             acc = term if acc is None else acc + term
         if acc is None:
             if not t.is_zero():
@@ -169,13 +196,12 @@ def solve(M, target, m: int):
 
 def inverse(M):
     """Exact inverse via Gauss-Jordan; raises ValueError when singular."""
-    n = len(M)
-    m = M[0][0].root_order
-    aug = [list(row) + list(idrow) for row, idrow in zip(M, identity(n, m))]
-    red, pivots = rref(aug)
+    n, m = len(M), M[0][0].root_order
+    z, o = CycloScalar.zero(m), CycloScalar.one(m)
+    red, pivots = rref([{**_sparse(row), n + i: o} for i, row in enumerate(M)])
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
-    return [row[n:] for row in red]
+    return [[row.get(n + j, z) for j in range(n)] for row in red]
 
 
 def is_zero_matrix(M) -> bool:
@@ -190,24 +216,5 @@ def quotient_representatives(z_basis, b_basis):
     reproducible for a fixed input order.  Each vector is reduced once
     against a growing echelon form of b_basis and the representatives so far.
     """
-    echelon = []  # (pivot column, sparse row scaled to 1 at the pivot)
-
-    def absorb(vec) -> bool:
-        """Add vec's residual to the echelon form; False when it is zero."""
-        v = list(vec)
-        for p, row in echelon:
-            f = v[p]
-            if not f.is_zero():
-                for c, a in row:
-                    v[c] = v[c] - f * a
-        for p, a in enumerate(v):
-            if not a.is_zero():
-                inv = a.inverse()
-                echelon.append((p, [(c, inv * x) for c, x in enumerate(v)
-                                    if not x.is_zero()]))
-                return True
-        return False
-
-    for b in b_basis:
-        absorb(b)
-    return [v for v in z_basis if absorb(v)]
+    echelon = _echelon(b_basis)
+    return [v for v in z_basis if _absorb(echelon, v)]

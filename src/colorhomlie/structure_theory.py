@@ -43,8 +43,8 @@ def _pattern_matrix(A: ColorHomAlgebra, pattern, coeffs):
     return M
 
 
-def _commute_rows(A: ColorHomAlgebra, pattern, offset, nvars):
-    """Rows of [D, alpha] = 0 for the variable block starting at offset.
+def _commute_rows(A: ColorHomAlgebra, pattern, offset):
+    """Sparse rows of [D, alpha] = 0 for the variable block starting at offset.
 
     Unknown t is the coefficient of E_ij, (i, j) = pattern[t], and
     (E_ij alpha - alpha E_ij)[a][b] = delta_ai alpha[j][b] - alpha[a][i] delta_jb;
@@ -61,16 +61,9 @@ def _commute_rows(A: ColorHomAlgebra, pattern, offset, nvars):
             if not alpha[a][i].is_zero():
                 cell = cells.setdefault((a, j), {})
                 cell[col] = cell[col] - alpha[a][i] if col in cell else -alpha[a][i]
-    z = CycloScalar.zero(A.m)
-    rows = []
-    for key in sorted(cells):
-        entries = [(col, v) for col, v in cells[key].items() if not v.is_zero()]
-        if entries:
-            row = [z] * nvars
-            for col, v in entries:
-                row[col] = v
-            rows.append(row)
-    return rows
+    rows = [{col: v for col, v in cells[key].items() if not v.is_zero()}
+            for key in sorted(cells)]
+    return [row for row in rows if row]
 
 
 # The defining identities on a basis pair (x, y).  Each inner list gives one
@@ -92,7 +85,8 @@ _IDENTITIES = {
 
 def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
                    pattern, commute: bool):
-    """Linear system whose kernel describes the requested space.
+    """Sparse rows of the linear system whose kernel describes the requested
+    space; the rows that vanish are dropped.
 
     Unknown layout: der/centroid/qcentroid use one block D; qder uses (D, D');
     gder uses (D, D', D'').  Unknown t of a block is the coefficient of the
@@ -105,7 +99,6 @@ def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
     nD = len(pattern)
     blocks = {"der": 1, "centroid": 1, "qcentroid": 1, "qder": 2, "gder": 3}[kind]
     nvars = blocks * nD
-    z = CycloScalar.zero(A.m)
     E = [A.basis_vector(i) for i in range(dim)]
     ak = A.alpha_power(k)
     ak_cols = [[row[x] for row in ak] for x in range(dim)]
@@ -143,14 +136,14 @@ def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
                             v = -v
                         key = (comp, col)
                         acc[key] = acc[key] + v if key in acc else v
-                group_rows = [[z] * nvars for _ in range(dim)]
+                group_rows = [{} for _ in range(dim)]
                 for (comp, col), v in acc.items():
                     if not v.is_zero():
                         group_rows[comp][col] = v
-                rows.extend(group_rows)
+                rows.extend(row for row in group_rows if row)
     if commute:
         for block in range(blocks):
-            rows.extend(_commute_rows(A, pattern, block * nD, nvars))
+            rows.extend(_commute_rows(A, pattern, block * nD))
     return rows, nvars, nD
 
 
@@ -239,12 +232,12 @@ def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str,
     Unknown t of a block is the coefficient of E_ij, (i, j) = pattern[t], and
     (E_ij v)[a] = delta_ai v[j]: it contributes [x,y][j] at component i of
     P([x,y]) and, when j = y, [a^k e_x, e_i] to [a^k x, P1 y].  Rows run over
-    (x, y, component), then the [P, alpha] = 0 rows of each block.
+    (x, y, component), then the [P, alpha] = 0 rows of each block; the rows
+    are sparse, and a row whose coefficients and right-hand side both vanish
+    is dropped.
     """
     dim, nD = A.dim, len(pattern)
     blocks = 1 if kind == "qder" else 2
-    nvars = blocks * nD
-    z = CycloScalar.zero(A.m)
     ak = A.alpha_power(k)
     ak_e = [[row[x] for row in ak] for x in range(dim)]
     d_e = [linalg.mat_vec(D, A.basis_vector(x)) for x in range(dim)]
@@ -259,18 +252,22 @@ def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str,
             if kind == "qder":
                 t2 = A.bracket.bilinear(ak_e[x], d_e[y])
                 target = [a + e * b for a, b in zip(target, t2)]
-            group = [[z] * nvars for _ in range(dim)]
+            group = [{} for _ in range(dim)]
             for t, (i, j) in enumerate(pattern):
-                group[i][nvars - nD + t] = bxy[j]
+                if not bxy[j].is_zero():
+                    group[i][(blocks - 1) * nD + t] = bxy[j]
                 if kind == "gder" and j == y:
                     for comp, v in enumerate(right[i]):
-                        group[comp][t] = -e * v
-            rows.extend(group)
-            rhs.extend(target)
+                        if not v.is_zero():
+                            group[comp][t] = -e * v
+            for row, value in zip(group, target):
+                if row or not value.is_zero():
+                    rows.append(row)
+                    rhs.append(value)
     for block in range(blocks):
-        commute = _commute_rows(A, pattern, block * nD, nvars)
+        commute = _commute_rows(A, pattern, block * nD)
         rows.extend(commute)
-        rhs.extend([z] * len(commute))
+        rhs.extend([CycloScalar.zero(A.m)] * len(commute))
     return rows, rhs
 
 
@@ -286,6 +283,7 @@ def _partner_solution(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: 
         return None
     nD = len(pattern)
     blocks = 1 if kind == "qder" else 2
+    # sol stops at the last unknown a row reaches; the ones past it are 0
     return tuple(_pattern_matrix(A, pattern, sol[b * nD:(b + 1) * nD])
                  for b in range(blocks))
 

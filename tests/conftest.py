@@ -117,6 +117,39 @@ def linalg_identity_rows(n):
 
 # -- independent operator-form oracles ------------------------------------------
 
+def rref_direct(rows):
+    """Reduced row echelon form (in place on a copy); returns (rows, pivot_cols).
+
+    The dense column-by-column Gauss-Jordan: an oracle for the sparse
+    elimination behind ``linalg.rref`` and the other solvers.
+    """
+    rows = [list(r) for r in rows]
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = None
+        for i in range(r, nrows):
+            if not rows[i][c].is_zero():
+                pivot = i
+                break
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][c].inverse()
+        rows[r] = [inv * a for a in rows[r]]
+        for i in range(nrows):
+            if i != r and not rows[i][c].is_zero():
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == nrows:
+            break
+    return rows[:r], pivots
+
+
 def bilinear_direct(table, u, v):
     """The dense double loop over every basis pair of the inputs' supports:
     an oracle for ``StructureConstants.bilinear``."""

@@ -215,6 +215,24 @@ def test_derived_level_one_matches_matrix_power_oracle():
     assert check_color_hom_lie(D).is_color_hom_lie
 
 
+def test_twist_powers_are_cached_for_negative_exponents():
+    # alpha = [[1,1],[0,2]], so alpha^-1 = [[1,-1/2],[0,1/2]]; oracle: the
+    # power of the exact inverse, and alpha^k alpha^-k = Id
+    A = zero_algebra([2, 2], [[0, 1], [1, 0]], 2, [(1, 0), (1, 0)],
+                     alpha=[[1, 1], [0, 2]])
+    inv = [[sc(1), sc(Fraction(-1, 2))], [sc(0), sc(Fraction(1, 2))]]
+    for k in (1, 2, 3):
+        power = A.alpha_power(-k)
+        assert A.alpha_power(-k) is power
+        assert linalg.mat_eq(power, linalg.mat_pow(inv, k, A.m))
+        assert linalg.mat_eq(linalg.mat_mul(A.alpha_power(k), power), linalg.identity(2, A.m))
+    S = zero_algebra([2, 2], [[0, 1], [1, 0]], 2, [(1, 0), (0, 1)],
+                     alpha=[[1, 0], [0, 0]])
+    for _ in range(2):  # a singular twist is refused on every call
+        with pytest.raises(AlgebraStructureError):
+            S.alpha_power(-1)
+
+
 def test_derived_zero_bracket_any_level():
     A = zero_algebra([2, 2], [[0, 1], [1, 0]], 2, [(1, 0), (0, 1)],
                      alpha=[[1, 0], [0, -1]])

@@ -353,6 +353,11 @@ def _module(doc):
         "--n", "1", "--degree", "1,0"])
 
 
+def _alpha_terms(doc):
+    return ("alpha_terms.json", doc, lambda f: [
+        "deform", "compose", "--algebra", data_path("sl2c_z2z3.alg"), "--alpha-terms", f])
+
+
 MALFORMED = {
     "basis-without-degree": (lambda: _validate(_without(
         _data_doc("sl2c_z2z2.alg"), "basis", 0, "degree")), "'degree'"),
@@ -368,6 +373,8 @@ MALFORMED = {
     "product-key-unknown-name": (lambda: _hls(_with(
         _data_doc("qwitt_trunc_q2.alg"), {"u1": "1"}, "product", "u0,b")),
         "unknown basis name 'b'"),
+    "alpha-term-wrong-shape": (lambda: _alpha_terms({"schema": 1, "terms": [[["1"]]]}),
+                               "terms[0]"),
 }
 
 

@@ -13,7 +13,7 @@ from itertools import product
 import pytest
 
 from colorhomlie import cohomology, linalg
-from colorhomlie.algebra_core import AlgebraStructureError
+from colorhomlie.algebra_core import AlgebraStructureError, ColorHomAlgebra
 from colorhomlie.cohomology import (CochainSpace, canonical_tuples, cochain_basis,
                                     coboundary_of_coords, cohomology_group,
                                     delta_matrix)
@@ -21,8 +21,8 @@ from colorhomlie.representations import adjoint, alpha_s_adjoint
 from colorhomlie.scalars_grading import CycloScalar
 
 from conftest import (SL2C_Z2Z2_CASE_FAMILIES, build_algebra, compat_rows_direct,
-                      delta1_direct, delta2_direct, random_multiplicative_algebra, sc,
-                      sl2c_z2z2, zero_algebra)
+                      delta1_direct, delta2_direct, direct_sum,
+                      random_multiplicative_algebra, sc, sl2c_z2z2, zero_algebra)
 
 
 def gamma_elems(A):
@@ -245,6 +245,39 @@ def test_oracle_cases_cover_the_edge_shapes():
     # eps(a,a) = -1 repeats, m = 3 scalars, and the twisted Z2^3 bracket
     assert {"super_z2_rescaled", "heis_z3_rescaled", "sl2_twisted_rescaled"} <= kinds
     assert any(A.m == 3 and A.dim == 3 for A, _ in ORACLE_CASES)
+
+
+def _twist_cases():
+    """(algebra, whether alpha keeps every degree): a generated algebra (its
+    twist is diagonal), the square of sl2c_z2z2 with alpha e_(i+3) =
+    e_i + e_(i+3) (off the diagonal, degrees kept), and the sl2c_z2z2 bracket
+    under a twist that mixes degrees."""
+    A = random_multiplicative_algebra(random.Random(20261018))
+    S = direct_sum(sl2c_z2z2(), sl2c_z2z2(), "sl2c_z2z2^2")
+    shear = [[sc(int(i == j or j == i + 3), S.m) for j in range(6)] for i in range(6)]
+    sheared = ColorHomAlgebra(S.basis, S.eps, S.bracket, shear, S.m, name="sheared")
+    mixed = build_algebra(
+        [2, 2], [[0, 1], [1, 0]], 2, ["e1", "e2", "e3"], [(1, 0), (0, 1), (1, 1)],
+        {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0], (1, 2): [-1, 0, 0]},
+        [[1, 2, 0], [0, 1, -1], [1, 0, 3]], name="sl2c_z2z2_dense_twist")
+    return [(A, True), (sheared, True), (mixed, False)]
+
+
+@pytest.mark.parametrize("case", range(3))
+def test_compat_rows_use_canonical_tuples_only_when_alpha_keeps_degrees(case):
+    A, keeps = _twist_cases()[case]
+    R = adjoint(A)
+    for n in (1, 2) if A.dim > 3 else (1, 2, 3):
+        space = cochain_basis(A, R, n, A.basis.group.zero())
+        rows = cohomology._compat_rows(space)
+        canonical_rows = len(space.tuples) * R.dim
+        if keeps:
+            assert max(rows, default=-1) < canonical_rows
+        elif n > 1:
+            assert max(rows) >= canonical_rows  # the full layout, every n-tuple
+        oracle = compat_rows_direct(A, R, n, space.tuples)
+        assert space.compat_basis == linalg.kernel_basis(oracle, space.free_dim, A.m), \
+            (A.name, n)
 
 
 def test_compatible_delta_columns_are_images_of_the_compatible_basis():

@@ -1,0 +1,225 @@
+"""Exact elimination: the sparse solvers of ``linalg`` against the dense
+column-by-column Gauss-Jordan ``rref_direct``.
+
+Every solver goes through one sparse row type, {column: nonzero scalar}, and
+takes dense lists, sparse dicts or a mix of both.  The reduced row echelon
+form is unique over a field, so each result must equal the one the dense
+oracle gives on the same matrix: the same rows, pivots, kernel and image
+bases, solutions and greedy picks.
+"""
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from colorhomlie import linalg
+from colorhomlie.scalars_grading import CycloScalar
+
+from conftest import rref_direct
+
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
+ROOT_ORDERS = (1, 2, 3, 4)
+PHI = {1: 1, 2: 1, 3: 2, 4: 2}
+
+
+def scalars(m: int, sparse: bool):
+    """Small cyclotomic scalars; a sparse draw is zero three times in four."""
+    nonzero = st.tuples(st.lists(st.integers(-3, 3), min_size=PHI[m], max_size=PHI[m]),
+                        st.sampled_from([1, 2, 3])).map(
+        lambda cd: CycloScalar([Fraction(c, cd[1]) for c in cd[0]], m))
+    if not sparse:
+        return nonzero
+    return st.sampled_from([0, 0, 0, 1]).flatmap(
+        lambda k: nonzero if k else st.just(CycloScalar.zero(m)))
+
+
+def as_sparse(row):
+    return {c: a for c, a in enumerate(row) if not a.is_zero()}
+
+
+def as_dense(row, ncols, m):
+    return [row.get(c, CycloScalar.zero(m)) for c in range(ncols)]
+
+
+@st.composite
+def systems(draw, square=False):
+    """(m, ncols, dense rows, the same rows given all dense, all as sparse
+    dicts, or as a mix of both).
+
+    The rows are drawn sparse or dense; an all-zero row, an all-zero column
+    and a duplicated row are each put in about half the time, and ncols = 0
+    is allowed unless the matrix is square.
+    """
+    m = draw(st.sampled_from(ROOT_ORDERS))
+    ncols = draw(st.integers(1 if square else 0, 5))
+    nrows = ncols if square else draw(st.integers(0, 6))
+    entry = scalars(m, draw(st.booleans()))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    zero = CycloScalar.zero(m)
+    if rows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [zero] * ncols
+    if ncols and draw(st.booleans()):
+        c = draw(st.integers(0, ncols - 1))
+        rows = [row[:c] + [zero] + row[c + 1:] for row in rows]
+    if rows and not square and draw(st.booleans()):
+        rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
+    layout = draw(st.sampled_from(("dense", "sparse", "mixed")))
+    mixed = [as_sparse(row) if layout == "sparse" or (layout == "mixed" and draw(st.booleans()))
+             else row for row in rows]
+    return m, ncols, rows, mixed
+
+
+def combination(draw, rows, m, ncols):
+    """A random linear combination of the rows (zero when there are none)."""
+    out = [CycloScalar.zero(m)] * ncols
+    for row in rows:
+        c = draw(scalars(m, sparse=True))
+        out = [a + c * b for a, b in zip(out, row)]
+    return out
+
+
+# -- the dense oracles, each on rref_direct ---------------------------------------
+
+def rank_direct(rows):
+    return len(rref_direct(rows)[1]) if rows else 0
+
+
+def kernel_direct(M, ncols, m):
+    red, pivots = rref_direct(M) if M else ([], [])
+    z, o = CycloScalar.zero(m), CycloScalar.one(m)
+    basis = []
+    for fc in [c for c in range(ncols) if c not in pivots]:
+        v = [z] * ncols
+        v[fc] = o
+        for ri, pc in enumerate(pivots):
+            v[pc] = -red[ri][fc]
+        basis.append(v)
+    return basis
+
+
+def solve_direct(M, target, m):
+    ncols = len(M[0]) if M else 0
+    red, pivots = rref_direct([list(row) + [t] for row, t in zip(M, target)])
+    x = [CycloScalar.zero(m)] * ncols
+    for ri, pc in enumerate(pivots):
+        if pc == ncols:
+            return None
+        x[pc] = red[ri][ncols]
+    return x
+
+
+def inverse_direct(M, m):
+    n = len(M)
+    ident = linalg.identity(n, m)
+    red, pivots = rref_direct([list(row) + list(e) for row, e in zip(M, ident)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
+
+
+def quotient_direct(z_basis, b_basis):
+    """Greedy picks by rank: v is taken when it raises the rank of b + picks."""
+    picks = []
+    for v in z_basis:
+        if rank_direct(b_basis + picks + [v]) > rank_direct(b_basis + picks):
+            picks.append(v)
+    return picks
+
+
+# -- properties -------------------------------------------------------------------
+
+@PROPERTY
+@given(systems())
+def test_rref_matches_dense_oracle(system):
+    m, ncols, rows, mixed = system
+    before = [dict(r) if isinstance(r, dict) else list(r) for r in mixed]
+    red, pivots = linalg.rref(mixed)
+    want_rows, want_pivots = rref_direct(rows) if rows else ([], [])
+    assert pivots == want_pivots
+    assert [as_dense(r, ncols, m) for r in red] == want_rows
+    # the sparse row type: no stored zeros, 1 at the pivot; inputs untouched
+    assert all(not a.is_zero() for r in red for a in r.values())
+    assert all(r[p] == CycloScalar.one(m) and min(r) == p for r, p in zip(red, pivots))
+    assert mixed == before
+
+
+@PROPERTY
+@given(systems())
+def test_kernel_rank_and_row_space_match_dense_oracle(system):
+    m, ncols, rows, mixed = system
+    assert linalg.kernel_basis(mixed, ncols, m) == kernel_direct(rows, ncols, m)
+    assert linalg.rank(mixed) == rank_direct(rows)
+    want = rref_direct(rows)[0] if rows else []
+    assert linalg.row_space_basis(rows) == want
+
+
+@PROPERTY
+@given(systems(), st.data())
+def test_in_span_matches_dense_oracle(system, data):
+    m, ncols, rows, mixed = system
+    if data.draw(st.booleans()):
+        vec = combination(data.draw, rows, m, ncols)
+    else:
+        vec = data.draw(st.lists(scalars(m, sparse=True), min_size=ncols, max_size=ncols))
+    want = (rank_direct(rows + [vec]) == rank_direct(rows) if rows
+            else all(a.is_zero() for a in vec))
+    assert linalg.in_span(mixed, vec) == want
+    assert linalg.in_span(mixed, as_sparse(vec)) == want
+
+
+@PROPERTY
+@given(systems(), st.data())
+def test_solve_matches_dense_oracle(system, data):
+    m, ncols, rows, mixed = system
+    zero = CycloScalar.zero(m)
+    x0 = data.draw(st.lists(scalars(m, sparse=True), min_size=ncols, max_size=ncols))
+    consistent = [sum((a * b for a, b in zip(row, x0)), zero) for row in rows]
+    arbitrary = data.draw(st.lists(scalars(m, sparse=True), min_size=len(rows),
+                                   max_size=len(rows)))
+    for target in (consistent, arbitrary):
+        want = solve_direct(rows, target, m)
+        got = linalg.solve(mixed, target, m)
+        if target is consistent:
+            assert got is not None
+        if want is None:
+            assert got is None
+            continue
+        # a solution has one entry per column the rows reach; past the last
+        # column a sparse-only system reaches, the oracle's entries are 0
+        assert len(got) <= len(want) and got + [zero] * (len(want) - len(got)) == want
+        assert linalg.solve(rows, target, m) == want
+
+
+@PROPERTY
+@given(systems(square=True), st.booleans(), st.data())
+def test_inverse_matches_dense_oracle(system, invertible, data):
+    m, n, rows, _ = system
+    if invertible:
+        # a product of unit lower and invertible upper triangular factors
+        one = CycloScalar.one(m)
+        lower = [[one if i == j else (rows[i][j] if j < i else CycloScalar.zero(m))
+                  for j in range(n)] for i in range(n)]
+        diag = data.draw(st.lists(scalars(m, sparse=False).filter(lambda a: not a.is_zero()),
+                                  min_size=n, max_size=n))
+        upper = [[diag[i] if i == j else (rows[i][j] if j > i else CycloScalar.zero(m))
+                  for j in range(n)] for i in range(n)]
+        rows = linalg.mat_mul(lower, upper)
+    want = inverse_direct(rows, m)
+    if want is None:
+        assert not invertible
+        with pytest.raises(ValueError):
+            linalg.inverse(rows)
+    else:
+        assert linalg.inverse(rows) == want
+
+
+@PROPERTY
+@given(systems(), st.data())
+def test_quotient_representatives_match_greedy_oracle(system, data):
+    m, ncols, rows, mixed = system
+    subspace = [combination(data.draw, rows, m, ncols)
+                for _ in range(data.draw(st.integers(0, 3)))]
+    got = linalg.quotient_representatives(mixed, subspace)
+    assert [as_dense(v, ncols, m) if isinstance(v, dict) else v for v in got] == \
+        quotient_direct(rows, subspace)
