@@ -475,9 +475,10 @@ def cohomology_group(A: ColorHomAlgebra, R: Representation, n: int, r: int,
     lower = cochain_basis(A, R, n - 1, gamma)
     lower_cols = _delta_images(lower, r, lower.compat_basis)
     B = linalg.row_space_basis(lower_cols)
-    if B and linalg.rank(Z + B) != len(Z):
+    reps = linalg.quotient_representatives(Z, B)
+    # Z and B are independent, so rank(Z + B) = len(B) + len(reps)
+    if len(B) + len(reps) != len(Z):
         raise CochainError(
             "coboundary escaped the cocycle space; the complex is inconsistent here")
-    reps = linalg.quotient_representatives(Z, B)
     return CohomologyResult(n, r, gamma, restrict, len(Z), len(B), len(Z) - len(B),
                             Z, B, reps, space)

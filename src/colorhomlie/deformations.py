@@ -14,10 +14,12 @@ twist is exactly what the composition construction satisfies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 from . import linalg
 from .algebra_core import (AlgebraStructureError, BracketTable, CheckResult,
-                           ColorHomAlgebra)
+                           ColorHomAlgebra, StructureConstants, cyclic_failures)
 from .cohomology import (Cochain, cochain_basis, coboundary_of_coords,
                          delta_matrix)
 from .representations import adjoint
@@ -45,18 +47,9 @@ class TruncatedBracket:
             raise DeformationError("term 0 must equal the base bracket")
         if self.alpha_terms is not None and not self.alpha_terms:
             raise DeformationError("alpha_terms must be None or non-empty")
-
-    def alpha_coefficient(self, l: int):
-        if self.alpha_terms is None:
-            if l == 0:
-                return self.algebra.alpha
-            return None
-        if l < len(self.alpha_terms):
-            return self.alpha_terms[l]
-        return None
-
-    def term(self, i: int):
-        return self.terms[i] if i <= self.order else None
+        # the twist series alpha_0..alpha_order, zero-padded
+        A = self.algebra
+        self.alphas = _padded(self.alpha_terms or [A.alpha], self.order, A.dim, A.m)
 
     def _term_report(self, check) -> CheckResult:
         """An axiom check of ColorHomAlgebra run on every term's table."""
@@ -74,35 +67,17 @@ class TruncatedBracket:
 
 
 def check_deformation(A: ColorHomAlgebra, B: TruncatedBracket) -> dict:
-    """Order-by-order deformation equations, exhaustively on basis triples."""
+    """Order-by-order deformation equations, exhaustively on basis triples:
+    at t^s the cyclic residual of the pairs (outer_(s-i), [.,.]_i), with
+    outer_u(x, w) = sum_(l+j=u) [alpha_l(x), w]_j."""
+    I = linalg.identity(A.dim, A.m)
+    outers = [reduce(add, (B.terms[u - l].precompose(B.alphas[l], I) for l in range(u + 1)))
+              for u in range(B.order + 1)]
     per_order = {}
     for s in range(B.order + 1):
-        failures = []
-        for x in range(A.dim):
-            for y in range(A.dim):
-                for z in range(A.dim):
-                    acc = [CycloScalar.zero(A.m)] * A.dim
-                    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                        e = A.eps(A.degree(c), A.degree(a))
-                        for l in range(s + 1):
-                            alpha_l = B.alpha_coefficient(l)
-                            if alpha_l is None:
-                                continue
-                            ax = linalg.mat_vec(alpha_l, A.basis_vector(a))
-                            for i in range(s - l + 1):
-                                j = s - l - i
-                                ti, tj = B.term(i), B.term(j)
-                                if ti is None or tj is None:
-                                    continue
-                                inner = ti.of_basis(b, c)
-                                outer = tj.bilinear(ax, inner)
-                                acc = [u + e * v for u, v in zip(acc, outer)]
-                    if any(not u.is_zero() for u in acc):
-                        failures.append({
-                            "order": s,
-                            "triple": [A.basis.names[x], A.basis.names[y],
-                                       A.basis.names[z]],
-                            "residual": [str(c) for c in acc]})
+        pairs = [(outers[s - i], B.terms[i]) for i in range(s + 1)]
+        failures = [{"order": s, **failure}
+                    for failure in cyclic_failures(pairs, A.basis, A.eps)]
         per_order[s] = CheckResult(not failures, failures)
     return per_order
 
@@ -180,16 +155,35 @@ class FormalAutomorphism:
 
     def inverse_series(self, A: ColorHomAlgebra, order: int):
         """psi with phi_t o psi_t = Id mod t^(order+1); needs phi_0 = Id."""
+        phis = _padded(self.phis, order, A.dim, A.m)
         psis = [linalg.identity(A.dim, A.m)]
         for s in range(1, order + 1):
-            acc = linalg.zeros(A.dim, A.dim, A.m)
-            for i in range(1, s + 1):
-                phi_i = self.coefficient(i, A)
-                if phi_i is None:
-                    continue
-                acc = linalg.mat_add(acc, linalg.mat_mul(phi_i, psis[s - i]))
+            acc = reduce(linalg.mat_add, (linalg.mat_mul(phis[i], psis[s - i])
+                                          for i in range(1, s + 1)))
             psis.append(linalg.mat_scale(CycloScalar.from_rational(-1, A.m), acc))
         return psis
+
+
+def _padded(series, order: int, dim: int, m: int):
+    """The coefficients 0..order of a matrix series, filled with zeros."""
+    return list(series[:order + 1]) + [linalg.zeros(dim, dim, m)] * (order + 1 - len(series))
+
+
+def _series_product(f, g, order: int):
+    """Coefficients 0..order of the product of two padded matrix series."""
+    return [reduce(linalg.mat_add, (linalg.mat_mul(f[a], g[s - a]) for a in range(s + 1)))
+            for s in range(order + 1)]
+
+
+def _morphism_failures(phis, terms1, terms2, order: int):
+    """Per order s, the basis pairs where phi_t([x,y]_t) = [phi_t x, phi_t y]'_t
+    fails at t^s: sum_i phi_i o [.,.]_(s-i) against
+    sum_(a+b+c=s) [phi_a x, phi_b y]'_c.  Every series is padded."""
+    for s in range(order + 1):
+        lhs = reduce(add, (terms1[s - i].compose_with(phis[i]) for i in range(s + 1)))
+        rhs = reduce(add, (terms2[s - a - b].precompose(phis[a], phis[b])
+                           for a in range(s + 1) for b in range(s - a + 1)))
+        yield s, lhs.differing_pairs(rhs)
 
 
 def check_equivalence(A: ColorHomAlgebra, B1: TruncatedBracket, B2: TruncatedBracket,
@@ -199,54 +193,15 @@ def check_equivalence(A: ColorHomAlgebra, B1: TruncatedBracket, B2: TruncatedBra
     if B1.order != B2.order:
         raise DeformationError("deformations must share the truncation order")
     k = B1.order
-    bracket_failures, twist_failures = [], []
-    for s in range(k + 1):
-        for x in range(A.dim):
-            for y in range(A.dim):
-                lhs = [CycloScalar.zero(A.m)] * A.dim
-                for i in range(s + 1):
-                    phi_i = phi.coefficient(i, A)
-                    if phi_i is None:
-                        continue
-                    lhs = [u + v for u, v in zip(
-                        lhs, linalg.mat_vec(phi_i, B1.terms[s - i].of_basis(x, y)))]
-                rhs = [CycloScalar.zero(A.m)] * A.dim
-                for a in range(s + 1):
-                    pa = phi.coefficient(a, A)
-                    if pa is None:
-                        continue
-                    fx = linalg.mat_vec(pa, A.basis_vector(x))
-                    for b in range(s - a + 1):
-                        pb = phi.coefficient(b, A)
-                        if pb is None:
-                            continue
-                        fy = linalg.mat_vec(pb, A.basis_vector(y))
-                        c = s - a - b
-                        rhs = [u + v for u, v in zip(rhs, B2.terms[c].bilinear(fx, fy))]
-                if any(not (u - v).is_zero() for u, v in zip(lhs, rhs)):
-                    bracket_failures.append({
-                        "order": s, "pair": [A.basis.names[x], A.basis.names[y]]})
-        for x in range(A.dim):
-            lhs = [CycloScalar.zero(A.m)] * A.dim
-            for i in range(s + 1):
-                phi_i = phi.coefficient(i, A)
-                alpha_j = B1.alpha_coefficient(s - i)
-                if phi_i is None or alpha_j is None:
-                    continue
-                lhs = [u + v for u, v in zip(
-                    lhs, linalg.mat_vec(phi_i,
-                                        linalg.mat_vec(alpha_j, A.basis_vector(x))))]
-            rhs = [CycloScalar.zero(A.m)] * A.dim
-            for a in range(s + 1):
-                alpha_a = B2.alpha_coefficient(a)
-                phi_b = phi.coefficient(s - a, A)
-                if alpha_a is None or phi_b is None:
-                    continue
-                rhs = [u + v for u, v in zip(
-                    rhs, linalg.mat_vec(alpha_a,
-                                        linalg.mat_vec(phi_b, A.basis_vector(x))))]
-            if any(not (u - v).is_zero() for u, v in zip(lhs, rhs)):
-                twist_failures.append({"order": s, "basis": A.basis.names[x]})
+    phis = _padded(phi.phis, k, A.dim, A.m)
+    names = A.basis.names
+    bracket_failures = [{"order": s, "pair": [names[x], names[y]]}
+                        for s, pairs in _morphism_failures(phis, B1.terms, B2.terms, k)
+                        for x, y in pairs]
+    lhs, rhs = _series_product(phis, B1.alphas, k), _series_product(B2.alphas, phis, k)
+    twist_failures = [{"order": s, "basis": names[x]}
+                      for s in range(k + 1) for x in range(A.dim)
+                      if any(not (u[x] - v[x]).is_zero() for u, v in zip(lhs[s], rhs[s]))]
     return {
         "bracket": CheckResult(not bracket_failures, bracket_failures),
         "twist": CheckResult(not twist_failures, twist_failures),
@@ -262,48 +217,20 @@ def transport_bracket(A: ColorHomAlgebra, B1: TruncatedBracket,
     if not val.ok:
         raise DeformationError(f"transport needs an even formal automorphism: {val.failures[0]}")
     k = B1.order
+    phis = _padded(phi.phis, k, A.dim, A.m)
     psis = phi.inverse_series(A, k)
+    # inner[u](x, y) = sum_(b+c+d=u) [psi_b x, psi_c y]_d
+    inner = [reduce(add, (B1.terms[u - b - c].precompose(psis[b], psis[c])
+                          for b in range(u + 1) for c in range(u - b + 1)))
+             for u in range(k + 1)]
     new_terms = []
     for s in range(k + 1):
-        entries = {}
-        for i in range(A.dim):
-            for j in range(i, A.dim):
-                acc = [CycloScalar.zero(A.m)] * A.dim
-                for a in range(s + 1):
-                    pa = phi.coefficient(a, A)
-                    if pa is None:
-                        continue
-                    for b in range(s - a + 1):
-                        for c in range(s - a - b + 1):
-                            d = s - a - b - c
-                            px = linalg.mat_vec(psis[b], A.basis_vector(i)) \
-                                if b < len(psis) else None
-                            py = linalg.mat_vec(psis[c], A.basis_vector(j)) \
-                                if c < len(psis) else None
-                            if px is None or py is None:
-                                continue
-                            inner = B1.terms[d].bilinear(px, py)
-                            acc = [u + v for u, v in zip(acc, linalg.mat_vec(pa, inner))]
-                entries[(i, j)] = acc
-        new_terms.append(BracketTable(A.basis, A.eps, entries, A.m))
-    if B1.alpha_terms is None:
-        base_alpha = [A.alpha]
-    else:
-        base_alpha = B1.alpha_terms
-    new_alpha = []
-    for s in range(k + 1):
-        acc = linalg.zeros(A.dim, A.dim, A.m)
-        for a in range(s + 1):
-            pa = phi.coefficient(a, A)
-            if pa is None:
-                continue
-            for b in range(s - a + 1):
-                c = s - a - b
-                if b >= len(base_alpha) or c >= len(psis):
-                    continue
-                acc = linalg.mat_add(acc, linalg.mat_mul(
-                    pa, linalg.mat_mul(base_alpha[b], psis[c])))
-        new_alpha.append(acc)
+        table = reduce(add, (inner[s - a].compose_with(phis[a]) for a in range(s + 1)))
+        # the pairs i <= j, completed by the skew rule (a diagonal value of
+        # a term makes the transported table not exactly skew)
+        new_terms.append(BracketTable(A.basis, A.eps, {
+            (i, j): row for (i, j), row in table.rows.items() if i <= j}, A.m))
+    new_alpha = _series_product(_series_product(phis, B1.alphas, k), psis, k)
     return TruncatedBracket(A, k, new_terms, new_alpha)
 
 
@@ -323,24 +250,10 @@ def composition_deformation(L: ColorHomAlgebra, alphas, order: int = None,
         raise DeformationError("composition deformation starts from an untwisted algebra")
     if order is None:
         order = len(alphas) - 1
-    failing_orders = []
-    for s in range(order + 1):
-        for x in range(L.dim):
-            for y in range(L.dim):
-                lhs = [CycloScalar.zero(L.m)] * L.dim
-                if s < len(alphas):
-                    lhs = linalg.mat_vec(alphas[s], L.bracket.of_basis(x, y))
-                rhs = [CycloScalar.zero(L.m)] * L.dim
-                for a in range(s + 1):
-                    b = s - a
-                    if a >= len(alphas) or b >= len(alphas):
-                        continue
-                    rhs = [u + v for u, v in zip(rhs, L.bracket.bilinear(
-                        linalg.mat_vec(alphas[a], L.basis_vector(x)),
-                        linalg.mat_vec(alphas[b], L.basis_vector(y))))]
-                if any(not (u - v).is_zero() for u, v in zip(lhs, rhs)):
-                    if s not in failing_orders:
-                        failing_orders.append(s)
+    # the bracket as the constant series [.,.] + 0 t + 0 t^2 + ...
+    terms = [L.bracket] + [StructureConstants(L.dim, L.m, {})] * order
+    failing_orders = [s for s, pairs in _morphism_failures(
+        _padded(alphas, order, L.dim, L.m), terms, terms, order) if pairs]
     if failing_orders and require_endomorphism:
         raise DeformationError(
             f"alpha_t is not a coefficient-wise endomorphism; failing orders "
@@ -360,15 +273,8 @@ def composition_deformation(L: ColorHomAlgebra, alphas, order: int = None,
 
 
 def _matrix_series_power(alphas, power: int, order: int, m: int, dim: int):
-    z = linalg.zeros(dim, dim, m)
-    series = [alphas[s] if s < len(alphas) else z for s in range(order + 1)]
-    result = [linalg.identity(dim, m)] + [z] * order
+    series = _padded(alphas, order, dim, m)
+    result = _padded([linalg.identity(dim, m)], order, dim, m)
     for _ in range(power):
-        new = []
-        for s in range(order + 1):
-            acc = linalg.zeros(dim, dim, m)
-            for a in range(s + 1):
-                acc = linalg.mat_add(acc, linalg.mat_mul(result[a], series[s - a]))
-            new.append(acc)
-        result = new
+        result = _series_product(result, series, order)
     return result

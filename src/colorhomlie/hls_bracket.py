@@ -10,7 +10,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .algebra_core import (AlgebraStructureError, CheckResult, GradedBasis,
-                           HomAssociativeColorAlgebra, StructureConstants)
+                           HomAssociativeColorAlgebra, StructureConstants,
+                           cyclic_failures)
 from .scalars_grading import BiCharacter, CycloScalar, GroupElement
 
 
@@ -100,17 +101,29 @@ class QuotientSpace:
 
     def __init__(self, A: CommutativeColorAlgebra, ann_basis):
         self.A = A
-        self.ann_rref = linalg.row_space_basis(ann_basis)
-        self.pivots = linalg.rref(self.ann_rref)[1]
+        self.ann_rref, self.pivots = linalg.rref(ann_basis)
         self.complement_indices = [i for i in range(A.dim) if i not in self.pivots]
+        self._induced = None
 
     def reduce(self, v):
         v = list(v)
         for row, pc in zip(self.ann_rref, self.pivots):
             c = v[pc]
             if not c.is_zero():
-                v = [a - c * b for a, b in zip(v, row)]
+                for k, b in row.items():
+                    v[k] = v[k] - c * b
         return v
+
+    def induced_table(self, D: SigmaDerivation) -> StructureConstants:
+        """Structure constants of the induced bracket of D, every value
+        reduced: the eps-commutator of (x, y) -> sigma(x) Delta(y).  Built on
+        the first call for D and kept for later calls with the same D."""
+        if self._induced is None or self._induced[0] is not D:
+            A = self.A
+            table = A.mu.precompose(D.sigma, D.delta_map).commutator(A.basis.degrees, A.eps)
+            self._induced = (D, StructureConstants(A.dim, A.m, {
+                key: self.reduce(table.of_basis(*key)) for key in table.rows}))
+        return self._induced[1]
 
 
 def hls_bracket_element(A: CommutativeColorAlgebra, D: SigmaDerivation, x, y,
@@ -118,21 +131,12 @@ def hls_bracket_element(A: CommutativeColorAlgebra, D: SigmaDerivation, x, y,
     """Representative of [x.Delta, y.Delta] = (sigma(x)Delta(y) - eps(x,y)sigma(y)Delta(x)).Delta.
 
     x, y are coordinate vectors; homogeneous inputs use their degrees for eps;
-    non-homogeneous inputs are expanded bilinearly.
+    non-homogeneous inputs are expanded bilinearly.  Without a quotient the
+    value is not reduced.
     """
-    def value(i, j):
-        e = A.eps(A.basis.degrees[i], A.basis.degrees[j])
-        si = linalg.mat_vec(D.sigma, A.basis_vector(i))
-        sj = linalg.mat_vec(D.sigma, A.basis_vector(j))
-        di = linalg.mat_vec(D.delta_map, A.basis_vector(i))
-        dj = linalg.mat_vec(D.delta_map, A.basis_vector(j))
-        return [p - e * q for p, q in zip(A.mu.bilinear(si, dj), A.mu.bilinear(sj, di))]
-
-    # the bracket's structure constants on the basis pairs the inputs reach
-    values = {(i, j): value(i, j) for i, a in enumerate(x) if not a.is_zero()
-              for j, b in enumerate(y) if not b.is_zero()}
-    out = StructureConstants(A.dim, A.m, values).bilinear(x, y)
-    return quotient.reduce(out) if quotient is not None else out
+    if quotient is None:
+        quotient = QuotientSpace(A, [])
+    return quotient.induced_table(D).bilinear(x, y)
 
 
 def hls_bracket(A: CommutativeColorAlgebra, D: SigmaDerivation, x, y):
@@ -161,14 +165,13 @@ def check_ijkl(A: CommutativeColorAlgebra, D: SigmaDerivation,
 
 def check_fgh(A: CommutativeColorAlgebra, D: SigmaDerivation,
               quotient: QuotientSpace) -> CheckResult:
+    H = quotient.induced_table(D)
     failures = []
     for i in range(A.dim):
         for j in range(A.dim):
             e = A.eps(A.basis.degrees[i], A.basis.degrees[j])
-            lhs = hls_bracket_element(A, D, A.basis_vector(i), A.basis_vector(j), quotient)
-            rhs = [-e * c for c in hls_bracket_element(A, D, A.basis_vector(j),
-                                                       A.basis_vector(i), quotient)]
-            if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
+            mirror = {k: -e * c for k, c in H.rows.get((j, i), {}).items()}
+            if H.rows.get((i, j), {}) != mirror:
                 failures.append({"pair": [A.basis.names[i], A.basis.names[j]]})
     return CheckResult(not failures, failures)
 
@@ -176,26 +179,13 @@ def check_fgh(A: CommutativeColorAlgebra, D: SigmaDerivation,
 def check_mnop(A: CommutativeColorAlgebra, D: SigmaDerivation,
                quotient: QuotientSpace, delta_scalar=None) -> CheckResult:
     """Cyclic sum eps(z,x)([sigma(x).Delta, [y.Delta, z.Delta]] +
-    delta [x.Delta, [y.Delta, z.Delta]]) = 0 on basis triples, mod Ann."""
+    delta [x.Delta, [y.Delta, z.Delta]]) = 0 on basis triples, mod Ann: the
+    cyclic residual with outer(x, w) = [(sigma + delta Id)(x).Delta, w]."""
     d = D.delta_scalar if delta_scalar is None else delta_scalar
-    failures = []
-    for x in range(A.dim):
-        for y in range(A.dim):
-            for z in range(A.dim):
-                acc = [CycloScalar.zero(A.m)] * A.dim
-                for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
-                    e = A.eps(A.basis.degrees[c], A.basis.degrees[a])
-                    inner = hls_bracket_element(A, D, A.basis_vector(b),
-                                                A.basis_vector(c), quotient)
-                    sx = linalg.mat_vec(D.sigma, A.basis_vector(a))
-                    t1 = hls_bracket_element(A, D, sx, inner, quotient)
-                    t2 = hls_bracket_element(A, D, A.basis_vector(a), inner, quotient)
-                    acc = [u + e * (p + d * q) for u, p, q in zip(acc, t1, t2)]
-                acc = quotient.reduce(acc)
-                if any(not u.is_zero() for u in acc):
-                    failures.append({
-                        "triple": [A.basis.names[x], A.basis.names[y], A.basis.names[z]],
-                        "residual": [str(c) for c in acc]})
+    H = quotient.induced_table(D)
+    I = linalg.identity(A.dim, A.m)
+    outer = H.precompose(linalg.mat_add(D.sigma, linalg.mat_scale(d, I)), I)
+    failures = cyclic_failures([(outer, H)], A.basis, A.eps)
     return CheckResult(not failures, failures)
 
 
@@ -218,7 +208,4 @@ def check_hls_jacobi(A: CommutativeColorAlgebra, D: SigmaDerivation) -> dict:
 
 def induced_bracket_table(A: CommutativeColorAlgebra, D: SigmaDerivation):
     """Bracket values on basis pairs, reduced to the quotient representatives."""
-    quotient = QuotientSpace(A, annihilator(A, D))
-    values = {(i, j): hls_bracket_element(A, D, A.basis_vector(i), A.basis_vector(j), quotient)
-              for i in range(A.dim) for j in range(A.dim)}
-    return StructureConstants(A.dim, A.m, values).report(A.basis.names)
+    return QuotientSpace(A, annihilator(A, D)).induced_table(D).report(A.basis.names)

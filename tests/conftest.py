@@ -9,7 +9,8 @@ import pytest
 
 from colorhomlie import linalg
 from colorhomlie.algebra_core import (BracketTable, CheckResult, ColorHomAlgebra,
-                                      GradedBasis, check_color_hom_lie)
+                                      GradedBasis, StructureConstants,
+                                      check_color_hom_lie)
 from colorhomlie.cohomology import CochainSpace
 from colorhomlie.morphisms_twists import twist
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
@@ -165,6 +166,290 @@ def bilinear_direct(table, u, v):
             out = [o + coeff * c for o, c in zip(out, w)]
     return out
 
+
+
+# -- pointwise oracles for the identities now evaluated on derived tables ----
+#
+# The loops below are the engine's former evaluations, kept as they were:
+# each identity is evaluated pair by pair or triple by triple through
+# ``of_basis``/``bilinear``/``mat_vec``, with no derived table.
+
+def jacobi_residual_direct(A, x, y, z):
+    """Cyclic sum eps(z,x) [alpha(x), [y, z]] on one basis triple."""
+    acc = [CycloScalar.zero(A.m)] * A.dim
+    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+        e = A.eps(A.degree(c), A.degree(a))
+        inner = A.bracket.of_basis(b, c)
+        outer = A.bracket.bilinear(A.apply_alpha(A.basis_vector(a)), inner)
+        acc = [t + e * o for t, o in zip(acc, outer)]
+    return acc
+
+
+def check_jacobi_direct(A):
+    failures = []
+    for x in range(A.dim):
+        for y in range(A.dim):
+            for z in range(A.dim):
+                res = jacobi_residual_direct(A, x, y, z)
+                if any(not c.is_zero() for c in res):
+                    failures.append({
+                        "triple": [A.basis.names[x], A.basis.names[y],
+                                   A.basis.names[z]],
+                        "residual": [str(c) for c in res],
+                    })
+    return CheckResult(not failures, failures)
+
+
+def check_multiplicative_direct(A):
+    failures = []
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = A.apply_alpha(A.bracket.of_basis(i, j))
+            rhs = A.bracket.bilinear(A.apply_alpha(A.basis_vector(i)),
+                                     A.apply_alpha(A.basis_vector(j)))
+            if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
+                failures.append({
+                    "pair": [A.basis.names[i], A.basis.names[j]],
+                    "alpha_of_bracket": [str(c) for c in lhs],
+                    "bracket_of_alphas": [str(c) for c in rhs],
+                })
+    return CheckResult(not failures, failures)
+
+
+def _alpha_coefficient_direct(B, l):
+    if B.alpha_terms is None:
+        if l == 0:
+            return B.algebra.alpha
+        return None
+    if l < len(B.alpha_terms):
+        return B.alpha_terms[l]
+    return None
+
+
+def _term_direct(B, i):
+    return B.terms[i] if i <= B.order else None
+
+
+def check_deformation_direct(A, B):
+    """Order-by-order deformation equations, exhaustively on basis triples."""
+    per_order = {}
+    for s in range(B.order + 1):
+        failures = []
+        for x in range(A.dim):
+            for y in range(A.dim):
+                for z in range(A.dim):
+                    acc = [CycloScalar.zero(A.m)] * A.dim
+                    for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                        e = A.eps(A.degree(c), A.degree(a))
+                        for l in range(s + 1):
+                            alpha_l = _alpha_coefficient_direct(B, l)
+                            if alpha_l is None:
+                                continue
+                            ax = linalg.mat_vec(alpha_l, A.basis_vector(a))
+                            for i in range(s - l + 1):
+                                j = s - l - i
+                                ti, tj = _term_direct(B, i), _term_direct(B, j)
+                                if ti is None or tj is None:
+                                    continue
+                                inner = ti.of_basis(b, c)
+                                outer = tj.bilinear(ax, inner)
+                                acc = [u + e * v for u, v in zip(acc, outer)]
+                    if any(not u.is_zero() for u in acc):
+                        failures.append({
+                            "order": s,
+                            "triple": [A.basis.names[x], A.basis.names[y],
+                                       A.basis.names[z]],
+                            "residual": [str(c) for c in acc]})
+        per_order[s] = CheckResult(not failures, failures)
+    return per_order
+
+
+def check_equivalence_direct(A, B1, B2, phi):
+    """phi_t([x,y]_t) = [phi_t x, phi_t y]'_t and phi_t o alpha_t = alpha'_t o phi_t,
+    order by order on basis pairs."""
+    k = B1.order
+    bracket_failures, twist_failures = [], []
+    for s in range(k + 1):
+        for x in range(A.dim):
+            for y in range(A.dim):
+                lhs = [CycloScalar.zero(A.m)] * A.dim
+                for i in range(s + 1):
+                    phi_i = phi.coefficient(i, A)
+                    if phi_i is None:
+                        continue
+                    lhs = [u + v for u, v in zip(
+                        lhs, linalg.mat_vec(phi_i, B1.terms[s - i].of_basis(x, y)))]
+                rhs = [CycloScalar.zero(A.m)] * A.dim
+                for a in range(s + 1):
+                    pa = phi.coefficient(a, A)
+                    if pa is None:
+                        continue
+                    fx = linalg.mat_vec(pa, A.basis_vector(x))
+                    for b in range(s - a + 1):
+                        pb = phi.coefficient(b, A)
+                        if pb is None:
+                            continue
+                        fy = linalg.mat_vec(pb, A.basis_vector(y))
+                        c = s - a - b
+                        rhs = [u + v for u, v in zip(rhs, B2.terms[c].bilinear(fx, fy))]
+                if any(not (u - v).is_zero() for u, v in zip(lhs, rhs)):
+                    bracket_failures.append({
+                        "order": s, "pair": [A.basis.names[x], A.basis.names[y]]})
+        for x in range(A.dim):
+            lhs = [CycloScalar.zero(A.m)] * A.dim
+            for i in range(s + 1):
+                phi_i = phi.coefficient(i, A)
+                alpha_j = _alpha_coefficient_direct(B1, s - i)
+                if phi_i is None or alpha_j is None:
+                    continue
+                lhs = [u + v for u, v in zip(
+                    lhs, linalg.mat_vec(phi_i,
+                                        linalg.mat_vec(alpha_j, A.basis_vector(x))))]
+            rhs = [CycloScalar.zero(A.m)] * A.dim
+            for a in range(s + 1):
+                alpha_a = _alpha_coefficient_direct(B2, a)
+                phi_b = phi.coefficient(s - a, A)
+                if alpha_a is None or phi_b is None:
+                    continue
+                rhs = [u + v for u, v in zip(
+                    rhs, linalg.mat_vec(alpha_a,
+                                        linalg.mat_vec(phi_b, A.basis_vector(x))))]
+            if any(not (u - v).is_zero() for u, v in zip(lhs, rhs)):
+                twist_failures.append({"order": s, "basis": A.basis.names[x]})
+    return {
+        "bracket": CheckResult(not bracket_failures, bracket_failures),
+        "twist": CheckResult(not twist_failures, twist_failures),
+        "automorphism": phi.validate(A),
+    }
+
+
+def transport_bracket_direct(A, B1, phi):
+    """B2 with [x,y]'_t = phi_t([phi_t^-1 x, phi_t^-1 y]_t), truncated, pair
+    by pair; the twist series transports by conjugation."""
+    k = B1.order
+    psis = phi.inverse_series(A, k)
+    new_terms = []
+    for s in range(k + 1):
+        entries = {}
+        for i in range(A.dim):
+            for j in range(i, A.dim):
+                acc = [CycloScalar.zero(A.m)] * A.dim
+                for a in range(s + 1):
+                    pa = phi.coefficient(a, A)
+                    if pa is None:
+                        continue
+                    for b in range(s - a + 1):
+                        for c in range(s - a - b + 1):
+                            d = s - a - b - c
+                            px = linalg.mat_vec(psis[b], A.basis_vector(i)) \
+                                if b < len(psis) else None
+                            py = linalg.mat_vec(psis[c], A.basis_vector(j)) \
+                                if c < len(psis) else None
+                            if px is None or py is None:
+                                continue
+                            inner = B1.terms[d].bilinear(px, py)
+                            acc = [u + v for u, v in zip(acc, linalg.mat_vec(pa, inner))]
+                entries[(i, j)] = acc
+        new_terms.append(BracketTable(A.basis, A.eps, entries, A.m))
+    if B1.alpha_terms is None:
+        base_alpha = [A.alpha]
+    else:
+        base_alpha = B1.alpha_terms
+    new_alpha = []
+    for s in range(k + 1):
+        acc = linalg.zeros(A.dim, A.dim, A.m)
+        for a in range(s + 1):
+            pa = phi.coefficient(a, A)
+            if pa is None:
+                continue
+            for b in range(s - a + 1):
+                c = s - a - b
+                if b >= len(base_alpha) or c >= len(psis):
+                    continue
+                acc = linalg.mat_add(acc, linalg.mat_mul(
+                    pa, linalg.mat_mul(base_alpha[b], psis[c])))
+        new_alpha.append(acc)
+    return new_terms, new_alpha
+
+
+def composition_failing_orders_direct(L, alphas, order):
+    """Orders s at which alpha_t[x,y] = [alpha_t x, alpha_t y] fails at t^s."""
+    failing_orders = []
+    for s in range(order + 1):
+        for x in range(L.dim):
+            for y in range(L.dim):
+                lhs = [CycloScalar.zero(L.m)] * L.dim
+                if s < len(alphas):
+                    lhs = linalg.mat_vec(alphas[s], L.bracket.of_basis(x, y))
+                rhs = [CycloScalar.zero(L.m)] * L.dim
+                for a in range(s + 1):
+                    b = s - a
+                    if a >= len(alphas) or b >= len(alphas):
+                        continue
+                    rhs = [u + v for u, v in zip(rhs, L.bracket.bilinear(
+                        linalg.mat_vec(alphas[a], L.basis_vector(x)),
+                        linalg.mat_vec(alphas[b], L.basis_vector(y))))]
+                if any(not (u - v).is_zero() for u, v in zip(lhs, rhs)):
+                    if s not in failing_orders:
+                        failing_orders.append(s)
+    return failing_orders
+
+
+def hls_bracket_element_direct(A, D, x, y, quotient=None):
+    """Representative of [x.Delta, y.Delta], its table rebuilt on the basis
+    pairs the inputs reach and the value reduced at the end."""
+    def value(i, j):
+        e = A.eps(A.basis.degrees[i], A.basis.degrees[j])
+        si = linalg.mat_vec(D.sigma, A.basis_vector(i))
+        sj = linalg.mat_vec(D.sigma, A.basis_vector(j))
+        di = linalg.mat_vec(D.delta_map, A.basis_vector(i))
+        dj = linalg.mat_vec(D.delta_map, A.basis_vector(j))
+        return [p - e * q for p, q in zip(A.mu.bilinear(si, dj), A.mu.bilinear(sj, di))]
+
+    values = {(i, j): value(i, j) for i, a in enumerate(x) if not a.is_zero()
+              for j, b in enumerate(y) if not b.is_zero()}
+    out = StructureConstants(A.dim, A.m, values).bilinear(x, y)
+    return quotient.reduce(out) if quotient is not None else out
+
+
+def check_fgh_direct(A, D, quotient):
+    failures = []
+    for i in range(A.dim):
+        for j in range(A.dim):
+            e = A.eps(A.basis.degrees[i], A.basis.degrees[j])
+            lhs = hls_bracket_element_direct(A, D, A.basis_vector(i), A.basis_vector(j),
+                                             quotient)
+            rhs = [-e * c for c in hls_bracket_element_direct(A, D, A.basis_vector(j),
+                                                              A.basis_vector(i), quotient)]
+            if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
+                failures.append({"pair": [A.basis.names[i], A.basis.names[j]]})
+    return CheckResult(not failures, failures)
+
+
+def check_mnop_direct(A, D, quotient, delta_scalar=None):
+    """Cyclic sum eps(z,x)([sigma(x).Delta, [y.Delta, z.Delta]] +
+    delta [x.Delta, [y.Delta, z.Delta]]) = 0 on basis triples, mod Ann."""
+    d = D.delta_scalar if delta_scalar is None else delta_scalar
+    failures = []
+    for x in range(A.dim):
+        for y in range(A.dim):
+            for z in range(A.dim):
+                acc = [CycloScalar.zero(A.m)] * A.dim
+                for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+                    e = A.eps(A.basis.degrees[c], A.basis.degrees[a])
+                    inner = hls_bracket_element_direct(A, D, A.basis_vector(b),
+                                                       A.basis_vector(c), quotient)
+                    sx = linalg.mat_vec(D.sigma, A.basis_vector(a))
+                    t1 = hls_bracket_element_direct(A, D, sx, inner, quotient)
+                    t2 = hls_bracket_element_direct(A, D, A.basis_vector(a), inner,
+                                                    quotient)
+                    acc = [u + e * (p + d * q) for u, p, q in zip(acc, t1, t2)]
+                acc = quotient.reduce(acc)
+                if any(not u.is_zero() for u in acc):
+                    failures.append({
+                        "triple": [A.basis.names[x], A.basis.names[y], A.basis.names[z]],
+                        "residual": [str(c) for c in acc]})
+    return CheckResult(not failures, failures)
 
 
 def delta1_direct(A, R, fmat, gamma, r):

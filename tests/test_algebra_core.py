@@ -1,13 +1,16 @@
 """Axiom checks, commutator construction, derived Hom-algebras, and the
 structure-constant type."""
+import json
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
 from colorhomlie import linalg
 from colorhomlie.algebra_core import (AlgebraStructureError, BracketTable,
-                                      GradedBasis, HomAssociativeColorAlgebra,
+                                      ColorHomAlgebra, GradedBasis,
+                                      HomAssociativeColorAlgebra,
                                       NotHomAssociativeError,
                                       NotMultiplicativeError, StructureConstants,
                                       check_color_hom_lie, commutator_algebra,
@@ -15,8 +18,9 @@ from colorhomlie.algebra_core import (AlgebraStructureError, BracketTable,
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup, euler_phi)
 
-from conftest import (bilinear_direct, build_algebra, sc, sl2c_z2z2,
-                      zero_algebra)
+from conftest import (bilinear_direct, build_algebra, check_jacobi_direct,
+                      check_multiplicative_direct, jacobi_residual_direct, sc,
+                      sl2c_z2z2, zero_algebra)
 
 
 def test_sl2c_z2z2_all_axioms_pass():
@@ -357,6 +361,25 @@ def test_structure_constants_match_dense_oracle(m, kind):
             assert other.is_zero() == all(c.is_zero() for i in range(dim)
                                           for j in range(dim) for c in other.of_basis(i, j))
         assert table.equals(others[1]) and others[2].is_zero()
+        # derived tables: precompose, sum, eps-commutator, differing pairs
+        L, R = ([_random_vector(rng, m, dim) for _ in range(dim)] for _ in range(2))
+        pre = table.precompose(L, R)
+        total = table + composed
+        comm = table.commutator(basis.degrees, eps)
+        for i in range(dim):
+            for j in range(dim):
+                assert pre.of_basis(i, j) == bilinear_direct(
+                    table, [row[i] for row in L], [row[j] for row in R])
+                assert total.of_basis(i, j) == [a + b for a, b in zip(
+                    table.of_basis(i, j), composed.of_basis(i, j))]
+                e = eps(basis.degrees[i], basis.degrees[j])
+                assert comm.of_basis(i, j) == [a - e * b for a, b in zip(
+                    table.of_basis(i, j), table.of_basis(j, i))]
+        empty = StructureConstants(dim, m, {})
+        for a, b in [(table, t) for t in others + [pre, total, empty]] + [(empty, table)]:
+            assert a.differing_pairs(b) == [
+                (i, j) for i in range(dim) for j in range(dim)
+                if a.of_basis(i, j) != b.of_basis(i, j)]
         # the report lists every nonzero pair, or only i <= j for a skew table
         names = basis.names
         want = {f"{names[i]},{names[j]}": {names[k]: str(c)
@@ -366,6 +389,26 @@ def test_structure_constants_match_dense_oracle(m, kind):
                 if (i <= j or kind == "product")
                 and any(not c.is_zero() for c in table.of_basis(i, j))}
         assert table.report(names) == want
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_axiom_reports_match_the_pointwise_oracles(m):
+    # random brackets and twists, almost never Hom-Jacobi or multiplicative:
+    # the failure lists and residual strings equal the pointwise loops'
+    rng = random.Random(20261019 + m)
+    failing = 0
+    for _ in range(8):
+        table, _, basis, eps = _random_table(rng, m, "skew")
+        alpha = [_random_vector(rng, m, table.dim) for _ in range(table.dim)]
+        A = ColorHomAlgebra(basis, eps, table, alpha, m)
+        jacobi, mult = A.check_jacobi(), A.check_multiplicative()
+        assert json.dumps(jacobi.to_dict()) == json.dumps(check_jacobi_direct(A).to_dict())
+        assert json.dumps(mult.to_dict()) == json.dumps(
+            check_multiplicative_direct(A).to_dict())
+        for x, y, z in product(range(A.dim), repeat=3):
+            assert A.jacobi_residual(x, y, z) == jacobi_residual_direct(A, x, y, z)
+        failing += (not jacobi.ok) + (not mult.ok)
+    assert failing >= 8
 
 
 @pytest.mark.parametrize("key", [(0, 2), (2, 0), (-1, 0), (0, 5)])

@@ -1,4 +1,7 @@
 """Truncated formal deformations, equivalences, composition families."""
+import json
+import random
+
 import pytest
 
 from colorhomlie import linalg
@@ -7,7 +10,10 @@ from colorhomlie.deformations import (DeformationError, FormalAutomorphism,
                                       TruncatedBracket, check_deformation,
                                       check_equivalence, composition_deformation,
                                       first_order_class, transport_bracket)
-from conftest import sc, sl2c_z2z2, sl2c_z2z3
+from colorhomlie.scalars_grading import CycloScalar, euler_phi
+from conftest import (check_deformation_direct, check_equivalence_direct,
+                      composition_failing_orders_direct, heis_zeta3, motion_z2z3,
+                      sc, sl2c_z2z2, sl2c_z2z3, transport_bracket_direct)
 
 
 def _alpha1(A):
@@ -195,3 +201,85 @@ def test_inverse_series_is_exact():
             acc = linalg.mat_add(acc, linalg.mat_mul(pi, psis[s - i]))
         want = linalg.identity(3, A.m) if s == 0 else linalg.zeros(3, 3, A.m)
         assert linalg.mat_eq(acc, want)
+
+
+# -- the derived-table evaluations against the pointwise oracles --------------
+
+def _rand(rng, m):
+    return CycloScalar([rng.choice([0, 0, 1, -1, 2]) for _ in range(euler_phi(m))], m)
+
+
+def _rand_matrix(rng, A, even=False):
+    return [[_rand(rng, A.m) if not even or A.degree(i) == A.degree(j)
+             else CycloScalar.zero(A.m) for j in range(A.dim)] for i in range(A.dim)]
+
+
+def _rand_term(rng, A):
+    """A random skew term, generally neither graded nor a cocycle."""
+    return BracketTable(A.basis, A.eps, {
+        (i, j): [_rand(rng, A.m) for _ in range(A.dim)]
+        for i in range(A.dim) for j in range(i, A.dim) if rng.random() < 0.6}, A.m)
+
+
+def _rand_deformation(rng, A, order):
+    terms = [A.bracket] + [_rand_term(rng, A) for _ in range(order)]
+    alpha_terms = None if rng.random() < 0.4 else \
+        [A.alpha] + [_rand_matrix(rng, A) for _ in range(rng.randint(0, order + 1))]
+    return TruncatedBracket(A, order, terms, alpha_terms)
+
+
+def _rand_automorphism(rng, A, order, even=False):
+    return FormalAutomorphism([linalg.identity(A.dim, A.m)] + [
+        _rand_matrix(rng, A, even) for _ in range(rng.randint(0, order + 1))])
+
+
+def _dump(report):
+    return json.dumps({key: value.to_dict() for key, value in report.items()})
+
+
+@pytest.mark.parametrize("make", [sl2c_z2z2, sl2c_z2z3, heis_zeta3])
+def test_deformation_equations_match_the_pointwise_oracle(make):
+    # non-cocycle terms up to order 3, with a fixed and a deformed twist
+    A, rng = make(), random.Random(20261020)
+    failing = 0
+    for order in (2, 3, 2, 3):
+        B = _rand_deformation(rng, A, order)
+        per = check_deformation(A, B)
+        assert _dump(per) == _dump(check_deformation_direct(A, B))
+        failing += sum(not per[s].ok for s in range(2, order + 1))
+    assert failing >= 4
+
+
+@pytest.mark.parametrize("make", [sl2c_z2z2, sl2c_z2z3, heis_zeta3])
+def test_equivalence_and_transport_match_the_pointwise_oracles(make):
+    A, rng = make(), random.Random(20261021)
+    failing = 0
+    for order in (1, 2, 3):
+        B1, B2 = _rand_deformation(rng, A, order), _rand_deformation(rng, A, order)
+        # a non-equivalence: unrelated deformations and an arbitrary phi
+        phi = _rand_automorphism(rng, A, order)
+        rep = check_equivalence(A, B1, B2, phi)
+        assert _dump(rep) == _dump(check_equivalence_direct(A, B1, B2, phi))
+        failing += (not rep["bracket"].ok) + (not rep["twist"].ok)
+        # the transport along an even phi, equivalent to B1 when B1 is skew
+        # (a diagonal value where eps(x,x) = +1 is not transported exactly)
+        even = _rand_automorphism(rng, A, order, even=True)
+        T = transport_bracket(A, B1, even)
+        terms, alphas = transport_bracket_direct(A, B1, even)
+        assert all(t.equals(u) for t, u in zip(T.terms, terms))
+        assert all(linalg.mat_eq(a, b) for a, b in zip(T.alpha_terms, alphas))
+        rep = check_equivalence(A, B1, T, even)
+        assert rep["twist"].ok and (rep["bracket"].ok or not B1.skew_report().ok)
+        assert _dump(rep) == _dump(check_equivalence_direct(A, B1, T, even))
+    assert failing >= 3
+
+
+@pytest.mark.parametrize("make", [sl2c_z2z3, motion_z2z3])
+def test_composition_failing_orders_match_the_pointwise_oracle(make):
+    L, rng = make(), random.Random(20261022)
+    for n in (1, 2, 3):
+        alphas = [linalg.identity(L.dim, L.m)] + [_rand_matrix(rng, L) for _ in range(n)]
+        for order in (n - 1, n, n + 1):
+            B = composition_deformation(L, alphas, order=order)
+            assert B.endomorphism_failing_orders == \
+                composition_failing_orders_direct(L, alphas, order)

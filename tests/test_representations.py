@@ -5,6 +5,7 @@ import pytest
 
 from colorhomlie import linalg
 from colorhomlie.algebra_core import AlgebraStructureError
+from colorhomlie.cohomology import CochainError, cohomology_group
 from colorhomlie.representations import (CoadjointUnavailableError,
                                          Representation,
                                          adjoint, alpha_s_adjoint,
@@ -62,12 +63,27 @@ def test_zero_action_module_passes():
     assert check_module(A, M).ok
 
 
-def test_perturbed_action_fails():
-    A = sl2c_z2z2()
+def _perturbed_module(A):
+    """The adjoint action with rho(e1) doubled: not a module."""
     action = [linalg.mat_scale(sc(2, A.m), m) for m in adjoint(A).rho[:1]] \
         + adjoint(A).rho[1:]
-    M = Representation(A.basis, action, A.alpha, A.m)
-    assert not check_module(A, M).ok
+    return Representation(A.basis, action, A.alpha, A.m)
+
+
+def test_perturbed_action_fails():
+    A = sl2c_z2z2()
+    assert not check_module(A, _perturbed_module(A)).ok
+
+
+@pytest.mark.parametrize("restrict", ["free", "compatible"])
+@pytest.mark.parametrize("n", [1, 2])
+def test_coboundaries_outside_the_cocycles_are_refused(n, restrict):
+    # delta o delta != 0 on a non-module, so B is not inside Z
+    A = sl2c_z2z2()
+    M = _perturbed_module(A)
+    for gamma in A.basis.group.elements():
+        with pytest.raises(CochainError, match="coboundary escaped the cocycle space"):
+            cohomology_group(A, M, n, 0, gamma, restrict=restrict)
 
 
 def test_alpha_s_adjoint_family():
