@@ -11,10 +11,11 @@ convention delta_r^(n) o delta_r^(n-1) = 0 holds exactly on the subspace of
 twist-compatible cochains {f : f o alpha^(x)n = beta o f}, for every r, and
 the arity-1 and arity-2 instances reduce to the familiar operator forms.
 
-``delta_matrix``, ``cochain_basis`` and ``cohomology_group`` assemble delta
-and the compatibility equations once per call as sparse matrices, term by
-term on basis tuples.  ``coboundary_of_coords`` and ``CochainSpace.evaluate``
-compute the same values through the multilinear extension; they are the
+``delta_matrix``, ``cochain_basis`` and ``cohomology_group`` read delta and
+the compatible bases from one cochain complex per (algebra, module), which
+assembles each as a sparse matrix, term by term on basis tuples, once.
+``coboundary_of_coords`` and ``CochainSpace.evaluate`` compute the same
+values through the multilinear extension without the complex; they are the
 independent path that re-checks cocycles and backs the tests.
 
 ``cohomology_group`` exposes two kernel modes.  In "compatible" mode (the
@@ -25,6 +26,7 @@ compatible subspace, so the inclusion B <= Z holds in both modes.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -132,7 +134,8 @@ class Cochain:
 #
 # A sparse matrix is a dict of rows {row: {column: nonzero scalar}}; rows that
 # vanish are absent.  Columns are free canonical coordinates of the domain
-# space (tuple position * module dim + carrier index).
+# space (tuple position * module dim + carrier index).  A sparse vector is a
+# single such row.
 
 
 def _support(vec):
@@ -153,13 +156,13 @@ def _pruned(rows):
     return out
 
 
-def _transpose(vectors):
-    """Dense vectors as the sparse matrix they are the columns of."""
-    rows = {}
-    for j, v in enumerate(vectors):
-        for c, a in _support(v):
-            rows.setdefault(c, {})[j] = a
-    return rows
+def _transpose(rows):
+    """The transpose of a sparse matrix."""
+    out = {}
+    for r, row in rows.items():
+        for c, a in row.items():
+            out.setdefault(c, {})[r] = a
+    return out
 
 
 def _product(rows, other):
@@ -172,37 +175,109 @@ def _product(rows, other):
     return _pruned(out)
 
 
-def _columns(rows, nrows: int, ncols: int, m: int):
-    """The columns of a sparse matrix, as dense vectors."""
+def _dense(vectors, length: int, m: int):
+    """Sparse vectors as fresh dense vectors of the given length."""
     zero = CycloScalar.zero(m)
-    columns = [[zero] * nrows for _ in range(ncols)]
-    for r, row in rows.items():
-        for c, v in row.items():
-            columns[c][r] = v
-    return columns
+    return [[v.get(c, zero) for c in range(length)] for v in vectors]
 
 
-def _locator(space: CochainSpace):
-    """Memoised map from an argument index combo to (tuple position, sign),
-    or None when every skew map vanishes on it: the rule of
-    ``evaluate_basis``, f(combo) = sign * f(tuples[position])."""
-    A = space.algebra
-    memo = {}
+class _Complex:
+    """The parts of the cochain complex C^*(A, R) that no call changes.
 
-    def locate(combo):
-        if combo in memo:
-            return memo[combo]
-        sorted_tup, sign = sort_with_sign(combo, A.basis.degrees, A.eps)
-        vanishes = any(a == b and not A.eps.sign_is_minus_one(A.degree(a), A.degree(a))
-                       for a, b in zip(sorted_tup, sorted_tup[1:]))
-        hit = None if vanishes else (space.positions[sorted_tup], sign)
-        memo[combo] = hit
-        return hit
-    return locate
+    Per arity n: the canonical tuples with their positions, and the
+    compatible basis {f : f o alpha^(x)n = beta o f} as sparse vectors with
+    its transpose; the compatibility equations involve alpha and beta only,
+    so the basis is the same for every degree gamma and power r.  Per power
+    p: the sparse entries of rho(alpha^p e_i).  Per (n, gamma, r): the
+    sparse rows of delta_r^n, and the rref basis of B^n, the image of
+    delta_r^(n-1) on the compatible arity-(n-1) basis.
+
+    Entries are filled on first use and kept while A and R live, so A and R
+    must not be mutated after construction (``ColorHomAlgebra.alpha_power``
+    assumes the same).  An entry is stored only once computed: a negative
+    power of a singular twist raises on every call.  Callers receive fresh
+    containers, never the stored ones.  ``coboundary_of_coords`` and
+    ``CochainSpace.evaluate`` never read the complex.
+    """
+
+    def __init__(self, A: ColorHomAlgebra, R: Representation, on_free):
+        # R only weakly: on_free drops the complex from A when R is freed
+        self.algebra, self._module = A, weakref.ref(R, on_free)
+        self.alpha_cols = [_support(col) for col in linalg.transpose(A.alpha)]
+        self._arity = {}         # n -> (canonical tuples, their positions)
+        self._located = {}       # argument index combo -> locate(combo)
+        self._compat = {}        # n -> (compatible basis, its transpose)
+        self._rho = {}           # p -> per e_i, (k, l, value) of rho(alpha^p e_i)
+        self._delta = {}         # (n, gamma, r) -> sparse rows of delta_r^n
+        self._coboundaries = {}  # (n, gamma, r) -> rref rows of B^n
+
+    @property
+    def module(self) -> Representation:
+        return self._module()
+
+    def arity(self, n: int):
+        if n not in self._arity:
+            tuples = canonical_tuples(self.algebra, n)
+            self._arity[n] = (tuples, {tup: t for t, tup in enumerate(tuples)})
+        return self._arity[n]
+
+    def free_dim(self, n: int) -> int:
+        return len(self.arity(n)[0]) * self.module.dim
+
+    def locate(self, combo):
+        """(tuple position, sign) with f(combo) = sign * f(tuples[position])
+        for every skew map f, or None when they all vanish on combo: the
+        rule of ``CochainSpace.evaluate_basis``."""
+        if combo not in self._located:
+            A = self.algebra
+            sorted_tup, sign = sort_with_sign(combo, A.basis.degrees, A.eps)
+            vanishes = any(a == b and not A.eps.sign_is_minus_one(A.degree(a), A.degree(a))
+                           for a, b in zip(sorted_tup, sorted_tup[1:]))
+            self._located[combo] = None if vanishes else \
+                (self.arity(len(combo))[1][sorted_tup], sign)
+        return self._located[combo]
+
+    def compat(self, n: int):
+        if n not in self._compat:
+            basis = linalg.sparse_kernel_basis(list(_compat_rows(self, n).values()),
+                                               self.free_dim(n), self.algebra.m)
+            self._compat[n] = (basis, _transpose(dict(enumerate(basis))))
+        return self._compat[n]
+
+    def rho_entries(self, p: int):
+        if p not in self._rho:
+            R = self.module
+            self._rho[p] = [[(k, l, v) for k, prow in enumerate(R.rho_of(col))
+                             for l, v in _support(prow)]
+                            for col in linalg.transpose(self.algebra.alpha_power(p))]
+        return self._rho[p]
+
+    def delta(self, n: int, gamma: GroupElement, r: int):
+        key = (n, gamma, r)
+        if key not in self._delta:
+            self._delta[key] = _delta_rows(self, n, gamma, r)
+        return self._delta[key]
+
+    def coboundaries(self, n: int, gamma: GroupElement, r: int):
+        key = (n, gamma, r)
+        if key not in self._coboundaries:
+            images = _product(self.delta(n - 1, gamma, r), self.compat(n - 1)[1])
+            self._coboundaries[key] = linalg.rref(list(_transpose(images).values()))[0]
+        return self._coboundaries[key]
 
 
-def _compat_rows(space: CochainSpace):
-    """Sparse rows of f o alpha^(x)n - beta o f.
+def _complex(A: ColorHomAlgebra, R: Representation) -> _Complex:
+    """The cochain complex of (A, R), kept on A under the identity of R for
+    as long as R lives.  It is dropped when R is freed, so an identity is
+    never matched to another module and a module used once leaves nothing."""
+    complexes, key = A._cochain_complexes, id(R)
+    if key not in complexes:
+        complexes[key] = _Complex(A, R, lambda _: complexes.pop(key, None))
+    return complexes[key]
+
+
+def _compat_rows(cx: _Complex, n: int):
+    """Sparse rows of f o alpha^(x)n - beta o f on the arity-n free coordinates.
 
     Row c * dim(V) + k is carrier component k on the c-th basis n-tuple in
     ``product`` order (for n = 0, the rows of I - beta).  When alpha keeps
@@ -210,21 +285,21 @@ def _compat_rows(space: CochainSpace):
     the block of its sorted tuple, and a repeat that every skew map kills
     gives zero rows, so only the canonical tuples are used.
     """
-    A, R, n = space.algebra, space.module, space.n
+    A, R = cx.algebra, cx.module
     mdim = R.dim
     if n == 0:
         one, zero = CycloScalar.one(A.m), CycloScalar.zero(A.m)
         return _pruned({r: {c: (one if r == c else zero) - R.beta[r][c]
                             for c in range(mdim)} for r in range(mdim)})
     rows = {}
-    if space.free_dim == 0:
+    if cx.free_dim(n) == 0:
         return rows
-    locate = _locator(space)
-    alpha_cols = [_support(A.apply_alpha(A.basis_vector(i))) for i in range(A.dim)]
+    tuples, locate = cx.arity(n)[0], cx.locate
+    alpha_cols = cx.alpha_cols
     beta = [(k, l, b) for k, brow in enumerate(R.beta) for l, b in _support(brow)]
     keeps_degrees = all(A.degree(j) == A.degree(i)
                         for i in range(A.dim) for j, _ in alpha_cols[i])
-    combos = space.tuples if keeps_degrees else product(range(A.dim), repeat=n)
+    combos = tuples if keeps_degrees else product(range(A.dim), repeat=n)
     for block, combo in enumerate(combos):
         base = block * mdim
         # f(alpha x_1, ..., alpha x_n): the same carrier component k
@@ -249,29 +324,21 @@ def _compat_rows(space: CochainSpace):
     return _pruned(rows)
 
 
-def _delta_rows(space: CochainSpace, r: int):
-    """Sparse rows of delta_r^n on the free coordinates of ``space``, and the
-    free dimension of the arity-(n+1) target space.
+def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
+    """Sparse rows of delta_r^n from the arity-n to the arity-(n+1) free
+    coordinates.
 
     Term by term the same sum as ``coboundary_of_coords``.  The twist power
     alpha^(r+n-1) is only formed when the domain is nonzero, so a singular
     twist raises exactly where the per-vector evaluation would.
     """
-    A, R, n, gamma = space.algebra, space.module, space.n, space.gamma
-    mdim = R.dim
-    target_tuples = canonical_tuples(A, n + 1)
+    A, mdim = cx.algebra, cx.module.dim
     rows = {}
-    if space.free_dim == 0:
-        return rows, len(target_tuples) * mdim
-    locate = _locator(space)
-    alpha_cols = [_support(A.apply_alpha(A.basis_vector(i))) for i in range(A.dim)]
-    rho_power = r + n - 1
-    rho_entries = []
-    for i in range(A.dim):
-        P = R.rho_of(A.apply_alpha(A.basis_vector(i), rho_power))
-        rho_entries.append([(k, l, v) for k, prow in enumerate(P)
-                            for l, v in _support(prow)])
-    for t_index, tup in enumerate(target_tuples):
+    if cx.free_dim(n) == 0:
+        return rows
+    locate, alpha_cols = cx.locate, cx.alpha_cols
+    rho_entries = cx.rho_entries(r + n - 1)
+    for t_index, tup in enumerate(cx.arity(n + 1)[0]):
         base = t_index * mdim
         degs = [A.degree(i) for i in tup]
         # insertion terms f(alpha x_0, ..., [x_s, x_t], ..., ^x_t, ..., alpha x_n)
@@ -283,7 +350,7 @@ def _delta_rows(space: CochainSpace, r: int):
                     between = between + degs[u]
                 sign = A.eps(between, degs[t])
                 factor = sign if t % 2 == 0 else -sign  # (-1)^t
-                supports = [_support(A.bracket.of_basis(tup[s], tup[t])) if pos == s
+                supports = [A.bracket.rows.get((tup[s], tup[t]), {}).items() if pos == s
                             else alpha_cols[tup[pos]] for pos in range(n + 1) if pos != t]
                 for picks in product(*supports):
                     hit = locate(tuple(j for j, _ in picks))
@@ -311,16 +378,7 @@ def _delta_rows(space: CochainSpace, r: int):
             coeff = factor * coeff
             for k, l, v in rho_entries[tup[s]]:
                 _add_entry(rows, base + k, pos * mdim + l, coeff * v)
-    return _pruned(rows), len(target_tuples) * mdim
-
-
-def _delta_images(space: CochainSpace, r: int, vectors):
-    """delta_r^n of each vector, in the free coordinates of the target space."""
-    if not vectors:
-        return []
-    rows, nrows = _delta_rows(space, r)
-    return _columns(_product(rows, _transpose(vectors)), nrows, len(vectors),
-                    space.algebra.m)
+    return _pruned(rows)
 
 
 def cochain_basis(A: ColorHomAlgebra, R: Representation, n: int,
@@ -328,10 +386,9 @@ def cochain_basis(A: ColorHomAlgebra, R: Representation, n: int,
     """Free skew tuple space plus the basis of the twist-compatible subspace."""
     if n < 0:
         raise CochainError("cochain arity must be non-negative")
-    space = CochainSpace(A, R, n, gamma, canonical_tuples(A, n), [])
-    rows = list(_compat_rows(space).values())
-    space.compat_basis = linalg.kernel_basis(rows, space.free_dim, A.m)
-    return space
+    cx = _complex(A, R)
+    return CochainSpace(A, R, n, gamma, list(cx.arity(n)[0]),
+                        _dense(cx.compat(n)[0], cx.free_dim(n), A.m))
 
 
 def coboundary_of_coords(A: ColorHomAlgebra, R: Representation, space: CochainSpace,
@@ -404,10 +461,12 @@ def delta_matrix(A: ColorHomAlgebra, R: Representation, n: int, r: int,
     if domain not in ("free", "compatible"):
         raise ValueError(f"unknown domain {domain!r}")
     space = cochain_basis(A, R, n, gamma)
+    cx = _complex(A, R)
+    rows, ncols = cx.delta(n, gamma, r), space.free_dim
     if domain == "compatible":
-        return _delta_images(space, r, space.compat_basis), space
-    rows, nrows = _delta_rows(space, r)
-    return _columns(rows, nrows, space.free_dim, A.m), space
+        rows, ncols = _product(rows, cx.compat(n)[1]), space.compat_dim
+    columns = _transpose(rows)
+    return _dense([columns.get(c, {}) for c in range(ncols)], cx.free_dim(n + 1), A.m), space
 
 
 @dataclass
@@ -459,26 +518,25 @@ def cohomology_group(A: ColorHomAlgebra, R: Representation, n: int, r: int,
         raise CochainError("cohomology needs arity >= 1 here")
     if restrict not in ("free", "compatible"):
         raise ValueError(f"unknown restrict mode {restrict!r}")
-    space = cochain_basis(A, R, n, gamma)
-    rows, _ = _delta_rows(space, r)
+    cx = _complex(A, R)
+    rows = cx.delta(n, gamma, r)
     if restrict == "free":
-        Z = linalg.kernel_basis(list(rows.values()), space.free_dim, A.m)
+        Z = linalg.sparse_kernel_basis(list(rows.values()), cx.free_dim(n), A.m)
     else:
         # kernel of delta restricted to the compatible basis, and the
         # cocycles its vectors give as sums of compatible basis vectors
-        basis = _transpose(space.compat_basis)
-        combos = linalg.kernel_basis(list(_product(rows, basis).values()),
-                                     space.compat_dim, A.m)
-        Z = _columns(_product(basis, _transpose(combos)), space.free_dim, len(combos), A.m)
-    Z = linalg.row_space_basis(Z)
-    # coboundaries from the compatible lower space
-    lower = cochain_basis(A, R, n - 1, gamma)
-    lower_cols = _delta_images(lower, r, lower.compat_basis)
-    B = linalg.row_space_basis(lower_cols)
+        basis, basis_t = cx.compat(n)
+        combos = linalg.sparse_kernel_basis(list(_product(rows, basis_t).values()),
+                                            len(basis), A.m)
+        Z = list(_product(dict(enumerate(combos)), dict(enumerate(basis))).values())
+    Z = linalg.rref(Z)[0]
+    B = cx.coboundaries(n, gamma, r)
     reps = linalg.quotient_representatives(Z, B)
     # Z and B are independent, so rank(Z + B) = len(B) + len(reps)
     if len(B) + len(reps) != len(Z):
         raise CochainError(
             "coboundary escaped the cocycle space; the complex is inconsistent here")
+    space = cochain_basis(A, R, n, gamma)
+    Z, B, reps = (_dense(vectors, space.free_dim, A.m) for vectors in (Z, B, reps))
     return CohomologyResult(n, r, gamma, restrict, len(Z), len(B), len(Z) - len(B),
                             Z, B, reps, space)

@@ -212,10 +212,14 @@ def check_equivalence(A: ColorHomAlgebra, B1: TruncatedBracket, B2: TruncatedBra
 def transport_bracket(A: ColorHomAlgebra, B1: TruncatedBracket,
                       phi: FormalAutomorphism) -> TruncatedBracket:
     """B2 with [x,y]'_t = phi_t([phi_t^-1 x, phi_t^-1 y]_t), truncated; the
-    twist series transports by conjugation.  Requires an even phi."""
+    twist series transports by conjugation.  Requires an even phi and a
+    skew B1."""
     val = phi.validate(A)
     if not val.ok:
         raise DeformationError(f"transport needs an even formal automorphism: {val.failures[0]}")
+    skew = B1.skew_report()
+    if not skew.ok:
+        raise DeformationError(f"transport needs a skew deformation: {skew.failures[0]}")
     k = B1.order
     phis = _padded(phi.phis, k, A.dim, A.m)
     psis = phi.inverse_series(A, k)
@@ -226,8 +230,7 @@ def transport_bracket(A: ColorHomAlgebra, B1: TruncatedBracket,
     new_terms = []
     for s in range(k + 1):
         table = reduce(add, (inner[s - a].compose_with(phis[a]) for a in range(s + 1)))
-        # the pairs i <= j, completed by the skew rule (a diagonal value of
-        # a term makes the transported table not exactly skew)
+        # the pairs i <= j: B1 is skew and phi even, so the skew rule gives the rest
         new_terms.append(BracketTable(A.basis, A.eps, {
             (i, j): row for (i, j), row in table.rows.items() if i <= j}, A.m))
     new_alpha = _series_product(_series_product(phis, B1.alphas, k), psis, k)

@@ -137,18 +137,24 @@ def rank(rows) -> int:
     return len(rref(rows)[1])
 
 
-def kernel_basis(M, ncols: int, m: int):
-    """Basis of {v : M v = 0} as dense vectors; M is a list of equation rows."""
+def sparse_kernel_basis(M, ncols: int, m: int):
+    """Basis of {v : M v = 0} as sparse vectors, one per free column in
+    increasing order; M is a list of equation rows."""
     red, pivots = rref(M)
-    z, o = CycloScalar.zero(m), CycloScalar.one(m)
+    o = CycloScalar.one(m)
     pivot_set = set(pivots)
-    basis = {fc: [o if c == fc else z for c in range(ncols)]
-             for fc in range(ncols) if fc not in pivot_set}
+    basis = {fc: {fc: o} for fc in range(ncols) if fc not in pivot_set}
     for row, pc in zip(red, pivots):
         for c, a in row.items():
             if c != pc:
                 basis[c][pc] = -a
     return list(basis.values())
+
+
+def kernel_basis(M, ncols: int, m: int):
+    """``sparse_kernel_basis`` as dense vectors."""
+    z = CycloScalar.zero(m)
+    return [[v.get(c, z) for c in range(ncols)] for v in sparse_kernel_basis(M, ncols, m)]
 
 
 def row_space_basis(rows):

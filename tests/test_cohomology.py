@@ -5,8 +5,10 @@ The arity-1 and arity-2 coboundaries have hand-written operator forms
 independent oracles against the general-arity assembly.  The sparse operators
 behind ``delta_matrix`` and ``cochain_basis`` are checked entry for entry
 against the multilinear evaluation path (``coboundary_of_coords`` and
-``compat_rows_direct``).
+``compat_rows_direct``), and the per-(A, R) cochain complex they read from is
+compared with a fresh one result for result.
 """
+import gc
 import random
 from itertools import product
 
@@ -17,7 +19,7 @@ from colorhomlie.algebra_core import AlgebraStructureError, ColorHomAlgebra
 from colorhomlie.cohomology import (CochainSpace, canonical_tuples, cochain_basis,
                                     coboundary_of_coords, cohomology_group,
                                     delta_matrix)
-from colorhomlie.representations import adjoint, alpha_s_adjoint
+from colorhomlie.representations import Representation, adjoint, alpha_s_adjoint
 from colorhomlie.scalars_grading import CycloScalar
 
 from conftest import (SL2C_Z2Z2_CASE_FAMILIES, build_algebra, compat_rows_direct,
@@ -57,7 +59,6 @@ def test_full_skew_space_dimension_count_oracle():
     # zero action, identity twists: the compatible space is the whole skew space
     A = zero_algebra([2, 2], [[0, 1], [1, 0]], 2, [(1, 0), (0, 1), (1, 1)])
     zero = linalg.zeros(3, 3, A.m)
-    from colorhomlie.representations import Representation
     R = Representation(A.basis, [zero] * 3, linalg.identity(3, A.m), A.m)
     space = cochain_basis(A, R, 2, A.basis.group.zero())
     # oracle: pairs i<j (eps(a,a)=+1 everywhere) times carrier dimension
@@ -269,7 +270,7 @@ def test_compat_rows_use_canonical_tuples_only_when_alpha_keeps_degrees(case):
     R = adjoint(A)
     for n in (1, 2) if A.dim > 3 else (1, 2, 3):
         space = cochain_basis(A, R, n, A.basis.group.zero())
-        rows = cohomology._compat_rows(space)
+        rows = cohomology._compat_rows(cohomology._complex(A, R), n)
         canonical_rows = len(space.tuples) * R.dim
         if keeps:
             assert max(rows, default=-1) < canonical_rows
@@ -296,12 +297,117 @@ def test_unknown_modes_are_refused_before_assembly(monkeypatch):
     R = adjoint(A)
 
     def no_assembly(*args):
-        raise AssertionError("cochain spaces were assembled before validation")
-    monkeypatch.setattr(cohomology, "cochain_basis", no_assembly)
+        raise AssertionError("the cochain complex was assembled before validation")
+    monkeypatch.setattr(cohomology, "_complex", no_assembly)
     with pytest.raises(ValueError):
         cohomology_group(A, R, 2, 0, A.basis.group.zero(), restrict="bogus")
     with pytest.raises(ValueError):
         delta_matrix(A, R, 1, 0, A.basis.group.zero(), domain="bogus")
+    # valid modes do assemble through the patched entry point
+    with pytest.raises(AssertionError):
+        cohomology_group(A, R, 2, 0, A.basis.group.zero(), restrict="free")
+    with pytest.raises(AssertionError):
+        delta_matrix(A, R, 1, 0, A.basis.group.zero(), domain="free")
+
+
+# -- the per-(A, R) cochain complex ---------------------------------------------
+
+def _fresh(A, R):
+    """Copies of A and R that share no cached state with them."""
+    return (ColorHomAlgebra(A.basis, A.eps, A.bracket, A.alpha, A.m, name=A.name),
+            Representation(R.carrier, R.rho, R.beta, R.m))
+
+
+def _outcome(A, R, n, r, gamma, restrict):
+    try:
+        res = cohomology_group(A, R, n, r, gamma, restrict=restrict)
+    except AlgebraStructureError as exc:
+        return type(exc), str(exc)
+    return ((res.dim_Z, res.dim_B, res.dim_H), res.cocycle_basis, res.coboundary_basis,
+            res.representatives, res.space.tuples, res.space.compat_basis, res.to_dict())
+
+
+# one case per seed family and the worked example with its inverse-twist adjoint
+_FAMILY_CASES = [i for i, (A, _) in enumerate(ORACLE_CASES)
+                 if A.name not in {B.name for B, _ in ORACLE_CASES[:i]}] + [21]
+
+
+@pytest.mark.parametrize("case", _FAMILY_CASES)
+def test_warm_complex_gives_the_results_of_a_fresh_one(case):
+    A, R = _fresh(*ORACLE_CASES[case])
+    for n in (1, 2, 3):
+        for gamma in A.basis.group.elements():
+            for restrict in ("free", "compatible"):
+                for r in (0, 1):
+                    warm = _outcome(A, R, n, r, gamma, restrict)
+                    assert warm == _outcome(*_fresh(A, R), n, r, gamma, restrict), \
+                        (A.name, n, r, gamma.components, restrict)
+
+
+def test_returned_bases_do_not_alias_the_complex():
+    A = sl2c_z2z2()
+    R = adjoint(A)
+    gamma = gamma_elems(A)["g1"]
+    space = cochain_basis(A, R, 2, gamma)
+    res = cohomology_group(A, R, 2, 0, gamma, restrict="free")
+    want_space = (list(space.tuples), [list(v) for v in space.compat_basis])
+    want = _outcome(A, R, 2, 0, gamma, "free")
+    space.tuples.clear()
+    space.compat_basis.append(space.zero_coords())
+    space.compat_basis[0][0] = sc(7, A.m)
+    res.cocycle_basis.clear()
+    res.coboundary_basis.append(res.space.zero_coords())
+    res.coboundary_basis[0][0] = sc(7, A.m)
+    res.representatives[0][0] = sc(7, A.m)
+    res.space.compat_basis.clear()
+    again = cochain_basis(A, R, 2, gamma)
+    assert (again.tuples, again.compat_basis) == want_space
+    assert _outcome(A, R, 2, 0, gamma, "free") == want
+    assert delta_matrix(A, R, 2, 0, gamma, domain="compatible")[1].compat_basis \
+        == want_space[1]
+
+
+def test_a_module_used_once_leaves_no_complex():
+    A = sl2c_z2z2()
+    gamma = gamma_elems(A)["g1"]
+    for _ in range(3):
+        cohomology_group(A, adjoint(A), 2, 0, gamma)
+    gc.collect()
+    assert not A._cochain_complexes
+    res = cohomology_group(A, adjoint(A), 2, 0, gamma)
+    assert list(A._cochain_complexes) == [id(res.space.module)]
+
+
+def test_each_operator_is_assembled_once_per_ladder(monkeypatch):
+    """The benchmark's cohomology ladder: 29 calls over 9 distinct (A, R, n)
+    compatible bases and 23 distinct (A, R, n, gamma, r) coboundaries."""
+    A3 = sl2c_z2z2()
+    A6 = direct_sum(sl2c_z2z2(), sl2c_z2z2(), "sl2c_z2z2^2")
+    R3, R3_inv, R6 = adjoint(A3), alpha_s_adjoint(A3, -1), adjoint(A6)
+    G = A3.basis.group
+    calls = [(A3, R3, n, 0, gamma, restrict) for n in (1, 2, 3)
+             for restrict in ("free", "compatible") for gamma in G.elements()]
+    calls += [(A3, R3, 2, 1, G.element((1, 0)), "compatible"),
+              (A3, R3_inv, 2, 0, G.element((1, 0)), "compatible")]
+    calls += [(A6, R6, n, 0, G.element((1, 0)), restrict)
+              for n, restrict in ((1, "free"), (1, "compatible"), (2, "compatible"))]
+    compat, delta = [], []
+    compat_rows, delta_rows = cohomology._compat_rows, cohomology._delta_rows
+
+    def count_compat(cx, n):
+        compat.append((id(cx.algebra), id(cx.module), n))
+        return compat_rows(cx, n)
+
+    def count_delta(cx, n, gamma, r):
+        delta.append((id(cx.algebra), id(cx.module), n, gamma, r))
+        return delta_rows(cx, n, gamma, r)
+    monkeypatch.setattr(cohomology, "_compat_rows", count_compat)
+    monkeypatch.setattr(cohomology, "_delta_rows", count_delta)
+    for A, R, n, r, gamma, restrict in calls:
+        cohomology_group(A, R, n, r, gamma, restrict=restrict)
+    assert len(calls) == 29
+    assert len(compat) == len(set(compat)) == 9
+    assert len(delta) == len(set(delta)) == 23
 
 
 def test_cochain_space_lookup_by_tuple():
@@ -414,8 +520,9 @@ def test_negative_power_refused_for_singular_alpha():
     A = build_algebra([2, 2], [[0, 1], [1, 0]], 2, ["e1", "e2"],
                       [(1, 0), (0, 1)], {}, [[1, 0], [0, 0]])
     R = adjoint(A)
-    with pytest.raises(AlgebraStructureError):
-        cohomology_group(A, R, 1, 0, A.basis.group.zero())  # needs alpha^(-1)
+    for _ in range(2):  # the failure is not cached: it raises every time
+        with pytest.raises(AlgebraStructureError):
+            cohomology_group(A, R, 1, 0, A.basis.group.zero())  # needs alpha^(-1)
 
 
 def test_cohomology_result_serialization_shape():

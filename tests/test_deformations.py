@@ -237,6 +237,15 @@ def _dump(report):
     return json.dumps({key: value.to_dict() for key, value in report.items()})
 
 
+def _skew_part(A, B):
+    """B without the diagonal values [e_i, e_i] that skew maps must not have."""
+    def skew(term):
+        return BracketTable(A.basis, A.eps, {
+            (i, j): row for (i, j), row in term.rows.items()
+            if i != j or A.eps.sign_is_minus_one(A.degree(i), A.degree(i))}, A.m)
+    return TruncatedBracket(A, B.order, [skew(t) for t in B.terms], B.alpha_terms)
+
+
 @pytest.mark.parametrize("make", [sl2c_z2z2, sl2c_z2z3, heis_zeta3])
 def test_deformation_equations_match_the_pointwise_oracle(make):
     # non-cocycle terms up to order 3, with a fixed and a deformed twist
@@ -253,7 +262,7 @@ def test_deformation_equations_match_the_pointwise_oracle(make):
 @pytest.mark.parametrize("make", [sl2c_z2z2, sl2c_z2z3, heis_zeta3])
 def test_equivalence_and_transport_match_the_pointwise_oracles(make):
     A, rng = make(), random.Random(20261021)
-    failing = 0
+    failing = refused = 0
     for order in (1, 2, 3):
         B1, B2 = _rand_deformation(rng, A, order), _rand_deformation(rng, A, order)
         # a non-equivalence: unrelated deformations and an arbitrary phi
@@ -261,17 +270,39 @@ def test_equivalence_and_transport_match_the_pointwise_oracles(make):
         rep = check_equivalence(A, B1, B2, phi)
         assert _dump(rep) == _dump(check_equivalence_direct(A, B1, B2, phi))
         failing += (not rep["bracket"].ok) + (not rep["twist"].ok)
-        # the transport along an even phi, equivalent to B1 when B1 is skew
-        # (a diagonal value where eps(x,x) = +1 is not transported exactly)
+        # the transport along an even phi: a B1 with a diagonal value where
+        # eps(x,x) = +1 is refused, and its skew part is transported instead
         even = _rand_automorphism(rng, A, order, even=True)
+        if not B1.skew_report().ok:
+            with pytest.raises(DeformationError, match="skew"):
+                transport_bracket(A, B1, even)
+            refused += 1
+            B1 = _skew_part(A, B1)
         T = transport_bracket(A, B1, even)
         terms, alphas = transport_bracket_direct(A, B1, even)
         assert all(t.equals(u) for t, u in zip(T.terms, terms))
         assert all(linalg.mat_eq(a, b) for a, b in zip(T.alpha_terms, alphas))
         rep = check_equivalence(A, B1, T, even)
-        assert rep["twist"].ok and (rep["bracket"].ok or not B1.skew_report().ok)
+        assert rep["twist"].ok and rep["bracket"].ok
         assert _dump(rep) == _dump(check_equivalence_direct(A, B1, T, even))
-    assert failing >= 3
+    assert failing >= 3 and refused >= 1
+
+
+def test_transport_refuses_a_non_skew_deformation():
+    # [e1, e1]_1 = e3 with eps(d1, d1) = +1, and phi_1 e2 = e1 mixing the
+    # degree of e1: transporting the pairs i <= j and completing them by the
+    # skew rule gave a table not equivalent to B1, failing at (e2, e1)
+    A = heis_zeta3()
+    zero = [CycloScalar.zero(A.m)] * A.dim
+    term = BracketTable(A.basis, A.eps, {(0, 0): [zero[0], zero[1], sc(1, A.m)]}, A.m)
+    B1 = TruncatedBracket(A, 2, [A.bracket, term, _zero_term(A)])
+    phi1 = linalg.zeros(A.dim, A.dim, A.m)
+    phi1[0][1] = sc(1, A.m)
+    phi = FormalAutomorphism([linalg.identity(A.dim, A.m), phi1])
+    assert phi.validate(A).ok
+    assert B1.skew_report().failures[0]["pair"] == ["e1", "e1"]
+    with pytest.raises(DeformationError, match="e1"):
+        transport_bracket(A, B1, phi)
 
 
 @pytest.mark.parametrize("make", [sl2c_z2z3, motion_z2z3])
