@@ -288,8 +288,8 @@ class AxiomReport:
 class ColorHomAlgebra:
     """Quadruple (basis/grading, bracket, bi-character, twist matrix).
 
-    Treated as immutable once built: twist powers and, per module, the
-    cochain complex of ``cohomology`` are kept on the instance.
+    Treated as immutable once built: twist powers are kept on the instance,
+    and a module keeps its ``cohomology`` cochain complex over it.
     """
 
     def __init__(self, basis: GradedBasis, eps: BiCharacter, bracket: BracketTable,
@@ -301,7 +301,6 @@ class ColorHomAlgebra:
         self.m = m
         self.name = name
         self._alpha_pows = {0: linalg.identity(basis.dim, m), 1: alpha}
-        self._cochain_complexes = {}  # id(module) -> cohomology._Complex
 
     @property
     def dim(self) -> int:

@@ -26,7 +26,6 @@ compatible subspace, so the inclusion B <= Z holds in both modes.
 """
 from __future__ import annotations
 
-import weakref
 from dataclasses import dataclass, field
 from itertools import product
 
@@ -42,20 +41,12 @@ class CochainError(AlgebraStructureError):
 
 def canonical_tuples(A: ColorHomAlgebra, n: int):
     """Non-decreasing index tuples; repeats only at eps(a,a) = -1 degrees."""
-    if n == 0:
-        return [()]
-    out = []
-    def extend(prefix, start):
-        if len(prefix) == n:
-            out.append(tuple(prefix))
-            return
-        for i in range(start, A.dim):
-            if prefix and prefix[-1] == i:
-                if not A.eps.sign_is_minus_one(A.degree(i), A.degree(i)):
-                    continue
-            extend(prefix + [i], i)
-    extend([], 0)
-    return out
+    repeats = [A.eps.sign_is_minus_one(A.degree(i), A.degree(i)) for i in range(A.dim)]
+    tuples = [()]
+    for _ in range(n):  # extending in lexicographic order keeps that order
+        tuples = [tup + (i,) for tup in tuples for i in range(tup[-1] if tup else 0, A.dim)
+                  if not tup or tup[-1] != i or repeats[i]]
+    return tuples
 
 
 @dataclass
@@ -192,17 +183,22 @@ class _Complex:
     sparse rows of delta_r^n, and the rref basis of B^n, the image of
     delta_r^(n-1) on the compatible arity-(n-1) basis.
 
-    Entries are filled on first use and kept while A and R live, so A and R
-    must not be mutated after construction (``ColorHomAlgebra.alpha_power``
-    assumes the same).  An entry is stored only once computed: a negative
-    power of a singular twist raises on every call.  Callers receive fresh
-    containers, never the stored ones.  ``coboundary_of_coords`` and
-    ``CochainSpace.evaluate`` never read the complex.
+    The complex takes the carrier dimension, beta and rho from R when it is
+    built and keeps no reference to R, so R (which keeps the complex) frees
+    it by reference counting alone.  Entries are filled on first use, so A
+    and R must not be mutated after construction
+    (``ColorHomAlgebra.alpha_power`` assumes the same).  An entry is stored
+    only once computed: a negative power of a singular twist raises on
+    every call.  Callers receive fresh containers, never the stored ones.
+    ``coboundary_of_coords`` and ``CochainSpace.evaluate`` never read the
+    complex.
     """
 
-    def __init__(self, A: ColorHomAlgebra, R: Representation, on_free):
-        # R only weakly: on_free drops the complex from A when R is freed
-        self.algebra, self._module = A, weakref.ref(R, on_free)
+    def __init__(self, A: ColorHomAlgebra, R: Representation):
+        self.algebra, self.mdim = A, R.dim
+        self.beta = [(k, l, b) for k, brow in enumerate(R.beta) for l, b in _support(brow)]
+        self.rho_basis = [_pruned({k: dict(_support(row)) for k, row in enumerate(mat)})
+                         for mat in R.rho]
         self.alpha_cols = [_support(col) for col in linalg.transpose(A.alpha)]
         self._arity = {}         # n -> (canonical tuples, their positions)
         self._located = {}       # argument index combo -> locate(combo)
@@ -211,10 +207,6 @@ class _Complex:
         self._delta = {}         # (n, gamma, r) -> sparse rows of delta_r^n
         self._coboundaries = {}  # (n, gamma, r) -> rref rows of B^n
 
-    @property
-    def module(self) -> Representation:
-        return self._module()
-
     def arity(self, n: int):
         if n not in self._arity:
             tuples = canonical_tuples(self.algebra, n)
@@ -222,7 +214,7 @@ class _Complex:
         return self._arity[n]
 
     def free_dim(self, n: int) -> int:
-        return len(self.arity(n)[0]) * self.module.dim
+        return len(self.arity(n)[0]) * self.mdim
 
     def locate(self, combo):
         """(tuple position, sign) with f(combo) = sign * f(tuples[position])
@@ -246,10 +238,16 @@ class _Complex:
 
     def rho_entries(self, p: int):
         if p not in self._rho:
-            R = self.module
-            self._rho[p] = [[(k, l, v) for k, prow in enumerate(R.rho_of(col))
-                             for l, v in _support(prow)]
-                            for col in linalg.transpose(self.algebra.alpha_power(p))]
+            images = []
+            for col in linalg.transpose(self.algebra.alpha_power(p)):
+                rows = {}  # rho(sum_j a_j e_j) = sum_j a_j rho(e_j)
+                for j, a in _support(col):
+                    for k, row in self.rho_basis[j].items():
+                        for l, v in row.items():
+                            _add_entry(rows, k, l, a * v)
+                images.append([(k, l, v) for k, row in sorted(_pruned(rows).items())
+                               for l, v in sorted(row.items())])
+            self._rho[p] = images
         return self._rho[p]
 
     def delta(self, n: int, gamma: GroupElement, r: int):
@@ -259,21 +257,23 @@ class _Complex:
         return self._delta[key]
 
     def coboundaries(self, n: int, gamma: GroupElement, r: int):
+        """B^n; empty without forming delta_r^(n-1) when the compatible
+        arity-(n-1) space is zero, so no twist power is needed then."""
         key = (n, gamma, r)
         if key not in self._coboundaries:
-            images = _product(self.delta(n - 1, gamma, r), self.compat(n - 1)[1])
+            basis_t = self.compat(n - 1)[1]
+            images = _product(self.delta(n - 1, gamma, r), basis_t) if basis_t else {}
             self._coboundaries[key] = linalg.rref(list(_transpose(images).values()))[0]
         return self._coboundaries[key]
 
 
 def _complex(A: ColorHomAlgebra, R: Representation) -> _Complex:
-    """The cochain complex of (A, R), kept on A under the identity of R for
-    as long as R lives.  It is dropped when R is freed, so an identity is
-    never matched to another module and a module used once leaves nothing."""
-    complexes, key = A._cochain_complexes, id(R)
-    if key not in complexes:
-        complexes[key] = _Complex(A, R, lambda _: complexes.pop(key, None))
-    return complexes[key]
+    """The cochain complex of (A, R), kept on R under A.  The entry holds A,
+    so it is never matched to another algebra, and it goes with R: a module
+    used once takes its complex with it."""
+    if A not in R._cochain_complexes:
+        R._cochain_complexes[A] = _Complex(A, R)
+    return R._cochain_complexes[A]
 
 
 def _compat_rows(cx: _Complex, n: int):
@@ -285,18 +285,17 @@ def _compat_rows(cx: _Complex, n: int):
     the block of its sorted tuple, and a repeat that every skew map kills
     gives zero rows, so only the canonical tuples are used.
     """
-    A, R = cx.algebra, cx.module
-    mdim = R.dim
+    A, mdim = cx.algebra, cx.mdim
     if n == 0:
-        one, zero = CycloScalar.one(A.m), CycloScalar.zero(A.m)
-        return _pruned({r: {c: (one if r == c else zero) - R.beta[r][c]
-                            for c in range(mdim)} for r in range(mdim)})
+        rows = {k: {k: CycloScalar.one(A.m)} for k in range(mdim)}
+        for k, l, b in cx.beta:
+            _add_entry(rows, k, l, -b)
+        return _pruned(rows)
     rows = {}
     if cx.free_dim(n) == 0:
         return rows
     tuples, locate = cx.arity(n)[0], cx.locate
-    alpha_cols = cx.alpha_cols
-    beta = [(k, l, b) for k, brow in enumerate(R.beta) for l, b in _support(brow)]
+    alpha_cols, beta = cx.alpha_cols, cx.beta
     keeps_degrees = all(A.degree(j) == A.degree(i)
                         for i in range(A.dim) for j, _ in alpha_cols[i])
     combos = tuples if keeps_degrees else product(range(A.dim), repeat=n)
@@ -332,7 +331,7 @@ def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
     alpha^(r+n-1) is only formed when the domain is nonzero, so a singular
     twist raises exactly where the per-vector evaluation would.
     """
-    A, mdim = cx.algebra, cx.module.dim
+    A, mdim = cx.algebra, cx.mdim
     rows = {}
     if cx.free_dim(n) == 0:
         return rows
@@ -462,9 +461,12 @@ def delta_matrix(A: ColorHomAlgebra, R: Representation, n: int, r: int,
         raise ValueError(f"unknown domain {domain!r}")
     space = cochain_basis(A, R, n, gamma)
     cx = _complex(A, R)
-    rows, ncols = cx.delta(n, gamma, r), space.free_dim
-    if domain == "compatible":
-        rows, ncols = _product(rows, cx.compat(n)[1]), space.compat_dim
+    if domain == "free":
+        rows, ncols = cx.delta(n, gamma, r), space.free_dim
+    else:  # no compatible basis, no columns: delta_r^n is not formed
+        basis_t = cx.compat(n)[1]
+        rows = _product(cx.delta(n, gamma, r), basis_t) if basis_t else {}
+        ncols = space.compat_dim
     columns = _transpose(rows)
     return _dense([columns.get(c, {}) for c in range(ncols)], cx.free_dim(n + 1), A.m), space
 

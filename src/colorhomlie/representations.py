@@ -6,7 +6,7 @@ acts by x -> [alpha^s(a), x]; s = -1 needs an invertible twist.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import linalg
 from .algebra_core import (AlgebraStructureError, CheckResult, ColorHomAlgebra,
@@ -20,6 +20,9 @@ class Representation:
     rho: list           # rho[i] = matrix of rho(e_i) on the carrier
     beta: list
     m: int
+    # algebra -> cohomology._Complex; R must not be mutated once it is used
+    _cochain_complexes: dict = field(default_factory=dict, init=False, repr=False,
+                                     compare=False)
 
     @property
     def dim(self) -> int:

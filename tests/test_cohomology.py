@@ -10,6 +10,7 @@ compared with a fresh one result for result.
 """
 import gc
 import random
+import weakref
 from itertools import product
 
 import pytest
@@ -367,15 +368,25 @@ def test_returned_bases_do_not_alias_the_complex():
         == want_space[1]
 
 
-def test_a_module_used_once_leaves_no_complex():
+def test_the_complex_is_freed_with_its_module_by_refcounting():
+    """R keeps its complex under A and the complex keeps no reference to R,
+    so dropping R frees both, and then A, without the cyclic collector."""
     A = sl2c_z2z2()
     gamma = gamma_elems(A)["g1"]
-    for _ in range(3):
-        cohomology_group(A, adjoint(A), 2, 0, gamma)
-    gc.collect()
-    assert not A._cochain_complexes
-    res = cohomology_group(A, adjoint(A), 2, 0, gamma)
-    assert list(A._cochain_complexes) == [id(res.space.module)]
+    gc.disable()
+    try:
+        R = adjoint(A)
+        res = cohomology_group(A, R, 2, 0, gamma)
+        assert list(R._cochain_complexes) == [A]
+        refs = [weakref.ref(x) for x in (A, R, R._cochain_complexes[A])]
+        del R, res
+        assert refs[1]() is None and refs[2]() is None
+        for _ in range(3):  # a module used once takes its complex with it
+            cohomology_group(A, adjoint(A), 2, 0, gamma)
+        del A
+        assert refs[0]() is None
+    finally:
+        gc.enable()
 
 
 def test_each_operator_is_assembled_once_per_ladder(monkeypatch):
@@ -395,11 +406,11 @@ def test_each_operator_is_assembled_once_per_ladder(monkeypatch):
     compat_rows, delta_rows = cohomology._compat_rows, cohomology._delta_rows
 
     def count_compat(cx, n):
-        compat.append((id(cx.algebra), id(cx.module), n))
+        compat.append((id(cx), n))  # one complex per live (A, R)
         return compat_rows(cx, n)
 
     def count_delta(cx, n, gamma, r):
-        delta.append((id(cx.algebra), id(cx.module), n, gamma, r))
+        delta.append((id(cx), n, gamma, r))
         return delta_rows(cx, n, gamma, r)
     monkeypatch.setattr(cohomology, "_compat_rows", count_compat)
     monkeypatch.setattr(cohomology, "_delta_rows", count_delta)
@@ -523,6 +534,24 @@ def test_negative_power_refused_for_singular_alpha():
     for _ in range(2):  # the failure is not cached: it raises every time
         with pytest.raises(AlgebraStructureError):
             cohomology_group(A, R, 1, 0, A.basis.group.zero())  # needs alpha^(-1)
+
+
+def test_nilpotent_twist_needs_no_negative_power_on_a_zero_compatible_space():
+    """With alpha = [[0, 1], [0, 0]] the adjoint beta = alpha has no nonzero
+    fixed vector, so the compatible C^0 is zero: B^1 and the compatible
+    delta^0 are empty and alpha^(-1) is never formed."""
+    A = build_algebra([2, 2], [[0, 1], [1, 0]], 2, ["e1", "e2"],
+                      [(1, 0), (1, 0)], {}, [[0, 1], [0, 0]])
+    R = adjoint(A)
+    zero = A.basis.group.zero()
+    for _ in range(2):
+        for restrict in ("free", "compatible"):
+            res = cohomology_group(A, R, 1, 0, zero, restrict=restrict)
+            assert res.dim_B == 0 and res.coboundary_basis == []
+        columns, space = delta_matrix(A, R, 0, 0, zero, domain="compatible")
+        assert columns == [] and space.compat_dim == 0
+    with pytest.raises(AlgebraStructureError):
+        delta_matrix(A, R, 0, 0, zero, domain="free")  # the free C^0 is not zero
 
 
 def test_cohomology_result_serialization_shape():
