@@ -8,7 +8,7 @@ normalization, so reduced forms (and hence reported bases) are reproducible.
 """
 from __future__ import annotations
 
-from .scalars_grading import CycloScalar
+from .scalars_grading import CycloScalar, ScalarError
 
 
 def zeros(rows: int, cols: int, m: int):
@@ -21,30 +21,45 @@ def identity(n: int, m: int):
     return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
+def _root_order(a, b) -> int:
+    """The shared root order of two entries: the kernels multiply no zero."""
+    if a.root_order != b.root_order:
+        raise ScalarError(f"mixed cyclotomic orders {a.root_order} and {b.root_order}")
+    return b.root_order
+
+
 def mat_vec(M, v):
+    """M v on dense lists; only pairs of nonzero entries are multiplied."""
+    m = _root_order(M[0][0], v[0]) if M and v else 1
+    z = CycloScalar.zero(m)
+    support = [(j, b) for j, b in enumerate(v) if not b.is_zero()]
     out = []
     for row in M:
         acc = None
-        for a, b in zip(row, v):
-            term = a * b
-            acc = term if acc is None else acc + term
-        out.append(acc)
+        for j, b in support:
+            a = row[j]
+            if not a.is_zero():
+                acc = a * b if acc is None else acc + a * b
+        out.append(z if acc is None else acc)
     return out
 
 
 def mat_mul(A, B):
-    n, k = len(A), len(B)
-    p = len(B[0]) if k else 0
+    """A B on dense lists: the nonzero entries of each row of B are listed
+    once, and each output row is accumulated as {column: scalar}."""
+    p = len(B[0]) if B else 0
+    m = _root_order(A[0][0], B[0][0]) if A and p else 1
+    z = CycloScalar.zero(m)
+    supports = [[(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in B]
     out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            acc = None
-            for t in range(k):
-                term = A[i][t] * B[t][j]
-                acc = term if acc is None else acc + term
-            row.append(acc)
-        out.append(row)
+    for row in A:
+        acc = {}
+        for a, support in zip(row, supports):
+            if a.is_zero():
+                continue
+            for j, b in support:
+                acc[j] = acc[j] + a * b if j in acc else a * b
+        out.append([acc.get(j, z) for j in range(p)])
     return out
 
 
@@ -95,16 +110,21 @@ def _sub_scaled(v, f, row):
             v[c] = y
 
 
-def _absorb(echelon, row) -> bool:
-    """Add a row to a fully reduced echelon form {pivot column: sparse row}.
-
-    The row is reduced against every pivot in one pass, scaled to 1 at its
-    leftmost nonzero, and that column is cleared from the earlier pivot rows.
-    Returns False, changing nothing, when the row lies in the span.
-    """
+def _reduce(echelon, row):
+    """A row as a fresh sparse dict, reduced in one pass against every pivot
+    of a fully reduced echelon form {pivot column: sparse row}: empty exactly
+    when the row lies in the span."""
     v = _sparse(row)
     for p, f in [(p, v[p]) for p in v if p in echelon]:
         _sub_scaled(v, f, echelon[p])
+    return v
+
+
+def _absorb(echelon, row) -> bool:
+    """Add a row to an echelon form: the reduced row is scaled to 1 at its
+    leftmost nonzero, and that column is cleared from the earlier pivot rows.
+    Returns False, changing nothing, when the row lies in the span."""
+    v = _reduce(echelon, row)
     if not v:
         return False
     c = min(v)
@@ -164,8 +184,15 @@ def row_space_basis(rows):
             for r, pc in zip(red, pivots)]
 
 
+def span_test(rows):
+    """Membership in span(rows) as a function of one vector: the echelon form
+    is built once, and each vector is reduced against it."""
+    echelon = _echelon(rows)
+    return lambda vec: not _reduce(echelon, vec)
+
+
 def in_span(rows, vec) -> bool:
-    return not _absorb(_echelon(rows), vec)
+    return span_test(rows)(vec)
 
 
 def span_equal(rows_a, rows_b) -> bool:

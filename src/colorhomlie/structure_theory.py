@@ -12,7 +12,7 @@ from itertools import product
 
 from . import linalg
 from .algebra_core import (AlgebraStructureError, CheckResult, ColorHomAlgebra,
-                           StructureConstants)
+                           StructureConstants, _add_scaled)
 from .scalars_grading import BiCharacter, CycloScalar, GroupElement
 
 KINDS = ("der", "gder", "qder", "centroid", "qcentroid")
@@ -324,11 +324,13 @@ def _direct_identity_holds(A: ColorHomAlgebra, kind: str, k: int,
     raise ValueError(kind)
 
 
+def _flat(M):
+    return [c for row in M for c in row]
+
+
 def member_of(space: HomogeneousMapSpace, M, m: int) -> bool:
     """Exact membership of a matrix in the span of the space's basis."""
-    flat_basis = [[c for row in B for c in row] for B in space.basis]
-    flat = [c for row in M for c in row]
-    return linalg.in_span(flat_basis, flat)
+    return linalg.in_span([_flat(B) for B in space.basis], _flat(M))
 
 
 def jordan_product(D1, gamma1: GroupElement, D2, gamma2: GroupElement,
@@ -364,8 +366,7 @@ class NotClosedError(AlgebraStructureError):
 
 
 def _express_in_span(matrices, M, m: int):
-    flat_basis = [[c for row in B for c in row] for B in matrices]
-    flat = [c for row in M for c in row]
+    flat_basis, flat = [_flat(B) for B in matrices], _flat(M)
     rows = [[fb[i] for fb in flat_basis] for i in range(len(flat))]
     return linalg.solve(rows, flat, m)
 
@@ -390,9 +391,7 @@ def quasi_centroid_jordan(A: ColorHomAlgebra, max_power: int = 2,
         for gamma in A.basis.group.elements():
             space = quasi_centroid_space(A, k, gamma, commute_with_alpha)
             for M in space.basis:
-                flat_basis = [[c for row in B for c in row] for B in matrices]
-                flat = [c for row in M for c in row]
-                if not linalg.in_span(flat_basis, flat):
+                if not linalg.in_span([_flat(B) for B in matrices], _flat(M)):
                     matrices.append(M)
                     degrees.append(gamma)
     n = len(matrices)
@@ -421,47 +420,59 @@ def quasi_centroid_jordan(A: ColorHomAlgebra, max_power: int = 2,
 def check_hom_jordan(J: ProductAlgebraData) -> dict:
     """Commutativity law on pairs; the twisted Jordan identity on quadruples.
 
-    The basis products e_a.e_b, the twist images alpha e_t and each distinct
-    associator as(e_a.e_b, alpha e_z, alpha e_c) are formed once.
+    Vectors are {k: nonzero scalar} dicts on their supports: the basis
+    products are the rows of J.mu, the twist images the nonzero entries of
+    J.alpha_action, and each distinct associator
+    as(e_a.e_b, alpha e_z, alpha e_c) is formed once.
     """
-    n = J.dim
-    m = J.m
-    E = linalg.identity(n, m)
-    prod = [[J.mu.of_basis(a, b) for b in range(n)] for a in range(n)]
-    alpha = [linalg.mat_vec(J.alpha_action, E[t]) for t in range(n)]
+    n, rows = J.dim, J.mu.rows
+    zero = str(CycloScalar.zero(J.m))
+
+    def combine(terms):
+        """The sum of c * u over pairs (c, u), without its zero entries."""
+        acc = {}
+        for c, u in terms:
+            _add_scaled(acc, c, u)
+        return {k: v for k, v in acc.items() if not v.is_zero()}
+
+    def terms(u, v):
+        """The pairs (u_i v_j, e_i.e_j) whose combination is u.v."""
+        return [(a * b, rows[(i, j)]) for i, a in u.items() for j, b in v.items()
+                if (i, j) in rows]
+
+    alpha = [{k: row[t] for k, row in enumerate(J.alpha_action) if not row[t].is_zero()}
+             for t in range(n)]
+    def twist(u):
+        return combine((a, alpha[t]) for t, a in u.items())
     hcj1 = []
-    for i in range(n):
-        for j in range(n):
-            e = J.eps(J.degrees[i], J.degrees[j])
-            lhs = prod[i][j]
-            rhs = [e * c for c in prod[j][i]]
-            if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
-                hcj1.append({"pair": [i, j]})
+    for i, j in product(range(n), repeat=2):
+        e = J.eps(J.degrees[i], J.degrees[j])
+        if rows.get((i, j), {}) != {k: e * c for k, c in rows.get((j, i), {}).items()}:
+            hcj1.append({"pair": [i, j]})
     # Hom-associators as(u,v,w) = (u.v).alpha(w) - alpha(u).(v.w) at
-    # u = e_a.e_b, v = alpha e_z, w = alpha e_c, on every index quadruple
-    alpha2 = [linalg.mat_vec(J.alpha_action, v) for v in alpha]
-    alpha_prod = [[linalg.mat_vec(J.alpha_action, v) for v in row] for row in prod]
-    left = {(a, b, z): J.mu.bilinear(prod[a][b], alpha[z])
-            for a, b, z in product(range(n), repeat=3)}
-    right = {(z, c): J.mu.bilinear(alpha[z], alpha[c]) for z, c in product(range(n), repeat=2)}
+    # u = e_a.e_b, v = alpha e_z, w = alpha e_c; they vanish where e_a.e_b = 0
+    alpha2 = [twist(v) for v in alpha]
+    right = {(z, c): combine(terms(alpha[z], alpha[c]))
+             for z, c in product(range(n), repeat=2)}
     assoc = {}
-    for a, b, z, c in product(range(n), repeat=4):
-        t1 = J.mu.bilinear(left[(a, b, z)], alpha2[c])
-        t2 = J.mu.bilinear(alpha_prod[a][b], right[(z, c)])
-        assoc[(a, b, z, c)] = [p - q for p, q in zip(t1, t2)]
+    for (a, b), ab in rows.items():
+        alpha_ab = twist(ab)
+        for z in range(n):
+            left = combine(terms(ab, alpha[z]))
+            for c in range(n):
+                assoc[(a, b, z, c)] = combine(terms(left, alpha2[c]) + [
+                    (-f, u) for f, u in terms(alpha_ab, right[(z, c)])])
+    # eps(d_w, d_x + d_z) once per (w, x, z)
+    eps = {(w, x, z): J.eps(J.degrees[w], J.degrees[x] + J.degrees[z])
+           for w, x, z in product(range(n), repeat=3)}
     hcj2 = []
     for x, y, z, w in product(range(n), repeat=4):
-        dx, dy, dz, dw = (J.degrees[t] for t in (x, y, z, w))
-        t1 = assoc[(x, y, z, w)]
-        t2 = assoc[(y, w, z, x)]
-        t3 = assoc[(w, x, z, y)]
-        e1 = J.eps(dw, dx + dz)
-        e2 = J.eps(dx, dy + dz)
-        e3 = J.eps(dy, dw + dz)
-        acc = [e1 * a + e2 * b + e3 * c for a, b, c in zip(t1, t2, t3)]
-        if any(not a.is_zero() for a in acc):
+        acc = combine((eps[(r, p, z)], assoc.get((p, q, z, r), {}))
+                      for p, q, r in ((x, y, w), (y, w, x), (w, x, y)))
+        if acc:
             hcj2.append({"quadruple": [x, y, z, w],
-                         "residual": [str(c) for c in acc]})
+                         "residual": [str(acc[k]) if k in acc else zero
+                                      for k in range(n)]})
     return {"hcj1": CheckResult(not hcj1, hcj1),
             "hcj2": CheckResult(not hcj2, hcj2)}
 
@@ -472,60 +483,51 @@ def check_inclusion_lattice(A: ColorHomAlgebra, k_range, gamma_range) -> dict:
     embeds in qder, and eps-commutators of quasi-centroid elements are gder."""
     failures = {"centroid_in_qder": [], "centroid_compose_gder": [],
                 "qcentroid_brackets": []}
-    spaces = {}
+    spaces, tests = {}, {}
     def get(kind, k, gamma):
         key = (kind, k, tuple(gamma.components))
         if key not in spaces:
             spaces[key] = solve_space(A, kind, k, gamma)
         return spaces[key]
-    for k in k_range:
-        for gamma in gamma_range:
-            cent = get("centroid", k, gamma)
-            qder = get("qder", k, gamma)
-            for M in cent.basis:
-                if not member_of(qder, M, A.m):
-                    failures["centroid_in_qder"].append(
-                        {"k": k, "degree": list(gamma.components)})
-    for k in k_range:
-        for kp in k_range:
-            for gamma in gamma_range:
-                for gp in gamma_range:
-                    cent = get("centroid", kp, gp)
-                    gder = get("gder", k, gamma)
-                    if not cent.basis or not gder.basis:
-                        continue
-                    target = get("gder", k + kp, gamma + gp)
-                    for C in cent.basis:
-                        for D in gder.basis:
-                            comp = linalg.mat_mul(C, D)
-                            pat = degree_pattern(A, gamma + gp)
-                            for i in range(A.dim):
-                                for j in range(A.dim):
-                                    if not comp[i][j].is_zero() and (i, j) not in pat:
-                                        failures["centroid_compose_gder"].append(
-                                            {"reason": "degree pattern",
-                                             "k": k, "kp": kp})
-                            if not member_of(target, comp, A.m):
-                                failures["centroid_compose_gder"].append(
-                                    {"k": k, "kp": kp,
-                                     "degree": list((gamma + gp).components)})
-    for k in k_range:
-        for kp in k_range:
-            for gamma in gamma_range:
-                for gp in gamma_range:
-                    qc1 = get("qcentroid", k, gamma)
-                    qc2 = get("qcentroid", kp, gp)
-                    if not qc1.basis or not qc2.basis:
-                        continue
-                    target = get("gder", k + kp, gamma + gp)
-                    e = A.eps(gamma, gp)
-                    for D1 in qc1.basis:
-                        for D2 in qc2.basis:
-                            brk = linalg.mat_add(
-                                linalg.mat_mul(D1, D2),
-                                linalg.mat_scale(-e, linalg.mat_mul(D2, D1)))
-                            if not member_of(target, brk, A.m):
-                                failures["qcentroid_brackets"].append(
-                                    {"k": k, "kp": kp,
-                                     "degree": list((gamma + gp).components)})
+    def member(kind, k, gamma, M):
+        """M in the space, reduced against one echelon form per space."""
+        key = (kind, k, tuple(gamma.components))
+        if key not in tests:
+            tests[key] = linalg.span_test([_flat(B) for B in get(kind, k, gamma).basis])
+        return tests[key](_flat(M))
+    patterns = {g: set(degree_pattern(A, g)) for g in A.basis.group.elements()}
+    for k, gamma in product(k_range, gamma_range):
+        for M in get("centroid", k, gamma).basis:
+            if not member("qder", k, gamma, M):
+                failures["centroid_in_qder"].append({"k": k, "degree": list(gamma.components)})
+    quadruples = list(product(k_range, k_range, gamma_range, gamma_range))
+    for k, kp, gamma, gp in quadruples:
+        cent = get("centroid", kp, gp)
+        gder = get("gder", k, gamma)
+        if not cent.basis or not gder.basis:
+            continue
+        pat = patterns[gamma + gp]
+        for C in cent.basis:
+            for D in gder.basis:
+                comp = linalg.mat_mul(C, D)
+                for i, j in product(range(A.dim), repeat=2):
+                    if not comp[i][j].is_zero() and (i, j) not in pat:
+                        failures["centroid_compose_gder"].append(
+                            {"reason": "degree pattern", "k": k, "kp": kp})
+                if not member("gder", k + kp, gamma + gp, comp):
+                    failures["centroid_compose_gder"].append(
+                        {"k": k, "kp": kp, "degree": list((gamma + gp).components)})
+    for k, kp, gamma, gp in quadruples:
+        qc1 = get("qcentroid", k, gamma)
+        qc2 = get("qcentroid", kp, gp)
+        if not qc1.basis or not qc2.basis:
+            continue
+        e = A.eps(gamma, gp)
+        for D1 in qc1.basis:
+            for D2 in qc2.basis:
+                brk = linalg.mat_add(linalg.mat_mul(D1, D2),
+                                     linalg.mat_scale(-e, linalg.mat_mul(D2, D1)))
+                if not member("gder", k + kp, gamma + gp, brk):
+                    failures["qcentroid_brackets"].append(
+                        {"k": k, "kp": kp, "degree": list((gamma + gp).components)})
     return {name: CheckResult(not items, items) for name, items in failures.items()}

@@ -13,6 +13,7 @@ from colorhomlie.algebra_core import (BracketTable, CheckResult, ColorHomAlgebra
                                       check_color_hom_lie)
 from colorhomlie.cohomology import CochainSpace
 from colorhomlie.morphisms_twists import twist
+from colorhomlie.structure_theory import degree_pattern, solve_space
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup, ScalarError,
                                          _poly_divmod, _poly_mul, _poly_sub,
@@ -117,6 +118,37 @@ def linalg_identity_rows(n):
 
 
 # -- independent operator-form oracles ------------------------------------------
+
+def mat_vec_direct(M, v):
+    """M v with every cell multiplied, zeros included: an oracle for the
+    zero-skipping ``linalg.mat_vec``."""
+    out = []
+    for row in M:
+        acc = None
+        for a, b in zip(row, v):
+            term = a * b
+            acc = term if acc is None else acc + term
+        out.append(acc)
+    return out
+
+
+def mat_mul_direct(A, B):
+    """A B by the triple loop over every cell: an oracle for the
+    zero-skipping ``linalg.mat_mul``."""
+    n, k = len(A), len(B)
+    p = len(B[0]) if k else 0
+    out = []
+    for i in range(n):
+        row = []
+        for j in range(p):
+            acc = None
+            for t in range(k):
+                term = A[i][t] * B[t][j]
+                acc = term if acc is None else acc + term
+            row.append(acc)
+        out.append(row)
+    return out
+
 
 def rref_direct(rows):
     """Reduced row echelon form (in place on a copy); returns (rows, pivot_cols).
@@ -245,7 +277,7 @@ def check_deformation_direct(A, B):
                             alpha_l = _alpha_coefficient_direct(B, l)
                             if alpha_l is None:
                                 continue
-                            ax = linalg.mat_vec(alpha_l, A.basis_vector(a))
+                            ax = mat_vec_direct(alpha_l, A.basis_vector(a))
                             for i in range(s - l + 1):
                                 j = s - l - i
                                 ti, tj = _term_direct(B, i), _term_direct(B, j)
@@ -278,18 +310,18 @@ def check_equivalence_direct(A, B1, B2, phi):
                     if phi_i is None:
                         continue
                     lhs = [u + v for u, v in zip(
-                        lhs, linalg.mat_vec(phi_i, B1.terms[s - i].of_basis(x, y)))]
+                        lhs, mat_vec_direct(phi_i, B1.terms[s - i].of_basis(x, y)))]
                 rhs = [CycloScalar.zero(A.m)] * A.dim
                 for a in range(s + 1):
                     pa = phi.coefficient(a, A)
                     if pa is None:
                         continue
-                    fx = linalg.mat_vec(pa, A.basis_vector(x))
+                    fx = mat_vec_direct(pa, A.basis_vector(x))
                     for b in range(s - a + 1):
                         pb = phi.coefficient(b, A)
                         if pb is None:
                             continue
-                        fy = linalg.mat_vec(pb, A.basis_vector(y))
+                        fy = mat_vec_direct(pb, A.basis_vector(y))
                         c = s - a - b
                         rhs = [u + v for u, v in zip(rhs, B2.terms[c].bilinear(fx, fy))]
                 if any(not (u - v).is_zero() for u, v in zip(lhs, rhs)):
@@ -303,8 +335,8 @@ def check_equivalence_direct(A, B1, B2, phi):
                 if phi_i is None or alpha_j is None:
                     continue
                 lhs = [u + v for u, v in zip(
-                    lhs, linalg.mat_vec(phi_i,
-                                        linalg.mat_vec(alpha_j, A.basis_vector(x))))]
+                    lhs, mat_vec_direct(phi_i,
+                                       mat_vec_direct(alpha_j, A.basis_vector(x))))]
             rhs = [CycloScalar.zero(A.m)] * A.dim
             for a in range(s + 1):
                 alpha_a = _alpha_coefficient_direct(B2, a)
@@ -312,8 +344,8 @@ def check_equivalence_direct(A, B1, B2, phi):
                 if alpha_a is None or phi_b is None:
                     continue
                 rhs = [u + v for u, v in zip(
-                    rhs, linalg.mat_vec(alpha_a,
-                                        linalg.mat_vec(phi_b, A.basis_vector(x))))]
+                    rhs, mat_vec_direct(alpha_a,
+                                       mat_vec_direct(phi_b, A.basis_vector(x))))]
             if any(not (u - v).is_zero() for u, v in zip(lhs, rhs)):
                 twist_failures.append({"order": s, "basis": A.basis.names[x]})
     return {
@@ -341,14 +373,14 @@ def transport_bracket_direct(A, B1, phi):
                     for b in range(s - a + 1):
                         for c in range(s - a - b + 1):
                             d = s - a - b - c
-                            px = linalg.mat_vec(psis[b], A.basis_vector(i)) \
+                            px = mat_vec_direct(psis[b], A.basis_vector(i)) \
                                 if b < len(psis) else None
-                            py = linalg.mat_vec(psis[c], A.basis_vector(j)) \
+                            py = mat_vec_direct(psis[c], A.basis_vector(j)) \
                                 if c < len(psis) else None
                             if px is None or py is None:
                                 continue
                             inner = B1.terms[d].bilinear(px, py)
-                            acc = [u + v for u, v in zip(acc, linalg.mat_vec(pa, inner))]
+                            acc = [u + v for u, v in zip(acc, mat_vec_direct(pa, inner))]
                 entries[(i, j)] = acc
         new_terms.append(BracketTable(A.basis, A.eps, entries, A.m))
     if B1.alpha_terms is None:
@@ -366,8 +398,8 @@ def transport_bracket_direct(A, B1, phi):
                 c = s - a - b
                 if b >= len(base_alpha) or c >= len(psis):
                     continue
-                acc = linalg.mat_add(acc, linalg.mat_mul(
-                    pa, linalg.mat_mul(base_alpha[b], psis[c])))
+                acc = linalg.mat_add(acc, mat_mul_direct(
+                    pa, mat_mul_direct(base_alpha[b], psis[c])))
         new_alpha.append(acc)
     return new_terms, new_alpha
 
@@ -380,15 +412,15 @@ def composition_failing_orders_direct(L, alphas, order):
             for y in range(L.dim):
                 lhs = [CycloScalar.zero(L.m)] * L.dim
                 if s < len(alphas):
-                    lhs = linalg.mat_vec(alphas[s], L.bracket.of_basis(x, y))
+                    lhs = mat_vec_direct(alphas[s], L.bracket.of_basis(x, y))
                 rhs = [CycloScalar.zero(L.m)] * L.dim
                 for a in range(s + 1):
                     b = s - a
                     if a >= len(alphas) or b >= len(alphas):
                         continue
                     rhs = [u + v for u, v in zip(rhs, L.bracket.bilinear(
-                        linalg.mat_vec(alphas[a], L.basis_vector(x)),
-                        linalg.mat_vec(alphas[b], L.basis_vector(y))))]
+                        mat_vec_direct(alphas[a], L.basis_vector(x)),
+                        mat_vec_direct(alphas[b], L.basis_vector(y))))]
                 if any(not (u - v).is_zero() for u, v in zip(lhs, rhs)):
                     if s not in failing_orders:
                         failing_orders.append(s)
@@ -400,10 +432,10 @@ def hls_bracket_element_direct(A, D, x, y, quotient=None):
     pairs the inputs reach and the value reduced at the end."""
     def value(i, j):
         e = A.eps(A.basis.degrees[i], A.basis.degrees[j])
-        si = linalg.mat_vec(D.sigma, A.basis_vector(i))
-        sj = linalg.mat_vec(D.sigma, A.basis_vector(j))
-        di = linalg.mat_vec(D.delta_map, A.basis_vector(i))
-        dj = linalg.mat_vec(D.delta_map, A.basis_vector(j))
+        si = mat_vec_direct(D.sigma, A.basis_vector(i))
+        sj = mat_vec_direct(D.sigma, A.basis_vector(j))
+        di = mat_vec_direct(D.delta_map, A.basis_vector(i))
+        dj = mat_vec_direct(D.delta_map, A.basis_vector(j))
         return [p - e * q for p, q in zip(A.mu.bilinear(si, dj), A.mu.bilinear(sj, di))]
 
     values = {(i, j): value(i, j) for i, a in enumerate(x) if not a.is_zero()
@@ -439,7 +471,7 @@ def check_mnop_direct(A, D, quotient, delta_scalar=None):
                     e = A.eps(A.basis.degrees[c], A.basis.degrees[a])
                     inner = hls_bracket_element_direct(A, D, A.basis_vector(b),
                                                        A.basis_vector(c), quotient)
-                    sx = linalg.mat_vec(D.sigma, A.basis_vector(a))
+                    sx = mat_vec_direct(D.sigma, A.basis_vector(a))
                     t1 = hls_bracket_element_direct(A, D, sx, inner, quotient)
                     t2 = hls_bracket_element_direct(A, D, A.basis_vector(a), inner,
                                                     quotient)
@@ -462,7 +494,7 @@ def delta1_direct(A, R, fmat, gamma, r):
             fy = [fmat[i][y] for i in range(A.dim)]
             t1 = R.act(A.apply_alpha(A.basis_vector(x), r), fy)
             t2 = R.act(A.apply_alpha(A.basis_vector(y), r), fx)
-            fb = linalg.mat_vec(fmat, A.bracket.of_basis(x, y))
+            fb = mat_vec_direct(fmat, A.bracket.of_basis(x, y))
             c1 = A.eps(gamma, dx)
             c2 = A.eps(gamma + dx, dy)
             out[(x, y)] = [c1 * a - c2 * b - c for a, b, c in zip(t1, t2, fb)]
@@ -541,7 +573,7 @@ def compat_rows_direct(A, R, n, tuples):
         col = []
         for combo in product(range(A.dim), repeat=n):
             lhs = space.evaluate(unit, [alpha_images[i] for i in combo])
-            rhs = linalg.mat_vec(R.beta, space.evaluate_basis(unit, combo))
+            rhs = mat_vec_direct(R.beta, space.evaluate_basis(unit, combo))
             col.extend(a - b for a, b in zip(lhs, rhs))
         cols.append(col)
     return [[cols[ci][ri] for ci in range(free_dim)] for ri in range(len(cols[0]))]
@@ -561,9 +593,9 @@ def _commute_rows_direct(A, units, offset, nvars):
     """Rows of [D, alpha] = 0 for the variable block starting at offset."""
     rows = []
     z = CycloScalar.zero(A.m)
-    images = [linalg.mat_add(linalg.mat_mul(U, A.alpha),
+    images = [linalg.mat_add(mat_mul_direct(U, A.alpha),
                              linalg.mat_scale(CycloScalar.from_rational(-1, A.m),
-                                              linalg.mat_mul(A.alpha, U)))
+                                              mat_mul_direct(A.alpha, U)))
               for U in units]
     for i in range(A.dim):
         for j in range(A.dim):
@@ -600,9 +632,9 @@ def defining_rows_direct(A, k, gamma, kind, pattern, commute):
             aky = A.apply_alpha(E[y], k)
             bxy = A.bracket.of_basis(x, y)
             # per unit matrix, the three bracket-type contributions
-            d_of_bracket = [linalg.mat_vec(U, bxy) for U in units]
-            left = [A.bracket.bilinear(linalg.mat_vec(U, E[x]), aky) for U in units]
-            right = [A.bracket.bilinear(akx, linalg.mat_vec(U, E[y])) for U in units]
+            d_of_bracket = [mat_vec_direct(U, bxy) for U in units]
+            left = [A.bracket.bilinear(mat_vec_direct(U, E[x]), aky) for U in units]
+            right = [A.bracket.bilinear(akx, mat_vec_direct(U, E[y])) for U in units]
             def emit(coeff_for):
                 for comp in range(A.dim):
                     row = [z] * nvars
@@ -658,16 +690,16 @@ def partner_rows_direct(A, k, gamma, D, kind):
         for y in range(A.dim):
             aky = A.apply_alpha(E[y], k)
             bxy = A.bracket.of_basis(x, y)
-            p_of_bracket = [linalg.mat_vec(U, bxy) for U in units]
-            t1 = A.bracket.bilinear(linalg.mat_vec(D, E[x]), aky)
+            p_of_bracket = [mat_vec_direct(U, bxy) for U in units]
+            t1 = A.bracket.bilinear(mat_vec_direct(D, E[x]), aky)
             if kind == "qder":
-                t2 = A.bracket.bilinear(akx, linalg.mat_vec(D, E[y]))
+                t2 = A.bracket.bilinear(akx, mat_vec_direct(D, E[y]))
                 target = [a + e * b for a, b in zip(t1, t2)]
                 for comp in range(A.dim):
                     rows.append([u[comp] for u in p_of_bracket])
                     rhs.append(target[comp])
             else:
-                right_units = [A.bracket.bilinear(akx, linalg.mat_vec(U, E[y]))
+                right_units = [A.bracket.bilinear(akx, mat_vec_direct(U, E[y]))
                                for U in units]
                 for comp in range(A.dim):
                     row = [z] * nvars
@@ -700,18 +732,18 @@ def hom_jordan_direct(J):
                 hcj1.append({"pair": [i, j]})
     def _assoc(u, v, w):
         """Plain Hom-associator as(u,v,w) = (u.v).alpha(w) - alpha(u).(v.w)."""
-        aw = linalg.mat_vec(J.alpha_action, w)
-        au = linalg.mat_vec(J.alpha_action, u)
+        aw = mat_vec_direct(J.alpha_action, w)
+        au = mat_vec_direct(J.alpha_action, u)
         t1 = J.mu.bilinear(J.mu.bilinear(u, v), aw)
         t2 = J.mu.bilinear(au, J.mu.bilinear(v, w))
         return [a - b for a, b in zip(t1, t2)]
     hcj2 = []
     for x, y, z, w in product(range(n), repeat=4):
         dx, dy, dz, dw = (J.degrees[t] for t in (x, y, z, w))
-        az = linalg.mat_vec(J.alpha_action, E[z])
-        ax = linalg.mat_vec(J.alpha_action, E[x])
-        ay = linalg.mat_vec(J.alpha_action, E[y])
-        aw = linalg.mat_vec(J.alpha_action, E[w])
+        az = mat_vec_direct(J.alpha_action, E[z])
+        ax = mat_vec_direct(J.alpha_action, E[x])
+        ay = mat_vec_direct(J.alpha_action, E[y])
+        aw = mat_vec_direct(J.alpha_action, E[w])
         t1 = _assoc(J.mu.bilinear(E[x], E[y]), az, aw)
         t2 = _assoc(J.mu.bilinear(E[y], E[w]), az, ax)
         t3 = _assoc(J.mu.bilinear(E[w], E[x]), az, ay)
@@ -724,6 +756,46 @@ def hom_jordan_direct(J):
                          "residual": [str(c) for c in acc]})
     return {"hcj1": CheckResult(not hcj1, hcj1),
             "hcj2": CheckResult(not hcj2, hcj2)}
+
+
+def inclusion_lattice_direct(A, k_range, gamma_range):
+    """The inclusion-law report with every space solved per use, the degree
+    pattern searched as a list, every product by the every-cell loop and
+    membership decided by the rank under ``rref_direct``: an oracle for
+    ``structure_theory.check_inclusion_lattice``."""
+    def rank(rows):
+        return len(rref_direct(rows)[1]) if rows else 0
+    def member(kind, k, gamma, M):
+        basis = [[c for row in B for c in row] for B in solve_space(A, kind, k, gamma).basis]
+        return rank(basis + [[c for row in M for c in row]]) == rank(basis)
+    failures = {"centroid_in_qder": [], "centroid_compose_gder": [],
+                "qcentroid_brackets": []}
+    for k, gamma in product(k_range, gamma_range):
+        for M in solve_space(A, "centroid", k, gamma).basis:
+            if not member("qder", k, gamma, M):
+                failures["centroid_in_qder"].append({"k": k, "degree": list(gamma.components)})
+    for k, kp, gamma, gp in product(k_range, k_range, gamma_range, gamma_range):
+        for C in solve_space(A, "centroid", kp, gp).basis:
+            for D in solve_space(A, "gder", k, gamma).basis:
+                comp = mat_mul_direct(C, D)
+                pat = degree_pattern(A, gamma + gp)
+                for i, j in product(range(A.dim), repeat=2):
+                    if not comp[i][j].is_zero() and (i, j) not in pat:
+                        failures["centroid_compose_gder"].append(
+                            {"reason": "degree pattern", "k": k, "kp": kp})
+                if not member("gder", k + kp, gamma + gp, comp):
+                    failures["centroid_compose_gder"].append(
+                        {"k": k, "kp": kp, "degree": list((gamma + gp).components)})
+    for k, kp, gamma, gp in product(k_range, k_range, gamma_range, gamma_range):
+        e = A.eps(gamma, gp)
+        for D1 in solve_space(A, "qcentroid", k, gamma).basis:
+            for D2 in solve_space(A, "qcentroid", kp, gp).basis:
+                P, Q = mat_mul_direct(D1, D2), mat_mul_direct(D2, D1)
+                brk = [[p - e * q for p, q in zip(rp, rq)] for rp, rq in zip(P, Q)]
+                if not member("gder", k + kp, gamma + gp, brk):
+                    failures["qcentroid_brackets"].append(
+                        {"k": k, "kp": kp, "degree": list((gamma + gp).components)})
+    return {name: CheckResult(not items, items) for name, items in failures.items()}
 
 
 # The arity-2 cocycle families the worked Z2xZ2 example lists per degree
@@ -763,7 +835,7 @@ def _rescale(A: ColorHomAlgebra, scales):
          for i in range(A.dim)]
     Dinv = [[cs[i].inverse() if i == j else CycloScalar.zero(m)
              for j in range(A.dim)] for i in range(A.dim)]
-    alpha = linalg.mat_mul(D, linalg.mat_mul(A.alpha, Dinv))
+    alpha = mat_mul_direct(D, mat_mul_direct(A.alpha, Dinv))
     return ColorHomAlgebra(A.basis, A.eps, table, alpha, m, name=A.name + "_rescaled")
 
 

@@ -1,5 +1,6 @@
 """Exact elimination: the sparse solvers of ``linalg`` against the dense
-column-by-column Gauss-Jordan ``rref_direct``.
+column-by-column Gauss-Jordan ``rref_direct``; and the zero-skipping dense
+products ``mat_vec``/``mat_mul`` against the every-cell loops.
 
 Every solver goes through one sparse row type, {column: nonzero scalar}, and
 takes dense lists, sparse dicts or a mix of both.  The reduced row echelon
@@ -13,9 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorhomlie import linalg
-from colorhomlie.scalars_grading import CycloScalar
+from colorhomlie.scalars_grading import CycloScalar, ScalarError
 
-from conftest import rref_direct
+from conftest import mat_mul_direct, mat_vec_direct, rref_direct
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 ROOT_ORDERS = (1, 2, 3, 4)
@@ -223,3 +224,72 @@ def test_quotient_representatives_match_greedy_oracle(system, data):
     got = linalg.quotient_representatives(mixed, subspace)
     assert [as_dense(v, ncols, m) if isinstance(v, dict) else v for v in got] == \
         quotient_direct(rows, subspace)
+
+
+# -- the zero-skipping dense products ---------------------------------------------
+
+@st.composite
+def matrices(draw, m, nrows, ncols):
+    """An nrows x ncols matrix, sparse or dense; an all-zero row and an
+    all-zero column are each put in about half the time."""
+    entry = scalars(m, draw(st.booleans()))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                         min_size=nrows, max_size=nrows))
+    zero = CycloScalar.zero(m)
+    if nrows and draw(st.booleans()):
+        rows[draw(st.integers(0, nrows - 1))] = [zero] * ncols
+    if draw(st.booleans()):
+        c = draw(st.integers(0, ncols - 1))
+        rows = [row[:c] + [zero] + row[c + 1:] for row in rows]
+    return rows
+
+
+@PROPERTY
+@given(st.sampled_from(ROOT_ORDERS), st.integers(0, 5), st.integers(1, 5), st.data())
+def test_mat_vec_matches_every_cell_oracle(m, nrows, ncols, data):
+    M = data.draw(matrices(m, nrows, ncols))
+    v = data.draw(matrices(m, 1, ncols))[0]
+    assert linalg.mat_vec(M, v) == mat_vec_direct(M, v)
+
+
+@PROPERTY
+@given(st.sampled_from(ROOT_ORDERS), st.integers(0, 4), st.integers(1, 4),
+       st.integers(1, 4), st.data())
+def test_mat_mul_matches_every_cell_oracle(m, n, k, p, data):
+    A = data.draw(matrices(m, n, k))
+    B = data.draw(matrices(m, k, p))
+    assert linalg.mat_mul(A, B) == mat_mul_direct(A, B)
+
+
+@pytest.mark.parametrize("zero_operand", [False, True])
+def test_dense_products_reject_mixed_root_orders(zero_operand):
+    # a zero operand is skipped, not multiplied, and is still checked
+    def mat(m, value):
+        return [[CycloScalar.from_rational(value, m)] * 2 for _ in range(2)]
+    A, B = mat(2, 1), mat(3, 0 if zero_operand else 2)
+    with pytest.raises(ScalarError):
+        linalg.mat_vec(A, B[0])
+    with pytest.raises(ScalarError):
+        linalg.mat_mul(A, B)
+    with pytest.raises(ScalarError):
+        linalg.mat_mul(B, A)
+
+
+def test_mat_vec_multiplies_only_nonzero_pairs(monkeypatch):
+    m = 3
+    z, one, zeta = CycloScalar.zero(m), CycloScalar.one(m), CycloScalar.root_of_unity(m)
+    D = [[zeta, z, z, one], [z, z, z, z], [z, one, z, z], [one, z, zeta, z]]
+    v = [one, zeta, z, z]
+    want = mat_vec_direct(D, v)
+    calls = []
+    real_mul = CycloScalar.__mul__
+    def counting_mul(a, b):
+        calls.append((a, b))
+        return real_mul(a, b)
+    monkeypatch.setattr(CycloScalar, "__mul__", counting_mul)
+    got = linalg.mat_vec(D, v)
+    monkeypatch.undo()
+    assert got == want
+    assert all(not a.is_zero() and not b.is_zero() for a, b in calls)
+    assert len(calls) == sum(not D[i][j].is_zero() and not v[j].is_zero()
+                             for i in range(4) for j in range(4)) == 3

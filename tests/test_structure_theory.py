@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from colorhomlie import linalg
+from colorhomlie import linalg, structure_theory
+from colorhomlie.algebra_core import StructureConstants
 from colorhomlie.structure_theory import (KINDS, ProductAlgebraData,
                                           _defining_rows, _express_in_span,
                                           _partner_rows,
@@ -18,9 +19,9 @@ from colorhomlie.structure_theory import (KINDS, ProductAlgebraData,
                                           quasi_derivation_space,
                                           reverify_space, solve_space)
 from conftest import (build_algebra, defining_rows_direct, direct_sum,
-                      heis_zeta3, hom_jordan_direct, motion_z2z3,
-                      partner_rows_direct, random_multiplicative_algebra, sc,
-                      sl2c_z2z2, zero_algebra)
+                      heis_zeta3, hom_jordan_direct, inclusion_lattice_direct,
+                      motion_z2z3, partner_rows_direct,
+                      random_multiplicative_algebra, sc, sl2c_z2z2, zero_algebra)
 
 
 def all_degrees(A):
@@ -130,6 +131,21 @@ def test_inclusion_lattice_randomized(rng):
         report = check_inclusion_lattice(A, (0, 1), all_degrees(A))
         for name, result in report.items():
             assert result.ok, (A.name, name)
+
+
+@pytest.mark.parametrize("build, verdicts", [
+    (heis_zeta3, (True, True, False)),
+    (sl2c_z2z2, (True, True, True)),
+])
+def test_inclusion_lattice_matches_per_use_oracle(build, verdicts):
+    # heis_zeta3 fails qcentroid_brackets, so its failure list is compared too
+    A = build()
+    got = check_inclusion_lattice(A, range(3), all_degrees(A))
+    want = inclusion_lattice_direct(A, range(3), all_degrees(A))
+    assert {name: res.to_dict() for name, res in got.items()} == \
+        {name: res.to_dict() for name, res in want.items()}
+    assert tuple(got[name].ok for name in ("centroid_in_qder", "centroid_compose_gder",
+                                           "qcentroid_brackets")) == verdicts
 
 
 def test_jordan_product_square():
@@ -244,6 +260,36 @@ def test_hom_jordan_matches_quadruple_oracle(case):
     got = {name: res.to_dict() for name, res in check_hom_jordan(J).items()}
     assert got == {name: res.to_dict() for name, res in hom_jordan_direct(J).items()}
     assert (got["hcj1"]["ok"], got["hcj2"]["ok"]) == verdicts
+
+
+def test_hom_jordan_forms_each_eps_once_per_triple():
+    # eps(d_w, d_x + d_z) once per (w, x, z), plus one eps per pair for hcj1
+    J = quasi_centroid_jordan(heis_zeta3(), max_power=2)
+    want = {name: res.to_dict() for name, res in hom_jordan_direct(J).items()}
+    calls = []
+    eps = J.eps
+    def counting_eps(a, b):
+        calls.append((a, b))
+        return eps(a, b)
+    J.eps = counting_eps
+    got = {name: res.to_dict() for name, res in check_hom_jordan(J).items()}
+    assert got == want
+    assert len(calls) <= J.dim ** 3 + J.dim ** 2
+
+
+@pytest.mark.parametrize("build", [heis_zeta3, sl2c_z2z2])
+def test_reverify_is_independent_of_the_solver_rows(build, monkeypatch):
+    # reverify_space evaluates each identity pointwise: it must not reach the
+    # solver's row assembly or the derived-table product
+    A = build()
+    spaces = [solve_space(A, kind, k, g) for kind in KINDS for k in (0, 1)
+              for g in all_degrees(A)]
+    def forbidden(*args, **kwargs):
+        raise AssertionError("reverify_space reached the solver's code path")
+    monkeypatch.setattr(structure_theory, "_defining_rows", forbidden)
+    monkeypatch.setattr(StructureConstants, "precompose", forbidden)
+    for space in spaces:
+        assert reverify_space(A, space).ok, (space.kind, space.k, space.gamma)
 
 
 def _row_cases():
