@@ -11,12 +11,11 @@ genuinely needs more.
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
 from itertools import product
 
 from . import linalg
 from .scalars_grading import (BiCharacter, CycloScalar, FiniteAbelianGroup,
-                              GroupElement, format_scalar)
+                              GroupElement, Immutable, format_scalar)
 
 
 class AlgebraStructureError(ValueError):
@@ -31,19 +30,28 @@ class NotMultiplicativeError(AlgebraStructureError):
     pass
 
 
-@dataclass(frozen=True)
-class GradedBasis:
-    names: tuple
-    degrees: tuple  # GroupElement per basis vector
-    group: FiniteAbelianGroup
+class GradedBasis(Immutable):
+    __slots__ = ("names", "degrees", "group")  # degrees: a GroupElement per name
 
-    def __post_init__(self):
-        if len(set(self.names)) != len(self.names):
-            raise AlgebraStructureError(f"duplicate basis names in {self.names}")
-        for d in self.degrees:
-            if d.group != self.group:
+    def __init__(self, names: tuple, degrees: tuple, group: FiniteAbelianGroup):
+        if len(set(names)) != len(names):
+            raise AlgebraStructureError(f"duplicate basis names in {names}")
+        for d in degrees:
+            if d.group != group:
                 raise AlgebraStructureError(
                     f"degree {d} does not live in the declared grading group")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "group", group)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.names, self.degrees, self.group)
+                == (other.names, other.degrees, other.group))
+
+    def __hash__(self):
+        return hash((self.names, self.degrees, self.group))
 
     @property
     def dim(self) -> int:
@@ -250,21 +258,23 @@ class BracketTable(StructureConstants):
         return {(i, j): self.of_basis(i, j) for (i, j) in self.rows if i <= j}
 
 
-@dataclass
 class CheckResult:
-    ok: bool
-    failures: list = field(default_factory=list)
+    __slots__ = ("ok", "failures")
+
+    def __init__(self, ok: bool, failures=None):
+        self.ok, self.failures = ok, [] if failures is None else failures
 
     def to_dict(self):
         return {"ok": self.ok, "failures": self.failures}
 
 
-@dataclass
 class AxiomReport:
-    grading: CheckResult
-    skew: CheckResult
-    jacobi: CheckResult
-    multiplicative: CheckResult
+    __slots__ = ("grading", "skew", "jacobi", "multiplicative")
+
+    def __init__(self, grading: CheckResult, skew: CheckResult, jacobi: CheckResult,
+                 multiplicative: CheckResult):
+        self.grading, self.skew, self.jacobi = grading, skew, jacobi
+        self.multiplicative = multiplicative
 
     @property
     def is_color_hom_lie(self) -> bool:
@@ -276,13 +286,9 @@ class AxiomReport:
         return self.grading.ok and self.skew.ok and self.jacobi.ok and self.multiplicative.ok
 
     def to_dict(self):
-        return {
-            "grading": self.grading.to_dict(),
-            "skew": self.skew.to_dict(),
-            "jacobi": self.jacobi.to_dict(),
-            "multiplicative": self.multiplicative.to_dict(),
-            "is_color_hom_lie": self.is_color_hom_lie,
-        }
+        report = {name: getattr(self, name).to_dict() for name in self.__slots__}
+        report["is_color_hom_lie"] = self.is_color_hom_lie
+        return report
 
 
 class ColorHomAlgebra:
@@ -387,12 +393,8 @@ class ColorHomAlgebra:
 
 
 def check_color_hom_lie(A: ColorHomAlgebra) -> AxiomReport:
-    return AxiomReport(
-        grading=A.check_grading(),
-        skew=A.check_skew(),
-        jacobi=A.check_jacobi(),
-        multiplicative=A.check_multiplicative(),
-    )
+    return AxiomReport(A.check_grading(), A.check_skew(), A.check_jacobi(),
+                       A.check_multiplicative())
 
 
 class HomAssociativeColorAlgebra:

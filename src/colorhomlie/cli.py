@@ -11,24 +11,20 @@ import argparse
 import json
 import sys
 
+# Every subcommand loads fileio (and so algebra_core, representations and
+# scalars_grading); a handler imports the solver modules it runs itself.
 from .algebra_core import check_color_hom_lie, derived_algebra
-from .cohomology import cohomology_group
-from .deformations import (TruncatedBracket, check_deformation,
-                           composition_deformation, first_order_class)
-from .fileio import (ParseError, parse_algebra_file, parse_alpha_terms,
+from .fileio import (ParseError, _parse_square, parse_algebra_file, parse_alpha_terms,
                      parse_bracket_terms, parse_commutative_algebra_file,
-                     parse_matrix, parse_representation_document,
-                     serialize_matrix)
-from .hls_bracket import (SigmaDerivation, check_hls_jacobi,
-                          induced_bracket_table)
+                     parse_representation_document, serialize_matrix)
 from .morphisms_twists import (BudgetExceededError, enumerate_morphisms,
                                morphism_is_invertible, twist)
 from .representations import adjoint, alpha_s_adjoint
 from .scalars_grading import parse_scalar
-from .structure_theory import (KINDS, check_hom_jordan, quasi_centroid_jordan,
-                               reverify_space, solve_space)
 
 SCHEMA = 1
+# structure_theory.KINDS, spelt out so that building the parser loads no solver
+STRUCTURE_KINDS = ("der", "gder", "qder", "centroid", "qcentroid")
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -68,16 +64,18 @@ def _degree(A, text):
     return A.basis.group.element(comps)
 
 
+def _degrees(A, text):
+    """The degree given on the command line, or every degree of the group."""
+    return [_degree(A, text)] if text else list(A.basis.group.elements())
+
+
 def _matrix_arg(value: str, A, option: str):
     if value.lstrip().startswith("["):
         rows = json.loads(value)
     else:
         with open(value, "r", encoding="utf-8") as fh:
             rows = json.load(fh)
-    matrix = parse_matrix(rows, A.m, value)
-    if len(matrix) != A.dim or any(len(row) != A.dim for row in matrix):
-        raise ParseError(f"{option} must be a {A.dim}x{A.dim} matrix")
-    return matrix
+    return _parse_square(rows, A.dim, A.m, value, option)
 
 
 def cmd_validate(args) -> int:
@@ -99,14 +97,10 @@ def cmd_twists(args) -> int:
     entry_set = [parse_scalar(tok, A.m) for tok in args.entries.split(",")]
     morphs = enumerate_morphisms(A, entry_set, strict_even=args.strict_even,
                                  budget=args.budget)
-    items = []
-    for f in morphs:
-        items.append({
-            "matrix": serialize_matrix(f.matrix),
-            "even": f.even,
-            "invertible": morphism_is_invertible(f),
-            "twisted_bracket": twist(A, f).bracket.report(A.basis.names),
-        })
+    items = [{"matrix": serialize_matrix(matrix), "even": even,
+              "invertible": morphism_is_invertible(matrix),
+              "twisted_bracket": twist(A, matrix).bracket.report(A.basis.names)}
+             for matrix, even in morphs]
     doc = {"schema": SCHEMA, "command": "twists", "algebra": A.name,
            "entry_set": [str(s) for s in entry_set], "count": len(items),
            "morphisms": items}
@@ -116,6 +110,7 @@ def cmd_twists(args) -> int:
 
 
 def cmd_cohomology(args) -> int:
+    from .cohomology import cohomology_group
     A = parse_algebra_file(args.algebra)
     if args.module == "adjoint":
         R = adjoint(A)
@@ -124,10 +119,8 @@ def cmd_cohomology(args) -> int:
     else:
         with open(args.module, "r", encoding="utf-8") as fh:
             R = parse_representation_document(fh.read(), A)
-    degrees = ([_degree(A, args.degree)] if args.degree
-               else list(A.basis.group.elements()))
     results = []
-    for gamma in degrees:
+    for gamma in _degrees(A, args.degree):
         res = cohomology_group(A, R, args.n, args.r, gamma, restrict=args.restrict)
         results.append(res.to_dict())
     doc = {"schema": SCHEMA, "command": "cohomology", "algebra": A.name,
@@ -139,12 +132,11 @@ def cmd_cohomology(args) -> int:
 
 
 def cmd_structure(args) -> int:
+    from .structure_theory import reverify_space, solve_space
     A = parse_algebra_file(args.algebra)
-    degrees = ([_degree(A, args.degree)] if args.degree
-               else list(A.basis.group.elements()))
     spaces = []
     all_ok = True
-    for gamma in degrees:
+    for gamma in _degrees(A, args.degree):
         space = solve_space(A, args.kind, args.k, gamma)
         check = reverify_space(A, space)
         all_ok = all_ok and check.ok
@@ -163,6 +155,7 @@ def cmd_structure(args) -> int:
 
 
 def cmd_jordan(args) -> int:
+    from .structure_theory import check_hom_jordan, quasi_centroid_jordan
     A = parse_algebra_file(args.algebra)
     J = quasi_centroid_jordan(A, max_power=args.k)
     report = check_hom_jordan(J)
@@ -193,6 +186,7 @@ def cmd_derived(args) -> int:
 
 
 def cmd_hls(args) -> int:
+    from .hls_bracket import SigmaDerivation, check_hls_jacobi, induced_bracket_table
     C = parse_commutative_algebra_file(args.algebra)
     sigma = _matrix_arg(args.sigma, C, "--sigma")
     delta_map = _matrix_arg(args.delta_map, C, "--delta-map")
@@ -200,20 +194,19 @@ def cmd_hls(args) -> int:
     delta_scalar = parse_scalar(args.delta_scalar, C.m)
     D = SigmaDerivation(sigma, delta_map, grade, delta_scalar)
     report = check_hls_jacobi(C, D)
+    checks = ("sigma_endomorphism", "cd1", "cd2", "abc", "ijkl", "fgh", "mnop")
     doc = {"schema": SCHEMA, "command": "hls", "algebra": args.algebra,
-           "checks": {name: report[name].to_dict()
-                      for name in ("sigma_endomorphism", "cd1", "cd2", "abc",
-                                   "ijkl", "fgh", "mnop")},
+           "checks": {name: report[name].to_dict() for name in checks},
            "annihilator_dim": report["annihilator_dim"],
            "induced_bracket": induced_bracket_table(C, D)}
     _emit(doc, args)
-    ok = all(report[n].ok for n in ("sigma_endomorphism", "cd1", "cd2", "abc",
-                                    "ijkl", "fgh", "mnop"))
+    ok = all(report[name].ok for name in checks)
     _summary(f"hls: {'all identities pass' if ok else 'FAILED'}")
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def cmd_deform_check(args) -> int:
+    from .deformations import TruncatedBracket, check_deformation, first_order_class
     A = parse_algebra_file(args.algebra)
     with open(args.bracket_terms, "r", encoding="utf-8") as fh:
         terms = parse_bracket_terms(fh.read(), A)
@@ -225,9 +218,8 @@ def cmd_deform_check(args) -> int:
            "order": order,
            "orders": {str(s): res.to_dict() for s, res in per_order.items()}}
     if first is not None:
-        doc["first_order"] = {"is_cocycle": first["is_cocycle"]}
-        if "class_is_zero" in first:
-            doc["first_order"]["class_is_zero"] = first["class_is_zero"]
+        doc["first_order"] = {key: first[key] for key in ("is_cocycle", "class_is_zero")
+                              if key in first}
     _emit(doc, args)
     ok = all(res.ok for res in per_order.values())
     _summary(f"deform check: {'all orders pass' if ok else 'FAILED'}")
@@ -235,6 +227,7 @@ def cmd_deform_check(args) -> int:
 
 
 def cmd_deform_compose(args) -> int:
+    from .deformations import check_deformation, composition_deformation
     A = parse_algebra_file(args.algebra)
     with open(args.alpha_terms, "r", encoding="utf-8") as fh:
         alphas = parse_alpha_terms(fh.read(), A)
@@ -285,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("structure", help="derivation-type spaces")
     p.add_argument("--algebra", required=True)
-    p.add_argument("--kind", choices=KINDS, required=True)
+    p.add_argument("--kind", choices=STRUCTURE_KINDS, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--degree", default=None)
     p.set_defaults(func=cmd_structure)

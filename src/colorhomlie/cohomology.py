@@ -26,7 +26,6 @@ compatible subspace, so the inclusion B <= Z holds in both modes.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from . import linalg
@@ -49,18 +48,16 @@ def canonical_tuples(A: ColorHomAlgebra, n: int):
     return tuples
 
 
-@dataclass
 class CochainSpace:
-    algebra: ColorHomAlgebra
-    module: Representation
-    n: int
-    gamma: GroupElement
-    tuples: list
-    compat_basis: list  # vectors in free canonical coordinates
-    positions: dict = field(init=False, repr=False, compare=False)
+    __slots__ = ("algebra", "module", "n", "gamma", "tuples", "compat_basis",
+                 "positions")
 
-    def __post_init__(self):
-        self.positions = {tup: t for t, tup in enumerate(self.tuples)}
+    def __init__(self, algebra: ColorHomAlgebra, module: Representation, n: int,
+                 gamma: GroupElement, tuples: list, compat_basis: list):
+        self.algebra, self.module, self.n, self.gamma = algebra, module, n, gamma
+        self.tuples = tuples
+        self.compat_basis = compat_basis  # vectors in free canonical coordinates
+        self.positions = {tup: t for t, tup in enumerate(tuples)}
 
     @property
     def free_dim(self) -> int:
@@ -112,10 +109,12 @@ class CochainSpace:
         return out
 
 
-@dataclass
 class Cochain:
-    space: CochainSpace
-    coords: list  # free canonical coordinates
+    __slots__ = ("space", "coords")
+
+    def __init__(self, space: CochainSpace, coords: list):
+        self.space = space
+        self.coords = coords  # free canonical coordinates
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
@@ -418,14 +417,8 @@ def coboundary_of_coords(A: ColorHomAlgebra, R: Representation, space: CochainSp
                     between = between + degs[u]
                 sign = A.eps(between, degs[t])
                 factor = sign if t % 2 == 0 else -sign  # (-1)^t
-                args = []
-                for pos in range(n + 1):
-                    if pos == t:
-                        continue
-                    if pos == s:
-                        args.append(A.bracket.of_basis(tup[s], tup[t]))
-                    else:
-                        args.append(alpha_img[tup[pos]])
+                args = [A.bracket.of_basis(tup[s], tup[t]) if pos == s
+                        else alpha_img[tup[pos]] for pos in range(n + 1) if pos != t]
                 val = space.evaluate(coords, args)
                 acc = [a + factor * v for a, v in zip(acc, val)]
         # action terms (-1)^s eps(gamma + x_0 + ... + x_{s-1}, x_s) rho(...) f(...)
@@ -471,19 +464,17 @@ def delta_matrix(A: ColorHomAlgebra, R: Representation, n: int, r: int,
     return _dense([columns.get(c, {}) for c in range(ncols)], cx.free_dim(n + 1), A.m), space
 
 
-@dataclass
 class CohomologyResult:
-    n: int
-    r: int
-    gamma: GroupElement
-    restrict: str
-    dim_Z: int
-    dim_B: int
-    dim_H: int
-    cocycle_basis: list
-    coboundary_basis: list
-    representatives: list
-    space: CochainSpace
+    __slots__ = ("n", "r", "gamma", "restrict", "dim_Z", "dim_B", "dim_H",
+                 "cocycle_basis", "coboundary_basis", "representatives", "space")
+
+    def __init__(self, n: int, r: int, gamma: GroupElement, restrict: str,
+                 dim_Z: int, dim_B: int, dim_H: int, cocycle_basis: list,
+                 coboundary_basis: list, representatives: list, space: CochainSpace):
+        self.n, self.r, self.gamma, self.restrict = n, r, gamma, restrict
+        self.dim_Z, self.dim_B, self.dim_H = dim_Z, dim_B, dim_H
+        self.cocycle_basis, self.coboundary_basis = cocycle_basis, coboundary_basis
+        self.representatives, self.space = representatives, space
 
     def to_dict(self):
         def cochain_dicts(vectors):

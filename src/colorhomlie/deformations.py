@@ -13,7 +13,6 @@ twist is exactly what the composition construction satisfies.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 
@@ -30,26 +29,25 @@ class DeformationError(AlgebraStructureError):
     pass
 
 
-@dataclass
 class TruncatedBracket:
-    algebra: ColorHomAlgebra
-    order: int
-    terms: list                 # BracketTable per power of t; terms[0] = base bracket
-    alpha_terms: list = None    # matrix series for the twist; None = fixed base twist
-    endomorphism_failing_orders: list = field(default_factory=list)
+    __slots__ = ("algebra", "order", "terms", "alpha_terms",
+                 "endomorphism_failing_orders", "alphas")
 
-    def __post_init__(self):
-        if len(self.terms) != self.order + 1:
+    def __init__(self, algebra: ColorHomAlgebra, order: int, terms: list,
+                 alpha_terms: list = None, endomorphism_failing_orders: list = None):
+        if len(terms) != order + 1:
             raise DeformationError(
-                f"order {self.order} needs {self.order + 1} bracket terms, "
-                f"got {len(self.terms)}")
-        if not self.terms[0].equals(self.algebra.bracket):
+                f"order {order} needs {order + 1} bracket terms, got {len(terms)}")
+        if not terms[0].equals(algebra.bracket):
             raise DeformationError("term 0 must equal the base bracket")
-        if self.alpha_terms is not None and not self.alpha_terms:
+        if alpha_terms is not None and not alpha_terms:
             raise DeformationError("alpha_terms must be None or non-empty")
+        self.algebra, self.order = algebra, order
+        self.terms = terms  # BracketTable per power of t; terms[0] = base bracket
+        self.alpha_terms = alpha_terms  # matrix series for the twist; None = fixed
+        self.endomorphism_failing_orders = endomorphism_failing_orders or []
         # the twist series alpha_0..alpha_order, zero-padded
-        A = self.algebra
-        self.alphas = _padded(self.alpha_terms or [A.alpha], self.order, A.dim, A.m)
+        self.alphas = _padded(alpha_terms or [algebra.alpha], order, algebra.dim, algebra.m)
 
     def _term_report(self, check) -> CheckResult:
         """An axiom check of ColorHomAlgebra run on every term's table."""
@@ -128,13 +126,13 @@ def first_order_class(A: ColorHomAlgebra, B: TruncatedBracket) -> dict:
     return result
 
 
-@dataclass
 class FormalAutomorphism:
-    phis: list  # matrices phi_0, phi_1, ..., phi_k with phi_0 = Id
+    __slots__ = ("phis",)
 
-    def __post_init__(self):
-        if not self.phis:
+    def __init__(self, phis: list):
+        if not phis:
             raise DeformationError("formal automorphism needs at least phi_0")
+        self.phis = phis  # matrices phi_0, phi_1, ..., phi_k with phi_0 = Id
 
     def validate(self, A: ColorHomAlgebra) -> CheckResult:
         failures = []
@@ -149,9 +147,7 @@ class FormalAutomorphism:
         return CheckResult(not failures, failures)
 
     def coefficient(self, s: int, A: ColorHomAlgebra):
-        if s < len(self.phis):
-            return self.phis[s]
-        return None
+        return self.phis[s] if s < len(self.phis) else None
 
     def inverse_series(self, A: ColorHomAlgebra, order: int):
         """psi with phi_t o psi_t = Id mod t^(order+1); needs phi_0 = Id."""
@@ -269,10 +265,8 @@ def composition_deformation(L: ColorHomAlgebra, alphas, order: int = None,
         base = L
     # bracket alpha_t^(2^n - 1) o [.,.]_t = alpha_t^(2^n) o [.,.], twist alpha_t^(2^n)
     series = _matrix_series_power(alphas, 1 << derived, order, L.m, L.dim)
-    result = TruncatedBracket(base, order, [L.bracket.compose_with(a) for a in series],
-                              list(series))
-    result.endomorphism_failing_orders = failing_orders
-    return result
+    return TruncatedBracket(base, order, [L.bracket.compose_with(a) for a in series],
+                            list(series), failing_orders)
 
 
 def _matrix_series_power(alphas, power: int, order: int, m: int, dim: int):

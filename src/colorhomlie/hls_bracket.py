@@ -6,8 +6,6 @@ a central scalar; a general central element is a documented extension point.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from . import linalg
 from .algebra_core import (AlgebraStructureError, CheckResult, GradedBasis,
                            HomAssociativeColorAlgebra, StructureConstants,
@@ -33,12 +31,15 @@ class CommutativeColorAlgebra(HomAssociativeColorAlgebra):
         return CheckResult(False, [{"kind": "commutativity"}] + assoc.failures)
 
 
-@dataclass
 class SigmaDerivation:
-    sigma: list            # even algebra endomorphism, matrix
-    delta_map: list        # the twisted derivation, matrix
-    grade_d: GroupElement  # degree of the derivation
-    delta_scalar: CycloScalar
+    __slots__ = ("sigma", "delta_map", "grade_d", "delta_scalar")
+
+    def __init__(self, sigma: list, delta_map: list, grade_d: GroupElement,
+                 delta_scalar: CycloScalar):
+        # sigma: an even algebra endomorphism; delta_map: the twisted
+        # derivation, of degree grade_d; both are matrices
+        self.sigma, self.delta_map, self.grade_d = sigma, delta_map, grade_d
+        self.delta_scalar = delta_scalar
 
 
 def check_sigma_endomorphism(A: CommutativeColorAlgebra, sigma) -> CheckResult:
@@ -65,10 +66,9 @@ def check_sigma_derivation(A: CommutativeColorAlgebra, D: SigmaDerivation) -> di
             rhs = [a + e * b for a, b in
                    zip(A.mu.bilinear(di, A.basis_vector(j)), A.mu.bilinear(si, dj))]
             if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
-                lhs_s = [str(c) for c in lhs]
-                rhs_s = [str(c) for c in rhs]
                 cd2_failures.append({"pair": [A.basis.names[i], A.basis.names[j]],
-                                     "lhs": lhs_s, "rhs": rhs_s})
+                                     "lhs": [str(c) for c in lhs],
+                                     "rhs": [str(c) for c in rhs]})
     return {
         "sigma_endomorphism": check_sigma_endomorphism(A, D.sigma),
         "cd1": CheckResult(not cd1_failures, cd1_failures),

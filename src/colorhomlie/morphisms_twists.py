@@ -1,4 +1,4 @@
-"""Linear maps on a graded algebra, morphism verification, twists, enumeration.
+"""Bracket endomorphisms as matrices: morphism verification, twists, enumeration.
 
 Matrices act in the column convention: the image of the j-th basis vector is
 the j-th column.  Twisting composes the bracket with an algebra endomorphism
@@ -7,7 +7,6 @@ and multiplies the twist map from the left (new twist = beta . alpha).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from itertools import product
 
 from . import linalg
@@ -25,12 +24,6 @@ class NotAMorphismError(AlgebraStructureError):
     pass
 
 
-@dataclass
-class LinearMap:
-    matrix: list
-    even: bool
-
-
 def _is_even(A: ColorHomAlgebra, matrix) -> bool:
     """Even = maps each graded component into itself (sparsity vs degrees)."""
     for i in range(A.dim):
@@ -46,19 +39,17 @@ def verify_morphism(A: ColorHomAlgebra, f, strict_even: bool = False) -> bool:
     All ordered pairs are needed: for maps that move vectors across graded
     components the skew rule does not transport the (i,j) identity to (j,i).
     """
-    matrix = f.matrix if isinstance(f, LinearMap) else f
-    if strict_even and not _is_even(A, matrix):
+    if strict_even and not _is_even(A, f):
         return False
-    return next(A.bracket.endomorphism_failures(matrix), None) is None
+    return next(A.bracket.endomorphism_failures(f), None) is None
 
 
 def twist(A: ColorHomAlgebra, beta, name: str = "") -> ColorHomAlgebra:
     """Yau twist: bracket beta o [.,.] with twist map beta . alpha."""
-    matrix = beta.matrix if isinstance(beta, LinearMap) else beta
-    if not verify_morphism(A, matrix):
+    if not verify_morphism(A, beta):
         raise NotAMorphismError("twist requires a verified algebra endomorphism")
-    bracket = A.bracket.compose_with(matrix)
-    alpha = linalg.mat_mul(matrix, A.alpha)
+    bracket = A.bracket.compose_with(beta)
+    alpha = linalg.mat_mul(beta, A.alpha)
     return ColorHomAlgebra(A.basis, A.eps, bracket, alpha, A.m, name=name)
 
 
@@ -71,7 +62,8 @@ def current_budget(budget=None) -> int:
 
 def enumerate_morphisms(A: ColorHomAlgebra, entry_set, strict_even: bool = False,
                         budget=None):
-    """All dim x dim matrices over entry_set that are bracket endomorphisms.
+    """All dim x dim matrices over entry_set that are bracket endomorphisms,
+    as (matrix, even) pairs.
 
     The grid is exhausted column-wise: a column is the image of one basis
     vector, and whenever [e_i, e_i] = 0 a candidate column v must already
@@ -100,10 +92,10 @@ def enumerate_morphisms(A: ColorHomAlgebra, entry_set, strict_even: bool = False
     for combo in product(*per_index):
         matrix = [[combo[j][i] for j in range(n)] for i in range(n)]
         if verify_morphism(A, matrix, strict_even=strict_even):
-            found.append(LinearMap(matrix, _is_even(A, matrix)))
-    found.sort(key=lambda f: tuple(c.sort_key() for row in f.matrix for c in row))
+            found.append((matrix, _is_even(A, matrix)))
+    found.sort(key=lambda f: tuple(c.sort_key() for row in f[0] for c in row))
     return found
 
 
-def morphism_is_invertible(f: LinearMap) -> bool:
-    return linalg.rank(f.matrix) == len(f.matrix)
+def morphism_is_invertible(matrix) -> bool:
+    return linalg.rank(matrix) == len(matrix)

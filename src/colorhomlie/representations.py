@@ -6,23 +6,20 @@ acts by x -> [alpha^s(a), x]; s = -1 needs an invertible twist.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 from . import linalg
 from .algebra_core import (AlgebraStructureError, CheckResult, ColorHomAlgebra,
                            GradedBasis)
 from .scalars_grading import CycloScalar
 
 
-@dataclass
 class Representation:
-    carrier: GradedBasis
-    rho: list           # rho[i] = matrix of rho(e_i) on the carrier
-    beta: list
-    m: int
-    # algebra -> cohomology._Complex; R must not be mutated once it is used
-    _cochain_complexes: dict = field(default_factory=dict, init=False, repr=False,
-                                     compare=False)
+    __slots__ = ("carrier", "rho", "beta", "m", "_cochain_complexes", "__weakref__")
+
+    def __init__(self, carrier: GradedBasis, rho: list, beta: list, m: int):
+        # rho[i] is the matrix of rho(e_i) on the carrier
+        self.carrier, self.rho, self.beta, self.m = carrier, rho, beta, m
+        # algebra -> cohomology._Complex; R must not be mutated once it is used
+        self._cochain_complexes = {}
 
     @property
     def dim(self) -> int:

@@ -9,11 +9,10 @@ numerator is a single integer, so a product is one integer multiply.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, neg, sub
 
 
@@ -382,15 +381,39 @@ def format_scalar(s: CycloScalar) -> str:
 # finite abelian groups
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True, slots=True)
-class FiniteAbelianGroup:
+class Immutable:
+    """Base of the dict-key value types: slots are set once, by ``__init__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class FiniteAbelianGroup(Immutable):
     """Direct product of cyclic groups Z_{n_1} x ... x Z_{n_r}."""
 
-    orders: tuple
+    __slots__ = ("orders",)
 
-    def __post_init__(self):
-        if any(n < 1 for n in self.orders):
-            raise GroupMismatchError(f"cyclic orders must be positive: {self.orders}")
+    def __init__(self, orders: tuple):
+        if any(n < 1 for n in orders):
+            raise GroupMismatchError(f"cyclic orders must be positive: {orders}")
+        object.__setattr__(self, "orders", orders)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.orders == other.orders
+
+    def __hash__(self):
+        return hash((self.orders,))
 
     @property
     def rank(self) -> int:
@@ -398,18 +421,11 @@ class FiniteAbelianGroup:
 
     @property
     def size(self) -> int:
-        n = 1
-        for o in self.orders:
-            n *= o
-        return n
+        return prod(self.orders)
 
     @property
     def exponent(self) -> int:
-        e = 1
-        for o in self.orders:
-            g = _gcd(e, o)
-            e = e // g * o
-        return e
+        return lcm(*self.orders)
 
     def element(self, components) -> "GroupElement":
         comps = tuple(c % n for c, n in zip(components, self.orders))
@@ -426,16 +442,20 @@ class FiniteAbelianGroup:
             yield GroupElement(comps, self)
 
 
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
+class GroupElement(Immutable):
+    __slots__ = ("components", "group")
 
+    def __init__(self, components: tuple, group: FiniteAbelianGroup):
+        object.__setattr__(self, "components", components)
+        object.__setattr__(self, "group", group)
 
-@dataclass(frozen=True, slots=True)
-class GroupElement:
-    components: tuple
-    group: FiniteAbelianGroup
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.components, self.group) == (other.components, other.group)
+
+    def __hash__(self):
+        return hash((self.components, self.group))
 
     def _check(self, other: "GroupElement"):
         if self.group != other.group:

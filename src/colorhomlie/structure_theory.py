@@ -7,7 +7,6 @@ its defining identity through an evaluation path independent of the solver.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import product
 
 from . import linalg
@@ -18,12 +17,12 @@ from .scalars_grading import BiCharacter, CycloScalar, GroupElement
 KINDS = ("der", "gder", "qder", "centroid", "qcentroid")
 
 
-@dataclass
 class HomogeneousMapSpace:
-    kind: str
-    k: int
-    gamma: GroupElement
-    basis: list  # spanning matrices
+    __slots__ = ("kind", "k", "gamma", "basis")
+
+    def __init__(self, kind: str, k: int, gamma: GroupElement, basis: list):
+        self.kind, self.k, self.gamma = kind, k, gamma
+        self.basis = basis  # spanning matrices
 
     @property
     def dim(self) -> int:
@@ -149,6 +148,8 @@ def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
 
 def _solve_space(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
                  commute: bool) -> HomogeneousMapSpace:
+    if k < 0:
+        raise ValueError("twist power must be non-negative")
     pattern = degree_pattern(A, gamma)
     if not pattern:
         return HomogeneousMapSpace(kind, k, gamma, [])
@@ -162,36 +163,26 @@ def _solve_space(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
 
 
 def derivation_space(A: ColorHomAlgebra, k: int, gamma: GroupElement) -> HomogeneousMapSpace:
-    if k < 0:
-        raise ValueError("twist power must be non-negative")
     return _solve_space(A, k, gamma, "der", commute=True)
 
 
 def generalized_derivation_space(A: ColorHomAlgebra, k: int, gamma: GroupElement
                                  ) -> HomogeneousMapSpace:
-    if k < 0:
-        raise ValueError("twist power must be non-negative")
     return _solve_space(A, k, gamma, "gder", commute=True)
 
 
 def quasi_derivation_space(A: ColorHomAlgebra, k: int, gamma: GroupElement
                            ) -> HomogeneousMapSpace:
-    if k < 0:
-        raise ValueError("twist power must be non-negative")
     return _solve_space(A, k, gamma, "qder", commute=True)
 
 
 def centroid_space(A: ColorHomAlgebra, k: int, gamma: GroupElement,
                    commute_with_alpha: bool = True) -> HomogeneousMapSpace:
-    if k < 0:
-        raise ValueError("twist power must be non-negative")
     return _solve_space(A, k, gamma, "centroid", commute=commute_with_alpha)
 
 
 def quasi_centroid_space(A: ColorHomAlgebra, k: int, gamma: GroupElement,
                          commute_with_alpha: bool = False) -> HomogeneousMapSpace:
-    if k < 0:
-        raise ValueError("twist power must be non-negative")
     return _solve_space(A, k, gamma, "qcentroid", commute=commute_with_alpha)
 
 
@@ -295,12 +286,6 @@ def _direct_identity_holds(A: ColorHomAlgebra, kind: str, k: int,
         # these kinds require [D, alpha] = 0
         if not linalg.mat_eq(linalg.mat_mul(D, A.alpha), linalg.mat_mul(A.alpha, D)):
             return False
-    def check_pair(identity):
-        for x in range(A.dim):
-            for y in range(A.dim):
-                if not identity(x, y):
-                    return False
-        return True
     if kind in ("der", "centroid", "qcentroid"):
         # a^k e_x and D e_x once per x; D and the bracket are applied per pair
         ak = A.alpha_power(k)
@@ -318,7 +303,7 @@ def _direct_identity_holds(A: ColorHomAlgebra, kind: str, k: int,
                 return (all((p - q).is_zero() for p, q in zip(dxy, left)) and
                         all((p - e * q).is_zero() for p, q in zip(dxy, right)))
             return all((p - e * q).is_zero() for p, q in zip(left, right))
-        return check_pair(identity)
+        return all(identity(x, y) for x in range(A.dim) for y in range(A.dim))
     if kind in ("qder", "gder"):
         return _partner_solution(A, k, gamma, D, kind) is not None
     raise ValueError(kind)
@@ -341,20 +326,19 @@ def jordan_product(D1, gamma1: GroupElement, D2, gamma2: GroupElement,
                           linalg.mat_scale(e, linalg.mat_mul(D2, D1)))
 
 
-@dataclass
 class ProductAlgebraData:
     """A graded product on an operator span: basis matrices with degrees,
     dense product table in span coordinates, and the twist action."""
-    matrices: list
-    degrees: list
-    table: list      # table[i][j] -> coordinate vector over the span
-    alpha_action: list  # matrix of conjugation by alpha on the span
-    eps: BiCharacter
-    m: int
-    mu: StructureConstants = field(init=False)  # the product, from table
 
-    def __post_init__(self):
-        self.mu = StructureConstants.of_cells(self.table, self.m)
+    __slots__ = ("matrices", "degrees", "table", "alpha_action", "eps", "m", "mu")
+
+    def __init__(self, matrices: list, degrees: list, table: list,
+                 alpha_action: list, eps: BiCharacter, m: int):
+        self.matrices, self.degrees = matrices, degrees
+        self.table = table  # table[i][j] -> coordinate vector over the span
+        self.alpha_action = alpha_action  # conjugation by alpha on the span
+        self.eps, self.m = eps, m
+        self.mu = StructureConstants.of_cells(table, m)  # the product
 
     @property
     def dim(self):

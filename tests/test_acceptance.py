@@ -340,14 +340,14 @@ def test_a2_enumeration_and_extras():
     started = time.monotonic()
     found = enumerate_morphisms(A, [sc(-1, A.m), sc(0, A.m), sc(1, A.m)])
     elapsed = time.monotonic() - started
-    keys = {tuple(tuple(str(c) for c in row) for row in f.matrix) for f in found}
+    keys = {tuple(tuple(str(c) for c in row) for row in f) for f, _ in found}
     bundle = _bundle_matrices(A)
     ok = elapsed < 10.0
     for k, M in bundle.items():
         ok = ok and tuple(tuple(str(c) for c in row) for row in M) in keys
-    extras = [f for f in found if not morphism_is_invertible(f)]
+    extras = [f for f, _ in found if not morphism_is_invertible(f)]
     for f in extras:
-        ok = ok and verify_morphism(A, f.matrix)  # independent oracle re-check
+        ok = ok and verify_morphism(A, f)  # independent oracle re-check
     ok = ok and len(found) == 25 and len(extras) == 1
     assert conclude("A2-enumeration", ok, f"count={len(found)} elapsed={elapsed:.2f}s")
 
@@ -527,7 +527,7 @@ def test_a4_square_zero_50_random_algebras():
 def test_a5_twist_and_derived_closure():
     A = _sl2c_z2z3()
     ok = True
-    for f in enumerate_morphisms(A, [sc(-1, A.m), sc(0, A.m), sc(1, A.m)]):
+    for f, _ in enumerate_morphisms(A, [sc(-1, A.m), sc(0, A.m), sc(1, A.m)]):
         report = check_color_hom_lie(twist(A, f))
         ok = ok and report.is_color_hom_lie and report.multiplicative.ok
     for path in ("sl2c_z2z2.alg", "sl2c_z2z3.alg", "motion_z2z3.alg"):

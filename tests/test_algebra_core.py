@@ -451,3 +451,27 @@ def test_bracket_redundant_input_under_asymmetric_eps():
     with pytest.raises(AlgebraStructureError):
         BracketTable(basis, eps, {(0, 1): [zero, zero, zero],
                                   (1, 0): [zero, zero, one]}, 3)
+
+
+def test_graded_basis_value_semantics():
+    """Bases are compared and hashed by names, degrees and group, and are
+    immutable slotted values."""
+    G = FiniteAbelianGroup((2, 2))
+    degrees = (G.element((1, 0)), G.element((0, 1)))
+    basis = GradedBasis(("a", "b"), degrees, G)
+    same = GradedBasis(("a", "b"), (G.element((1, 0)), G.element((0, 1))),
+                       FiniteAbelianGroup((2, 2)))
+    assert basis == same and basis is not same
+    assert basis != GradedBasis(("a", "c"), degrees, G)
+    other = FiniteAbelianGroup((2, 4))
+    assert basis != GradedBasis(("a", "b"), tuple(other.element(d.components)
+                                                  for d in degrees), other)
+    assert hash(basis) == hash(same) == hash((("a", "b"), degrees, G))
+    assert not hasattr(basis, "__dict__")
+    for field in ("names", "degrees", "group", "extra"):
+        with pytest.raises(AttributeError):
+            setattr(basis, field, ())
+    with pytest.raises(AlgebraStructureError):
+        GradedBasis(("a", "a"), degrees, G)
+    with pytest.raises(AlgebraStructureError):
+        GradedBasis(("a",), (other.element((1, 0)),), G)

@@ -123,6 +123,14 @@ def test_structure_cli(capsys):
     assert all(s["reverified"] for s in doc["spaces"])
 
 
+def test_structure_kinds_match_the_solver_and_unknown_kinds_are_usage_errors(capsys):
+    from colorhomlie import cli, structure_theory
+    assert cli.STRUCTURE_KINDS == structure_theory.KINDS
+    code, out, _ = run_cli([
+        "structure", "--algebra", data_path("sl2c_z2z2.alg"), "--kind", "nope"], capsys)
+    assert code == 2 and out == ""
+
+
 def test_jordan_cli(capsys):
     code, out, _ = run_cli([
         "jordan", "--algebra", data_path("sl2c_z2z2.alg"), "--k", "2"], capsys)

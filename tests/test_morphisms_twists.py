@@ -90,18 +90,18 @@ def test_enumeration_finds_the_24_plus_zero(sl2_morphisms=None):
     A = sl2c_z2z3()
     found = enumerate_morphisms(A, [sc(-1), sc(0), sc(1)])
     assert len(found) == 25
-    invertible = [f for f in found if morphism_is_invertible(f)]
+    invertible = [f for f, _ in found if morphism_is_invertible(f)]
     assert len(invertible) == 24
     bundle = load_bundle(A)
-    found_keys = {tuple(tuple(str(c) for c in row) for row in f.matrix)
-                  for f in found}
+    found_keys = {tuple(tuple(str(c) for c in row) for row in f)
+                  for f, _ in found}
     for name, M in bundle.items():
         key = tuple(tuple(str(c) for c in row) for row in M)
         assert key in found_keys, name
     # the only extra is the zero map
-    extras = [f for f in found if not morphism_is_invertible(f)]
+    extras = [f for f, _ in found if not morphism_is_invertible(f)]
     assert len(extras) == 1
-    assert all(c.is_zero() for row in extras[0].matrix for c in row)
+    assert all(c.is_zero() for row in extras[0] for c in row)
 
 
 def test_enumerated_morphisms_recheck_independently():
@@ -109,11 +109,11 @@ def test_enumerated_morphisms_recheck_independently():
     A = motion_z2z3()
     found = enumerate_morphisms(A, [sc(0), sc(1)])
     assert found
-    for f in found:
-        cols = [[f.matrix[i][j] for i in range(3)] for j in range(3)]
+    for f, _ in found:
+        cols = [[f[i][j] for i in range(3)] for j in range(3)]
         for i in range(3):
             for j in range(3):
-                lhs = linalg.mat_vec(f.matrix, A.bracket.of_basis(i, j))
+                lhs = linalg.mat_vec(f, A.bracket.of_basis(i, j))
                 rhs = A.bracket.bilinear(cols[i], cols[j])
                 assert all((a - b).is_zero() for a, b in zip(lhs, rhs))
         # every morphism annihilates the written relation [e2, e3] = 0
@@ -123,7 +123,7 @@ def test_enumerated_morphisms_recheck_independently():
 
 def test_twists_of_enumerated_morphisms_satisfy_the_hom_axioms():
     A = sl2c_z2z3()
-    for f in enumerate_morphisms(A, [sc(-1), sc(0), sc(1)]):
+    for f, _ in enumerate_morphisms(A, [sc(-1), sc(0), sc(1)]):
         T = twist(A, f)
         report = check_color_hom_lie(T)
         assert report.is_color_hom_lie
@@ -133,7 +133,7 @@ def test_twists_of_enumerated_morphisms_satisfy_the_hom_axioms():
 def test_composition_closure_of_enumerated_morphisms():
     A = sl2c_z2z3()
     found = enumerate_morphisms(A, [sc(-1), sc(0), sc(1)])
-    mats = [f.matrix for f in found]
+    mats = [f for f, _ in found]
     for f in mats[:6]:
         for g in mats[:6]:
             assert verify_morphism(A, linalg.mat_mul(f, g))
@@ -144,14 +144,14 @@ def test_strict_even_filters_component_movers():
     relaxed = enumerate_morphisms(A, [sc(-1), sc(0), sc(1)])
     strict = enumerate_morphisms(A, [sc(-1), sc(0), sc(1)], strict_even=True)
     assert len(strict) < len(relaxed)
-    for f in strict:
-        assert f.even
+    for f, even in strict:
+        assert even and verify_morphism(A, f, strict_even=True)
 
 
 def test_enumeration_is_deterministic_and_lexicographic():
     A = zero_algebra([2, 2], [[0, 1], [1, 0]], 2, [(1, 0), (0, 1)])
     run1 = enumerate_morphisms(A, [sc(1), sc(0)])
     run2 = enumerate_morphisms(A, [sc(0), sc(1)])
-    key1 = [tuple(str(c) for row in f.matrix for c in row) for f in run1]
-    key2 = [tuple(str(c) for row in f.matrix for c in row) for f in run2]
+    key1 = [tuple(str(c) for row in f for c in row) for f, _ in run1]
+    key2 = [tuple(str(c) for row in f for c in row) for f, _ in run2]
     assert key1 == key2  # entry order normalized by the canonical scalar key

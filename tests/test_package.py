@@ -1,0 +1,133 @@
+"""The package surface: public names, lazy loading, no dataclasses.
+
+The import checks run in fresh interpreters, since the test process has
+long since imported every module.
+"""
+import ast
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+import colorhomlie
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(colorhomlie.__file__)))
+PACKAGE_DIR = os.path.join(SRC, "colorhomlie")
+ALG = os.path.join(PACKAGE_DIR, "data", "sl2c_z2z2.alg")
+QWITT = os.path.join(PACKAGE_DIR, "data", "qwitt_trunc_q2.alg")
+
+# every name the package exported when it imported each module eagerly,
+# less the removed LinearMap
+PUBLIC_NAMES = """
+AxiomReport BiCharacter BracketTable BudgetExceededError CheckResult Cochain
+CochainSpace ColorHomAlgebra CommutativeColorAlgebra CycloScalar
+FiniteAbelianGroup FormalAutomorphism GradedBasis GroupElement
+HomAssociativeColorAlgebra HomogeneousMapSpace Representation SigmaDerivation
+StructureConstants TruncatedBracket adjoint alpha_s_adjoint annihilator
+centroid_space check_ann_invariance check_coadjoint_condition
+check_color_hom_lie check_deformation check_equivalence check_hls_jacobi
+check_hom_jordan check_inclusion_lattice check_module check_representation
+check_sigma_derivation coboundary cochain_basis cohomology_group
+commutator_algebra composition_deformation cyclo_reduce delta_matrix
+derivation_space derived_algebra dual_representation enumerate_morphisms
+first_order_class format_scalar generalized_derivation_space hls_bracket
+jordan_product parse_algebra_document parse_algebra_file parse_scalar
+quasi_centroid_jordan quasi_centroid_space quasi_derivation_space reorder_sign
+serialize_algebra transport_bracket twist verify_morphism
+""".split()
+
+
+def run_fresh(script: str) -> dict:
+    """Run ``script`` in a new interpreter; it prints one JSON document."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+HLS_RUN = f"""
+import contextlib, io
+import colorhomlie.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    assert colorhomlie.cli.run_command([
+        "hls", "--algebra", {QWITT!r},
+        "--sigma", '[["1","0","0"],["0","2","0"],["0","0","4"]]',
+        "--delta-map", '[["0","1","0"],["0","0","3"],["0","0","0"]]',
+        "--delta-scalar", "2"]) == 1
+"""
+
+
+@pytest.mark.parametrize("before", ["", "import colorhomlie.cli", HLS_RUN],
+                         ids=["fresh", "after-cli-import", "after-hls-run"])
+def test_public_names_resolve_to_their_defining_objects(before):
+    """``from colorhomlie import X`` gives the object its module defines,
+    also once the CLI has imported ``colorhomlie.hls_bracket``, which must
+    not rebind the package's ``hls_bracket`` from the function to the module."""
+    script = before + f"""
+import json, sys, types
+import colorhomlie
+wrong = []
+for name in {PUBLIC_NAMES!r}:
+    namespace = {{}}
+    exec(f"from colorhomlie import {{name}} as obj", namespace)
+    obj = namespace["obj"]
+    home = sys.modules.get(getattr(obj, "__module__", None) or "")
+    if home is None or home is colorhomlie or getattr(home, name, None) is not obj:
+        wrong.append(name)
+if not isinstance(colorhomlie.hls_bracket, types.FunctionType):
+    wrong.append("colorhomlie.hls_bracket")
+print(json.dumps(wrong))
+"""
+    assert run_fresh(script) == []
+    assert sorted(colorhomlie.__all__) == sorted(PUBLIC_NAMES)
+    assert set(PUBLIC_NAMES) <= set(dir(colorhomlie))
+
+
+def test_import_loads_no_submodule_and_validate_loads_no_hls_or_deformations():
+    script = f"""
+import contextlib, io, json, sys
+import colorhomlie
+bare = sorted(n for n in sys.modules if n.startswith("colorhomlie."))
+import colorhomlie.cli
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = colorhomlie.cli.run_command(["validate", {ALG!r}])
+print(json.dumps({{"bare": bare, "code": code,
+                  "loaded": sorted(n for n in sys.modules if n.startswith("colorhomlie."))}}))
+"""
+    out = run_fresh(script)
+    assert out["bare"] == [] and out["code"] == 0
+    assert "colorhomlie.algebra_core" in out["loaded"]
+    for lazy in ("deformations", "hls_bracket", "cohomology", "structure_theory"):
+        assert f"colorhomlie.{lazy}" not in out["loaded"], lazy
+
+
+def test_submodules_stay_reachable_as_package_attributes():
+    out = run_fresh("""
+import json, colorhomlie
+print(json.dumps([colorhomlie.cohomology.__name__, colorhomlie.linalg.__name__,
+                  callable(colorhomlie.hls_bracket)]))
+""")
+    assert out == ["colorhomlie.cohomology", "colorhomlie.linalg", True]
+
+
+def test_no_module_imports_dataclasses():
+    """Decorating a class costs more than compiling it; the package writes
+    plain slotted classes."""
+    offenders = []
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                continue
+            if any(m.split(".")[0] == "dataclasses" for m in modules):
+                offenders.append(f"{name}:{node.lineno}")
+    assert offenders == []

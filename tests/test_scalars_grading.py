@@ -352,3 +352,35 @@ def test_sort_with_sign_decomposition_independent():
         order = sorted(range(4), key=lambda i: (tup[i], i))
         perm_sign = reorder_sign([degs[i] for i in tup], order, eps)
         assert (sign - perm_sign).is_zero()
+
+
+def _assert_frozen_slots(value, field):
+    assert not hasattr(value, "__dict__")
+    with pytest.raises(AttributeError):
+        setattr(value, field, getattr(value, field))
+    with pytest.raises(AttributeError):
+        value.extra = 1
+    with pytest.raises(AttributeError):
+        delattr(value, field)
+
+
+def test_group_and_element_value_semantics():
+    """Groups and elements key dicts: equality, hash and immutability are
+    those of a frozen record over their fields."""
+    G, H = FiniteAbelianGroup((2, 2)), FiniteAbelianGroup((2, 2))
+    K = FiniteAbelianGroup((2, 3))
+    assert G == H and G is not H and G != K and G != (2, 2)
+    assert hash(G) == hash(H) == hash(((2, 2),))
+    g, h = G.element((1, 0)), H.element((1, 0))
+    assert g == h and g != G.element((0, 1)) and g != (1, 0)
+    assert g != FiniteAbelianGroup((2, 4)).element((1, 0))  # same components
+    assert hash(g) == hash(h) == hash(((1, 0), G))
+    assert {g: "a"}[h] == "a" and len({g, h, G.element((1, 0))}) == 1
+    _assert_frozen_slots(G, "orders")
+    _assert_frozen_slots(g, "components")
+    _assert_frozen_slots(g, "group")
+    assert repr(g) == ("GroupElement(components=(1, 0), "
+                       "group=FiniteAbelianGroup(orders=(2, 2)))")
+    assert (K.size, K.exponent, FiniteAbelianGroup((2, 4, 6)).exponent) == (6, 6, 12)
+    with pytest.raises(scalars_grading.GroupMismatchError):
+        FiniteAbelianGroup((2, 0))
