@@ -156,16 +156,24 @@ class StructureConstants:
             key: linalg.mat_vec(matrix, self.of_basis(*key)) for key in self.rows}).rows
         return out
 
+    def mapped_row(self, i: int, j: int, cols):
+        """f(c(e_i, e_j)) as {k: nonzero scalar}; f has the sparse columns cols."""
+        acc = {}
+        for k, c in self.rows.get((i, j), {}).items():
+            _add_scaled(acc, c, cols[k])
+        return linalg._sparse(acc)
+
     def endomorphism_failures(self, matrix):
-        """The basis pairs (i, j), in order, with matrix(c(e_i, e_j)) !=
-        c(matrix e_i, matrix e_j)."""
-        cols = [[row[j] for row in matrix] for j in range(self.dim)]
-        for i in range(self.dim):
-            for j in range(self.dim):
-                lhs = linalg.mat_vec(matrix, self.of_basis(i, j))
-                rhs = self.bilinear(cols[i], cols[j])
-                if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
-                    yield i, j
+        """The basis pairs (i, j), in row-major order, with matrix(c(e_i, e_j))
+        != c(matrix e_i, matrix e_j), both sides formed on sparse columns."""
+        cols = [linalg._sparse([row[j] for row in matrix]) for j in range(self.dim)]
+        for i, j in product(range(self.dim), repeat=2):
+            rhs = {}
+            for (a, x), (b, y) in product(cols[i].items(), cols[j].items()):
+                if (a, b) in self.rows:
+                    _add_scaled(rhs, x * y, self.rows[(a, b)])
+            if self.mapped_row(i, j, cols) != linalg._sparse(rhs):
+                yield i, j
 
     def is_zero(self) -> bool:
         return not self.rows

@@ -8,6 +8,7 @@ byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -94,7 +95,7 @@ def cmd_validate(args) -> int:
 
 def cmd_twists(args) -> int:
     A = parse_algebra_file(args.algebra)
-    entry_set = [parse_scalar(tok, A.m) for tok in args.entries.split(",")]
+    entry_set = list(dict.fromkeys(parse_scalar(t, A.m) for t in args.entries.split(",")))
     morphs = enumerate_morphisms(A, entry_set, strict_even=args.strict_even,
                                  budget=args.budget)
     items = [{"matrix": serialize_matrix(matrix), "even": even,
@@ -105,7 +106,7 @@ def cmd_twists(args) -> int:
            "entry_set": [str(s) for s in entry_set], "count": len(items),
            "morphisms": items}
     _emit(doc, args)
-    _summary(f"twists: {len(items)} morphisms over {{{args.entries}}}")
+    _summary(f"twists: {len(items)} morphisms over {{{','.join(doc['entry_set'])}}}")
     return EXIT_OK
 
 
@@ -244,7 +245,9 @@ def cmd_deform_compose(args) -> int:
     return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line parser, built once per process: do not modify it."""
     parser = argparse.ArgumentParser(
         prog="colorhom",
         description="Exact computer algebra for graded color Hom-Lie algebras")
@@ -343,9 +346,8 @@ def _merge_dash_values(argv):
 
 
 def run_command(argv) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(_merge_dash_values(list(argv)))
+        args = build_parser().parse_args(_merge_dash_values(list(argv)))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -6,6 +6,7 @@ and multiplies the twist map from the left (new twist = beta . alpha).
 """
 from __future__ import annotations
 
+import functools
 import os
 from itertools import product
 
@@ -62,38 +63,57 @@ def current_budget(budget=None) -> int:
 
 def enumerate_morphisms(A: ColorHomAlgebra, entry_set, strict_even: bool = False,
                         budget=None):
-    """All dim x dim matrices over entry_set that are bracket endomorphisms,
-    as (matrix, even) pairs.
+    """All dim x dim matrices over the distinct values of entry_set that are
+    bracket endomorphisms, as (matrix, even) pairs.
 
-    The grid is exhausted column-wise: a column is the image of one basis
-    vector, and whenever [e_i, e_i] = 0 a candidate column v must already
-    satisfy [v, v] = 0, which prunes most of the grid before the full pair
-    check runs.  Results are sorted by the canonical scalar key of their
-    row-major entries, so the list is deterministic and lexicographic.
+    The budget counts the whole grid.  The search fixes the columns (images
+    of the basis vectors) in order and checks f([e_i, e_j]) = [f e_i, f e_j]
+    once columns i, j and the support of [e_i, e_j] are fixed, evaluating
+    each bracket of two candidate columns once; verify_morphism re-checks
+    each result.  Results are in the canonical order of their row-major entries.
     """
-    entries = sorted(entry_set, key=lambda s: s.sort_key())
-    n = A.dim
+    entries = sorted(set(entry_set), key=lambda s: s.sort_key())
+    n, bracket = A.dim, A.bracket
     total = len(entries) ** (n * n)
     limit = current_budget(budget)
     if total > limit:
         raise BudgetExceededError(
             f"{len(entries)}^{n * n} = {total} candidates exceed budget {limit}")
-    all_columns = [list(col) for col in product(entries, repeat=n)]
-    per_index = []
-    for i in range(n):
-        self_bracket = A.bracket.of_basis(i, i)
-        if all(c.is_zero() for c in self_bracket):
-            cols = [v for v in all_columns
-                    if all(c.is_zero() for c in A.bracket.bilinear(v, v))]
-        else:
-            cols = all_columns
-        per_index.append(cols)
-    found = []
-    for combo in product(*per_index):
-        matrix = [[combo[j][i] for j in range(n)] for i in range(n)]
-        if verify_morphism(A, matrix, strict_even=strict_even):
-            found.append((matrix, _is_even(A, matrix)))
-    found.sort(key=lambda f: tuple(c.sort_key() for row in f[0] for c in row))
+    columns = [list(col) for col in product(entries, repeat=n)]
+    sparse = [linalg._sparse(col) for col in columns]
+    even = [{p for p, col in enumerate(sparse) if all(A.degree(k) == A.degree(d) for k in col)}
+            for d in range(n)]
+    # per column d, the pairs checked once it is fixed, and those that need it alone
+    alone, checks = [[] for _ in range(n)], [[] for _ in range(n)]
+    for i, j in product(range(n), repeat=2):
+        row = bracket.rows.get((i, j), {})
+        (alone if i == j and set(row) <= {i} else checks)[max(i, j, *row)].append((i, j))
+    chosen, cols = [0] * n, [None] * n
+
+    @functools.cache
+    def image(p, q):
+        return linalg._sparse(bracket.bilinear(columns[p], columns[q]))
+
+    def fits(d, p, pairs):
+        chosen[d], cols[d] = p, sparse[p]
+        return all(bracket.mapped_row(i, j, cols) == image(chosen[i], chosen[j])
+                   for i, j in pairs)
+
+    def extend(d):
+        """Yield (matrix, even) for each completion of the columns before d."""
+        if d == n:
+            yield ([[columns[chosen[j]][i] for j in range(n)] for i in range(n)],
+                   all(chosen[t] in even[t] for t in range(n)))
+            return
+        for p in per_index[d]:
+            if fits(d, p, checks[d]):
+                yield from extend(d + 1)
+
+    per_index = [[p for p in range(len(columns)) if (not strict_even or p in even[d])
+                  and fits(d, p, alone[d])] for d in range(n)]
+    found = [(f, e) for f, e in extend(0)
+             if verify_morphism(A, f, strict_even=strict_even)]
+    found.sort(key=lambda f: tuple(entries.index(c) for row in f[0] for c in row))
     return found
 
 

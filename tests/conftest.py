@@ -248,6 +248,49 @@ def check_multiplicative_direct(A):
     return CheckResult(not failures, failures)
 
 
+def endomorphism_failures_direct(table, matrix):
+    """The dense pair loop: an oracle for the sparse
+    ``StructureConstants.endomorphism_failures``."""
+    cols = [[row[j] for row in matrix] for j in range(table.dim)]
+    failures = []
+    for i in range(table.dim):
+        for j in range(table.dim):
+            lhs = linalg.mat_vec(matrix, table.of_basis(i, j))
+            rhs = table.bilinear(cols[i], cols[j])
+            if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
+                failures.append((i, j))
+    return failures
+
+
+def _is_even_direct(A, matrix):
+    return all(matrix[i][j].is_zero() or A.degree(i) == A.degree(j)
+               for i in range(A.dim) for j in range(A.dim))
+
+
+def enumerate_morphisms_direct(A, entry_set, strict_even=False):
+    """The full product over the columns left after the [v, v] = 0 pruning,
+    each candidate checked on every pair: an oracle for the column search of
+    ``enumerate_morphisms`` (no budget)."""
+    entries = sorted(entry_set, key=lambda s: s.sort_key())
+    n = A.dim
+    all_columns = [list(col) for col in product(entries, repeat=n)]
+    per_index = []
+    for i in range(n):
+        if all(c.is_zero() for c in A.bracket.of_basis(i, i)):
+            per_index.append([v for v in all_columns
+                              if all(c.is_zero() for c in A.bracket.bilinear(v, v))])
+        else:
+            per_index.append(all_columns)
+    found = []
+    for combo in product(*per_index):
+        matrix = [[combo[j][i] for j in range(n)] for i in range(n)]
+        even = _is_even_direct(A, matrix)
+        if (even or not strict_even) and not endomorphism_failures_direct(A.bracket, matrix):
+            found.append((matrix, even))
+    found.sort(key=lambda f: tuple(c.sort_key() for row in f[0] for c in row))
+    return found
+
+
 def _alpha_coefficient_direct(B, l):
     if B.alpha_terms is None:
         if l == 0:

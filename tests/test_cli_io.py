@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from colorhomlie import cli
 from colorhomlie.cli import run_command
 from colorhomlie.fileio import (ParseError, parse_algebra_document,
                                 parse_algebra_file, serialize_algebra)
@@ -110,6 +111,29 @@ def test_twists_cli_counts(capsys):
     assert doc["count"] == 25
     inv = [m for m in doc["morphisms"] if m["invertible"]]
     assert len(inv) == 24
+
+
+@pytest.mark.parametrize("entries", ["0,1,1", "1,2/2,0"])
+def test_twists_cli_counts_each_entry_value_once(capsys, entries):
+    argv = ["twists", "--algebra", data_path("sl2c_z2z2.alg")]
+    _, distinct, _ = run_cli(argv + ["--entries", "0,1"], capsys)
+    code, out, _ = run_cli(argv + ["--entries", entries, "--budget", str(2 ** 9)], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["count"] == 3 and doc["morphisms"] == json.loads(distinct)["morphisms"]
+    assert sorted(doc["entry_set"]) == ["0", "1"]
+
+
+def test_one_parser_serves_every_command(capsys):
+    cli.build_parser.cache_clear()
+    assert run_cli(["validate", "--no-such-flag", "x"], capsys)[0] == 2
+    code, out, _ = run_cli(["validate", data_path("sl2c_z2z2.alg")], capsys)
+    assert code == 0 and json.loads(out)["command"] == "validate"
+    code, out, _ = run_cli(["--help"], capsys)
+    assert code == 0 and "colorhom" in out
+    assert run_cli(["derived", "--algebra", data_path("sl2c_z2z2.alg"),
+                    "--n", "1"], capsys)[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
 
 
 def test_structure_cli(capsys):

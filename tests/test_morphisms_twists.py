@@ -1,17 +1,20 @@
 """Morphism verification, Yau twists, grid enumeration."""
 import json
+from itertools import product
 
 import pytest
 
-from colorhomlie import linalg
-from colorhomlie.algebra_core import check_color_hom_lie
-from colorhomlie.fileio import parse_matrix_bundle
+from colorhomlie import linalg, morphisms_twists
+from colorhomlie.algebra_core import StructureConstants, check_color_hom_lie
+from colorhomlie.fileio import (parse_algebra_file, parse_commutative_algebra_file,
+                                parse_matrix_bundle)
 from colorhomlie.morphisms_twists import (BudgetExceededError,
                                           NotAMorphismError, enumerate_morphisms,
                                           morphism_is_invertible, twist,
                                           verify_morphism)
-from conftest import (data_path, motion_z2z3, sc, sl2c_z2z2,
-                      sl2c_z2z2_untwisted, sl2c_z2z3, zero_algebra)
+from conftest import (build_algebra, data_path, endomorphism_failures_direct,
+                      enumerate_morphisms_direct, heis_zeta3, motion_z2z3, sc,
+                      sl2c_z2z2, sl2c_z2z2_untwisted, sl2c_z2z3, zero_algebra)
 
 
 def _mat(A, rows):
@@ -155,3 +158,145 @@ def test_enumeration_is_deterministic_and_lexicographic():
     key1 = [tuple(str(c) for row in f for c in row) for f, _ in run1]
     key2 = [tuple(str(c) for row in f for c in row) for f, _ in run2]
     assert key1 == key2  # entry order normalized by the canonical scalar key
+
+
+def _entries(values, m):
+    return [sc(v, m) for v in values]
+
+
+def _shipped(name):
+    return parse_algebra_file(data_path(f"{name}.alg"))
+
+
+GRADED = ("sl2c_z2z2", "sl2c_z2z3", "motion_z2z3")
+ZERO_BRACKET = ("qwitt_trunc_q2", "qwitt_trunc_zeta3")  # product files: [.,.] = 0
+
+
+@pytest.mark.parametrize("strict_even", [False, True])
+@pytest.mark.parametrize("values", [(-1, 0, 1), (0, 1)])
+@pytest.mark.parametrize("name", GRADED)
+def test_column_search_matches_the_full_product(name, values, strict_even):
+    A = _shipped(name)
+    entries = _entries(values, A.m)
+    assert (enumerate_morphisms(A, entries, strict_even=strict_even)
+            == enumerate_morphisms_direct(A, entries, strict_even=strict_even))
+
+
+@pytest.mark.parametrize("strict_even", [False, True])
+@pytest.mark.parametrize("name", ZERO_BRACKET)
+def test_column_search_matches_the_full_product_on_zero_brackets(name, strict_even):
+    # every pair is checked at column max(i, j), before the last column
+    A = _shipped(name)
+    entries = _entries((0, 1), A.m)
+    found = enumerate_morphisms(A, entries, strict_even=strict_even)
+    assert found == enumerate_morphisms_direct(A, entries, strict_even=strict_even)
+    assert len(found) == 2 ** 9
+
+
+def test_column_search_matches_the_full_product_on_the_whole_zero_bracket_grid():
+    A = _shipped("qwitt_trunc_q2")
+    entries = _entries((-1, 0, 1), A.m)
+    found = enumerate_morphisms(A, entries)
+    assert len(found) == 3 ** 9
+    assert found == enumerate_morphisms_direct(A, entries)
+
+
+def _early_pairs():
+    """[e1, e2] = e1 is checked once columns 1 and 2 are fixed, before the third."""
+    return build_algebra([2], [[1]], 2, ["e1", "e2", "e3"], [(0,), (0,), (1,)],
+                         {(0, 1): [1, 0, 0], (1, 2): [0, 0, 1]},
+                         [[1, 0, 0], [0, 1, 0], [0, 0, 1]], name="early_pairs")
+
+
+def _odd_square():
+    """[e1, e1] = e1 on an odd e1 (not graded, but a legal value): the pair
+    (e1, e1) prunes the candidates for the image of e1 with a nonzero bracket."""
+    return build_algebra([2], [[1]], 2, ["e1", "e2"], [(1,), (0,)],
+                         {(0, 0): [1, 0]}, [[1, 0], [0, 1]], name="odd_square")
+
+
+@pytest.mark.parametrize("strict_even", [False, True])
+@pytest.mark.parametrize("make, values", [
+    (lambda: zero_algebra([2, 2], [[0, 1], [1, 0]], 2, [(1, 0), (0, 1), (1, 1)]), (0, 1)),
+    (_early_pairs, (0, 1)),
+    (_odd_square, (-1, 0, 1)),
+    (heis_zeta3, (0, 1)),
+    (sl2c_z2z2_untwisted, (-1, 0, 1)),
+])
+def test_column_search_matches_the_full_product_on_other_tables(make, values,
+                                                                strict_even):
+    A = make()
+    entries = _entries(values, A.m)
+    found = enumerate_morphisms(A, entries, strict_even=strict_even)
+    assert found == enumerate_morphisms_direct(A, entries, strict_even=strict_even)
+    assert found
+
+
+def test_repeated_entries_count_once():
+    A = sl2c_z2z2()
+    distinct = enumerate_morphisms(A, [sc(0), sc(1)])
+    assert len(distinct) == 3
+    # 1 and 2/2 are one value: the grid and the budget count two entries
+    assert enumerate_morphisms(A, [sc(0), sc(1), sc(1)], budget=2 ** 9) == distinct
+    assert enumerate_morphisms(A, [sc(1), sc(2) * sc("1/2"), sc(0)]) == distinct
+    with pytest.raises(BudgetExceededError, match="2\\^9"):
+        enumerate_morphisms(A, [sc(0), sc(1), sc(1)], budget=2 ** 9 - 1)
+
+
+def test_column_search_evaluates_each_column_bracket_once(monkeypatch):
+    # counts, not time: evaluating brackets per candidate matrix, or verifying
+    # each of the 7^3 candidates left by the [v, v] = 0 pruning, breaks these
+    A = sl2c_z2z3()
+    calls = {"bilinear": 0, "verify": 0}
+    bilinear, verify = StructureConstants.bilinear, morphisms_twists.verify_morphism
+
+    def counted_bilinear(self, u, v):
+        calls["bilinear"] += 1
+        return bilinear(self, u, v)
+
+    def counted_verify(*args, **kwargs):
+        calls["verify"] += 1
+        return verify(*args, **kwargs)
+
+    monkeypatch.setattr(StructureConstants, "bilinear", counted_bilinear)
+    monkeypatch.setattr(morphisms_twists, "verify_morphism", counted_verify)
+    found = enumerate_morphisms(A, [sc(-1), sc(0), sc(1)])
+    columns = 3 ** A.dim
+    pruning = columns  # [v, v] for every column, once per column index at most
+    assert calls["bilinear"] <= columns * columns + pruning
+    assert calls["verify"] == len(found) == 25
+
+
+def test_endomorphism_failures_match_the_dense_pair_loop():
+    tables = [(A.bracket, A.alpha) for A in map(_shipped, GRADED)]
+    tables += [(A.bracket, A.alpha) for A in (heis_zeta3(), sl2c_z2z2_untwisted())]
+    for name in ZERO_BRACKET:  # the products, with the README's hls sigma and a non-morphism
+        mu = parse_commutative_algebra_file(data_path(f"{name}.alg")).mu
+        tables += [(mu, [[sc(v, mu.m) for v in row] for row in rows])
+                   for rows in ([[1, 0, 0], [0, 2, 0], [0, 0, 4]],
+                                [[1, 0, 0], [0, 2, 0], [0, 0, 3]])]
+    failing = 0
+    for table, matrix in tables:
+        got = list(table.endomorphism_failures(matrix))
+        assert got == endomorphism_failures_direct(table, matrix)
+        failing += bool(got)
+    assert failing
+
+
+@pytest.mark.parametrize("name, values", [("sl2c_z2z3", (-1, 0, 1)),
+                                          ("qwitt_trunc_zeta3", (0, 1))])
+def test_endomorphism_failures_match_the_dense_pair_loop_on_the_grid(name, values):
+    # most grid matrices are not morphisms: the failing pairs and their order
+    # are compared, not just the verdict
+    if name in ZERO_BRACKET:
+        table = parse_commutative_algebra_file(data_path(f"{name}.alg")).mu
+    else:
+        table = _shipped(name).bracket
+    entries = _entries(values, table.m)
+    failing = 0
+    for cells in product(entries, repeat=table.dim ** 2):
+        matrix = [list(cells[r * table.dim:(r + 1) * table.dim]) for r in range(table.dim)]
+        got = list(table.endomorphism_failures(matrix))
+        assert got == endomorphism_failures_direct(table, matrix)
+        failing += bool(got)
+    assert failing > len(entries) ** (table.dim ** 2) // 2
