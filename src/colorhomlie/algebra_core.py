@@ -98,22 +98,21 @@ class StructureConstants:
             out[k] = c
         return out
 
+    def sparse_bilinear(self, u, v):
+        """The image of (u, v) as {k: nonzero scalar}.  A dense vector is made
+        sparse; a {k: scalar} one is read as it is."""
+        acc, rows = {}, self.rows
+        v = v if isinstance(v, dict) else linalg._sparse(v)
+        for i, a in (u if isinstance(u, dict) else linalg._sparse(u)).items():
+            for j, b in v.items():
+                row = rows.get((i, j))
+                if row is not None:
+                    _add_scaled(acc, a * b, row)
+        return linalg._sparse(acc)
+
     def bilinear(self, u, v):
-        """The image of (u, v), both dense coordinate vectors."""
-        acc = {}
-        v_support = [(j, b) for j, b in enumerate(v) if not b.is_zero()]
-        for i, a in enumerate(u):
-            if a.is_zero():
-                continue
-            for j, b in v_support:
-                row = self.rows.get((i, j))
-                if row is None:
-                    continue
-                coeff = a * b
-                for k, c in row.items():
-                    t = coeff * c
-                    acc[k] = acc[k] + t if k in acc else t
-        z = CycloScalar.zero(self.m)
+        """The image of (u, v) as a dense coordinate vector."""
+        acc, z = self.sparse_bilinear(u, v), CycloScalar.zero(self.m)
         return [acc.get(k, z) for k in range(self.dim)]
 
     def precompose(self, left, right) -> "StructureConstants":
@@ -168,11 +167,7 @@ class StructureConstants:
         != c(matrix e_i, matrix e_j), both sides formed on sparse columns."""
         cols = [linalg._sparse([row[j] for row in matrix]) for j in range(self.dim)]
         for i, j in product(range(self.dim), repeat=2):
-            rhs = {}
-            for (a, x), (b, y) in product(cols[i].items(), cols[j].items()):
-                if (a, b) in self.rows:
-                    _add_scaled(rhs, x * y, self.rows[(a, b)])
-            if self.mapped_row(i, j, cols) != linalg._sparse(rhs):
+            if self.mapped_row(i, j, cols) != self.sparse_bilinear(cols[i], cols[j]):
                 yield i, j
 
     def is_zero(self) -> bool:

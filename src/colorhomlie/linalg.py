@@ -110,45 +110,73 @@ def _sub_scaled(v, f, row):
             v[c] = y
 
 
-def _reduce(echelon, row):
-    """A row as a fresh sparse dict, reduced in one pass against every pivot
-    of a fully reduced echelon form {pivot column: sparse row}: empty exactly
-    when the row lies in the span."""
-    v = _sparse(row)
-    for p, f in [(p, v[p]) for p in v if p in echelon]:
-        _sub_scaled(v, f, echelon[p])
-    return v
+class Echelon:
+    """A fully reduced echelon form {pivot column: sparse row}, grown one
+    vector at a time.  With ``coordinates`` each pivot row also carries its
+    combination {index: scalar} of the absorbed vectors, numbered in the
+    order they were absorbed, so that ``coords`` can write a vector in them.
+    """
 
+    __slots__ = ("rows", "combos")
 
-def _absorb(echelon, row) -> bool:
-    """Add a row to an echelon form: the reduced row is scaled to 1 at its
-    leftmost nonzero, and that column is cleared from the earlier pivot rows.
-    Returns False, changing nothing, when the row lies in the span."""
-    v = _reduce(echelon, row)
-    if not v:
-        return False
-    c = min(v)
-    inv = v[c].inverse()
-    v = {k: inv * a for k, a in v.items()}
-    for prow in echelon.values():
-        if c in prow:
-            _sub_scaled(prow, prow[c], v)
-    echelon[c] = v
-    return True
+    def __init__(self, vectors=(), coordinates: bool = False):
+        self.rows, self.combos = {}, {} if coordinates else None
+        for vec in vectors:
+            self.add(vec)
 
+    def _reduce(self, vec, combo=None):
+        """vec as a fresh sparse dict, reduced in one pass against every pivot:
+        empty exactly when vec lies in the span.  The combination of absorbed
+        vectors taken off vec is subtracted from combo, when one is given."""
+        v, rows = _sparse(vec), self.rows
+        used = [(p, v[p]) for p in v if p in rows]
+        for p, f in used:
+            _sub_scaled(v, f, rows[p])
+        if combo is not None:
+            for p, f in used:
+                _sub_scaled(combo, f, self.combos[p])
+        return v
 
-def _echelon(rows):
-    echelon = {}
-    for row in rows:
-        _absorb(echelon, row)
-    return echelon
+    def __contains__(self, vec) -> bool:
+        return not self._reduce(vec)
+
+    def add(self, vec) -> bool:
+        """Absorb vec: reduced, scaled to 1 at its leftmost nonzero column and
+        that column cleared from the other rows; False, changing nothing, in the span."""
+        combo = None if self.combos is None else {}
+        v = self._reduce(vec, combo)
+        if not v:
+            return False
+        c = min(v)
+        inv = v[c].inverse()
+        v = {k: inv * a for k, a in v.items()}
+        if combo is not None:
+            combo = {k: inv * a for k, a in combo.items()}
+            combo[len(self.rows)] = inv
+            self.combos[c] = combo
+        for p, prow in self.rows.items():
+            if c in prow:
+                f = prow[c]
+                _sub_scaled(prow, f, v)
+                if combo is not None:
+                    _sub_scaled(self.combos[p], f, combo)
+        self.rows[c] = v
+        return True
+
+    def coords(self, vec, m: int):
+        """vec in the coordinates of the absorbed vectors; None outside the span."""
+        combo = {}
+        if self._reduce(vec, combo):
+            return None
+        z = CycloScalar.zero(m)
+        return [-combo[i] if i in combo else z for i in range(len(self.rows))]
 
 
 def rref(rows):
     """Reduced row echelon form of dense or sparse rows: (rows, pivot_cols),
     the nonzero rows as sparse dicts sorted by pivot column.  It is unique
     over a field, so neither the row order nor the row type changes it."""
-    echelon = _echelon(rows)
+    echelon = Echelon(rows).rows
     pivots = sorted(echelon)
     return [echelon[c] for c in pivots], pivots
 
@@ -184,15 +212,8 @@ def row_space_basis(rows):
             for r, pc in zip(red, pivots)]
 
 
-def span_test(rows):
-    """Membership in span(rows) as a function of one vector: the echelon form
-    is built once, and each vector is reduced against it."""
-    echelon = _echelon(rows)
-    return lambda vec: not _reduce(echelon, vec)
-
-
 def in_span(rows, vec) -> bool:
-    return span_test(rows)(vec)
+    return vec in Echelon(rows)
 
 
 def span_equal(rows_a, rows_b) -> bool:
@@ -249,5 +270,5 @@ def quotient_representatives(z_basis, b_basis):
     reproducible for a fixed input order.  Each vector is reduced once
     against a growing echelon form of b_basis and the representatives so far.
     """
-    echelon = _echelon(b_basis)
-    return [v for v in z_basis if _absorb(echelon, v)]
+    echelon = Echelon(b_basis)
+    return [v for v in z_basis if echelon.add(v)]

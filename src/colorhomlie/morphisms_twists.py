@@ -49,9 +49,13 @@ def twist(A: ColorHomAlgebra, beta, name: str = "") -> ColorHomAlgebra:
     """Yau twist: bracket beta o [.,.] with twist map beta . alpha."""
     if not verify_morphism(A, beta):
         raise NotAMorphismError("twist requires a verified algebra endomorphism")
-    bracket = A.bracket.compose_with(beta)
-    alpha = linalg.mat_mul(beta, A.alpha)
-    return ColorHomAlgebra(A.basis, A.eps, bracket, alpha, A.m, name=name)
+    return _twisted(A, beta, name)
+
+
+def _twisted(A: ColorHomAlgebra, beta, name: str = "") -> ColorHomAlgebra:
+    """The Yau twist by beta, which the caller has verified to be a morphism."""
+    return ColorHomAlgebra(A.basis, A.eps, A.bracket.compose_with(beta),
+                           linalg.mat_mul(beta, A.alpha), A.m, name=name)
 
 
 def current_budget(budget=None) -> int:

@@ -18,11 +18,13 @@ KINDS = ("der", "gder", "qder", "centroid", "qcentroid")
 
 
 class HomogeneousMapSpace:
-    __slots__ = ("kind", "k", "gamma", "basis")
+    __slots__ = ("kind", "k", "gamma", "basis", "commute")
 
-    def __init__(self, kind: str, k: int, gamma: GroupElement, basis: list):
+    def __init__(self, kind: str, k: int, gamma: GroupElement, basis: list,
+                 commute: bool = False):
         self.kind, self.k, self.gamma = kind, k, gamma
         self.basis = basis  # spanning matrices
+        self.commute = commute  # [D, alpha] = 0 is part of the definition
 
     @property
     def dim(self) -> int:
@@ -31,8 +33,44 @@ class HomogeneousMapSpace:
 
 def degree_pattern(A: ColorHomAlgebra, gamma: GroupElement):
     """Matrix positions (i, j) allowed for a map raising degree by gamma."""
+    shifted = [A.degree(j) + gamma for j in range(A.dim)]
     return [(i, j) for i in range(A.dim) for j in range(A.dim)
-            if A.degree(i) == A.degree(j) + gamma]
+            if A.degree(i) == shifted[j]]
+
+
+# Sparse matrices are lists of rows {column: scalar}.
+
+def _sparse_rows(M):
+    return [linalg._sparse(row) for row in M]
+
+
+def _columns(M):
+    """The columns of a square matrix as {row: nonzero scalar}."""
+    return [linalg._sparse([row[x] for row in M]) for x in range(len(M))]
+
+
+def _flat(M):
+    """A dense or sparse matrix as the vector {(i, j): nonzero scalar}."""
+    return {(i, j): c for i, row in enumerate(M) for j, c in linalg._sparse(row).items()}
+
+
+def _mul_rows(X, Y):
+    """X Y on sparse rows."""
+    out = []
+    for row in X:
+        acc = {}
+        for k, a in row.items():
+            _add_scaled(acc, a, Y[k])
+        out.append(acc)
+    return out
+
+
+def _anticommutator(X, Y, e):
+    """X Y + e Y X on sparse rows."""
+    out = _mul_rows(X, Y)
+    for row, other in zip(out, _mul_rows(Y, X)):
+        _add_scaled(row, e, other)
+    return out
 
 
 def _pattern_matrix(A: ColorHomAlgebra, pattern, coeffs):
@@ -49,17 +87,15 @@ def _commute_rows(A: ColorHomAlgebra, pattern, offset):
     (E_ij alpha - alpha E_ij)[a][b] = delta_ai alpha[j][b] - alpha[a][i] delta_jb;
     rows are in (a, b) order and the zero ones are dropped.
     """
-    alpha = A.alpha
+    alpha_rows, alpha_cols = _sparse_rows(A.alpha), _columns(A.alpha)
     cells = {}  # (a, b) -> {column: value}
     for t, (i, j) in enumerate(pattern):
         col = offset + t
-        for b in range(A.dim):
-            if not alpha[j][b].is_zero():
-                cells.setdefault((i, b), {})[col] = alpha[j][b]
-        for a in range(A.dim):
-            if not alpha[a][i].is_zero():
-                cell = cells.setdefault((a, j), {})
-                cell[col] = cell[col] - alpha[a][i] if col in cell else -alpha[a][i]
+        for b, v in alpha_rows[j].items():
+            cells.setdefault((i, b), {})[col] = v
+        for a, v in alpha_cols[i].items():
+            cell = cells.setdefault((a, j), {})
+            cell[col] = cell[col] - v if col in cell else -v
     rows = [{col: v for col, v in cells[key].items() if not v.is_zero()}
             for key in sorted(cells)]
     return [row for row in rows if row]
@@ -92,24 +128,17 @@ def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
     unit matrix E_ij, (i, j) = pattern[t], which sends v to v[j] e_i.  On the
     pair (x, y) it contributes [x,y][j] to component i of D([x,y]),
     [e_i, a^k e_y] to [D x, a^k y] when j = x, and [a^k e_x, e_i] to
-    [a^k x, D y] when j = y; only these terms are formed.
+    [a^k x, D y] when j = y; only these terms are formed, from the rows of
+    the bracket and of its two precomposed tables.
     """
     dim = A.dim
     nD = len(pattern)
     blocks = {"der": 1, "centroid": 1, "qcentroid": 1, "qder": 2, "gder": 3}[kind]
     nvars = blocks * nD
-    E = [A.basis_vector(i) for i in range(dim)]
-    ak = A.alpha_power(k)
-    ak_cols = [[row[x] for row in ak] for x in range(dim)]
-
-    def support(vec):
-        return [(c, v) for c, v in enumerate(vec) if not v.is_zero()]
-
-    # L[i][y] = [e_i, a^k e_y] and R[x][i] = [a^k e_x, e_i], by their supports
-    L = [[support(A.bracket.bilinear(E[i], ak_cols[y])) for y in range(dim)]
-         for i in range(dim)]
-    R = [[support(A.bracket.bilinear(ak_cols[x], E[i])) for i in range(dim)]
-         for x in range(dim)]
+    ak, ident = A.alpha_power(k), A.alpha_power(0)
+    # L[(i, y)] = [e_i, a^k e_y] and R[(x, i)] = [a^k e_x, e_i]
+    L = A.bracket.precompose(ident, ak).rows
+    R = A.bracket.precompose(ak, ident).rows
     in_column = [[] for _ in range(dim)]  # j -> [(t, i) : pattern[t] = (i, j)]
     for t, (i, j) in enumerate(pattern):
         in_column[j].append((t, i))
@@ -117,7 +146,7 @@ def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
     for x in range(dim):
         e = A.eps(gamma, A.degree(x))
         for y in range(dim):
-            bxy = support(A.bracket.of_basis(x, y))
+            bxy = A.bracket.rows.get((x, y), {}).items()
             for group in _IDENTITIES[kind]:
                 acc = {}  # (component, column) -> value
                 for block, term, sign, twisted in group:
@@ -125,9 +154,11 @@ def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
                     if term == "d":
                         terms = [(i, base + t, v) for j, v in bxy for t, i in in_column[j]]
                     elif term == "L":
-                        terms = [(c, base + t, v) for t, i in in_column[x] for c, v in L[i][y]]
+                        terms = [(c, base + t, v) for t, i in in_column[x]
+                                 for c, v in L.get((i, y), {}).items()]
                     else:
-                        terms = [(c, base + t, v) for t, i in in_column[y] for c, v in R[x][i]]
+                        terms = [(c, base + t, v) for t, i in in_column[y]
+                                 for c, v in R.get((x, i), {}).items()]
                     for comp, col, v in terms:
                         if twisted:
                             v = e * v
@@ -152,14 +183,14 @@ def _solve_space(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
         raise ValueError("twist power must be non-negative")
     pattern = degree_pattern(A, gamma)
     if not pattern:
-        return HomogeneousMapSpace(kind, k, gamma, [])
+        return HomogeneousMapSpace(kind, k, gamma, [], commute)
     rows, nvars, nD = _defining_rows(A, k, gamma, kind, pattern, commute)
     kernel = linalg.kernel_basis(rows, nvars, A.m)
     # project onto the D block and renormalize to a canonical basis
     flats = [v[:nD] for v in kernel]
     reduced = linalg.row_space_basis(flats)
     mats = [_pattern_matrix(A, pattern, v) for v in reduced]
-    return HomogeneousMapSpace(kind, k, gamma, mats)
+    return HomogeneousMapSpace(kind, k, gamma, mats, commute)
 
 
 def derivation_space(A: ColorHomAlgebra, k: int, gamma: GroupElement) -> HomogeneousMapSpace:
@@ -201,15 +232,16 @@ def solve_space(A: ColorHomAlgebra, kind: str, k: int, gamma: GroupElement,
 
 
 def reverify_space(A: ColorHomAlgebra, space: HomogeneousMapSpace) -> CheckResult:
-    """Re-check the defining identity of every spanning matrix by direct
-    evaluation (independent of the solver's row assembly).
+    """Re-check the defining identity of every spanning matrix, and
+    [D, alpha] = 0 where the space requires it, by direct evaluation on basis
+    pairs (independent of the solver's row assembly).
 
     For the existential kinds (gder, qder) the partner maps are recovered by
     an exact linear solve before the identity is evaluated.
     """
     failures = []
     for D in space.basis:
-        ok = _direct_identity_holds(A, space.kind, space.k, space.gamma, D)
+        ok = _direct_identity_holds(A, space.kind, space.k, space.gamma, D, space.commute)
         if not ok:
             failures.append({"matrix": [[str(c) for c in row] for row in D]})
     return CheckResult(not failures, failures)
@@ -229,36 +261,34 @@ def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str,
     """
     dim, nD = A.dim, len(pattern)
     blocks = 1 if kind == "qder" else 2
-    ak = A.alpha_power(k)
-    ak_e = [[row[x] for row in ak] for x in range(dim)]
-    d_e = [linalg.mat_vec(D, A.basis_vector(x)) for x in range(dim)]
+    bracket, zero, one = A.bracket, CycloScalar.zero(A.m), CycloScalar.one(A.m)
+    ak_e, d_e = _columns(A.alpha_power(k)), _columns(D)
     rows, rhs = [], []
     for x in range(dim):
         e = A.eps(gamma, A.degree(x))
         if kind == "gder":
-            right = [A.bracket.bilinear(ak_e[x], A.basis_vector(i)) for i in range(dim)]
+            right = [bracket.sparse_bilinear(ak_e[x], {i: one}) for i in range(dim)]
         for y in range(dim):
-            bxy = A.bracket.of_basis(x, y)
-            target = A.bracket.bilinear(d_e[x], ak_e[y])
+            bxy = bracket.rows.get((x, y), {})
+            target = bracket.sparse_bilinear(d_e[x], ak_e[y])
             if kind == "qder":
-                t2 = A.bracket.bilinear(ak_e[x], d_e[y])
-                target = [a + e * b for a, b in zip(target, t2)]
+                _add_scaled(target, e, bracket.sparse_bilinear(ak_e[x], d_e[y]))
             group = [{} for _ in range(dim)]
             for t, (i, j) in enumerate(pattern):
-                if not bxy[j].is_zero():
+                if j in bxy:
                     group[i][(blocks - 1) * nD + t] = bxy[j]
                 if kind == "gder" and j == y:
-                    for comp, v in enumerate(right[i]):
-                        if not v.is_zero():
-                            group[comp][t] = -e * v
-            for row, value in zip(group, target):
+                    for comp, v in right[i].items():
+                        group[comp][t] = -e * v
+            for comp, row in enumerate(group):
+                value = target.get(comp, zero)
                 if row or not value.is_zero():
                     rows.append(row)
                     rhs.append(value)
     for block in range(blocks):
         commute = _commute_rows(A, pattern, block * nD)
         rows.extend(commute)
-        rhs.extend([CycloScalar.zero(A.m)] * len(commute))
+        rhs.extend([zero] * len(commute))
     return rows, rhs
 
 
@@ -280,37 +310,31 @@ def _partner_solution(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: 
 
 
 def _direct_identity_holds(A: ColorHomAlgebra, kind: str, k: int,
-                           gamma: GroupElement, D) -> bool:
-    E = [A.basis_vector(i) for i in range(A.dim)]
-    if kind in ("der", "qder", "gder"):
-        # these kinds require [D, alpha] = 0
+                           gamma: GroupElement, D, commute: bool) -> bool:
+    if commute or kind in ("der", "qder", "gder"):
+        # der, qder and gder always require [D, alpha] = 0
         if not linalg.mat_eq(linalg.mat_mul(D, A.alpha), linalg.mat_mul(A.alpha, D)):
             return False
     if kind in ("der", "centroid", "qcentroid"):
-        # a^k e_x and D e_x once per x; D and the bracket are applied per pair
-        ak = A.alpha_power(k)
-        ak_e = [[row[x] for row in ak] for x in range(A.dim)]
-        d_e = [linalg.mat_vec(D, E[x]) for x in range(A.dim)]
+        # a^k e_x and D e_x once per x as sparse columns; D and the bracket
+        # are applied per pair, on supports
+        bracket = A.bracket
+        ak_e, d_e = _columns(A.alpha_power(k)), _columns(D)
         def identity(x, y):
             e = A.eps(gamma, A.degree(x))
-            dxy = linalg.mat_vec(D, A.bracket.of_basis(x, y))
-            left = A.bracket.bilinear(d_e[x], ak_e[y])
-            right = A.bracket.bilinear(ak_e[x], d_e[y])
-            if kind == "der":
-                want = [a + e * b for a, b in zip(left, right)]
-                return all((p - q).is_zero() for p, q in zip(dxy, want))
+            left = bracket.sparse_bilinear(d_e[x], ak_e[y])
+            right = {c: e * v for c, v in bracket.sparse_bilinear(ak_e[x], d_e[y]).items()}
+            if kind == "qcentroid":
+                return left == right
+            dxy = bracket.mapped_row(x, y, d_e)
             if kind == "centroid":
-                return (all((p - q).is_zero() for p, q in zip(dxy, left)) and
-                        all((p - e * q).is_zero() for p, q in zip(dxy, right)))
-            return all((p - e * q).is_zero() for p, q in zip(left, right))
+                return dxy == left == right
+            _add_scaled(left, None, right)
+            return dxy == linalg._sparse(left)
         return all(identity(x, y) for x in range(A.dim) for y in range(A.dim))
     if kind in ("qder", "gder"):
         return _partner_solution(A, k, gamma, D, kind) is not None
     raise ValueError(kind)
-
-
-def _flat(M):
-    return [c for row in M for c in row]
 
 
 def member_of(space: HomogeneousMapSpace, M, m: int) -> bool:
@@ -349,12 +373,6 @@ class NotClosedError(AlgebraStructureError):
     pass
 
 
-def _express_in_span(matrices, M, m: int):
-    flat_basis, flat = [_flat(B) for B in matrices], _flat(M)
-    rows = [[fb[i] for fb in flat_basis] for i in range(len(flat))]
-    return linalg.solve(rows, flat, m)
-
-
 def quasi_centroid_jordan(A: ColorHomAlgebra, max_power: int = 2,
                           commute_with_alpha: bool = False) -> ProductAlgebraData:
     """The eps-anticommutator product on the quasi-centroid span.
@@ -365,38 +383,33 @@ def quasi_centroid_jordan(A: ColorHomAlgebra, max_power: int = 2,
     conjugation D -> alpha D alpha^(-1); an invertible twist is required.
     Raises NotClosedError when the product or the twist action leaves the
     collected span (e.g. when max_power is too small for the algebra).
+    One echelon form of the collected span picks the elements and gives the
+    coordinates of every product and conjugate, formed on sparse rows.
     """
     try:
         alpha_inv = linalg.inverse(A.alpha)
     except ValueError:
         raise AlgebraStructureError("quasi-centroid twist action needs invertible alpha")
+    span = linalg.Echelon(coordinates=True)
     matrices, degrees = [], []
     for k in range(max_power + 1):
         for gamma in A.basis.group.elements():
-            space = quasi_centroid_space(A, k, gamma, commute_with_alpha)
-            for M in space.basis:
-                if not linalg.in_span([_flat(B) for B in matrices], _flat(M)):
+            for M in quasi_centroid_space(A, k, gamma, commute_with_alpha).basis:
+                if span.add(_flat(M)):
                     matrices.append(M)
                     degrees.append(gamma)
-    n = len(matrices)
-    table = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            P = jordan_product(matrices[i], degrees[i], matrices[j], degrees[j], A.eps)
-            coords = _express_in_span(matrices, P, A.m)
-            if coords is None:
-                raise NotClosedError(
-                    f"quasi-centroid is not closed under the product at pair ({i},{j})")
-            row.append(coords)
-        table.append(row)
-    action_cols = []
-    for i in range(n):
-        conj = linalg.mat_mul(A.alpha, linalg.mat_mul(matrices[i], alpha_inv))
-        coords = _express_in_span(matrices, conj, A.m)
-        if coords is None:
-            raise NotClosedError("twist conjugation leaves the quasi-centroid span")
-        action_cols.append(coords)
+    def coords(rows, pair=None):
+        vec = span.coords(_flat(rows), A.m)
+        if vec is None:
+            raise NotClosedError(
+                "twist conjugation leaves the quasi-centroid span" if pair is None else
+                f"quasi-centroid is not closed under the product at pair ({pair[0]},{pair[1]})")
+        return vec
+    n, sparse = len(matrices), [_sparse_rows(M) for M in matrices]
+    table = [[coords(_anticommutator(sparse[i], sparse[j], A.eps(degrees[i], degrees[j])),
+                     (i, j)) for j in range(n)] for i in range(n)]
+    alpha_rows, inv_rows = _sparse_rows(A.alpha), _sparse_rows(alpha_inv)
+    action_cols = [coords(_mul_rows(alpha_rows, _mul_rows(M, inv_rows))) for M in sparse]
     alpha_action = linalg.transpose(action_cols) if action_cols else []
     return ProductAlgebraData(matrices, degrees, table, alpha_action, A.eps, A.m)
 
@@ -409,25 +422,11 @@ def check_hom_jordan(J: ProductAlgebraData) -> dict:
     J.alpha_action, and each distinct associator
     as(e_a.e_b, alpha e_z, alpha e_c) is formed once.
     """
-    n, rows = J.dim, J.mu.rows
+    n, mu, rows = J.dim, J.mu, J.mu.rows
     zero = str(CycloScalar.zero(J.m))
-
-    def combine(terms):
-        """The sum of c * u over pairs (c, u), without its zero entries."""
-        acc = {}
-        for c, u in terms:
-            _add_scaled(acc, c, u)
-        return {k: v for k, v in acc.items() if not v.is_zero()}
-
-    def terms(u, v):
-        """The pairs (u_i v_j, e_i.e_j) whose combination is u.v."""
-        return [(a * b, rows[(i, j)]) for i, a in u.items() for j, b in v.items()
-                if (i, j) in rows]
-
-    alpha = [{k: row[t] for k, row in enumerate(J.alpha_action) if not row[t].is_zero()}
-             for t in range(n)]
-    def twist(u):
-        return combine((a, alpha[t]) for t, a in u.items())
+    alpha = [linalg._sparse([row[t] for row in J.alpha_action]) for t in range(n)]
+    def twist(u):  # the sum of u_t alpha e_t: u as a row times the rows alpha[t]
+        return linalg._sparse(_mul_rows([u], alpha)[0])
     hcj1 = []
     for i, j in product(range(n), repeat=2):
         e = J.eps(J.degrees[i], J.degrees[j])
@@ -436,23 +435,26 @@ def check_hom_jordan(J: ProductAlgebraData) -> dict:
     # Hom-associators as(u,v,w) = (u.v).alpha(w) - alpha(u).(v.w) at
     # u = e_a.e_b, v = alpha e_z, w = alpha e_c; they vanish where e_a.e_b = 0
     alpha2 = [twist(v) for v in alpha]
-    right = {(z, c): combine(terms(alpha[z], alpha[c]))
+    right = {(z, c): mu.sparse_bilinear(alpha[z], alpha[c])
              for z, c in product(range(n), repeat=2)}
     assoc = {}
     for (a, b), ab in rows.items():
-        alpha_ab = twist(ab)
+        minus_alpha_ab = {k: -v for k, v in twist(ab).items()}
         for z in range(n):
-            left = combine(terms(ab, alpha[z]))
+            left = mu.sparse_bilinear(ab, alpha[z])
             for c in range(n):
-                assoc[(a, b, z, c)] = combine(terms(left, alpha2[c]) + [
-                    (-f, u) for f, u in terms(alpha_ab, right[(z, c)])])
+                acc = mu.sparse_bilinear(left, alpha2[c])
+                _add_scaled(acc, None, mu.sparse_bilinear(minus_alpha_ab, right[(z, c)]))
+                assoc[(a, b, z, c)] = linalg._sparse(acc)
     # eps(d_w, d_x + d_z) once per (w, x, z)
     eps = {(w, x, z): J.eps(J.degrees[w], J.degrees[x] + J.degrees[z])
            for w, x, z in product(range(n), repeat=3)}
     hcj2 = []
     for x, y, z, w in product(range(n), repeat=4):
-        acc = combine((eps[(r, p, z)], assoc.get((p, q, z, r), {}))
-                      for p, q, r in ((x, y, w), (y, w, x), (w, x, y)))
+        acc = {}
+        for p, q, r in ((x, y, w), (y, w, x), (w, x, y)):
+            _add_scaled(acc, eps[(r, p, z)], assoc.get((p, q, z, r), {}))
+        acc = linalg._sparse(acc)
         if acc:
             hcj2.append({"quadruple": [x, y, z, w],
                          "residual": [str(acc[k]) if k in acc else zero
@@ -473,16 +475,17 @@ def check_inclusion_lattice(A: ColorHomAlgebra, k_range, gamma_range) -> dict:
         if key not in spaces:
             spaces[key] = solve_space(A, kind, k, gamma)
         return spaces[key]
-    def member(kind, k, gamma, M):
-        """M in the space, reduced against one echelon form per space."""
+    def member(kind, k, gamma, flat):
+        """A flattened matrix in the space, reduced against one echelon form
+        per space."""
         key = (kind, k, tuple(gamma.components))
         if key not in tests:
-            tests[key] = linalg.span_test([_flat(B) for B in get(kind, k, gamma).basis])
-        return tests[key](_flat(M))
+            tests[key] = linalg.Echelon(_flat(B) for B in get(kind, k, gamma).basis)
+        return flat in tests[key]
     patterns = {g: set(degree_pattern(A, g)) for g in A.basis.group.elements()}
     for k, gamma in product(k_range, gamma_range):
         for M in get("centroid", k, gamma).basis:
-            if not member("qder", k, gamma, M):
+            if not member("qder", k, gamma, _flat(M)):
                 failures["centroid_in_qder"].append({"k": k, "degree": list(gamma.components)})
     quadruples = list(product(k_range, k_range, gamma_range, gamma_range))
     for k, kp, gamma, gp in quadruples:
@@ -491,11 +494,11 @@ def check_inclusion_lattice(A: ColorHomAlgebra, k_range, gamma_range) -> dict:
         if not cent.basis or not gder.basis:
             continue
         pat = patterns[gamma + gp]
-        for C in cent.basis:
-            for D in gder.basis:
-                comp = linalg.mat_mul(C, D)
-                for i, j in product(range(A.dim), repeat=2):
-                    if not comp[i][j].is_zero() and (i, j) not in pat:
+        for C in map(_sparse_rows, cent.basis):
+            for D in map(_sparse_rows, gder.basis):
+                comp = _flat(_mul_rows(C, D))
+                for key in comp:
+                    if key not in pat:
                         failures["centroid_compose_gder"].append(
                             {"reason": "degree pattern", "k": k, "kp": kp})
                 if not member("gder", k + kp, gamma + gp, comp):
@@ -507,10 +510,9 @@ def check_inclusion_lattice(A: ColorHomAlgebra, k_range, gamma_range) -> dict:
         if not qc1.basis or not qc2.basis:
             continue
         e = A.eps(gamma, gp)
-        for D1 in qc1.basis:
-            for D2 in qc2.basis:
-                brk = linalg.mat_add(linalg.mat_mul(D1, D2),
-                                     linalg.mat_scale(-e, linalg.mat_mul(D2, D1)))
+        for D1 in map(_sparse_rows, qc1.basis):
+            for D2 in map(_sparse_rows, qc2.basis):
+                brk = _flat(_anticommutator(D1, D2, -e))
                 if not member("gder", k + kp, gamma + gp, brk):
                     failures["qcentroid_brackets"].append(
                         {"k": k, "kp": kp, "degree": list((gamma + gp).components)})

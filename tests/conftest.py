@@ -13,7 +13,8 @@ from colorhomlie.algebra_core import (BracketTable, CheckResult, ColorHomAlgebra
                                       check_color_hom_lie)
 from colorhomlie.cohomology import CochainSpace
 from colorhomlie.morphisms_twists import twist
-from colorhomlie.structure_theory import degree_pattern, solve_space
+from colorhomlie.structure_theory import (NotClosedError, degree_pattern,
+                                          quasi_centroid_space, solve_space)
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup, ScalarError,
                                          _poly_divmod, _poly_mul, _poly_sub,
@@ -799,6 +800,48 @@ def hom_jordan_direct(J):
                          "residual": [str(c) for c in acc]})
     return {"hcj1": CheckResult(not hcj1, hcj1),
             "hcj2": CheckResult(not hcj2, hcj2)}
+
+
+def _express_in_span(matrices, M, m):
+    """The coordinates of M in the given matrices by one fresh
+    ``linalg.solve`` of the flattened system, or None: an oracle for the
+    coordinates ``quasi_centroid_jordan`` reads from one growing
+    ``linalg.Echelon``."""
+    flat_basis, flat = [[c for row in B for c in row] for B in matrices], \
+        [c for row in M for c in row]
+    rows = [[fb[i] for fb in flat_basis] for i in range(len(flat))]
+    return linalg.solve(rows, flat, m)
+
+
+def quasi_centroid_jordan_direct(A, max_power=2, commute_with_alpha=False):
+    """(matrices, degrees, table, alpha_action) of the quasi-centroid product,
+    with the span rebuilt for each candidate, every product and conjugate
+    formed densely and every coordinate vector a fresh ``_express_in_span``;
+    NotClosedError as ``quasi_centroid_jordan`` raises it: an oracle for that
+    function."""
+    alpha_inv = linalg.inverse(A.alpha)
+    matrices, degrees = [], []
+    for k in range(max_power + 1):
+        for gamma in A.basis.group.elements():
+            for M in quasi_centroid_space(A, k, gamma, commute_with_alpha).basis:
+                if _express_in_span(matrices, M, A.m) is None:
+                    matrices.append(M)
+                    degrees.append(gamma)
+    n = len(matrices)
+    table = [[None] * n for _ in range(n)]
+    for i, j in product(range(n), repeat=2):
+        e = A.eps(degrees[i], degrees[j])
+        P, Q = mat_mul_direct(matrices[i], matrices[j]), mat_mul_direct(matrices[j], matrices[i])
+        table[i][j] = _express_in_span(
+            matrices, [[p + e * q for p, q in zip(rp, rq)] for rp, rq in zip(P, Q)], A.m)
+        if table[i][j] is None:
+            raise NotClosedError(
+                f"quasi-centroid is not closed under the product at pair ({i},{j})")
+    cols = [_express_in_span(matrices, mat_mul_direct(A.alpha, mat_mul_direct(M, alpha_inv)),
+                             A.m) for M in matrices]
+    if None in cols:
+        raise NotClosedError("twist conjugation leaves the quasi-centroid span")
+    return matrices, degrees, table, [list(r) for r in zip(*cols)]
 
 
 def inclusion_lattice_direct(A, k_range, gamma_range):

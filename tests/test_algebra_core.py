@@ -19,8 +19,8 @@ from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup, euler_phi)
 
 from conftest import (bilinear_direct, build_algebra, check_jacobi_direct,
-                      check_multiplicative_direct, jacobi_residual_direct, sc,
-                      sl2c_z2z2, zero_algebra)
+                      check_multiplicative_direct, heis_zeta3, jacobi_residual_direct,
+                      sc, sl2c_z2z2, zero_algebra)
 
 
 def test_sl2c_z2z2_all_axioms_pass():
@@ -324,6 +324,27 @@ def _random_table(rng, m, kind):
 def _dense_equal(a, b):
     return all(a.of_basis(i, j) == b.of_basis(i, j)
                for i in range(a.dim) for j in range(a.dim))
+
+
+@pytest.mark.parametrize("build", [heis_zeta3, sl2c_z2z2])
+def test_bilinear_takes_dense_and_sparse_vectors(build):
+    # every pair of basis vectors, twist columns and a full vector, each
+    # given dense, as its support, and as a dict that keeps a zero entry
+    A = build()
+    one, z = CycloScalar.one(A.m), CycloScalar.zero(A.m)
+    vectors = ([A.basis_vector(i) for i in range(A.dim)]
+               + [[row[j] for row in A.alpha] for j in range(A.dim)]
+               + [[sc(t + 1, A.m) for t in range(A.dim)], [z] * A.dim])
+    def forms(vec):
+        support = {k: c for k, c in enumerate(vec) if not c.is_zero()}
+        return [vec, support, {**support, A.dim - 1: vec[-1]}]
+    assert A.bracket.bilinear({0: one}, {1: one}) == A.bracket.of_basis(0, 1)
+    for u, v in product(vectors, repeat=2):
+        want = bilinear_direct(A.bracket, u, v)
+        for fu, fv in product(forms(u), forms(v)):
+            assert A.bracket.bilinear(fu, fv) == want
+            assert A.bracket.sparse_bilinear(fu, fv) == \
+                {k: c for k, c in enumerate(want) if not c.is_zero()}
 
 
 @pytest.mark.parametrize("kind", ["skew", "product"])

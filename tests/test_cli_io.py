@@ -113,6 +113,23 @@ def test_twists_cli_counts(capsys):
     assert len(inv) == 24
 
 
+def test_twists_cli_verifies_each_morphism_once(capsys, monkeypatch):
+    # enumerate_morphisms checks every result; the report's twists do not
+    # check it again
+    from colorhomlie import morphisms_twists
+    calls = []
+    verify = morphisms_twists.verify_morphism
+    def counting_verify(*args, **kwargs):
+        calls.append(args)
+        return verify(*args, **kwargs)
+    monkeypatch.setattr(morphisms_twists, "verify_morphism", counting_verify)
+    code, out, _ = run_cli([
+        "twists", "--algebra", data_path("sl2c_z2z3.alg"),
+        "--entries", "-1,0,1"], capsys)
+    assert code == 0
+    assert len(calls) == json.loads(out)["count"] == 25
+
+
 @pytest.mark.parametrize("entries", ["0,1,1", "1,2/2,0"])
 def test_twists_cli_counts_each_entry_value_once(capsys, entries):
     argv = ["twists", "--algebra", data_path("sl2c_z2z2.alg")]

@@ -226,6 +226,36 @@ def test_quotient_representatives_match_greedy_oracle(system, data):
         quotient_direct(rows, subspace)
 
 
+@PROPERTY
+@given(st.sampled_from((1, 2, 3)), st.data())
+def test_echelon_coordinates_match_solve(m, data):
+    # the picks are the greedy rank picks; a vector's coordinates in them are
+    # what linalg.solve gives on the picks as columns, None outside the span
+    ncols = data.draw(st.integers(1, 5))
+    entry = scalars(m, data.draw(st.booleans()))
+    vectors = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
+                                 max_size=4))
+    # dependent inputs: a repeated vector and a combination of the others
+    if vectors and data.draw(st.booleans()):
+        vectors.append(list(vectors[data.draw(st.integers(0, len(vectors) - 1))]))
+    if data.draw(st.booleans()):
+        vectors.append(combination(data.draw, vectors, m, ncols))
+    echelon, picks = linalg.Echelon(coordinates=True), []
+    for v in vectors:
+        raises = rank_direct(picks + [v]) > rank_direct(picks)
+        assert echelon.add(as_sparse(v) if data.draw(st.booleans()) else v) == raises
+        if raises:
+            picks.append(v)
+    columns = [[v[c] for v in picks] for c in range(ncols)]
+    inside = combination(data.draw, vectors, m, ncols)
+    arbitrary = data.draw(st.lists(scalars(m, sparse=True), min_size=ncols, max_size=ncols))
+    for target in (inside, arbitrary):
+        want = linalg.solve(columns, target, m)
+        assert target is arbitrary or want is not None
+        assert echelon.coords(target, m) == echelon.coords(as_sparse(target), m) == want
+        assert (target in echelon) == (want is not None)
+
+
 # -- the zero-skipping dense products ---------------------------------------------
 
 @st.composite

@@ -1,13 +1,14 @@
 """Derivation-type spaces, inclusion laws, and the quasi-centroid product."""
 import random
+import re
 
 import pytest
 
 from colorhomlie import linalg, structure_theory
 from colorhomlie.algebra_core import StructureConstants
-from colorhomlie.structure_theory import (KINDS, ProductAlgebraData,
-                                          _defining_rows, _express_in_span,
-                                          _partner_rows,
+from colorhomlie.structure_theory import (KINDS, HomogeneousMapSpace,
+                                          NotClosedError, ProductAlgebraData,
+                                          _defining_rows, _partner_rows,
                                           centroid_space,
                                           check_hom_jordan,
                                           check_inclusion_lattice,
@@ -18,9 +19,9 @@ from colorhomlie.structure_theory import (KINDS, ProductAlgebraData,
                                           quasi_centroid_space,
                                           quasi_derivation_space,
                                           reverify_space, solve_space)
-from conftest import (build_algebra, defining_rows_direct, direct_sum,
+from conftest import (_express_in_span, build_algebra, defining_rows_direct, direct_sum,
                       heis_zeta3, hom_jordan_direct, inclusion_lattice_direct,
-                      motion_z2z3, partner_rows_direct,
+                      motion_z2z3, partner_rows_direct, quasi_centroid_jordan_direct,
                       random_multiplicative_algebra, sc, sl2c_z2z2, zero_algebra)
 
 
@@ -184,7 +185,6 @@ def test_quasi_centroid_jordan_closure_and_axioms():
 
 
 def test_quasi_centroid_single_power_not_closed():
-    from colorhomlie.structure_theory import NotClosedError
     A = sl2c_z2z2()
     # restricting the span to powers {1} only cannot host the square
     with pytest.raises(NotClosedError):
@@ -199,6 +199,46 @@ def test_quasi_centroid_single_power_not_closed():
                                    A.basis.group.zero(), A.eps)
                 if _express_in_span(mats, P, A.m) is None:
                     raise NotClosedError("power-1 span misses the square")
+
+
+def _plain_heisenberg(alpha):
+    """[e1,e2] = e3, [e1,e3] = e2 with one degree and the given twist."""
+    return build_algebra([2], [[0]], 2, ["e1", "e2", "e3"], [(0,), (0,), (0,)],
+                         {(0, 1): [0, 0, 1], (0, 2): [0, 1, 0]}, alpha, name="plain")
+
+
+# (algebra, max_power, commute_with_alpha); the last three raise
+# NotClosedError: the twist conjugation leaves the span at power 0, and the
+# square of a power-1 element misses powers 0..1
+JORDAN_INPUTS = [(heis_zeta3(), p, c) for p in (0, 1, 2) for c in (False, True)] + [
+    (sl2c_z2z2(), p, False) for p in (0, 1, 2)] + [
+    (build_algebra([2], [[0]], 2, ["e1", "e2", "e3"], [(0,), (0,), (0,)],
+                   {(0, 1): [0, 0, 1]}, [[1, 0, 0], [0, 1, 1], [0, 0, 1]]), p, False)
+    for p in (0, 1)] + [
+    (_plain_heisenberg([[1, 0, 0], [0, 2, 0], [0, 0, -1]]), 1, False)]
+
+
+@pytest.mark.parametrize("case", range(len(JORDAN_INPUTS)))
+def test_quasi_centroid_jordan_matches_per_call_solve(case):
+    A, max_power, commute = JORDAN_INPUTS[case]
+    try:
+        want = quasi_centroid_jordan_direct(A, max_power, commute)
+    except NotClosedError as exc:
+        with pytest.raises(NotClosedError, match=re.escape(str(exc))):
+            quasi_centroid_jordan(A, max_power, commute)
+        return
+    J = quasi_centroid_jordan(A, max_power, commute)
+    assert (J.matrices, J.degrees, J.table, J.alpha_action) == want
+
+
+def test_jordan_inputs_cover_both_closure_failures():
+    messages = set()
+    for A, max_power, commute in JORDAN_INPUTS:
+        try:
+            quasi_centroid_jordan_direct(A, max_power, commute)
+        except NotClosedError as exc:
+            messages.add(str(exc).split(" ")[0])
+    assert messages == {"twist", "quasi-centroid"}
 
 
 def plain_matrix_pair_jordan():
@@ -290,6 +330,27 @@ def test_reverify_is_independent_of_the_solver_rows(build, monkeypatch):
     monkeypatch.setattr(StructureConstants, "precompose", forbidden)
     for space in spaces:
         assert reverify_space(A, space).ok, (space.kind, space.k, space.gamma)
+
+
+@pytest.mark.parametrize("build", [heis_zeta3, sl2c_z2z2])
+def test_reverify_rejects_a_matrix_pushed_out_of_the_space(build):
+    # a spanning matrix (the zero matrix for an empty space) plus each unit
+    # matrix E_ij of the degree pattern that takes it out of the space
+    A = build()
+    checked = set()
+    for kind in KINDS:
+        for k in (0, 1):
+            for g in all_degrees(A):
+                space = solve_space(A, kind, k, g)
+                base = space.basis[0] if space.basis else linalg.zeros(A.dim, A.dim, A.m)
+                for i, j in degree_pattern(A, g):
+                    M = [list(row) for row in base]
+                    M[i][j] = M[i][j] + sc(1, A.m)
+                    if not member_of(space, M, A.m):
+                        mutated = HomogeneousMapSpace(kind, k, g, [M], space.commute)
+                        assert not reverify_space(A, mutated).ok, (kind, k, g, (i, j))
+                        checked.add(kind)
+    assert checked == set(KINDS)
 
 
 def _row_cases():
