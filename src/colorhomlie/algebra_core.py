@@ -14,6 +14,7 @@ import copy
 from itertools import product
 
 from . import linalg
+from .linalg import _add_scaled
 from .scalars_grading import (BiCharacter, CycloScalar, FiniteAbelianGroup,
                               GroupElement, Immutable, format_scalar)
 
@@ -185,13 +186,6 @@ class StructureConstants:
                 if i <= j or not self.mirrored}
 
 
-def _add_scaled(acc, coeff, row):
-    """acc += coeff * row on {k: scalar} dicts (coeff None adds row as is)."""
-    for k, c in row.items():
-        t = c if coeff is None else coeff * c
-        acc[k] = acc[k] + t if k in acc else t
-
-
 def cyclic_residual(pairs, degrees, eps: BiCharacter, x: int, y: int, z: int):
     """Sum over the rotations (a, b, c) of (x, y, z) and the (outer, inner)
     table pairs of eps(d_c, d_a) outer(e_a, inner(e_b, e_c)), dense.
@@ -297,8 +291,8 @@ class AxiomReport:
 class ColorHomAlgebra:
     """Quadruple (basis/grading, bracket, bi-character, twist matrix).
 
-    Treated as immutable once built: twist powers are kept on the instance,
-    and a module keeps its ``cohomology`` cochain complex over it.
+    Treated as immutable once built: twist powers and solved spaces are kept
+    on the instance, a module keeps its ``cohomology`` cochain complex over it.
     """
 
     def __init__(self, basis: GradedBasis, eps: BiCharacter, bracket: BracketTable,
@@ -310,6 +304,8 @@ class ColorHomAlgebra:
         self.m = m
         self.name = name
         self._alpha_pows = {0: linalg.identity(basis.dim, m), 1: alpha}
+        self._spaces = {}       # (kind, k, gamma, commute) -> spanning matrices
+        self._precomposed = {}  # k -> rows of [e_i, a^k e_y] and [a^k e_x, e_i]
 
     @property
     def dim(self) -> int:

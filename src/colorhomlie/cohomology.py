@@ -14,9 +14,11 @@ the arity-1 and arity-2 instances reduce to the familiar operator forms.
 ``delta_matrix``, ``cochain_basis`` and ``cohomology_group`` read delta and
 the compatible bases from one cochain complex per (algebra, module), which
 assembles each as a sparse matrix, term by term on basis tuples, once.
-``coboundary_of_coords`` and ``CochainSpace.evaluate`` compute the same
-values through the multilinear extension without the complex; they are the
-independent path that re-checks cocycles and backs the tests.
+The compatible, cocycle and coboundary bases are sparse {coordinate:
+scalar} vectors, the dim H representatives dense lists.
+``coboundary_of_coords`` and ``CochainSpace.evaluate`` read either form and
+compute the same values through the multilinear extension without the
+complex; they are the independent path of ``reverify`` and the tests.
 
 ``cohomology_group`` exposes two kernel modes.  In "compatible" mode (the
 default) cocycles are computed inside the compatible subspace, which is the
@@ -29,7 +31,8 @@ from __future__ import annotations
 from itertools import product
 
 from . import linalg
-from .algebra_core import AlgebraStructureError, ColorHomAlgebra
+from .algebra_core import AlgebraStructureError, CheckResult, ColorHomAlgebra
+from .linalg import _add_entry, _product, _pruned, _sparse, _transpose
 from .representations import Representation
 from .scalars_grading import CycloScalar, GroupElement, sort_with_sign
 
@@ -56,7 +59,7 @@ class CochainSpace:
                  gamma: GroupElement, tuples: list, compat_basis: list):
         self.algebra, self.module, self.n, self.gamma = algebra, module, n, gamma
         self.tuples = tuples
-        self.compat_basis = compat_basis  # vectors in free canonical coordinates
+        self.compat_basis = compat_basis  # sparse vectors in free canonical coordinates
         self.positions = {tup: t for t, tup in enumerate(tuples)}
 
     @property
@@ -76,16 +79,16 @@ class CochainSpace:
     def evaluate_basis(self, coords, indices):
         """Value on a tuple of basis indices, via the sorting sign."""
         mdim = self.module.dim
-        m = self.algebra.m
-        if self.n == 0:
-            return list(coords)
+        zero = CycloScalar.zero(self.algebra.m)
         sorted_tup, sign = sort_with_sign(indices, self.algebra.basis.degrees,
                                           self.algebra.eps)
         for a, b in zip(sorted_tup, sorted_tup[1:]):
             if a == b and not self.algebra.eps.sign_is_minus_one(
                     self.algebra.degree(a), self.algebra.degree(a)):
-                return [CycloScalar.zero(m)] * mdim
+                return [zero] * mdim
         base = self.positions[sorted_tup] * mdim
+        if isinstance(coords, dict):
+            return [sign * coords.get(base + k, zero) for k in range(mdim)]
         return [sign * coords[base + k] for k in range(mdim)]
 
     def evaluate(self, coords, vectors):
@@ -117,53 +120,11 @@ class Cochain:
         self.coords = coords  # free canonical coordinates
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coords)
+        return not _sparse(self.coords)
 
 
 # -- sparse operators assembled from basis terms ------------------------------
-#
-# A sparse matrix is a dict of rows {row: {column: nonzero scalar}}; rows that
-# vanish are absent.  Columns are free canonical coordinates of the domain
-# space (tuple position * module dim + carrier index).  A sparse vector is a
-# single such row.
-
-
-def _support(vec):
-    return [(i, c) for i, c in enumerate(vec) if not c.is_zero()]
-
-
-def _add_entry(rows, r, c, value):
-    row = rows.setdefault(r, {})
-    row[c] = row[c] + value if c in row else value
-
-
-def _pruned(rows):
-    out = {}
-    for r, row in rows.items():
-        kept = {c: v for c, v in row.items() if not v.is_zero()}
-        if kept:
-            out[r] = kept
-    return out
-
-
-def _transpose(rows):
-    """The transpose of a sparse matrix."""
-    out = {}
-    for r, row in rows.items():
-        for c, a in row.items():
-            out.setdefault(c, {})[r] = a
-    return out
-
-
-def _product(rows, other):
-    """The product of two sparse matrices."""
-    out = {}
-    for r, row in rows.items():
-        for c, v in row.items():
-            for j, a in other.get(c, {}).items():
-                _add_entry(out, r, j, v * a)
-    return _pruned(out)
-
+# (``linalg`` sparse matrices; columns are free canonical coordinates)
 
 def _dense(vectors, length: int, m: int):
     """Sparse vectors as fresh dense vectors of the given length."""
@@ -179,8 +140,8 @@ class _Complex:
     its transpose; the compatibility equations involve alpha and beta only,
     so the basis is the same for every degree gamma and power r.  Per power
     p: the sparse entries of rho(alpha^p e_i).  Per (n, gamma, r): the
-    sparse rows of delta_r^n, and the rref basis of B^n, the image of
-    delta_r^(n-1) on the compatible arity-(n-1) basis.
+    sparse rows of delta_r^n, their product with the compatible basis, and
+    the rref basis of B^n, the image of delta_r^(n-1) on that basis.
 
     The complex takes the carrier dimension, beta and rho from R when it is
     built and keeps no reference to R, so R (which keeps the complex) frees
@@ -195,15 +156,15 @@ class _Complex:
 
     def __init__(self, A: ColorHomAlgebra, R: Representation):
         self.algebra, self.mdim = A, R.dim
-        self.beta = [(k, l, b) for k, brow in enumerate(R.beta) for l, b in _support(brow)]
-        self.rho_basis = [_pruned({k: dict(_support(row)) for k, row in enumerate(mat)})
-                         for mat in R.rho]
-        self.alpha_cols = [_support(col) for col in linalg.transpose(A.alpha)]
+        self.beta = [(k, l, b) for k, brow in enumerate(R.beta) for l, b in _sparse(brow).items()]
+        self.rho_basis = [_pruned(dict(enumerate(map(_sparse, mat)))) for mat in R.rho]
+        self.alpha_cols = [list(_sparse(col).items()) for col in linalg.transpose(A.alpha)]
         self._arity = {}         # n -> (canonical tuples, their positions)
         self._located = {}       # argument index combo -> locate(combo)
         self._compat = {}        # n -> (compatible basis, its transpose)
         self._rho = {}           # p -> per e_i, (k, l, value) of rho(alpha^p e_i)
         self._delta = {}         # (n, gamma, r) -> sparse rows of delta_r^n
+        self._restricted = {}    # (n, gamma, r) -> delta_r^n on the compatible basis
         self._coboundaries = {}  # (n, gamma, r) -> rref rows of B^n
 
     def arity(self, n: int):
@@ -240,7 +201,7 @@ class _Complex:
             images = []
             for col in linalg.transpose(self.algebra.alpha_power(p)):
                 rows = {}  # rho(sum_j a_j e_j) = sum_j a_j rho(e_j)
-                for j, a in _support(col):
+                for j, a in _sparse(col).items():
                     for k, row in self.rho_basis[j].items():
                         for l, v in row.items():
                             _add_entry(rows, k, l, a * v)
@@ -255,14 +216,22 @@ class _Complex:
             self._delta[key] = _delta_rows(self, n, gamma, r)
         return self._delta[key]
 
+    def restricted(self, n: int, gamma: GroupElement, r: int):
+        """delta_r^n on the compatible arity-n basis; empty without forming
+        delta_r^n (so no twist power) when that basis is empty."""
+        key = (n, gamma, r)
+        if key not in self._restricted:
+            basis_t = self.compat(n)[1]
+            self._restricted[key] = (_product(self.delta(n, gamma, r), basis_t)
+                                     if basis_t else {})
+        return self._restricted[key]
+
     def coboundaries(self, n: int, gamma: GroupElement, r: int):
-        """B^n; empty without forming delta_r^(n-1) when the compatible
-        arity-(n-1) space is zero, so no twist power is needed then."""
+        """B^n, the row space of the transposed ``restricted(n - 1, ...)``."""
         key = (n, gamma, r)
         if key not in self._coboundaries:
-            basis_t = self.compat(n - 1)[1]
-            images = _product(self.delta(n - 1, gamma, r), basis_t) if basis_t else {}
-            self._coboundaries[key] = linalg.rref(list(_transpose(images).values()))[0]
+            images = _transpose(self.restricted(n - 1, gamma, r))
+            self._coboundaries[key] = linalg.rref(list(images.values()))[0]
         return self._coboundaries[key]
 
 
@@ -343,10 +312,7 @@ def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
         coeffs = {}
         for t in range(1, n + 1):
             for s in range(t):
-                between = A.basis.group.zero()
-                for u in range(s + 1, t):
-                    between = between + degs[u]
-                sign = A.eps(between, degs[t])
+                sign = A.eps(sum(degs[s + 1:t], A.basis.group.zero()), degs[t])
                 factor = sign if t % 2 == 0 else -sign  # (-1)^t
                 supports = [A.bracket.rows.get((tup[s], tup[t]), {}).items() if pos == s
                             else alpha_cols[tup[pos]] for pos in range(n + 1) if pos != t]
@@ -364,10 +330,7 @@ def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
                 _add_entry(rows, base + k, pos * mdim + k, coeff)
         # action terms (-1)^s eps(gamma + x_0 + ... + x_{s-1}, x_s) rho(...) f(...)
         for s in range(n + 1):
-            prefix = gamma
-            for u in range(s):
-                prefix = prefix + degs[u]
-            sign = A.eps(prefix, degs[s])
+            sign = A.eps(sum(degs[:s], gamma), degs[s])
             factor = sign if s % 2 == 0 else -sign
             hit = locate(tup[:s] + tup[s + 1:])
             if hit is None:
@@ -386,12 +349,12 @@ def cochain_basis(A: ColorHomAlgebra, R: Representation, n: int,
         raise CochainError("cochain arity must be non-negative")
     cx = _complex(A, R)
     return CochainSpace(A, R, n, gamma, list(cx.arity(n)[0]),
-                        _dense(cx.compat(n)[0], cx.free_dim(n), A.m))
+                        [dict(v) for v in cx.compat(n)[0]])
 
 
 def coboundary_of_coords(A: ColorHomAlgebra, R: Representation, space: CochainSpace,
                          coords, r: int):
-    """delta_r^n applied to free coordinates; returns target-space coordinates.
+    """delta_r^n applied to dense or sparse free coordinates; returns dense ones.
 
     Raises when r + n - 1 < 0 and the twist is singular (negative power).
     """
@@ -456,10 +419,8 @@ def delta_matrix(A: ColorHomAlgebra, R: Representation, n: int, r: int,
     cx = _complex(A, R)
     if domain == "free":
         rows, ncols = cx.delta(n, gamma, r), space.free_dim
-    else:  # no compatible basis, no columns: delta_r^n is not formed
-        basis_t = cx.compat(n)[1]
-        rows = _product(cx.delta(n, gamma, r), basis_t) if basis_t else {}
-        ncols = space.compat_dim
+    else:
+        rows, ncols = cx.restricted(n, gamma, r), space.compat_dim
     columns = _transpose(rows)
     return _dense([columns.get(c, {}) for c in range(ncols)], cx.free_dim(n + 1), A.m), space
 
@@ -518,8 +479,8 @@ def cohomology_group(A: ColorHomAlgebra, R: Representation, n: int, r: int,
     else:
         # kernel of delta restricted to the compatible basis, and the
         # cocycles its vectors give as sums of compatible basis vectors
-        basis, basis_t = cx.compat(n)
-        combos = linalg.sparse_kernel_basis(list(_product(rows, basis_t).values()),
+        basis = cx.compat(n)[0]
+        combos = linalg.sparse_kernel_basis(list(cx.restricted(n, gamma, r).values()),
                                             len(basis), A.m)
         Z = list(_product(dict(enumerate(combos)), dict(enumerate(basis))).values())
     Z = linalg.rref(Z)[0]
@@ -530,6 +491,21 @@ def cohomology_group(A: ColorHomAlgebra, R: Representation, n: int, r: int,
         raise CochainError(
             "coboundary escaped the cocycle space; the complex is inconsistent here")
     space = cochain_basis(A, R, n, gamma)
-    Z, B, reps = (_dense(vectors, space.free_dim, A.m) for vectors in (Z, B, reps))
     return CohomologyResult(n, r, gamma, restrict, len(Z), len(B), len(Z) - len(B),
-                            Z, B, reps, space)
+                            Z, [dict(v) for v in B], _dense(reps, space.free_dim, A.m),
+                            space)
+
+
+def reverify(A: ColorHomAlgebra, R: Representation, result: CohomologyResult) -> CheckResult:
+    """Re-check that each cocycle basis vector and representative has
+    coboundary 0 (multilinear path) and each representative is new mod B."""
+    failures = [{"kind": kind, "index": i, "reason": "nonzero coboundary"}
+                for kind, vectors in (("cocycle", result.cocycle_basis),
+                                      ("representative", result.representatives))
+                for i, vec in enumerate(vectors)
+                if _sparse(coboundary_of_coords(A, R, result.space, vec, result.r)[0])]
+    quotient = linalg.Echelon(result.coboundary_basis)
+    failures += [{"kind": "representative", "index": i,
+                  "reason": "in the span of B and the earlier representatives"}
+                 for i, vec in enumerate(result.representatives) if not quotient.add(vec)]
+    return CheckResult(not failures, failures)

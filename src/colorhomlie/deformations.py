@@ -19,8 +19,7 @@ from operator import add
 from . import linalg
 from .algebra_core import (AlgebraStructureError, BracketTable, CheckResult,
                            ColorHomAlgebra, StructureConstants, cyclic_failures)
-from .cohomology import (Cochain, cochain_basis, coboundary_of_coords,
-                         delta_matrix)
+from .cohomology import Cochain, _complex, cochain_basis, coboundary_of_coords
 from .representations import adjoint
 from .scalars_grading import CycloScalar
 
@@ -81,14 +80,11 @@ def check_deformation(A: ColorHomAlgebra, B: TruncatedBracket) -> dict:
 
 
 def bracket_term_as_cochain(A: ColorHomAlgebra, table: BracketTable):
-    """Coordinates of a skew bilinear term on the canonical 2-tuples."""
+    """Sparse coordinates of a skew bilinear term on the canonical 2-tuples."""
     R = adjoint(A)
     space = cochain_basis(A, R, 2, A.basis.group.zero())
-    coords = space.zero_coords()
-    for t, tup in enumerate(space.tuples):
-        vec = table.of_basis(tup[0], tup[1])
-        for k, c in enumerate(vec):
-            coords[t * A.dim + k] = c
+    coords = {t * A.dim + k: c for t, tup in enumerate(space.tuples)
+              for k, c in table.rows.get(tup, {}).items()}
     return space, coords
 
 
@@ -112,16 +108,12 @@ def first_order_class(A: ColorHomAlgebra, B: TruncatedBracket) -> dict:
         result["warning"] = ("twist is singular; the inverse-twist adjoint "
                              "formulation is unavailable, using r=0")
     if is_cocycle:
-        lower_cols, _ = delta_matrix(A, R, 1, 0, A.basis.group.zero(),
-                                     domain="compatible")
-        red, pivots = linalg.rref(lower_cols)
-        residue = list(coords)
-        for row, pc in zip(red, pivots):
-            c = residue[pc]
-            if not c.is_zero():
-                for col, b in row.items():
-                    residue[col] = residue[col] - c * b
-        result["class_is_zero"] = all(c.is_zero() for c in residue)
+        # coords less its part in B^2, the rref image of the compatible 1-cochains
+        residue = dict(coords)
+        for row in _complex(A, R).coboundaries(2, A.basis.group.zero(), 0):
+            if min(row) in residue:
+                linalg._sub_scaled(residue, residue[min(row)], row)
+        result["class_is_zero"] = not residue
         result["class_representative"] = Cochain(space, residue)
     return result
 

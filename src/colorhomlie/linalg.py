@@ -110,6 +110,44 @@ def _sub_scaled(v, f, row):
             v[c] = y
 
 
+def _add_scaled(acc, coeff, row):
+    """acc += coeff * row on sparse rows, in place (coeff None adds row)."""
+    for k, c in row.items():
+        t = c if coeff is None else coeff * c
+        acc[k] = acc[k] + t if k in acc else t
+
+
+def _add_entry(rows, r, c, value):
+    """rows[r][c] += value on a sparse matrix {row: {column: scalar}}."""
+    row = rows.setdefault(r, {})
+    row[c] = row[c] + value if c in row else value
+
+
+def _pruned(rows):
+    """The sparse matrix without zero entries and empty rows."""
+    return {r: kept for r, row in rows.items()
+            if (kept := {c: v for c, v in row.items() if not v.is_zero()})}
+
+
+def _transpose(rows):
+    """The transpose of a sparse matrix."""
+    out = {}
+    for r, row in rows.items():
+        for c, a in row.items():
+            out.setdefault(c, {})[r] = a
+    return out
+
+
+def _product(rows, other):
+    """The product of two sparse matrices."""
+    out = {}
+    for r, row in rows.items():
+        for c, v in row.items():
+            for j, a in other.get(c, {}).items():
+                _add_entry(out, r, j, v * a)
+    return _pruned(out)
+
+
 class Echelon:
     """A fully reduced echelon form {pivot column: sparse row}, grown one
     vector at a time.  With ``coordinates`` each pivot row also carries its
@@ -149,7 +187,8 @@ class Echelon:
             return False
         c = min(v)
         inv = v[c].inverse()
-        v = {k: inv * a for k, a in v.items()}
+        if inv != CycloScalar.one(inv.root_order):
+            v = {k: inv * a for k, a in v.items()}
         if combo is not None:
             combo = {k: inv * a for k, a in combo.items()}
             combo[len(self.rows)] = inv
@@ -203,13 +242,6 @@ def kernel_basis(M, ncols: int, m: int):
     """``sparse_kernel_basis`` as dense vectors."""
     z = CycloScalar.zero(m)
     return [[v.get(c, z) for c in range(ncols)] for v in sparse_kernel_basis(M, ncols, m)]
-
-
-def row_space_basis(rows):
-    """Canonical (rref) basis of the span of the given dense vectors."""
-    red, pivots = rref(rows)
-    return [[r.get(c, CycloScalar.zero(r[pc].root_order)) for c in range(len(rows[0]))]
-            for r, pc in zip(red, pivots)]
 
 
 def in_span(rows, vec) -> bool:

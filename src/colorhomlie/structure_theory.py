@@ -11,7 +11,8 @@ from itertools import product
 
 from . import linalg
 from .algebra_core import (AlgebraStructureError, CheckResult, ColorHomAlgebra,
-                           StructureConstants, _add_scaled)
+                           StructureConstants)
+from .linalg import _add_scaled
 from .scalars_grading import BiCharacter, CycloScalar, GroupElement
 
 KINDS = ("der", "gder", "qder", "centroid", "qcentroid")
@@ -74,8 +75,10 @@ def _anticommutator(X, Y, e):
 
 
 def _pattern_matrix(A: ColorHomAlgebra, pattern, coeffs):
+    """The matrix with coeffs[t] (dense or {t: scalar}) at pattern[t]."""
     M = linalg.zeros(A.dim, A.dim, A.m)
-    for c, (i, j) in zip(coeffs, pattern):
+    for t, c in linalg._sparse(coeffs).items():
+        i, j = pattern[t]
         M[i][j] = c
     return M
 
@@ -129,16 +132,18 @@ def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
     pair (x, y) it contributes [x,y][j] to component i of D([x,y]),
     [e_i, a^k e_y] to [D x, a^k y] when j = x, and [a^k e_x, e_i] to
     [a^k x, D y] when j = y; only these terms are formed, from the rows of
-    the bracket and of its two precomposed tables.
+    the bracket and of its two precomposed tables, which are kept on A per k.
     """
     dim = A.dim
     nD = len(pattern)
     blocks = {"der": 1, "centroid": 1, "qcentroid": 1, "qder": 2, "gder": 3}[kind]
     nvars = blocks * nD
-    ak, ident = A.alpha_power(k), A.alpha_power(0)
+    if k not in A._precomposed:
+        ak, ident = A.alpha_power(k), A.alpha_power(0)
+        A._precomposed[k] = (A.bracket.precompose(ident, ak).rows,
+                             A.bracket.precompose(ak, ident).rows)
     # L[(i, y)] = [e_i, a^k e_y] and R[(x, i)] = [a^k e_x, e_i]
-    L = A.bracket.precompose(ident, ak).rows
-    R = A.bracket.precompose(ak, ident).rows
+    L, R = A._precomposed[k]
     in_column = [[] for _ in range(dim)]  # j -> [(t, i) : pattern[t] = (i, j)]
     for t, (i, j) in enumerate(pattern):
         in_column[j].append((t, i))
@@ -179,18 +184,21 @@ def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
 
 def _solve_space(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
                  commute: bool) -> HomogeneousMapSpace:
+    """Solved once per (kind, k, gamma, commute) and kept on A; returned fresh."""
     if k < 0:
         raise ValueError("twist power must be non-negative")
-    pattern = degree_pattern(A, gamma)
-    if not pattern:
-        return HomogeneousMapSpace(kind, k, gamma, [], commute)
-    rows, nvars, nD = _defining_rows(A, k, gamma, kind, pattern, commute)
-    kernel = linalg.kernel_basis(rows, nvars, A.m)
-    # project onto the D block and renormalize to a canonical basis
-    flats = [v[:nD] for v in kernel]
-    reduced = linalg.row_space_basis(flats)
-    mats = [_pattern_matrix(A, pattern, v) for v in reduced]
-    return HomogeneousMapSpace(kind, k, gamma, mats, commute)
+    key = (kind, k, gamma, commute)
+    if key not in A._spaces:
+        pattern, mats = degree_pattern(A, gamma), []
+        if pattern:
+            rows, nvars, nD = _defining_rows(A, k, gamma, kind, pattern, commute)
+            # project the kernel onto the D block; its rref is the canonical basis
+            flats = [{t: c for t, c in v.items() if t < nD}
+                     for v in linalg.sparse_kernel_basis(rows, nvars, A.m)]
+            mats = [_pattern_matrix(A, pattern, v) for v in linalg.rref(flats)[0]]
+        A._spaces[key] = mats
+    return HomogeneousMapSpace(kind, k, gamma, [[list(row) for row in M]
+                                                for M in A._spaces[key]], commute)
 
 
 def derivation_space(A: ColorHomAlgebra, k: int, gamma: GroupElement) -> HomogeneousMapSpace:
@@ -469,28 +477,24 @@ def check_inclusion_lattice(A: ColorHomAlgebra, k_range, gamma_range) -> dict:
     embeds in qder, and eps-commutators of quasi-centroid elements are gder."""
     failures = {"centroid_in_qder": [], "centroid_compose_gder": [],
                 "qcentroid_brackets": []}
-    spaces, tests = {}, {}
-    def get(kind, k, gamma):
-        key = (kind, k, tuple(gamma.components))
-        if key not in spaces:
-            spaces[key] = solve_space(A, kind, k, gamma)
-        return spaces[key]
+    tests = {}
     def member(kind, k, gamma, flat):
         """A flattened matrix in the space, reduced against one echelon form
         per space."""
-        key = (kind, k, tuple(gamma.components))
+        key = (kind, k, gamma)
         if key not in tests:
-            tests[key] = linalg.Echelon(_flat(B) for B in get(kind, k, gamma).basis)
+            space = solve_space(A, kind, k, gamma)
+            tests[key] = linalg.Echelon(_flat(B) for B in space.basis)
         return flat in tests[key]
     patterns = {g: set(degree_pattern(A, g)) for g in A.basis.group.elements()}
     for k, gamma in product(k_range, gamma_range):
-        for M in get("centroid", k, gamma).basis:
+        for M in solve_space(A, "centroid", k, gamma).basis:
             if not member("qder", k, gamma, _flat(M)):
                 failures["centroid_in_qder"].append({"k": k, "degree": list(gamma.components)})
     quadruples = list(product(k_range, k_range, gamma_range, gamma_range))
     for k, kp, gamma, gp in quadruples:
-        cent = get("centroid", kp, gp)
-        gder = get("gder", k, gamma)
+        cent = solve_space(A, "centroid", kp, gp)
+        gder = solve_space(A, "gder", k, gamma)
         if not cent.basis or not gder.basis:
             continue
         pat = patterns[gamma + gp]
@@ -505,8 +509,8 @@ def check_inclusion_lattice(A: ColorHomAlgebra, k_range, gamma_range) -> dict:
                     failures["centroid_compose_gder"].append(
                         {"k": k, "kp": kp, "degree": list((gamma + gp).components)})
     for k, kp, gamma, gp in quadruples:
-        qc1 = get("qcentroid", k, gamma)
-        qc2 = get("qcentroid", kp, gp)
+        qc1 = solve_space(A, "qcentroid", k, gamma)
+        qc2 = solve_space(A, "qcentroid", kp, gp)
         if not qc1.basis or not qc2.basis:
             continue
         e = A.eps(gamma, gp)

@@ -587,6 +587,13 @@ def delta2_direct(A, R, psi, gamma, r):
     return out
 
 
+def densify(space, vectors):
+    """Sparse {coordinate: scalar} cochain vectors as fresh dense lists of
+    length space.free_dim."""
+    zero = CycloScalar.zero(space.algebra.m)
+    return [[v.get(c, zero) for c in range(space.free_dim)] for v in vectors]
+
+
 def compat_rows_direct(A, R, n, tuples):
     """Equation rows of f o alpha^(x)n - beta o f over all basis n-tuples.
 

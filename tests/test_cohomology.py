@@ -14,17 +14,18 @@ import weakref
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from colorhomlie import cohomology, linalg
 from colorhomlie.algebra_core import AlgebraStructureError, ColorHomAlgebra
-from colorhomlie.cohomology import (CochainSpace, canonical_tuples, cochain_basis,
-                                    coboundary_of_coords, cohomology_group,
-                                    delta_matrix)
+from colorhomlie.cohomology import (Cochain, CochainSpace, canonical_tuples,
+                                    cochain_basis, coboundary_of_coords,
+                                    cohomology_group, delta_matrix, reverify)
 from colorhomlie.representations import Representation, adjoint, alpha_s_adjoint
 from colorhomlie.scalars_grading import CycloScalar
 
 from conftest import (SL2C_Z2Z2_CASE_FAMILIES, build_algebra, compat_rows_direct,
-                      delta1_direct, delta2_direct, direct_sum,
+                      delta1_direct, delta2_direct, densify, direct_sum,
                       random_multiplicative_algebra, sc, sl2c_z2z2, zero_algebra)
 
 
@@ -91,7 +92,7 @@ def test_n0_compatible_part_is_fixed_space():
     assert space.free_dim == 3
     # fixed points of alpha = diag(-1,-1,1) form the e3 line
     assert space.compat_dim == 1
-    assert not space.compat_basis[0][2].is_zero()
+    assert not densify(space, space.compat_basis)[0][2].is_zero()
 
 
 # -- coboundary values -----------------------------------------------------------
@@ -231,7 +232,7 @@ def test_sparse_operators_match_multilinear_oracles(case):
             if oracle is None:
                 rows = compat_rows_direct(A, R, n, space.tuples)
                 oracle = linalg.kernel_basis(rows, space.free_dim, A.m)
-            assert space.compat_basis == oracle, (A.name, n)
+            assert densify(space, space.compat_basis) == oracle, (A.name, n)
             for r in (0, 1):
                 columns, _ = delta_matrix(A, R, n, r, gamma, domain="free")
                 assert len(columns) == space.free_dim
@@ -278,8 +279,8 @@ def test_compat_rows_use_canonical_tuples_only_when_alpha_keeps_degrees(case):
         elif n > 1:
             assert max(rows) >= canonical_rows  # the full layout, every n-tuple
         oracle = compat_rows_direct(A, R, n, space.tuples)
-        assert space.compat_basis == linalg.kernel_basis(oracle, space.free_dim, A.m), \
-            (A.name, n)
+        assert densify(space, space.compat_basis) == \
+            linalg.kernel_basis(oracle, space.free_dim, A.m), (A.name, n)
 
 
 def test_compatible_delta_columns_are_images_of_the_compatible_basis():
@@ -351,21 +352,117 @@ def test_returned_bases_do_not_alias_the_complex():
     gamma = gamma_elems(A)["g1"]
     space = cochain_basis(A, R, 2, gamma)
     res = cohomology_group(A, R, 2, 0, gamma, restrict="free")
-    want_space = (list(space.tuples), [list(v) for v in space.compat_basis])
+    want_space = (list(space.tuples), densify(space, space.compat_basis))
     want = _outcome(A, R, 2, 0, gamma, "free")
     space.tuples.clear()
-    space.compat_basis.append(space.zero_coords())
+    space.compat_basis.append({0: sc(1, A.m)})
     space.compat_basis[0][0] = sc(7, A.m)
+    res.cocycle_basis[0][0] = sc(7, A.m)
     res.cocycle_basis.clear()
-    res.coboundary_basis.append(res.space.zero_coords())
+    res.coboundary_basis.append({0: sc(1, A.m)})
     res.coboundary_basis[0][0] = sc(7, A.m)
     res.representatives[0][0] = sc(7, A.m)
+    res.space.compat_basis[0].clear()
     res.space.compat_basis.clear()
     again = cochain_basis(A, R, 2, gamma)
-    assert (again.tuples, again.compat_basis) == want_space
+    assert (again.tuples, densify(again, again.compat_basis)) == want_space
     assert _outcome(A, R, 2, 0, gamma, "free") == want
-    assert delta_matrix(A, R, 2, 0, gamma, domain="compatible")[1].compat_basis \
-        == want_space[1]
+    space = delta_matrix(A, R, 2, 0, gamma, domain="compatible")[1]
+    assert densify(space, space.compat_basis) == want_space[1]
+
+
+@pytest.mark.parametrize("case", _FAMILY_CASES)
+def test_sparse_and_dense_coordinates_give_equal_values(case):
+    """Every compatible basis vector, sparse and densified, has the same
+    values under ``evaluate``, ``evaluate_basis`` and ``coboundary_of_coords``
+    and is nonzero as a ``Cochain``."""
+    A, R = ORACLE_CASES[case]
+    rng = random.Random(case)
+    for n in (0, 1, 2):
+        for gamma in A.basis.group.elements():
+            space = cochain_basis(A, R, n, gamma)
+            args = [[sc(rng.randint(-2, 2), A.m) for _ in range(A.dim)] for _ in range(n)]
+            for v, dense in zip(space.compat_basis, densify(space, space.compat_basis)):
+                assert space.evaluate(v, args) == space.evaluate(dense, args)
+                for combo in product(range(A.dim), repeat=n):
+                    assert space.evaluate_basis(v, combo) == space.evaluate_basis(dense, combo)
+                assert not Cochain(space, v).is_zero() and not Cochain(space, dense).is_zero()
+                for r in (0, 1) if n else (1,):
+                    assert coboundary_of_coords(A, R, space, v, r)[0] == \
+                        coboundary_of_coords(A, R, space, dense, r)[0], (A.name, n, r)
+    zero = cochain_basis(A, R, 1, A.basis.group.zero())
+    assert Cochain(zero, {}).is_zero() and Cochain(zero, zero.zero_coords()).is_zero()
+
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
+
+
+@PROPERTY
+@given(st.integers(0, 2 ** 32), st.integers(1, 2), st.integers(0, 1), st.data())
+def test_sparse_compatible_bases_square_to_zero_and_b_lies_in_z(seed, n, r, data):
+    A = random_multiplicative_algebra(random.Random(seed))
+    R = adjoint(A)
+    gamma = data.draw(st.sampled_from(list(A.basis.group.elements())))
+    space = cochain_basis(A, R, n, gamma)
+    for v in space.compat_basis:
+        image, target = coboundary_of_coords(A, R, space, v, r)
+        again, _ = coboundary_of_coords(A, R, target, linalg._sparse(image), r)
+        assert all(c.is_zero() for c in again)
+    # the same on the complex's sparse rows
+    cx = cohomology._complex(A, R)
+    basis_t = cx.compat(n)[1]
+    images = linalg._product(cx.delta(n, gamma, r), basis_t) if basis_t else {}
+    assert linalg._product(cx.delta(n + 1, gamma, r), images) == {}
+    for restrict in ("free", "compatible"):
+        res = cohomology_group(A, R, n + 1, r, gamma, restrict=restrict)
+        cocycles = linalg.Echelon(res.cocycle_basis)
+        assert all(b in cocycles for b in res.coboundary_basis)
+
+
+def test_reverify_accepts_every_result():
+    A = sl2c_z2z2()
+    for R in (adjoint(A), alpha_s_adjoint(A, -1)):
+        for n, r, gamma, restrict in product((1, 2, 3), (0, 1), A.basis.group.elements(),
+                                             ("free", "compatible")):
+            res = cohomology_group(A, R, n, r, gamma, restrict=restrict)
+            assert reverify(A, R, res).ok, (n, r, gamma.components, restrict)
+    for A, R in ORACLE_CASES[:6]:
+        for gamma in A.basis.group.elements():
+            res = cohomology_group(A, R, 2, 1, gamma, restrict="free")
+            assert reverify(A, R, res).ok, A.name
+
+
+def test_reverify_flags_a_perturbed_cocycle():
+    A = sl2c_z2z2()
+    R = adjoint(A)
+    gamma = gamma_elems(A)["g1"]
+    res = cohomology_group(A, R, 2, 0, gamma, restrict="free")
+    space, one = res.space, sc(1, A.m)
+    assert reverify(A, R, res).ok and res.dim_H == 2 and res.dim_B > 0
+    # a coordinate whose unit vector is not a cocycle, added to a cocycle
+    k = next(k for k in range(space.free_dim)
+             if any(not c.is_zero() for c in coboundary_of_coords(
+                 A, R, space, {k: one}, 0)[0]))
+    bad = dict(res.cocycle_basis[1])
+    bad[k] = bad[k] + one if k in bad else one
+    res.cocycle_basis[1] = bad
+    assert reverify(A, R, res).failures == [
+        {"kind": "cocycle", "index": 1, "reason": "nonzero coboundary"}]
+    res = cohomology_group(A, R, 2, 0, gamma, restrict="free")
+    reps = res.representatives
+    # the second representative moved by a coboundary is still a class
+    res.representatives = [reps[0], [a + b for a, b in
+                                     zip(reps[1], densify(space, res.coboundary_basis)[0])]]
+    assert reverify(A, R, res).ok
+    # a coboundary, or the first representative again, is not a new class
+    res.representatives = [densify(space, res.coboundary_basis)[0], reps[0], reps[0]]
+    assert reverify(A, R, res).failures == [
+        {"kind": "representative", "index": i,
+         "reason": "in the span of B and the earlier representatives"} for i in (0, 2)]
+    res.representatives = [reps[0], list(reps[1])]
+    res.representatives[1][k] = res.representatives[1][k] + one
+    assert reverify(A, R, res).failures == [
+        {"kind": "representative", "index": 1, "reason": "nonzero coboundary"}]
 
 
 def test_the_complex_is_freed_with_its_module_by_refcounting():

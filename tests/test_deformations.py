@@ -6,10 +6,12 @@ import pytest
 
 from colorhomlie import linalg
 from colorhomlie.algebra_core import BracketTable
+from colorhomlie.cohomology import delta_matrix
 from colorhomlie.deformations import (DeformationError, FormalAutomorphism,
-                                      TruncatedBracket, check_deformation,
-                                      check_equivalence, composition_deformation,
-                                      first_order_class, transport_bracket)
+                                      TruncatedBracket, bracket_term_as_cochain,
+                                      check_deformation, check_equivalence,
+                                      composition_deformation, first_order_class,
+                                      transport_bracket)
 from colorhomlie.scalars_grading import CycloScalar, euler_phi
 from conftest import (check_deformation_direct, check_equivalence_direct,
                       composition_failing_orders_direct, heis_zeta3, motion_z2z3,
@@ -63,6 +65,27 @@ def test_worked_example_representative_is_an_integrable_start():
     res = first_order_class(A, B)
     assert res["is_cocycle"]
     assert res["class_is_zero"] is False
+
+
+def test_first_order_class_works_on_sparse_coordinates():
+    A = sl2c_z2z2()
+    term = BracketTable(A.basis, A.eps, {
+        (0, 1): [sc(0), sc(1), sc(0)],
+        (0, 2): [sc(0), sc(0), sc(1)],
+    }, A.m)
+    space, coords = bracket_term_as_cochain(A, term)
+    assert coords == {space.coord_index((0, 1), 1): sc(1), space.coord_index((0, 2), 2): sc(1)}
+    for i in range(A.dim):
+        for j in range(A.dim):
+            assert space.evaluate_basis(coords, (i, j)) == term.of_basis(i, j)
+    B = TruncatedBracket(A, 1, [A.bracket, term])
+    rep = first_order_class(A, B)["class_representative"]
+    # the term less a coboundary of a compatible 1-cochain, and not zero
+    lower, _ = delta_matrix(A, space.module, 1, 0, A.basis.group.zero(), domain="compatible")
+    diff = dict(coords)
+    linalg._sub_scaled(diff, sc(1), rep.coords)
+    assert isinstance(rep.coords, dict) and not rep.is_zero()
+    assert linalg.in_span(lower, diff)
 
 
 def test_trivial_deformation_first_order():

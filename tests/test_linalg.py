@@ -147,12 +147,10 @@ def test_rref_matches_dense_oracle(system):
 
 @PROPERTY
 @given(systems())
-def test_kernel_rank_and_row_space_match_dense_oracle(system):
+def test_kernel_and_rank_match_dense_oracle(system):
     m, ncols, rows, mixed = system
     assert linalg.kernel_basis(mixed, ncols, m) == kernel_direct(rows, ncols, m)
     assert linalg.rank(mixed) == rank_direct(rows)
-    want = rref_direct(rows)[0] if rows else []
-    assert linalg.row_space_basis(rows) == want
 
 
 @PROPERTY

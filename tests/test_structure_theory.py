@@ -1,6 +1,7 @@
 """Derivation-type spaces, inclusion laws, and the quasi-centroid product."""
 import random
 import re
+from itertools import product
 
 import pytest
 
@@ -315,6 +316,67 @@ def test_hom_jordan_forms_each_eps_once_per_triple():
     got = {name: res.to_dict() for name, res in check_hom_jordan(J).items()}
     assert got == want
     assert len(calls) <= J.dim ** 3 + J.dim ** 2
+
+
+def test_each_space_is_solved_once_per_algebra(monkeypatch):
+    """The benchmark's heis_zeta3 solve jobs, then quasi_centroid_jordan and
+    check_inclusion_lattice: every (kind, k, gamma, commute) assembles its
+    rows once, and the two precomposed tables once per k."""
+    A = heis_zeta3()
+    solves, assembled, precomposed = [], [], []
+    solve, rows, precompose = (structure_theory._solve_space, structure_theory._defining_rows,
+                               StructureConstants.precompose)
+    def counting_solve(B, k, gamma, kind, commute):
+        solves.append((kind, k, gamma, commute))
+        return solve(B, k, gamma, kind, commute)
+    def counting_rows(B, k, gamma, kind, pattern, commute):
+        assembled.append((kind, k, gamma, commute))
+        return rows(B, k, gamma, kind, pattern, commute)
+    def counting_precompose(table, left, right):
+        precomposed.append(1)
+        return precompose(table, left, right)
+    monkeypatch.setattr(structure_theory, "_solve_space", counting_solve)
+    monkeypatch.setattr(structure_theory, "_defining_rows", counting_rows)
+    monkeypatch.setattr(StructureConstants, "precompose", counting_precompose)
+    for kind in KINDS:
+        for k in (0, 1):
+            for g in all_degrees(A):
+                solve_space(A, kind, k, g)
+    quasi_centroid_jordan(A, max_power=2)
+    check_inclusion_lattice(A, range(3), all_degrees(A))
+    assert len(assembled) == len(set(assembled))
+    assert len(solves) > len(set(solves)) >= len(assembled) > 0
+    assert len(precomposed) == 2 * len({k for _, k, _, _ in assembled})
+
+
+def test_mutating_a_returned_space_leaves_the_next_call_unchanged():
+    A, fresh = heis_zeta3(), heis_zeta3()
+    for kind in KINDS:
+        for k in (0, 1):
+            for g in all_degrees(A):
+                space = solve_space(A, kind, k, g)
+                want = [[list(row) for row in M] for M in space.basis]
+                if space.basis:
+                    space.basis[0][0][0] = sc(7, A.m)
+                    space.basis[0].append([])
+                space.basis.append(linalg.identity(A.dim, A.m))
+                again = solve_space(A, kind, k, g)
+                assert again is not space and again.basis == want
+                assert solve_space(fresh, kind, k, g).basis == want
+
+
+def test_kept_spaces_tell_the_commute_flag_apart():
+    # the centroid and quasi-centroid of heis_zeta3 differ with and without
+    # [D, alpha] = 0; one algebra answers both flags in turn as fresh ones do
+    A, differ = heis_zeta3(), 0
+    for kind, k, g in product(("centroid", "qcentroid"), (0, 1, 2), all_degrees(A)):
+        want = [solve_space(heis_zeta3(), kind, k, g, commute_with_alpha=c).basis
+                for c in (False, True)]
+        for commute in (False, True, False, True):
+            assert solve_space(A, kind, k, g, commute_with_alpha=commute).basis \
+                == want[commute]
+        differ += want[0] != want[1]
+    assert differ
 
 
 @pytest.mark.parametrize("build", [heis_zeta3, sl2c_z2z2])
