@@ -371,10 +371,12 @@ def parse_scalar(text: str, m: int) -> CycloScalar:
 
 
 def format_scalar(s: CycloScalar) -> str:
-    """Canonical literal; plain rationals serialize without brackets."""
-    if s.is_rational():
-        return str(s.coeffs[0])
-    return "[" + ";".join(str(c) for c in s.coeffs) + "]"
+    """Canonical literal; plain rationals serialize without brackets.  Each
+    coefficient n/den prints as str(Fraction(n, den)) does, reduced by gcd."""
+    den, num = s.den, s.num[:1] if s.is_rational() else s.num
+    parts = [str(n // g) if (g := gcd(n, den)) == den else f"{n // g}/{den // g}"
+             for n in num]
+    return parts[0] if len(parts) == 1 else "[" + ";".join(parts) + "]"
 
 
 # ---------------------------------------------------------------------------

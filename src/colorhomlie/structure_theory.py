@@ -7,6 +7,7 @@ its defining identity through an evaluation path independent of the solver.
 """
 from __future__ import annotations
 
+from functools import cache
 from itertools import product
 
 from . import linalg
@@ -427,46 +428,55 @@ def check_hom_jordan(J: ProductAlgebraData) -> dict:
 
     Vectors are {k: nonzero scalar} dicts on their supports: the basis
     products are the rows of J.mu, the twist images the nonzero entries of
-    J.alpha_action, and each distinct associator
-    as(e_a.e_b, alpha e_z, alpha e_c) is formed once.
+    J.alpha_action.  By linearity in the first slot, each cyclic-sum term
+    eps(d_r, d_p + d_z) as(e_p.e_q, alpha e_z, alpha e_r) is formed once from
+    the base associators as(e_k, alpha e_z, alpha e_c), eps once per degree
+    triple, and added into the three quadruples whose sums hold it.
     """
     n, mu, rows = J.dim, J.mu, J.mu.rows
-    zero = str(CycloScalar.zero(J.m))
+    one = CycloScalar.one(J.m)
     alpha = [linalg._sparse([row[t] for row in J.alpha_action]) for t in range(n)]
-    def twist(u):  # the sum of u_t alpha e_t: u as a row times the rows alpha[t]
-        return linalg._sparse(_mul_rows([u], alpha)[0])
     hcj1 = []
     for i, j in product(range(n), repeat=2):
         e = J.eps(J.degrees[i], J.degrees[j])
         if rows.get((i, j), {}) != {k: e * c for k, c in rows.get((j, i), {}).items()}:
             hcj1.append({"pair": [i, j]})
     # Hom-associators as(u,v,w) = (u.v).alpha(w) - alpha(u).(v.w) at
-    # u = e_a.e_b, v = alpha e_z, w = alpha e_c; they vanish where e_a.e_b = 0
-    alpha2 = [twist(v) for v in alpha]
+    # u = e_k, v = alpha e_z, w = alpha e_c: assoc[k][(z, c)], the nonzero ones
+    alpha2 = _sparse_rows(_mul_rows(alpha, alpha))  # alpha2[c] = alpha(alpha e_c)
     right = {(z, c): mu.sparse_bilinear(alpha[z], alpha[c])
              for z, c in product(range(n), repeat=2)}
     assoc = {}
-    for (a, b), ab in rows.items():
-        minus_alpha_ab = {k: -v for k, v in twist(ab).items()}
+    for k in {k for row in rows.values() for k in row}:
         for z in range(n):
-            left = mu.sparse_bilinear(ab, alpha[z])
+            left = mu.sparse_bilinear({k: one}, alpha[z])
             for c in range(n):
+                if not left and not right[(z, c)]:
+                    continue
                 acc = mu.sparse_bilinear(left, alpha2[c])
-                _add_scaled(acc, None, mu.sparse_bilinear(minus_alpha_ab, right[(z, c)]))
-                assoc[(a, b, z, c)] = linalg._sparse(acc)
-    # eps(d_w, d_x + d_z) once per (w, x, z)
-    eps = {(w, x, z): J.eps(J.degrees[w], J.degrees[x] + J.degrees[z])
-           for w, x, z in product(range(n), repeat=3)}
-    hcj2 = []
-    for x, y, z, w in product(range(n), repeat=4):
-        acc = {}
-        for p, q, r in ((x, y, w), (y, w, x), (w, x, y)):
-            _add_scaled(acc, eps[(r, p, z)], assoc.get((p, q, z, r), {}))
-        acc = linalg._sparse(acc)
+                linalg._sub_scaled(acc, one, mu.sparse_bilinear(alpha[k], right[(z, c)]))
+                if acc:
+                    assoc.setdefault(k, {})[(z, c)] = acc
+    eps = cache(lambda r, p, z: J.eps(r, p + z))  # once per degree triple
+    text, sums = cache(str), {}  # each distinct residual scalar formatted once
+    for (p, q), pq in rows.items():
+        terms = {}  # (z, r) -> as(e_p.e_q, alpha e_z, alpha e_r)
+        for k, c in pq.items():
+            for zr, vec in assoc.get(k, {}).items():
+                _add_scaled(terms.setdefault(zr, {}), c, vec)
+        for (z, r), term in terms.items():
+            e = eps(J.degrees[r], J.degrees[p], J.degrees[z])
+            term = {t: e * c for t, c in term.items()}
+            for quadruple in ((p, q, z, r), (r, p, z, q), (q, r, z, p)):
+                _add_scaled(sums.setdefault(quadruple, {}), None, term)
+    zero, hcj2 = str(CycloScalar.zero(J.m)), []
+    for quadruple in sorted(sums):
+        acc = linalg._sparse(sums[quadruple])
         if acc:
-            hcj2.append({"quadruple": [x, y, z, w],
-                         "residual": [str(acc[k]) if k in acc else zero
-                                      for k in range(n)]})
+            residual = [zero] * n
+            for t, c in acc.items():
+                residual[t] = text(c)
+            hcj2.append({"quadruple": list(quadruple), "residual": residual})
     return {"hcj1": CheckResult(not hcj1, hcj1),
             "hcj2": CheckResult(not hcj2, hcj2)}
 
@@ -474,50 +484,50 @@ def check_hom_jordan(J: ProductAlgebraData) -> dict:
 def check_inclusion_lattice(A: ColorHomAlgebra, k_range, gamma_range) -> dict:
     """Membership-based verification of the composition and inclusion laws:
     centroid o gder lands in gder at the summed power and degree, centroid
-    embeds in qder, and eps-commutators of quasi-centroid elements are gder."""
+    embeds in qder, and eps-commutators of quasi-centroid elements are gder.
+    Each (kind, k, gamma) basis is read once per call, as sparse rows, and
+    membership in it is tested on one echelon form."""
     failures = {"centroid_in_qder": [], "centroid_compose_gder": [],
                 "qcentroid_brackets": []}
-    tests = {}
-    def member(kind, k, gamma, flat):
-        """A flattened matrix in the space, reduced against one echelon form
-        per space."""
-        key = (kind, k, gamma)
+    bases, tests = {}, {}
+    def basis(*key):  # key = (kind, k, gamma)
+        if key not in bases:
+            bases[key] = [_sparse_rows(B) for B in solve_space(A, *key).basis]
+        return bases[key]
+    def member(flat, *key):
         if key not in tests:
-            space = solve_space(A, kind, k, gamma)
-            tests[key] = linalg.Echelon(_flat(B) for B in space.basis)
+            tests[key] = linalg.Echelon(_flat(B) for B in basis(*key))
         return flat in tests[key]
     patterns = {g: set(degree_pattern(A, g)) for g in A.basis.group.elements()}
     for k, gamma in product(k_range, gamma_range):
-        for M in solve_space(A, "centroid", k, gamma).basis:
-            if not member("qder", k, gamma, _flat(M)):
+        for M in basis("centroid", k, gamma):
+            if not member(_flat(M), "qder", k, gamma):
                 failures["centroid_in_qder"].append({"k": k, "degree": list(gamma.components)})
     quadruples = list(product(k_range, k_range, gamma_range, gamma_range))
     for k, kp, gamma, gp in quadruples:
-        cent = solve_space(A, "centroid", kp, gp)
-        gder = solve_space(A, "gder", k, gamma)
-        if not cent.basis or not gder.basis:
+        cent, gder = basis("centroid", kp, gp), basis("gder", k, gamma)
+        if not cent or not gder:
             continue
         pat = patterns[gamma + gp]
-        for C in map(_sparse_rows, cent.basis):
-            for D in map(_sparse_rows, gder.basis):
+        for C in cent:
+            for D in gder:
                 comp = _flat(_mul_rows(C, D))
                 for key in comp:
                     if key not in pat:
                         failures["centroid_compose_gder"].append(
                             {"reason": "degree pattern", "k": k, "kp": kp})
-                if not member("gder", k + kp, gamma + gp, comp):
+                if not member(comp, "gder", k + kp, gamma + gp):
                     failures["centroid_compose_gder"].append(
                         {"k": k, "kp": kp, "degree": list((gamma + gp).components)})
     for k, kp, gamma, gp in quadruples:
-        qc1 = solve_space(A, "qcentroid", k, gamma)
-        qc2 = solve_space(A, "qcentroid", kp, gp)
-        if not qc1.basis or not qc2.basis:
+        qc1, qc2 = basis("qcentroid", k, gamma), basis("qcentroid", kp, gp)
+        if not qc1 or not qc2:
             continue
         e = A.eps(gamma, gp)
-        for D1 in map(_sparse_rows, qc1.basis):
-            for D2 in map(_sparse_rows, qc2.basis):
+        for D1 in qc1:
+            for D2 in qc2:
                 brk = _flat(_anticommutator(D1, D2, -e))
-                if not member("gder", k + kp, gamma + gp, brk):
+                if not member(brk, "gder", k + kp, gamma + gp):
                     failures["qcentroid_brackets"].append(
                         {"k": k, "kp": kp, "degree": list((gamma + gp).components)})
     return {name: CheckResult(not items, items) for name, items in failures.items()}

@@ -6,7 +6,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from colorhomlie import scalars_grading
 from colorhomlie.scalars_grading import (BiCharacter, BiCharacterError,
@@ -171,6 +171,31 @@ def test_literals_match_fraction_oracle_and_round_trip(case):
     assert text == format_fraction_scalar(ox)
     assert parse_scalar(text, m) == x
     assert_matches(parse_scalar(text, m), ox)
+
+
+def fraction_formula(s):
+    """format_scalar as written on the coefficients as ``Fraction``s."""
+    if s.is_rational():
+        return str(s.coeffs[0])
+    return "[" + ";".join(str(c) for c in s.coeffs) + "]"
+
+
+@PROPERTY
+@given(st.integers(1, 5), st.sampled_from((1, 2, 4, 6, 12, 30, 60)),
+       st.lists(st.integers(-120, 120), min_size=4, max_size=4))
+@example(3, 6, [3, 2, 0, 0])  # 1/2 and 1/3 over the shared 6
+@example(5, 60, [30, -20, 15, 12])  # four coefficients that each reduce
+def test_format_scalar_matches_the_fraction_formula(m, den, nums):
+    s = CycloScalar([Fraction(n, den) for n in nums[:euler_phi(m)]], m)
+    assert format_scalar(s) == fraction_formula(s)
+
+
+def test_format_scalar_examples_reduce_below_the_shared_denominator():
+    # the explicit examples above store a coefficient whose fraction reduces
+    for m, den, nums in ((3, 6, [3, 2]), (5, 60, [30, -20, 15, 12])):
+        s = CycloScalar([Fraction(n, den) for n in nums], m)
+        assert s.den == den and any(gcd(n, s.den) > 1 for n in s.num)
+        assert format_scalar(s) == fraction_formula(s)
 
 
 def test_zero_and_one_are_shared_per_order():

@@ -1,12 +1,16 @@
 """Derivation-type spaces, inclusion laws, and the quasi-centroid product."""
+import hashlib
+import json
 import random
 import re
 from itertools import product
 
 import pytest
+from hypothesis import Phase, given, settings, strategies as st
 
 from colorhomlie import linalg, structure_theory
 from colorhomlie.algebra_core import StructureConstants
+from colorhomlie.scalars_grading import CycloScalar
 from colorhomlie.structure_theory import (KINDS, HomogeneousMapSpace,
                                           NotClosedError, ProductAlgebraData,
                                           _defining_rows, _partner_rows,
@@ -303,9 +307,52 @@ def test_hom_jordan_matches_quadruple_oracle(case):
     assert (got["hcj1"]["ok"], got["hcj2"]["ok"]) == verdicts
 
 
+def sparse_random_jordan(seed, n):
+    """A random sparse product and twist on n basis elements of heis_zeta3's
+    grading, over Q(zeta_3).  Every square e_p.e_p is nonzero, so the
+    quadruples (p, p, z, p), where the three cyclic terms coincide, fail."""
+    A, rng = heis_zeta3(), random.Random(seed)
+    degrees = [rng.choice(all_degrees(A)) for _ in range(n)]
+    def entry(density):
+        if rng.random() > density:
+            return sc(0, A.m)
+        return CycloScalar((rng.randint(-2, 2), rng.randint(-2, 2)), A.m) or sc(1, A.m)
+    table = [[[entry(0.3 if p == q else 0.15) for _ in range(n)] for q in range(n)]
+             for p in range(n)]
+    for p in range(n):
+        table[p][p][rng.randrange(n)] = sc(rng.choice((-1, 1, 2)), A.m)
+    alpha = [[entry(0.8 if i == j else 0.2) for j in range(n)] for i in range(n)]
+    return ProductAlgebraData([None] * n, degrees, table, alpha, A.eps, A.m)
+
+
+# no shrinking: each example runs the n^4 oracle, about 1.5 s
+@settings(derandomize=True, max_examples=4, deadline=None, database=None,
+          phases=(Phase.explicit, Phase.generate))
+@given(st.integers(0, 2 ** 32), st.sampled_from((6, 7)))
+def test_hom_jordan_matches_quadruple_oracle_on_sparse_tables(seed, n):
+    J = sparse_random_jordan(seed, n)
+    got = {name: res.to_dict() for name, res in check_hom_jordan(J).items()}
+    assert got == {name: res.to_dict() for name, res in hom_jordan_direct(J).items()}
+    assert any(x == y == w for x, y, z, w in
+               (f["quadruple"] for f in got["hcj2"]["failures"]))
+
+
+def test_hom_jordan_report_at_jordan_dim_16_is_pinned():
+    # the report of the quadruple loop that the linear-in-the-first-slot
+    # check replaced, hashed before the change
+    J = quasi_centroid_jordan(direct_sum(heis_zeta3(), heis_zeta3(), "heis_zeta3^2"),
+                              max_power=2)
+    report = {name: res.to_dict() for name, res in check_hom_jordan(J).items()}
+    assert J.dim == 16 and report["hcj1"]["ok"]
+    assert len(report["hcj2"]["failures"]) == 2448
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == \
+        "1220ad47636f42cdf7cdb1db061c2f7cee4d76c143e79abc4083932af48112a2"
+
+
 def test_hom_jordan_forms_each_eps_once_per_triple():
-    # eps(d_w, d_x + d_z) once per (w, x, z), plus one eps per pair for hcj1
-    J = quasi_centroid_jordan(heis_zeta3(), max_power=2)
+    # eps(d_r, d_p + d_z) once per degree triple, plus one eps per pair for hcj1
+    A = heis_zeta3()
+    J = quasi_centroid_jordan(A, max_power=2)
     want = {name: res.to_dict() for name, res in hom_jordan_direct(J).items()}
     calls = []
     eps = J.eps
@@ -315,7 +362,7 @@ def test_hom_jordan_forms_each_eps_once_per_triple():
     J.eps = counting_eps
     got = {name: res.to_dict() for name, res in check_hom_jordan(J).items()}
     assert got == want
-    assert len(calls) <= J.dim ** 3 + J.dim ** 2
+    assert len(calls) <= len(all_degrees(A)) ** 3 + J.dim ** 2
 
 
 def test_each_space_is_solved_once_per_algebra(monkeypatch):
@@ -347,6 +394,23 @@ def test_each_space_is_solved_once_per_algebra(monkeypatch):
     assert len(assembled) == len(set(assembled))
     assert len(solves) > len(set(solves)) >= len(assembled) > 0
     assert len(precomposed) == 2 * len({k for _, k, _, _ in assembled})
+
+
+@pytest.mark.parametrize("build", [heis_zeta3, sl2c_z2z2])
+def test_inclusion_lattice_reads_each_space_once(build, monkeypatch):
+    A = build()
+    want = check_inclusion_lattice(A, range(3), all_degrees(A))
+    calls = []
+    def counting_solve(B, kind, k, gamma, **flags):
+        calls.append((kind, k, gamma))
+        return solve_space(B, kind, k, gamma, **flags)
+    monkeypatch.setattr(structure_theory, "solve_space", counting_solve)
+    got = check_inclusion_lattice(A, range(3), all_degrees(A))
+    assert {name: res.to_dict() for name, res in got.items()} == \
+        {name: res.to_dict() for name, res in want.items()}
+    assert len(calls) == len(set(calls))
+    assert {kind for kind, _, _ in calls} == {"centroid", "qder", "gder", "qcentroid"}
+    assert ("gder", 4, A.basis.group.zero()) in calls
 
 
 def test_mutating_a_returned_space_leaves_the_next_call_unchanged():
