@@ -14,7 +14,7 @@ import copy
 from itertools import product
 
 from . import linalg
-from .linalg import _add_scaled
+from .linalg import _add_scaled, _transpose
 from .scalars_grading import (BiCharacter, CycloScalar, FiniteAbelianGroup,
                               GroupElement, Immutable, format_scalar)
 
@@ -37,6 +37,9 @@ class GradedBasis(Immutable):
     def __init__(self, names: tuple, degrees: tuple, group: FiniteAbelianGroup):
         if len(set(names)) != len(names):
             raise AlgebraStructureError(f"duplicate basis names in {names}")
+        if len(degrees) != len(names):
+            raise AlgebraStructureError(
+                f"{len(names)} basis names but {len(degrees)} degrees")
         for d in degrees:
             if d.group != group:
                 raise AlgebraStructureError(
@@ -94,10 +97,7 @@ class StructureConstants:
 
     def of_basis(self, i: int, j: int):
         """The image of (e_i, e_j) as a dense coordinate vector."""
-        out = [CycloScalar.zero(self.m)] * self.dim
-        for k, c in self.rows.get((i, j), {}).items():
-            out[k] = c
-        return out
+        return linalg.dense([self.rows.get((i, j), {})], self.dim, self.m)[0]
 
     def sparse_bilinear(self, u, v):
         """The image of (u, v) as {k: nonzero scalar}.  A dense vector is made
@@ -113,19 +113,16 @@ class StructureConstants:
 
     def bilinear(self, u, v):
         """The image of (u, v) as a dense coordinate vector."""
-        acc, z = self.sparse_bilinear(u, v), CycloScalar.zero(self.m)
-        return [acc.get(k, z) for k in range(self.dim)]
+        return linalg.dense([self.sparse_bilinear(u, v)], self.dim, self.m)[0]
 
     def precompose(self, left, right) -> "StructureConstants":
-        """The plain table of (x, y) -> c(left x, right y) for matrices left, right."""
-        acc = {}
+        """The plain table of (x, y) -> c(left x, right y) for matrices left,
+        right (read through ``linalg.sparse``)."""
+        left, right, acc = linalg.sparse(left), linalg.sparse(right), {}
         for (a, b), row in self.rows.items():
-            for i, l in enumerate(left[a]):
-                if l.is_zero():
-                    continue
-                for j, r in enumerate(right[b]):
-                    if not r.is_zero():
-                        _add_scaled(acc.setdefault((i, j), {}), l * r, row)
+            for i, l in left.get(a, {}).items():
+                for j, r in right.get(b, {}).items():
+                    _add_scaled(acc.setdefault((i, j), {}), l * r, row)
         return StructureConstants(self.dim, self.m, acc)
 
     def __add__(self, other: "StructureConstants") -> "StructureConstants":
@@ -151,24 +148,25 @@ class StructureConstants:
 
     def compose_with(self, matrix) -> "StructureConstants":
         """Structure constants of matrix o (this map), under the same rule."""
-        out = copy.copy(self)
-        out.rows = StructureConstants(self.dim, self.m, {
-            key: linalg.mat_vec(matrix, self.of_basis(*key)) for key in self.rows}).rows
+        out, cols = copy.copy(self), _transpose(linalg.sparse(matrix))
+        out.rows = {key: row for key in self.rows if (row := self.mapped_row(*key, cols))}
         return out
 
     def mapped_row(self, i: int, j: int, cols):
-        """f(c(e_i, e_j)) as {k: nonzero scalar}; f has the sparse columns cols."""
+        """f(c(e_i, e_j)) as {k: nonzero scalar}; cols[k] is the sparse column
+        f e_k, and a zero column may be missing."""
         acc = {}
         for k, c in self.rows.get((i, j), {}).items():
-            _add_scaled(acc, c, cols[k])
+            _add_scaled(acc, c, cols.get(k, {}))
         return linalg._sparse(acc)
 
     def endomorphism_failures(self, matrix):
         """The basis pairs (i, j), in row-major order, with matrix(c(e_i, e_j))
         != c(matrix e_i, matrix e_j), both sides formed on sparse columns."""
-        cols = [linalg._sparse([row[j] for row in matrix]) for j in range(self.dim)]
+        cols = _transpose(linalg.sparse(matrix))
         for i, j in product(range(self.dim), repeat=2):
-            if self.mapped_row(i, j, cols) != self.sparse_bilinear(cols[i], cols[j]):
+            if self.mapped_row(i, j, cols) != self.sparse_bilinear(cols.get(i, {}),
+                                                                   cols.get(j, {})):
                 yield i, j
 
     def is_zero(self) -> bool:
@@ -188,7 +186,7 @@ class StructureConstants:
 
 def cyclic_residual(pairs, degrees, eps: BiCharacter, x: int, y: int, z: int):
     """Sum over the rotations (a, b, c) of (x, y, z) and the (outer, inner)
-    table pairs of eps(d_c, d_a) outer(e_a, inner(e_b, e_c)), dense.
+    table pairs of eps(d_c, d_a) outer(e_a, inner(e_b, e_c)), as {k: nonzero scalar}.
 
     The Hom-Jacobi identity, the order-by-order deformation equations and
     the deformed Jacobi identity of the induced HLS bracket all say that
@@ -200,18 +198,18 @@ def cyclic_residual(pairs, degrees, eps: BiCharacter, x: int, y: int, z: int):
         for outer, inner in pairs:
             for k, w in inner.rows.get((b, c), {}).items():
                 _add_scaled(acc, e * w, outer.rows.get((a, k), {}))
-    dim, zero = pairs[0][0].dim, CycloScalar.zero(pairs[0][0].m)
-    return [acc.get(k, zero) for k in range(dim)]
+    return linalg._sparse(acc)
 
 
 def cyclic_failures(pairs, basis: GradedBasis, eps: BiCharacter):
-    """The basis triples, in order, whose cyclic residual is nonzero."""
-    failures = []
+    """The basis triples, in order, whose cyclic residual is nonzero, with
+    the residual as dense entry strings."""
+    failures, m = [], pairs[0][0].m
     for x, y, z in product(range(basis.dim), repeat=3):
         res = cyclic_residual(pairs, basis.degrees, eps, x, y, z)
-        if any(not c.is_zero() for c in res):
+        if res:
             failures.append({"triple": [basis.names[t] for t in (x, y, z)],
-                             "residual": [str(c) for c in res]})
+                             "residual": [str(c) for c in linalg.dense([res], basis.dim, m)[0]]})
     return failures
 
 
@@ -304,6 +302,7 @@ class ColorHomAlgebra:
         self.m = m
         self.name = name
         self._alpha_pows = {0: linalg.identity(basis.dim, m), 1: alpha}
+        self._sparse_pows = {}  # k -> alpha^k in linalg's sparse form
         self._spaces = {}       # (kind, k, gamma, commute) -> spanning matrices
         self._precomposed = {}  # k -> rows of [e_i, a^k e_y] and [a^k e_x, e_i]
 
@@ -332,6 +331,12 @@ class ColorHomAlgebra:
                 self._alpha_pows[k] = linalg.mat_mul(self.alpha_power(step),
                                                      self.alpha_power(k - step))
         return self._alpha_pows[k]
+
+    def alpha_sparse(self, k: int):
+        """alpha^k in linalg's sparse form, formed once per k."""
+        if k not in self._sparse_pows:
+            self._sparse_pows[k] = linalg.sparse(self.alpha_power(k))
+        return self._sparse_pows[k]
 
     def apply_alpha(self, v, k: int = 1):
         return linalg.mat_vec(self.alpha_power(k), v)
@@ -366,15 +371,10 @@ class ColorHomAlgebra:
                 })
         return CheckResult(not failures, failures)
 
-    def jacobi_residual(self, x: int, y: int, z: int):
-        """Cyclic sum eps(z,x) [alpha(x), [y, z]] on one basis triple."""
-        return cyclic_residual(self._jacobi_pairs(), self.basis.degrees, self.eps, x, y, z)
-
-    def _jacobi_pairs(self):
-        return [(self.bracket.precompose(self.alpha, self.alpha_power(0)), self.bracket)]
-
     def check_jacobi(self) -> CheckResult:
-        failures = cyclic_failures(self._jacobi_pairs(), self.basis, self.eps)
+        """The cyclic sum eps(z,x) [alpha(x), [y, z]] on every basis triple."""
+        outer = self.bracket.precompose(self.alpha_sparse(1), self.alpha_sparse(0))
+        failures = cyclic_failures([(outer, self.bracket)], self.basis, self.eps)
         return CheckResult(not failures, failures)
 
     def check_multiplicative(self) -> CheckResult:
@@ -415,36 +415,22 @@ class HomAssociativeColorAlgebra:
     def dim(self):
         return self.basis.dim
 
-    def basis_vector(self, i: int):
-        return [CycloScalar.one(self.m) if j == i else CycloScalar.zero(self.m)
-                for j in range(self.dim)]
-
     def check_hom_associative(self) -> CheckResult:
-        failures = []
-        mu = self.mu
-        E = linalg.identity(self.dim, self.m)
-        for x in range(self.dim):
-            ax = linalg.mat_vec(self.alpha, E[x])
-            for y in range(self.dim):
-                for z in range(self.dim):
-                    az = linalg.mat_vec(self.alpha, E[z])
-                    lhs = mu.bilinear(ax, mu.of_basis(y, z))
-                    rhs = mu.bilinear(mu.of_basis(x, y), az)
-                    if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
-                        failures.append({"triple": [self.basis.names[x],
-                                                    self.basis.names[y],
-                                                    self.basis.names[z]]})
+        """alpha(x).(y.z) = (x.y).alpha(z) on basis triples, from the rows of
+        mu and the columns of alpha."""
+        mu, rows = self.mu, self.mu.rows
+        alpha = _transpose(linalg.sparse(self.alpha))
+        failures = [{"triple": [self.basis.names[t] for t in (x, y, z)]}
+                    for x, y, z in product(range(self.dim), repeat=3)
+                    if mu.sparse_bilinear(alpha.get(x, {}), rows.get((y, z), {}))
+                    != mu.sparse_bilinear(rows.get((x, y), {}), alpha.get(z, {}))]
         return CheckResult(not failures, failures)
 
     def is_eps_commutative(self) -> bool:
-        for i in range(self.dim):
-            for j in range(self.dim):
-                e = self.eps(self.basis.degrees[i], self.basis.degrees[j])
-                lhs = self.mu.of_basis(i, j)
-                rhs = [e * c for c in self.mu.of_basis(j, i)]
-                if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
-                    return False
-        return True
+        degrees, rows = self.basis.degrees, self.mu.rows
+        return all(rows.get((i, j), {}) == {k: self.eps(degrees[i], degrees[j]) * c
+                                           for k, c in rows.get((j, i), {}).items()}
+                   for i, j in product(range(self.dim), repeat=2))
 
 
 def commutator_algebra(H: HomAssociativeColorAlgebra) -> ColorHomAlgebra:

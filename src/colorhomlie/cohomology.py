@@ -32,7 +32,7 @@ from itertools import product
 
 from . import linalg
 from .algebra_core import AlgebraStructureError, CheckResult, ColorHomAlgebra
-from .linalg import _add_entry, _product, _pruned, _sparse, _transpose
+from .linalg import _add_entry, _product, _sparse, _transpose, sparse
 from .representations import Representation
 from .scalars_grading import CycloScalar, GroupElement, sort_with_sign
 
@@ -70,9 +70,6 @@ class CochainSpace:
     def compat_dim(self) -> int:
         return len(self.compat_basis)
 
-    def coord_index(self, tup, k: int) -> int:
-        return self.positions[tup] * self.module.dim + k
-
     def zero_coords(self):
         return [CycloScalar.zero(self.algebra.m)] * self.free_dim
 
@@ -92,22 +89,15 @@ class CochainSpace:
         return [sign * coords[base + k] for k in range(mdim)]
 
     def evaluate(self, coords, vectors):
-        """Multilinear extension to arbitrary coordinate-vector arguments."""
+        """Multilinear extension to arbitrary dense or sparse coordinate-vector
+        arguments, summed over the products of their supports."""
         m = self.algebra.m
-        mdim = self.module.dim
-        out = [CycloScalar.zero(m)] * mdim
-        for combo in product(*(range(self.algebra.dim) for _ in range(self.n))):
+        out = [CycloScalar.zero(m)] * self.module.dim
+        for picks in product(*(_sparse(vec).items() for vec in vectors)):
             coeff = CycloScalar.one(m)
-            vanished = False
-            for vec, i in zip(vectors, combo):
-                c = vec[i]
-                if c.is_zero():
-                    vanished = True
-                    break
+            for _, c in picks:
                 coeff = coeff * c
-            if vanished:
-                continue
-            val = self.evaluate_basis(coords, combo)
+            val = self.evaluate_basis(coords, tuple(i for i, _ in picks))
             out = [o + coeff * v for o, v in zip(out, val)]
         return out
 
@@ -125,12 +115,6 @@ class Cochain:
 
 # -- sparse operators assembled from basis terms ------------------------------
 # (``linalg`` sparse matrices; columns are free canonical coordinates)
-
-def _dense(vectors, length: int, m: int):
-    """Sparse vectors as fresh dense vectors of the given length."""
-    zero = CycloScalar.zero(m)
-    return [[v.get(c, zero) for c in range(length)] for v in vectors]
-
 
 class _Complex:
     """The parts of the cochain complex C^*(A, R) that no call changes.
@@ -156,9 +140,10 @@ class _Complex:
 
     def __init__(self, A: ColorHomAlgebra, R: Representation):
         self.algebra, self.mdim = A, R.dim
-        self.beta = [(k, l, b) for k, brow in enumerate(R.beta) for l, b in _sparse(brow).items()]
-        self.rho_basis = [_pruned(dict(enumerate(map(_sparse, mat)))) for mat in R.rho]
-        self.alpha_cols = [list(_sparse(col).items()) for col in linalg.transpose(A.alpha)]
+        self.beta = [(k, l, b) for k, brow in sparse(R.beta).items() for l, b in brow.items()]
+        self.rho_basis = [sparse(mat) for mat in R.rho]
+        alpha_cols = _transpose(A.alpha_sparse(1))
+        self.alpha_cols = [list(alpha_cols.get(i, {}).items()) for i in range(A.dim)]
         self._arity = {}         # n -> (canonical tuples, their positions)
         self._located = {}       # argument index combo -> locate(combo)
         self._compat = {}        # n -> (compatible basis, its transpose)
@@ -198,14 +183,12 @@ class _Complex:
 
     def rho_entries(self, p: int):
         if p not in self._rho:
-            images = []
-            for col in linalg.transpose(self.algebra.alpha_power(p)):
-                rows = {}  # rho(sum_j a_j e_j) = sum_j a_j rho(e_j)
-                for j, a in _sparse(col).items():
-                    for k, row in self.rho_basis[j].items():
-                        for l, v in row.items():
-                            _add_entry(rows, k, l, a * v)
-                images.append([(k, l, v) for k, row in sorted(_pruned(rows).items())
+            cols, images = _transpose(self.algebra.alpha_sparse(p)), []
+            for i in range(self.algebra.dim):
+                # rho(sum_j a_j e_j) = sum_j a_j rho(e_j)
+                image = linalg._combine((a, self.rho_basis[j])
+                                        for j, a in cols.get(i, {}).items())
+                images.append([(k, l, v) for k, row in sorted(image.items())
                                for l, v in sorted(row.items())])
             self._rho[p] = images
         return self._rho[p]
@@ -258,7 +241,7 @@ def _compat_rows(cx: _Complex, n: int):
         rows = {k: {k: CycloScalar.one(A.m)} for k in range(mdim)}
         for k, l, b in cx.beta:
             _add_entry(rows, k, l, -b)
-        return _pruned(rows)
+        return sparse(rows)
     rows = {}
     if cx.free_dim(n) == 0:
         return rows
@@ -288,7 +271,7 @@ def _compat_rows(cx: _Complex, n: int):
             pos, sign = hit
             for k, l, b in beta:
                 _add_entry(rows, base + k, pos * mdim + l, -(b * sign))
-    return _pruned(rows)
+    return sparse(rows)
 
 
 def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
@@ -339,7 +322,7 @@ def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
             coeff = factor * coeff
             for k, l, v in rho_entries[tup[s]]:
                 _add_entry(rows, base + k, pos * mdim + l, coeff * v)
-    return _pruned(rows)
+    return sparse(rows)
 
 
 def cochain_basis(A: ColorHomAlgebra, R: Representation, n: int,
@@ -366,8 +349,8 @@ def coboundary_of_coords(A: ColorHomAlgebra, R: Representation, space: CochainSp
     target_tuples = canonical_tuples(A, n + 1)
     target = CochainSpace(A, R, n + 1, gamma, target_tuples, [])
     out = target.zero_coords()
-    # alpha e_i and rho(alpha^(r+n-1) e_i), once per call
-    alpha_img = linalg.transpose(A.alpha)
+    # alpha e_i and rho(alpha^(r+n-1) e_i), once per call; arguments are sparse
+    alpha_img, one = _transpose(A.alpha_sparse(1)), CycloScalar.one(m)
     rho_img = [R.rho_of(col) for col in linalg.transpose(A.alpha_power(rho_power))]
     for t_index, tup in enumerate(target_tuples):
         acc = [CycloScalar.zero(m)] * mdim
@@ -375,23 +358,17 @@ def coboundary_of_coords(A: ColorHomAlgebra, R: Representation, space: CochainSp
         # insertion terms f(alpha x_0, ..., [x_s, x_t], ..., ^x_t, ..., alpha x_n)
         for t in range(1, n + 1):
             for s in range(t):
-                between = A.basis.group.zero()
-                for u in range(s + 1, t):
-                    between = between + degs[u]
-                sign = A.eps(between, degs[t])
+                sign = A.eps(sum(degs[s + 1:t], A.basis.group.zero()), degs[t])
                 factor = sign if t % 2 == 0 else -sign  # (-1)^t
-                args = [A.bracket.of_basis(tup[s], tup[t]) if pos == s
-                        else alpha_img[tup[pos]] for pos in range(n + 1) if pos != t]
+                args = [A.bracket.rows.get((tup[s], tup[t]), {}) if pos == s
+                        else alpha_img.get(tup[pos], {}) for pos in range(n + 1) if pos != t]
                 val = space.evaluate(coords, args)
                 acc = [a + factor * v for a, v in zip(acc, val)]
         # action terms (-1)^s eps(gamma + x_0 + ... + x_{s-1}, x_s) rho(...) f(...)
         for s in range(n + 1):
-            prefix = gamma
-            for u in range(s):
-                prefix = prefix + degs[u]
-            sign = A.eps(prefix, degs[s])
+            sign = A.eps(sum(degs[:s], gamma), degs[s])
             factor = sign if s % 2 == 0 else -sign
-            rest = [A.basis_vector(tup[pos]) for pos in range(n + 1) if pos != s]
+            rest = [{tup[pos]: one} for pos in range(n + 1) if pos != s]
             fval = space.evaluate(coords, rest)
             acted = linalg.mat_vec(rho_img[tup[s]], fval)
             acc = [a + factor * v for a, v in zip(acc, acted)]
@@ -422,7 +399,8 @@ def delta_matrix(A: ColorHomAlgebra, R: Representation, n: int, r: int,
     else:
         rows, ncols = cx.restricted(n, gamma, r), space.compat_dim
     columns = _transpose(rows)
-    return _dense([columns.get(c, {}) for c in range(ncols)], cx.free_dim(n + 1), A.m), space
+    return linalg.dense([columns.get(c, {}) for c in range(ncols)], cx.free_dim(n + 1),
+                        A.m), space
 
 
 class CohomologyResult:
@@ -492,7 +470,7 @@ def cohomology_group(A: ColorHomAlgebra, R: Representation, n: int, r: int,
             "coboundary escaped the cocycle space; the complex is inconsistent here")
     space = cochain_basis(A, R, n, gamma)
     return CohomologyResult(n, r, gamma, restrict, len(Z), len(B), len(Z) - len(B),
-                            Z, [dict(v) for v in B], _dense(reps, space.free_dim, A.m),
+                            Z, [dict(v) for v in B], linalg.dense(reps, space.free_dim, A.m),
                             space)
 
 

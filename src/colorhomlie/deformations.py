@@ -59,9 +59,6 @@ class TruncatedBracket:
     def skew_report(self) -> CheckResult:
         return self._term_report(ColorHomAlgebra.check_skew)
 
-    def grading_report(self) -> CheckResult:
-        return self._term_report(ColorHomAlgebra.check_grading)
-
 
 def check_deformation(A: ColorHomAlgebra, B: TruncatedBracket) -> dict:
     """Order-by-order deformation equations, exhaustively on basis triples:
@@ -130,16 +127,10 @@ class FormalAutomorphism:
         failures = []
         if not linalg.mat_eq(self.phis[0], linalg.identity(A.dim, A.m)):
             failures.append({"kind": "phi0-not-identity"})
-        for s, mat in enumerate(self.phis):
-            for i in range(A.dim):
-                for j in range(A.dim):
-                    if not mat[i][j].is_zero() and A.degree(i) != A.degree(j):
-                        failures.append({"kind": "not-even", "order": s,
-                                         "entry": [i, j]})
+        failures += [{"kind": "not-even", "order": s, "entry": [i, j]}
+                     for s, mat in enumerate(self.phis) for i, row in linalg.sparse(mat).items()
+                     for j in row if A.degree(i) != A.degree(j)]
         return CheckResult(not failures, failures)
-
-    def coefficient(self, s: int, A: ColorHomAlgebra):
-        return self.phis[s] if s < len(self.phis) else None
 
     def inverse_series(self, A: ColorHomAlgebra, order: int):
         """psi with phi_t o psi_t = Id mod t^(order+1); needs phi_0 = Id."""

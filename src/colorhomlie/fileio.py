@@ -174,20 +174,6 @@ def parse_commutative_algebra_file(path: str):
         return parse_commutative_algebra_document(fh.read())
 
 
-def parse_matrix_bundle(text: str, m: int) -> dict:
-    """Named matrices: {"matrices": {"alpha_1": [[...], ...], ...}}."""
-    doc = _load_json(text)
-    matrices = doc.get("matrices", doc if isinstance(doc, dict) else None)
-    if not isinstance(matrices, dict):
-        raise ParseError("matrix bundle must map names to matrices")
-    out = {}
-    for name, rows in matrices.items():
-        if name == "schema":
-            continue
-        out[str(name)] = parse_matrix(rows, m, text)
-    return out
-
-
 def parse_representation_document(text: str, A: ColorHomAlgebra) -> Representation:
     doc = _load_json(text)
     carrier = _parse_basis(_require(doc, "carrier", "representation"), A.basis.group,

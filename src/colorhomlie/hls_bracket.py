@@ -6,10 +6,13 @@ a central scalar; a general central element is a documented extension point.
 """
 from __future__ import annotations
 
+from itertools import product
+
 from . import linalg
 from .algebra_core import (AlgebraStructureError, CheckResult, GradedBasis,
                            HomAssociativeColorAlgebra, StructureConstants,
                            cyclic_failures)
+from .linalg import _add_scaled, _combine, _product, _transpose
 from .scalars_grading import BiCharacter, CycloScalar, GroupElement
 
 
@@ -47,28 +50,28 @@ def check_sigma_endomorphism(A: CommutativeColorAlgebra, sigma) -> CheckResult:
     return CheckResult(not failures, failures)
 
 
+def _strings(A: CommutativeColorAlgebra, **vectors):
+    """Sparse vectors of a report as lists of dense entry strings."""
+    return {key: [str(c) for c in dense]
+            for key, dense in zip(vectors, linalg.dense(vectors.values(), A.dim, A.m))}
+
+
 def check_sigma_derivation(A: CommutativeColorAlgebra, D: SigmaDerivation) -> dict:
     """Degree pattern (CD1) and the twisted Leibniz rule (CD2), exhaustively."""
-    cd1_failures = []
-    for j in range(A.dim):
-        target = A.basis.degrees[j] + D.grade_d
-        for i in range(A.dim):
-            if not D.delta_map[i][j].is_zero() and A.basis.degrees[i] != target:
-                cd1_failures.append({"from": A.basis.names[j], "to": A.basis.names[i]})
-    cd2_failures = []
-    for i in range(A.dim):
-        si = linalg.mat_vec(D.sigma, A.basis_vector(i))
-        di = linalg.mat_vec(D.delta_map, A.basis_vector(i))
-        e = A.eps(D.grade_d, A.basis.degrees[i])
-        for j in range(A.dim):
-            dj = linalg.mat_vec(D.delta_map, A.basis_vector(j))
-            lhs = linalg.mat_vec(D.delta_map, A.mu.of_basis(i, j))
-            rhs = [a + e * b for a, b in
-                   zip(A.mu.bilinear(di, A.basis_vector(j)), A.mu.bilinear(si, dj))]
-            if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
-                cd2_failures.append({"pair": [A.basis.names[i], A.basis.names[j]],
-                                     "lhs": [str(c) for c in lhs],
-                                     "rhs": [str(c) for c in rhs]})
+    sigma, delta = (_transpose(linalg.sparse(M)) for M in (D.sigma, D.delta_map))
+    degrees, names = A.basis.degrees, A.basis.names
+    cd1_failures = [{"from": names[j], "to": names[i]} for j, col in sorted(delta.items())
+                    for i in col if degrees[i] != degrees[j] + D.grade_d]
+    cd2_failures, one = [], CycloScalar.one(A.m)
+    for i, j in product(range(A.dim), repeat=2):
+        # Delta(x y) = Delta(x) y + eps(d, x) sigma(x) Delta(y)
+        e = A.eps(D.grade_d, degrees[i])
+        lhs = A.mu.mapped_row(i, j, delta)
+        rhs = A.mu.sparse_bilinear(delta.get(i, {}), {j: one})
+        _add_scaled(rhs, e, A.mu.sparse_bilinear(sigma.get(i, {}), delta.get(j, {})))
+        if lhs != linalg._sparse(rhs):
+            cd2_failures.append({"pair": [names[i], names[j]],
+                                 **_strings(A, lhs=lhs, rhs=rhs)})
     return {
         "sigma_endomorphism": check_sigma_endomorphism(A, D.sigma),
         "cd1": CheckResult(not cd1_failures, cd1_failures),
@@ -77,14 +80,14 @@ def check_sigma_derivation(A: CommutativeColorAlgebra, D: SigmaDerivation) -> di
 
 
 def annihilator(A: CommutativeColorAlgebra, D: SigmaDerivation):
-    """Basis of Ann(Delta) = {a : a . Delta = 0 as an operator on A}."""
-    rows = []
-    for w in range(A.dim):
-        dw = linalg.mat_vec(D.delta_map, A.basis_vector(w))
-        products = [A.mu.bilinear(A.basis_vector(a), dw) for a in range(A.dim)]
-        for comp in range(A.dim):
-            rows.append([products[a][comp] for a in range(A.dim)])
-    return linalg.kernel_basis(rows, A.dim, A.m)
+    """Basis of Ann(Delta) = {a : a . Delta = 0 as an operator on A}: one
+    equation row per (w, component) of e_a . Delta(e_w) over the unknowns a."""
+    one, delta, rows = CycloScalar.one(A.m), _transpose(linalg.sparse(D.delta_map)), {}
+    for w, a in product(range(A.dim), repeat=2):
+        for comp, c in A.mu.sparse_bilinear({a: one}, delta.get(w, {})).items():
+            rows.setdefault((w, comp), {})[a] = c
+    return linalg.dense(linalg.sparse_kernel_basis(list(rows.values()), A.dim, A.m),
+                        A.dim, A.m)
 
 
 def check_ann_invariance(A: CommutativeColorAlgebra, D: SigmaDerivation) -> bool:
@@ -151,15 +154,13 @@ def check_ijkl(A: CommutativeColorAlgebra, D: SigmaDerivation,
                delta_scalar=None) -> CheckResult:
     """Delta(sigma(x)) = delta . sigma(Delta(x)) on the basis."""
     d = D.delta_scalar if delta_scalar is None else delta_scalar
-    failures = []
-    for i in range(A.dim):
-        lhs = linalg.mat_vec(D.delta_map, linalg.mat_vec(D.sigma, A.basis_vector(i)))
-        rhs = [d * c for c in linalg.mat_vec(D.sigma,
-                                             linalg.mat_vec(D.delta_map, A.basis_vector(i)))]
-        if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
-            failures.append({"basis": A.basis.names[i],
-                             "lhs": [str(c) for c in lhs],
-                             "rhs": [str(c) for c in rhs]})
+    sigma, delta = linalg.sparse(D.sigma), linalg.sparse(D.delta_map)
+    # column i of Delta o sigma against column i of delta sigma o Delta
+    lhs = _transpose(_product(delta, sigma))
+    rhs = _transpose(_combine([(d, _product(sigma, delta))]))
+    failures = [{"basis": A.basis.names[i],
+                 **_strings(A, lhs=lhs.get(i, {}), rhs=rhs.get(i, {}))}
+                for i in range(A.dim) if lhs.get(i, {}) != rhs.get(i, {})]
     return CheckResult(not failures, failures)
 
 
@@ -183,8 +184,8 @@ def check_mnop(A: CommutativeColorAlgebra, D: SigmaDerivation,
     cyclic residual with outer(x, w) = [(sigma + delta Id)(x).Delta, w]."""
     d = D.delta_scalar if delta_scalar is None else delta_scalar
     H = quotient.induced_table(D)
-    I = linalg.identity(A.dim, A.m)
-    outer = H.precompose(linalg.mat_add(D.sigma, linalg.mat_scale(d, I)), I)
+    I = linalg.sparse(linalg.identity(A.dim, A.m))
+    outer = H.precompose(_combine([(None, linalg.sparse(D.sigma)), (d, I)]), I)
     failures = cyclic_failures([(outer, H)], A.basis, A.eps)
     return CheckResult(not failures, failures)
 

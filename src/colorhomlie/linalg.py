@@ -1,10 +1,14 @@
 """Exact linear algebra over cyclotomic scalars.
 
-Matrices are plain lists of lists of ``CycloScalar`` with a shared root order.
-Elimination works on one sparse row type, {column: nonzero scalar}; the
-solvers take dense or sparse rows and convert a dense row once, on entry.
-Everything is Gauss-Jordan with exact division and canonical pivot
-normalization, so reduced forms (and hence reported bases) are reproducible.
+Inside the engine a matrix has one form, {row: {column: nonzero scalar}}
+without empty rows, and a vector is {index: nonzero scalar}; the columns of
+a matrix (the images of the basis vectors) are the rows of its
+``_transpose``.  Dense lists of lists of ``CycloScalar`` stay at the edges:
+parsed files, public values (a twist, a representation, a spanning matrix)
+and reports.  ``sparse`` is the one way in, applied once to a matrix that a
+public entry point receives, and ``dense`` the one way out.  Elimination is
+Gauss-Jordan with exact division and canonical pivot normalization, so
+reduced forms (and hence reported bases) are reproducible.
 """
 from __future__ import annotations
 
@@ -63,18 +67,6 @@ def mat_mul(A, B):
     return out
 
 
-def mat_pow(M, e: int, m: int):
-    n = len(M)
-    result = identity(n, m)
-    base = [list(r) for r in M]
-    while e:
-        if e & 1:
-            result = mat_mul(result, base)
-        base = mat_mul(base, base)
-        e >>= 1
-    return result
-
-
 def transpose(M):
     return [list(col) for col in zip(*M)] if M else []
 
@@ -94,8 +86,7 @@ def mat_eq(A, B):
 
 
 def _sparse(row):
-    """A dense or sparse row as a fresh {column: nonzero scalar} dict: the one
-    place where a dense row enters elimination."""
+    """A dense or sparse vector as a fresh {index: nonzero scalar} dict."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
     return {c: a for c, a in items if not a.is_zero()}
 
@@ -123,10 +114,27 @@ def _add_entry(rows, r, c, value):
     row[c] = row[c] + value if c in row else value
 
 
-def _pruned(rows):
-    """The sparse matrix without zero entries and empty rows."""
-    return {r: kept for r, row in rows.items()
-            if (kept := {c: v for c, v in row.items() if not v.is_zero()})}
+def sparse(M):
+    """A dense matrix (a list of rows), or a sparse one, in the sparse form:
+    fresh rows without zero entries, and no empty rows."""
+    rows = M.items() if isinstance(M, dict) else enumerate(M)
+    return {r: kept for r, row in rows if (kept := _sparse(row))}
+
+
+def dense(vectors, length: int, m: int):
+    """Sparse vectors as fresh dense vectors of the given length."""
+    zero = CycloScalar.zero(m)
+    return [[v.get(c, zero) for c in range(length)] for v in vectors]
+
+
+def _combine(terms):
+    """The sparse matrix sum of coeff * M over the (coeff, M) terms; a coeff
+    of None adds M as it is."""
+    acc = {}
+    for coeff, M in terms:
+        for r, row in M.items():
+            _add_scaled(acc.setdefault(r, {}), coeff, row)
+    return sparse(acc)
 
 
 def _transpose(rows):
@@ -145,7 +153,7 @@ def _product(rows, other):
         for c, v in row.items():
             for j, a in other.get(c, {}).items():
                 _add_entry(out, r, j, v * a)
-    return _pruned(out)
+    return sparse(out)
 
 
 class Echelon:
@@ -238,18 +246,8 @@ def sparse_kernel_basis(M, ncols: int, m: int):
     return list(basis.values())
 
 
-def kernel_basis(M, ncols: int, m: int):
-    """``sparse_kernel_basis`` as dense vectors."""
-    z = CycloScalar.zero(m)
-    return [[v.get(c, z) for c in range(ncols)] for v in sparse_kernel_basis(M, ncols, m)]
-
-
 def in_span(rows, vec) -> bool:
     return vec in Echelon(rows)
-
-
-def span_equal(rows_a, rows_b) -> bool:
-    return rank(rows_a) == rank(rows_b) == rank(rows_a + rows_b)
 
 
 def solve(M, target, m: int):
@@ -288,10 +286,6 @@ def inverse(M):
     if pivots != list(range(n)):
         raise ValueError("matrix is singular")
     return [[row.get(n + j, z) for j in range(n)] for row in red]
-
-
-def is_zero_matrix(M) -> bool:
-    return all(a.is_zero() for row in M for a in row)
 
 
 def quotient_representatives(z_basis, b_basis):

@@ -27,11 +27,8 @@ class NotAMorphismError(AlgebraStructureError):
 
 def _is_even(A: ColorHomAlgebra, matrix) -> bool:
     """Even = maps each graded component into itself (sparsity vs degrees)."""
-    for i in range(A.dim):
-        for j in range(A.dim):
-            if not matrix[i][j].is_zero() and A.degree(i) != A.degree(j):
-                return False
-    return True
+    return all(A.degree(i) == A.degree(j)
+               for i, row in linalg.sparse(matrix).items() for j in row)
 
 
 def verify_morphism(A: ColorHomAlgebra, f, strict_even: bool = False) -> bool:
@@ -92,11 +89,11 @@ def enumerate_morphisms(A: ColorHomAlgebra, entry_set, strict_even: bool = False
     for i, j in product(range(n), repeat=2):
         row = bracket.rows.get((i, j), {})
         (alone if i == j and set(row) <= {i} else checks)[max(i, j, *row)].append((i, j))
-    chosen, cols = [0] * n, [None] * n
+    chosen, cols = [0] * n, {}
 
     @functools.cache
     def image(p, q):
-        return linalg._sparse(bracket.bilinear(columns[p], columns[q]))
+        return bracket.sparse_bilinear(sparse[p], sparse[q])
 
     def fits(d, p, pairs):
         chosen[d], cols[d] = p, sparse[p]

@@ -6,9 +6,12 @@ acts by x -> [alpha^s(a), x]; s = -1 needs an invertible twist.
 """
 from __future__ import annotations
 
+from itertools import product
+
 from . import linalg
 from .algebra_core import (AlgebraStructureError, CheckResult, ColorHomAlgebra,
                            GradedBasis)
+from .linalg import _combine, _product, _transpose
 from .scalars_grading import CycloScalar
 
 
@@ -27,84 +30,56 @@ class Representation:
 
     def rho_of(self, coords):
         """rho extended linearly to an algebra element given by coordinates."""
-        n = self.dim
-        out = linalg.zeros(n, n, self.m)
-        for i, c in enumerate(coords):
-            if c.is_zero():
-                continue
-            out = linalg.mat_add(out, linalg.mat_scale(c, self.rho[i]))
-        return out
+        image = _rho_sum([linalg.sparse(mat) for mat in self.rho], linalg._sparse(coords))
+        return linalg.dense([image.get(k, {}) for k in range(self.dim)], self.dim, self.m)
 
-    def act(self, coords, mvec):
-        return linalg.mat_vec(self.rho_of(coords), mvec)
 
-    def degree_report(self, A: ColorHomAlgebra) -> CheckResult:
-        """rho(e_i) must raise carrier degree by deg(e_i); beta must preserve it."""
-        failures = []
-        for i, mat in enumerate(self.rho):
-            for r in range(self.dim):
-                for c in range(self.dim):
-                    if mat[r][c].is_zero():
-                        continue
-                    if self.carrier.degrees[r] != self.carrier.degrees[c] + A.degree(i):
-                        failures.append({"map": A.basis.names[i],
-                                         "entry": [r, c], "kind": "rho-degree"})
-        for r in range(self.dim):
-            for c in range(self.dim):
-                if not self.beta[r][c].is_zero() and \
-                        self.carrier.degrees[r] != self.carrier.degrees[c]:
-                    failures.append({"entry": [r, c], "kind": "beta-not-even"})
-        return CheckResult(not failures, failures)
+def _rho_sum(rho, vec):
+    """rho(sum_j v_j e_j) = sum_j v_j rho(e_j) for sparse rho(e_j) and v."""
+    return _combine((c, rho[j]) for j, c in vec.items())
+
+
+def _sparse_action(A: ColorHomAlgebra, R: Representation):
+    """rho(e_i), beta and rho(alpha e_i) in linalg's sparse form."""
+    rho, alpha = [linalg.sparse(mat) for mat in R.rho], _transpose(A.alpha_sparse(1))
+    return rho, linalg.sparse(R.beta), [_rho_sum(rho, alpha.get(i, {})) for i in range(A.dim)]
+
+
+def _leibniz(A: ColorHomAlgebra, R: Representation):
+    """Per basis pair (i, j) in row-major order, the two sides of
+    rho([x,y]) o beta = rho(alpha x) o rho(y) - eps(x,y) rho(alpha y) o rho(x)
+    at x = e_i, y = e_j as sparse operators."""
+    rho, beta, ra = _sparse_action(A, R)
+    for i, j in product(range(A.dim), repeat=2):
+        e = A.eps(A.degree(i), A.degree(j))
+        lhs = _product(_rho_sum(rho, A.bracket.rows.get((i, j), {})), beta)
+        rhs = _combine([(None, _product(ra[i], rho[j])), (-e, _product(ra[j], rho[i]))])
+        yield i, j, lhs, rhs
 
 
 def check_representation(A: ColorHomAlgebra, R: Representation) -> CheckResult:
     """rho([x,y]) o beta = rho(alpha x) o rho(y) - eps(x,y) rho(alpha y) o rho(x),
     exhaustively over basis pairs."""
-    failures = []
-    for i in range(A.dim):
-        rho_ai = R.rho_of(A.apply_alpha(A.basis_vector(i)))
-        for j in range(A.dim):
-            rho_aj = R.rho_of(A.apply_alpha(A.basis_vector(j)))
-            lhs = linalg.mat_mul(R.rho_of(A.bracket.of_basis(i, j)), R.beta)
-            e = A.eps(A.degree(i), A.degree(j))
-            rhs = linalg.mat_add(
-                linalg.mat_mul(rho_ai, R.rho[j]),
-                linalg.mat_scale(-e, linalg.mat_mul(rho_aj, R.rho[i])))
-            if not linalg.mat_eq(lhs, rhs):
-                failures.append({"pair": [A.basis.names[i], A.basis.names[j]]})
+    failures = [{"pair": [A.basis.names[i], A.basis.names[j]]}
+                for i, j, lhs, rhs in _leibniz(A, R) if lhs != rhs]
     return CheckResult(not failures, failures)
 
 
 def check_module(A: ColorHomAlgebra, M: Representation) -> CheckResult:
     """Module axioms of the action [x, m]_M = rho(x) m with carrier twist
-    beta (the two-axiom variant): twist compatibility and the Leibniz rule."""
-    failures = []
-    n = M.carrier.dim
-    E = linalg.identity(n, M.m)
-    for i in range(A.dim):
-        ai = A.apply_alpha(A.basis_vector(i))
-        for mv in range(n):
-            # compatibility: beta([x, m]) = [alpha(x), beta(m)]
-            lhs = linalg.mat_vec(M.beta, M.act(A.basis_vector(i), E[mv]))
-            rhs = M.act(ai, linalg.mat_vec(M.beta, E[mv]))
-            if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
-                failures.append({"kind": "twist-compatibility",
-                                 "witness": [A.basis.names[i], mv]})
-    for i in range(A.dim):
-        ai = A.apply_alpha(A.basis_vector(i))
-        for j in range(A.dim):
-            aj = A.apply_alpha(A.basis_vector(j))
-            e = A.eps(A.degree(i), A.degree(j))
-            bij = A.bracket.of_basis(i, j)
-            for mv in range(n):
-                bm = linalg.mat_vec(M.beta, E[mv])
-                lhs = M.act(bij, bm)
-                t1 = M.act(ai, M.act(A.basis_vector(j), E[mv]))
-                t2 = M.act(aj, M.act(A.basis_vector(i), E[mv]))
-                rhs = [a - e * b for a, b in zip(t1, t2)]
-                if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
-                    failures.append({"kind": "leibniz",
-                                     "witness": [A.basis.names[i], A.basis.names[j], mv]})
+    beta (the two-axiom variant): twist compatibility
+    beta o rho(x) = rho(alpha x) o beta and the Leibniz rule of
+    ``check_representation``, each carrier basis vector m where the two
+    sides differ a witness."""
+    (rho, beta, ra), names = _sparse_action(A, M), A.basis.names
+    def differing(lhs, rhs):  # the columns m of two operators that differ
+        lhs, rhs = _transpose(lhs), _transpose(rhs)
+        return [mv for mv in range(M.dim) if lhs.get(mv, {}) != rhs.get(mv, {})]
+    failures = [{"kind": "twist-compatibility", "witness": [names[i], mv]}
+                for i in range(A.dim)
+                for mv in differing(_product(beta, rho[i]), _product(ra[i], beta))]
+    failures += [{"kind": "leibniz", "witness": [names[i], names[j], mv]}
+                 for i, j, lhs, rhs in _leibniz(A, M) for mv in differing(lhs, rhs)]
     return CheckResult(not failures, failures)
 
 
@@ -112,11 +87,10 @@ def alpha_s_adjoint(A: ColorHomAlgebra, s: int) -> Representation:
     """ad_s(a) = [alpha^s(a), .] on the algebra itself, with beta = alpha."""
     if s < -1:
         raise ValueError("adjoint twist power must be >= -1")
-    rho = []
-    for i in range(A.dim):
-        shifted = A.apply_alpha(A.basis_vector(i), s) if s != 0 else A.basis_vector(i)
-        cols = [A.bracket.bilinear(shifted, A.basis_vector(j)) for j in range(A.dim)]
-        rho.append(linalg.transpose(cols))
+    # the columns [alpha^s e_i, e_j] of rho(e_i) are rows of the precomposed bracket
+    table = A.bracket.precompose(A.alpha_sparse(s), A.alpha_sparse(0)).rows
+    rho = [linalg.transpose(linalg.dense([table.get((i, j), {}) for j in range(A.dim)],
+                                         A.dim, A.m)) for i in range(A.dim)]
     return Representation(A.basis, rho, A.alpha, A.m)
 
 
@@ -132,18 +106,12 @@ def check_coadjoint_condition(A: ColorHomAlgebra, R: Representation) -> CheckRes
     carries the eps factor on the other composition, which does not match the
     dual construction and would break the if-and-only-if below).
     """
-    failures = []
-    for i in range(A.dim):
-        for j in range(A.dim):
-            lhs = linalg.mat_mul(R.beta, R.rho_of(A.bracket.of_basis(i, j)))
-            e = A.eps(A.degree(i), A.degree(j))
-            rhs = linalg.mat_add(
-                linalg.mat_scale(e, linalg.mat_mul(
-                    R.rho[i], R.rho_of(A.apply_alpha(A.basis_vector(j))))),
-                linalg.mat_scale(CycloScalar.from_rational(-1, A.m), linalg.mat_mul(
-                    R.rho[j], R.rho_of(A.apply_alpha(A.basis_vector(i))))))
-            if not linalg.mat_eq(lhs, rhs):
-                failures.append({"pair": [A.basis.names[i], A.basis.names[j]]})
+    (rho, beta, ra), failures, minus = _sparse_action(A, R), [], -CycloScalar.one(A.m)
+    for i, j in product(range(A.dim), repeat=2):
+        e = A.eps(A.degree(i), A.degree(j))
+        lhs = _product(beta, _rho_sum(rho, A.bracket.rows.get((i, j), {})))
+        if lhs != _combine([(e, _product(rho[i], ra[j])), (minus, _product(rho[j], ra[i]))]):
+            failures.append({"pair": [A.basis.names[i], A.basis.names[j]]})
     return CheckResult(not failures, failures)
 
 

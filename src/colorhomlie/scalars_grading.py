@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm, prod
+from math import gcd, lcm
 from operator import add, neg, sub
 
 
@@ -312,11 +312,6 @@ class CycloScalar:
     def is_rational(self) -> bool:
         return not any(self.num[1:])
 
-    def as_rational(self) -> Fraction:
-        if not self.is_rational():
-            raise ScalarError(f"{self} is not rational")
-        return Fraction(self.num[0], self.den)
-
     def sort_key(self):
         return (self.root_order,) + tuple((c.numerator, c.denominator) for c in self.coeffs)
 
@@ -422,19 +417,14 @@ class FiniteAbelianGroup(Immutable):
         return len(self.orders)
 
     @property
-    def size(self) -> int:
-        return prod(self.orders)
-
-    @property
     def exponent(self) -> int:
         return lcm(*self.orders)
 
     def element(self, components) -> "GroupElement":
-        comps = tuple(c % n for c, n in zip(components, self.orders))
-        if len(comps) != self.rank:
+        if len(components) != self.rank:
             raise GroupMismatchError(
                 f"element {components} has {len(components)} components, group rank is {self.rank}")
-        return GroupElement(comps, self)
+        return GroupElement(tuple(c % n for c, n in zip(components, self.orders)), self)
 
     def zero(self) -> "GroupElement":
         return GroupElement((0,) * self.rank, self)

@@ -13,7 +13,7 @@ from itertools import product
 from . import linalg
 from .algebra_core import (AlgebraStructureError, CheckResult, ColorHomAlgebra,
                            StructureConstants)
-from .linalg import _add_scaled
+from .linalg import _add_scaled, _combine, _product, _transpose
 from .scalars_grading import BiCharacter, CycloScalar, GroupElement
 
 KINDS = ("der", "gder", "qder", "centroid", "qcentroid")
@@ -40,39 +40,14 @@ def degree_pattern(A: ColorHomAlgebra, gamma: GroupElement):
             if A.degree(i) == shifted[j]]
 
 
-# Sparse matrices are lists of rows {column: scalar}.
-
-def _sparse_rows(M):
-    return [linalg._sparse(row) for row in M]
-
-
-def _columns(M):
-    """The columns of a square matrix as {row: nonzero scalar}."""
-    return [linalg._sparse([row[x] for row in M]) for x in range(len(M))]
-
-
 def _flat(M):
     """A dense or sparse matrix as the vector {(i, j): nonzero scalar}."""
-    return {(i, j): c for i, row in enumerate(M) for j, c in linalg._sparse(row).items()}
-
-
-def _mul_rows(X, Y):
-    """X Y on sparse rows."""
-    out = []
-    for row in X:
-        acc = {}
-        for k, a in row.items():
-            _add_scaled(acc, a, Y[k])
-        out.append(acc)
-    return out
+    return {(i, j): c for i, row in linalg.sparse(M).items() for j, c in row.items()}
 
 
 def _anticommutator(X, Y, e):
-    """X Y + e Y X on sparse rows."""
-    out = _mul_rows(X, Y)
-    for row, other in zip(out, _mul_rows(Y, X)):
-        _add_scaled(row, e, other)
-    return out
+    """X Y + e Y X on sparse matrices."""
+    return _combine([(None, _product(X, Y)), (e, _product(Y, X))])
 
 
 def _pattern_matrix(A: ColorHomAlgebra, pattern, coeffs):
@@ -84,25 +59,26 @@ def _pattern_matrix(A: ColorHomAlgebra, pattern, coeffs):
     return M
 
 
-def _commute_rows(A: ColorHomAlgebra, pattern, offset):
-    """Sparse rows of [D, alpha] = 0 for the variable block starting at offset.
+def _commute_rows(A: ColorHomAlgebra, pattern, blocks: int):
+    """Sparse rows of [D, alpha] = 0 for each of the blocks of unknowns.
 
-    Unknown t is the coefficient of E_ij, (i, j) = pattern[t], and
+    Unknown t of a block is the coefficient of E_ij, (i, j) = pattern[t], and
     (E_ij alpha - alpha E_ij)[a][b] = delta_ai alpha[j][b] - alpha[a][i] delta_jb;
-    rows are in (a, b) order and the zero ones are dropped.
+    rows are in (block, a, b) order and the zero ones are dropped.
     """
-    alpha_rows, alpha_cols = _sparse_rows(A.alpha), _columns(A.alpha)
-    cells = {}  # (a, b) -> {column: value}
+    alpha = A.alpha_sparse(1)
+    alpha_cols = _transpose(alpha)
+    cells = {}  # (a, b) -> {t: value}
     for t, (i, j) in enumerate(pattern):
-        col = offset + t
-        for b, v in alpha_rows[j].items():
-            cells.setdefault((i, b), {})[col] = v
-        for a, v in alpha_cols[i].items():
+        for b, v in alpha.get(j, {}).items():
+            cells.setdefault((i, b), {})[t] = v
+        for a, v in alpha_cols.get(i, {}).items():
             cell = cells.setdefault((a, j), {})
-            cell[col] = cell[col] - v if col in cell else -v
-    rows = [{col: v for col, v in cells[key].items() if not v.is_zero()}
-            for key in sorted(cells)]
-    return [row for row in rows if row]
+            cell[t] = cell[t] - v if t in cell else -v
+    rows = [row for key in sorted(cells) if (row := linalg._sparse(cells[key]))]
+    n = len(pattern)
+    return [{block * n + t: v for t, v in row.items()} for block in range(blocks)
+            for row in rows]
 
 
 # The defining identities on a basis pair (x, y).  Each inner list gives one
@@ -140,7 +116,7 @@ def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
     blocks = {"der": 1, "centroid": 1, "qcentroid": 1, "qder": 2, "gder": 3}[kind]
     nvars = blocks * nD
     if k not in A._precomposed:
-        ak, ident = A.alpha_power(k), A.alpha_power(0)
+        ak, ident = A.alpha_sparse(k), A.alpha_sparse(0)
         A._precomposed[k] = (A.bracket.precompose(ident, ak).rows,
                              A.bracket.precompose(ak, ident).rows)
     # L[(i, y)] = [e_i, a^k e_y] and R[(x, i)] = [a^k e_x, e_i]
@@ -178,8 +154,7 @@ def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
                         group_rows[comp][col] = v
                 rows.extend(row for row in group_rows if row)
     if commute:
-        for block in range(blocks):
-            rows.extend(_commute_rows(A, pattern, block * nD))
+        rows.extend(_commute_rows(A, pattern, blocks))
     return rows, nvars, nD
 
 
@@ -271,17 +246,18 @@ def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str,
     dim, nD = A.dim, len(pattern)
     blocks = 1 if kind == "qder" else 2
     bracket, zero, one = A.bracket, CycloScalar.zero(A.m), CycloScalar.one(A.m)
-    ak_e, d_e = _columns(A.alpha_power(k)), _columns(D)
+    ak_e, d_e = _transpose(A.alpha_sparse(k)), _transpose(linalg.sparse(D))
     rows, rhs = [], []
     for x in range(dim):
         e = A.eps(gamma, A.degree(x))
         if kind == "gder":
-            right = [bracket.sparse_bilinear(ak_e[x], {i: one}) for i in range(dim)]
+            right = [bracket.sparse_bilinear(ak_e.get(x, {}), {i: one}) for i in range(dim)]
         for y in range(dim):
             bxy = bracket.rows.get((x, y), {})
-            target = bracket.sparse_bilinear(d_e[x], ak_e[y])
+            target = bracket.sparse_bilinear(d_e.get(x, {}), ak_e.get(y, {}))
             if kind == "qder":
-                _add_scaled(target, e, bracket.sparse_bilinear(ak_e[x], d_e[y]))
+                _add_scaled(target, e, bracket.sparse_bilinear(ak_e.get(x, {}),
+                                                               d_e.get(y, {})))
             group = [{} for _ in range(dim)]
             for t, (i, j) in enumerate(pattern):
                 if j in bxy:
@@ -294,11 +270,8 @@ def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str,
                 if row or not value.is_zero():
                     rows.append(row)
                     rhs.append(value)
-    for block in range(blocks):
-        commute = _commute_rows(A, pattern, block * nD)
-        rows.extend(commute)
-        rhs.extend([zero] * len(commute))
-    return rows, rhs
+    commute = _commute_rows(A, pattern, blocks)
+    return rows + commute, rhs + [zero] * len(commute)
 
 
 def _partner_solution(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str):
@@ -320,19 +293,21 @@ def _partner_solution(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: 
 
 def _direct_identity_holds(A: ColorHomAlgebra, kind: str, k: int,
                            gamma: GroupElement, D, commute: bool) -> bool:
-    if commute or kind in ("der", "qder", "gder"):
-        # der, qder and gder always require [D, alpha] = 0
-        if not linalg.mat_eq(linalg.mat_mul(D, A.alpha), linalg.mat_mul(A.alpha, D)):
-            return False
+    sparse_D, alpha = linalg.sparse(D), A.alpha_sparse(1)
+    # der, qder and gder always require [D, alpha] = 0
+    if (commute or kind in ("der", "qder", "gder")) and \
+            _product(sparse_D, alpha) != _product(alpha, sparse_D):
+        return False
     if kind in ("der", "centroid", "qcentroid"):
-        # a^k e_x and D e_x once per x as sparse columns; D and the bracket
-        # are applied per pair, on supports
+        # a^k e_x and D e_x are sparse columns; D and the bracket are applied
+        # per pair, on supports
         bracket = A.bracket
-        ak_e, d_e = _columns(A.alpha_power(k)), _columns(D)
+        ak_e, d_e = _transpose(A.alpha_sparse(k)), _transpose(sparse_D)
         def identity(x, y):
             e = A.eps(gamma, A.degree(x))
-            left = bracket.sparse_bilinear(d_e[x], ak_e[y])
-            right = {c: e * v for c, v in bracket.sparse_bilinear(ak_e[x], d_e[y]).items()}
+            left = bracket.sparse_bilinear(d_e.get(x, {}), ak_e.get(y, {}))
+            right = {c: e * v for c, v in
+                     bracket.sparse_bilinear(ak_e.get(x, {}), d_e.get(y, {})).items()}
             if kind == "qcentroid":
                 return left == right
             dxy = bracket.mapped_row(x, y, d_e)
@@ -344,11 +319,6 @@ def _direct_identity_holds(A: ColorHomAlgebra, kind: str, k: int,
     if kind in ("qder", "gder"):
         return _partner_solution(A, k, gamma, D, kind) is not None
     raise ValueError(kind)
-
-
-def member_of(space: HomogeneousMapSpace, M, m: int) -> bool:
-    """Exact membership of a matrix in the span of the space's basis."""
-    return linalg.in_span([_flat(B) for B in space.basis], _flat(M))
 
 
 def jordan_product(D1, gamma1: GroupElement, D2, gamma2: GroupElement,
@@ -396,8 +366,8 @@ def quasi_centroid_jordan(A: ColorHomAlgebra, max_power: int = 2,
     coordinates of every product and conjugate, formed on sparse rows.
     """
     try:
-        alpha_inv = linalg.inverse(A.alpha)
-    except ValueError:
+        alpha_inv = A.alpha_sparse(-1)
+    except AlgebraStructureError:
         raise AlgebraStructureError("quasi-centroid twist action needs invertible alpha")
     span = linalg.Echelon(coordinates=True)
     matrices, degrees = [], []
@@ -414,11 +384,11 @@ def quasi_centroid_jordan(A: ColorHomAlgebra, max_power: int = 2,
                 "twist conjugation leaves the quasi-centroid span" if pair is None else
                 f"quasi-centroid is not closed under the product at pair ({pair[0]},{pair[1]})")
         return vec
-    n, sparse = len(matrices), [_sparse_rows(M) for M in matrices]
+    n, sparse = len(matrices), [linalg.sparse(M) for M in matrices]
     table = [[coords(_anticommutator(sparse[i], sparse[j], A.eps(degrees[i], degrees[j])),
                      (i, j)) for j in range(n)] for i in range(n)]
-    alpha_rows, inv_rows = _sparse_rows(A.alpha), _sparse_rows(alpha_inv)
-    action_cols = [coords(_mul_rows(alpha_rows, _mul_rows(M, inv_rows))) for M in sparse]
+    alpha = A.alpha_sparse(1)
+    action_cols = [coords(_product(alpha, _product(M, alpha_inv))) for M in sparse]
     alpha_action = linalg.transpose(action_cols) if action_cols else []
     return ProductAlgebraData(matrices, degrees, table, alpha_action, A.eps, A.m)
 
@@ -435,7 +405,7 @@ def check_hom_jordan(J: ProductAlgebraData) -> dict:
     """
     n, mu, rows = J.dim, J.mu, J.mu.rows
     one = CycloScalar.one(J.m)
-    alpha = [linalg._sparse([row[t] for row in J.alpha_action]) for t in range(n)]
+    alpha = _transpose(linalg.sparse(J.alpha_action))  # alpha[t] = alpha e_t
     hcj1 = []
     for i, j in product(range(n), repeat=2):
         e = J.eps(J.degrees[i], J.degrees[j])
@@ -443,18 +413,19 @@ def check_hom_jordan(J: ProductAlgebraData) -> dict:
             hcj1.append({"pair": [i, j]})
     # Hom-associators as(u,v,w) = (u.v).alpha(w) - alpha(u).(v.w) at
     # u = e_k, v = alpha e_z, w = alpha e_c: assoc[k][(z, c)], the nonzero ones
-    alpha2 = _sparse_rows(_mul_rows(alpha, alpha))  # alpha2[c] = alpha(alpha e_c)
-    right = {(z, c): mu.sparse_bilinear(alpha[z], alpha[c])
+    alpha2 = _product(alpha, alpha)  # alpha2[c] = alpha(alpha e_c)
+    right = {(z, c): mu.sparse_bilinear(alpha.get(z, {}), alpha.get(c, {}))
              for z, c in product(range(n), repeat=2)}
     assoc = {}
     for k in {k for row in rows.values() for k in row}:
         for z in range(n):
-            left = mu.sparse_bilinear({k: one}, alpha[z])
+            left = mu.sparse_bilinear({k: one}, alpha.get(z, {}))
             for c in range(n):
                 if not left and not right[(z, c)]:
                     continue
-                acc = mu.sparse_bilinear(left, alpha2[c])
-                linalg._sub_scaled(acc, one, mu.sparse_bilinear(alpha[k], right[(z, c)]))
+                acc = mu.sparse_bilinear(left, alpha2.get(c, {}))
+                linalg._sub_scaled(acc, one, mu.sparse_bilinear(alpha.get(k, {}),
+                                                                right[(z, c)]))
                 if acc:
                     assoc.setdefault(k, {})[(z, c)] = acc
     eps = cache(lambda r, p, z: J.eps(r, p + z))  # once per degree triple
@@ -492,7 +463,7 @@ def check_inclusion_lattice(A: ColorHomAlgebra, k_range, gamma_range) -> dict:
     bases, tests = {}, {}
     def basis(*key):  # key = (kind, k, gamma)
         if key not in bases:
-            bases[key] = [_sparse_rows(B) for B in solve_space(A, *key).basis]
+            bases[key] = [linalg.sparse(B) for B in solve_space(A, *key).basis]
         return bases[key]
     def member(flat, *key):
         if key not in tests:
@@ -511,7 +482,7 @@ def check_inclusion_lattice(A: ColorHomAlgebra, k_range, gamma_range) -> dict:
         pat = patterns[gamma + gp]
         for C in cent:
             for D in gder:
-                comp = _flat(_mul_rows(C, D))
+                comp = _flat(_product(C, D))
                 for key in comp:
                     if key not in pat:
                         failures["centroid_compose_gder"].append(

@@ -8,6 +8,7 @@ from itertools import product
 import pytest
 
 from colorhomlie import linalg
+from colorhomlie.fileio import ParseError, _load_json, parse_matrix
 from colorhomlie.algebra_core import (BracketTable, CheckResult, ColorHomAlgebra,
                                       GradedBasis, StructureConstants,
                                       check_color_hom_lie)
@@ -116,6 +117,88 @@ def zero_algebra(orders, eps_exponents, m, degrees, alpha=None):
 
 def linalg_identity_rows(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+# -- lookups, readers and span tests that only the tests use -----------------------
+
+def as_rational(s) -> Fraction:
+    """A rational ``CycloScalar`` as a ``Fraction``."""
+    if not s.is_rational():
+        raise ScalarError(f"{s} is not rational")
+    return Fraction(s.num[0], s.den)
+
+
+def basis_vector(A, i):
+    """e_i of an algebra with a ``dim`` and a root order ``m``, dense."""
+    return [CycloScalar.one(A.m) if j == i else CycloScalar.zero(A.m) for j in range(A.dim)]
+
+
+def act(R, coords, mvec):
+    """rho(x) m for the algebra element x with the given coordinates."""
+    return linalg.mat_vec(R.rho_of(coords), mvec)
+
+
+def coord_index(space, tup, k):
+    """The free coordinate of carrier component k on a canonical tuple."""
+    return space.positions[tup] * space.module.dim + k
+
+
+def phi_coefficient(phi, s):
+    """phi_s of a formal automorphism; None past its last coefficient."""
+    return phi.phis[s] if s < len(phi.phis) else None
+
+
+def kernel_basis(M, ncols, m):
+    """``linalg.sparse_kernel_basis`` as dense vectors."""
+    return linalg.dense(linalg.sparse_kernel_basis(M, ncols, m), ncols, m)
+
+
+def span_equal(rows_a, rows_b) -> bool:
+    return linalg.rank(rows_a) == linalg.rank(rows_b) == linalg.rank(rows_a + rows_b)
+
+
+def is_zero_matrix(M) -> bool:
+    return all(a.is_zero() for row in M for a in row)
+
+
+def mat_pow(M, e, m):
+    """M^e by repeated squaring, dense."""
+    result, base = linalg.identity(len(M), m), [list(r) for r in M]
+    while e:
+        if e & 1:
+            result = linalg.mat_mul(result, base)
+        base = linalg.mat_mul(base, base)
+        e >>= 1
+    return result
+
+
+def member_of(space, M, m) -> bool:
+    """Exact membership of a matrix in the span of the space's basis, on the
+    matrices' dense row-major entries."""
+    return linalg.in_span([[c for row in B for c in row] for B in space.basis],
+                          [c for row in M for c in row])
+
+
+def degree_report(R, A) -> CheckResult:
+    """rho(e_i) must raise carrier degree by deg(e_i); beta must preserve it."""
+    degrees = R.carrier.degrees
+    cells = list(product(range(R.dim), repeat=2))
+    failures = [{"map": A.basis.names[i], "entry": [r, c], "kind": "rho-degree"}
+                for i, mat in enumerate(R.rho) for r, c in cells
+                if not mat[r][c].is_zero() and degrees[r] != degrees[c] + A.degree(i)]
+    failures += [{"entry": [r, c], "kind": "beta-not-even"} for r, c in cells
+                 if not R.beta[r][c].is_zero() and degrees[r] != degrees[c]]
+    return CheckResult(not failures, failures)
+
+
+def parse_matrix_bundle(text, m):
+    """Named matrices: {"matrices": {"alpha_1": [[...], ...], ...}}."""
+    doc = _load_json(text)
+    matrices = doc.get("matrices", doc if isinstance(doc, dict) else None)
+    if not isinstance(matrices, dict):
+        raise ParseError("matrix bundle must map names to matrices")
+    return {str(name): parse_matrix(rows, m, text)
+            for name, rows in matrices.items() if name != "schema"}
 
 
 # -- independent operator-form oracles ------------------------------------------
@@ -350,19 +433,19 @@ def check_equivalence_direct(A, B1, B2, phi):
             for y in range(A.dim):
                 lhs = [CycloScalar.zero(A.m)] * A.dim
                 for i in range(s + 1):
-                    phi_i = phi.coefficient(i, A)
+                    phi_i = phi_coefficient(phi, i)
                     if phi_i is None:
                         continue
                     lhs = [u + v for u, v in zip(
                         lhs, mat_vec_direct(phi_i, B1.terms[s - i].of_basis(x, y)))]
                 rhs = [CycloScalar.zero(A.m)] * A.dim
                 for a in range(s + 1):
-                    pa = phi.coefficient(a, A)
+                    pa = phi_coefficient(phi, a)
                     if pa is None:
                         continue
                     fx = mat_vec_direct(pa, A.basis_vector(x))
                     for b in range(s - a + 1):
-                        pb = phi.coefficient(b, A)
+                        pb = phi_coefficient(phi, b)
                         if pb is None:
                             continue
                         fy = mat_vec_direct(pb, A.basis_vector(y))
@@ -374,7 +457,7 @@ def check_equivalence_direct(A, B1, B2, phi):
         for x in range(A.dim):
             lhs = [CycloScalar.zero(A.m)] * A.dim
             for i in range(s + 1):
-                phi_i = phi.coefficient(i, A)
+                phi_i = phi_coefficient(phi, i)
                 alpha_j = _alpha_coefficient_direct(B1, s - i)
                 if phi_i is None or alpha_j is None:
                     continue
@@ -384,7 +467,7 @@ def check_equivalence_direct(A, B1, B2, phi):
             rhs = [CycloScalar.zero(A.m)] * A.dim
             for a in range(s + 1):
                 alpha_a = _alpha_coefficient_direct(B2, a)
-                phi_b = phi.coefficient(s - a, A)
+                phi_b = phi_coefficient(phi, s - a)
                 if alpha_a is None or phi_b is None:
                     continue
                 rhs = [u + v for u, v in zip(
@@ -411,7 +494,7 @@ def transport_bracket_direct(A, B1, phi):
             for j in range(i, A.dim):
                 acc = [CycloScalar.zero(A.m)] * A.dim
                 for a in range(s + 1):
-                    pa = phi.coefficient(a, A)
+                    pa = phi_coefficient(phi, a)
                     if pa is None:
                         continue
                     for b in range(s - a + 1):
@@ -435,7 +518,7 @@ def transport_bracket_direct(A, B1, phi):
     for s in range(k + 1):
         acc = linalg.zeros(A.dim, A.dim, A.m)
         for a in range(s + 1):
-            pa = phi.coefficient(a, A)
+            pa = phi_coefficient(phi, a)
             if pa is None:
                 continue
             for b in range(s - a + 1):
@@ -476,10 +559,10 @@ def hls_bracket_element_direct(A, D, x, y, quotient=None):
     pairs the inputs reach and the value reduced at the end."""
     def value(i, j):
         e = A.eps(A.basis.degrees[i], A.basis.degrees[j])
-        si = mat_vec_direct(D.sigma, A.basis_vector(i))
-        sj = mat_vec_direct(D.sigma, A.basis_vector(j))
-        di = mat_vec_direct(D.delta_map, A.basis_vector(i))
-        dj = mat_vec_direct(D.delta_map, A.basis_vector(j))
+        si = mat_vec_direct(D.sigma, basis_vector(A, i))
+        sj = mat_vec_direct(D.sigma, basis_vector(A, j))
+        di = mat_vec_direct(D.delta_map, basis_vector(A, i))
+        dj = mat_vec_direct(D.delta_map, basis_vector(A, j))
         return [p - e * q for p, q in zip(A.mu.bilinear(si, dj), A.mu.bilinear(sj, di))]
 
     values = {(i, j): value(i, j) for i, a in enumerate(x) if not a.is_zero()
@@ -493,10 +576,10 @@ def check_fgh_direct(A, D, quotient):
     for i in range(A.dim):
         for j in range(A.dim):
             e = A.eps(A.basis.degrees[i], A.basis.degrees[j])
-            lhs = hls_bracket_element_direct(A, D, A.basis_vector(i), A.basis_vector(j),
+            lhs = hls_bracket_element_direct(A, D, basis_vector(A, i), basis_vector(A, j),
                                              quotient)
-            rhs = [-e * c for c in hls_bracket_element_direct(A, D, A.basis_vector(j),
-                                                              A.basis_vector(i), quotient)]
+            rhs = [-e * c for c in hls_bracket_element_direct(A, D, basis_vector(A, j),
+                                                              basis_vector(A, i), quotient)]
             if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
                 failures.append({"pair": [A.basis.names[i], A.basis.names[j]]})
     return CheckResult(not failures, failures)
@@ -513,11 +596,11 @@ def check_mnop_direct(A, D, quotient, delta_scalar=None):
                 acc = [CycloScalar.zero(A.m)] * A.dim
                 for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
                     e = A.eps(A.basis.degrees[c], A.basis.degrees[a])
-                    inner = hls_bracket_element_direct(A, D, A.basis_vector(b),
-                                                       A.basis_vector(c), quotient)
-                    sx = mat_vec_direct(D.sigma, A.basis_vector(a))
+                    inner = hls_bracket_element_direct(A, D, basis_vector(A, b),
+                                                       basis_vector(A, c), quotient)
+                    sx = mat_vec_direct(D.sigma, basis_vector(A, a))
                     t1 = hls_bracket_element_direct(A, D, sx, inner, quotient)
-                    t2 = hls_bracket_element_direct(A, D, A.basis_vector(a), inner,
+                    t2 = hls_bracket_element_direct(A, D, basis_vector(A, a), inner,
                                                     quotient)
                     acc = [u + e * (p + d * q) for u, p, q in zip(acc, t1, t2)]
                 acc = quotient.reduce(acc)
@@ -536,8 +619,8 @@ def delta1_direct(A, R, fmat, gamma, r):
             dx, dy = A.degree(x), A.degree(y)
             fx = [fmat[i][x] for i in range(A.dim)]
             fy = [fmat[i][y] for i in range(A.dim)]
-            t1 = R.act(A.apply_alpha(A.basis_vector(x), r), fy)
-            t2 = R.act(A.apply_alpha(A.basis_vector(y), r), fx)
+            t1 = act(R, A.apply_alpha(A.basis_vector(x), r), fy)
+            t2 = act(R, A.apply_alpha(A.basis_vector(y), r), fx)
             fb = mat_vec_direct(fmat, A.bracket.of_basis(x, y))
             c1 = A.eps(gamma, dx)
             c2 = A.eps(gamma + dx, dy)
@@ -570,9 +653,9 @@ def delta2_direct(A, R, psi, gamma, r):
     for x, y, z in product(range(A.dim), repeat=3):
         dx, dy, dz = A.degree(x), A.degree(y), A.degree(z)
         acc = [CycloScalar.zero(A.m)] * R.dim
-        t1 = R.act(A.apply_alpha(A.basis_vector(x), r + 1), ev(y, z))
-        t2 = R.act(A.apply_alpha(A.basis_vector(y), r + 1), ev(x, z))
-        t3 = R.act(A.apply_alpha(A.basis_vector(z), r + 1), ev(x, y))
+        t1 = act(R, A.apply_alpha(A.basis_vector(x), r + 1), ev(y, z))
+        t2 = act(R, A.apply_alpha(A.basis_vector(y), r + 1), ev(x, z))
+        t3 = act(R, A.apply_alpha(A.basis_vector(z), r + 1), ev(x, y))
         c1 = A.eps(gamma, dx)
         c2 = A.eps(gamma + dx, dy)
         c3 = A.eps(gamma + dx + dy, dz)
@@ -903,6 +986,164 @@ SL2C_Z2Z2_CASE_FAMILIES = {
     "g3": [[((0, 2), 0, 1), ((1, 2), 1, -1)],
            [((0, 2), 1, 1)], [((1, 2), 0, 1)]],
 }
+
+
+# -- dense oracles for the checks that now act on sparse operators ------------
+#
+# The engine's former evaluations, kept as they were: each identity applied
+# to dense basis vectors and dense matrices, entry by entry.
+
+def check_hom_associative_direct(H):
+    failures = []
+    mu = H.mu
+    E = linalg.identity(H.dim, H.m)
+    for x in range(H.dim):
+        ax = mat_vec_direct(H.alpha, E[x])
+        for y in range(H.dim):
+            for z in range(H.dim):
+                az = mat_vec_direct(H.alpha, E[z])
+                lhs = mu.bilinear(ax, mu.of_basis(y, z))
+                rhs = mu.bilinear(mu.of_basis(x, y), az)
+                if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
+                    failures.append({"triple": [H.basis.names[x], H.basis.names[y],
+                                                H.basis.names[z]]})
+    return CheckResult(not failures, failures)
+
+
+def is_eps_commutative_direct(H):
+    for i in range(H.dim):
+        for j in range(H.dim):
+            e = H.eps(H.basis.degrees[i], H.basis.degrees[j])
+            lhs = H.mu.of_basis(i, j)
+            rhs = [e * c for c in H.mu.of_basis(j, i)]
+            if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
+                return False
+    return True
+
+
+def check_representation_direct(A, R):
+    failures = []
+    for i in range(A.dim):
+        rho_ai = R.rho_of(A.apply_alpha(A.basis_vector(i)))
+        for j in range(A.dim):
+            rho_aj = R.rho_of(A.apply_alpha(A.basis_vector(j)))
+            lhs = mat_mul_direct(R.rho_of(A.bracket.of_basis(i, j)), R.beta)
+            e = A.eps(A.degree(i), A.degree(j))
+            rhs = linalg.mat_add(mat_mul_direct(rho_ai, R.rho[j]),
+                                 linalg.mat_scale(-e, mat_mul_direct(rho_aj, R.rho[i])))
+            if not linalg.mat_eq(lhs, rhs):
+                failures.append({"pair": [A.basis.names[i], A.basis.names[j]]})
+    return CheckResult(not failures, failures)
+
+
+def check_module_direct(A, M):
+    failures = []
+    n = M.carrier.dim
+    E = linalg.identity(n, M.m)
+    for i in range(A.dim):
+        ai = A.apply_alpha(A.basis_vector(i))
+        for mv in range(n):
+            lhs = mat_vec_direct(M.beta, act(M, A.basis_vector(i), E[mv]))
+            rhs = act(M, ai, mat_vec_direct(M.beta, E[mv]))
+            if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
+                failures.append({"kind": "twist-compatibility",
+                                 "witness": [A.basis.names[i], mv]})
+    for i in range(A.dim):
+        ai = A.apply_alpha(A.basis_vector(i))
+        for j in range(A.dim):
+            aj = A.apply_alpha(A.basis_vector(j))
+            e = A.eps(A.degree(i), A.degree(j))
+            bij = A.bracket.of_basis(i, j)
+            for mv in range(n):
+                lhs = act(M, bij, mat_vec_direct(M.beta, E[mv]))
+                t1 = act(M, ai, act(M, A.basis_vector(j), E[mv]))
+                t2 = act(M, aj, act(M, A.basis_vector(i), E[mv]))
+                rhs = [a - e * b for a, b in zip(t1, t2)]
+                if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
+                    failures.append({"kind": "leibniz",
+                                     "witness": [A.basis.names[i], A.basis.names[j], mv]})
+    return CheckResult(not failures, failures)
+
+
+def check_coadjoint_direct(A, R):
+    failures = []
+    for i in range(A.dim):
+        for j in range(A.dim):
+            lhs = mat_mul_direct(R.beta, R.rho_of(A.bracket.of_basis(i, j)))
+            e = A.eps(A.degree(i), A.degree(j))
+            rhs = linalg.mat_add(
+                linalg.mat_scale(e, mat_mul_direct(
+                    R.rho[i], R.rho_of(A.apply_alpha(A.basis_vector(j))))),
+                linalg.mat_scale(CycloScalar.from_rational(-1, A.m), mat_mul_direct(
+                    R.rho[j], R.rho_of(A.apply_alpha(A.basis_vector(i))))))
+            if not linalg.mat_eq(lhs, rhs):
+                failures.append({"pair": [A.basis.names[i], A.basis.names[j]]})
+    return CheckResult(not failures, failures)
+
+
+def alpha_s_adjoint_direct(A, s):
+    """The matrices rho(e_i) of ad_s: column j is [alpha^s e_i, e_j]."""
+    rho = []
+    for i in range(A.dim):
+        shifted = A.apply_alpha(A.basis_vector(i), s) if s != 0 else A.basis_vector(i)
+        cols = [A.bracket.bilinear(shifted, A.basis_vector(j)) for j in range(A.dim)]
+        rho.append(linalg.transpose(cols))
+    return rho
+
+
+def check_sigma_derivation_direct(A, D):
+    """The cd1 and cd2 failure lists."""
+    cd1 = []
+    for j in range(A.dim):
+        target = A.basis.degrees[j] + D.grade_d
+        for i in range(A.dim):
+            if not D.delta_map[i][j].is_zero() and A.basis.degrees[i] != target:
+                cd1.append({"from": A.basis.names[j], "to": A.basis.names[i]})
+    cd2 = []
+    for i in range(A.dim):
+        si = mat_vec_direct(D.sigma, basis_vector(A, i))
+        di = mat_vec_direct(D.delta_map, basis_vector(A, i))
+        e = A.eps(D.grade_d, A.basis.degrees[i])
+        for j in range(A.dim):
+            dj = mat_vec_direct(D.delta_map, basis_vector(A, j))
+            lhs = mat_vec_direct(D.delta_map, A.mu.of_basis(i, j))
+            rhs = [a + e * b for a, b in
+                   zip(A.mu.bilinear(di, basis_vector(A, j)), A.mu.bilinear(si, dj))]
+            if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
+                cd2.append({"pair": [A.basis.names[i], A.basis.names[j]],
+                            "lhs": [str(c) for c in lhs], "rhs": [str(c) for c in rhs]})
+    return cd1, cd2
+
+
+def check_ijkl_direct(A, D, d):
+    failures = []
+    for i in range(A.dim):
+        lhs = mat_vec_direct(D.delta_map, mat_vec_direct(D.sigma, basis_vector(A, i)))
+        rhs = [d * c for c in mat_vec_direct(D.sigma,
+                                             mat_vec_direct(D.delta_map, basis_vector(A, i)))]
+        if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
+            failures.append({"basis": A.basis.names[i], "lhs": [str(c) for c in lhs],
+                             "rhs": [str(c) for c in rhs]})
+    return CheckResult(not failures, failures)
+
+
+def annihilator_direct(A, D):
+    """Ann(Delta) from the dense equation rows, through the dense elimination."""
+    rows = []
+    for w in range(A.dim):
+        dw = mat_vec_direct(D.delta_map, basis_vector(A, w))
+        products = [A.mu.bilinear(basis_vector(A, a), dw) for a in range(A.dim)]
+        for comp in range(A.dim):
+            rows.append([products[a][comp] for a in range(A.dim)])
+    red, pivots = rref_direct(rows)
+    zero, one = CycloScalar.zero(A.m), CycloScalar.one(A.m)
+    basis = []
+    for free in (c for c in range(A.dim) if c not in pivots):
+        v = [one if c == free else zero for c in range(A.dim)]
+        for r, pc in enumerate(pivots):
+            v[pc] = -red[r][free]
+        basis.append(v)
+    return basis
 
 
 # -- randomized valid multiplicative algebras --------------------------------

@@ -36,9 +36,9 @@ from colorhomlie.structure_theory import (check_hom_jordan,
                                           check_inclusion_lattice,
                                           quasi_centroid_jordan)
 
-from conftest import (SL2C_Z2Z2_CASE_FAMILIES, build_algebra, data_path,
-                      delta1_direct, delta2_direct, random_multiplicative_algebra,
-                      sc)
+from conftest import (SL2C_Z2Z2_CASE_FAMILIES, build_algebra, coord_index, data_path,
+                      delta1_direct, delta2_direct, kernel_basis, parse_matrix_bundle,
+                      random_multiplicative_algebra, sc, span_equal)
 
 
 def conclude(label, ok, detail=""):
@@ -139,7 +139,7 @@ def _a1_oracle(A, R, gamma, restrict):
     images = [_a1_delta2(A, R, gamma, [sc(int(c == s), A.m) for c in range(size)])
               for s in slots]
     Z = []
-    for kv in linalg.kernel_basis([list(row) for row in zip(*images)],
+    for kv in kernel_basis([list(row) for row in zip(*images)],
                                   len(slots), A.m):
         z = [sc(0, A.m)] * size
         for s, c in zip(slots, kv):
@@ -172,8 +172,8 @@ def test_a1_h2_dimensions_as_pinned():
             oracle = (len(Z), linalg.rank(B), len(Z) - linalg.rank(B))
             # engine coordinates are the oracle's: canonical pairs x component
             same = (res.space.tuples == list(A1_PAIRS)
-                    and linalg.span_equal(Z, res.cocycle_basis)
-                    and linalg.span_equal(B, res.coboundary_basis))
+                    and span_equal(Z, res.cocycle_basis)
+                    and span_equal(B, res.coboundary_basis))
             if got != want or oracle != want or not same:
                 mismatches.append(f"{name} {restrict}: expected {want}, engine "
                                   f"{got}, oracle {oracle}, same spaces {same}")
@@ -217,7 +217,7 @@ def test_a1_h2_representative_span_as_pinned():
     ok = ok and res.space.tuples == list(A1_PAIRS)
     target = [_a1_psi(A, psi_a), _a1_psi(A, psi_c)] + res.coboundary_basis
     computed = res.representatives + res.coboundary_basis
-    ok = ok and linalg.span_equal(target, computed)
+    ok = ok and span_equal(target, computed)
     ok = conclude("A1-representatives", ok,
                   "psi_a, psi_c and the printed psi_b erratum disagree with H")
     assert ok, (
@@ -234,8 +234,8 @@ def test_a1_verified_substance():
     res = free["g1"]
     space = res.space
     psi_a = space.zero_coords()
-    psi_a[space.coord_index((0, 1), 1)] = sc(1, A.m)
-    psi_a[space.coord_index((0, 2), 2)] = sc(1, A.m)
+    psi_a[coord_index(space, (0, 1), 1)] = sc(1, A.m)
+    psi_a[coord_index(space, (0, 2), 2)] = sc(1, A.m)
     ok = res.dim_H == 2
     ok = ok and linalg.in_span(res.cocycle_basis, psi_a)
     ok = ok and not linalg.in_span(res.coboundary_basis, psi_a)
@@ -318,7 +318,6 @@ A2_PAIRS = ((0, 1), (0, 2), (1, 2))
 
 
 def _bundle_matrices(A):
-    from colorhomlie.fileio import parse_matrix_bundle
     with open(data_path("sl2_morphism_bundle.json"), "r", encoding="utf-8") as fh:
         bundle = parse_matrix_bundle(fh.read(), A.m)
     return {int(name.split("_")[1]): M for name, M in bundle.items()}

@@ -102,6 +102,14 @@ def test_cohomology_cli_reports_dims(capsys):
     assert doc["results"][0]["dim_H"] == 2
 
 
+@pytest.mark.parametrize("command", [["cohomology", "--n", "1"], ["structure", "--kind", "der"]])
+def test_a_degree_of_the_wrong_length_exits_2(command, capsys):
+    code, out, err = run_cli(command + ["--algebra", data_path("sl2c_z2z2.alg"),
+                                        "--degree", "1,0,7"], capsys)
+    assert (code, out) == (2, "")
+    assert "element (1, 0, 7) has 3 components, group rank is 2" in err
+
+
 def test_twists_cli_counts(capsys):
     code, out, _ = run_cli([
         "twists", "--algebra", data_path("sl2c_z2z3.alg"),

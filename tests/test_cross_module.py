@@ -13,7 +13,8 @@ from colorhomlie.representations import adjoint, alpha_s_adjoint
 from colorhomlie.scalars_grading import CycloScalar
 from colorhomlie.structure_theory import degree_pattern, derivation_space
 
-from conftest import densify, random_multiplicative_algebra, sl2c_z2z2
+from conftest import (densify, kernel_basis, random_multiplicative_algebra, sl2c_z2z2,
+                      span_equal)
 
 
 def _pattern_part(A, vectors, gamma):
@@ -28,7 +29,7 @@ def _pattern_part(A, vectors, gamma):
             if (k, j) not in pattern:
                 rows.append([v[j * A.dim + k] for v in vectors])
     if rows:
-        combos = linalg.kernel_basis(rows, len(vectors), A.m)
+        combos = kernel_basis(rows, len(vectors), A.m)
     else:
         combos = [row for row in linalg.identity(len(vectors), A.m)]
     out = []
@@ -58,7 +59,7 @@ def _assert_match(A, rep, r, k):
         cocycle_part = _pattern_part(A, densify(res.space, res.cocycle_basis), gamma)
         der = _space_as_coords(A, derivation_space(A, k, gamma))
         if cocycle_part or der:
-            assert linalg.span_equal(cocycle_part, der), \
+            assert span_equal(cocycle_part, der), \
                 (A.name, tuple(gamma.components), len(cocycle_part), len(der))
 
 

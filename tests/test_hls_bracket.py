@@ -19,8 +19,9 @@ from colorhomlie.hls_bracket import (CommutativeColorAlgebra, HLSError,
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup, euler_phi)
 
-from conftest import (check_fgh_direct, check_mnop_direct, data_path,
-                      hls_bracket_element_direct)
+from conftest import (annihilator_direct, basis_vector, check_fgh_direct,
+                      check_ijkl_direct, check_mnop_direct, check_sigma_derivation_direct,
+                      data_path, hls_bracket_element_direct)
 
 
 def _sc(v, m=1):
@@ -104,7 +105,7 @@ def test_bracket_table_reproduces_the_weighted_shift_relations():
     quotient = QuotientSpace(A, annihilator(A, D))
     for i in range(3):
         for j in range(3):
-            got = hls_bracket_element(A, D, A.basis_vector(i), A.basis_vector(j),
+            got = hls_bracket_element(A, D, basis_vector(A, i), basis_vector(A, j),
                                       quotient)
             want = [CycloScalar.zero(A.m)] * 3
             if 0 <= i + j - 1 <= 2:
@@ -116,8 +117,8 @@ def test_bracket_skewness_fgh():
     A, D, q = q_difference_instance()
     for i in range(3):
         for j in range(3):
-            lhs = hls_bracket(A, D, A.basis_vector(i), A.basis_vector(j))
-            rhs = hls_bracket(A, D, A.basis_vector(j), A.basis_vector(i))
+            lhs = hls_bracket(A, D, basis_vector(A, i), basis_vector(A, j))
+            rhs = hls_bracket(A, D, basis_vector(A, j), basis_vector(A, i))
             e = A.eps(A.basis.degrees[i], A.basis.degrees[j])
             assert all((a + e * b).is_zero() for a, b in zip(lhs, rhs))
 
@@ -174,7 +175,7 @@ def test_bracket_refused_without_invariance():
     bad = SigmaDerivation(bad_sigma, D.delta_map, A.basis.group.zero(), one)
     assert not check_ann_invariance(A, bad)
     with pytest.raises(HLSError):
-        hls_bracket(A, bad, A.basis_vector(0), A.basis_vector(1))
+        hls_bracket(A, bad, basis_vector(A, 0), basis_vector(A, 1))
 
 
 def test_classical_derivation_specialization():
@@ -208,12 +209,12 @@ def test_operator_form_equals_element_form():
         return A.mu.bilinear(a, linalg.mat_vec(D.delta_map, w))
     for i in range(3):
         for j in range(3):
-            x, y = A.basis_vector(i), A.basis_vector(j)
+            x, y = basis_vector(A, i), basis_vector(A, j)
             sx = linalg.mat_vec(D.sigma, x)
             sy = linalg.mat_vec(D.sigma, y)
             elem = hls_bracket_element(A, D, x, y)
             for w in range(3):
-                ew = A.basis_vector(w)
+                ew = basis_vector(A, w)
                 composed = [a - b for a, b in
                             zip(op_apply(sx, op_apply(y, ew)),
                                 op_apply(sy, op_apply(x, ew)))]
@@ -325,7 +326,7 @@ def test_hls_identities_match_the_pointwise_oracles():
         assert check_fgh(A, D, quotient).to_dict() == \
             check_fgh_direct(A, D, quotient).to_dict()
         # basis vectors and inhomogeneous ones
-        vectors = [A.basis_vector(i) for i in range(A.dim)] + [
+        vectors = [basis_vector(A, i) for i in range(A.dim)] + [
             [CycloScalar([rng.randint(-2, 2) for _ in range(euler_phi(A.m))], A.m)
              for _ in range(A.dim)] for _ in range(3)]
         for x in vectors:
@@ -334,10 +335,27 @@ def test_hls_identities_match_the_pointwise_oracles():
                     assert hls_bracket_element(A, D, x, y, q) == \
                         hls_bracket_element_direct(A, D, x, y, q)
         want = StructureConstants(A.dim, A.m, {
-            (i, j): hls_bracket_element_direct(A, D, A.basis_vector(i),
-                                               A.basis_vector(j), quotient)
+            (i, j): hls_bracket_element_direct(A, D, basis_vector(A, i),
+                                               basis_vector(A, j), quotient)
             for i in range(A.dim) for j in range(A.dim)}).report(A.basis.names)
         assert induced_bracket_table(A, D) == want
         reduced += bool(ann) and not got.ok
     # the q = 2 line at delta = 1 fails, and so does a quotient with ann != 0
     assert failing >= 4 and reduced >= 1
+
+
+def test_derivation_laws_and_annihilator_match_the_dense_oracles():
+    # cd1, cd2, the intertwining law and Ann(Delta) on sparse operators give
+    # the reports and the basis of the former dense evaluations
+    failing = 0
+    for A, D in _instances():
+        rep = check_sigma_derivation(A, D)
+        cd1, cd2 = check_sigma_derivation_direct(A, D)
+        assert (rep["cd1"].failures, rep["cd2"].failures) == (cd1, cd2)
+        for d in (D.delta_scalar, CycloScalar.one(A.m), CycloScalar.zero(A.m)):
+            got = check_ijkl(A, D, delta_scalar=d)
+            assert got.to_dict() == check_ijkl_direct(A, D, d).to_dict()
+            failing += len(got.failures)
+        assert annihilator(A, D) == annihilator_direct(A, D)
+        failing += len(cd1) + len(cd2)
+    assert failing >= 20

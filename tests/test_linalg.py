@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 from colorhomlie import linalg
 from colorhomlie.scalars_grading import CycloScalar, ScalarError
 
-from conftest import mat_mul_direct, mat_vec_direct, rref_direct
+from conftest import kernel_basis, mat_mul_direct, mat_vec_direct, rref_direct
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 ROOT_ORDERS = (1, 2, 3, 4)
@@ -149,7 +149,7 @@ def test_rref_matches_dense_oracle(system):
 @given(systems())
 def test_kernel_and_rank_match_dense_oracle(system):
     m, ncols, rows, mixed = system
-    assert linalg.kernel_basis(mixed, ncols, m) == kernel_direct(rows, ncols, m)
+    assert kernel_basis(mixed, ncols, m) == kernel_direct(rows, ncols, m)
     assert linalg.rank(mixed) == rank_direct(rows)
 
 
@@ -321,3 +321,25 @@ def test_mat_vec_multiplies_only_nonzero_pairs(monkeypatch):
     assert all(not a.is_zero() and not b.is_zero() for a, b in calls)
     assert len(calls) == sum(not D[i][j].is_zero() and not v[j].is_zero()
                              for i in range(4) for j in range(4)) == 3
+
+
+# -- the one sparse operator form ---------------------------------------------------
+
+@PROPERTY
+@given(st.sampled_from(ROOT_ORDERS), st.integers(0, 4), st.integers(1, 4),
+       st.integers(1, 4), st.data())
+def test_sparse_form_round_trips_and_multiplies_like_the_dense_kernels(m, n, k, p, data):
+    # sparse() of dense rows, of sparse rows and of its own output; dense()
+    # back; _product, _transpose and _combine against the every-cell oracles
+    A, B = data.draw(matrices(m, n, k)), data.draw(matrices(m, k, p))
+    c = data.draw(scalars(m, sparse=True))
+    SA, SB = linalg.sparse(A), linalg.sparse(B)
+    assert SA == {r: as_sparse(row) for r, row in enumerate(A) if as_sparse(row)}
+    assert linalg.sparse(SA) == SA and linalg.sparse(SA) is not SA
+    assert linalg.sparse([as_sparse(row) for row in A]) == SA
+    assert linalg.dense([SA.get(r, {}) for r in range(n)], k, m) == A
+    assert linalg._product(SA, SB) == linalg.sparse(mat_mul_direct(A, B))
+    assert linalg._transpose(SA) == linalg.sparse(linalg.transpose(A))
+    twice = linalg._combine([(None, SA), (c, SA)])
+    assert twice == linalg.sparse([[a + c * a for a in row] for row in A])
+    assert all(row and all(not v.is_zero() for v in row.values()) for row in twice.values())

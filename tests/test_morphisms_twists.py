@@ -6,15 +6,15 @@ import pytest
 
 from colorhomlie import linalg, morphisms_twists
 from colorhomlie.algebra_core import StructureConstants, check_color_hom_lie
-from colorhomlie.fileio import (parse_algebra_file, parse_commutative_algebra_file,
-                                parse_matrix_bundle)
+from colorhomlie.fileio import parse_algebra_file, parse_commutative_algebra_file
 from colorhomlie.morphisms_twists import (BudgetExceededError,
                                           NotAMorphismError, enumerate_morphisms,
                                           morphism_is_invertible, twist,
                                           verify_morphism)
-from conftest import (build_algebra, data_path, endomorphism_failures_direct,
+from conftest import (as_rational, build_algebra, data_path, endomorphism_failures_direct,
                       enumerate_morphisms_direct, heis_zeta3, motion_z2z3, sc,
-                      sl2c_z2z2, sl2c_z2z2_untwisted, sl2c_z2z3, zero_algebra)
+                      parse_matrix_bundle, sl2c_z2z2, sl2c_z2z2_untwisted, sl2c_z2z3,
+                      zero_algebra)
 
 
 def _mat(A, rows):
@@ -57,7 +57,7 @@ def test_twist_reproduces_the_z2z2_example():
     for (i, j), want in expected.items():
         got = T.bracket.of_basis(i, j)
         for k in range(3):
-            assert got[k].as_rational() == want.get(k, 0)
+            assert as_rational(got[k]) == want.get(k, 0)
     assert linalg.mat_eq(T.alpha, alpha)
     report = check_color_hom_lie(T)
     assert report.all_ok

@@ -131,3 +131,36 @@ def test_no_module_imports_dataclasses():
             if any(m.split(".")[0] == "dataclasses" for m in modules):
                 offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
+
+
+# Package functions that no package code calls, each kept for a reason.
+UNCALLED_ALLOWED = {
+    "check_commutative_associative": "the HLS hypothesis check that `colorhom hls` is "
+                                     "to run (ROADMAP item 6); running it changes hls stdout",
+    "reverify": "the documented opt-in re-check of a cohomology result (README)",
+}
+
+
+def test_every_package_function_is_called_by_the_package_or_exported():
+    """Code that only the tests call belongs in tests/conftest.py: every
+    non-dunder function and method is referenced by package code, is a name
+    in ``_EXPORTS``, or is on the allowlist above."""
+    exported = {name for names in colorhomlie._EXPORTS.values() for name in names.split()}
+    defined, referenced = [], set()
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), name)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append((name, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    uncalled = {fn: f"{module}:{line}" for module, line, fn in defined
+                if not (fn.startswith("__") and fn.endswith("__"))
+                and fn not in referenced and fn not in exported}
+    assert sorted(set(uncalled) - set(UNCALLED_ALLOWED)) == []
+    assert sorted(UNCALLED_ALLOWED) == sorted(uncalled)  # no stale allowlist entry

@@ -4,7 +4,7 @@ import random
 import pytest
 
 from colorhomlie import linalg
-from colorhomlie.algebra_core import AlgebraStructureError
+from colorhomlie.algebra_core import AlgebraStructureError, GradedBasis
 from colorhomlie.cohomology import CochainError, cohomology_group
 from colorhomlie.representations import (CoadjointUnavailableError,
                                          Representation,
@@ -12,15 +12,17 @@ from colorhomlie.representations import (CoadjointUnavailableError,
                                          check_coadjoint_condition, check_module,
                                          check_representation,
                                          dual_representation)
-from conftest import (build_algebra, random_multiplicative_algebra, sc,
-                      sl2c_z2z2, zero_algebra)
+from conftest import (alpha_s_adjoint_direct, build_algebra, check_coadjoint_direct,
+                      check_module_direct, check_representation_direct, degree_report,
+                      is_zero_matrix, random_multiplicative_algebra, sc, sl2c_z2z2,
+                      zero_algebra)
 
 
 def test_adjoint_of_z2z2_example_passes():
     A = sl2c_z2z2()
     R = adjoint(A)
     assert check_representation(A, R).ok
-    assert R.degree_report(A).ok
+    assert degree_report(R, A).ok
 
 
 def test_zero_rho_passes():
@@ -102,7 +104,7 @@ def test_alpha_s_adjoint_family():
 def test_alpha_s_adjoint_zero_bracket():
     A = zero_algebra([2, 2], [[0, 1], [1, 0]], 2, [(1, 0), (0, 1)])
     R = alpha_s_adjoint(A, 0)
-    assert all(linalg.is_zero_matrix(m) for m in R.rho)
+    assert all(is_zero_matrix(m) for m in R.rho)
 
 
 def test_ad_minus_one_requires_invertible_alpha():
@@ -131,7 +133,7 @@ def test_coadjoint_condition_and_dual_for_zero_rho():
     assert check_coadjoint_condition(A, R).ok
     dual = dual_representation(A, R)
     assert check_representation(A, dual).ok
-    assert all(linalg.is_zero_matrix(m) for m in dual.rho)
+    assert all(is_zero_matrix(m) for m in dual.rho)
 
 
 def test_coadjoint_condition_value_for_z2z2_adjoint():
@@ -184,3 +186,45 @@ def test_dual_passes_whenever_condition_holds_randomized(rng):
             dual = dual_representation(A, R)
             assert check_representation(A, dual).ok
     assert hits > 0  # zero brackets in the pool always qualify
+
+
+def _random_modules(rng, A):
+    """The adjoint module, the adjoint with rho(e_1) doubled, and two carriers
+    of random dimension with random rho and beta (almost never modules)."""
+    def scalar():
+        return sc(rng.choice([0, 0, 1, -1, 2, 0.5]), A.m)
+    R = adjoint(A)
+    yield R
+    yield Representation(R.carrier, [linalg.mat_scale(sc(2, A.m), R.rho[0])] + R.rho[1:],
+                         R.beta, A.m)
+    group = A.basis.group
+    for _ in range(2):
+        n = rng.randint(1, 3)
+        carrier = GradedBasis(tuple(f"v{k}" for k in range(n)),
+                              tuple(rng.choice(list(group.elements())) for _ in range(n)),
+                              group)
+        rho = [[[scalar() for _ in range(n)] for _ in range(n)] for _ in range(A.dim)]
+        yield Representation(carrier, rho, [[scalar() for _ in range(n)] for _ in range(n)],
+                             A.m)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_representation_checks_match_the_dense_oracles(seed):
+    # the failure lists of the checks on sparse operators, and the adjoint
+    # family, equal the former dense evaluations
+    rng = random.Random(20261018 + seed)
+    checks = [(check_representation, check_representation_direct),
+              (check_module, check_module_direct),
+              (check_coadjoint_condition, check_coadjoint_direct)]
+    failing = 0
+    for _ in range(5):
+        A = random_multiplicative_algebra(rng)
+        for R in _random_modules(rng, A):
+            for check, oracle in checks:
+                got = check(A, R)
+                assert got.to_dict() == oracle(A, R).to_dict()
+                failing += len(got.failures)
+        powers = (-1, 0, 1, 2) if linalg.rank(A.alpha) == A.dim else (0, 1, 2)
+        for s in powers:
+            assert alpha_s_adjoint(A, s).rho == alpha_s_adjoint_direct(A, s)
+    assert failing >= 20

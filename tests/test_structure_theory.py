@@ -19,13 +19,13 @@ from colorhomlie.structure_theory import (KINDS, HomogeneousMapSpace,
                                           check_inclusion_lattice,
                                           degree_pattern, derivation_space,
                                           generalized_derivation_space,
-                                          jordan_product, member_of,
+                                          jordan_product,
                                           quasi_centroid_jordan,
                                           quasi_centroid_space,
                                           quasi_derivation_space,
                                           reverify_space, solve_space)
 from conftest import (_express_in_span, build_algebra, defining_rows_direct, direct_sum,
-                      heis_zeta3, hom_jordan_direct, inclusion_lattice_direct,
+                      heis_zeta3, hom_jordan_direct, inclusion_lattice_direct, member_of,
                       motion_z2z3, partner_rows_direct, quasi_centroid_jordan_direct,
                       random_multiplicative_algebra, sc, sl2c_z2z2, zero_algebra)
 
