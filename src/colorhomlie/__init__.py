@@ -21,10 +21,8 @@ _EXPORTS = {
     "cohomology": "Cochain CochainSpace cochain_basis coboundary cohomology_group delta_matrix",
     "hls_bracket": "CommutativeColorAlgebra SigmaDerivation annihilator check_ann_invariance "
                    "check_hls_jacobi check_sigma_derivation hls_bracket",
-    "structure_theory": "HomogeneousMapSpace centroid_space check_hom_jordan "
-                        "check_inclusion_lattice derivation_space generalized_derivation_space "
-                        "jordan_product quasi_centroid_jordan quasi_centroid_space "
-                        "quasi_derivation_space",
+    "structure_theory": "HomogeneousMapSpace check_hom_jordan check_inclusion_lattice "
+                        "jordan_product quasi_centroid_jordan reverify_space solve_space",
     "deformations": "FormalAutomorphism TruncatedBracket check_deformation check_equivalence "
                     "composition_deformation first_order_class transport_bracket",
     "fileio": "parse_algebra_document parse_algebra_file serialize_algebra",

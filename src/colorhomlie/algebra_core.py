@@ -15,7 +15,7 @@ from itertools import product
 
 from . import linalg
 from .linalg import _add_scaled, _transpose
-from .scalars_grading import (BiCharacter, CycloScalar, FiniteAbelianGroup,
+from .scalars_grading import (BiCharacter, FiniteAbelianGroup,
                               GroupElement, Immutable, format_scalar)
 
 
@@ -313,10 +313,6 @@ class ColorHomAlgebra:
     def degree(self, i: int) -> GroupElement:
         return self.basis.degrees[i]
 
-    def basis_vector(self, i: int):
-        return [CycloScalar.one(self.m) if j == i else CycloScalar.zero(self.m)
-                for j in range(self.dim)]
-
     def alpha_power(self, k: int):
         """alpha^k, cached for every k; negative k needs an invertible twist."""
         if k not in self._alpha_pows:
@@ -337,9 +333,6 @@ class ColorHomAlgebra:
         if k not in self._sparse_pows:
             self._sparse_pows[k] = linalg.sparse(self.alpha_power(k))
         return self._sparse_pows[k]
-
-    def apply_alpha(self, v, k: int = 1):
-        return linalg.mat_vec(self.alpha_power(k), v)
 
     # -- exhaustive axiom checks --------------------------------------------
 
@@ -378,11 +371,13 @@ class ColorHomAlgebra:
         return CheckResult(not failures, failures)
 
     def check_multiplicative(self) -> CheckResult:
-        failures = []
+        """alpha[e_i, e_j] against [alpha e_i, alpha e_j], on sparse columns."""
+        failures, cols = [], _transpose(self.alpha_sparse(1))
         for i, j in self.bracket.endomorphism_failures(self.alpha):
-            lhs = self.apply_alpha(self.bracket.of_basis(i, j))
-            rhs = self.bracket.bilinear(self.apply_alpha(self.basis_vector(i)),
-                                        self.apply_alpha(self.basis_vector(j)))
+            lhs, rhs = linalg.dense([self.bracket.mapped_row(i, j, cols),
+                                     self.bracket.sparse_bilinear(cols.get(i, {}),
+                                                                  cols.get(j, {}))],
+                                    self.dim, self.m)
             failures.append({
                 "pair": [self.basis.names[i], self.basis.names[j]],
                 "alpha_of_bracket": [str(c) for c in lhs],

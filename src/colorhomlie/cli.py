@@ -187,7 +187,7 @@ def cmd_derived(args) -> int:
 
 
 def cmd_hls(args) -> int:
-    from .hls_bracket import SigmaDerivation, check_hls_jacobi, induced_bracket_table
+    from .hls_bracket import SigmaDerivation, check_hls_jacobi
     C = parse_commutative_algebra_file(args.algebra)
     sigma = _matrix_arg(args.sigma, C, "--sigma")
     delta_map = _matrix_arg(args.delta_map, C, "--delta-map")
@@ -199,7 +199,7 @@ def cmd_hls(args) -> int:
     doc = {"schema": SCHEMA, "command": "hls", "algebra": args.algebra,
            "checks": {name: report[name].to_dict() for name in checks},
            "annihilator_dim": report["annihilator_dim"],
-           "induced_bracket": induced_bracket_table(C, D)}
+           "induced_bracket": report["induced_bracket"]}
     _emit(doc, args)
     ok = all(report[name].ok for name in checks)
     _summary(f"hls: {'all identities pass' if ok else 'FAILED'}")
@@ -352,7 +352,7 @@ def run_command(argv) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, BudgetExceededError, ValueError) as exc:
+    except (ParseError, OSError, BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -70,24 +70,31 @@ def serialize_matrix(matrix):
     return [[format_scalar(c) for c in row] for row in matrix]
 
 
-def _require(obj, key: str, where: str):
+def _require(obj, key: str, where: str, kind: type = object):
     if not isinstance(obj, dict) or key not in obj:
         raise ParseError(f"{where} misses required key {key!r}")
-    return obj[key]
+    return _typed(obj[key], kind, f"{where} key {key!r}")
+
+
+def _typed(value, kind: type, what: str):
+    """value, refused unless it has the JSON type kind (dict: object, list: array)."""
+    if not isinstance(value, kind):
+        raise ParseError(f"{what} must be a JSON {'object' if kind is dict else 'array'}")
+    return value
 
 
 def _parse_square(rows, n: int, m: int, source: str, what: str):
-    matrix = parse_matrix(rows, m, source)
-    if len(matrix) != n or any(len(r) != n for r in matrix):
+    if not (isinstance(rows, list) and len(rows) == n
+            and all(isinstance(r, list) and len(r) == n for r in rows)):
         raise ParseError(f"{what} must be a {n}x{n} matrix")
-    return matrix
+    return parse_matrix(rows, m, source)
 
 
 def _parse_basis(entries, group: FiniteAbelianGroup, what: str) -> GradedBasis:
     names, degrees = [], []
     for n, entry in enumerate(entries):
         names.append(str(_require(entry, "name", f"{what} entry {n}")))
-        degree = _require(entry, "degree", f"{what} entry {n}")
+        degree = _require(entry, "degree", f"{what} entry {n}", list)
         degrees.append(group.element(tuple(int(c) for c in degree)))
     return GradedBasis(tuple(names), tuple(degrees), group)
 
@@ -95,13 +102,17 @@ def _parse_basis(entries, group: FiniteAbelianGroup, what: str) -> GradedBasis:
 def _parse_header(doc):
     """Basis, bi-character and root order of an algebra document."""
     group_doc = _require(doc, "group", "algebra document")
-    group = FiniteAbelianGroup(tuple(int(n) for n in _require(group_doc, "orders", "group")))
+    orders = _require(group_doc, "orders", "group", list)
+    group = FiniteAbelianGroup(tuple(int(n) for n in orders))
     m = int(doc.get("root_order", max(group.exponent, 1)))
-    exponents = doc.get("epsilon", {}).get("exponents")
+    exponents = _typed(doc.get("epsilon", {}), dict,
+                       "algebra document key 'epsilon'").get("exponents")
     if exponents is None:
         exponents = [[0] * group.rank for _ in range(group.rank)]
-    eps = BiCharacter(group, exponents, m)
-    return _parse_basis(_require(doc, "basis", "algebra document"), group, "basis"), eps, m
+    eps = BiCharacter(group, [_typed(row, list, "epsilon key 'exponents' row")
+                              for row in _typed(exponents, list, "epsilon key 'exponents'")], m)
+    basis = _require(doc, "basis", "algebra document", list)
+    return _parse_basis(basis, group, "basis"), eps, m
 
 
 def _parse_table(section, basis: GradedBasis, m: int, source: str, what: str):
@@ -114,7 +125,7 @@ def _parse_table(section, basis: GradedBasis, m: int, source: str, what: str):
         return names.index(name)
 
     entries = {}
-    for pair_key, value in section.items():
+    for pair_key, value in _typed(section, dict, f"{what} section").items():
         parts = [p.strip() for p in pair_key.split(",")]
         if len(parts) != 2 or not isinstance(value, dict):
             raise ParseError(f"bad {what} entry {pair_key!r}")
@@ -176,7 +187,7 @@ def parse_commutative_algebra_file(path: str):
 
 def parse_representation_document(text: str, A: ColorHomAlgebra) -> Representation:
     doc = _load_json(text)
-    carrier = _parse_basis(_require(doc, "carrier", "representation"), A.basis.group,
+    carrier = _parse_basis(_require(doc, "carrier", "representation", list), A.basis.group,
                            "carrier")
     rho_doc = _require(doc, "rho", "representation")
     rho = [_parse_square(_require(rho_doc, an, "rho"), carrier.dim, A.m, text, f"rho[{an!r}]")
@@ -191,10 +202,10 @@ def parse_bracket_terms(text: str, A: ColorHomAlgebra):
     doc = _load_json(text)
     return [BracketTable(A.basis, A.eps, _parse_table(term, A.basis, A.m, text, "bracket"),
                          A.m)
-            for term in _require(doc, "terms", "term file")]
+            for term in _require(doc, "terms", "term file", list)]
 
 
 def parse_alpha_terms(text: str, A: ColorHomAlgebra):
     doc = _load_json(text)
     return [_parse_square(rows, A.dim, A.m, text, f"terms[{i}]")
-            for i, rows in enumerate(_require(doc, "terms", "term file"))]
+            for i, rows in enumerate(_require(doc, "terms", "term file", list))]

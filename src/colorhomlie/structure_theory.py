@@ -96,6 +96,13 @@ _IDENTITIES = {
                  [(0, "d", 1, False), (0, "R", -1, True)]],
     "qcentroid": [[(0, "L", 1, False), (0, "R", -1, True)]],
 }
+# The unknown blocks of each kind: D, then the partner maps D' and D''.
+_BLOCKS = {"der": 1, "gder": 3, "qder": 2, "centroid": 1, "qcentroid": 1}
+# The values of commute_with_alpha each kind accepts, its default first:
+# [D, alpha] = 0 belongs to every definition but the quasi-centroid's, and
+# only the two centroids may drop or add it.
+_COMMUTE = {"der": (True,), "gder": (True,), "qder": (True,),
+            "centroid": (True, False), "qcentroid": (False, True)}
 
 
 def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
@@ -113,7 +120,7 @@ def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
     """
     dim = A.dim
     nD = len(pattern)
-    blocks = {"der": 1, "centroid": 1, "qcentroid": 1, "qder": 2, "gder": 3}[kind]
+    blocks = _BLOCKS[kind]
     nvars = blocks * nD
     if k not in A._precomposed:
         ak, ident = A.alpha_sparse(k), A.alpha_sparse(0)
@@ -158,11 +165,19 @@ def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
     return rows, nvars, nD
 
 
-def _solve_space(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
-                 commute: bool) -> HomogeneousMapSpace:
-    """Solved once per (kind, k, gamma, commute) and kept on A; returned fresh."""
+def solve_space(A: ColorHomAlgebra, kind: str, k: int, gamma: GroupElement,
+                commute_with_alpha: bool = None) -> HomogeneousMapSpace:
+    """The space of the given kind (one of KINDS) at twist power k and degree
+    gamma.  commute_with_alpha=None takes the kind's default, [D, alpha] = 0
+    for all but qcentroid; only centroid and qcentroid accept the other value.
+    Solved once per (kind, k, gamma, commute) and kept on A; returned fresh."""
+    if kind not in _COMMUTE:
+        raise ValueError(f"unknown space kind {kind!r}")
     if k < 0:
         raise ValueError("twist power must be non-negative")
+    commute = _COMMUTE[kind][0] if commute_with_alpha is None else commute_with_alpha
+    if commute not in _COMMUTE[kind]:
+        raise ValueError(f"[D, alpha] = 0 is part of the definition of {kind!r}")
     key = (kind, k, gamma, commute)
     if key not in A._spaces:
         pattern, mats = degree_pattern(A, gamma), []
@@ -177,55 +192,19 @@ def _solve_space(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
                                                 for M in A._spaces[key]], commute)
 
 
-def derivation_space(A: ColorHomAlgebra, k: int, gamma: GroupElement) -> HomogeneousMapSpace:
-    return _solve_space(A, k, gamma, "der", commute=True)
-
-
-def generalized_derivation_space(A: ColorHomAlgebra, k: int, gamma: GroupElement
-                                 ) -> HomogeneousMapSpace:
-    return _solve_space(A, k, gamma, "gder", commute=True)
-
-
-def quasi_derivation_space(A: ColorHomAlgebra, k: int, gamma: GroupElement
-                           ) -> HomogeneousMapSpace:
-    return _solve_space(A, k, gamma, "qder", commute=True)
-
-
-def centroid_space(A: ColorHomAlgebra, k: int, gamma: GroupElement,
-                   commute_with_alpha: bool = True) -> HomogeneousMapSpace:
-    return _solve_space(A, k, gamma, "centroid", commute=commute_with_alpha)
-
-
-def quasi_centroid_space(A: ColorHomAlgebra, k: int, gamma: GroupElement,
-                         commute_with_alpha: bool = False) -> HomogeneousMapSpace:
-    return _solve_space(A, k, gamma, "qcentroid", commute=commute_with_alpha)
-
-
-def solve_space(A: ColorHomAlgebra, kind: str, k: int, gamma: GroupElement,
-                **flags) -> HomogeneousMapSpace:
-    builders = {
-        "der": derivation_space,
-        "gder": generalized_derivation_space,
-        "qder": quasi_derivation_space,
-        "centroid": centroid_space,
-        "qcentroid": quasi_centroid_space,
-    }
-    if kind not in builders:
-        raise ValueError(f"unknown space kind {kind!r}")
-    return builders[kind](A, k, gamma, **flags)
-
-
 def reverify_space(A: ColorHomAlgebra, space: HomogeneousMapSpace) -> CheckResult:
     """Re-check the defining identity of every spanning matrix, and
     [D, alpha] = 0 where the space requires it, by direct evaluation on basis
     pairs (independent of the solver's row assembly).
 
-    For the existential kinds (gder, qder) the partner maps are recovered by
-    an exact linear solve before the identity is evaluated.
+    For the existential kinds (gder, qder) an exact linear solve shows that
+    partner maps exist.
     """
+    # a kind that admits only [D, alpha] = 0 is checked for it in any case
+    commute = space.commute or _COMMUTE[space.kind] == (True,)
     failures = []
     for D in space.basis:
-        ok = _direct_identity_holds(A, space.kind, space.k, space.gamma, D, space.commute)
+        ok = _direct_identity_holds(A, space.kind, space.k, space.gamma, D, commute)
         if not ok:
             failures.append({"matrix": [[str(c) for c in row] for row in D]})
     return CheckResult(not failures, failures)
@@ -244,7 +223,7 @@ def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str,
     is dropped.
     """
     dim, nD = A.dim, len(pattern)
-    blocks = 1 if kind == "qder" else 2
+    blocks = _BLOCKS[kind] - 1
     bracket, zero, one = A.bracket, CycloScalar.zero(A.m), CycloScalar.one(A.m)
     ak_e, d_e = _transpose(A.alpha_sparse(k)), _transpose(linalg.sparse(D))
     rows, rhs = [], []
@@ -274,29 +253,10 @@ def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str,
     return rows + commute, rhs + [zero] * len(commute)
 
 
-def _partner_solution(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str):
-    """Recover partner maps witnessing a qder/gder identity for a given D.
-
-    Partner maps must commute with alpha, matching the space definitions.
-    """
-    pattern = degree_pattern(A, gamma)
-    rows, rhs = _partner_rows(A, k, gamma, D, kind, pattern)
-    sol = linalg.solve(rows, rhs, A.m)
-    if sol is None:
-        return None
-    nD = len(pattern)
-    blocks = 1 if kind == "qder" else 2
-    # sol stops at the last unknown a row reaches; the ones past it are 0
-    return tuple(_pattern_matrix(A, pattern, sol[b * nD:(b + 1) * nD])
-                 for b in range(blocks))
-
-
 def _direct_identity_holds(A: ColorHomAlgebra, kind: str, k: int,
                            gamma: GroupElement, D, commute: bool) -> bool:
     sparse_D, alpha = linalg.sparse(D), A.alpha_sparse(1)
-    # der, qder and gder always require [D, alpha] = 0
-    if (commute or kind in ("der", "qder", "gder")) and \
-            _product(sparse_D, alpha) != _product(alpha, sparse_D):
+    if commute and _product(sparse_D, alpha) != _product(alpha, sparse_D):
         return False
     if kind in ("der", "centroid", "qcentroid"):
         # a^k e_x and D e_x are sparse columns; D and the bracket are applied
@@ -317,7 +277,9 @@ def _direct_identity_holds(A: ColorHomAlgebra, kind: str, k: int,
             return dxy == linalg._sparse(left)
         return all(identity(x, y) for x in range(A.dim) for y in range(A.dim))
     if kind in ("qder", "gder"):
-        return _partner_solution(A, k, gamma, D, kind) is not None
+        # partner maps exist, and commute with alpha as the definitions ask
+        rows, rhs = _partner_rows(A, k, gamma, D, kind, degree_pattern(A, gamma))
+        return linalg.solve(rows, rhs, A.m) is not None
     raise ValueError(kind)
 
 
@@ -373,7 +335,7 @@ def quasi_centroid_jordan(A: ColorHomAlgebra, max_power: int = 2,
     matrices, degrees = [], []
     for k in range(max_power + 1):
         for gamma in A.basis.group.elements():
-            for M in quasi_centroid_space(A, k, gamma, commute_with_alpha).basis:
+            for M in solve_space(A, "qcentroid", k, gamma, commute_with_alpha).basis:
                 if span.add(_flat(M)):
                     matrices.append(M)
                     degrees.append(gamma)

@@ -14,8 +14,7 @@ from colorhomlie.algebra_core import (BracketTable, CheckResult, ColorHomAlgebra
                                       check_color_hom_lie)
 from colorhomlie.cohomology import CochainSpace
 from colorhomlie.morphisms_twists import twist
-from colorhomlie.structure_theory import (NotClosedError, degree_pattern,
-                                          quasi_centroid_space, solve_space)
+from colorhomlie.structure_theory import NotClosedError, degree_pattern, solve_space
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup, ScalarError,
                                          _poly_divmod, _poly_mul, _poly_sub,
@@ -296,7 +295,7 @@ def jacobi_residual_direct(A, x, y, z):
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
         e = A.eps(A.degree(c), A.degree(a))
         inner = A.bracket.of_basis(b, c)
-        outer = A.bracket.bilinear(A.apply_alpha(A.basis_vector(a)), inner)
+        outer = A.bracket.bilinear(linalg.mat_vec(A.alpha_power(1), basis_vector(A, a)), inner)
         acc = [t + e * o for t, o in zip(acc, outer)]
     return acc
 
@@ -320,9 +319,9 @@ def check_multiplicative_direct(A):
     failures = []
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = A.apply_alpha(A.bracket.of_basis(i, j))
-            rhs = A.bracket.bilinear(A.apply_alpha(A.basis_vector(i)),
-                                     A.apply_alpha(A.basis_vector(j)))
+            lhs = linalg.mat_vec(A.alpha_power(1), A.bracket.of_basis(i, j))
+            rhs = A.bracket.bilinear(linalg.mat_vec(A.alpha_power(1), basis_vector(A, i)),
+                                     linalg.mat_vec(A.alpha_power(1), basis_vector(A, j)))
             if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
                 failures.append({
                     "pair": [A.basis.names[i], A.basis.names[j]],
@@ -404,7 +403,7 @@ def check_deformation_direct(A, B):
                             alpha_l = _alpha_coefficient_direct(B, l)
                             if alpha_l is None:
                                 continue
-                            ax = mat_vec_direct(alpha_l, A.basis_vector(a))
+                            ax = mat_vec_direct(alpha_l, basis_vector(A, a))
                             for i in range(s - l + 1):
                                 j = s - l - i
                                 ti, tj = _term_direct(B, i), _term_direct(B, j)
@@ -443,12 +442,12 @@ def check_equivalence_direct(A, B1, B2, phi):
                     pa = phi_coefficient(phi, a)
                     if pa is None:
                         continue
-                    fx = mat_vec_direct(pa, A.basis_vector(x))
+                    fx = mat_vec_direct(pa, basis_vector(A, x))
                     for b in range(s - a + 1):
                         pb = phi_coefficient(phi, b)
                         if pb is None:
                             continue
-                        fy = mat_vec_direct(pb, A.basis_vector(y))
+                        fy = mat_vec_direct(pb, basis_vector(A, y))
                         c = s - a - b
                         rhs = [u + v for u, v in zip(rhs, B2.terms[c].bilinear(fx, fy))]
                 if any(not (u - v).is_zero() for u, v in zip(lhs, rhs)):
@@ -463,7 +462,7 @@ def check_equivalence_direct(A, B1, B2, phi):
                     continue
                 lhs = [u + v for u, v in zip(
                     lhs, mat_vec_direct(phi_i,
-                                       mat_vec_direct(alpha_j, A.basis_vector(x))))]
+                                       mat_vec_direct(alpha_j, basis_vector(A, x))))]
             rhs = [CycloScalar.zero(A.m)] * A.dim
             for a in range(s + 1):
                 alpha_a = _alpha_coefficient_direct(B2, a)
@@ -472,7 +471,7 @@ def check_equivalence_direct(A, B1, B2, phi):
                     continue
                 rhs = [u + v for u, v in zip(
                     rhs, mat_vec_direct(alpha_a,
-                                       mat_vec_direct(phi_b, A.basis_vector(x))))]
+                                       mat_vec_direct(phi_b, basis_vector(A, x))))]
             if any(not (u - v).is_zero() for u, v in zip(lhs, rhs)):
                 twist_failures.append({"order": s, "basis": A.basis.names[x]})
     return {
@@ -500,9 +499,9 @@ def transport_bracket_direct(A, B1, phi):
                     for b in range(s - a + 1):
                         for c in range(s - a - b + 1):
                             d = s - a - b - c
-                            px = mat_vec_direct(psis[b], A.basis_vector(i)) \
+                            px = mat_vec_direct(psis[b], basis_vector(A, i)) \
                                 if b < len(psis) else None
-                            py = mat_vec_direct(psis[c], A.basis_vector(j)) \
+                            py = mat_vec_direct(psis[c], basis_vector(A, j)) \
                                 if c < len(psis) else None
                             if px is None or py is None:
                                 continue
@@ -546,8 +545,8 @@ def composition_failing_orders_direct(L, alphas, order):
                     if a >= len(alphas) or b >= len(alphas):
                         continue
                     rhs = [u + v for u, v in zip(rhs, L.bracket.bilinear(
-                        mat_vec_direct(alphas[a], L.basis_vector(x)),
-                        mat_vec_direct(alphas[b], L.basis_vector(y))))]
+                        mat_vec_direct(alphas[a], basis_vector(L, x)),
+                        mat_vec_direct(alphas[b], basis_vector(L, y))))]
                 if any(not (u - v).is_zero() for u, v in zip(lhs, rhs)):
                     if s not in failing_orders:
                         failing_orders.append(s)
@@ -619,8 +618,8 @@ def delta1_direct(A, R, fmat, gamma, r):
             dx, dy = A.degree(x), A.degree(y)
             fx = [fmat[i][x] for i in range(A.dim)]
             fy = [fmat[i][y] for i in range(A.dim)]
-            t1 = act(R, A.apply_alpha(A.basis_vector(x), r), fy)
-            t2 = act(R, A.apply_alpha(A.basis_vector(y), r), fx)
+            t1 = act(R, linalg.mat_vec(A.alpha_power(r), basis_vector(A, x)), fy)
+            t2 = act(R, linalg.mat_vec(A.alpha_power(r), basis_vector(A, y)), fx)
             fb = mat_vec_direct(fmat, A.bracket.of_basis(x, y))
             c1 = A.eps(gamma, dx)
             c2 = A.eps(gamma + dx, dy)
@@ -653,15 +652,15 @@ def delta2_direct(A, R, psi, gamma, r):
     for x, y, z in product(range(A.dim), repeat=3):
         dx, dy, dz = A.degree(x), A.degree(y), A.degree(z)
         acc = [CycloScalar.zero(A.m)] * R.dim
-        t1 = act(R, A.apply_alpha(A.basis_vector(x), r + 1), ev(y, z))
-        t2 = act(R, A.apply_alpha(A.basis_vector(y), r + 1), ev(x, z))
-        t3 = act(R, A.apply_alpha(A.basis_vector(z), r + 1), ev(x, y))
+        t1 = act(R, linalg.mat_vec(A.alpha_power(r + 1), basis_vector(A, x)), ev(y, z))
+        t2 = act(R, linalg.mat_vec(A.alpha_power(r + 1), basis_vector(A, y)), ev(x, z))
+        t3 = act(R, linalg.mat_vec(A.alpha_power(r + 1), basis_vector(A, z)), ev(x, y))
         c1 = A.eps(gamma, dx)
         c2 = A.eps(gamma + dx, dy)
         c3 = A.eps(gamma + dx + dy, dz)
-        u1 = ev_vec(A.bracket.of_basis(x, y), A.apply_alpha(A.basis_vector(z)))
-        u2 = ev_vec(A.bracket.of_basis(x, z), A.apply_alpha(A.basis_vector(y)))
-        u3 = ev_vec(A.apply_alpha(A.basis_vector(x)), A.bracket.of_basis(y, z))
+        u1 = ev_vec(A.bracket.of_basis(x, y), linalg.mat_vec(A.alpha_power(1), basis_vector(A, z)))
+        u2 = ev_vec(A.bracket.of_basis(x, z), linalg.mat_vec(A.alpha_power(1), basis_vector(A, y)))
+        u3 = ev_vec(linalg.mat_vec(A.alpha_power(1), basis_vector(A, x)), A.bracket.of_basis(y, z))
         s02 = A.eps(dy, dz)
         for k in range(R.dim):
             acc[k] = (c1 * t1[k] - c2 * t2[k] + c3 * t3[k]
@@ -698,7 +697,7 @@ def compat_rows_direct(A, R, n, tuples):
         return rows
     if free_dim == 0:
         return []
-    alpha_images = [A.apply_alpha(A.basis_vector(i)) for i in range(A.dim)]
+    alpha_images = [linalg.mat_vec(A.alpha_power(1), basis_vector(A, i)) for i in range(A.dim)]
     # one constraint column per free coordinate, then transpose into rows
     cols = []
     for ci in range(free_dim):
@@ -758,12 +757,12 @@ def defining_rows_direct(A, k, gamma, kind, pattern, commute):
     nvars = blocks * nD
     z = CycloScalar.zero(A.m)
     rows = []
-    E = [A.basis_vector(i) for i in range(A.dim)]
+    E = [basis_vector(A, i) for i in range(A.dim)]
     for x in range(A.dim):
-        akx = A.apply_alpha(E[x], k)
+        akx = linalg.mat_vec(A.alpha_power(k), E[x])
         e = A.eps(gamma, A.degree(x))
         for y in range(A.dim):
-            aky = A.apply_alpha(E[y], k)
+            aky = linalg.mat_vec(A.alpha_power(k), E[y])
             bxy = A.bracket.of_basis(x, y)
             # per unit matrix, the three bracket-type contributions
             d_of_bracket = [mat_vec_direct(U, bxy) for U in units]
@@ -817,12 +816,12 @@ def partner_rows_direct(A, k, gamma, D, kind):
     nvars = blocks * nD
     z = CycloScalar.zero(A.m)
     rows, rhs = [], []
-    E = [A.basis_vector(i) for i in range(A.dim)]
+    E = [basis_vector(A, i) for i in range(A.dim)]
     for x in range(A.dim):
-        akx = A.apply_alpha(E[x], k)
+        akx = linalg.mat_vec(A.alpha_power(k), E[x])
         e = A.eps(gamma, A.degree(x))
         for y in range(A.dim):
-            aky = A.apply_alpha(E[y], k)
+            aky = linalg.mat_vec(A.alpha_power(k), E[y])
             bxy = A.bracket.of_basis(x, y)
             p_of_bracket = [mat_vec_direct(U, bxy) for U in units]
             t1 = A.bracket.bilinear(mat_vec_direct(D, E[x]), aky)
@@ -913,7 +912,7 @@ def quasi_centroid_jordan_direct(A, max_power=2, commute_with_alpha=False):
     matrices, degrees = [], []
     for k in range(max_power + 1):
         for gamma in A.basis.group.elements():
-            for M in quasi_centroid_space(A, k, gamma, commute_with_alpha).basis:
+            for M in solve_space(A, "qcentroid", k, gamma, commute_with_alpha).basis:
                 if _express_in_span(matrices, M, A.m) is None:
                     matrices.append(M)
                     degrees.append(gamma)
@@ -1024,9 +1023,9 @@ def is_eps_commutative_direct(H):
 def check_representation_direct(A, R):
     failures = []
     for i in range(A.dim):
-        rho_ai = R.rho_of(A.apply_alpha(A.basis_vector(i)))
+        rho_ai = R.rho_of(linalg.mat_vec(A.alpha_power(1), basis_vector(A, i)))
         for j in range(A.dim):
-            rho_aj = R.rho_of(A.apply_alpha(A.basis_vector(j)))
+            rho_aj = R.rho_of(linalg.mat_vec(A.alpha_power(1), basis_vector(A, j)))
             lhs = mat_mul_direct(R.rho_of(A.bracket.of_basis(i, j)), R.beta)
             e = A.eps(A.degree(i), A.degree(j))
             rhs = linalg.mat_add(mat_mul_direct(rho_ai, R.rho[j]),
@@ -1041,23 +1040,23 @@ def check_module_direct(A, M):
     n = M.carrier.dim
     E = linalg.identity(n, M.m)
     for i in range(A.dim):
-        ai = A.apply_alpha(A.basis_vector(i))
+        ai = linalg.mat_vec(A.alpha_power(1), basis_vector(A, i))
         for mv in range(n):
-            lhs = mat_vec_direct(M.beta, act(M, A.basis_vector(i), E[mv]))
+            lhs = mat_vec_direct(M.beta, act(M, basis_vector(A, i), E[mv]))
             rhs = act(M, ai, mat_vec_direct(M.beta, E[mv]))
             if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
                 failures.append({"kind": "twist-compatibility",
                                  "witness": [A.basis.names[i], mv]})
     for i in range(A.dim):
-        ai = A.apply_alpha(A.basis_vector(i))
+        ai = linalg.mat_vec(A.alpha_power(1), basis_vector(A, i))
         for j in range(A.dim):
-            aj = A.apply_alpha(A.basis_vector(j))
+            aj = linalg.mat_vec(A.alpha_power(1), basis_vector(A, j))
             e = A.eps(A.degree(i), A.degree(j))
             bij = A.bracket.of_basis(i, j)
             for mv in range(n):
                 lhs = act(M, bij, mat_vec_direct(M.beta, E[mv]))
-                t1 = act(M, ai, act(M, A.basis_vector(j), E[mv]))
-                t2 = act(M, aj, act(M, A.basis_vector(i), E[mv]))
+                t1 = act(M, ai, act(M, basis_vector(A, j), E[mv]))
+                t2 = act(M, aj, act(M, basis_vector(A, i), E[mv]))
                 rhs = [a - e * b for a, b in zip(t1, t2)]
                 if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
                     failures.append({"kind": "leibniz",
@@ -1073,9 +1072,9 @@ def check_coadjoint_direct(A, R):
             e = A.eps(A.degree(i), A.degree(j))
             rhs = linalg.mat_add(
                 linalg.mat_scale(e, mat_mul_direct(
-                    R.rho[i], R.rho_of(A.apply_alpha(A.basis_vector(j))))),
+                    R.rho[i], R.rho_of(linalg.mat_vec(A.alpha_power(1), basis_vector(A, j))))),
                 linalg.mat_scale(CycloScalar.from_rational(-1, A.m), mat_mul_direct(
-                    R.rho[j], R.rho_of(A.apply_alpha(A.basis_vector(i))))))
+                    R.rho[j], R.rho_of(linalg.mat_vec(A.alpha_power(1), basis_vector(A, i))))))
             if not linalg.mat_eq(lhs, rhs):
                 failures.append({"pair": [A.basis.names[i], A.basis.names[j]]})
     return CheckResult(not failures, failures)
@@ -1085,8 +1084,8 @@ def alpha_s_adjoint_direct(A, s):
     """The matrices rho(e_i) of ad_s: column j is [alpha^s e_i, e_j]."""
     rho = []
     for i in range(A.dim):
-        shifted = A.apply_alpha(A.basis_vector(i), s) if s != 0 else A.basis_vector(i)
-        cols = [A.bracket.bilinear(shifted, A.basis_vector(j)) for j in range(A.dim)]
+        shifted = linalg.mat_vec(A.alpha_power(s), basis_vector(A, i))
+        cols = [A.bracket.bilinear(shifted, basis_vector(A, j)) for j in range(A.dim)]
         rho.append(linalg.transpose(cols))
     return rho
 

@@ -19,7 +19,7 @@ from colorhomlie.fileio import parse_commutative_algebra_file
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup, euler_phi, parse_scalar)
 
-from conftest import (as_rational, bilinear_direct, build_algebra,
+from conftest import (as_rational, basis_vector, bilinear_direct, build_algebra,
                       check_hom_associative_direct, check_jacobi_direct,
                       check_multiplicative_direct, data_path, heis_zeta3,
                       is_eps_commutative_direct, mat_pow, sc, sl2c_z2z2, zero_algebra)
@@ -336,7 +336,7 @@ def test_bilinear_takes_dense_and_sparse_vectors(build):
     # given dense, as its support, and as a dict that keeps a zero entry
     A = build()
     one, z = CycloScalar.one(A.m), CycloScalar.zero(A.m)
-    vectors = ([A.basis_vector(i) for i in range(A.dim)]
+    vectors = ([basis_vector(A, i) for i in range(A.dim)]
                + [[row[j] for row in A.alpha] for j in range(A.dim)]
                + [[sc(t + 1, A.m) for t in range(A.dim)], [z] * A.dim])
     def forms(vec):

@@ -1,6 +1,7 @@
 """File round-trips, CLI subcommands, exit codes, determinism."""
 import io
 import json
+import os
 import sys
 
 import pytest
@@ -410,6 +411,12 @@ def _module(doc):
         "--n", "1", "--degree", "1,0"])
 
 
+def _directory(case):
+    """The case run on the directory that holds its file."""
+    filename, doc, argv = case
+    return filename, doc, lambda f: argv(os.path.dirname(f))
+
+
 def _alpha_terms(doc):
     return ("alpha_terms.json", doc, lambda f: [
         "deform", "compose", "--algebra", data_path("sl2c_z2z3.alg"), "--alpha-terms", f])
@@ -432,6 +439,24 @@ MALFORMED = {
         "unknown basis name 'b'"),
     "alpha-term-wrong-shape": (lambda: _alpha_terms({"schema": 1, "terms": [[["1"]]]}),
                                "terms[0]"),
+    "validate-a-directory": (lambda: _directory(_validate({})), "Is a directory"),
+    "module-a-directory": (lambda: _directory(_module({})), "Is a directory"),
+    "epsilon-not-an-object": (lambda: _validate(_with(
+        _data_doc("sl2c_z2z2.alg"), [], "epsilon")), "'epsilon'"),
+    "bracket-not-an-object": (lambda: _validate(_with(
+        _data_doc("sl2c_z2z2.alg"), [], "bracket")), "bracket"),
+    "degree-an-integer": (lambda: _validate(_with(
+        _data_doc("sl2c_z2z2.alg"), 1, "basis", 0, "degree")), "'degree'"),
+    "orders-an-integer": (lambda: _validate(_with(
+        _data_doc("sl2c_z2z2.alg"), 2, "group", "orders")), "'orders'"),
+    "basis-an-integer": (lambda: _validate(_with(
+        _data_doc("sl2c_z2z2.alg"), 5, "basis")), "'basis'"),
+    "alpha-an-integer": (lambda: _validate(_with(
+        _data_doc("sl2c_z2z2.alg"), 5, "alpha")), "alpha"),
+    "alpha-row-an-integer": (lambda: _validate(_with(
+        _data_doc("sl2c_z2z2.alg"), [5], "alpha")), "alpha"),
+    "exponents-an-integer": (lambda: _validate(_with(
+        _data_doc("sl2c_z2z2.alg"), 5, "epsilon", "exponents")), "'exponents'"),
 }
 
 

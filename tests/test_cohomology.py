@@ -24,8 +24,8 @@ from colorhomlie.cohomology import (Cochain, CochainSpace, canonical_tuples,
 from colorhomlie.representations import Representation, adjoint, alpha_s_adjoint
 from colorhomlie.scalars_grading import CycloScalar
 
-from conftest import (SL2C_Z2Z2_CASE_FAMILIES, build_algebra, compat_rows_direct, coord_index,
-                      delta1_direct, delta2_direct, densify, direct_sum,
+from conftest import (SL2C_Z2Z2_CASE_FAMILIES, basis_vector, build_algebra,
+                      compat_rows_direct, coord_index, delta1_direct, delta2_direct, densify, direct_sum,
                       kernel_basis, random_multiplicative_algebra, sc, sl2c_z2z2,
                       zero_algebra)
 
@@ -171,7 +171,8 @@ def test_coboundary_preserves_compatibility():
             for v in space.compat_basis:
                 img, target = coboundary_of_coords(A, R, space, v, 0)
                 rows = []
-                alpha_img = [A.apply_alpha(A.basis_vector(i)) for i in range(3)]
+                alpha_img = [linalg.mat_vec(A.alpha_power(1), basis_vector(A, i))
+                             for i in range(3)]
                 for combo in product(range(3), repeat=n + 1):
                     lhs = target.evaluate(img, [alpha_img[i] for i in combo])
                     rhs = linalg.mat_vec(R.beta, target.evaluate_basis(img, combo))

@@ -1,4 +1,5 @@
 """Twisted derivations and the induced bracket on the annihilator quotient."""
+import importlib
 import json
 import random
 from fractions import Fraction
@@ -15,7 +16,7 @@ from colorhomlie.hls_bracket import (CommutativeColorAlgebra, HLSError,
                                      check_ann_invariance, check_hls_jacobi,
                                      check_fgh, check_ijkl, check_mnop,
                                      check_sigma_derivation, hls_bracket,
-                                     hls_bracket_element, induced_bracket_table)
+                                     hls_bracket_element)
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup, euler_phi)
 
@@ -94,7 +95,7 @@ def test_bracket_table_reproduces_the_weighted_shift_relations():
     # [u_i . D, u_j . D] = ([j]_q - [i]_q) u_{i+j-1} . D for the line operators
     A, D, q = q_difference_instance()
     one = CycloScalar.one(A.m)
-    table = induced_bracket_table(A, D)
+    table = check_hls_jacobi(A, D)["induced_bracket"]
     def qint(k):
         acc = CycloScalar.zero(A.m)
         p = one
@@ -338,7 +339,7 @@ def test_hls_identities_match_the_pointwise_oracles():
             (i, j): hls_bracket_element_direct(A, D, basis_vector(A, i),
                                                basis_vector(A, j), quotient)
             for i in range(A.dim) for j in range(A.dim)}).report(A.basis.names)
-        assert induced_bracket_table(A, D) == want
+        assert check_hls_jacobi(A, D)["induced_bracket"] == want
         reduced += bool(ann) and not got.ok
     # the q = 2 line at delta = 1 fails, and so does a quotient with ann != 0
     assert failing >= 4 and reduced >= 1
@@ -359,3 +360,25 @@ def test_derivation_laws_and_annihilator_match_the_dense_oracles():
         assert annihilator(A, D) == annihilator_direct(A, D)
         failing += len(cd1) + len(cd2)
     assert failing >= 20
+
+
+def test_an_hls_run_solves_the_annihilator_and_builds_the_induced_table_once(
+        monkeypatch, capsys):
+    # the module: the package's hls_bracket is the function of that name
+    module = importlib.import_module("colorhomlie.hls_bracket")
+    solves, builds = [], []
+    solve, commutator = module.annihilator, StructureConstants.commutator
+    def counting_solve(A, D):
+        solves.append(D)
+        return solve(A, D)
+    def counting_commutator(table, degrees, eps):
+        builds.append(table)
+        return commutator(table, degrees, eps)
+    monkeypatch.setattr(module, "annihilator", counting_solve)
+    monkeypatch.setattr(StructureConstants, "commutator", counting_commutator)
+    code = run_command(["hls", "--algebra", data_path("qwitt_trunc_q2.alg"),
+                        "--sigma", '[["1","0","0"],["0","2","0"],["0","0","4"]]',
+                        "--delta-map", '[["0","1","0"],["0","0","3"],["0","0","0"]]',
+                        "--delta-scalar", "2"])
+    assert code == 1 and json.loads(capsys.readouterr().out)["induced_bracket"]
+    assert (len(solves), len(builds)) == (1, 1)

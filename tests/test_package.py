@@ -19,23 +19,24 @@ ALG = os.path.join(PACKAGE_DIR, "data", "sl2c_z2z2.alg")
 QWITT = os.path.join(PACKAGE_DIR, "data", "qwitt_trunc_q2.alg")
 
 # every name the package exported when it imported each module eagerly,
-# less the removed LinearMap
+# less the removed LinearMap, with solve_space and reverify_space for the
+# five per-kind space builders
 PUBLIC_NAMES = """
 AxiomReport BiCharacter BracketTable BudgetExceededError CheckResult Cochain
 CochainSpace ColorHomAlgebra CommutativeColorAlgebra CycloScalar
 FiniteAbelianGroup FormalAutomorphism GradedBasis GroupElement
 HomAssociativeColorAlgebra HomogeneousMapSpace Representation SigmaDerivation
 StructureConstants TruncatedBracket adjoint alpha_s_adjoint annihilator
-centroid_space check_ann_invariance check_coadjoint_condition
+check_ann_invariance check_coadjoint_condition
 check_color_hom_lie check_deformation check_equivalence check_hls_jacobi
 check_hom_jordan check_inclusion_lattice check_module check_representation
 check_sigma_derivation coboundary cochain_basis cohomology_group
 commutator_algebra composition_deformation cyclo_reduce delta_matrix
-derivation_space derived_algebra dual_representation enumerate_morphisms
-first_order_class format_scalar generalized_derivation_space hls_bracket
+derived_algebra dual_representation enumerate_morphisms
+first_order_class format_scalar hls_bracket
 jordan_product parse_algebra_document parse_algebra_file parse_scalar
-quasi_centroid_jordan quasi_centroid_space quasi_derivation_space reorder_sign
-serialize_algebra transport_bracket twist verify_morphism
+quasi_centroid_jordan reorder_sign reverify_space
+serialize_algebra solve_space transport_bracket twist verify_morphism
 """.split()
 
 

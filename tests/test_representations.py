@@ -12,10 +12,10 @@ from colorhomlie.representations import (CoadjointUnavailableError,
                                          check_coadjoint_condition, check_module,
                                          check_representation,
                                          dual_representation)
-from conftest import (alpha_s_adjoint_direct, build_algebra, check_coadjoint_direct,
-                      check_module_direct, check_representation_direct, degree_report,
-                      is_zero_matrix, random_multiplicative_algebra, sc, sl2c_z2z2,
-                      zero_algebra)
+from conftest import (alpha_s_adjoint_direct, basis_vector, build_algebra,
+                      check_coadjoint_direct, check_module_direct,
+                      check_representation_direct, degree_report, is_zero_matrix,
+                      random_multiplicative_algebra, sc, sl2c_z2z2, zero_algebra)
 
 
 def test_adjoint_of_z2z2_example_passes():
@@ -121,7 +121,8 @@ def test_ad_s_intertwining_identities():
     for s in (0, 1, -1):
         R = alpha_s_adjoint(A, s)
         for i in range(3):
-            lhs = linalg.mat_mul(R.rho_of(A.apply_alpha(A.basis_vector(i))), A.alpha)
+            alpha_ei = linalg.mat_vec(A.alpha_power(1), basis_vector(A, i))
+            lhs = linalg.mat_mul(R.rho_of(alpha_ei), A.alpha)
             rhs = linalg.mat_mul(A.alpha, R.rho[i])
             assert linalg.mat_eq(lhs, rhs), (s, i)
 

@@ -13,16 +13,11 @@ from colorhomlie.algebra_core import StructureConstants
 from colorhomlie.scalars_grading import CycloScalar
 from colorhomlie.structure_theory import (KINDS, HomogeneousMapSpace,
                                           NotClosedError, ProductAlgebraData,
-                                          _defining_rows, _partner_rows,
-                                          centroid_space,
+                                          _COMMUTE, _defining_rows, _partner_rows,
                                           check_hom_jordan,
                                           check_inclusion_lattice,
-                                          degree_pattern, derivation_space,
-                                          generalized_derivation_space,
-                                          jordan_product,
+                                          degree_pattern, jordan_product,
                                           quasi_centroid_jordan,
-                                          quasi_centroid_space,
-                                          quasi_derivation_space,
                                           reverify_space, solve_space)
 from conftest import (_express_in_span, build_algebra, defining_rows_direct, direct_sum,
                       heis_zeta3, hom_jordan_direct, inclusion_lattice_direct, member_of,
@@ -38,7 +33,7 @@ def test_zero_bracket_derivations_are_all_even_matrices():
     # dimension = sum over degrees of (component dimension)^2 for gamma = 0
     A = zero_algebra([2, 2], [[0, 1], [1, 0]], 2,
                      [(1, 0), (1, 0), (0, 1), (1, 1)])
-    space = derivation_space(A, 0, A.basis.group.zero())
+    space = solve_space(A, "der", 0, A.basis.group.zero())
     assert space.dim == 2 * 2 + 1 + 1
 
 
@@ -57,11 +52,11 @@ def test_z2z2_space_dimensions_frozen():
     G = A.basis.group
     degs = [G.zero(), G.element((1, 0)), G.element((0, 1)), G.element((1, 1))]
     for k in (0, 1):
-        assert [derivation_space(A, k, g).dim for g in degs] == [0, 0, 0, 1]
-        assert [generalized_derivation_space(A, k, g).dim for g in degs] == [3, 0, 0, 2]
-        assert [quasi_derivation_space(A, k, g).dim for g in degs] == [3, 0, 0, 2]
-        assert [centroid_space(A, k, g).dim for g in degs] == [1, 0, 0, 0]
-        assert [quasi_centroid_space(A, k, g).dim for g in degs] == [1, 0, 0, 0]
+        assert [solve_space(A, "der", k, g).dim for g in degs] == [0, 0, 0, 1]
+        assert [solve_space(A, "gder", k, g).dim for g in degs] == [3, 0, 0, 2]
+        assert [solve_space(A, "qder", k, g).dim for g in degs] == [3, 0, 0, 2]
+        assert [solve_space(A, "centroid", k, g).dim for g in degs] == [1, 0, 0, 0]
+        assert [solve_space(A, "qcentroid", k, g).dim for g in degs] == [1, 0, 0, 0]
 
 
 def test_every_space_reverifies_independently():
@@ -75,16 +70,16 @@ def test_every_space_reverifies_independently():
 
 def test_identity_in_centroid_when_alpha_is_identity():
     A = zero_algebra([2, 2], [[0, 1], [1, 0]], 2, [(1, 0), (0, 1)])
-    space = centroid_space(A, 0, A.basis.group.zero())
+    space = solve_space(A, "centroid", 0, A.basis.group.zero())
     assert member_of(space, linalg.identity(2, A.m), A.m)
 
 
 def test_centroid_of_twisted_example():
     # k = 0 centroid is the scalar line; k = 1 is spanned by diag(1,1,-1)
     A = sl2c_z2z2()
-    c0 = centroid_space(A, 0, A.basis.group.zero())
+    c0 = solve_space(A, "centroid", 0, A.basis.group.zero())
     assert member_of(c0, linalg.identity(3, A.m), A.m)
-    c1 = centroid_space(A, 1, A.basis.group.zero())
+    c1 = solve_space(A, "centroid", 1, A.basis.group.zero())
     want = [[sc(1), sc(0), sc(0)], [sc(0), sc(1), sc(0)], [sc(0), sc(0), sc(-1)]]
     assert member_of(c1, want, A.m)
     assert c1.dim == 1
@@ -97,7 +92,7 @@ def test_derivation_space_membership_of_inner_maps():
     from colorhomlie.representations import adjoint
     R = adjoint(A)
     g3 = A.basis.group.element((1, 1))
-    space = derivation_space(A, 0, g3)
+    space = solve_space(A, "der", 0, g3)
     assert space.dim == 1
     # ad(e3) has degree g3 and alpha fixes e3; the identity defining the
     # 1-cocycles makes it a twisted derivation here
@@ -110,8 +105,8 @@ def test_centroid_inside_quasi_derivations():
     A = sl2c_z2z2()
     for k in (0, 1):
         for g in all_degrees(A):
-            cent = centroid_space(A, k, g)
-            qder = quasi_derivation_space(A, k, g)
+            cent = solve_space(A, "centroid", k, g)
+            qder = solve_space(A, "qder", k, g)
             for M in cent.basis:
                 assert member_of(qder, M, A.m)
 
@@ -195,8 +190,7 @@ def test_quasi_centroid_single_power_not_closed():
     with pytest.raises(NotClosedError):
         # max_power = 1 keeps Id (power 0) and diag(1,1,-1) (power 1): closed;
         # build a deliberately broken span by hand instead
-        from colorhomlie.structure_theory import quasi_centroid_space
-        space = quasi_centroid_space(A, 1, A.basis.group.zero())
+        space = solve_space(A, "qcentroid", 1, A.basis.group.zero())
         mats = list(space.basis)
         for i, M1 in enumerate(mats):
             for j, M2 in enumerate(mats):
@@ -371,24 +365,23 @@ def test_each_space_is_solved_once_per_algebra(monkeypatch):
     rows once, and the two precomposed tables once per k."""
     A = heis_zeta3()
     solves, assembled, precomposed = [], [], []
-    solve, rows, precompose = (structure_theory._solve_space, structure_theory._defining_rows,
-                               StructureConstants.precompose)
-    def counting_solve(B, k, gamma, kind, commute):
-        solves.append((kind, k, gamma, commute))
-        return solve(B, k, gamma, kind, commute)
+    rows, precompose = structure_theory._defining_rows, StructureConstants.precompose
+    def counting_solve(B, kind, k, gamma, commute_with_alpha=None):
+        solves.append((kind, k, gamma, commute_with_alpha))
+        return solve_space(B, kind, k, gamma, commute_with_alpha)
     def counting_rows(B, k, gamma, kind, pattern, commute):
         assembled.append((kind, k, gamma, commute))
         return rows(B, k, gamma, kind, pattern, commute)
     def counting_precompose(table, left, right):
         precomposed.append(1)
         return precompose(table, left, right)
-    monkeypatch.setattr(structure_theory, "_solve_space", counting_solve)
+    monkeypatch.setattr(structure_theory, "solve_space", counting_solve)
     monkeypatch.setattr(structure_theory, "_defining_rows", counting_rows)
     monkeypatch.setattr(StructureConstants, "precompose", counting_precompose)
     for kind in KINDS:
         for k in (0, 1):
             for g in all_degrees(A):
-                solve_space(A, kind, k, g)
+                structure_theory.solve_space(A, kind, k, g)
     quasi_centroid_jordan(A, max_power=2)
     check_inclusion_lattice(A, range(3), all_degrees(A))
     assert len(assembled) == len(set(assembled))
@@ -427,6 +420,26 @@ def test_mutating_a_returned_space_leaves_the_next_call_unchanged():
                 again = solve_space(A, kind, k, g)
                 assert again is not space and again.basis == want
                 assert solve_space(fresh, kind, k, g).basis == want
+
+
+def test_solve_space_refuses_what_no_kind_defines():
+    A, g = sl2c_z2z2(), sl2c_z2z2().basis.group.zero()
+    for kind in ("der", "gder", "qder"):
+        with pytest.raises(ValueError, match=kind):
+            solve_space(A, kind, 0, g, commute_with_alpha=False)
+        assert solve_space(A, kind, 0, g, commute_with_alpha=True).commute
+    with pytest.raises(ValueError, match="unknown space kind"):
+        solve_space(A, "ider", 0, g)
+    for kind in KINDS:
+        with pytest.raises(ValueError, match="non-negative"):
+            solve_space(A, kind, -1, g)
+
+
+def test_the_commute_table_covers_the_kinds_and_sets_each_default():
+    assert tuple(_COMMUTE) == KINDS
+    A, g = sl2c_z2z2(), sl2c_z2z2().basis.group.zero()
+    assert [solve_space(A, kind, 0, g).commute for kind in KINDS] == \
+        [True, True, True, True, False]
 
 
 def test_kept_spaces_tell_the_commute_flag_apart():
@@ -574,7 +587,7 @@ def test_gder_includes_centroid_construction():
     A = sl2c_z2z2()
     for k in (0, 1):
         for g in all_degrees(A):
-            cent = centroid_space(A, k, g)
-            gder = generalized_derivation_space(A, k, g)
+            cent = solve_space(A, "centroid", k, g)
+            gder = solve_space(A, "gder", k, g)
             for M in cent.basis:
                 assert member_of(gder, M, A.m)
