@@ -34,7 +34,8 @@ from . import linalg
 from .algebra_core import AlgebraStructureError, CheckResult, ColorHomAlgebra
 from .linalg import _add_entry, _product, _sparse, _transpose, sparse
 from .representations import Representation
-from .scalars_grading import CycloScalar, GroupElement, sort_with_sign
+from .scalars_grading import (CycloScalar, GroupElement, GroupMismatchError, _muladd,
+                              sort_with_sign)
 
 
 class CochainError(AlgebraStructureError):
@@ -129,11 +130,12 @@ class _Complex:
 
     The complex takes the carrier dimension, beta and rho from R when it is
     built and keeps no reference to R, so R (which keeps the complex) frees
-    it by reference counting alone.  Entries are filled on first use, so A
-    and R must not be mutated after construction
-    (``ColorHomAlgebra.alpha_power`` assumes the same).  An entry is stored
-    only once computed: a negative power of a singular twist raises on
-    every call.  Callers receive fresh containers, never the stored ones.
+    it by reference counting alone, unless A keeps R (the adjoint module of
+    ``deformations``), which leaves the freeing to the cycle collector.
+    Entries are filled on first use, so A and R must not be mutated after
+    construction (``ColorHomAlgebra.alpha_power`` assumes the same).  An
+    entry is stored only once computed: a negative power of a singular twist
+    raises on every call.  Callers receive fresh containers, never the stored ones.
     ``coboundary_of_coords`` and ``CochainSpace.evaluate`` never read the
     complex.
     """
@@ -144,6 +146,9 @@ class _Complex:
         self.rho_basis = [sparse(mat) for mat in R.rho]
         alpha_cols = _transpose(A.alpha_sparse(1))
         self.alpha_cols = [list(alpha_cols.get(i, {}).items()) for i in range(A.dim)]
+        # eps(d_i, d_j) = zeta_m^k[i][j] on the basis degrees
+        degrees = A.basis.degrees
+        self.eps_exponents = [[A.eps._exponent(a, b) for b in degrees] for a in degrees]
         self._arity = {}         # n -> (canonical tuples, their positions)
         self._located = {}       # argument index combo -> locate(combo)
         self._compat = {}        # n -> (compatible basis, its transpose)
@@ -288,14 +293,18 @@ def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
         return rows
     locate, alpha_cols = cx.locate, cx.alpha_cols
     rho_entries = cx.rho_entries(r + n - 1)
+    if gamma.group != A.basis.group:
+        raise GroupMismatchError("degree gamma is not in the grading group")
+    # eps is bimultiplicative: the exponent of eps(sum of degrees, d) is a sum
+    ex, roots, m = cx.eps_exponents, A.eps._roots, A.eps.root_order
+    gx = [A.eps._exponent(gamma, d) for d in A.basis.degrees]
     for t_index, tup in enumerate(cx.arity(n + 1)[0]):
         base = t_index * mdim
-        degs = [A.degree(i) for i in tup]
         # insertion terms f(alpha x_0, ..., [x_s, x_t], ..., ^x_t, ..., alpha x_n)
         coeffs = {}
         for t in range(1, n + 1):
             for s in range(t):
-                sign = A.eps(sum(degs[s + 1:t], A.basis.group.zero()), degs[t])
+                sign = roots[sum(ex[tup[u]][tup[t]] for u in range(s + 1, t)) % m]
                 factor = sign if t % 2 == 0 else -sign  # (-1)^t
                 supports = [A.bracket.rows.get((tup[s], tup[t]), {}).items() if pos == s
                             else alpha_cols[tup[pos]] for pos in range(n + 1) if pos != t]
@@ -313,7 +322,7 @@ def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
                 _add_entry(rows, base + k, pos * mdim + k, coeff)
         # action terms (-1)^s eps(gamma + x_0 + ... + x_{s-1}, x_s) rho(...) f(...)
         for s in range(n + 1):
-            sign = A.eps(sum(degs[:s], gamma), degs[s])
+            sign = roots[(gx[tup[s]] + sum(ex[tup[u]][tup[s]] for u in range(s))) % m]
             factor = sign if s % 2 == 0 else -sign
             hit = locate(tup[:s] + tup[s + 1:])
             if hit is None:
@@ -321,7 +330,8 @@ def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
             pos, coeff = hit
             coeff = factor * coeff
             for k, l, v in rho_entries[tup[s]]:
-                _add_entry(rows, base + k, pos * mdim + l, coeff * v)
+                row, c = rows.setdefault(base + k, {}), pos * mdim + l
+                row[c] = _muladd(row.get(c), coeff, v)
     return sparse(rows)
 
 

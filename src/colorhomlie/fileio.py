@@ -83,6 +83,13 @@ def _typed(value, kind: type, what: str):
     return value
 
 
+def _integer(value, what: str) -> int:
+    """value, refused unless it is a JSON integer."""
+    if type(value) is not int:
+        raise ParseError(f"{what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _parse_square(rows, n: int, m: int, source: str, what: str):
     if not (isinstance(rows, list) and len(rows) == n
             and all(isinstance(r, list) and len(r) == n for r in rows)):
@@ -95,7 +102,8 @@ def _parse_basis(entries, group: FiniteAbelianGroup, what: str) -> GradedBasis:
     for n, entry in enumerate(entries):
         names.append(str(_require(entry, "name", f"{what} entry {n}")))
         degree = _require(entry, "degree", f"{what} entry {n}", list)
-        degrees.append(group.element(tuple(int(c) for c in degree)))
+        degrees.append(group.element(tuple(
+            _integer(c, f"{what} entry {n} key 'degree' component") for c in degree)))
     return GradedBasis(tuple(names), tuple(degrees), group)
 
 
@@ -103,13 +111,17 @@ def _parse_header(doc):
     """Basis, bi-character and root order of an algebra document."""
     group_doc = _require(doc, "group", "algebra document")
     orders = _require(group_doc, "orders", "group", list)
-    group = FiniteAbelianGroup(tuple(int(n) for n in orders))
-    m = int(doc.get("root_order", max(group.exponent, 1)))
+    group = FiniteAbelianGroup(tuple(_integer(n, "group key 'orders' entry") for n in orders))
+    m = _integer(doc.get("root_order", max(group.exponent, 1)),
+                 "algebra document key 'root_order'")
+    if m < 1:
+        raise ParseError(f"algebra document key 'root_order' must be positive, got {m}")
     exponents = _typed(doc.get("epsilon", {}), dict,
                        "algebra document key 'epsilon'").get("exponents")
     if exponents is None:
         exponents = [[0] * group.rank for _ in range(group.rank)]
-    eps = BiCharacter(group, [_typed(row, list, "epsilon key 'exponents' row")
+    eps = BiCharacter(group, [[_integer(e, "epsilon key 'exponents' entry")
+                               for e in _typed(row, list, "epsilon key 'exponents' row")]
                               for row in _typed(exponents, list, "epsilon key 'exponents'")], m)
     basis = _require(doc, "basis", "algebra document", list)
     return _parse_basis(basis, group, "basis"), eps, m

@@ -12,7 +12,7 @@ reduced forms (and hence reported bases) are reproducible.
 """
 from __future__ import annotations
 
-from .scalars_grading import CycloScalar, ScalarError
+from .scalars_grading import CycloScalar, ScalarError, _muladd
 
 
 def zeros(rows: int, cols: int, m: int):
@@ -88,24 +88,28 @@ def mat_eq(A, B):
 def _sparse(row):
     """A dense or sparse vector as a fresh {index: nonzero scalar} dict."""
     items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: a for c, a in items if not a.is_zero()}
+    return {c: a for c, a in items if any(a.num)}
 
 
 def _sub_scaled(v, f, row):
     """v -= f * row on sparse rows, in place, dropping the zeros."""
+    f = -f
     for c, b in row.items():
-        y = v[c] - f * b if c in v else -(f * b)
-        if y.is_zero():
-            del v[c]
-        else:
+        y = _muladd(v.get(c), f, b)
+        if any(y.num):
             v[c] = y
+        else:
+            del v[c]
 
 
 def _add_scaled(acc, coeff, row):
     """acc += coeff * row on sparse rows, in place (coeff None adds row)."""
-    for k, c in row.items():
-        t = c if coeff is None else coeff * c
-        acc[k] = acc[k] + t if k in acc else t
+    if coeff is None:
+        for k, c in row.items():
+            acc[k] = acc[k] + c if k in acc else c
+    else:
+        for k, c in row.items():
+            acc[k] = _muladd(acc.get(k), coeff, c)
 
 
 def _add_entry(rows, r, c, value):
@@ -150,9 +154,10 @@ def _product(rows, other):
     """The product of two sparse matrices."""
     out = {}
     for r, row in rows.items():
+        acc = out[r] = {}
         for c, v in row.items():
             for j, a in other.get(c, {}).items():
-                _add_entry(out, r, j, v * a)
+                acc[j] = _muladd(acc.get(j), v, a)
     return sparse(out)
 
 
@@ -161,12 +166,17 @@ class Echelon:
     vector at a time.  With ``coordinates`` each pivot row also carries its
     combination {index: scalar} of the absorbed vectors, numbered in the
     order they were absorbed, so that ``coords`` can write a vector in them.
+
+    ``holders`` maps each non-pivot column to the pivot rows that may be
+    nonzero there, so that a new pivot column is cleared from those rows
+    only.  An entry may be stale, naming a row where the column has since
+    cancelled; ``add`` skips such a row.
     """
 
-    __slots__ = ("rows", "combos")
+    __slots__ = ("rows", "combos", "holders")
 
     def __init__(self, vectors=(), coordinates: bool = False):
-        self.rows, self.combos = {}, {} if coordinates else None
+        self.rows, self.combos, self.holders = {}, {} if coordinates else None, {}
         for vec in vectors:
             self.add(vec)
 
@@ -194,20 +204,30 @@ class Echelon:
         if not v:
             return False
         c = min(v)
-        inv = v[c].inverse()
+        inv = v[c]
         if inv != CycloScalar.one(inv.root_order):
+            inv = inv.inverse()
             v = {k: inv * a for k, a in v.items()}
         if combo is not None:
             combo = {k: inv * a for k, a in combo.items()}
             combo[len(self.rows)] = inv
             self.combos[c] = combo
-        for p, prow in self.rows.items():
-            if c in prow:
-                f = prow[c]
-                _sub_scaled(prow, f, v)
-                if combo is not None:
-                    _sub_scaled(self.combos[p], f, combo)
-        self.rows[c] = v
+        rows, holders = self.rows, self.holders
+        cleared = [c]
+        for p in holders.pop(c, ()):
+            prow = rows[p]
+            if c not in prow:
+                continue
+            f = prow[c]
+            _sub_scaled(prow, f, v)
+            if combo is not None:
+                _sub_scaled(self.combos[p], f, combo)
+            cleared.append(p)
+        # the rows just cleared, and the new one, may be nonzero wherever v is
+        for k in v:
+            if k != c:
+                holders.setdefault(k, set()).update(cleared)
+        rows[c] = v
         return True
 
     def coords(self, vec, m: int):

@@ -135,6 +135,61 @@ def _make(num, den, m):
     return s
 
 
+def _times(a, b, m: int) -> tuple:
+    """The numerator of a * b in Q(zeta_m) for numerators a, b of length
+    phi(m) >= 2 (over one denominator, so reduced only modulo Phi_m)."""
+    n = len(a)
+    if n == 2:
+        (r0, r1), = _reduction_rows(m)
+        a0, a1 = a
+        b0, b1 = b
+        top = a1 * b1
+        return (a0 * b0 + r0 * top, a0 * b1 + a1 * b0 + r1 * top)
+    prod = [0] * (2 * n - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                prod[i + j] += ca * cb
+    out = prod[:n]
+    for row, c in zip(_reduction_rows(m), prod[n:]):
+        if c:
+            for t in range(n):
+                out[t] += c * row[t]
+    return tuple(out)
+
+
+def _muladd(x, f, b):
+    """x + f * b as one scalar with at most one gcd, x = None read as zero:
+    the step of elimination and of sparse products."""
+    m = f.root_order
+    if b.root_order != m or x is not None and x.root_order != m:
+        raise ScalarError(f"mixed cyclotomic orders in {x!r} + {f!r} * {b!r}")
+    den = f.den * b.den
+    if len(f.num) == 1:
+        p = f.num[0] * b.num[0]
+        if x is not None:
+            xd = x.den
+            if xd == den:
+                p += x.num[0]
+            else:
+                p, den = p * xd + x.num[0] * den, den * xd
+        if den != 1:
+            g = gcd(p, den)
+            p, den = p // g, den // g
+        s = _new(CycloScalar)
+        s.num, s.den, s.root_order = (p,), den, m
+        return s
+    num = _times(f.num, b.num, m)
+    if x is not None:
+        xd = x.den
+        if xd == den:
+            num = tuple(map(add, num, x.num))
+        else:
+            num = tuple([p * xd + q * den for p, q in zip(num, x.num)])
+            den *= xd
+    return _make(num, den, m)
+
+
 def _additive(op):
     """The method x op y for op = operator.add or operator.sub."""
     def method(self, other):
@@ -144,12 +199,16 @@ def _additive(op):
         if other.root_order != m:
             raise ScalarError(f"mixed cyclotomic orders {m} and {other.root_order}")
         a, b, da, db = self.num, other.num, self.den, other.den
+        if len(a) == 1:
+            if not b[0]:
+                return self
+            if da == db:
+                return _make((op(a[0], b[0]),), da, m)
+            return _make((op(a[0] * db, b[0] * da),), da * db, m)
         if not any(b):
             return self
         if da == db:
             return _make(tuple(map(op, a, b)), da, m)
-        if len(a) == 1:
-            return _make((op(a[0] * db, b[0] * da),), da * db, m)
         return _make(tuple([op(p * db, q * da) for p, q in zip(a, b)]), da * db, m)
     return method
 
@@ -203,7 +262,9 @@ class CycloScalar:
     __sub__ = _additive(sub)
 
     def __neg__(self):
-        return _make(tuple(map(neg, self.num)), self.den, self.root_order)
+        s = _new(CycloScalar)
+        s.num, s.den, s.root_order = tuple(map(neg, self.num)), self.den, self.root_order
+        return s
 
     def __mul__(self, other):
         m = self.root_order
@@ -212,13 +273,8 @@ class CycloScalar:
         if other.root_order != m:
             raise ScalarError(f"mixed cyclotomic orders {m} and {other.root_order}")
         a, b = self.num, other.num
-        if not any(a):
-            return self
-        if not any(b):
-            return other
         den = self.den * other.den
-        n = len(a)
-        if n == 1:
+        if len(a) == 1:
             p = a[0] * b[0]
             if den != 1:
                 g = gcd(p, den)
@@ -226,23 +282,11 @@ class CycloScalar:
             s = _new(CycloScalar)
             s.num, s.den, s.root_order = (p,), den, m
             return s
-        if n == 2:
-            (r0, r1), = _reduction_rows(m)
-            a0, a1 = a
-            b0, b1 = b
-            top = a1 * b1
-            return _make((a0 * b0 + r0 * top, a0 * b1 + a1 * b0 + r1 * top), den, m)
-        prod = [0] * (2 * n - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    prod[i + j] += ca * cb
-        out = prod[:n]
-        for row, c in zip(_reduction_rows(m), prod[n:]):
-            if c:
-                for t in range(n):
-                    out[t] += c * row[t]
-        return _make(tuple(out), den, m)
+        if not any(a):
+            return self
+        if not any(b):
+            return other
+        return _make(_times(a, b, m), den, m)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -323,6 +367,12 @@ class CycloScalar:
 
     def __str__(self):
         return format_scalar(self)
+
+
+@lru_cache(maxsize=None)
+def _roots(m: int):
+    """zeta_m^0 .. zeta_m^(m-1); scalars are immutable, so callers share them."""
+    return tuple(CycloScalar.root_of_unity(m, k) for k in range(m))
 
 
 @lru_cache(maxsize=None)
@@ -485,9 +535,10 @@ class BiCharacter:
     """Skew-symmetric bi-character on a finite abelian group.
 
     Specified by an integer exponent matrix E on the cyclic generators:
-    eps(g_i, g_j) = zeta_m^(E[i][j]), extended bimultiplicatively.  Skewness
-    and compatibility with the cyclic orders are checked exhaustively at
-    construction time (the group is finite).
+    eps(g_i, g_j) = zeta_m^(E[i][j]), extended bimultiplicatively.  Both are
+    checked at construction time: compatibility with the cyclic orders on
+    every entry, and skewness on the generators, which by bilinearity is
+    skewness on the whole group.
     """
 
     def __init__(self, group: FiniteAbelianGroup, exponent_matrix, root_order: int):
@@ -499,9 +550,7 @@ class BiCharacter:
                 f"exponent matrix must be {group.rank}x{group.rank}")
         self.exponent_matrix = E
         self._validate()
-        # zeta^0 .. zeta^(m-1); scalars are immutable, so callers share them
-        self._roots = tuple(CycloScalar.root_of_unity(root_order, k)
-                            for k in range(root_order))
+        self._roots = _roots(root_order)
 
     def _validate(self):
         m = self.root_order
@@ -518,7 +567,11 @@ class BiCharacter:
                     raise BiCharacterError(
                         f"exponent E[{i}][{j}]={E[i][j]} incompatible with cyclic order "
                         f"{self.group.orders[i]} modulo {m}")
-        # skewness eps(a,b) eps(b,a) = 1, exhaustively
+        # skewness eps(a,b) eps(b,a) = 1 holds on the group iff it holds on
+        # the generators (bilinearity); on failure the exhaustive search
+        # names the first failing pair of group elements
+        if all((E[i][j] + E[j][i]) % m == 0 for i in range(r) for j in range(r)):
+            return
         for a in self.group.elements():
             for b in self.group.elements():
                 if (self._exponent(a, b) + self._exponent(b, a)) % m != 0:

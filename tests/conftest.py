@@ -1409,3 +1409,18 @@ def format_fraction_scalar(s) -> str:
     if s.is_rational():
         return str(s.coeffs[0])
     return "[" + ";".join(str(c) for c in s.coeffs) + "]"
+
+
+def skew_failure_direct(orders, exponents, m: int):
+    """The first pair (a, b) of group elements, in ``elements()`` order, with
+    eps(a, b) eps(b, a) != 1 for the bi-character of the exponent matrix, as
+    component tuples; None when it is skew.  Exhaustive over the group."""
+    def exponent(a, b):
+        return sum(a[i] * exponents[i][j] * b[j]
+                   for i in range(len(orders)) for j in range(len(orders)))
+    elements = list(product(*(range(n) for n in orders)))
+    for a in elements:
+        for b in elements:
+            if (exponent(a, b) + exponent(b, a)) % m:
+                return a, b
+    return None

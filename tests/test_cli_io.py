@@ -457,6 +457,17 @@ MALFORMED = {
         _data_doc("sl2c_z2z2.alg"), [5], "alpha")), "alpha"),
     "exponents-an-integer": (lambda: _validate(_with(
         _data_doc("sl2c_z2z2.alg"), 5, "epsilon", "exponents")), "'exponents'"),
+    "root-order-a-list": (lambda: _validate(_with(
+        _data_doc("sl2c_z2z2.alg"), [], "root_order")), "'root_order'"),
+    "root-order-zero": (lambda: _validate(_with(
+        _data_doc("sl2c_z2z2.alg"), 0, "root_order")), "'root_order'"),
+    "degree-component-a-list": (lambda: _validate(_with(
+        _data_doc("sl2c_z2z2.alg"), [[1], 0], "basis", 0, "degree")), "'degree'"),
+    "orders-entry-a-string": (lambda: _validate(_with(
+        _data_doc("sl2c_z2z2.alg"), ["2", 2], "group", "orders")), "'orders'"),
+    "exponent-a-list": (lambda: _validate(_with(
+        _data_doc("sl2c_z2z2.alg"), [[[0], 1], [1, 0]], "epsilon", "exponents")),
+        "'exponents'"),
 }
 
 

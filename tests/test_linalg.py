@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 from colorhomlie import linalg
 from colorhomlie.scalars_grading import CycloScalar, ScalarError
 
-from conftest import kernel_basis, mat_mul_direct, mat_vec_direct, rref_direct
+from conftest import (direct_sum, kernel_basis, mat_mul_direct, mat_vec_direct,
+                      rref_direct, sl2c_z2z2)
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 ROOT_ORDERS = (1, 2, 3, 4)
@@ -252,6 +253,60 @@ def test_echelon_coordinates_match_solve(m, data):
         assert target is arbitrary or want is not None
         assert echelon.coords(target, m) == echelon.coords(as_sparse(target), m) == want
         assert (target in echelon) == (want is not None)
+
+
+# -- the column index of Echelon ---------------------------------------------------
+
+class CountingHolders(dict):
+    """A holders index that counts the pivot rows ``Echelon.add`` visits."""
+    visits = 0
+
+    def pop(self, key, default=None):
+        found = super().pop(key, default)
+        self.visits += len(found)
+        return found
+
+
+def test_echelon_add_visits_only_the_holders_of_the_new_pivot_column():
+    from colorhomlie import cohomology
+    from colorhomlie.representations import adjoint
+    base = sl2c_z2z2()
+    A = direct_sum(direct_sum(base, base, "sl2c_z2z2^2"), base, "sl2c_z2z2^3")
+    cx = cohomology._complex(A, adjoint(A))
+    # the twist is diagonal, so each compatibility row has one entry and no
+    # earlier pivot row holds a later pivot column; delta's rows do meet
+    for rows, most in ((cohomology._compat_rows(cx, 3), 0),
+                       (cx.delta(2, A.basis.group.element((1, 0)), 0), 150)):
+        echelon, scanned = linalg.Echelon(), 0
+        echelon.holders = CountingHolders()
+        for vec in rows.values():
+            scanned += len(echelon.rows)
+            echelon.add(vec)
+        assert len(echelon.rows) > 100 and scanned > 30000
+        assert echelon.holders.visits <= most
+
+
+def test_stale_holders_are_skipped_and_the_form_stays_exact():
+    m = 2
+    half = CycloScalar([Fraction(3, 2)], m)
+    n = [CycloScalar.from_rational(k, m) for k in range(6)]
+    vectors = [[n[1], n[0], n[2], n[3], n[1]],
+               {1: n[1], 2: n[1], 4: n[2]},
+               [n[0], n[0], n[1], half, n[0]],  # clears column 2: column 3 cancels from row 0
+               {3: n[5], 4: n[1]}]              # column 3 becomes a pivot
+    echelon = linalg.Echelon(vectors[:3], coordinates=True)
+    assert 3 not in echelon.rows[0] and 0 in echelon.holders[3]
+    assert echelon.add(vectors[3])
+    dense_rows = [as_dense(v, 5, m) if isinstance(v, dict) else v for v in vectors]
+    want_rows, want_pivots = rref_direct(dense_rows)
+    red, pivots = linalg.rref(vectors)
+    assert pivots == want_pivots == [0, 1, 2, 3]
+    assert [as_dense(r, 5, m) for r in red] == want_rows
+    assert [as_dense(echelon.rows[p], 5, m) for p in pivots] == want_rows
+    for k, vec in enumerate(dense_rows):
+        assert echelon.coords(vec, m) == [n[1] if i == k else n[0] for i in range(4)]
+    mixed = [a * 2 - b for a, b in zip(dense_rows[0], dense_rows[3])]
+    assert echelon.coords(mixed, m) == [n[2], n[0], n[0], -n[1]]
 
 
 # -- the zero-skipping dense products ---------------------------------------------

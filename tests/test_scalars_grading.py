@@ -1,9 +1,10 @@
 """Cyclotomic scalars, groups, bi-characters, reorder signs."""
 import random
+import re
 import types
 from collections import Counter
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -14,8 +15,9 @@ from colorhomlie.scalars_grading import (BiCharacter, BiCharacterError,
                                          cyclo_reduce, cyclotomic_polynomial,
                                          euler_phi, format_scalar,
                                          parse_scalar, reorder_sign,
-                                         sort_with_sign)
-from conftest import FractionScalar, as_rational, format_fraction_scalar
+                                         ScalarError, sort_with_sign, _muladd)
+from conftest import (FractionScalar, as_rational, format_fraction_scalar,
+                      skew_failure_direct)
 
 
 def test_cyclotomic_polynomials():
@@ -137,6 +139,41 @@ def test_ring_operations_match_fraction_oracle(case):
                       (-x, -ox), (y * x, oy * ox), (x + 3, ox + 3), (2 - x, 2 - ox),
                       (Fraction(-1, 4) * x, Fraction(-1, 4) * ox), (x ** 3, ox ** 3)):
         assert_matches(got, want)
+
+
+MULADD_ORDERS = (1, 2, 3, 4, 5, 8)
+
+
+@st.composite
+def muladd_operands(draw):
+    """(m, x, f, b): three scalars of Q(zeta_m), m in MULADD_ORDERS, with
+    mixed denominators and zeros; x is -(f * b) about one time in four."""
+    m = draw(st.sampled_from(MULADD_ORDERS))
+    phi = euler_phi(m)
+    vec = st.one_of(st.just((Fraction(0),) * phi), st.tuples(*[COEFF] * phi))
+    x, f, b = (CycloScalar(draw(vec), m) for _ in range(3))
+    return m, -(f * b) if draw(st.integers(0, 3)) == 0 else x, f, b
+
+
+def _rationals(m, *values):
+    return tuple(CycloScalar.from_rational(Fraction(v), m) for v in values)
+
+
+@PROPERTY
+@given(muladd_operands())
+@example((2,) + _rationals(2, "1/3", "1/2", "5"))       # x.den differs from f.den * b.den
+@example((1,) + _rationals(1, "-1/2", "2/3", "3/4"))    # cancels; 1/2 against the unreduced 12
+def test_fused_multiply_add_matches_multiply_then_add(case):
+    m, x, f, b = case
+    for got, want in ((_muladd(x, f, b), x + f * b), (_muladd(None, f, b), f * b)):
+        assert got == want
+        assert len(got.num) == euler_phi(m) and got.den > 0 and gcd(got.den, *got.num) == 1
+    if x == -(f * b):
+        assert _muladd(x, f, b) == CycloScalar.zero(m)
+    other = CycloScalar.one(2 if m != 2 else 3)
+    for args in ((other, f, b), (x, other, b), (x, f, other), (None, f, other)):
+        with pytest.raises(ScalarError):
+            _muladd(*args)
 
 
 @PROPERTY
@@ -295,6 +332,23 @@ def test_bicharacter_rejects_order_mismatch():
     G = FiniteAbelianGroup((2,))
     with pytest.raises(BiCharacterError):
         BiCharacter(G, [[1]], 4)  # 2 * 1 != 0 mod 4
+
+
+@pytest.mark.parametrize("orders,m", [((2, 2, 2), 2), ((4,), 4), ((2, 6), 6)])
+def test_generator_skew_check_matches_the_exhaustive_oracle(orders, m):
+    # entries are multiples of the step every cyclic order admits, so each
+    # matrix passes the order check and only skewness decides
+    rng, G = random.Random(11), FiniteAbelianGroup(orders)
+    steps = [m // gcd(m, n) for n in orders]
+    for _ in range(60):
+        E = [[rng.randrange(0, m, lcm(si, sj)) for sj in steps] for si in steps]
+        failure = skew_failure_direct(orders, E, m)
+        if failure is None:
+            BiCharacter(G, E, m)
+            continue
+        a, b = (G.element(c) for c in failure)
+        with pytest.raises(BiCharacterError, match=re.escape(f"not skew at ({a}, {b})")):
+            BiCharacter(G, E, m)
 
 
 def test_z3_has_only_trivial_bicharacter():
