@@ -305,7 +305,6 @@ class ColorHomAlgebra:
         self._sparse_pows = {}  # k -> alpha^k in linalg's sparse form
         self._spaces = {}       # (kind, k, gamma, commute) -> spanning matrices
         self._precomposed = {}  # k -> rows of [e_i, a^k e_y] and [a^k e_x, e_i]
-        self._adjoint = None    # the adjoint module ``deformations`` reuses
 
     @property
     def dim(self) -> int:

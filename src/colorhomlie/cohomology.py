@@ -130,12 +130,11 @@ class _Complex:
 
     The complex takes the carrier dimension, beta and rho from R when it is
     built and keeps no reference to R, so R (which keeps the complex) frees
-    it by reference counting alone, unless A keeps R (the adjoint module of
-    ``deformations``), which leaves the freeing to the cycle collector.
-    Entries are filled on first use, so A and R must not be mutated after
-    construction (``ColorHomAlgebra.alpha_power`` assumes the same).  An
-    entry is stored only once computed: a negative power of a singular twist
-    raises on every call.  Callers receive fresh containers, never the stored ones.
+    it by reference counting alone.  Entries are filled on first use, so A
+    and R must not be mutated after construction
+    (``ColorHomAlgebra.alpha_power`` assumes the same).  An entry is stored
+    only once computed: a negative power of a singular twist raises on
+    every call.  Callers receive fresh containers, never the stored ones.
     ``coboundary_of_coords`` and ``CochainSpace.evaluate`` never read the
     complex.
     """
@@ -148,7 +147,7 @@ class _Complex:
         self.alpha_cols = [list(alpha_cols.get(i, {}).items()) for i in range(A.dim)]
         # eps(d_i, d_j) = zeta_m^k[i][j] on the basis degrees
         degrees = A.basis.degrees
-        self.eps_exponents = [[A.eps._exponent(a, b) for b in degrees] for a in degrees]
+        self.eps_exponents = [[A.eps.exponent(a, b) for b in degrees] for a in degrees]
         self._arity = {}         # n -> (canonical tuples, their positions)
         self._located = {}       # argument index combo -> locate(combo)
         self._compat = {}        # n -> (compatible basis, its transpose)
@@ -296,8 +295,8 @@ def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
     if gamma.group != A.basis.group:
         raise GroupMismatchError("degree gamma is not in the grading group")
     # eps is bimultiplicative: the exponent of eps(sum of degrees, d) is a sum
-    ex, roots, m = cx.eps_exponents, A.eps._roots, A.eps.root_order
-    gx = [A.eps._exponent(gamma, d) for d in A.basis.degrees]
+    ex, roots, m = cx.eps_exponents, A.eps.roots, A.eps.root_order
+    gx = [A.eps.exponent(gamma, d) for d in A.basis.degrees]
     for t_index, tup in enumerate(cx.arity(n + 1)[0]):
         base = t_index * mdim
         # insertion terms f(alpha x_0, ..., [x_s, x_t], ..., ^x_t, ..., alpha x_n)

@@ -76,19 +76,9 @@ def check_deformation(A: ColorHomAlgebra, B: TruncatedBracket) -> dict:
     return per_order
 
 
-def _adjoint_module(A: ColorHomAlgebra):
-    """The adjoint module of A, built once and kept on A, so that every
-    first-order class of A reuses one cochain complex.  A keeps R and R's
-    complex keeps A; that one cycle per algebra is freed by the cycle
-    collector, where every other module is freed by reference counting."""
-    if A._adjoint is None:
-        A._adjoint = adjoint(A)
-    return A._adjoint
-
-
 def bracket_term_as_cochain(A: ColorHomAlgebra, table: BracketTable):
     """Sparse coordinates of a skew bilinear term on the canonical 2-tuples."""
-    R = _adjoint_module(A)
+    R = adjoint(A)
     space = cochain_basis(A, R, 2, A.basis.group.zero())
     coords = {t * A.dim + k: c for t, tup in enumerate(space.tuples)
               for k, c in table.rows.get(tup, {}).items()}

@@ -167,10 +167,11 @@ class Echelon:
     combination {index: scalar} of the absorbed vectors, numbered in the
     order they were absorbed, so that ``coords`` can write a vector in them.
 
-    ``holders`` maps each non-pivot column to the pivot rows that may be
-    nonzero there, so that a new pivot column is cleared from those rows
-    only.  An entry may be stale, naming a row where the column has since
-    cancelled; ``add`` skips such a row.
+    ``holders`` maps each non-pivot column to a list of the pivot rows that
+    may be nonzero there, so that a new pivot column is cleared from those
+    rows only.  An entry may be stale, naming a row where the column has
+    since cancelled, or repeated; ``add`` skips a row that no longer holds
+    the column.
     """
 
     __slots__ = ("rows", "combos", "holders")
@@ -226,7 +227,7 @@ class Echelon:
         # the rows just cleared, and the new one, may be nonzero wherever v is
         for k in v:
             if k != c:
-                holders.setdefault(k, set()).update(cleared)
+                holders.setdefault(k, []).extend(cleared)
         rows[c] = v
         return True
 

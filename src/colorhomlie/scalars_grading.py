@@ -135,59 +135,30 @@ def _make(num, den, m):
     return s
 
 
-def _times(a, b, m: int) -> tuple:
-    """The numerator of a * b in Q(zeta_m) for numerators a, b of length
-    phi(m) >= 2 (over one denominator, so reduced only modulo Phi_m)."""
-    n = len(a)
-    if n == 2:
-        (r0, r1), = _reduction_rows(m)
-        a0, a1 = a
-        b0, b1 = b
-        top = a1 * b1
-        return (a0 * b0 + r0 * top, a0 * b1 + a1 * b0 + r1 * top)
-    prod = [0] * (2 * n - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                prod[i + j] += ca * cb
-    out = prod[:n]
-    for row, c in zip(_reduction_rows(m), prod[n:]):
-        if c:
-            for t in range(n):
-                out[t] += c * row[t]
-    return tuple(out)
-
-
 def _muladd(x, f, b):
-    """x + f * b as one scalar with at most one gcd, x = None read as zero:
-    the step of elimination and of sparse products."""
-    m = f.root_order
-    if b.root_order != m or x is not None and x.root_order != m:
+    """x + f * b, x = None read as zero: the step of elimination and of
+    sparse products.  When phi(m) = 1 it builds one scalar with at most one
+    gcd instead of a product and a sum that each normalise."""
+    m = b.root_order
+    if f.__class__ is not CycloScalar:
+        f = CycloScalar.from_rational(f, m)
+    if len(b.num) != 1:
+        return f * b if x is None else x + f * b
+    if f.root_order != m or x is not None and x.root_order != m:
         raise ScalarError(f"mixed cyclotomic orders in {x!r} + {f!r} * {b!r}")
-    den = f.den * b.den
-    if len(f.num) == 1:
-        p = f.num[0] * b.num[0]
-        if x is not None:
-            xd = x.den
-            if xd == den:
-                p += x.num[0]
-            else:
-                p, den = p * xd + x.num[0] * den, den * xd
-        if den != 1:
-            g = gcd(p, den)
-            p, den = p // g, den // g
-        s = _new(CycloScalar)
-        s.num, s.den, s.root_order = (p,), den, m
-        return s
-    num = _times(f.num, b.num, m)
+    p, den = f.num[0] * b.num[0], f.den * b.den
     if x is not None:
         xd = x.den
         if xd == den:
-            num = tuple(map(add, num, x.num))
+            p += x.num[0]
         else:
-            num = tuple([p * xd + q * den for p, q in zip(num, x.num)])
-            den *= xd
-    return _make(num, den, m)
+            p, den = p * xd + x.num[0] * den, den * xd
+    if den != 1:
+        g = gcd(p, den)
+        p, den = p // g, den // g
+    s = _new(CycloScalar)
+    s.num, s.den, s.root_order = (p,), den, m
+    return s
 
 
 def _additive(op):
@@ -286,7 +257,24 @@ class CycloScalar:
             return self
         if not any(b):
             return other
-        return _make(_times(a, b, m), den, m)
+        n = len(a)
+        if n == 2:
+            (r0, r1), = _reduction_rows(m)
+            a0, a1 = a
+            b0, b1 = b
+            top = a1 * b1
+            return _make((a0 * b0 + r0 * top, a0 * b1 + a1 * b0 + r1 * top), den, m)
+        prod = [0] * (2 * n - 1)
+        for i, ca in enumerate(a):
+            if ca:
+                for j, cb in enumerate(b):
+                    prod[i + j] += ca * cb
+        out = prod[:n]
+        for row, c in zip(_reduction_rows(m), prod[n:]):
+            if c:
+                for t in range(n):
+                    out[t] += c * row[t]
+        return _make(tuple(out), den, m)
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -550,7 +538,7 @@ class BiCharacter:
                 f"exponent matrix must be {group.rank}x{group.rank}")
         self.exponent_matrix = E
         self._validate()
-        self._roots = _roots(root_order)
+        self.roots = _roots(root_order)  # zeta_m^0 .. zeta_m^(m-1)
 
     def _validate(self):
         m = self.root_order
@@ -574,11 +562,12 @@ class BiCharacter:
             return
         for a in self.group.elements():
             for b in self.group.elements():
-                if (self._exponent(a, b) + self._exponent(b, a)) % m != 0:
+                if (self.exponent(a, b) + self.exponent(b, a)) % m != 0:
                     raise BiCharacterError(
                         f"bi-character is not skew at ({a}, {b})")
 
-    def _exponent(self, a: GroupElement, b: GroupElement) -> int:
+    def exponent(self, a: GroupElement, b: GroupElement) -> int:
+        """The k in 0..m-1 with eps(a, b) = zeta_m^k, so eps(a, b) is roots[k]."""
         E = self.exponent_matrix
         total = 0
         for i, ai in enumerate(a.components):
@@ -592,11 +581,11 @@ class BiCharacter:
     def __call__(self, a: GroupElement, b: GroupElement) -> CycloScalar:
         if a.group != self.group or b.group != self.group:
             raise GroupMismatchError("bi-character applied to foreign group elements")
-        return self._roots[self._exponent(a, b)]
+        return self.roots[self.exponent(a, b)]
 
     def sign_is_minus_one(self, a: GroupElement, b: GroupElement) -> bool:
         """True iff eps(a,b) = -1; only meaningful when values are +-1."""
-        return self._exponent(a, b) * 2 == self.root_order
+        return self.exponent(a, b) * 2 == self.root_order
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,6 @@
 """Truncated formal deformations, equivalences, composition families."""
-import gc
 import json
 import random
-import weakref
 
 import pytest
 
@@ -97,27 +95,6 @@ def test_trivial_deformation_first_order():
     B = TruncatedBracket(A, 2, [A.bracket, _zero_term(A), _zero_term(A)])
     res = first_order_class(A, B)
     assert res["is_cocycle"] and res["class_is_zero"]
-
-
-def test_first_order_classes_of_one_algebra_share_one_complex(monkeypatch):
-    from colorhomlie import cohomology
-    built, init = [], cohomology._Complex.__init__
-
-    def counting_init(self, A, R):
-        built.append(A)
-        init(self, A, R)
-
-    monkeypatch.setattr(cohomology._Complex, "__init__", counting_init)
-    A = sl2c_z2z2()
-    B = TruncatedBracket(A, 2, [A.bracket, _zero_term(A), _zero_term(A)])
-    first, second = first_order_class(A, B), first_order_class(A, B)
-    assert built == [A]
-    assert first["class_is_zero"] and second["class_is_zero"]
-    # the algebra and its kept adjoint module are still freed together
-    algebra = weakref.ref(A)
-    del A, B, first, second, built
-    gc.collect()
-    assert algebra() is None
 
 
 def test_composition_deformation_identity_series():

@@ -362,6 +362,18 @@ def test_derivation_laws_and_annihilator_match_the_dense_oracles():
     assert failing >= 20
 
 
+def test_a_rational_delta_scalar_reads_as_the_scalar_it_names():
+    # an int or Fraction delta_scalar is coerced as scalar arithmetic coerces it
+    for A, D in _instances():
+        quotient = QuotientSpace(A, annihilator(A, D))
+        for d in (1, 0, Fraction(1, 2), -3):
+            scalar = CycloScalar.from_rational(d, A.m)
+            assert check_ijkl(A, D, delta_scalar=d).to_dict() == \
+                check_ijkl(A, D, delta_scalar=scalar).to_dict()
+            assert check_mnop(A, D, quotient, delta_scalar=d).to_dict() == \
+                check_mnop(A, D, quotient, delta_scalar=scalar).to_dict()
+
+
 def test_an_hls_run_solves_the_annihilator_and_builds_the_induced_table_once(
         monkeypatch, capsys):
     # the module: the package's hls_bracket is the function of that name

@@ -383,7 +383,7 @@ def test_bicharacter_values_are_the_reduced_roots(orders, exponents, m):
     eps = BiCharacter(G, exponents, m)
     for a in G.elements():
         for b in G.elements():
-            assert eps(a, b) == CycloScalar.root_of_unity(m, eps._exponent(a, b))
+            assert eps(a, b) == CycloScalar.root_of_unity(m, eps.exponent(a, b))
 
 
 def test_reorder_sign_identity():
