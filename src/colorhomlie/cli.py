@@ -33,7 +33,7 @@ EXIT_USAGE = 2
 
 
 def _emit(report: dict, args) -> None:
-    if getattr(args, "format", "json") == "text":
+    if args.format == "text":
         for line in _text_lines(report):
             print(line)
     else:
@@ -56,10 +56,6 @@ def _text_lines(obj, prefix=""):
                 yield f"{prefix}- {v}"
 
 
-def _summary(text: str) -> None:
-    print(text, file=sys.stderr)
-
-
 def _degree(A, text):
     comps = tuple(int(c) for c in text.split(","))
     return A.basis.group.element(comps)
@@ -79,21 +75,18 @@ def _matrix_arg(value: str, A, option: str):
     return _parse_square(rows, A.dim, A.m, value, option)
 
 
-def cmd_validate(args) -> int:
+# Each handler returns (report body, verdict, summary line); run_command writes them.
+
+def cmd_validate(args) -> tuple:
     A = parse_algebra_file(args.algebra)
     report = check_color_hom_lie(A)
-    doc = {"schema": SCHEMA, "command": "validate", "algebra": A.name,
-           "report": report.to_dict()}
-    _emit(doc, args)
     ok = report.grading.ok and report.skew.ok and report.jacobi.ok
-    _summary(f"validate {A.name or args.algebra}: "
-             f"{'all checks pass' if ok else 'FAILED'}")
-    if args.strict and not report.all_ok:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    body = {"algebra": A.name, "report": report.to_dict()}
+    summary = f"validate {A.name or args.algebra}: {'all checks pass' if ok else 'FAILED'}"
+    return body, report.all_ok if args.strict else ok, summary
 
 
-def cmd_twists(args) -> int:
+def cmd_twists(args) -> tuple:
     A = parse_algebra_file(args.algebra)
     entry_set = list(dict.fromkeys(parse_scalar(t, A.m) for t in args.entries.split(",")))
     morphs = enumerate_morphisms(A, entry_set, strict_even=args.strict_even,
@@ -102,15 +95,12 @@ def cmd_twists(args) -> int:
               "invertible": morphism_is_invertible(matrix),
               "twisted_bracket": _twisted(A, matrix).bracket.report(A.basis.names)}
              for matrix, even in morphs]
-    doc = {"schema": SCHEMA, "command": "twists", "algebra": A.name,
-           "entry_set": [str(s) for s in entry_set], "count": len(items),
-           "morphisms": items}
-    _emit(doc, args)
-    _summary(f"twists: {len(items)} morphisms over {{{','.join(doc['entry_set'])}}}")
-    return EXIT_OK
+    body = {"algebra": A.name, "entry_set": [str(s) for s in entry_set],
+            "count": len(items), "morphisms": items}
+    return body, True, f"twists: {len(items)} morphisms over {{{','.join(body['entry_set'])}}}"
 
 
-def cmd_cohomology(args) -> int:
+def cmd_cohomology(args) -> tuple:
     from .cohomology import cohomology_group
     A = parse_algebra_file(args.algebra)
     if args.module == "adjoint":
@@ -120,73 +110,60 @@ def cmd_cohomology(args) -> int:
     else:
         with open(args.module, "r", encoding="utf-8") as fh:
             R = parse_representation_document(fh.read(), A)
-    results = []
-    for gamma in _degrees(A, args.degree):
-        res = cohomology_group(A, R, args.n, args.r, gamma, restrict=args.restrict)
-        results.append(res.to_dict())
-    doc = {"schema": SCHEMA, "command": "cohomology", "algebra": A.name,
-           "module": args.module, "results": results}
-    _emit(doc, args)
+    results = [cohomology_group(A, R, args.n, args.r, gamma, restrict=args.restrict).to_dict()
+               for gamma in _degrees(A, args.degree)]
+    body = {"algebra": A.name, "module": args.module, "results": results}
     dims = ", ".join(f"{r['degree']}: H={r['dim_H']}" for r in results)
-    _summary(f"cohomology n={args.n} r={args.r}: {dims}")
-    return EXIT_OK
+    return body, True, f"cohomology n={args.n} r={args.r}: {dims}"
 
 
-def cmd_structure(args) -> int:
+def cmd_structure(args) -> tuple:
     from .structure_theory import reverify_space, solve_space
     A = parse_algebra_file(args.algebra)
     spaces = []
-    all_ok = True
     for gamma in _degrees(A, args.degree):
         space = solve_space(A, args.kind, args.k, gamma)
-        check = reverify_space(A, space)
-        all_ok = all_ok and check.ok
         spaces.append({
             "degree": list(gamma.components),
             "dim": space.dim,
             "basis": [serialize_matrix(M) for M in space.basis],
-            "reverified": check.ok,
+            "reverified": reverify_space(A, space).ok,
         })
-    doc = {"schema": SCHEMA, "command": "structure", "algebra": A.name,
-           "kind": args.kind, "k": args.k, "spaces": spaces}
-    _emit(doc, args)
-    _summary(f"structure {args.kind} k={args.k}: dims "
-             + ", ".join(str(s["dim"]) for s in spaces))
-    return EXIT_OK if all_ok else EXIT_CHECK_FAILED
+    body = {"algebra": A.name, "kind": args.kind, "k": args.k, "spaces": spaces}
+    dims = ", ".join(str(s["dim"]) for s in spaces)
+    return (body, all(s["reverified"] for s in spaces),
+            f"structure {args.kind} k={args.k}: dims {dims}")
 
 
-def cmd_jordan(args) -> int:
+def cmd_jordan(args) -> tuple:
     from .structure_theory import check_hom_jordan, quasi_centroid_jordan
     A = parse_algebra_file(args.algebra)
     J = quasi_centroid_jordan(A, max_power=args.k)
     report = check_hom_jordan(J)
-    doc = {"schema": SCHEMA, "command": "jordan", "algebra": A.name,
-           "source": args.source, "k": args.k,
-           "span_dim": J.dim,
-           "elements": [serialize_matrix(M) for M in J.matrices],
-           "product_table": [[[str(c) for c in cell] for cell in row]
-                             for row in J.table],
-           "hcj1": report["hcj1"].to_dict(),
-           "hcj2": report["hcj2"].to_dict()}
-    _emit(doc, args)
+    body = {"algebra": A.name, "source": args.source, "k": args.k,
+            "span_dim": J.dim,
+            "elements": [serialize_matrix(M) for M in J.matrices],
+            "product_table": [[[str(c) for c in cell] for cell in row]
+                              for row in J.table],
+            "hcj1": report["hcj1"].to_dict(),
+            "hcj2": report["hcj2"].to_dict()}
     ok = report["hcj1"].ok and report["hcj2"].ok
-    _summary(f"jordan on {args.source} k={args.k}: "
-             f"{'Hom-Jordan axioms pass' if ok else 'FAILED'}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return (body, ok, f"jordan on {args.source} k={args.k}: "
+                      f"{'Hom-Jordan axioms pass' if ok else 'FAILED'}")
 
 
-def cmd_derived(args) -> int:
+def cmd_derived(args) -> tuple:
     A = parse_algebra_file(args.algebra)
     D = derived_algebra(A, args.n)
     report = check_color_hom_lie(D)
-    doc = {"schema": SCHEMA, "command": "derived", "algebra": A.name, "n": args.n,
-           "bracket": D.bracket.report(A.basis.names), "alpha": serialize_matrix(D.alpha),
-           "report": report.to_dict()}
-    _emit(doc, args)
-    return EXIT_OK if report.is_color_hom_lie else EXIT_CHECK_FAILED
+    body = {"algebra": A.name, "n": args.n,
+            "bracket": D.bracket.report(A.basis.names), "alpha": serialize_matrix(D.alpha),
+            "report": report.to_dict()}
+    ok = report.is_color_hom_lie
+    return body, ok, f"derived n={args.n}: {'color Hom-Lie' if ok else 'FAILED'}"
 
 
-def cmd_hls(args) -> int:
+def cmd_hls(args) -> tuple:
     from .hls_bracket import SigmaDerivation, check_hls_jacobi
     C = parse_commutative_algebra_file(args.algebra)
     sigma = _matrix_arg(args.sigma, C, "--sigma")
@@ -196,17 +173,15 @@ def cmd_hls(args) -> int:
     D = SigmaDerivation(sigma, delta_map, grade, delta_scalar)
     report = check_hls_jacobi(C, D)
     checks = ("sigma_endomorphism", "cd1", "cd2", "abc", "ijkl", "fgh", "mnop")
-    doc = {"schema": SCHEMA, "command": "hls", "algebra": args.algebra,
-           "checks": {name: report[name].to_dict() for name in checks},
-           "annihilator_dim": report["annihilator_dim"],
-           "induced_bracket": report["induced_bracket"]}
-    _emit(doc, args)
+    body = {"algebra": args.algebra,
+            "checks": {name: report[name].to_dict() for name in checks},
+            "annihilator_dim": report["annihilator_dim"],
+            "induced_bracket": report["induced_bracket"]}
     ok = all(report[name].ok for name in checks)
-    _summary(f"hls: {'all identities pass' if ok else 'FAILED'}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return body, ok, f"hls: {'all identities pass' if ok else 'FAILED'}"
 
 
-def cmd_deform_check(args) -> int:
+def cmd_deform_check(args) -> tuple:
     from .deformations import TruncatedBracket, check_deformation, first_order_class
     A = parse_algebra_file(args.algebra)
     with open(args.bracket_terms, "r", encoding="utf-8") as fh:
@@ -214,20 +189,17 @@ def cmd_deform_check(args) -> int:
     order = args.order if args.order is not None else len(terms) - 1
     B = TruncatedBracket(A, order, terms[:order + 1])
     per_order = check_deformation(A, B)
-    first = first_order_class(A, B) if order >= 1 else None
-    doc = {"schema": SCHEMA, "command": "deform-check", "algebra": A.name,
-           "order": order,
-           "orders": {str(s): res.to_dict() for s, res in per_order.items()}}
-    if first is not None:
-        doc["first_order"] = {key: first[key] for key in ("is_cocycle", "class_is_zero")
-                              if key in first}
-    _emit(doc, args)
+    body = {"algebra": A.name, "order": order,
+            "orders": {str(s): res.to_dict() for s, res in per_order.items()}}
+    if order >= 1:
+        first = first_order_class(A, B)
+        body["first_order"] = {key: first[key] for key in ("is_cocycle", "class_is_zero")
+                               if key in first}
     ok = all(res.ok for res in per_order.values())
-    _summary(f"deform check: {'all orders pass' if ok else 'FAILED'}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return body, ok, f"deform check: {'all orders pass' if ok else 'FAILED'}"
 
 
-def cmd_deform_compose(args) -> int:
+def cmd_deform_compose(args) -> tuple:
     from .deformations import check_deformation, composition_deformation
     A = parse_algebra_file(args.algebra)
     with open(args.alpha_terms, "r", encoding="utf-8") as fh:
@@ -235,14 +207,11 @@ def cmd_deform_compose(args) -> int:
     B = composition_deformation(A, alphas, order=args.order, derived=args.derived,
                                 require_endomorphism=args.require_endomorphism)
     per_order = check_deformation(B.algebra, B)
-    doc = {"schema": SCHEMA, "command": "deform-compose", "algebra": A.name,
-           "order": B.order, "derived": args.derived,
-           "endomorphism_failing_orders": B.endomorphism_failing_orders,
-           "orders": {str(s): res.to_dict() for s, res in per_order.items()}}
-    _emit(doc, args)
+    body = {"algebra": A.name, "order": B.order, "derived": args.derived,
+            "endomorphism_failing_orders": B.endomorphism_failing_orders,
+            "orders": {str(s): res.to_dict() for s, res in per_order.items()}}
     ok = all(res.ok for res in per_order.values())
-    _summary(f"deform compose: {'deformation equations pass' if ok else 'FAILED'}")
-    return EXIT_OK if ok else EXIT_CHECK_FAILED
+    return body, ok, f"deform compose: {'deformation equations pass' if ok else 'FAILED'}"
 
 
 @functools.cache
@@ -253,6 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact computer algebra for graded color Hom-Lie algebras")
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
+    algebra = argparse.ArgumentParser(add_help=False)
+    algebra.add_argument("--algebra", required=True, help="algebra file")
 
     p = sub.add_parser("validate", help="axiom report for an algebra file")
     p.add_argument("algebra")
@@ -260,16 +231,16 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fail on any reported issue, including multiplicativity")
     p.set_defaults(func=cmd_validate)
 
-    p = sub.add_parser("twists", help="enumerate bracket endomorphisms and twists")
-    p.add_argument("--algebra", required=True)
+    p = sub.add_parser("twists", parents=[algebra],
+                       help="enumerate bracket endomorphisms and twists")
     p.add_argument("--entries", required=True,
                    help="comma separated scalar literals, e.g. -1,0,1")
     p.add_argument("--strict-even", action="store_true")
     p.add_argument("--budget", type=int, default=None)
     p.set_defaults(func=cmd_twists)
 
-    p = sub.add_parser("cohomology", help="cocycles, coboundaries, quotients")
-    p.add_argument("--algebra", required=True)
+    p = sub.add_parser("cohomology", parents=[algebra],
+                       help="cocycles, coboundaries, quotients")
     p.add_argument("--module", default="adjoint",
                    help="adjoint | ad_s:S | representation file")
     p.add_argument("--n", type=int, required=True)
@@ -279,28 +250,23 @@ def build_parser() -> argparse.ArgumentParser:
                    default="compatible")
     p.set_defaults(func=cmd_cohomology)
 
-    p = sub.add_parser("structure", help="derivation-type spaces")
-    p.add_argument("--algebra", required=True)
+    p = sub.add_parser("structure", parents=[algebra], help="derivation-type spaces")
     p.add_argument("--kind", choices=STRUCTURE_KINDS, required=True)
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--degree", default=None)
     p.set_defaults(func=cmd_structure)
 
-    p = sub.add_parser("jordan", help="product on the quasi-centroid")
-    p.add_argument("--algebra", required=True)
+    p = sub.add_parser("jordan", parents=[algebra], help="product on the quasi-centroid")
     p.add_argument("--source", choices=("qcentroid",), default="qcentroid")
     p.add_argument("--k", type=int, default=2,
                    help="largest twist power collected into the span")
     p.set_defaults(func=cmd_jordan)
 
-    p = sub.add_parser("derived", help="derived Hom-algebra")
-    p.add_argument("--algebra", required=True)
+    p = sub.add_parser("derived", parents=[algebra], help="derived Hom-algebra")
     p.add_argument("--n", type=int, required=True)
     p.set_defaults(func=cmd_derived)
 
-    p = sub.add_parser("hls", help="twisted-derivation bracket report")
-    p.add_argument("--algebra", required=True,
-                   help="commutative algebra file with a \"product\" section")
+    p = sub.add_parser("hls", parents=[algebra], help="twisted-derivation bracket report")
     p.add_argument("--sigma", required=True, help="matrix file or inline JSON")
     p.add_argument("--delta-map", required=True, dest="delta_map")
     p.add_argument("--grade", default=None)
@@ -309,13 +275,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("deform", help="formal deformation commands")
     dsub = p.add_subparsers(dest="deform_command", required=True)
-    pc = dsub.add_parser("check")
-    pc.add_argument("--algebra", required=True)
+    pc = dsub.add_parser("check", parents=[algebra])
     pc.add_argument("--bracket-terms", required=True, dest="bracket_terms")
     pc.add_argument("--order", type=int, default=None)
     pc.set_defaults(func=cmd_deform_check)
-    pk = dsub.add_parser("compose")
-    pk.add_argument("--algebra", required=True)
+    pk = dsub.add_parser("compose", parents=[algebra])
     pk.add_argument("--alpha-terms", required=True, dest="alpha_terms")
     pk.add_argument("--order", type=int, default=None)
     pk.add_argument("--derived", type=int, default=0)
@@ -326,35 +290,36 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_VALUE_OPTIONS = ("--entries", "--delta-scalar")
+_VALUE_OPTIONS = ("--entries", "--delta-scalar", "--degree", "--grade")
 
 
 def _merge_dash_values(argv):
     """Join option values that begin with '-' (e.g. --entries -1,0,1)."""
     out = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok in _VALUE_OPTIONS and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"{tok}={argv[i + 1]}")
-            skip = True
+    for tok in argv:
+        if out and out[-1] in _VALUE_OPTIONS and tok.startswith("-"):
+            out[-1] = f"{out[-1]}={tok}"
         else:
             out.append(tok)
     return out
 
 
 def run_command(argv) -> int:
+    """Run one command: report to stdout, summary to stderr; returns the exit code."""
     try:
-        args = build_parser().parse_args(_merge_dash_values(list(argv)))
+        args = build_parser().parse_args(_merge_dash_values(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+    # the report names its command after the handler: cmd_deform_check -> deform-check
+    command = args.func.__name__.removeprefix("cmd_").replace("_", "-")
     try:
-        return args.func(args)
+        body, ok, summary = args.func(args)
+        _emit({"schema": SCHEMA, "command": command, **body}, args)
+        print(summary, file=sys.stderr)
     except (ParseError, OSError, BudgetExceededError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    return EXIT_OK if ok else EXIT_CHECK_FAILED
 
 
 def main() -> None:

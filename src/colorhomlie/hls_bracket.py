@@ -151,14 +151,12 @@ def hls_bracket(A: CommutativeColorAlgebra, D: SigmaDerivation, x, y):
     return hls_bracket_element(A, D, x, y, QuotientSpace(A, ann))
 
 
-def check_ijkl(A: CommutativeColorAlgebra, D: SigmaDerivation,
-               delta_scalar=None) -> CheckResult:
+def check_ijkl(A: CommutativeColorAlgebra, D: SigmaDerivation) -> CheckResult:
     """Delta(sigma(x)) = delta . sigma(Delta(x)) on the basis."""
-    d = D.delta_scalar if delta_scalar is None else delta_scalar
     sigma, delta = linalg.sparse(D.sigma), linalg.sparse(D.delta_map)
     # column i of Delta o sigma against column i of delta sigma o Delta
     lhs = _transpose(_product(delta, sigma))
-    rhs = _transpose(_combine([(d, _product(sigma, delta))]))
+    rhs = _transpose(_combine([(D.delta_scalar, _product(sigma, delta))]))
     failures = [{"basis": A.basis.names[i],
                  **_strings(A, lhs=lhs.get(i, {}), rhs=rhs.get(i, {}))}
                 for i in range(A.dim) if lhs.get(i, {}) != rhs.get(i, {})]
@@ -179,14 +177,13 @@ def check_fgh(A: CommutativeColorAlgebra, D: SigmaDerivation,
 
 
 def check_mnop(A: CommutativeColorAlgebra, D: SigmaDerivation,
-               quotient: QuotientSpace, delta_scalar=None) -> CheckResult:
+               quotient: QuotientSpace) -> CheckResult:
     """Cyclic sum eps(z,x)([sigma(x).Delta, [y.Delta, z.Delta]] +
     delta [x.Delta, [y.Delta, z.Delta]]) = 0 on basis triples, mod Ann: the
     cyclic residual with outer(x, w) = [(sigma + delta Id)(x).Delta, w]."""
-    d = D.delta_scalar if delta_scalar is None else delta_scalar
     H = quotient.induced_table(D)
     I = linalg.sparse(linalg.identity(A.dim, A.m))
-    outer = H.precompose(_combine([(None, linalg.sparse(D.sigma)), (d, I)]), I)
+    outer = H.precompose(_combine([(None, linalg.sparse(D.sigma)), (D.delta_scalar, I)]), I)
     failures = cyclic_failures([(outer, H)], A.basis, A.eps)
     return CheckResult(not failures, failures)
 

@@ -558,7 +558,8 @@ def test_a6_identities_except_leibniz():
     ok = rep["sigma_endomorphism"].ok and rep["cd1"].ok
     ok = ok and check_ann_invariance(A, D)
     ok = ok and check_ijkl(A, D).ok
-    ok = ok and not check_ijkl(A, D, delta_scalar=sc(1, A.m)).ok
+    ok = ok and not check_ijkl(A, SigmaDerivation(D.sigma, D.delta_map, D.grade_d,
+                                                  sc(1, A.m))).ok
     ok = ok and check_mnop(A, D, quotient).ok
     from colorhomlie.hls_bracket import check_fgh
     ok = ok and check_fgh(A, D, quotient).ok

@@ -92,6 +92,16 @@ def test_missing_file_exits_two(capsys):
     assert "error" in err
 
 
+def test_a_stdout_that_cannot_be_written_exits_two(capsys, monkeypatch):
+    class ClosedPipe(io.StringIO):
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    code = run_command(["derived", "--algebra", data_path("sl2c_z2z2.alg"), "--n", "1"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
+
+
 def test_cohomology_cli_reports_dims(capsys):
     code, out, _ = run_cli([
         "cohomology", "--algebra", data_path("sl2c_z2z2.alg"),
@@ -109,6 +119,32 @@ def test_a_degree_of_the_wrong_length_exits_2(command, capsys):
                                         "--degree", "1,0,7"], capsys)
     assert (code, out) == (2, "")
     assert "element (1, 0, 7) has 3 components, group rank is 2" in err
+
+
+def test_a_negative_degree_may_follow_its_option_after_a_space(capsys):
+    # -1 = 1 in Z/2: the spaced form is the degree, not an unknown flag
+    argv = ["structure", "--algebra", data_path("sl2c_z2z2.alg"), "--kind", "der"]
+    plain = run_cli(argv + ["--degree", "1,0"], capsys)
+    assert plain[0] == 0
+    assert run_cli(argv + ["--degree", "-1,0"], capsys)[:2] == plain[:2]
+    assert run_cli(argv + ["--degree=-1,0"], capsys)[:2] == plain[:2]
+
+
+def test_a_negative_grade_may_follow_its_option_after_a_space(tmp_path, capsys):
+    # the shipped product line graded by Z/2 x Z/2, every basis vector of
+    # degree 0: a Delta of degree (1,0) breaks the degree pattern cd1
+    doc = _data_doc("qwitt_trunc_q2.alg")
+    doc.update(group={"orders": [2, 2]}, root_order=2,
+               epsilon={"exponents": [[0, 0], [0, 0]]})
+    for vector in doc["basis"]:
+        vector["degree"] = [0, 0]
+    path = tmp_path / "z2z2_line.alg"
+    path.write_text(json.dumps(doc))
+    argv = ["hls", "--algebra", str(path)] + _HLS_ARGS
+    odd = run_cli(argv + ["--grade", "1,0"], capsys)
+    assert json.loads(odd[1])["checks"]["cd1"]["ok"] is False
+    assert run_cli(argv + ["--grade", "-1,0"], capsys)[:2] == odd[:2]
+    assert json.loads(run_cli(argv + ["--grade", "0,0"], capsys)[1])["checks"]["cd1"]["ok"]
 
 
 def test_twists_cli_counts(capsys):
@@ -278,6 +314,28 @@ def test_text_format(capsys):
                             data_path("sl2c_z2z2.alg")], capsys)
     assert code == 0
     assert "is_color_hom_lie: True" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["cohomology", "--algebra", data_path("sl2c_z2z2.alg"), "--n", "1", "--r", "1"],
+    ["derived", "--algebra", data_path("sl2c_z2z2.alg"), "--n", "1"],
+], ids=["cohomology", "derived"])
+def test_text_format_renders_the_json_report_with_its_header(argv, capsys):
+    # a list of result dicts (cohomology) and nested bracket dicts (derived)
+    code_json, out_json, _ = run_cli(argv, capsys)
+    code, out, _ = run_cli(["--format", "text"] + argv, capsys)
+    assert code == code_json
+    lines = out.splitlines()
+    assert lines[:2] == ["schema: 1", f"command: {argv[0]}"]
+    doc = json.loads(out_json)
+    if argv[0] == "cohomology":
+        assert [line for line in lines if "dim_H" in line] == \
+            [f"    dim_H: {r['dim_H']}" for r in doc["results"]]
+    else:
+        bracket = [line for pair, images in doc["bracket"].items()
+                   for line in [f"  {pair}:"] + [f"    {k}: {c}" for k, c in images.items()]]
+        start = lines.index("bracket:") + 1
+        assert lines[start:start + len(bracket)] == bracket
 
 
 def test_budget_env_override(capsys, monkeypatch):

@@ -43,7 +43,7 @@ COMMANDS = {
 
 
 def run_in_root(argv):
-    """(exit code, stdout) of one command run from the repository root."""
+    """(exit code, stdout, stderr) of one command run from the repository root."""
     out, err = io.StringIO(), io.StringIO()
     cwd = os.getcwd()
     os.chdir(ROOT)
@@ -52,7 +52,7 @@ def run_in_root(argv):
             code = cli.run_command(argv)
     finally:
         os.chdir(cwd)
-    return code, out.getvalue()
+    return code, out.getvalue(), err.getvalue()
 
 
 def load_exit_codes():
@@ -61,10 +61,16 @@ def load_exit_codes():
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_readme_command_matches_golden_stdout(name):
-    code, out = run_in_root(COMMANDS[name])
+    code, out, _ = run_in_root(COMMANDS[name])
     assert code == load_exit_codes()[name]
     expected = (GOLDEN / f"{name}.out").read_bytes()
     assert out.encode("utf-8") == expected
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_readme_command_writes_one_summary_line_to_stderr(name):
+    _, _, err = run_in_root(COMMANDS[name])
+    assert len(err.splitlines()) == 1 and err.endswith("\n") and err.strip()
 
 
 def test_every_snapshot_has_a_command():
@@ -75,7 +81,7 @@ def test_every_snapshot_has_a_command():
 def record():
     codes = {}
     for name, argv in sorted(COMMANDS.items()):
-        codes[name], out = run_in_root(argv)
+        codes[name], out, _ = run_in_root(argv)
         (GOLDEN / f"{name}.out").write_bytes(out.encode("utf-8"))
     (GOLDEN / "exit_codes.json").write_text(json.dumps(codes, indent=2, sort_keys=True)
                                             + "\n", encoding="utf-8")

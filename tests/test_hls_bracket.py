@@ -29,6 +29,11 @@ def _sc(v, m=1):
     return CycloScalar.from_rational(Fraction(v), m)
 
 
+def _with_delta(D, d):
+    """D with the scalar delta replaced by d."""
+    return SigmaDerivation(D.sigma, D.delta_map, D.grade_d, d)
+
+
 def q_difference_instance(m=1, q=2):
     """Truncated polynomial line with sigma(x) = qx and the finite-difference
     quotient operator: Delta(1) = 0, Delta(x) = 1, Delta(x^2) = (1+q)x."""
@@ -75,10 +80,10 @@ def test_q2_instance_identities():
     assert annihilator(A, D) == []
     assert check_ann_invariance(A, D)
     assert check_ijkl(A, D).ok
-    assert not check_ijkl(A, D, delta_scalar=_sc(1)).ok
+    assert not check_ijkl(A, _with_delta(D, _sc(1))).ok
     quotient = QuotientSpace(A, [])
     assert check_mnop(A, D, quotient).ok
-    assert not check_mnop(A, D, quotient, delta_scalar=_sc(1)).ok
+    assert not check_mnop(A, _with_delta(D, _sc(1)), quotient).ok
 
 
 def test_zeta3_instance_everything_passes():
@@ -320,7 +325,7 @@ def test_hls_identities_match_the_pointwise_oracles():
         quotient = QuotientSpace(A, ann)
         one = CycloScalar.one(A.m)
         for d in (D.delta_scalar, one, D.delta_scalar + D.delta_scalar):
-            got = check_mnop(A, D, quotient, delta_scalar=d)
+            got = check_mnop(A, _with_delta(D, d), quotient)
             assert json.dumps(got.to_dict()) == json.dumps(
                 check_mnop_direct(A, D, quotient, delta_scalar=d).to_dict())
             failing += not got.ok
@@ -354,7 +359,7 @@ def test_derivation_laws_and_annihilator_match_the_dense_oracles():
         cd1, cd2 = check_sigma_derivation_direct(A, D)
         assert (rep["cd1"].failures, rep["cd2"].failures) == (cd1, cd2)
         for d in (D.delta_scalar, CycloScalar.one(A.m), CycloScalar.zero(A.m)):
-            got = check_ijkl(A, D, delta_scalar=d)
+            got = check_ijkl(A, _with_delta(D, d))
             assert got.to_dict() == check_ijkl_direct(A, D, d).to_dict()
             failing += len(got.failures)
         assert annihilator(A, D) == annihilator_direct(A, D)
@@ -367,11 +372,11 @@ def test_a_rational_delta_scalar_reads_as_the_scalar_it_names():
     for A, D in _instances():
         quotient = QuotientSpace(A, annihilator(A, D))
         for d in (1, 0, Fraction(1, 2), -3):
-            scalar = CycloScalar.from_rational(d, A.m)
-            assert check_ijkl(A, D, delta_scalar=d).to_dict() == \
-                check_ijkl(A, D, delta_scalar=scalar).to_dict()
-            assert check_mnop(A, D, quotient, delta_scalar=d).to_dict() == \
-                check_mnop(A, D, quotient, delta_scalar=scalar).to_dict()
+            rational = _with_delta(D, d)
+            scalar = _with_delta(D, CycloScalar.from_rational(d, A.m))
+            assert check_ijkl(A, rational).to_dict() == check_ijkl(A, scalar).to_dict()
+            assert check_mnop(A, rational, quotient).to_dict() == \
+                check_mnop(A, scalar, quotient).to_dict()
 
 
 def test_an_hls_run_solves_the_annihilator_and_builds_the_induced_table_once(
