@@ -49,8 +49,12 @@ def _text_lines(obj, prefix=""):
             else:
                 yield f"{prefix}{k}: {v}"
     elif isinstance(obj, list):
+        # every item is marked "-"; a list of scalars (a matrix row) stays on one line
         for v in obj:
-            if isinstance(v, (dict, list)):
+            if isinstance(v, list) and not any(isinstance(c, (dict, list)) for c in v):
+                yield f"{prefix}- [{', '.join(map(str, v))}]"
+            elif isinstance(v, (dict, list)):
+                yield f"{prefix}-"
                 yield from _text_lines(v, prefix + "  ")
             else:
                 yield f"{prefix}- {v}"

@@ -59,42 +59,40 @@ def _pattern_matrix(A: ColorHomAlgebra, pattern, coeffs):
     return M
 
 
-def _commute_rows(A: ColorHomAlgebra, pattern, blocks: int):
+def _commute_rows(A: ColorHomAlgebra, gamma: GroupElement, pattern, blocks: int):
     """Sparse rows of [D, alpha] = 0 for each of the blocks of unknowns.
 
     Unknown t of a block is the coefficient of E_ij, (i, j) = pattern[t], and
     (E_ij alpha - alpha E_ij)[a][b] = delta_ai alpha[j][b] - alpha[a][i] delta_jb;
-    rows are in (block, a, b) order and the zero ones are dropped.
-    """
-    alpha = A.alpha_sparse(1)
-    alpha_cols = _transpose(alpha)
-    cells = {}  # (a, b) -> {t: value}
-    for t, (i, j) in enumerate(pattern):
-        for b, v in alpha.get(j, {}).items():
-            cells.setdefault((i, b), {})[t] = v
-        for a, v in alpha_cols.get(i, {}).items():
-            cell = cells.setdefault((a, j), {})
-            cell[t] = cell[t] - v if t in cell else -v
-    rows = [row for key in sorted(cells) if (row := linalg._sparse(cells[key]))]
-    n = len(pattern)
-    return [{block * n + t: v for t, v in row.items()} for block in range(blocks)
-            for row in rows]
+    rows are in (block, a, b) order and the zero ones are dropped; those of
+    block 0 are formed once per gamma and kept on A, the others shifted."""
+    if gamma not in A._commute:
+        alpha, alpha_cols = A.alpha_sparse(1), _transpose(A.alpha_sparse(1))
+        cells = {}  # (a, b) -> {t: value}
+        for t, (i, j) in enumerate(pattern):
+            for b, v in alpha.get(j, {}).items():
+                cells.setdefault((i, b), {})[t] = v
+            for a, v in alpha_cols.get(i, {}).items():
+                cell = cells.setdefault((a, j), {})
+                cell[t] = cell[t] - v if t in cell else -v
+        A._commute[gamma] = [row for key in sorted(cells)
+                             if (row := linalg._sparse(cells[key]))]
+    rows, n = A._commute[gamma], len(pattern)
+    return rows + [{block * n + t: v for t, v in row.items()}
+                   for block in range(1, blocks) for row in rows]
 
 
 # The defining identities on a basis pair (x, y).  Each inner list gives one
-# group of dim equation rows (one per component) as terms
-# (block, term, sign, twisted): term "d" is D([x,y]), "L" is [D x, a^k y] and
-# "R" is [a^k x, D y], with D the unknown map of that block; a twisted term
-# also carries eps(gamma, x).
+# group of dim equation rows (one per component) as terms (block, name) of
+# _term_rows, with D the unknown map of that block.
 _IDENTITIES = {
-    "der": [[(0, "d", 1, False), (0, "L", -1, False), (0, "R", -1, True)]],
+    "der": [[(0, "d"), (0, "-L"), (0, "-R")]],
     # D'([x,y]) = [D x, a^k y] + e [a^k x, D y]
-    "qder": [[(0, "L", -1, False), (0, "R", -1, True), (1, "d", 1, False)]],
+    "qder": [[(0, "-L"), (0, "-R"), (1, "d")]],
     # D''([x,y]) = [D x, a^k y] + e [a^k x, D' y]
-    "gder": [[(0, "L", -1, False), (1, "R", -1, True), (2, "d", 1, False)]],
-    "centroid": [[(0, "d", 1, False), (0, "L", -1, False)],
-                 [(0, "d", 1, False), (0, "R", -1, True)]],
-    "qcentroid": [[(0, "L", 1, False), (0, "R", -1, True)]],
+    "gder": [[(0, "-L"), (1, "-R"), (2, "d")]],
+    "centroid": [[(0, "d"), (0, "-L")], [(0, "d"), (0, "-R")]],
+    "qcentroid": [[(0, "L"), (0, "-R")]],
 }
 # The unknown blocks of each kind: D, then the partner maps D' and D''.
 _BLOCKS = {"der": 1, "gder": 3, "qder": 2, "centroid": 1, "qcentroid": 1}
@@ -105,23 +103,15 @@ _COMMUTE = {"der": (True,), "gder": (True,), "qder": (True,),
             "centroid": (True, False), "qcentroid": (False, True)}
 
 
-def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
-                   pattern, commute: bool):
-    """Sparse rows of the linear system whose kernel describes the requested
-    space; the rows that vanish are dropped.
-
-    Unknown layout: der/centroid/qcentroid use one block D; qder uses (D, D');
-    gder uses (D, D', D'').  Unknown t of a block is the coefficient of the
-    unit matrix E_ij, (i, j) = pattern[t], which sends v to v[j] e_i.  On the
-    pair (x, y) it contributes [x,y][j] to component i of D([x,y]),
-    [e_i, a^k e_y] to [D x, a^k y] when j = x, and [a^k e_x, e_i] to
-    [a^k x, D y] when j = y; only these terms are formed, from the rows of
-    the bracket and of its two precomposed tables, which are kept on A per k.
-    """
+def _term_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, pattern, name: str):
+    """One term of the identities as rows {component: {t: nonzero value}} per
+    basis pair (x, y), at x * dim + y: "d" is D([x,y]), "L" is [D x, a^k y],
+    "-L" its negative and "-R" is -eps(gamma,x)[a^k x, D y].  Unknown t is
+    the coefficient of E_ij, (i, j) = pattern[t]: it contributes [x,y][j] to
+    component i of D([x,y]), [e_i, a^k e_y] to [D x, a^k y] when j = x, and
+    [a^k e_x, e_i] to [a^k x, D y] when j = y, read from the rows of the
+    bracket and of its two precomposed tables, kept on A per k."""
     dim = A.dim
-    nD = len(pattern)
-    blocks = _BLOCKS[kind]
-    nvars = blocks * nD
     if k not in A._precomposed:
         ak, ident = A.alpha_sparse(k), A.alpha_sparse(0)
         A._precomposed[k] = (A.bracket.precompose(ident, ak).rows,
@@ -131,38 +121,59 @@ def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
     in_column = [[] for _ in range(dim)]  # j -> [(t, i) : pattern[t] = (i, j)]
     for t, (i, j) in enumerate(pattern):
         in_column[j].append((t, i))
-    rows = []
+    table = []
     for x in range(dim):
-        e = A.eps(gamma, A.degree(x))
+        e = -A.eps(gamma, A.degree(x)) if name == "-R" else None
         for y in range(dim):
-            bxy = A.bracket.rows.get((x, y), {}).items()
-            for group in _IDENTITIES[kind]:
-                acc = {}  # (component, column) -> value
-                for block, term, sign, twisted in group:
-                    base = block * nD
-                    if term == "d":
-                        terms = [(i, base + t, v) for j, v in bxy for t, i in in_column[j]]
-                    elif term == "L":
-                        terms = [(c, base + t, v) for t, i in in_column[x]
-                                 for c, v in L.get((i, y), {}).items()]
-                    else:
-                        terms = [(c, base + t, v) for t, i in in_column[y]
-                                 for c, v in R.get((x, i), {}).items()]
-                    for comp, col, v in terms:
-                        if twisted:
-                            v = e * v
-                        if sign < 0:
-                            v = -v
-                        key = (comp, col)
-                        acc[key] = acc[key] + v if key in acc else v
-                group_rows = [{} for _ in range(dim)]
-                for (comp, col), v in acc.items():
-                    if not v.is_zero():
-                        group_rows[comp][col] = v
-                rows.extend(row for row in group_rows if row)
+            if name == "d":
+                terms = [(i, t, v) for j, v in A.bracket.rows.get((x, y), {}).items()
+                         for t, i in in_column[j]]
+            elif name == "-R":
+                terms = [(c, t, e * v) for t, i in in_column[y]
+                         for c, v in R.get((x, i), {}).items()]
+            else:
+                terms = [(c, t, v if name == "L" else -v) for t, i in in_column[x]
+                         for c, v in L.get((i, y), {}).items()]
+            rows = {}
+            for comp, t, v in terms:
+                rows.setdefault(comp, {})[t] = v
+            table.append(rows)
+    return table
+
+
+def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
+                   pattern, commute: bool):
+    """Sparse rows of the linear system whose kernel is the requested space.
+
+    Unknown layout: der/centroid/qcentroid use one block D; qder uses (D, D');
+    gder uses (D, D', D'').  Each term table is built on first request and
+    kept on A per (k, gamma) for every kind.  A group's rows merge its terms
+    per pair and component, each column shifted by its block; terms of one
+    block add where they meet, and a sum that cancels is dropped."""
+    nD, tables = len(pattern), A._terms.setdefault((k, gamma), {})
+    for name in dict.fromkeys(name for group in _IDENTITIES[kind] for _, name in group):
+        if name not in tables:
+            tables[name] = _term_rows(A, k, gamma, pattern, name)
+    groups = [[(block * nD, tables[name]) for block, name in group]
+              for group in _IDENTITIES[kind]]
+    rows = []
+    for pair in range(A.dim ** 2):
+        for group in groups:
+            merged = {}  # component -> row
+            for base, table in group:
+                for comp, part in table[pair].items():
+                    acc = merged.setdefault(comp, {})
+                    for t, v in part.items():
+                        if (col := base + t) in acc and (v := acc[col] + v).is_zero():
+                            del acc[col]
+                        else:
+                            acc[col] = v
+            for comp in sorted(merged):
+                if merged[comp]:
+                    rows.append(merged[comp])
     if commute:
-        rows.extend(_commute_rows(A, pattern, blocks))
-    return rows, nvars, nD
+        rows.extend(_commute_rows(A, gamma, pattern, _BLOCKS[kind]))
+    return rows, _BLOCKS[kind] * nD, nD
 
 
 def solve_space(A: ColorHomAlgebra, kind: str, k: int, gamma: GroupElement,
@@ -202,10 +213,12 @@ def reverify_space(A: ColorHomAlgebra, space: HomogeneousMapSpace) -> CheckResul
     """
     # a kind that admits only [D, alpha] = 0 is checked for it in any case
     commute = space.commute or _COMMUTE[space.kind] == (True,)
+    # a^k e_x as sparse columns and eps(gamma, x), formed once per space
+    ak_e = _transpose(A.alpha_sparse(space.k))
+    eps = [A.eps(space.gamma, A.degree(x)) for x in range(A.dim)]
     failures = []
     for D in space.basis:
-        ok = _direct_identity_holds(A, space.kind, space.k, space.gamma, D, commute)
-        if not ok:
+        if not _direct_identity_holds(A, space, D, commute, ak_e, eps):
             failures.append({"matrix": [[str(c) for c in row] for row in D]})
     return CheckResult(not failures, failures)
 
@@ -249,24 +262,21 @@ def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str,
                 if row or not value.is_zero():
                     rows.append(row)
                     rhs.append(value)
-    commute = _commute_rows(A, pattern, blocks)
+    commute = _commute_rows(A, gamma, pattern, blocks)
     return rows + commute, rhs + [zero] * len(commute)
 
 
-def _direct_identity_holds(A: ColorHomAlgebra, kind: str, k: int,
-                           gamma: GroupElement, D, commute: bool) -> bool:
-    sparse_D, alpha = linalg.sparse(D), A.alpha_sparse(1)
+def _direct_identity_holds(A: ColorHomAlgebra, space: HomogeneousMapSpace, D,
+                           commute: bool, ak_e, eps) -> bool:
+    kind, sparse_D, alpha = space.kind, linalg.sparse(D), A.alpha_sparse(1)
     if commute and _product(sparse_D, alpha) != _product(alpha, sparse_D):
         return False
     if kind in ("der", "centroid", "qcentroid"):
-        # a^k e_x and D e_x are sparse columns; D and the bracket are applied
-        # per pair, on supports
-        bracket = A.bracket
-        ak_e, d_e = _transpose(A.alpha_sparse(k)), _transpose(sparse_D)
+        # D e_x is a sparse column too; D and the bracket act per pair, on supports
+        bracket, d_e = A.bracket, _transpose(sparse_D)
         def identity(x, y):
-            e = A.eps(gamma, A.degree(x))
             left = bracket.sparse_bilinear(d_e.get(x, {}), ak_e.get(y, {}))
-            right = {c: e * v for c, v in
+            right = {c: eps[x] * v for c, v in
                      bracket.sparse_bilinear(ak_e.get(x, {}), d_e.get(y, {})).items()}
             if kind == "qcentroid":
                 return left == right
@@ -276,11 +286,10 @@ def _direct_identity_holds(A: ColorHomAlgebra, kind: str, k: int,
             _add_scaled(left, None, right)
             return dxy == linalg._sparse(left)
         return all(identity(x, y) for x in range(A.dim) for y in range(A.dim))
-    if kind in ("qder", "gder"):
-        # partner maps exist, and commute with alpha as the definitions ask
-        rows, rhs = _partner_rows(A, k, gamma, D, kind, degree_pattern(A, gamma))
-        return linalg.solve(rows, rhs, A.m) is not None
-    raise ValueError(kind)
+    # qder, gder: partner maps exist, and commute with alpha as the definitions ask
+    rows, rhs = _partner_rows(A, space.k, space.gamma, D, kind,
+                              degree_pattern(A, space.gamma))
+    return linalg.solve(rows, rhs, A.m) is not None
 
 
 def jordan_product(D1, gamma1: GroupElement, D2, gamma2: GroupElement,

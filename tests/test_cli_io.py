@@ -331,11 +331,21 @@ def test_text_format_renders_the_json_report_with_its_header(argv, capsys):
     if argv[0] == "cohomology":
         assert [line for line in lines if "dim_H" in line] == \
             [f"    dim_H: {r['dim_H']}" for r in doc["results"]]
+        # each result opens with its own marker line, followed by its fields
+        start = lines.index("results:") + 1
+        markers = [i for i, line in enumerate(lines) if line == "  -"]
+        assert len(markers) == len(doc["results"]) == 4 and markers[0] == start
+        for i in markers:
+            assert lines[i + 1] == f"    n: {argv[argv.index('--n') + 1]}"
     else:
         bracket = [line for pair, images in doc["bracket"].items()
                    for line in [f"  {pair}:"] + [f"    {k}: {c}" for k, c in images.items()]]
         start = lines.index("bracket:") + 1
         assert lines[start:start + len(bracket)] == bracket
+        # the twist matrix prints one line per row
+        start = lines.index("alpha:") + 1
+        assert lines[start:start + len(doc["alpha"]) + 1] == \
+            [f"  - [{', '.join(row)}]" for row in doc["alpha"]] + ["report:"]
 
 
 def test_budget_env_override(capsys, monkeypatch):

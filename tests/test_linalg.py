@@ -8,6 +8,7 @@ form is unique over a field, so each result must equal the one the dense
 oracle gives on the same matrix: the same rows, pivots, kernel and image
 bases, solutions and greedy picks.
 """
+import copy
 from fractions import Fraction
 
 import pytest
@@ -152,6 +153,23 @@ def test_kernel_and_rank_match_dense_oracle(system):
     m, ncols, rows, mixed = system
     assert kernel_basis(mixed, ncols, m) == kernel_direct(rows, ncols, m)
     assert linalg.rank(mixed) == rank_direct(rows)
+
+
+@PROPERTY
+@given(systems(), st.data())
+def test_kernel_and_echelon_leave_their_input_rows_unchanged(system, data):
+    # structure_theory hands one kept row to several eliminations, so no
+    # elimination may write to the rows it is given
+    m, ncols, rows, mixed = system
+    inputs = mixed + [as_sparse(combination(data.draw, rows, m, ncols))]
+    before = copy.deepcopy(inputs)
+    linalg.sparse_kernel_basis(mixed, ncols, m)
+    for echelon in (linalg.Echelon(mixed), linalg.Echelon(mixed, coordinates=True)):
+        assert inputs[-1] in echelon
+        echelon.add(inputs[-1])
+        if echelon.combos is not None:
+            echelon.coords(inputs[-1], m)
+    assert inputs == before
 
 
 @PROPERTY

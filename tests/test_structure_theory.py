@@ -362,10 +362,12 @@ def test_hom_jordan_forms_each_eps_once_per_triple():
 def test_each_space_is_solved_once_per_algebra(monkeypatch):
     """The benchmark's heis_zeta3 solve jobs, then quasi_centroid_jordan and
     check_inclusion_lattice: every (kind, k, gamma, commute) assembles its
-    rows once, and the two precomposed tables once per k."""
+    rows once, each term table is built once per (k, gamma, name), and the
+    two precomposed tables once per k."""
     A = heis_zeta3()
-    solves, assembled, precomposed = [], [], []
+    solves, assembled, precomposed, built = [], [], [], []
     rows, precompose = structure_theory._defining_rows, StructureConstants.precompose
+    term_rows = structure_theory._term_rows
     def counting_solve(B, kind, k, gamma, commute_with_alpha=None):
         solves.append((kind, k, gamma, commute_with_alpha))
         return solve_space(B, kind, k, gamma, commute_with_alpha)
@@ -375,7 +377,11 @@ def test_each_space_is_solved_once_per_algebra(monkeypatch):
     def counting_precompose(table, left, right):
         precomposed.append(1)
         return precompose(table, left, right)
+    def counting_terms(B, k, gamma, pattern, name):
+        built.append((k, gamma, name))
+        return term_rows(B, k, gamma, pattern, name)
     monkeypatch.setattr(structure_theory, "solve_space", counting_solve)
+    monkeypatch.setattr(structure_theory, "_term_rows", counting_terms)
     monkeypatch.setattr(structure_theory, "_defining_rows", counting_rows)
     monkeypatch.setattr(StructureConstants, "precompose", counting_precompose)
     for kind in KINDS:
@@ -387,6 +393,9 @@ def test_each_space_is_solved_once_per_algebra(monkeypatch):
     assert len(assembled) == len(set(assembled))
     assert len(solves) > len(set(solves)) >= len(assembled) > 0
     assert len(precomposed) == 2 * len({k for _, k, _, _ in assembled})
+    assert len(built) == len(set(built)) > 0
+    assert {(k, g) for k, g, _ in built} == {(k, g) for _, k, g, _ in assembled}
+    assert {name for _, _, name in built} == {"d", "L", "-L", "-R"}
 
 
 @pytest.mark.parametrize("build", [heis_zeta3, sl2c_z2z2])
@@ -456,6 +465,28 @@ def test_kept_spaces_tell_the_commute_flag_apart():
     assert differ
 
 
+def test_spaces_do_not_depend_on_the_order_the_kinds_are_solved_in():
+    # the kinds share the term tables of each (k, gamma) and the commute rows
+    # of each gamma: a kind solved after the others, on a fresh algebra in
+    # reverse order, finds the same space, and the kept rows come out equal
+    A, B = heis_zeta3(), heis_zeta3()
+    keys = [(k, g) for k in (0, 1, 2) for g in all_degrees(A)]
+    want = {(kind, k, g): solve_space(A, kind, k, g).basis for kind in KINDS for k, g in keys}
+    got = {(kind, k, g): solve_space(B, kind, k, g).basis
+           for kind in reversed(KINDS) for k, g in keys}
+    assert got == want
+    assert A._terms == B._terms and A._commute == B._commute
+
+
+def test_a_lone_kind_builds_only_the_terms_it_uses():
+    for kind in KINDS:
+        A = heis_zeta3()
+        g = A.basis.group.zero()
+        solve_space(A, kind, 1, g)
+        uses = {"L", "-R"} if kind == "qcentroid" else {"d", "-L", "-R"}
+        assert set(A._terms) == {(1, g)} and set(A._terms[(1, g)]) == uses
+
+
 @pytest.mark.parametrize("build", [heis_zeta3, sl2c_z2z2])
 def test_reverify_is_independent_of_the_solver_rows(build, monkeypatch):
     # reverify_space evaluates each identity pointwise: it must not reach the
@@ -466,7 +497,9 @@ def test_reverify_is_independent_of_the_solver_rows(build, monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("reverify_space reached the solver's code path")
     monkeypatch.setattr(structure_theory, "_defining_rows", forbidden)
+    monkeypatch.setattr(structure_theory, "_term_rows", forbidden)
     monkeypatch.setattr(StructureConstants, "precompose", forbidden)
+    monkeypatch.setattr(A, "_terms", None)  # the kept term tables are out of reach
     for space in spaces:
         assert reverify_space(A, space).ok, (space.kind, space.k, space.gamma)
 
