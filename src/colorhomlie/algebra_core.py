@@ -305,7 +305,8 @@ class ColorHomAlgebra:
         self._sparse_pows = {}  # k -> alpha^k in linalg's sparse form
         self._spaces = {}       # (kind, k, gamma, commute) -> spanning matrices
         self._precomposed = {}  # k -> rows of [e_i, a^k e_y] and [a^k e_x, e_i]
-        self._terms, self._commute = {}, {}  # (k, gamma) -> term tables; gamma -> [D, alpha] rows
+        self._terms = {}        # (k, gamma) -> term tables
+        self._commute, self._patterns = {}, {}  # gamma -> [D, alpha] rows; degree pattern
 
     @property
     def dim(self) -> int:

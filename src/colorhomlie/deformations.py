@@ -9,7 +9,8 @@ reads, for every s,
     cyclic  sum_(l+i+j = s)  eps(z,x) [alpha_l(x), [y,z]_i]_j  =  0,
 
 which for a fixed twist is the usual convolution system and for a deformed
-twist is exactly what the composition construction satisfies.
+twist is exactly what the composition construction satisfies.  Matrix series
+are kept sparse; ``alpha_terms`` and ``inverse_series`` give them dense.
 """
 from __future__ import annotations
 
@@ -17,11 +18,11 @@ from functools import reduce
 from operator import add
 
 from . import linalg
+from .linalg import _combine, _product, _transpose
 from .algebra_core import (AlgebraStructureError, BracketTable, CheckResult,
                            ColorHomAlgebra, StructureConstants, cyclic_failures)
 from .cohomology import Cochain, _complex, cochain_basis, coboundary_of_coords
 from .representations import adjoint
-from .scalars_grading import CycloScalar
 
 
 class DeformationError(AlgebraStructureError):
@@ -45,8 +46,8 @@ class TruncatedBracket:
         self.terms = terms  # BracketTable per power of t; terms[0] = base bracket
         self.alpha_terms = alpha_terms  # matrix series for the twist; None = fixed
         self.endomorphism_failing_orders = endomorphism_failing_orders or []
-        # the twist series alpha_0..alpha_order, zero-padded
-        self.alphas = _padded(alpha_terms or [algebra.alpha], order, algebra.dim, algebra.m)
+        # the twist series alpha_0..alpha_order, sparse and zero-padded
+        self.alphas = _padded(alpha_terms or [algebra.alpha], order)
 
     def _term_report(self, check) -> CheckResult:
         """An axiom check of ColorHomAlgebra run on every term's table."""
@@ -64,7 +65,7 @@ def check_deformation(A: ColorHomAlgebra, B: TruncatedBracket) -> dict:
     """Order-by-order deformation equations, exhaustively on basis triples:
     at t^s the cyclic residual of the pairs (outer_(s-i), [.,.]_i), with
     outer_u(x, w) = sum_(l+j=u) [alpha_l(x), w]_j."""
-    I = linalg.identity(A.dim, A.m)
+    I = A.alpha_sparse(0)
     outers = [reduce(add, (B.terms[u - l].precompose(B.alphas[l], I) for l in range(u + 1)))
               for u in range(B.order + 1)]
     per_order = {}
@@ -134,24 +135,22 @@ class FormalAutomorphism:
 
     def inverse_series(self, A: ColorHomAlgebra, order: int):
         """psi with phi_t o psi_t = Id mod t^(order+1); needs phi_0 = Id."""
-        phis = _padded(self.phis, order, A.dim, A.m)
-        psis = [linalg.identity(A.dim, A.m)]
+        phis = _padded(self.phis, order)
+        psis = [A.alpha_sparse(0)]
         for s in range(1, order + 1):
-            acc = reduce(linalg.mat_add, (linalg.mat_mul(phis[i], psis[s - i])
-                                          for i in range(1, s + 1)))
-            psis.append(linalg.mat_scale(CycloScalar.from_rational(-1, A.m), acc))
-        return psis
+            psis.append(_combine((-1, _product(phis[i], psis[s - i])) for i in range(1, s + 1)))
+        return [linalg.dense(psi, A.dim, A.m) for psi in psis]
 
 
-def _padded(series, order: int, dim: int, m: int):
-    """The coefficients 0..order of a matrix series, filled with zeros."""
-    return list(series[:order + 1]) + [linalg.zeros(dim, dim, m)] * (order + 1 - len(series))
+def _padded(series, order: int):
+    """The coefficients 0..order of a matrix series, sparse, filled with {}."""
+    return [linalg.sparse(M) for M in series[:order + 1]] + [{}] * (order + 1 - len(series))
 
 
-def _series_product(f, g, order: int):
-    """Coefficients 0..order of the product of two padded matrix series."""
-    return [reduce(linalg.mat_add, (linalg.mat_mul(f[a], g[s - a]) for a in range(s + 1)))
-            for s in range(order + 1)]
+def _series_product(f, g):
+    """The product of two padded sparse matrix series of one length."""
+    return [_combine((None, _product(f[a], g[s - a])) for a in range(s + 1))
+            for s in range(len(f))]
 
 
 def _morphism_failures(phis, terms1, terms2, order: int):
@@ -172,15 +171,17 @@ def check_equivalence(A: ColorHomAlgebra, B1: TruncatedBracket, B2: TruncatedBra
     if B1.order != B2.order:
         raise DeformationError("deformations must share the truncation order")
     k = B1.order
-    phis = _padded(phi.phis, k, A.dim, A.m)
+    phis = _padded(phi.phis, k)
     names = A.basis.names
     bracket_failures = [{"order": s, "pair": [names[x], names[y]]}
                         for s, pairs in _morphism_failures(phis, B1.terms, B2.terms, k)
                         for x, y in pairs]
-    lhs, rhs = _series_product(phis, B1.alphas, k), _series_product(B2.alphas, phis, k)
+    # column x of phi_t o alpha_t against that of alpha'_t o phi_t, per order
+    lhs = [_transpose(M) for M in _series_product(phis, B1.alphas)]
+    rhs = [_transpose(M) for M in _series_product(B2.alphas, phis)]
     twist_failures = [{"order": s, "basis": names[x]}
                       for s in range(k + 1) for x in range(A.dim)
-                      if any(not (u[x] - v[x]).is_zero() for u, v in zip(lhs[s], rhs[s]))]
+                      if lhs[s].get(x) != rhs[s].get(x)]
     return {
         "bracket": CheckResult(not bracket_failures, bracket_failures),
         "twist": CheckResult(not twist_failures, twist_failures),
@@ -200,8 +201,8 @@ def transport_bracket(A: ColorHomAlgebra, B1: TruncatedBracket,
     if not skew.ok:
         raise DeformationError(f"transport needs a skew deformation: {skew.failures[0]}")
     k = B1.order
-    phis = _padded(phi.phis, k, A.dim, A.m)
-    psis = phi.inverse_series(A, k)
+    phis = _padded(phi.phis, k)
+    psis = _padded(phi.inverse_series(A, k), k)
     # inner[u](x, y) = sum_(b+c+d=u) [psi_b x, psi_c y]_d
     inner = [reduce(add, (B1.terms[u - b - c].precompose(psis[b], psis[c])
                           for b in range(u + 1) for c in range(u - b + 1)))
@@ -212,8 +213,8 @@ def transport_bracket(A: ColorHomAlgebra, B1: TruncatedBracket,
         # the pairs i <= j: B1 is skew and phi even, so the skew rule gives the rest
         new_terms.append(BracketTable(A.basis, A.eps, {
             (i, j): row for (i, j), row in table.rows.items() if i <= j}, A.m))
-    new_alpha = _series_product(_series_product(phis, B1.alphas, k), psis, k)
-    return TruncatedBracket(A, k, new_terms, new_alpha)
+    new_alpha = _series_product(_series_product(phis, B1.alphas), psis)
+    return TruncatedBracket(A, k, new_terms, [linalg.dense(a, A.dim, A.m) for a in new_alpha])
 
 
 def composition_deformation(L: ColorHomAlgebra, alphas, order: int = None,
@@ -234,8 +235,8 @@ def composition_deformation(L: ColorHomAlgebra, alphas, order: int = None,
         order = len(alphas) - 1
     # the bracket as the constant series [.,.] + 0 t + 0 t^2 + ...
     terms = [L.bracket] + [StructureConstants(L.dim, L.m, {})] * order
-    failing_orders = [s for s, pairs in _morphism_failures(
-        _padded(alphas, order, L.dim, L.m), terms, terms, order) if pairs]
+    series = _padded(alphas, order)
+    failing_orders = [s for s, pairs in _morphism_failures(series, terms, terms, order) if pairs]
     if failing_orders and require_endomorphism:
         raise DeformationError(
             f"alpha_t is not a coefficient-wise endomorphism; failing orders "
@@ -247,14 +248,6 @@ def composition_deformation(L: ColorHomAlgebra, alphas, order: int = None,
     else:
         base = L
     # bracket alpha_t^(2^n - 1) o [.,.]_t = alpha_t^(2^n) o [.,.], twist alpha_t^(2^n)
-    series = _matrix_series_power(alphas, 1 << derived, order, L.m, L.dim)
-    return TruncatedBracket(base, order, [L.bracket.compose_with(a) for a in series],
-                            list(series), failing_orders)
-
-
-def _matrix_series_power(alphas, power: int, order: int, m: int, dim: int):
-    series = _padded(alphas, order, dim, m)
-    result = _padded([linalg.identity(dim, m)], order, dim, m)
-    for _ in range(power):
-        result = _series_product(result, series, order)
-    return result
+    power = reduce(_series_product, [series] * (1 << derived))
+    return TruncatedBracket(base, order, [L.bracket.compose_with(a) for a in power],
+                            [linalg.dense(a, L.dim, L.m) for a in power], failing_orders)

@@ -90,33 +90,24 @@ def annihilator(A: CommutativeColorAlgebra, D: SigmaDerivation):
                         A.dim, A.m)
 
 
-def _invariant(ann, sigma) -> bool:
-    """sigma(span ann) <= span ann, by membership of the sigma-images."""
-    return all(linalg.in_span(ann, linalg.mat_vec(sigma, v)) for v in ann)
+def _invariant(ann: linalg.Echelon, sigma) -> bool:
+    """sigma(span ann) <= span ann: the rows of ann sigma^T lie in span ann."""
+    images = _product(ann.rows, _transpose(linalg.sparse(sigma)))
+    return all(v in ann for v in images.values())
 
 
 def check_ann_invariance(A: CommutativeColorAlgebra, D: SigmaDerivation) -> bool:
     """sigma(Ann) <= Ann."""
-    return _invariant(annihilator(A, D), D.sigma)
+    return _invariant(linalg.Echelon(annihilator(A, D)), D.sigma)
 
 
 class QuotientSpace:
-    """A / span(ann), with a fixed row-reduced complement basis."""
+    """A / span(ann), a class represented by its reduction against ``ann``."""
 
     def __init__(self, A: CommutativeColorAlgebra, ann_basis):
         self.A = A
-        self.ann_rref, self.pivots = linalg.rref(ann_basis)
-        self.complement_indices = [i for i in range(A.dim) if i not in self.pivots]
+        self.ann = linalg.Echelon(ann_basis)
         self._induced = None
-
-    def reduce(self, v):
-        v = list(v)
-        for row, pc in zip(self.ann_rref, self.pivots):
-            c = v[pc]
-            if not c.is_zero():
-                for k, b in row.items():
-                    v[k] = v[k] - c * b
-        return v
 
     def induced_table(self, D: SigmaDerivation) -> StructureConstants:
         """Structure constants of the induced bracket of D, every value
@@ -126,7 +117,7 @@ class QuotientSpace:
             A = self.A
             table = A.mu.precompose(D.sigma, D.delta_map).commutator(A.basis.degrees, A.eps)
             self._induced = (D, StructureConstants(A.dim, A.m, {
-                key: self.reduce(table.of_basis(*key)) for key in table.rows}))
+                key: self.ann._reduce(row) for key, row in table.rows.items()}))
         return self._induced[1]
 
 
@@ -138,17 +129,15 @@ def hls_bracket_element(A: CommutativeColorAlgebra, D: SigmaDerivation, x, y,
     non-homogeneous inputs are expanded bilinearly.  Without a quotient the
     value is not reduced.
     """
-    if quotient is None:
-        quotient = QuotientSpace(A, [])
-    return quotient.induced_table(D).bilinear(x, y)
+    return (quotient or QuotientSpace(A, [])).induced_table(D).bilinear(x, y)
 
 
 def hls_bracket(A: CommutativeColorAlgebra, D: SigmaDerivation, x, y):
     """Class of the induced bracket in A/Ann(Delta); refused without invariance."""
-    ann = annihilator(A, D)
-    if not _invariant(ann, D.sigma):
+    quotient = QuotientSpace(A, annihilator(A, D))
+    if not _invariant(quotient.ann, D.sigma):
         raise HLSError("sigma(Ann) <= Ann fails; the bracket is not well defined")
-    return hls_bracket_element(A, D, x, y, QuotientSpace(A, ann))
+    return hls_bracket_element(A, D, x, y, quotient)
 
 
 def check_ijkl(A: CommutativeColorAlgebra, D: SigmaDerivation) -> CheckResult:
@@ -182,7 +171,7 @@ def check_mnop(A: CommutativeColorAlgebra, D: SigmaDerivation,
     delta [x.Delta, [y.Delta, z.Delta]]) = 0 on basis triples, mod Ann: the
     cyclic residual with outer(x, w) = [(sigma + delta Id)(x).Delta, w]."""
     H = quotient.induced_table(D)
-    I = linalg.sparse(linalg.identity(A.dim, A.m))
+    I = {i: {i: CycloScalar.one(A.m)} for i in range(A.dim)}
     outer = H.precompose(_combine([(None, linalg.sparse(D.sigma)), (D.delta_scalar, I)]), I)
     failures = cyclic_failures([(outer, H)], A.basis, A.eps)
     return CheckResult(not failures, failures)
@@ -192,11 +181,11 @@ def check_hls_jacobi(A: CommutativeColorAlgebra, D: SigmaDerivation) -> dict:
     """Full report: derivation laws, annihilator invariance, the scalar
     intertwining law, skewness, the deformed Jacobi identity, and the
     induced bracket on basis pairs, reduced to the quotient representatives;
-    Ann(Delta) is solved and the induced table built once."""
+    Ann(Delta) is solved, and its echelon form and the induced table built once."""
     base = check_sigma_derivation(A, D)
     ann = annihilator(A, D)
-    invariance = _invariant(ann, D.sigma)
     quotient = QuotientSpace(A, ann)
+    invariance = _invariant(quotient.ann, D.sigma)
     report = dict(base)
     report["abc"] = CheckResult(invariance, [] if invariance else
                                 [{"reason": "sigma image escapes the annihilator"}])

@@ -3,21 +3,26 @@
 Inside the engine a matrix has one form, {row: {column: nonzero scalar}}
 without empty rows, and a vector is {index: nonzero scalar}; the columns of
 a matrix (the images of the basis vectors) are the rows of its
-``_transpose``.  Dense lists of lists of ``CycloScalar`` stay at the edges:
-parsed files, public values (a twist, a representation, a spanning matrix)
-and reports.  ``sparse`` is the one way in, applied once to a matrix that a
-public entry point receives, and ``dense`` the one way out.  Elimination is
-Gauss-Jordan with exact division and canonical pivot normalization, so
-reduced forms (and hence reported bases) are reproducible.
+``_transpose``, and ``_product`` and ``_combine`` are its product and its
+linear combinations.  Dense lists of lists of ``CycloScalar`` stay at the
+edges: parsed files, public values (a twist, a representation, a spanning
+matrix, a series coefficient) and reports.  ``sparse`` is the one way in,
+applied once to a matrix that a public entry point receives, and ``dense``
+the one way out.  The dense kernels left serve those edges only:
+
+* ``identity``: the public identity twist, and the phi_0 = alpha_0 = Id checks;
+* ``mat_mul``: the public twist powers and twisted twists, one small product
+  each, where a sparse round trip costs more than the product;
+* ``mat_vec``: the coboundary of given coordinates, an evaluation kept apart
+  from the sparse rows of delta that it re-checks;
+* ``transpose`` and ``mat_eq``: public matrices turned or compared as given.
+
+Elimination is Gauss-Jordan with exact division and canonical pivot
+normalization, so reduced forms (and hence reported bases) are reproducible.
 """
 from __future__ import annotations
 
 from .scalars_grading import CycloScalar, ScalarError, _muladd
-
-
-def zeros(rows: int, cols: int, m: int):
-    z = CycloScalar.zero(m)
-    return [[z for _ in range(cols)] for _ in range(rows)]
 
 
 def identity(n: int, m: int):
@@ -71,14 +76,6 @@ def transpose(M):
     return [list(col) for col in zip(*M)] if M else []
 
 
-def mat_add(A, B):
-    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
-
-
-def mat_scale(c, M):
-    return [[c * a for a in row] for row in M]
-
-
 def mat_eq(A, B):
     return len(A) == len(B) and all(
         len(ra) == len(rb) and all((a - b).is_zero() for a, b in zip(ra, rb))
@@ -126,7 +123,10 @@ def sparse(M):
 
 
 def dense(vectors, length: int, m: int):
-    """Sparse vectors as fresh dense vectors of the given length."""
+    """Sparse vectors, or the rows 0..length-1 of a sparse matrix, as fresh
+    dense vectors of the given length."""
+    if isinstance(vectors, dict):
+        vectors = [vectors.get(r, {}) for r in range(length)]
     zero = CycloScalar.zero(m)
     return [[v.get(c, zero) for c in range(length)] for v in vectors]
 
@@ -265,10 +265,6 @@ def sparse_kernel_basis(M, ncols: int, m: int):
             if c != pc:
                 basis[c][pc] = -a
     return list(basis.values())
-
-
-def in_span(rows, vec) -> bool:
-    return vec in Echelon(rows)
 
 
 def solve(M, target, m: int):

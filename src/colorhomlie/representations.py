@@ -31,7 +31,7 @@ class Representation:
     def rho_of(self, coords):
         """rho extended linearly to an algebra element given by coordinates."""
         image = _rho_sum([linalg.sparse(mat) for mat in self.rho], linalg._sparse(coords))
-        return linalg.dense([image.get(k, {}) for k in range(self.dim)], self.dim, self.m)
+        return linalg.dense(image, self.dim, self.m)
 
 
 def _rho_sum(rho, vec):
@@ -133,6 +133,5 @@ def dual_representation(A: ColorHomAlgebra, R: Representation) -> Representation
     dual_degrees = tuple(-d for d in R.carrier.degrees)
     dual_basis = GradedBasis(tuple(n + "*" for n in R.carrier.names),
                              dual_degrees, R.carrier.group)
-    rho = [linalg.mat_scale(CycloScalar.from_rational(-1, R.m), linalg.transpose(mat))
-           for mat in R.rho]
+    rho = [[[-a for a in row] for row in linalg.transpose(mat)] for mat in R.rho]
     return Representation(dual_basis, rho, linalg.transpose(R.beta), R.m)

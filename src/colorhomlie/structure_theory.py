@@ -34,10 +34,13 @@ class HomogeneousMapSpace:
 
 
 def degree_pattern(A: ColorHomAlgebra, gamma: GroupElement):
-    """Matrix positions (i, j) allowed for a map raising degree by gamma."""
-    shifted = [A.degree(j) + gamma for j in range(A.dim)]
-    return [(i, j) for i in range(A.dim) for j in range(A.dim)
-            if A.degree(i) == shifted[j]]
+    """Matrix positions (i, j) allowed for a map raising degree by gamma,
+    formed once per gamma and kept on A."""
+    if gamma not in A._patterns:
+        shifted = [A.degree(j) + gamma for j in range(A.dim)]
+        A._patterns[gamma] = [(i, j) for i in range(A.dim) for j in range(A.dim)
+                              if A.degree(i) == shifted[j]]
+    return A._patterns[gamma]
 
 
 def _flat(M):
@@ -51,12 +54,12 @@ def _anticommutator(X, Y, e):
 
 
 def _pattern_matrix(A: ColorHomAlgebra, pattern, coeffs):
-    """The matrix with coeffs[t] (dense or {t: scalar}) at pattern[t]."""
-    M = linalg.zeros(A.dim, A.dim, A.m)
-    for t, c in linalg._sparse(coeffs).items():
+    """The dense matrix with coeffs[t] ({t: nonzero scalar}) at pattern[t]."""
+    rows = {}
+    for t, c in coeffs.items():
         i, j = pattern[t]
-        M[i][j] = c
-    return M
+        rows.setdefault(i, {})[j] = c
+    return linalg.dense(rows, A.dim, A.m)
 
 
 def _commute_rows(A: ColorHomAlgebra, gamma: GroupElement, pattern, blocks: int):
@@ -294,10 +297,9 @@ def _direct_identity_holds(A: ColorHomAlgebra, space: HomogeneousMapSpace, D,
 
 def jordan_product(D1, gamma1: GroupElement, D2, gamma2: GroupElement,
                    eps: BiCharacter):
-    """eps-anticommutator D1 D2 + eps(gamma1, gamma2) D2 D1."""
-    e = eps(gamma1, gamma2)
-    return linalg.mat_add(linalg.mat_mul(D1, D2),
-                          linalg.mat_scale(e, linalg.mat_mul(D2, D1)))
+    """eps-anticommutator D1 D2 + eps(gamma1, gamma2) D2 D1 of dense matrices."""
+    P = _anticommutator(linalg.sparse(D1), linalg.sparse(D2), eps(gamma1, gamma2))
+    return linalg.dense(P, len(D1), D1[0][0].root_order)
 
 
 class ProductAlgebraData:

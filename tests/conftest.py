@@ -147,6 +147,23 @@ def phi_coefficient(phi, s):
     return phi.phis[s] if s < len(phi.phis) else None
 
 
+def zeros(rows, cols, m):
+    z = CycloScalar.zero(m)
+    return [[z for _ in range(cols)] for _ in range(rows)]
+
+
+def mat_add(A, B):
+    return [[a + b for a, b in zip(ra, rb)] for ra, rb in zip(A, B)]
+
+
+def mat_scale(c, M):
+    return [[c * a for a in row] for row in M]
+
+
+def in_span(rows, vec) -> bool:
+    return vec in linalg.Echelon(rows)
+
+
 def kernel_basis(M, ncols, m):
     """``linalg.sparse_kernel_basis`` as dense vectors."""
     return linalg.dense(linalg.sparse_kernel_basis(M, ncols, m), ncols, m)
@@ -174,7 +191,7 @@ def mat_pow(M, e, m):
 def member_of(space, M, m) -> bool:
     """Exact membership of a matrix in the span of the space's basis, on the
     matrices' dense row-major entries."""
-    return linalg.in_span([[c for row in B for c in row] for B in space.basis],
+    return in_span([[c for row in B for c in row] for B in space.basis],
                           [c for row in M for c in row])
 
 
@@ -515,7 +532,7 @@ def transport_bracket_direct(A, B1, phi):
         base_alpha = B1.alpha_terms
     new_alpha = []
     for s in range(k + 1):
-        acc = linalg.zeros(A.dim, A.dim, A.m)
+        acc = zeros(A.dim, A.dim, A.m)
         for a in range(s + 1):
             pa = phi_coefficient(phi, a)
             if pa is None:
@@ -524,10 +541,24 @@ def transport_bracket_direct(A, B1, phi):
                 c = s - a - b
                 if b >= len(base_alpha) or c >= len(psis):
                     continue
-                acc = linalg.mat_add(acc, mat_mul_direct(
+                acc = mat_add(acc, mat_mul_direct(
                     pa, mat_mul_direct(base_alpha[b], psis[c])))
         new_alpha.append(acc)
     return new_terms, new_alpha
+
+
+def series_product_direct(f, g, order, n, m):
+    """Coefficients 0..order of the product of two dense n x n matrix series,
+    a coefficient past the end of either read as zero: the convolution by
+    every-cell products."""
+    out = []
+    for s in range(order + 1):
+        acc = zeros(n, n, m)
+        for a in range(min(s, len(f) - 1) + 1):
+            if s - a < len(g):
+                acc = mat_add(acc, mat_mul_direct(f[a], g[s - a]))
+        out.append(acc)
+    return out
 
 
 def composition_failing_orders_direct(L, alphas, order):
@@ -553,6 +584,20 @@ def composition_failing_orders_direct(L, alphas, order):
     return failing_orders
 
 
+def quotient_reduce_direct(quotient, v):
+    """The dense v less its part along Ann: the annihilator rows of the
+    quotient put in RREF by the dense elimination, and the entry of v at
+    each pivot column cleared in turn."""
+    A = quotient.A
+    red, pivots = rref_direct(linalg.dense(list(quotient.ann.rows.values()), A.dim, A.m))
+    v = list(v)
+    for row, pc in zip(red, pivots):
+        c = v[pc]
+        if not c.is_zero():
+            v = [a - c * b for a, b in zip(v, row)]
+    return v
+
+
 def hls_bracket_element_direct(A, D, x, y, quotient=None):
     """Representative of [x.Delta, y.Delta], its table rebuilt on the basis
     pairs the inputs reach and the value reduced at the end."""
@@ -567,7 +612,7 @@ def hls_bracket_element_direct(A, D, x, y, quotient=None):
     values = {(i, j): value(i, j) for i, a in enumerate(x) if not a.is_zero()
               for j, b in enumerate(y) if not b.is_zero()}
     out = StructureConstants(A.dim, A.m, values).bilinear(x, y)
-    return quotient.reduce(out) if quotient is not None else out
+    return quotient_reduce_direct(quotient, out) if quotient is not None else out
 
 
 def check_fgh_direct(A, D, quotient):
@@ -602,7 +647,7 @@ def check_mnop_direct(A, D, quotient, delta_scalar=None):
                     t2 = hls_bracket_element_direct(A, D, basis_vector(A, a), inner,
                                                     quotient)
                     acc = [u + e * (p + d * q) for u, p, q in zip(acc, t1, t2)]
-                acc = quotient.reduce(acc)
+                acc = quotient_reduce_direct(quotient, acc)
                 if any(not u.is_zero() for u in acc):
                     failures.append({
                         "triple": [A.basis.names[x], A.basis.names[y], A.basis.names[z]],
@@ -716,7 +761,7 @@ def _unit_matrices_direct(A, pattern):
     one = CycloScalar.one(A.m)
     units = []
     for (i, j) in pattern:
-        M = linalg.zeros(A.dim, A.dim, A.m)
+        M = zeros(A.dim, A.dim, A.m)
         M[i][j] = one
         units.append(M)
     return units
@@ -726,8 +771,8 @@ def _commute_rows_direct(A, units, offset, nvars):
     """Rows of [D, alpha] = 0 for the variable block starting at offset."""
     rows = []
     z = CycloScalar.zero(A.m)
-    images = [linalg.mat_add(mat_mul_direct(U, A.alpha),
-                             linalg.mat_scale(CycloScalar.from_rational(-1, A.m),
+    images = [mat_add(mat_mul_direct(U, A.alpha),
+                             mat_scale(CycloScalar.from_rational(-1, A.m),
                                               mat_mul_direct(A.alpha, U)))
               for U in units]
     for i in range(A.dim):
@@ -1028,8 +1073,8 @@ def check_representation_direct(A, R):
             rho_aj = R.rho_of(linalg.mat_vec(A.alpha_power(1), basis_vector(A, j)))
             lhs = mat_mul_direct(R.rho_of(A.bracket.of_basis(i, j)), R.beta)
             e = A.eps(A.degree(i), A.degree(j))
-            rhs = linalg.mat_add(mat_mul_direct(rho_ai, R.rho[j]),
-                                 linalg.mat_scale(-e, mat_mul_direct(rho_aj, R.rho[i])))
+            rhs = mat_add(mat_mul_direct(rho_ai, R.rho[j]),
+                                 mat_scale(-e, mat_mul_direct(rho_aj, R.rho[i])))
             if not linalg.mat_eq(lhs, rhs):
                 failures.append({"pair": [A.basis.names[i], A.basis.names[j]]})
     return CheckResult(not failures, failures)
@@ -1070,10 +1115,10 @@ def check_coadjoint_direct(A, R):
         for j in range(A.dim):
             lhs = mat_mul_direct(R.beta, R.rho_of(A.bracket.of_basis(i, j)))
             e = A.eps(A.degree(i), A.degree(j))
-            rhs = linalg.mat_add(
-                linalg.mat_scale(e, mat_mul_direct(
+            rhs = mat_add(
+                mat_scale(e, mat_mul_direct(
                     R.rho[i], R.rho_of(linalg.mat_vec(A.alpha_power(1), basis_vector(A, j))))),
-                linalg.mat_scale(CycloScalar.from_rational(-1, A.m), mat_mul_direct(
+                mat_scale(CycloScalar.from_rational(-1, A.m), mat_mul_direct(
                     R.rho[j], R.rho_of(linalg.mat_vec(A.alpha_power(1), basis_vector(A, i))))))
             if not linalg.mat_eq(lhs, rhs):
                 failures.append({"pair": [A.basis.names[i], A.basis.names[j]]})

@@ -37,8 +37,9 @@ from colorhomlie.structure_theory import (check_hom_jordan,
                                           quasi_centroid_jordan)
 
 from conftest import (SL2C_Z2Z2_CASE_FAMILIES, build_algebra, coord_index, data_path,
-                      delta1_direct, delta2_direct, kernel_basis, parse_matrix_bundle,
-                      random_multiplicative_algebra, sc, span_equal)
+                      delta1_direct, delta2_direct, in_span, kernel_basis,
+                      parse_matrix_bundle, random_multiplicative_algebra, sc, span_equal,
+                      zeros)
 
 
 def conclude(label, ok, detail=""):
@@ -123,7 +124,7 @@ def _a1_coboundaries(A, R, gamma):
     for i, j in product(range(A.dim), repeat=2):
         if alpha[i] != alpha[j]:
             continue
-        f = linalg.zeros(A.dim, A.dim, A.m)
+        f = zeros(A.dim, A.dim, A.m)
         f[i][j] = sc(1, A.m)
         img = delta1_direct(A, R, f, gamma, 0)
         images.append([c for p in A1_PAIRS for c in img[p]])
@@ -158,7 +159,7 @@ def test_a1_h2_runtime_and_consistency():
     ok = elapsed < 5.0
     for res in results.values():
         for b in res.coboundary_basis:
-            ok = ok and linalg.in_span(res.cocycle_basis, b)
+            ok = ok and in_span(res.cocycle_basis, b)
     assert conclude("A1-runtime", ok, f"elapsed {elapsed:.2f}s")
 
 
@@ -211,8 +212,8 @@ def test_a1_h2_representative_span_as_pinned():
     def is_cocycle(entries):
         return all(c.is_zero()
                    for c in _a1_delta2(A, R, res.gamma, _a1_psi(A, entries)))
-    ok = is_cocycle(psi_c) and not linalg.in_span(B, _a1_psi(A, psi_c))
-    ok = ok and not is_cocycle(psi_b) and linalg.in_span(B, _a1_psi(A, tied))
+    ok = is_cocycle(psi_c) and not in_span(B, _a1_psi(A, psi_c))
+    ok = ok and not is_cocycle(psi_b) and in_span(B, _a1_psi(A, tied))
     # engine coordinates are the oracle's: canonical pairs x component
     ok = ok and res.space.tuples == list(A1_PAIRS)
     target = [_a1_psi(A, psi_a), _a1_psi(A, psi_c)] + res.coboundary_basis
@@ -237,8 +238,8 @@ def test_a1_verified_substance():
     psi_a[coord_index(space, (0, 1), 1)] = sc(1, A.m)
     psi_a[coord_index(space, (0, 2), 2)] = sc(1, A.m)
     ok = res.dim_H == 2
-    ok = ok and linalg.in_span(res.cocycle_basis, psi_a)
-    ok = ok and not linalg.in_span(res.coboundary_basis, psi_a)
+    ok = ok and in_span(res.cocycle_basis, psi_a)
+    ok = ok and not in_span(res.coboundary_basis, psi_a)
     assert conclude("A1-substance", ok)
 
 

@@ -22,7 +22,8 @@ from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
 from conftest import (as_rational, basis_vector, bilinear_direct, build_algebra,
                       check_hom_associative_direct, check_jacobi_direct,
                       check_multiplicative_direct, data_path, heis_zeta3,
-                      is_eps_commutative_direct, mat_pow, sc, sl2c_z2z2, zero_algebra)
+                      is_eps_commutative_direct, mat_pow, sc, sl2c_z2z2, zero_algebra,
+                      zeros)
 
 
 def test_sl2c_z2z2_all_axioms_pass():
@@ -380,7 +381,7 @@ def test_structure_constants_match_dense_oracle(m, kind):
             for v in vectors[:3]:
                 assert composed.bilinear(u, v) == linalg.mat_vec(M, bilinear_direct(table, u, v))
         others = [composed, table.compose_with(linalg.identity(dim, m)),
-                  table.compose_with(linalg.zeros(dim, dim, m))]
+                  table.compose_with(zeros(dim, dim, m))]
         for other in others:
             assert table.equals(other) == _dense_equal(table, other)
             assert other.is_zero() == all(c.is_zero() for i in range(dim)

@@ -3,6 +3,7 @@ import json
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from colorhomlie import linalg
 from colorhomlie.algebra_core import BracketTable, ColorHomAlgebra
@@ -13,10 +14,11 @@ from colorhomlie.deformations import (DeformationError, FormalAutomorphism,
                                       composition_deformation, first_order_class,
                                       transport_bracket)
 from colorhomlie.scalars_grading import CycloScalar, euler_phi
-from conftest import (check_deformation_direct, check_equivalence_direct,
-                      composition_failing_orders_direct, coord_index, heis_zeta3,
-                      motion_z2z3, phi_coefficient, sc, sl2c_z2z2, sl2c_z2z3,
-                      transport_bracket_direct)
+from conftest import (build_algebra, check_deformation_direct, check_equivalence_direct,
+                      composition_failing_orders_direct, coord_index, heis_zeta3, in_span,
+                      mat_add, mat_scale, motion_z2z3, phi_coefficient, sc,
+                      series_product_direct, sl2c_z2z2, sl2c_z2z3, transport_bracket_direct,
+                      zeros)
 
 
 def _alpha1(A):
@@ -87,7 +89,7 @@ def test_first_order_class_works_on_sparse_coordinates():
     diff = dict(coords)
     linalg._sub_scaled(diff, sc(1), rep.coords)
     assert isinstance(rep.coords, dict) and not rep.is_zero()
-    assert linalg.in_span(lower, diff)
+    assert in_span(lower, diff)
 
 
 def test_trivial_deformation_first_order():
@@ -140,7 +142,7 @@ def test_derived_composition_series_expansion():
     a1 = _alpha1(L)
     B = composition_deformation(L, [linalg.identity(3, L.m), a1],
                                 order=2, derived=1)
-    two_a = linalg.mat_scale(sc(2, L.m), a1)
+    two_a = mat_scale(sc(2, L.m), a1)
     want1 = L.bracket.compose_with(two_a)
     assert B.terms[1].equals(want1)
     want2 = L.bracket.compose_with(linalg.mat_mul(a1, a1))
@@ -179,7 +181,7 @@ def test_transport_round_trip():
     # phi_1 even: diagonal works (all components are one-dimensional)
     phi1 = [[sc(2), sc(0), sc(0)], [sc(0), sc(-1), sc(0)], [sc(0), sc(0), sc(3)]]
     phi = FormalAutomorphism([linalg.identity(3, A.m), phi1,
-                              linalg.zeros(3, 3, A.m)])
+                              zeros(3, 3, A.m)])
     B2 = transport_bracket(A, B1, phi)
     rep = check_equivalence(A, B1, B2, phi)
     assert rep["bracket"].ok
@@ -189,7 +191,7 @@ def test_transport_round_trip():
 def test_equivalence_twist_mismatch_detected():
     A = sl2c_z2z2()
     B1 = TruncatedBracket(A, 1, [A.bracket, _zero_term(A)])
-    other_alpha = [linalg.identity(3, A.m), linalg.zeros(3, 3, A.m)]
+    other_alpha = [linalg.identity(3, A.m), zeros(3, 3, A.m)]
     B2 = TruncatedBracket(A, 1, [A.bracket, _zero_term(A)],
                           alpha_terms=other_alpha)
     phi = FormalAutomorphism([linalg.identity(3, A.m)])
@@ -200,9 +202,9 @@ def test_equivalence_twist_mismatch_detected():
 
 def test_formal_automorphism_validation():
     A = sl2c_z2z2()
-    bad = FormalAutomorphism([linalg.zeros(3, 3, A.m)])
+    bad = FormalAutomorphism([zeros(3, 3, A.m)])
     assert not bad.validate(A).ok
-    odd = linalg.zeros(3, 3, A.m)
+    odd = zeros(3, 3, A.m)
     odd[0][1] = sc(1, A.m)  # moves e2 into the e1 component
     phi = FormalAutomorphism([linalg.identity(3, A.m), odd])
     assert not phi.validate(A).ok
@@ -218,13 +220,13 @@ def test_inverse_series_is_exact():
     psis = phi.inverse_series(A, 3)
     # convolution phi * psi must be the identity series
     for s in range(4):
-        acc = linalg.zeros(3, 3, A.m)
+        acc = zeros(3, 3, A.m)
         for i in range(s + 1):
             pi = phi_coefficient(phi, i)
             if pi is None:
                 continue
-            acc = linalg.mat_add(acc, linalg.mat_mul(pi, psis[s - i]))
-        want = linalg.identity(3, A.m) if s == 0 else linalg.zeros(3, 3, A.m)
+            acc = mat_add(acc, linalg.mat_mul(pi, psis[s - i]))
+        want = linalg.identity(3, A.m) if s == 0 else zeros(3, 3, A.m)
         assert linalg.mat_eq(acc, want)
 
 
@@ -321,7 +323,7 @@ def test_transport_refuses_a_non_skew_deformation():
     zero = [CycloScalar.zero(A.m)] * A.dim
     term = BracketTable(A.basis, A.eps, {(0, 0): [zero[0], zero[1], sc(1, A.m)]}, A.m)
     B1 = TruncatedBracket(A, 2, [A.bracket, term, _zero_term(A)])
-    phi1 = linalg.zeros(A.dim, A.dim, A.m)
+    phi1 = zeros(A.dim, A.dim, A.m)
     phi1[0][1] = sc(1, A.m)
     phi = FormalAutomorphism([linalg.identity(A.dim, A.m), phi1])
     assert phi.validate(A).ok
@@ -339,3 +341,86 @@ def test_composition_failing_orders_match_the_pointwise_oracle(make):
             B = composition_deformation(L, alphas, order=order)
             assert B.endomorphism_failing_orders == \
                 composition_failing_orders_direct(L, alphas, order)
+
+
+# -- series arithmetic against the dense convolution ----------------------------
+
+def _heis_untwisted():
+    """The Z3 Heisenberg algebra with the identity twist: m = 3, untwisted."""
+    return build_algebra([3], [[0]], 3, ["e1", "e2", "e3"], [(1,), (1,), (2,)],
+                         {(0, 1): [0, 0, 1]}, [[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
+# per root order: an algebra for the twist series, and an untwisted one for
+# the composition family
+SERIES_ALGEBRAS = {2: (sl2c_z2z2, sl2c_z2z3), 3: (heis_zeta3, _heis_untwisted)}
+# a coefficient: None is the zero matrix, else two integer coefficients per
+# entry (the second unused at m = 2)
+COEFFICIENT = st.none() | st.lists(st.sampled_from((0, 0, 0, 1, -1, 2)),
+                                   min_size=18, max_size=18)
+TAIL = st.lists(COEFFICIENT, max_size=3)
+CELLS = [1, 0, 0, 1, 0, 0, -1, 1, 0, 0, 0, 0, 2, 0, 0, 0, 1, -1]
+
+
+def _series(A, head, tail):
+    """head, then one dense matrix per tail coefficient."""
+    phi = euler_phi(A.m)
+    return [head] + [zeros(A.dim, A.dim, A.m) if cells is None else
+                     [[CycloScalar(cells[6 * i + 2 * j:][:phi], A.m) for j in range(3)]
+                      for i in range(3)] for cells in tail]
+
+
+def _is_dense_series(series, n):
+    return all(isinstance(M, list) and len(M) == n and
+               all(isinstance(row, list) and len(row) == n for row in M) for M in series)
+
+
+def _series_eq(got, want):
+    return len(got) == len(want) and all(linalg.mat_eq(a, b) for a, b in zip(got, want))
+
+
+# order 3 takes four coefficients: each explicit series is shorter, padded
+# with zero coefficients, and has a zero coefficient at t^1
+@settings(derandomize=True, max_examples=40, deadline=None, database=None)
+@example(m=2, order=3, phi_tail=[None, CELLS], alpha_tails=([None, CELLS], [CELLS]),
+         derived=1)
+@example(m=3, order=3, phi_tail=[None, CELLS], alpha_tails=([None, CELLS], [None]),
+         derived=2)
+@given(m=st.sampled_from((2, 3)), order=st.integers(1, 3), phi_tail=TAIL,
+       alpha_tails=st.tuples(TAIL, TAIL), derived=st.integers(0, 2))
+def test_series_arithmetic_matches_the_dense_convolution(m, order, phi_tail, alpha_tails,
+                                                         derived):
+    A, L = (build() for build in SERIES_ALGEBRAS[m])
+    n, ident = A.dim, linalg.identity(A.dim, m)
+    phis = _series(A, ident, phi_tail)
+    phi = FormalAutomorphism(phis)
+    # inverse_series: phi_t psi_t = Id mod t^(order+1), dense
+    psis = phi.inverse_series(A, order)
+    assert _is_dense_series(psis, n)
+    assert _series_eq(series_product_direct(phis, psis, order, n, m),
+                      [ident] + [zeros(n, n, m)] * order)
+    # the composition family's twist series alpha_t^(2^derived), dense
+    alphas = _series(L, ident, alpha_tails[0])
+    want = [ident]
+    for _ in range(1 << derived):
+        want = series_product_direct(want, alphas, order, n, m)
+    B = composition_deformation(L, alphas, order=order, derived=derived)
+    assert _is_dense_series(B.alpha_terms, n)
+    assert _series_eq(B.alpha_terms, want)
+    # the twist verdicts, column x of phi_t alpha_t against alpha'_t phi_t, on
+    # a drawn alpha'_t and on the conjugate phi_t alpha_t psi_t, which passes
+    a1, a2 = (_series(A, A.alpha, tail) for tail in alpha_tails)
+    conjugate = series_product_direct(series_product_direct(phis, a1, order, n, m),
+                                      psis, order, n, m)
+    terms = [A.bracket] + [_zero_term(A)] * order
+    B1 = TruncatedBracket(A, order, terms, a1)
+    lhs = series_product_direct(phis, a1, order, n, m)
+    def twist_failures(other):
+        rhs = series_product_direct(other, phis, order, n, m)
+        return [{"order": s, "basis": A.basis.names[x]}
+                for s in range(order + 1) for x in range(n)
+                if any(not (lhs[s][i][x] - rhs[s][i][x]).is_zero() for i in range(n))]
+    for other in (a2, conjugate):
+        got = check_equivalence(A, B1, TruncatedBracket(A, order, terms, other), phi)
+        assert got["twist"].failures == twist_failures(other)
+    assert twist_failures(conjugate) == []

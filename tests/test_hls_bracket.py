@@ -22,7 +22,7 @@ from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
 
 from conftest import (annihilator_direct, basis_vector, check_fgh_direct,
                       check_ijkl_direct, check_mnop_direct, check_sigma_derivation_direct,
-                      data_path, hls_bracket_element_direct)
+                      data_path, hls_bracket_element_direct, zeros)
 
 
 def _sc(v, m=1):
@@ -59,7 +59,7 @@ def test_shipped_product_is_commutative_associative():
 
 def test_zero_derivation_passes():
     A, D, q = q_difference_instance()
-    zero_map = linalg.zeros(3, 3, A.m)
+    zero_map = zeros(3, 3, A.m)
     Z = SigmaDerivation(D.sigma, zero_map, A.basis.group.zero(), q)
     rep = check_sigma_derivation(A, Z)
     assert rep["sigma_endomorphism"].ok and rep["cd1"].ok and rep["cd2"].ok

@@ -139,29 +139,37 @@ UNCALLED_ALLOWED = {
     "check_commutative_associative": "the HLS hypothesis check that `colorhom hls` is "
                                      "to run (ROADMAP item 6); running it changes hls stdout",
     "reverify": "the documented opt-in re-check of a cohomology result (README)",
+    "pairs": "the dense view of a bracket table that the tests and the benchmark's "
+             "workloads (rescale, direct_sum) read",
 }
 
 
 def test_every_package_function_is_called_by_the_package_or_exported():
     """Code that only the tests call belongs in tests/conftest.py: every
     non-dunder function and method is referenced by package code, is a name
-    in ``_EXPORTS``, or is on the allowlist above."""
+    in ``_EXPORTS``, or is on the allowlist above.  A function defined in a
+    class body is reached only as ``x.name``, so only an attribute access
+    references it; a bare name (a local variable, ``functools.reduce``)
+    references only functions outside classes."""
     exported = {name for names in colorhomlie._EXPORTS.values() for name in names.split()}
-    defined, referenced = [], set()
+    defined, names, attributes = [], set(), set()
     for name in sorted(os.listdir(PACKAGE_DIR)):
         if not name.endswith(".py"):
             continue
         with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
             tree = ast.parse(fh.read(), name)
+        methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                   for item in node.body}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                defined.append((name, node.lineno, node.name))
+                defined.append((name, node.lineno, node.name, id(node) in methods))
             elif isinstance(node, ast.Name):
-                referenced.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                referenced.add(node.attr)
-    uncalled = {fn: f"{module}:{line}" for module, line, fn in defined
+                attributes.add(node.attr)
+    uncalled = {fn: f"{module}:{line}" for module, line, fn, method in defined
                 if not (fn.startswith("__") and fn.endswith("__"))
-                and fn not in referenced and fn not in exported}
+                and fn not in attributes and (method or fn not in names)
+                and fn not in exported}
     assert sorted(set(uncalled) - set(UNCALLED_ALLOWED)) == []
     assert sorted(UNCALLED_ALLOWED) == sorted(uncalled)  # no stale allowlist entry

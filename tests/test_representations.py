@@ -15,7 +15,8 @@ from colorhomlie.representations import (CoadjointUnavailableError,
 from conftest import (alpha_s_adjoint_direct, basis_vector, build_algebra,
                       check_coadjoint_direct, check_module_direct,
                       check_representation_direct, degree_report, is_zero_matrix,
-                      random_multiplicative_algebra, sc, sl2c_z2z2, zero_algebra)
+                      mat_scale, random_multiplicative_algebra, sc, sl2c_z2z2,
+                      zero_algebra, zeros)
 
 
 def test_adjoint_of_z2z2_example_passes():
@@ -27,7 +28,7 @@ def test_adjoint_of_z2z2_example_passes():
 
 def test_zero_rho_passes():
     A = sl2c_z2z2()
-    zero = linalg.zeros(3, 3, A.m)
+    zero = zeros(3, 3, A.m)
     R = Representation(A.basis, [zero, zero, zero], A.alpha, A.m)
     assert check_representation(A, R).ok
 
@@ -60,14 +61,14 @@ def test_module_axioms_for_self_action():
 
 def test_zero_action_module_passes():
     A = sl2c_z2z2()
-    zero = linalg.zeros(3, 3, A.m)
+    zero = zeros(3, 3, A.m)
     M = Representation(A.basis, [zero] * 3, A.alpha, A.m)
     assert check_module(A, M).ok
 
 
 def _perturbed_module(A):
     """The adjoint action with rho(e1) doubled: not a module."""
-    action = [linalg.mat_scale(sc(2, A.m), m) for m in adjoint(A).rho[:1]] \
+    action = [mat_scale(sc(2, A.m), m) for m in adjoint(A).rho[:1]] \
         + adjoint(A).rho[1:]
     return Representation(A.basis, action, A.alpha, A.m)
 
@@ -129,7 +130,7 @@ def test_ad_s_intertwining_identities():
 
 def test_coadjoint_condition_and_dual_for_zero_rho():
     A = sl2c_z2z2()
-    zero = linalg.zeros(3, 3, A.m)
+    zero = zeros(3, 3, A.m)
     R = Representation(A.basis, [zero] * 3, A.alpha, A.m)
     assert check_coadjoint_condition(A, R).ok
     dual = dual_representation(A, R)
@@ -160,7 +161,7 @@ def test_coadjoint_iff_dual_passes_randomized(rng):
         dual_degrees = tuple(-d for d in R.carrier.degrees)
         db = GradedBasis(tuple(n + "*" for n in R.carrier.names), dual_degrees,
                          R.carrier.group)
-        rho = [linalg.mat_scale(sc(-1, R.m), linalg.transpose(m)) for m in R.rho]
+        rho = [mat_scale(sc(-1, R.m), linalg.transpose(m)) for m in R.rho]
         dual = Representation(db, rho, linalg.transpose(R.beta), R.m)
         assert cond == check_representation(A, dual).ok
         held += cond
@@ -170,7 +171,7 @@ def test_coadjoint_iff_dual_passes_randomized(rng):
 def test_one_dimensional_algebra_dual():
     A = build_algebra([2, 2], [[0, 1], [1, 0]], 2, ["e1"], [(1, 0)], {},
                       [[1]])
-    zero = linalg.zeros(1, 1, A.m)
+    zero = zeros(1, 1, A.m)
     R = Representation(A.basis, [zero], [[sc(3, A.m)]], A.m)
     assert check_coadjoint_condition(A, R).ok
     dual = dual_representation(A, R)
@@ -196,7 +197,7 @@ def _random_modules(rng, A):
         return sc(rng.choice([0, 0, 1, -1, 2, 0.5]), A.m)
     R = adjoint(A)
     yield R
-    yield Representation(R.carrier, [linalg.mat_scale(sc(2, A.m), R.rho[0])] + R.rho[1:],
+    yield Representation(R.carrier, [mat_scale(sc(2, A.m), R.rho[0])] + R.rho[1:],
                          R.beta, A.m)
     group = A.basis.group
     for _ in range(2):

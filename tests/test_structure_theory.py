@@ -20,9 +20,10 @@ from colorhomlie.structure_theory import (KINDS, HomogeneousMapSpace,
                                           quasi_centroid_jordan,
                                           reverify_space, solve_space)
 from conftest import (_express_in_span, build_algebra, defining_rows_direct, direct_sum,
-                      heis_zeta3, hom_jordan_direct, inclusion_lattice_direct, member_of,
-                      motion_z2z3, partner_rows_direct, quasi_centroid_jordan_direct,
-                      random_multiplicative_algebra, sc, sl2c_z2z2, zero_algebra)
+                      heis_zeta3, hom_jordan_direct, inclusion_lattice_direct, mat_add,
+                      mat_scale, member_of, motion_z2z3, partner_rows_direct,
+                      quasi_centroid_jordan_direct, random_multiplicative_algebra, sc,
+                      sl2c_z2z2, zero_algebra, zeros)
 
 
 def all_degrees(A):
@@ -155,7 +156,7 @@ def test_jordan_product_square():
     D = [[sc(1), sc(0), sc(0)], [sc(0), sc(2), sc(0)], [sc(0), sc(0), sc(3)]]
     P = jordan_product(D, g0, D, g0, A.eps)
     DD = linalg.mat_mul(D, D)
-    assert linalg.mat_eq(P, linalg.mat_add(DD, DD))
+    assert linalg.mat_eq(P, mat_add(DD, DD))
 
 
 def test_jordan_product_eps_symmetry():
@@ -169,7 +170,7 @@ def test_jordan_product_eps_symmetry():
         D2 = [[sc(rng.randint(-2, 2)) for _ in range(3)] for _ in range(3)]
         e = A.eps(g1, g2)
         lhs = jordan_product(D1, g1, D2, g2, A.eps)
-        rhs = linalg.mat_scale(e, jordan_product(D2, g2, D1, g1, A.eps))
+        rhs = mat_scale(e, jordan_product(D2, g2, D1, g1, A.eps))
         assert linalg.mat_eq(lhs, rhs)
 
 
@@ -362,10 +363,15 @@ def test_hom_jordan_forms_each_eps_once_per_triple():
 def test_each_space_is_solved_once_per_algebra(monkeypatch):
     """The benchmark's heis_zeta3 solve jobs, then quasi_centroid_jordan and
     check_inclusion_lattice: every (kind, k, gamma, commute) assembles its
-    rows once, each term table is built once per (k, gamma, name), and the
-    two precomposed tables once per k."""
+    rows once, each term table is built once per (k, gamma, name), the two
+    precomposed tables once per k, and the degree pattern once per gamma."""
     A = heis_zeta3()
-    solves, assembled, precomposed, built = [], [], [], []
+    solves, assembled, precomposed, built, patterns = [], [], [], [], []
+    class CountingPatterns(dict):
+        def __setitem__(self, gamma, pattern):
+            patterns.append(gamma)
+            super().__setitem__(gamma, pattern)
+    A._patterns = CountingPatterns()
     rows, precompose = structure_theory._defining_rows, StructureConstants.precompose
     term_rows = structure_theory._term_rows
     def counting_solve(B, kind, k, gamma, commute_with_alpha=None):
@@ -396,6 +402,7 @@ def test_each_space_is_solved_once_per_algebra(monkeypatch):
     assert len(built) == len(set(built)) > 0
     assert {(k, g) for k, g, _ in built} == {(k, g) for _, k, g, _ in assembled}
     assert {name for _, _, name in built} == {"d", "L", "-L", "-R"}
+    assert len(patterns) == len(set(patterns)) == len(all_degrees(A))
 
 
 @pytest.mark.parametrize("build", [heis_zeta3, sl2c_z2z2])
@@ -514,7 +521,7 @@ def test_reverify_rejects_a_matrix_pushed_out_of_the_space(build):
         for k in (0, 1):
             for g in all_degrees(A):
                 space = solve_space(A, kind, k, g)
-                base = space.basis[0] if space.basis else linalg.zeros(A.dim, A.dim, A.m)
+                base = space.basis[0] if space.basis else zeros(A.dim, A.dim, A.m)
                 for i, j in degree_pattern(A, g):
                     M = [list(row) for row in base]
                     M[i][j] = M[i][j] + sc(1, A.m)
@@ -603,7 +610,7 @@ def test_partner_rows_match_dense_oracle(case):
                     continue
                 # every spanning matrix of the solved space, and one pattern
                 # matrix whose identity fails, so the right-hand sides differ
-                probe = linalg.zeros(A.dim, A.dim, A.m)
+                probe = zeros(A.dim, A.dim, A.m)
                 for t, (i, j) in enumerate(pattern):
                     probe[i][j] = sc(t + 1, A.m)
                 basis = solve_space(A, kind, k, gamma).basis
