@@ -109,7 +109,7 @@ class StructureConstants:
                 row = rows.get((i, j))
                 if row is not None:
                     _add_scaled(acc, a * b, row)
-        return linalg._sparse(acc)
+        return acc
 
     def bilinear(self, u, v):
         """The image of (u, v) as a dense coordinate vector."""
@@ -158,7 +158,7 @@ class StructureConstants:
         acc = {}
         for k, c in self.rows.get((i, j), {}).items():
             _add_scaled(acc, c, cols.get(k, {}))
-        return linalg._sparse(acc)
+        return acc
 
     def endomorphism_failures(self, matrix):
         """The basis pairs (i, j), in row-major order, with matrix(c(e_i, e_j))
@@ -198,7 +198,7 @@ def cyclic_residual(pairs, degrees, eps: BiCharacter, x: int, y: int, z: int):
         for outer, inner in pairs:
             for k, w in inner.rows.get((b, c), {}).items():
                 _add_scaled(acc, e * w, outer.rows.get((a, k), {}))
-    return linalg._sparse(acc)
+    return acc
 
 
 def cyclic_failures(pairs, basis: GradedBasis, eps: BiCharacter):

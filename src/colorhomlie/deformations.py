@@ -110,7 +110,7 @@ def first_order_class(A: ColorHomAlgebra, B: TruncatedBracket) -> dict:
         residue = dict(coords)
         for row in _complex(A, R).coboundaries(2, A.basis.group.zero(), 0):
             if min(row) in residue:
-                linalg._sub_scaled(residue, residue[min(row)], row)
+                linalg._add_scaled(residue, -residue[min(row)], row)
         result["class_is_zero"] = not residue
         result["class_representative"] = Cochain(space, residue)
     return result

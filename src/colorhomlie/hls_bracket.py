@@ -69,7 +69,7 @@ def check_sigma_derivation(A: CommutativeColorAlgebra, D: SigmaDerivation) -> di
         lhs = A.mu.mapped_row(i, j, delta)
         rhs = A.mu.sparse_bilinear(delta.get(i, {}), {j: one})
         _add_scaled(rhs, e, A.mu.sparse_bilinear(sigma.get(i, {}), delta.get(j, {})))
-        if lhs != linalg._sparse(rhs):
+        if lhs != rhs:
             cd2_failures.append({"pair": [names[i], names[j]],
                                  **_strings(A, lhs=lhs, rhs=rhs)})
     return {
@@ -133,7 +133,10 @@ def hls_bracket_element(A: CommutativeColorAlgebra, D: SigmaDerivation, x, y,
 
 
 def hls_bracket(A: CommutativeColorAlgebra, D: SigmaDerivation, x, y):
-    """Class of the induced bracket in A/Ann(Delta); refused without invariance."""
+    """Class of the induced bracket in A/Ann(Delta); refused without invariance.
+    Each call solves Ann(Delta) and builds the induced table: for many pairs,
+    check ``check_ann_invariance(A, D)`` once, build ``QuotientSpace(A,
+    annihilator(A, D))`` once, and call ``hls_bracket_element`` with it."""
     quotient = QuotientSpace(A, annihilator(A, D))
     if not _invariant(quotient.ann, D.sigma):
         raise HLSError("sigma(Ann) <= Ann fails; the bracket is not well defined")

@@ -8,7 +8,9 @@ linear combinations.  Dense lists of lists of ``CycloScalar`` stay at the
 edges: parsed files, public values (a twist, a representation, a spanning
 matrix, a series coefficient) and reports.  ``sparse`` is the one way in,
 applied once to a matrix that a public entry point receives, and ``dense``
-the one way out.  The dense kernels left serve those edges only:
+the one way out.  A dict handed to a kernel is zero-free, and each kernel
+keeps its output so by dropping an entry where it cancels: only dense rows
+are filtered, at the edge.  The dense kernels left serve those edges only:
 
 * ``identity``: the public identity twist, and the phi_0 = alpha_0 = Id checks;
 * ``mat_mul``: the public twist powers and twisted twists, one small product
@@ -88,25 +90,23 @@ def _sparse(row):
     return {c: a for c, a in items if any(a.num)}
 
 
-def _sub_scaled(v, f, row):
-    """v -= f * row on sparse rows, in place, dropping the zeros."""
-    f = -f
-    for c, b in row.items():
-        y = _muladd(v.get(c), f, b)
-        if any(y.num):
-            v[c] = y
-        else:
-            del v[c]
-
-
 def _add_scaled(acc, coeff, row):
-    """acc += coeff * row on sparse rows, in place (coeff None adds row)."""
+    """acc += coeff * row on sparse rows, in place (coeff None adds row),
+    deleting each entry that cancels."""
     if coeff is None:
         for k, c in row.items():
-            acc[k] = acc[k] + c if k in acc else c
+            if k not in acc:
+                acc[k] = c
+            elif any((y := acc[k] + c).num):
+                acc[k] = y
+            else:
+                del acc[k]
     else:
         for k, c in row.items():
-            acc[k] = _muladd(acc.get(k), coeff, c)
+            if any((y := _muladd(acc.get(k), coeff, c)).num):
+                acc[k] = y
+            else:
+                acc.pop(k, None)
 
 
 def _add_entry(rows, r, c, value):
@@ -138,7 +138,7 @@ def _combine(terms):
     for coeff, M in terms:
         for r, row in M.items():
             _add_scaled(acc.setdefault(r, {}), coeff, row)
-    return sparse(acc)
+    return {r: row for r, row in acc.items() if row}
 
 
 def _transpose(rows):
@@ -154,11 +154,13 @@ def _product(rows, other):
     """The product of two sparse matrices."""
     out = {}
     for r, row in rows.items():
-        acc = out[r] = {}
+        acc = {}
         for c, v in row.items():
-            for j, a in other.get(c, {}).items():
-                acc[j] = _muladd(acc.get(j), v, a)
-    return sparse(out)
+            if c in other:
+                _add_scaled(acc, v, other[c])
+        if acc:
+            out[r] = acc
+    return out
 
 
 class Echelon:
@@ -185,13 +187,13 @@ class Echelon:
         """vec as a fresh sparse dict, reduced in one pass against every pivot:
         empty exactly when vec lies in the span.  The combination of absorbed
         vectors taken off vec is subtracted from combo, when one is given."""
-        v, rows = _sparse(vec), self.rows
-        used = [(p, v[p]) for p in v if p in rows]
+        v, rows = dict(vec) if isinstance(vec, dict) else _sparse(vec), self.rows
+        used = [(p, -v[p]) for p in v if p in rows]
         for p, f in used:
-            _sub_scaled(v, f, rows[p])
+            _add_scaled(v, f, rows[p])
         if combo is not None:
             for p, f in used:
-                _sub_scaled(combo, f, self.combos[p])
+                _add_scaled(combo, f, self.combos[p])
         return v
 
     def __contains__(self, vec) -> bool:
@@ -219,10 +221,10 @@ class Echelon:
             prow = rows[p]
             if c not in prow:
                 continue
-            f = prow[c]
-            _sub_scaled(prow, f, v)
+            f = -prow[c]
+            _add_scaled(prow, f, v)
             if combo is not None:
-                _sub_scaled(self.combos[p], f, combo)
+                _add_scaled(self.combos[p], f, combo)
             cleared.append(p)
         # the rows just cleared, and the new one, may be nonzero wherever v is
         for k in v:
@@ -241,7 +243,7 @@ class Echelon:
 
 
 def rref(rows):
-    """Reduced row echelon form of dense or sparse rows: (rows, pivot_cols),
+    """Reduced row echelon form of dense or zero-free sparse rows: (rows, pivot_cols),
     the nonzero rows as sparse dicts sorted by pivot column.  It is unique
     over a field, so neither the row order nor the row type changes it."""
     echelon = Echelon(rows).rows
@@ -271,10 +273,11 @@ def solve(M, target, m: int):
     """One solution x of M x = target, or None.  M is a list of dense or
     sparse rows; x has one entry per column they reach (a dense row's
     length, one past a sparse row's last column)."""
-    rows = [_sparse(row) for row in M]
+    rows = [row if isinstance(row, dict) else _sparse(row) for row in M]
     ncols = max((max(row, default=-1) + 1 if isinstance(row, dict) else len(row)
                  for row in M), default=0)
-    red, pivots = rref([{**row, ncols: t} for row, t in zip(rows, target)])
+    red, pivots = rref([{**row, ncols: t} if any(t.num) else row
+                        for row, t in zip(rows, target)])
     z = CycloScalar.zero(m)
     x = [z] * ncols
     for row, pc in zip(red, pivots):

@@ -137,16 +137,30 @@ def _make(num, den, m):
 
 def _muladd(x, f, b):
     """x + f * b, x = None read as zero: the step of elimination and of
-    sparse products.  When phi(m) = 1 it builds one scalar with at most one
+    sparse products.  When phi(m) <= 2 it builds one scalar with at most one
     gcd instead of a product and a sum that each normalise."""
     m = b.root_order
     if f.__class__ is not CycloScalar:
         f = CycloScalar.from_rational(f, m)
-    if len(b.num) != 1:
+    n = len(b.num)
+    if n > 2:
         return f * b if x is None else x + f * b
     if f.root_order != m or x is not None and x.root_order != m:
         raise ScalarError(f"mixed cyclotomic orders in {x!r} + {f!r} * {b!r}")
-    p, den = f.num[0] * b.num[0], f.den * b.den
+    den = f.den * b.den
+    if n == 2:
+        (r0, r1), = _reduction_rows(m)
+        (a0, a1), (b0, b1) = f.num, b.num
+        top = a1 * b1
+        p, q = a0 * b0 + r0 * top, a0 * b1 + a1 * b0 + r1 * top
+        if x is not None:
+            (x0, x1), xd = x.num, x.den
+            if xd == den:
+                p, q = p + x0, q + x1
+            else:
+                p, q, den = p * xd + x0 * den, q * xd + x1 * den, den * xd
+        return _make((p, q), den, m)
+    p = f.num[0] * b.num[0]
     if x is not None:
         xd = x.den
         if xd == den:

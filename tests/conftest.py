@@ -14,7 +14,8 @@ from colorhomlie.algebra_core import (BracketTable, CheckResult, ColorHomAlgebra
                                       check_color_hom_lie)
 from colorhomlie.cohomology import CochainSpace
 from colorhomlie.morphisms_twists import twist
-from colorhomlie.structure_theory import NotClosedError, degree_pattern, solve_space
+from colorhomlie.structure_theory import (_COMMUTE, NotClosedError, degree_pattern,
+                                          solve_space)
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup, ScalarError,
                                          _poly_divmod, _poly_mul, _poly_sub,
@@ -175,6 +176,18 @@ def span_equal(rows_a, rows_b) -> bool:
 
 def is_zero_matrix(M) -> bool:
     return all(a.is_zero() for row in M for a in row)
+
+
+def assert_zero_free(M):
+    """The engine's sparse form: a vector {index: scalar} holds no zero
+    entry; a matrix {row: {column: scalar}}, or a list of sparse rows,
+    holds no zero entry and no empty row."""
+    rows = M.values() if isinstance(M, dict) else M
+    if isinstance(M, dict) and not all(isinstance(row, dict) for row in rows):
+        rows = [M] if M else []
+    for row in rows:
+        assert row, "empty row"
+        assert not any(c.is_zero() for c in row.values()), row
 
 
 def mat_pow(M, e, m):
@@ -785,6 +798,37 @@ def _commute_rows_direct(A, units, offset, nvars):
             if nonzero:
                 rows.append(row)
     return rows
+
+
+def identity_holds_on_all_pairs_direct(A, space, D):
+    """The verdict of ``structure_theory.reverify_space`` on one matrix D of
+    a der, centroid or qcentroid space, with its identity evaluated on every
+    basis pair: the evaluation as it stood before re-verification skipped
+    the pairs (x, y) with D e_x = D e_y = 0 and [e_x, e_y] = 0."""
+    kind = space.kind
+    commute = space.commute or _COMMUTE[kind] == (True,)
+    sparse_D, alpha = linalg.sparse(D), A.alpha_sparse(1)
+    if commute and linalg._product(sparse_D, alpha) != linalg._product(alpha, sparse_D):
+        return False
+    bracket, d_e = A.bracket, linalg._transpose(sparse_D)
+    ak_e = linalg._transpose(A.alpha_sparse(space.k))
+    for x, y in product(range(A.dim), repeat=2):
+        e = A.eps(space.gamma, A.degree(x))
+        left = bracket.sparse_bilinear(d_e.get(x, {}), ak_e.get(y, {}))
+        right = {c: e * v for c, v in
+                 bracket.sparse_bilinear(ak_e.get(x, {}), d_e.get(y, {})).items()}
+        if kind == "qcentroid":
+            holds = left == right
+        else:
+            dxy = bracket.mapped_row(x, y, d_e)
+            if kind == "centroid":
+                holds = dxy == left == right
+            else:
+                linalg._add_scaled(left, None, right)
+                holds = dxy == linalg._sparse(left)
+        if not holds:
+            return False
+    return True
 
 
 def defining_rows_direct(A, k, gamma, kind, pattern, commute):

@@ -24,7 +24,7 @@ from colorhomlie.cohomology import (Cochain, CochainSpace, canonical_tuples,
 from colorhomlie.representations import Representation, adjoint, alpha_s_adjoint
 from colorhomlie.scalars_grading import CycloScalar
 
-from conftest import (SL2C_Z2Z2_CASE_FAMILIES, basis_vector, build_algebra,
+from conftest import (SL2C_Z2Z2_CASE_FAMILIES, assert_zero_free, basis_vector, build_algebra,
                       compat_rows_direct, coord_index, delta1_direct, delta2_direct,
                       densify, direct_sum, in_span, kernel_basis,
                       random_multiplicative_algebra, sc, sl2c_z2z2, zero_algebra, zeros)
@@ -275,6 +275,7 @@ def test_compat_rows_use_canonical_tuples_only_when_alpha_keeps_degrees(case):
     for n in (1, 2) if A.dim > 3 else (1, 2, 3):
         space = cochain_basis(A, R, n, A.basis.group.zero())
         rows = cohomology._compat_rows(cohomology._complex(A, R), n)
+        assert_zero_free(rows)
         canonical_rows = len(space.tuples) * R.dim
         if keeps:
             assert max(rows, default=-1) < canonical_rows
@@ -414,10 +415,14 @@ def test_sparse_compatible_bases_square_to_zero_and_b_lies_in_z(seed, n, r, data
     cx = cohomology._complex(A, R)
     basis_t = cx.compat(n)[1]
     images = linalg._product(cx.delta(n, gamma, r), basis_t) if basis_t else {}
+    assert_zero_free(cx.delta(n, gamma, r))
+    assert_zero_free(cx.restricted(n, gamma, r))
+    assert_zero_free(images)
     assert linalg._product(cx.delta(n + 1, gamma, r), images) == {}
     for restrict in ("free", "compatible"):
         res = cohomology_group(A, R, n + 1, r, gamma, restrict=restrict)
         cocycles = linalg.Echelon(res.cocycle_basis)
+        assert_zero_free(cocycles.rows)
         assert all(b in cocycles for b in res.coboundary_basis)
 
 

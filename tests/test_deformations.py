@@ -87,7 +87,7 @@ def test_first_order_class_works_on_sparse_coordinates():
     # the term less a coboundary of a compatible 1-cochain, and not zero
     lower, _ = delta_matrix(A, space.module, 1, 0, A.basis.group.zero(), domain="compatible")
     diff = dict(coords)
-    linalg._sub_scaled(diff, sc(1), rep.coords)
+    linalg._add_scaled(diff, -sc(1), rep.coords)
     assert isinstance(rep.coords, dict) and not rep.is_zero()
     assert in_span(lower, diff)
 

@@ -173,6 +173,18 @@ def test_nontrivial_annihilator_and_well_definedness():
     assert all((a - b).is_zero() for a, b in zip(b3, b4))
 
 
+def test_one_quotient_serves_every_pair_as_hls_bracket_does():
+    # hls_bracket's docstring: for many pairs, check invariance once, build
+    # one quotient and hand it to hls_bracket_element
+    A, D = _euler_instance()
+    assert check_ann_invariance(A, D)
+    quotient = QuotientSpace(A, annihilator(A, D))
+    for i in range(A.dim):
+        for j in range(A.dim):
+            x, y = basis_vector(A, i), basis_vector(A, j)
+            assert hls_bracket_element(A, D, x, y, quotient) == hls_bracket(A, D, x, y)
+
+
 def test_bracket_refused_without_invariance():
     # sigma sending the annihilator line u1 to u0 breaks well-definedness
     A, D = _euler_instance()

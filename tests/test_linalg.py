@@ -10,15 +10,17 @@ bases, solutions and greedy picks.
 """
 import copy
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorhomlie import linalg
-from colorhomlie.scalars_grading import CycloScalar, ScalarError
+from colorhomlie.algebra_core import StructureConstants, cyclic_residual
+from colorhomlie.scalars_grading import BiCharacter, CycloScalar, FiniteAbelianGroup, ScalarError
 
-from conftest import (direct_sum, in_span, kernel_basis, mat_mul_direct, mat_vec_direct,
-                      rref_direct, sl2c_z2z2)
+from conftest import (assert_zero_free, bilinear_direct, direct_sum, in_span, kernel_basis,
+                      mat_mul_direct, mat_vec_direct, rref_direct, sl2c_z2z2)
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 ROOT_ORDERS = (1, 2, 3, 4)
@@ -416,3 +418,112 @@ def test_sparse_form_round_trips_and_multiplies_like_the_dense_kernels(m, n, k, 
     twice = linalg._combine([(None, SA), (c, SA)])
     assert twice == linalg.sparse([[a + c * a for a in row] for row in A])
     assert all(row and all(not v.is_zero() for v in row.values()) for row in twice.values())
+
+
+# -- zero-free kernels on inputs built to cancel ------------------------------------
+
+@st.composite
+def cancelling(draw):
+    """(m, rows, units): an n x n dense matrix at m = 2, 3 or 4, n in 2..4,
+    with entries 0 and +-zeta^e, so that its sums cancel often.  Row n - 1
+    repeats row 0, row 1 negates it when n > 2, and in about half the rows
+    the last entry negates the first, so such a row of rows . rows loses
+    the terms of rows 0 and n - 1 to each other."""
+    m = draw(st.sampled_from((2, 3, 4)))
+    n = draw(st.integers(2, 4))
+    units = [s * CycloScalar.root_of_unity(m, e) for s in (1, -1) for e in (0, 1)]
+    entry = st.sampled_from([CycloScalar.zero(m)] * 2 + units)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    for row in rows:
+        if draw(st.booleans()):
+            row[-1] = -row[0]
+    rows[-1] = list(rows[0])
+    if n > 2:
+        rows[1] = [-a for a in rows[0]]
+    return m, rows, units
+
+
+@PROPERTY
+@given(cancelling(), st.data())
+def test_kernels_drop_what_cancels_and_keep_no_empty_row(case, data):
+    m, rows, units = case
+    n, zero, minus = len(rows), CycloScalar.zero(m), -CycloScalar.one(m)
+    f = data.draw(st.sampled_from(units))
+    S = linalg.sparse(rows)
+    dense_sum = lambda X, c, Y: linalg.sparse([[a + c * b for a, b in zip(x, y)]
+                                               for x, y in zip(X, Y)])
+    P = linalg._product(S, S)
+    C = linalg._combine([(None, S), (minus, linalg._transpose(S))])
+    for got, want in ((P, linalg.sparse(mat_mul_direct(rows, rows))),
+                      (C, dense_sum(rows, minus, linalg.transpose(rows))),
+                      (linalg._combine([(None, P), (minus, linalg._product(S, S))]), {}),
+                      (linalg._combine([(f, S), (None, S), (-f, S)]), S)):
+        assert_zero_free(got)
+        assert got == want
+    # _add_scaled, in place: f * row n-1 and back, then row 0 less its copy;
+    # then row 0 and its negative, added as they are
+    acc = dict(S.get(0, {}))
+    for c in (f, -f, minus):
+        linalg._add_scaled(acc, c, S.get(n - 1, {}))
+        assert_zero_free(acc)
+    assert acc == {}
+    linalg._add_scaled(acc, None, S.get(0, {}))
+    linalg._add_scaled(acc, None, {k: -c for k, c in S.get(0, {}).items()})
+    assert acc == {}
+    # a table with (e_i, e_j) -> row (i + j) mod n; (e_0, e_0) and (e_0, e_(n-1))
+    # give the same row, so u = e_0, v = e_0 - e_(n-1) is the zero image
+    table = StructureConstants(n, m, {(i, j): rows[(i + j) % n]
+                                      for i in range(n) for j in range(n)})
+    assert table.sparse_bilinear({0: f}, {0: f, n - 1: -f}) == {}
+    cols = linalg._transpose(S)  # cols[k] = rows e_k
+    for u, v in ((rows[0], rows[n - 1]), (rows[1 % n], rows[0]), (rows[0], rows[0])):
+        got = table.sparse_bilinear(u, v)
+        assert_zero_free(got)
+        assert got == linalg._sparse(bilinear_direct(table, u, v))
+    for i in range(n):
+        for j in range(n):
+            got = table.mapped_row(i, j, cols)
+            assert_zero_free(got)
+            assert got == linalg._sparse(mat_vec_direct(rows, table.of_basis(i, j)))
+    # the cyclic residual of a Lie bracket vanishes on every triple; that of
+    # the table above is compared with the dense sum over the rotations
+    group = FiniteAbelianGroup((1,))
+    eps, degrees = BiCharacter(group, [[0]], m), [group.zero()] * 4
+    one = CycloScalar.one(m)
+    lie = StructureConstants(3, m, {(a, b): {c: s * f} for a, b, c in ((0, 1, 2), (1, 2, 0), (2, 0, 1))
+                                    for (a, b), s in (((a, b), one), ((b, a), minus))})
+    for x, y, z in product(range(3), repeat=3):
+        assert cyclic_residual([(lie, lie)], degrees, eps, x, y, z) == {}
+    for x, y, z in product(range(n), repeat=3):
+        got = cyclic_residual([(table, table)], degrees, eps, x, y, z)
+        assert_zero_free(got)
+        want = [zero] * n
+        for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
+            unit = [one if t == a else zero for t in range(n)]
+            want = [w + t for w, t in zip(want, bilinear_direct(table, unit, table.of_basis(b, c)))]
+        assert got == linalg._sparse(want)
+
+
+@PROPERTY
+@given(cancelling(), st.data())
+def test_eliminations_filter_dense_rows_and_leave_out_a_zero_right_hand_side(case, data):
+    m, rows, units = case
+    n, zero = len(rows), CycloScalar.zero(m)
+    red, pivots = rref_direct(rows)
+    for given_rows in (rows, [as_sparse(row) for row in rows]):
+        got, got_pivots = linalg.rref(given_rows)
+        assert got_pivots == pivots and [as_dense(r, n, m) for r in got] == red
+        echelon = linalg.Echelon(given_rows)
+        assert_zero_free(echelon.rows)
+        assert sorted(echelon.rows) == pivots
+    # the zero right-hand side; a consistent one holding zeros; an arbitrary one
+    x0 = data.draw(st.lists(st.sampled_from([zero] + units), min_size=n, max_size=n))
+    consistent = linalg.mat_vec(rows, x0)
+    arbitrary = data.draw(st.lists(st.sampled_from([zero, zero] + units), min_size=n,
+                                   max_size=n))
+    for target in ([zero] * n, consistent, arbitrary):
+        want = solve_direct(rows, target, m)
+        assert linalg.solve(rows, target, m) == want
+        if target is not arbitrary:
+            assert want is not None
+    assert linalg.solve(rows, [zero] * n, m) == [zero] * n

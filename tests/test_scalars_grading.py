@@ -176,6 +176,41 @@ def test_fused_multiply_add_matches_multiply_then_add(case):
             _muladd(*args)
 
 
+@st.composite
+def quadratic_muladd_operands(draw):
+    """(m, x, f, b) at m = 3, 4, 6 (phi(m) = 2): x is None, zero, -(f * b)
+    or drawn; f is a plain Fraction, a rational scalar or drawn; zeros and
+    mixed denominators come with the draws."""
+    m = draw(st.sampled_from((3, 4, 6)))
+    vec = st.one_of(st.just((Fraction(0),) * 2), st.tuples(COEFF, COEFF))
+    f, b = CycloScalar(draw(vec), m), CycloScalar(draw(vec), m)
+    f = draw(st.sampled_from((f, f.coeffs[0], CycloScalar.from_rational(f.coeffs[0], m))))
+    x = draw(st.sampled_from((None, CycloScalar.zero(m), -(f * b), CycloScalar(draw(vec), m))))
+    return m, x, f, b
+
+
+@PROPERTY
+@given(quadratic_muladd_operands())
+@example((3, None, Fraction(2, 3), CycloScalar((Fraction(3, 4), Fraction(-1, 2)), 3)))
+@example((6, CycloScalar((Fraction(1, 2), Fraction(1, 3)), 6), CycloScalar((1, 1), 6),
+          CycloScalar((Fraction(-1, 2), Fraction(-1, 3)), 6) * CycloScalar((1, 1), 6).inverse()))
+def test_fused_step_at_phi_two_is_multiply_then_add(case):
+    m, x, f, b = case
+    fb = b * f if isinstance(f, Fraction) else f * b
+    got, want = _muladd(x, f, b), fb if x is None else x + fb
+    assert (got.num, got.den, got.root_order, hash(got)) == \
+        (want.num, want.den, want.root_order, hash(want))
+    if x is not None and (x + fb).is_zero():
+        assert got.num == (0, 0) and got.den == 1
+    for other in {3: (4, 6), 4: (3, 6), 6: (3, 4)}[m] + (2,):
+        z = CycloScalar.root_of_unity(other)
+        for args in ((z, f, b), (x, z, b), (x, f, z), (None, z, b)):
+            if args[0] is None and isinstance(args[1], Fraction):
+                continue  # a plain rational takes the order of b
+            with pytest.raises(ScalarError):
+                _muladd(*args)
+
+
 @PROPERTY
 @given(operand_pairs())
 def test_inverse_matches_fraction_oracle(case):

@@ -19,8 +19,9 @@ from colorhomlie.structure_theory import (KINDS, HomogeneousMapSpace,
                                           degree_pattern, jordan_product,
                                           quasi_centroid_jordan,
                                           reverify_space, solve_space)
-from conftest import (_express_in_span, build_algebra, defining_rows_direct, direct_sum,
-                      heis_zeta3, hom_jordan_direct, inclusion_lattice_direct, mat_add,
+from conftest import (_express_in_span, assert_zero_free, build_algebra,
+                      defining_rows_direct, direct_sum, heis_zeta3, hom_jordan_direct,
+                      identity_holds_on_all_pairs_direct, inclusion_lattice_direct, mat_add,
                       mat_scale, member_of, motion_z2z3, partner_rows_direct,
                       quasi_centroid_jordan_direct, random_multiplicative_algebra, sc,
                       sl2c_z2z2, zero_algebra, zeros)
@@ -532,6 +533,39 @@ def test_reverify_rejects_a_matrix_pushed_out_of_the_space(build):
     assert checked == set(KINDS)
 
 
+# the seeds draw each conftest family whose identities can fail; the zero
+# bracket over Z3 has alpha = Id, so every perturbation of it passes
+REVERIFY_CASES = [heis_zeta3(), sl2c_z2z2(), motion_z2z3()] + [
+    random_multiplicative_algebra(random.Random(seed)) for seed in (0, 5, 7, 9, 12, 14, 19)]
+
+
+@pytest.mark.parametrize("case", range(len(REVERIFY_CASES)))
+def test_support_only_reverification_matches_the_all_pairs_oracle(case):
+    # every spanning matrix, and the first one (the zero matrix for an empty
+    # space) plus E_ij at each pattern cell; where column j of that matrix is
+    # zero, the perturbation alone makes D e_j nonzero, so the pairs (j, y)
+    # that were skipped must be evaluated
+    A = REVERIFY_CASES[case]
+    verdicts, untouched = set(), 0
+    for kind in ("der", "centroid", "qcentroid"):
+        for k in (0, 1):
+            for g in all_degrees(A):
+                space = solve_space(A, kind, k, g)
+                base = space.basis[0] if space.basis else zeros(A.dim, A.dim, A.m)
+                matrices = list(space.basis)
+                for i, j in degree_pattern(A, g):
+                    M = [list(row) for row in base]
+                    M[i][j] = M[i][j] + sc(1, A.m)
+                    matrices.append(M)
+                    untouched += all(row[j].is_zero() for row in base)
+                for M in matrices:
+                    want = identity_holds_on_all_pairs_direct(A, space, M)
+                    single = HomogeneousMapSpace(kind, k, g, [M], space.commute)
+                    assert reverify_space(A, single).ok == want, (A.name, kind, k, g, M)
+                    verdicts.add(want)
+    assert verdicts == {True, False} and untouched
+
+
 def _row_cases():
     """Ten seeded random algebras, heis_zeta3, its direct square, motion_z2z3,
     and the sl2c_z2z2 bracket under a dense twist (every generated twist is
@@ -577,8 +611,9 @@ def test_defining_rows_match_dense_oracle(case):
                     rows, nvars, nD = defining_rows_direct(A, k, gamma, kind, pattern,
                                                            commute)
                     want = (_nonzero_rows(rows), nvars, nD)
-                    assert _defining_rows(A, k, gamma, kind, pattern, commute) == want, \
-                        (A.name, kind, k, gamma.components, commute)
+                    got = _defining_rows(A, k, gamma, kind, pattern, commute)
+                    assert_zero_free(got[0])
+                    assert got == want, (A.name, kind, k, gamma.components, commute)
                 if not full:
                     rows, _, _ = _defining_rows(A, k, gamma, kind, pattern, False)
                     assert rows == want[0][:len(rows)]
