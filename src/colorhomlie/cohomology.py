@@ -32,7 +32,7 @@ from itertools import product
 
 from . import linalg
 from .algebra_core import AlgebraStructureError, CheckResult, ColorHomAlgebra
-from .linalg import _add_entry, _product, _sparse, _transpose, sparse
+from .linalg import _add_scaled, _combine, _product, _sparse, _transpose, sparse
 from .representations import Representation
 from .scalars_grading import (CycloScalar, GroupElement, GroupMismatchError, _muladd,
                               sort_with_sign)
@@ -141,7 +141,7 @@ class _Complex:
 
     def __init__(self, A: ColorHomAlgebra, R: Representation):
         self.algebra, self.mdim = A, R.dim
-        self.beta = [(k, l, b) for k, brow in sparse(R.beta).items() for l, b in brow.items()]
+        self.beta = sparse(R.beta)
         self.rho_basis = [sparse(mat) for mat in R.rho]
         alpha_cols = _transpose(A.alpha_sparse(1))
         self.alpha_cols = [list(alpha_cols.get(i, {}).items()) for i in range(A.dim)]
@@ -190,8 +190,7 @@ class _Complex:
             cols, images = _transpose(self.algebra.alpha_sparse(p)), []
             for i in range(self.algebra.dim):
                 # rho(sum_j a_j e_j) = sum_j a_j rho(e_j)
-                image = linalg._combine((a, self.rho_basis[j])
-                                        for j, a in cols.get(i, {}).items())
+                image = _combine((a, self.rho_basis[j]) for j, a in cols.get(i, {}).items())
                 images.append([(k, l, v) for k, row in sorted(image.items())
                                for l, v in sorted(row.items())])
             self._rho[p] = images
@@ -242,10 +241,8 @@ def _compat_rows(cx: _Complex, n: int):
     """
     A, mdim = cx.algebra, cx.mdim
     if n == 0:
-        rows = {k: {k: CycloScalar.one(A.m)} for k in range(mdim)}
-        for k, l, b in cx.beta:
-            _add_entry(rows, k, l, -b)
-        return sparse(rows)
+        one = CycloScalar.one(A.m)
+        return _combine([(None, {k: {k: one} for k in range(mdim)}), (-one, cx.beta)])
     rows = {}
     if cx.free_dim(n) == 0:
         return rows
@@ -266,16 +263,16 @@ def _compat_rows(cx: _Complex, n: int):
             for _, a in picks:
                 coeff = coeff * a
             coeffs[pos] = coeffs[pos] + coeff if pos in coeffs else coeff
-        for pos, coeff in coeffs.items():
-            for k in range(mdim):
-                _add_entry(rows, base + k, pos * mdim + k, coeff)
         # - beta f(x_1, ..., x_n)
         hit = locate(combo)
-        if hit is not None:
-            pos, sign = hit
-            for k, l, b in beta:
-                _add_entry(rows, base + k, pos * mdim + l, -(b * sign))
-    return sparse(rows)
+        for k in range(mdim):
+            row = {pos * mdim + k: coeff for pos, coeff in coeffs.items() if any(coeff.num)}
+            if hit is not None and k in beta:
+                pos, sign = hit
+                _add_scaled(row, -sign, {pos * mdim + l: b for l, b in beta[k].items()})
+            if row:
+                rows[base + k] = row
+    return rows
 
 
 def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
@@ -316,9 +313,8 @@ def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
                     for _, a in picks:
                         coeff = coeff * a
                     coeffs[pos] = coeffs[pos] + coeff if pos in coeffs else coeff
-        for pos, coeff in coeffs.items():
-            for k in range(mdim):
-                _add_entry(rows, base + k, pos * mdim + k, coeff)
+        block = [{pos * mdim + k: coeff for pos, coeff in coeffs.items() if any(coeff.num)}
+                 for k in range(mdim)]
         # action terms (-1)^s eps(gamma + x_0 + ... + x_{s-1}, x_s) rho(...) f(...)
         for s in range(n + 1):
             sign = roots[(gx[tup[s]] + sum(ex[tup[u]][tup[s]] for u in range(s))) % m]
@@ -329,9 +325,13 @@ def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
             pos, coeff = hit
             coeff = factor * coeff
             for k, l, v in rho_entries[tup[s]]:
-                row, c = rows.setdefault(base + k, {}), pos * mdim + l
-                row[c] = _muladd(row.get(c), coeff, v)
-    return sparse(rows)
+                row, c = block[k], pos * mdim + l
+                if any((y := _muladd(row.get(c), coeff, v)).num):
+                    row[c] = y
+                else:
+                    del row[c]
+        rows.update((base + k, row) for k, row in enumerate(block) if row)
+    return rows
 
 
 def cochain_basis(A: ColorHomAlgebra, R: Representation, n: int,
@@ -464,13 +464,12 @@ def cohomology_group(A: ColorHomAlgebra, R: Representation, n: int, r: int,
     if restrict == "free":
         Z = linalg.sparse_kernel_basis(list(rows.values()), cx.free_dim(n), A.m)
     else:
-        # kernel of delta restricted to the compatible basis, and the
-        # cocycles its vectors give as sums of compatible basis vectors
+        # the rref kernel of delta on the rref compatible basis: the cocycles
+        # its vectors give as sums of basis vectors are again in rref
         basis = cx.compat(n)[0]
         combos = linalg.sparse_kernel_basis(list(cx.restricted(n, gamma, r).values()),
                                             len(basis), A.m)
         Z = list(_product(dict(enumerate(combos)), dict(enumerate(basis))).values())
-    Z = linalg.rref(Z)[0]
     B = cx.coboundaries(n, gamma, r)
     reps = linalg.quotient_representatives(Z, B)
     # Z and B are independent, so rank(Z + B) = len(B) + len(reps)

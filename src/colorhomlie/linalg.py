@@ -20,7 +20,9 @@ are filtered, at the edge.  The dense kernels left serve those edges only:
 * ``transpose`` and ``mat_eq``: public matrices turned or compared as given.
 
 Elimination is Gauss-Jordan with exact division and canonical pivot
-normalization, so reduced forms (and hence reported bases) are reproducible.
+normalization.  The reduced row echelon form is unique over a field, and
+``rref`` and ``sparse_kernel_basis`` each return one, so reported bases are
+reproducible and no caller reduces a kernel again.
 """
 from __future__ import annotations
 
@@ -107,12 +109,6 @@ def _add_scaled(acc, coeff, row):
                 acc[k] = y
             else:
                 acc.pop(k, None)
-
-
-def _add_entry(rows, r, c, value):
-    """rows[r][c] += value on a sparse matrix {row: {column: scalar}}."""
-    row = rows.setdefault(r, {})
-    row[c] = row[c] + value if c in row else value
 
 
 def sparse(M):
@@ -256,16 +252,21 @@ def rank(rows) -> int:
 
 
 def sparse_kernel_basis(M, ncols: int, m: int):
-    """Basis of {v : M v = 0} as sparse vectors, one per free column in
-    increasing order; M is a list of equation rows."""
-    red, pivots = rref(M)
+    """rref(ker M): the reduced row echelon basis of {v : M v = 0}, sparse
+    vectors sorted by leading column; M is a list of dense or zero-free
+    sparse equation rows.  M is eliminated once, with its columns reversed,
+    so each vector is 1 at its own free column, its leftmost nonzero, and
+    otherwise nonzero only at pivot columns, where no vector leads."""
+    last = ncols - 1
+    red, pivots = rref([{last - c: a for c, a in (row if isinstance(row, dict)
+                                                  else _sparse(row)).items()} for row in M])
     o = CycloScalar.one(m)
     pivot_set = set(pivots)
-    basis = {fc: {fc: o} for fc in range(ncols) if fc not in pivot_set}
+    basis = {fc: {last - fc: o} for fc in range(last, -1, -1) if fc not in pivot_set}
     for row, pc in zip(red, pivots):
         for c, a in row.items():
             if c != pc:
-                basis[c][pc] = -a
+                basis[c][last - pc] = -a
     return list(basis.values())
 
 

@@ -30,7 +30,7 @@ class Representation:
 
     def rho_of(self, coords):
         """rho extended linearly to an algebra element given by coordinates."""
-        image = _rho_sum([linalg.sparse(mat) for mat in self.rho], linalg._sparse(coords))
+        image = _combine((c, linalg.sparse(self.rho[j])) for j, c in linalg._sparse(coords).items())
         return linalg.dense(image, self.dim, self.m)
 
 

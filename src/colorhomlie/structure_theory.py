@@ -197,10 +197,10 @@ def solve_space(A: ColorHomAlgebra, kind: str, k: int, gamma: GroupElement,
         pattern, mats = degree_pattern(A, gamma), []
         if pattern:
             rows, nvars, nD = _defining_rows(A, k, gamma, kind, pattern, commute)
-            # project the kernel onto the D block; its rref is the canonical basis
+            # rref(ker) on the D block: vectors leading past it vanish, the rest stay rref
             flats = [{t: c for t, c in v.items() if t < nD}
                      for v in linalg.sparse_kernel_basis(rows, nvars, A.m)]
-            mats = [_pattern_matrix(A, pattern, v) for v in linalg.rref(flats)[0]]
+            mats = [_pattern_matrix(A, pattern, v) for v in flats if v]
         A._spaces[key] = mats
     return HomogeneousMapSpace(kind, k, gamma, [[list(row) for row in M]
                                                 for M in A._spaces[key]], commute)

@@ -10,12 +10,13 @@ import pytest
 from colorhomlie import linalg
 from colorhomlie.fileio import ParseError, _load_json, parse_matrix
 from colorhomlie.algebra_core import (BracketTable, CheckResult, ColorHomAlgebra,
-                                      GradedBasis, StructureConstants,
-                                      check_color_hom_lie)
+                                      GradedBasis, HomAssociativeColorAlgebra,
+                                      StructureConstants, check_color_hom_lie,
+                                      commutator_algebra)
 from colorhomlie.cohomology import CochainSpace
 from colorhomlie.morphisms_twists import twist
-from colorhomlie.structure_theory import (_COMMUTE, NotClosedError, degree_pattern,
-                                          solve_space)
+from colorhomlie.structure_theory import (_COMMUTE, NotClosedError, _defining_rows,
+                                          _pattern_matrix, degree_pattern, solve_space)
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup, ScalarError,
                                          _poly_divmod, _poly_mul, _poly_sub,
@@ -108,6 +109,29 @@ def direct_sum(A, B, name):
                            alpha, A.m, name=name)
 
 
+def clock_shift(n, exponents, name=""):
+    """The eps-commutator algebra of M_n with the Z_n x Z_n clock-shift grading:
+    deg(X^a Z^b) = (a, b), e_(a,b) e_(c,d) = zeta_n^(bc) e_(a+c,b+d), eps given
+    by the exponent matrix, m = n and alpha = Id.  It is indecomposable, so
+    its systems are not the near-diagonal ones of a direct sum."""
+    group = FiniteAbelianGroup((n, n))
+    cells = list(product(range(n), repeat=2))
+    basis = GradedBasis(tuple(f"x{a}{b}" for a, b in cells),
+                        tuple(group.element(cell) for cell in cells), group)
+    zero = CycloScalar.zero(n)
+    mu = [[[zero] * len(cells) for _ in cells] for _ in cells]
+    for (i, (a, b)), (j, (c, d)) in product(enumerate(cells), repeat=2):
+        mu[i][j][cells.index(((a + c) % n, (b + d) % n))] = CycloScalar.root_of_unity(n, b * c)
+    A = commutator_algebra(HomAssociativeColorAlgebra(
+        basis, BiCharacter(group, exponents, n), mu, linalg.identity(len(cells), n), n))
+    return ColorHomAlgebra(A.basis, A.eps, A.bracket, A.alpha, n, name=name)
+
+
+def clock3():
+    """clock_shift at n = 3 with exponents [[0, 1], [2, 0]]: dim 9, m = 3."""
+    return clock_shift(3, [[0, 1], [2, 0]], name="clock3")
+
+
 def zero_algebra(orders, eps_exponents, m, degrees, alpha=None):
     dim = len(degrees)
     names = [f"e{i + 1}" for i in range(dim)]
@@ -188,6 +212,21 @@ def assert_zero_free(M):
     for row in rows:
         assert row, "empty row"
         assert not any(c.is_zero() for c in row.values()), row
+
+
+def assert_rref(vectors):
+    """Dense or sparse vectors in reduced row echelon form: strictly
+    increasing leading columns, a 1 at each, and a 0 at every other
+    vector's leading column."""
+    vectors = [v if isinstance(v, dict) else dict(enumerate(v)) for v in vectors]
+    supports = [[c for c, a in sorted(v.items()) if not a.is_zero()] for v in vectors]
+    assert all(supports), "zero vector"
+    leads = [support[0] for support in supports]
+    assert leads == sorted(set(leads)), leads
+    for v, lead in zip(vectors, leads):
+        assert v[lead] == CycloScalar.one(v[lead].root_order), (lead, v[lead])
+        assert all(v.get(other) is None or v[other].is_zero()
+                   for other in leads if other != lead), (lead, v)
 
 
 def mat_pow(M, e, m):
@@ -889,6 +928,33 @@ def defining_rows_direct(A, k, gamma, kind, pattern, commute):
     return rows, nvars, nD
 
 
+def forward_kernel_basis_direct(M, ncols, m):
+    """Basis of {v : M v = 0}, one vector per free column of the forward
+    rref of M, read off it: the kernel as ``linalg.sparse_kernel_basis``
+    gave it before that returned the reduced row echelon basis."""
+    red, pivots = linalg.rref(M)
+    o, pivot_set = CycloScalar.one(m), set(pivots)
+    basis = {fc: {fc: o} for fc in range(ncols) if fc not in pivot_set}
+    for row, pc in zip(red, pivots):
+        for c, a in row.items():
+            if c != pc:
+                basis[c][pc] = -a
+    return list(basis.values())
+
+
+def solve_space_two_pass_direct(A, kind, k, gamma):
+    """The spanning matrices of ``solve_space`` at the kind's default commute
+    flag, in two eliminations: the forward kernel of the defining rows,
+    projected onto the D block, and the rref of that projection."""
+    pattern = degree_pattern(A, gamma)
+    if not pattern:
+        return []
+    rows, nvars, nD = _defining_rows(A, k, gamma, kind, pattern, _COMMUTE[kind][0])
+    flats = [{t: c for t, c in v.items() if t < nD}
+             for v in forward_kernel_basis_direct(rows, nvars, A.m)]
+    return [_pattern_matrix(A, pattern, v) for v in linalg.rref(flats)[0]]
+
+
 def partner_rows_direct(A, k, gamma, D, kind):
     """Equations (rows, rhs) on the qder/gder partner maps of D, through dense
     unit matrices: an oracle for ``structure_theory._partner_rows``, with the
@@ -1216,7 +1282,8 @@ def check_ijkl_direct(A, D, d):
 
 
 def annihilator_direct(A, D):
-    """Ann(Delta) from the dense equation rows, through the dense elimination."""
+    """Ann(Delta) from the dense equation rows, through the dense elimination:
+    the forward kernel basis, in its reduced row echelon form."""
     rows = []
     for w in range(A.dim):
         dw = mat_vec_direct(D.delta_map, basis_vector(A, w))
@@ -1231,7 +1298,7 @@ def annihilator_direct(A, D):
         for r, pc in enumerate(pivots):
             v[pc] = -red[r][free]
         basis.append(v)
-    return basis
+    return rref_direct(basis)[0]
 
 
 # -- randomized valid multiplicative algebras --------------------------------

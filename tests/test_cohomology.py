@@ -17,16 +17,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from colorhomlie import cohomology, linalg
-from colorhomlie.algebra_core import AlgebraStructureError, ColorHomAlgebra
+from colorhomlie.algebra_core import AlgebraStructureError, ColorHomAlgebra, check_color_hom_lie
 from colorhomlie.cohomology import (Cochain, CochainSpace, canonical_tuples,
                                     cochain_basis, coboundary_of_coords,
                                     cohomology_group, delta_matrix, reverify)
 from colorhomlie.representations import Representation, adjoint, alpha_s_adjoint
 from colorhomlie.scalars_grading import CycloScalar
 
-from conftest import (SL2C_Z2Z2_CASE_FAMILIES, assert_zero_free, basis_vector, build_algebra,
-                      compat_rows_direct, coord_index, delta1_direct, delta2_direct,
-                      densify, direct_sum, in_span, kernel_basis,
+from conftest import (SL2C_Z2Z2_CASE_FAMILIES, assert_rref, assert_zero_free, basis_vector,
+                      build_algebra, clock3, compat_rows_direct, coord_index, delta1_direct,
+                      delta2_direct, densify, direct_sum, in_span, kernel_basis,
                       random_multiplicative_algebra, sc, sl2c_z2z2, zero_algebra, zeros)
 
 
@@ -235,6 +235,7 @@ def test_sparse_operators_match_multilinear_oracles(case):
                 rows = compat_rows_direct(A, R, n, space.tuples)
                 oracle = kernel_basis(rows, space.free_dim, A.m)
             assert densify(space, space.compat_basis) == oracle, (A.name, n)
+            assert_rref(space.compat_basis)
             for r in (0, 1):
                 columns, _ = delta_matrix(A, R, n, r, gamma, domain="free")
                 assert len(columns) == space.free_dim
@@ -421,6 +422,7 @@ def test_sparse_compatible_bases_square_to_zero_and_b_lies_in_z(seed, n, r, data
     assert linalg._product(cx.delta(n + 1, gamma, r), images) == {}
     for restrict in ("free", "compatible"):
         res = cohomology_group(A, R, n + 1, r, gamma, restrict=restrict)
+        assert_rref(res.cocycle_basis)
         cocycles = linalg.Echelon(res.cocycle_basis)
         assert_zero_free(cocycles.rows)
         assert all(b in cocycles for b in res.coboundary_basis)
@@ -667,3 +669,24 @@ def test_cohomology_result_serialization_shape():
     for rep in doc["representatives"]:
         for key, val in rep.items():
             assert all(name in A.basis.names for name in key.split(","))
+
+
+def test_clock3_is_an_indecomposable_input_with_pinned_cohomology():
+    # the eps-commutator algebra of M_3 under its Z3xZ3 clock-shift grading:
+    # an m = 3 input that is not a direct sum, so its delta rows are not
+    # near-diagonal.  Every cocycle is re-checked on the multilinear path;
+    # alpha = Id makes every cochain compatible, so both modes give one Z^2.
+    A = clock3()
+    assert check_color_hom_lie(A).all_ok
+    assert A.dim == 9 and A.m == 3 and len(A.bracket.rows) == 48
+    R = adjoint(A)
+    gamma = A.basis.group.element((1, 0))
+    results = {}
+    for n, restrict, dims in ((1, "free", (9, 8, 1)), (2, "free", (72, 72, 0)),
+                              (2, "compatible", (72, 72, 0))):
+        res = results[n, restrict] = cohomology_group(A, R, n, 0, gamma, restrict=restrict)
+        assert (res.dim_Z, res.dim_B, res.dim_H) == dims, (n, restrict)
+        assert_rref(res.cocycle_basis)
+    assert results[2, "free"].cocycle_basis == results[2, "compatible"].cocycle_basis
+    for key in ((1, "free"), (2, "compatible")):
+        assert reverify(A, R, results[key]).ok, key

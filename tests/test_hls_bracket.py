@@ -20,7 +20,7 @@ from colorhomlie.hls_bracket import (CommutativeColorAlgebra, HLSError,
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup, euler_phi)
 
-from conftest import (annihilator_direct, basis_vector, check_fgh_direct,
+from conftest import (annihilator_direct, assert_rref, basis_vector, check_fgh_direct,
                       check_ijkl_direct, check_mnop_direct, check_sigma_derivation_direct,
                       data_path, hls_bracket_element_direct, zeros)
 
@@ -375,6 +375,7 @@ def test_derivation_laws_and_annihilator_match_the_dense_oracles():
             assert got.to_dict() == check_ijkl_direct(A, D, d).to_dict()
             failing += len(got.failures)
         assert annihilator(A, D) == annihilator_direct(A, D)
+        assert_rref(annihilator(A, D))
         failing += len(cd1) + len(cd2)
     assert failing >= 20
 

@@ -19,8 +19,8 @@ from colorhomlie import linalg
 from colorhomlie.algebra_core import StructureConstants, cyclic_residual
 from colorhomlie.scalars_grading import BiCharacter, CycloScalar, FiniteAbelianGroup, ScalarError
 
-from conftest import (assert_zero_free, bilinear_direct, direct_sum, in_span, kernel_basis,
-                      mat_mul_direct, mat_vec_direct, rref_direct, sl2c_z2z2)
+from conftest import (assert_rref, assert_zero_free, bilinear_direct, direct_sum, in_span,
+                      kernel_basis, mat_mul_direct, mat_vec_direct, rref_direct, sl2c_z2z2)
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 ROOT_ORDERS = (1, 2, 3, 4)
@@ -153,8 +153,29 @@ def test_rref_matches_dense_oracle(system):
 @given(systems())
 def test_kernel_and_rank_match_dense_oracle(system):
     m, ncols, rows, mixed = system
-    assert kernel_basis(mixed, ncols, m) == kernel_direct(rows, ncols, m)
+    # the kernel comes back in reduced row echelon form, so it equals the
+    # oracle's forward kernel basis once that is reduced
+    assert kernel_basis(mixed, ncols, m) == rref_direct(kernel_direct(rows, ncols, m))[0]
+    assert_rref(linalg.sparse_kernel_basis(mixed, ncols, m))
     assert linalg.rank(mixed) == rank_direct(rows)
+
+
+@PROPERTY
+@given(st.sampled_from((2, 3)), st.integers(1, 7), st.integers(0, 7), st.booleans(),
+       st.data())
+def test_the_kernel_is_the_rref_of_the_forward_kernel(m, ncols, nrows, as_dicts, data):
+    # the kernel contract: one elimination gives rref(ker M), as zero-free
+    # sparse vectors, whether M comes as sparse rows or as dense rows that
+    # hold zeros; the oracle reduces the dense forward kernel a second time
+    rows = data.draw(st.lists(st.lists(scalars(m, sparse=True), min_size=ncols,
+                                       max_size=ncols), min_size=nrows, max_size=nrows))
+    if rows and data.draw(st.booleans()):
+        rows.append([a + b for a, b in zip(rows[0], rows[-1])])
+    given_rows = [as_sparse(row) for row in rows] if as_dicts else rows
+    got = linalg.sparse_kernel_basis(given_rows, ncols, m)
+    assert_rref(got)
+    assert_zero_free(got)
+    assert linalg.dense(got, ncols, m) == rref_direct(kernel_direct(rows, ncols, m))[0]
 
 
 @PROPERTY
