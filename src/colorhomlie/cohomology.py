@@ -18,7 +18,9 @@ The compatible, cocycle and coboundary bases are sparse {coordinate:
 scalar} vectors, the dim H representatives dense lists.
 ``coboundary_of_coords`` and ``CochainSpace.evaluate`` read either form and
 compute the same values through the multilinear extension without the
-complex; they are the independent path of ``reverify`` and the tests.
+complex; they are the independent path of ``reverify`` and the tests.  They
+accumulate sparse {carrier index: scalar} values, which ``evaluate`` and
+``evaluate_basis`` return; the coboundary comes back as dense coordinates.
 
 ``cohomology_group`` exposes two kernel modes.  In "compatible" mode (the
 default) cocycles are computed inside the compatible subspace, which is the
@@ -71,35 +73,28 @@ class CochainSpace:
     def compat_dim(self) -> int:
         return len(self.compat_basis)
 
-    def zero_coords(self):
-        return [CycloScalar.zero(self.algebra.m)] * self.free_dim
-
     def evaluate_basis(self, coords, indices):
-        """Value on a tuple of basis indices, via the sorting sign."""
-        mdim = self.module.dim
-        zero = CycloScalar.zero(self.algebra.m)
-        sorted_tup, sign = sort_with_sign(indices, self.algebra.basis.degrees,
-                                          self.algebra.eps)
-        for a, b in zip(sorted_tup, sorted_tup[1:]):
-            if a == b and not self.algebra.eps.sign_is_minus_one(
-                    self.algebra.degree(a), self.algebra.degree(a)):
-                return [zero] * mdim
+        """Value {carrier index: nonzero scalar} on a tuple of basis indices,
+        via the sorting sign."""
+        A, mdim = self.algebra, self.module.dim
+        sorted_tup, sign = sort_with_sign(indices, A.basis.degrees, A.eps)
+        if any(a == b and not A.eps.sign_is_minus_one(A.degree(a), A.degree(a))
+               for a, b in zip(sorted_tup, sorted_tup[1:])):
+            return {}
         base = self.positions[sorted_tup] * mdim
-        if isinstance(coords, dict):
-            return [sign * coords.get(base + k, zero) for k in range(mdim)]
-        return [sign * coords[base + k] for k in range(mdim)]
+        block = ((k, coords.get(base + k)) for k in range(mdim)) if isinstance(coords, dict) \
+            else enumerate(coords[base:base + mdim])
+        return {k: sign * c for k, c in block if c is not None and any(c.num)}
 
     def evaluate(self, coords, vectors):
-        """Multilinear extension to arbitrary dense or sparse coordinate-vector
+        """Multilinear extension to dense or sparse coordinate-vector
         arguments, summed over the products of their supports."""
-        m = self.algebra.m
-        out = [CycloScalar.zero(m)] * self.module.dim
+        out = {}
         for picks in product(*(_sparse(vec).items() for vec in vectors)):
-            coeff = CycloScalar.one(m)
+            coeff = None
             for _, c in picks:
-                coeff = coeff * c
-            val = self.evaluate_basis(coords, tuple(i for i, _ in picks))
-            out = [o + coeff * v for o, v in zip(out, val)]
+                coeff = c if coeff is None else coeff * c
+            _add_scaled(out, coeff, self.evaluate_basis(coords, tuple(i for i, _ in picks)))
         return out
 
 
@@ -350,20 +345,16 @@ def coboundary_of_coords(A: ColorHomAlgebra, R: Representation, space: CochainSp
 
     Raises when r + n - 1 < 0 and the twist is singular (negative power).
     """
-    n = space.n
-    gamma = space.gamma
-    m = A.m
-    mdim = R.dim
-    rho_power = r + n - 1
-    target_tuples = canonical_tuples(A, n + 1)
-    target = CochainSpace(A, R, n + 1, gamma, target_tuples, [])
-    out = target.zero_coords()
-    # alpha e_i and rho(alpha^(r+n-1) e_i), once per call; arguments are sparse
-    alpha_img, one = _transpose(A.alpha_sparse(1)), CycloScalar.one(m)
-    rho_img = [R.rho_of(col) for col in linalg.transpose(A.alpha_power(rho_power))]
-    for t_index, tup in enumerate(target_tuples):
-        acc = [CycloScalar.zero(m)] * mdim
-        degs = [A.degree(i) for i in tup]
+    n, gamma, mdim = space.n, space.gamma, R.dim
+    coords = _sparse(coords)
+    target = CochainSpace(A, R, n + 1, gamma, canonical_tuples(A, n + 1), [])
+    # alpha e_i and the columns of rho(alpha^(r+n-1) e_i), once per call
+    alpha_img = _transpose(A.alpha_sparse(1))
+    powers = _transpose(A.alpha_sparse(r + n - 1))
+    rho_cols = [_transpose(sparse(R.rho_of(powers.get(i, {})))) for i in range(A.dim)]
+    out = {}
+    for t_index, tup in enumerate(target.tuples):
+        acc, degs = {}, [A.degree(i) for i in tup]
         # insertion terms f(alpha x_0, ..., [x_s, x_t], ..., ^x_t, ..., alpha x_n)
         for t in range(1, n + 1):
             for s in range(t):
@@ -371,20 +362,17 @@ def coboundary_of_coords(A: ColorHomAlgebra, R: Representation, space: CochainSp
                 factor = sign if t % 2 == 0 else -sign  # (-1)^t
                 args = [A.bracket.rows.get((tup[s], tup[t]), {}) if pos == s
                         else alpha_img.get(tup[pos], {}) for pos in range(n + 1) if pos != t]
-                val = space.evaluate(coords, args)
-                acc = [a + factor * v for a, v in zip(acc, val)]
+                _add_scaled(acc, factor, space.evaluate(coords, args))
         # action terms (-1)^s eps(gamma + x_0 + ... + x_{s-1}, x_s) rho(...) f(...)
         for s in range(n + 1):
             sign = A.eps(sum(degs[:s], gamma), degs[s])
             factor = sign if s % 2 == 0 else -sign
-            rest = [{tup[pos]: one} for pos in range(n + 1) if pos != s]
-            fval = space.evaluate(coords, rest)
-            acted = linalg.mat_vec(rho_img[tup[s]], fval)
-            acc = [a + factor * v for a, v in zip(acc, acted)]
-        base = t_index * mdim
-        for k in range(mdim):
-            out[base + k] = acc[k]
-    return out, target
+            cols = rho_cols[tup[s]]
+            for l, v in space.evaluate_basis(coords, tup[:s] + tup[s + 1:]).items():
+                if l in cols:
+                    _add_scaled(acc, factor * v, cols[l])
+        out.update((t_index * mdim + k, c) for k, c in acc.items())
+    return linalg.dense([out], target.free_dim, A.m)[0], target
 
 
 def coboundary(A: ColorHomAlgebra, R: Representation, f: Cochain, r: int) -> Cochain:

@@ -15,8 +15,6 @@ are filtered, at the edge.  The dense kernels left serve those edges only:
 * ``identity``: the public identity twist, and the phi_0 = alpha_0 = Id checks;
 * ``mat_mul``: the public twist powers and twisted twists, one small product
   each, where a sparse round trip costs more than the product;
-* ``mat_vec``: the coboundary of given coordinates, an evaluation kept apart
-  from the sparse rows of delta that it re-checks;
 * ``transpose`` and ``mat_eq``: public matrices turned or compared as given.
 
 Elimination is Gauss-Jordan with exact division and canonical pivot
@@ -39,22 +37,6 @@ def _root_order(a, b) -> int:
     if a.root_order != b.root_order:
         raise ScalarError(f"mixed cyclotomic orders {a.root_order} and {b.root_order}")
     return b.root_order
-
-
-def mat_vec(M, v):
-    """M v on dense lists; only pairs of nonzero entries are multiplied."""
-    m = _root_order(M[0][0], v[0]) if M and v else 1
-    z = CycloScalar.zero(m)
-    support = [(j, b) for j, b in enumerate(v) if not b.is_zero()]
-    out = []
-    for row in M:
-        acc = None
-        for j, b in support:
-            a = row[j]
-            if not a.is_zero():
-                acc = a * b if acc is None else acc + a * b
-        out.append(z if acc is None else acc)
-    return out
 
 
 def mat_mul(A, B):

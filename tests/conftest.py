@@ -132,6 +132,17 @@ def clock3():
     return clock_shift(3, [[0, 1], [2, 0]], name="clock3")
 
 
+def clock3_twisted():
+    """The Yau twist of clock3 by the character e_i -> zeta^a e_i, where
+    |e_i| = (a, b): a grading automorphism, so alpha is diagonal but not a
+    scalar."""
+    A = clock3()
+    zero = CycloScalar.zero(A.m)
+    beta = [[CycloScalar.root_of_unity(A.m, A.degree(i).components[0]) if i == j else zero
+             for j in range(A.dim)] for i in range(A.dim)]
+    return twist(A, beta, name="clock3_twisted")
+
+
 def zero_algebra(orders, eps_exponents, m, degrees, alpha=None):
     dim = len(degrees)
     names = [f"e{i + 1}" for i in range(dim)]
@@ -159,7 +170,7 @@ def basis_vector(A, i):
 
 def act(R, coords, mvec):
     """rho(x) m for the algebra element x with the given coordinates."""
-    return linalg.mat_vec(R.rho_of(coords), mvec)
+    return mat_vec_direct(R.rho_of(coords), mvec)
 
 
 def coord_index(space, tup, k):
@@ -272,8 +283,8 @@ def parse_matrix_bundle(text, m):
 # -- independent operator-form oracles ------------------------------------------
 
 def mat_vec_direct(M, v):
-    """M v with every cell multiplied, zeros included: an oracle for the
-    zero-skipping ``linalg.mat_vec``."""
+    """M v on dense lists with every cell multiplied, zeros included: the
+    tests' one dense matrix-vector product (the engine keeps none)."""
     out = []
     for row in M:
         acc = None
@@ -356,7 +367,7 @@ def bilinear_direct(table, u, v):
 #
 # The loops below are the engine's former evaluations, kept as they were:
 # each identity is evaluated pair by pair or triple by triple through
-# ``of_basis``/``bilinear``/``mat_vec``, with no derived table.
+# ``of_basis``/``bilinear`` and ``mat_vec_direct``, with no derived table.
 
 def jacobi_residual_direct(A, x, y, z):
     """Cyclic sum eps(z,x) [alpha(x), [y, z]] on one basis triple."""
@@ -364,7 +375,7 @@ def jacobi_residual_direct(A, x, y, z):
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
         e = A.eps(A.degree(c), A.degree(a))
         inner = A.bracket.of_basis(b, c)
-        outer = A.bracket.bilinear(linalg.mat_vec(A.alpha_power(1), basis_vector(A, a)), inner)
+        outer = A.bracket.bilinear(mat_vec_direct(A.alpha_power(1), basis_vector(A, a)), inner)
         acc = [t + e * o for t, o in zip(acc, outer)]
     return acc
 
@@ -388,9 +399,9 @@ def check_multiplicative_direct(A):
     failures = []
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = linalg.mat_vec(A.alpha_power(1), A.bracket.of_basis(i, j))
-            rhs = A.bracket.bilinear(linalg.mat_vec(A.alpha_power(1), basis_vector(A, i)),
-                                     linalg.mat_vec(A.alpha_power(1), basis_vector(A, j)))
+            lhs = mat_vec_direct(A.alpha_power(1), A.bracket.of_basis(i, j))
+            rhs = A.bracket.bilinear(mat_vec_direct(A.alpha_power(1), basis_vector(A, i)),
+                                     mat_vec_direct(A.alpha_power(1), basis_vector(A, j)))
             if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
                 failures.append({
                     "pair": [A.basis.names[i], A.basis.names[j]],
@@ -407,7 +418,7 @@ def endomorphism_failures_direct(table, matrix):
     failures = []
     for i in range(table.dim):
         for j in range(table.dim):
-            lhs = linalg.mat_vec(matrix, table.of_basis(i, j))
+            lhs = mat_vec_direct(matrix, table.of_basis(i, j))
             rhs = table.bilinear(cols[i], cols[j])
             if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
                 failures.append((i, j))
@@ -715,8 +726,8 @@ def delta1_direct(A, R, fmat, gamma, r):
             dx, dy = A.degree(x), A.degree(y)
             fx = [fmat[i][x] for i in range(A.dim)]
             fy = [fmat[i][y] for i in range(A.dim)]
-            t1 = act(R, linalg.mat_vec(A.alpha_power(r), basis_vector(A, x)), fy)
-            t2 = act(R, linalg.mat_vec(A.alpha_power(r), basis_vector(A, y)), fx)
+            t1 = act(R, mat_vec_direct(A.alpha_power(r), basis_vector(A, x)), fy)
+            t2 = act(R, mat_vec_direct(A.alpha_power(r), basis_vector(A, y)), fx)
             fb = mat_vec_direct(fmat, A.bracket.of_basis(x, y))
             c1 = A.eps(gamma, dx)
             c2 = A.eps(gamma + dx, dy)
@@ -749,15 +760,15 @@ def delta2_direct(A, R, psi, gamma, r):
     for x, y, z in product(range(A.dim), repeat=3):
         dx, dy, dz = A.degree(x), A.degree(y), A.degree(z)
         acc = [CycloScalar.zero(A.m)] * R.dim
-        t1 = act(R, linalg.mat_vec(A.alpha_power(r + 1), basis_vector(A, x)), ev(y, z))
-        t2 = act(R, linalg.mat_vec(A.alpha_power(r + 1), basis_vector(A, y)), ev(x, z))
-        t3 = act(R, linalg.mat_vec(A.alpha_power(r + 1), basis_vector(A, z)), ev(x, y))
+        t1 = act(R, mat_vec_direct(A.alpha_power(r + 1), basis_vector(A, x)), ev(y, z))
+        t2 = act(R, mat_vec_direct(A.alpha_power(r + 1), basis_vector(A, y)), ev(x, z))
+        t3 = act(R, mat_vec_direct(A.alpha_power(r + 1), basis_vector(A, z)), ev(x, y))
         c1 = A.eps(gamma, dx)
         c2 = A.eps(gamma + dx, dy)
         c3 = A.eps(gamma + dx + dy, dz)
-        u1 = ev_vec(A.bracket.of_basis(x, y), linalg.mat_vec(A.alpha_power(1), basis_vector(A, z)))
-        u2 = ev_vec(A.bracket.of_basis(x, z), linalg.mat_vec(A.alpha_power(1), basis_vector(A, y)))
-        u3 = ev_vec(linalg.mat_vec(A.alpha_power(1), basis_vector(A, x)), A.bracket.of_basis(y, z))
+        u1 = ev_vec(A.bracket.of_basis(x, y), mat_vec_direct(A.alpha_power(1), basis_vector(A, z)))
+        u2 = ev_vec(A.bracket.of_basis(x, z), mat_vec_direct(A.alpha_power(1), basis_vector(A, y)))
+        u3 = ev_vec(mat_vec_direct(A.alpha_power(1), basis_vector(A, x)), A.bracket.of_basis(y, z))
         s02 = A.eps(dy, dz)
         for k in range(R.dim):
             acc[k] = (c1 * t1[k] - c2 * t2[k] + c3 * t3[k]
@@ -794,17 +805,17 @@ def compat_rows_direct(A, R, n, tuples):
         return rows
     if free_dim == 0:
         return []
-    alpha_images = [linalg.mat_vec(A.alpha_power(1), basis_vector(A, i)) for i in range(A.dim)]
+    alpha_images = [mat_vec_direct(A.alpha_power(1), basis_vector(A, i)) for i in range(A.dim)]
     # one constraint column per free coordinate, then transpose into rows
     cols = []
     for ci in range(free_dim):
-        unit = space.zero_coords()
+        unit = [CycloScalar.zero(A.m)] * free_dim
         unit[ci] = one
         col = []
         for combo in product(range(A.dim), repeat=n):
-            lhs = space.evaluate(unit, [alpha_images[i] for i in combo])
-            rhs = mat_vec_direct(R.beta, space.evaluate_basis(unit, combo))
-            col.extend(a - b for a, b in zip(lhs, rhs))
+            lhs, value = linalg.dense([space.evaluate(unit, [alpha_images[i] for i in combo]),
+                                       space.evaluate_basis(unit, combo)], mdim, A.m)
+            col.extend(a - b for a, b in zip(lhs, mat_vec_direct(R.beta, value)))
         cols.append(col)
     return [[cols[ci][ri] for ci in range(free_dim)] for ri in range(len(cols[0]))]
 
@@ -887,10 +898,10 @@ def defining_rows_direct(A, k, gamma, kind, pattern, commute):
     rows = []
     E = [basis_vector(A, i) for i in range(A.dim)]
     for x in range(A.dim):
-        akx = linalg.mat_vec(A.alpha_power(k), E[x])
+        akx = mat_vec_direct(A.alpha_power(k), E[x])
         e = A.eps(gamma, A.degree(x))
         for y in range(A.dim):
-            aky = linalg.mat_vec(A.alpha_power(k), E[y])
+            aky = mat_vec_direct(A.alpha_power(k), E[y])
             bxy = A.bracket.of_basis(x, y)
             # per unit matrix, the three bracket-type contributions
             d_of_bracket = [mat_vec_direct(U, bxy) for U in units]
@@ -973,10 +984,10 @@ def partner_rows_direct(A, k, gamma, D, kind):
     rows, rhs = [], []
     E = [basis_vector(A, i) for i in range(A.dim)]
     for x in range(A.dim):
-        akx = linalg.mat_vec(A.alpha_power(k), E[x])
+        akx = mat_vec_direct(A.alpha_power(k), E[x])
         e = A.eps(gamma, A.degree(x))
         for y in range(A.dim):
-            aky = linalg.mat_vec(A.alpha_power(k), E[y])
+            aky = mat_vec_direct(A.alpha_power(k), E[y])
             bxy = A.bracket.of_basis(x, y)
             p_of_bracket = [mat_vec_direct(U, bxy) for U in units]
             t1 = A.bracket.bilinear(mat_vec_direct(D, E[x]), aky)
@@ -1178,9 +1189,9 @@ def is_eps_commutative_direct(H):
 def check_representation_direct(A, R):
     failures = []
     for i in range(A.dim):
-        rho_ai = R.rho_of(linalg.mat_vec(A.alpha_power(1), basis_vector(A, i)))
+        rho_ai = R.rho_of(mat_vec_direct(A.alpha_power(1), basis_vector(A, i)))
         for j in range(A.dim):
-            rho_aj = R.rho_of(linalg.mat_vec(A.alpha_power(1), basis_vector(A, j)))
+            rho_aj = R.rho_of(mat_vec_direct(A.alpha_power(1), basis_vector(A, j)))
             lhs = mat_mul_direct(R.rho_of(A.bracket.of_basis(i, j)), R.beta)
             e = A.eps(A.degree(i), A.degree(j))
             rhs = mat_add(mat_mul_direct(rho_ai, R.rho[j]),
@@ -1195,7 +1206,7 @@ def check_module_direct(A, M):
     n = M.carrier.dim
     E = linalg.identity(n, M.m)
     for i in range(A.dim):
-        ai = linalg.mat_vec(A.alpha_power(1), basis_vector(A, i))
+        ai = mat_vec_direct(A.alpha_power(1), basis_vector(A, i))
         for mv in range(n):
             lhs = mat_vec_direct(M.beta, act(M, basis_vector(A, i), E[mv]))
             rhs = act(M, ai, mat_vec_direct(M.beta, E[mv]))
@@ -1203,9 +1214,9 @@ def check_module_direct(A, M):
                 failures.append({"kind": "twist-compatibility",
                                  "witness": [A.basis.names[i], mv]})
     for i in range(A.dim):
-        ai = linalg.mat_vec(A.alpha_power(1), basis_vector(A, i))
+        ai = mat_vec_direct(A.alpha_power(1), basis_vector(A, i))
         for j in range(A.dim):
-            aj = linalg.mat_vec(A.alpha_power(1), basis_vector(A, j))
+            aj = mat_vec_direct(A.alpha_power(1), basis_vector(A, j))
             e = A.eps(A.degree(i), A.degree(j))
             bij = A.bracket.of_basis(i, j)
             for mv in range(n):
@@ -1227,9 +1238,9 @@ def check_coadjoint_direct(A, R):
             e = A.eps(A.degree(i), A.degree(j))
             rhs = mat_add(
                 mat_scale(e, mat_mul_direct(
-                    R.rho[i], R.rho_of(linalg.mat_vec(A.alpha_power(1), basis_vector(A, j))))),
+                    R.rho[i], R.rho_of(mat_vec_direct(A.alpha_power(1), basis_vector(A, j))))),
                 mat_scale(CycloScalar.from_rational(-1, A.m), mat_mul_direct(
-                    R.rho[j], R.rho_of(linalg.mat_vec(A.alpha_power(1), basis_vector(A, i))))))
+                    R.rho[j], R.rho_of(mat_vec_direct(A.alpha_power(1), basis_vector(A, i))))))
             if not linalg.mat_eq(lhs, rhs):
                 failures.append({"pair": [A.basis.names[i], A.basis.names[j]]})
     return CheckResult(not failures, failures)
@@ -1239,7 +1250,7 @@ def alpha_s_adjoint_direct(A, s):
     """The matrices rho(e_i) of ad_s: column j is [alpha^s e_i, e_j]."""
     rho = []
     for i in range(A.dim):
-        shifted = linalg.mat_vec(A.alpha_power(s), basis_vector(A, i))
+        shifted = mat_vec_direct(A.alpha_power(s), basis_vector(A, i))
         cols = [A.bracket.bilinear(shifted, basis_vector(A, j)) for j in range(A.dim)]
         rho.append(linalg.transpose(cols))
     return rho

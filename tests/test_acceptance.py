@@ -234,7 +234,7 @@ def test_a1_verified_substance():
     A, R, free = _a1_compute("free")
     res = free["g1"]
     space = res.space
-    psi_a = space.zero_coords()
+    psi_a = [sc(0, A.m)] * space.free_dim
     psi_a[coord_index(space, (0, 1), 1)] = sc(1, A.m)
     psi_a[coord_index(space, (0, 2), 2)] = sc(1, A.m)
     ok = res.dim_H == 2

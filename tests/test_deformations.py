@@ -81,7 +81,7 @@ def test_first_order_class_works_on_sparse_coordinates():
                       coord_index(space, (0, 2), 2): sc(1)}
     for i in range(A.dim):
         for j in range(A.dim):
-            assert space.evaluate_basis(coords, (i, j)) == term.of_basis(i, j)
+            assert space.evaluate_basis(coords, (i, j)) == linalg._sparse(term.of_basis(i, j))
     B = TruncatedBracket(A, 1, [A.bracket, term])
     rep = first_order_class(A, B)["class_representative"]
     # the term less a coboundary of a compatible 1-cochain, and not zero

@@ -22,7 +22,7 @@ from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
 
 from conftest import (annihilator_direct, assert_rref, basis_vector, check_fgh_direct,
                       check_ijkl_direct, check_mnop_direct, check_sigma_derivation_direct,
-                      data_path, hls_bracket_element_direct, zeros)
+                      data_path, hls_bracket_element_direct, mat_vec_direct, zeros)
 
 
 def _sc(v, m=1):
@@ -224,12 +224,12 @@ def test_operator_form_equals_element_form():
     A, D, q = q_difference_instance(m=3)
     def op_apply(a, w):
         # (a.D)(w) = a * Delta(w)
-        return A.mu.bilinear(a, linalg.mat_vec(D.delta_map, w))
+        return A.mu.bilinear(a, mat_vec_direct(D.delta_map, w))
     for i in range(3):
         for j in range(3):
             x, y = basis_vector(A, i), basis_vector(A, j)
-            sx = linalg.mat_vec(D.sigma, x)
-            sy = linalg.mat_vec(D.sigma, y)
+            sx = mat_vec_direct(D.sigma, x)
+            sy = mat_vec_direct(D.sigma, y)
             elem = hls_bracket_element(A, D, x, y)
             for w in range(3):
                 ew = basis_vector(A, w)

@@ -1,6 +1,6 @@
 """Exact elimination: the sparse solvers of ``linalg`` against the dense
 column-by-column Gauss-Jordan ``rref_direct``; and the zero-skipping dense
-products ``mat_vec``/``mat_mul`` against the every-cell loops.
+product ``mat_mul`` against the every-cell loop.
 
 Every solver goes through one sparse row type, {column: nonzero scalar}, and
 takes dense lists, sparse dicts or a mix of both.  The reduced row echelon
@@ -369,14 +369,6 @@ def matrices(draw, m, nrows, ncols):
 
 
 @PROPERTY
-@given(st.sampled_from(ROOT_ORDERS), st.integers(0, 5), st.integers(1, 5), st.data())
-def test_mat_vec_matches_every_cell_oracle(m, nrows, ncols, data):
-    M = data.draw(matrices(m, nrows, ncols))
-    v = data.draw(matrices(m, 1, ncols))[0]
-    assert linalg.mat_vec(M, v) == mat_vec_direct(M, v)
-
-
-@PROPERTY
 @given(st.sampled_from(ROOT_ORDERS), st.integers(0, 4), st.integers(1, 4),
        st.integers(1, 4), st.data())
 def test_mat_mul_matches_every_cell_oracle(m, n, k, p, data):
@@ -392,31 +384,9 @@ def test_dense_products_reject_mixed_root_orders(zero_operand):
         return [[CycloScalar.from_rational(value, m)] * 2 for _ in range(2)]
     A, B = mat(2, 1), mat(3, 0 if zero_operand else 2)
     with pytest.raises(ScalarError):
-        linalg.mat_vec(A, B[0])
-    with pytest.raises(ScalarError):
         linalg.mat_mul(A, B)
     with pytest.raises(ScalarError):
         linalg.mat_mul(B, A)
-
-
-def test_mat_vec_multiplies_only_nonzero_pairs(monkeypatch):
-    m = 3
-    z, one, zeta = CycloScalar.zero(m), CycloScalar.one(m), CycloScalar.root_of_unity(m)
-    D = [[zeta, z, z, one], [z, z, z, z], [z, one, z, z], [one, z, zeta, z]]
-    v = [one, zeta, z, z]
-    want = mat_vec_direct(D, v)
-    calls = []
-    real_mul = CycloScalar.__mul__
-    def counting_mul(a, b):
-        calls.append((a, b))
-        return real_mul(a, b)
-    monkeypatch.setattr(CycloScalar, "__mul__", counting_mul)
-    got = linalg.mat_vec(D, v)
-    monkeypatch.undo()
-    assert got == want
-    assert all(not a.is_zero() and not b.is_zero() for a, b in calls)
-    assert len(calls) == sum(not D[i][j].is_zero() and not v[j].is_zero()
-                             for i in range(4) for j in range(4)) == 3
 
 
 # -- the one sparse operator form ---------------------------------------------------
@@ -539,7 +509,7 @@ def test_eliminations_filter_dense_rows_and_leave_out_a_zero_right_hand_side(cas
         assert sorted(echelon.rows) == pivots
     # the zero right-hand side; a consistent one holding zeros; an arbitrary one
     x0 = data.draw(st.lists(st.sampled_from([zero] + units), min_size=n, max_size=n))
-    consistent = linalg.mat_vec(rows, x0)
+    consistent = mat_vec_direct(rows, x0)
     arbitrary = data.draw(st.lists(st.sampled_from([zero, zero] + units), min_size=n,
                                    max_size=n))
     for target in ([zero] * n, consistent, arbitrary):
