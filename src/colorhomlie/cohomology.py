@@ -14,6 +14,9 @@ the arity-1 and arity-2 instances reduce to the familiar operator forms.
 ``delta_matrix``, ``cochain_basis`` and ``cohomology_group`` read delta and
 the compatible bases from one cochain complex per (algebra, module), which
 assembles each as a sparse matrix, term by term on basis tuples, once.
+If alpha keeps degrees and the bracket is graded, delta_gamma^n = D^(n+1)
+delta_0^n (D^n)^-1 with D^n scaling the tuple x by eps(gamma, |x|), so Z^n
+and B^n, solved at the first degree gamma_0 asked for, move to others by D.
 The compatible, cocycle and coboundary bases are sparse {coordinate:
 scalar} vectors, the dim H representatives dense lists.
 ``coboundary_of_coords`` and ``CochainSpace.evaluate`` read either form and
@@ -120,8 +123,10 @@ class _Complex:
     its transpose; the compatibility equations involve alpha and beta only,
     so the basis is the same for every degree gamma and power r.  Per power
     p: the sparse entries of rho(alpha^p e_i).  Per (n, gamma, r): the
-    sparse rows of delta_r^n, their product with the compatible basis, and
-    the rref basis of B^n, the image of delta_r^(n-1) on that basis.
+    sparse rows of delta_r^n and their product with the compatible basis;
+    per (n, r, mode) and (n, r), the rref bases of Z^n and of B^n at their
+    anchor gamma_0, moved to other degrees by D if alpha keeps degrees and the
+    bracket is graded (checked once, on the first move), else solved again.
 
     The complex takes the carrier dimension, beta and rho from R when it is
     built and keeps no reference to R, so R (which keeps the complex) frees
@@ -147,9 +152,13 @@ class _Complex:
         self._located = {}       # argument index combo -> locate(combo)
         self._compat = {}        # n -> (compatible basis, its transpose)
         self._rho = {}           # p -> per e_i, (k, l, value) of rho(alpha^p e_i)
+        self.keeps_degrees = all(A.degree(j) == A.degree(i)
+                                 for i in range(A.dim) for j, _ in self.alpha_cols[i])
+        self._graded = None      # keeps_degrees and a graded bracket, on the first move
         self._delta = {}         # (n, gamma, r) -> sparse rows of delta_r^n
         self._restricted = {}    # (n, gamma, r) -> delta_r^n on the compatible basis
-        self._coboundaries = {}  # (n, gamma, r) -> rref rows of B^n
+        self._cocycles = {}      # (n, r, restrict) -> (gamma_0, rref rows of Z^n at gamma_0)
+        self._coboundaries = {}  # (n, r) -> (gamma_0, rref rows of B^n at gamma_0)
 
     def arity(self, n: int):
         if n not in self._arity:
@@ -207,13 +216,47 @@ class _Complex:
                                      if basis_t else {})
         return self._restricted[key]
 
+    def cocycles(self, n: int, gamma: GroupElement, r: int, restrict: str):
+        """rref basis of Z^n, the kernel of delta_r^n on the free or compatible C^n."""
+        def solve(g):
+            if restrict == "free":
+                return linalg.sparse_kernel_basis(list(self.delta(n, g, r).values()),
+                                                  self.free_dim(n), self.algebra.m)
+            # the rref kernel of delta on the rref compatible basis: the cocycles
+            # its vectors give as sums of basis vectors are again in rref
+            basis = self.compat(n)[0]
+            combos = linalg.sparse_kernel_basis(list(self.restricted(n, g, r).values()),
+                                                len(basis), self.algebra.m)
+            return list(_product(dict(enumerate(combos)), dict(enumerate(basis))).values())
+        return self._shared(self._cocycles, (n, r, restrict), n, gamma, solve)
+
     def coboundaries(self, n: int, gamma: GroupElement, r: int):
-        """B^n, the row space of the transposed ``restricted(n - 1, ...)``."""
-        key = (n, gamma, r)
-        if key not in self._coboundaries:
-            images = _transpose(self.restricted(n - 1, gamma, r))
-            self._coboundaries[key] = linalg.rref(list(images.values()))[0]
-        return self._coboundaries[key]
+        """rref basis of B^n, the row space of the transposed ``restricted(n - 1, ...)``."""
+        return self._shared(self._coboundaries, (n, r), n, gamma, lambda g: linalg.rref(
+            list(_transpose(self.restricted(n - 1, g, r)).values()))[0])
+
+    def _shared(self, store, key, n: int, gamma: GroupElement, solve):
+        """solve(gamma): the anchor's rref basis moved by D (supports stay, so rref)."""
+        A = self.algebra
+        if gamma.group != A.basis.group:  # refused, or empty, as a direct solve gives it
+            return solve(gamma)
+        if key not in store:
+            store[key] = (gamma, solve(gamma))
+        gamma0, basis = store[key]
+        if gamma == gamma0:
+            return [dict(v) for v in basis]
+        if self._graded is None:
+            self._graded = self.keeps_degrees and all(A.degree(k) == A.degree(i) + A.degree(j)
+                                                      for (i, j), row in A.bracket.rows.items()
+                                                      for k in row)
+        if not self._graded:
+            return solve(gamma)
+        eps, m, mdim = A.eps, A.eps.root_order, self.mdim
+        shift = [eps.exponent(gamma, d) - eps.exponent(gamma0, d) for d in A.basis.degrees]
+        ks = [sum(shift[i] for i in tup) % m for tup in self.arity(n)[0]]
+        leads = [ks[min(v) // mdim] for v in basis]  # each vector is 1 there again
+        return [{c: x if (e := (ks[c // mdim] - lead) % m) == 0 else eps.roots[e] * x
+                 for c, x in v.items()} for v, lead in zip(basis, leads)]
 
 
 def _complex(A: ColorHomAlgebra, R: Representation) -> _Complex:
@@ -243,9 +286,7 @@ def _compat_rows(cx: _Complex, n: int):
         return rows
     tuples, locate = cx.arity(n)[0], cx.locate
     alpha_cols, beta = cx.alpha_cols, cx.beta
-    keeps_degrees = all(A.degree(j) == A.degree(i)
-                        for i in range(A.dim) for j, _ in alpha_cols[i])
-    combos = tuples if keeps_degrees else product(range(A.dim), repeat=n)
+    combos = tuples if cx.keeps_degrees else product(range(A.dim), repeat=n)
     for block, combo in enumerate(combos):
         base = block * mdim
         # f(alpha x_1, ..., alpha x_n): the same carrier component k
@@ -448,17 +489,7 @@ def cohomology_group(A: ColorHomAlgebra, R: Representation, n: int, r: int,
     if restrict not in ("free", "compatible"):
         raise ValueError(f"unknown restrict mode {restrict!r}")
     cx = _complex(A, R)
-    rows = cx.delta(n, gamma, r)
-    if restrict == "free":
-        Z = linalg.sparse_kernel_basis(list(rows.values()), cx.free_dim(n), A.m)
-    else:
-        # the rref kernel of delta on the rref compatible basis: the cocycles
-        # its vectors give as sums of basis vectors are again in rref
-        basis = cx.compat(n)[0]
-        combos = linalg.sparse_kernel_basis(list(cx.restricted(n, gamma, r).values()),
-                                            len(basis), A.m)
-        Z = list(_product(dict(enumerate(combos)), dict(enumerate(basis))).values())
-    B = cx.coboundaries(n, gamma, r)
+    Z, B = cx.cocycles(n, gamma, r, restrict), cx.coboundaries(n, gamma, r)
     reps = linalg.quotient_representatives(Z, B)
     # Z and B are independent, so rank(Z + B) = len(B) + len(reps)
     if len(B) + len(reps) != len(Z):
@@ -466,8 +497,7 @@ def cohomology_group(A: ColorHomAlgebra, R: Representation, n: int, r: int,
             "coboundary escaped the cocycle space; the complex is inconsistent here")
     space = cochain_basis(A, R, n, gamma)
     return CohomologyResult(n, r, gamma, restrict, len(Z), len(B), len(Z) - len(B),
-                            Z, [dict(v) for v in B], linalg.dense(reps, space.free_dim, A.m),
-                            space)
+                            Z, B, linalg.dense(reps, space.free_dim, A.m), space)
 
 
 def reverify(A: ColorHomAlgebra, R: Representation, result: CohomologyResult) -> CheckResult:

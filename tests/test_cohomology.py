@@ -18,17 +18,19 @@ from hypothesis import given, settings, strategies as st
 
 from colorhomlie import cohomology, linalg
 from colorhomlie.algebra_core import AlgebraStructureError, ColorHomAlgebra, check_color_hom_lie
-from colorhomlie.cohomology import (Cochain, CochainSpace, canonical_tuples,
+from colorhomlie.cohomology import (Cochain, CochainError, CochainSpace, canonical_tuples,
                                     cochain_basis, coboundary_of_coords,
                                     cohomology_group, delta_matrix, reverify)
+from colorhomlie.morphisms_twists import enumerate_morphisms, twist
 from colorhomlie.representations import Representation, adjoint, alpha_s_adjoint
-from colorhomlie.scalars_grading import CycloScalar
+from colorhomlie.scalars_grading import CycloScalar, FiniteAbelianGroup, GroupMismatchError
 
 from conftest import (SL2C_Z2Z2_CASE_FAMILIES, as_rational, assert_rref, assert_zero_free,
                       basis_vector, build_algebra, clock3, clock3_twisted, clock_shift,
                       compat_rows_direct, coord_index, delta1_direct,
-                      delta2_direct, densify, direct_sum, in_span, kernel_basis,
-                      mat_vec_direct, random_multiplicative_algebra, sc, sl2c_z2z2, zero_algebra, zeros)
+                      delta2_direct, densify, direct_sum, heis_zeta3, in_span, kernel_basis,
+                      mat_vec_direct, motion_z2z3, random_multiplicative_algebra, sc, sl2c_z2z2,
+                      sl2c_z2z3, zero_algebra, zeros)
 
 
 def gamma_elems(A):
@@ -351,6 +353,118 @@ def test_warm_complex_gives_the_results_of_a_fresh_one(case):
                         (A.name, n, r, gamma.components, restrict)
 
 
+def _sweep_matches_fresh_modules(A, R, calls, seed):
+    """The calls (n, r, gamma, restrict) on one shared R, in an order
+    shuffled by seed, against one fresh module per gamma, which solves each
+    call at its own degree.  Returns the calls that raised."""
+    outcomes = {}
+    for gamma in A.basis.group.elements():
+        fresh = _fresh(A, R)
+        for n, r, g, restrict in calls:
+            if g == gamma:
+                outcomes[n, r, g, restrict] = _outcome(*fresh, n, r, g, restrict)
+    calls = list(calls)
+    random.Random(seed).shuffle(calls)
+    for n, r, gamma, restrict in calls:
+        got = _outcome(A, R, n, r, gamma, restrict)
+        assert got == outcomes[n, r, gamma, restrict], \
+            (A.name, n, r, gamma.components, restrict)
+    return {call for call, out in outcomes.items() if isinstance(out[0], type)}
+
+
+@pytest.mark.parametrize("family", [sl2c_z2z2, sl2c_z2z3, heis_zeta3, motion_z2z3])
+def test_one_solve_serves_every_degree(family):
+    """delta_gamma = D_gamma delta_0 D_gamma^-1 moves Z and B between degrees;
+    the moved bases are the rref bases a direct solve at each degree gives."""
+    A = family()
+    for seed, R in enumerate((adjoint(A), alpha_s_adjoint(A, -1))):
+        calls = [(n, r, gamma, restrict) for n in (1, 2, 3) for r in (0, 1)
+                 for gamma in A.basis.group.elements() for restrict in ("free", "compatible")]
+        assert not _sweep_matches_fresh_modules(A, R, calls, seed)
+
+
+def test_one_solve_serves_every_degree_on_clock3_twisted():
+    A = clock3_twisted()
+    R = adjoint(A)
+    calls = [(n, 0, gamma, restrict) for gamma in A.basis.group.elements()
+             for n, restrict in ((1, "free"), (1, "compatible"), (2, "free"))]
+    assert not _sweep_matches_fresh_modules(A, R, calls, 3)
+    for gamma in A.basis.group.elements():
+        res = cohomology_group(A, R, 2, 0, gamma, restrict="free")
+        assert (res.dim_Z, res.dim_B, res.dim_H) == (30, 24, 6), gamma.components
+
+
+@pytest.mark.parametrize("family", [sl2c_z2z2, heis_zeta3, clock3_twisted])
+def test_delta_at_gamma_is_similar_to_delta_at_zero(family):
+    """Entry by entry, delta_gamma = D_gamma delta_0 D_gamma^-1, where D_gamma
+    scales the coordinates of a tuple x by eps(gamma, |x|)."""
+    A = family()
+    R, G = adjoint(A), A.basis.group
+
+    def scale(gamma, tuples):
+        degree = lambda tup: sum((A.degree(i) for i in tup), G.zero())
+        return [A.eps(gamma, degree(tup)) for tup in tuples for _ in range(R.dim)]
+    for n in range(3 if A.dim == 3 else 2):
+        at_zero, space = delta_matrix(A, R, n, 0, G.zero())
+        for gamma in G.elements():
+            columns = delta_matrix(A, R, n, 0, gamma)[0]
+            source = scale(gamma, space.tuples)
+            target = scale(gamma, canonical_tuples(A, n + 1))
+            assert columns == [[d * x * s.inverse() for d, x in zip(target, column)]
+                               for s, column in zip(source, at_zero)], (n, gamma.components)
+
+
+def test_a_twist_that_mixes_degrees_solves_every_degree():
+    """A non-even twist of sl2c_z2z3 breaks the similarity, so each degree is
+    solved directly: the same answers as fresh modules, and the inconsistent
+    complex raises at exactly the same degrees."""
+    base = sl2c_z2z3()
+    odd = [f for f, even in enumerate_morphisms(base, [sc(-1), sc(0), sc(1)]) if not even]
+    A = twist(base, odd[0], name="sl2c_z2z3_odd")
+    R = adjoint(A)
+    calls = [(n, 0, gamma, restrict) for n in (1, 2) for gamma in A.basis.group.elements()
+             for restrict in ("free", "compatible")]
+    raised = _sweep_matches_fresh_modules(A, R, calls, 5)
+    assert raised and len(raised) < len(calls)
+    assert all(_outcome(A, R, *call)[0] is CochainError for call in raised)
+
+
+def _guard_cases():
+    """sl2c_z2z2's graded bracket under a twist that mixes degrees, and an
+    ungraded bracket [e1, e2] = e2 under the identity twist: each breaks one
+    half of the guard, and moving the anchor's bases would answer wrongly."""
+    degrees = [(1, 0), (0, 1), (1, 1)]
+    mixing = build_algebra([2, 2], [[0, 1], [1, 0]], 2, ["e1", "e2", "e3"], degrees,
+                           {(0, 1): [0, 0, 1], (0, 2): [0, -1, 0], (1, 2): [-1, 0, 0]},
+                           [[2, 0, 0], [0, 0, 1], [0, -1, 1]], name="mixing_twist")
+    ungraded = build_algebra([2, 2], [[0, 1], [1, 0]], 2, ["e1", "e2", "e3"], degrees,
+                             {(0, 1): [0, 1, 0]}, [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                             name="ungraded_bracket")
+    return [mixing, ungraded]
+
+
+@pytest.mark.parametrize("case", range(2))
+def test_each_half_of_the_guard_keeps_direct_solves(case):
+    A = _guard_cases()[case]
+    R = adjoint(A)
+    calls = [(n, 0, gamma, restrict) for n in (1, 2, 3) for gamma in A.basis.group.elements()
+             for restrict in ("free", "compatible")]
+    _sweep_matches_fresh_modules(A, R, calls, 7)
+    cx = cohomology._complex(A, R)
+    assert cx._graded is False and cx.keeps_degrees is (case == 1)
+
+
+@pytest.mark.parametrize("restrict", ["free", "compatible"])
+def test_a_foreign_degree_is_refused_on_a_warm_complex(restrict):
+    A = sl2c_z2z2()
+    R = adjoint(A)
+    for gamma in A.basis.group.elements():
+        cohomology_group(A, R, 2, 0, gamma, restrict=restrict)
+    with pytest.raises(GroupMismatchError):
+        cohomology_group(A, R, 2, 0, FiniteAbelianGroup((3,)).element((1,)),
+                         restrict=restrict)
+
+
 def test_returned_bases_do_not_alias_the_complex():
     A = sl2c_z2z2()
     R = adjoint(A)
@@ -503,7 +617,8 @@ def test_the_complex_is_freed_with_its_module_by_refcounting():
 
 def test_each_operator_is_assembled_once_per_ladder(monkeypatch):
     """The benchmark's cohomology ladder: 29 calls over 9 distinct (A, R, n)
-    compatible bases and 23 distinct (A, R, n, gamma, r) coboundaries."""
+    compatible bases, and delta_r^n built at the first degree only: 11
+    distinct (A, R, n, gamma, r) against 23 when each degree is solved."""
     A3 = sl2c_z2z2()
     A6 = direct_sum(sl2c_z2z2(), sl2c_z2z2(), "sl2c_z2z2^2")
     R3, R3_inv, R6 = adjoint(A3), alpha_s_adjoint(A3, -1), adjoint(A6)
@@ -530,7 +645,7 @@ def test_each_operator_is_assembled_once_per_ladder(monkeypatch):
         cohomology_group(A, R, n, r, gamma, restrict=restrict)
     assert len(calls) == 29
     assert len(compat) == len(set(compat)) == 9
-    assert len(delta) == len(set(delta)) == 23
+    assert len(delta) == len(set(delta)) == 11
 
 
 def test_cochain_space_lookup_by_tuple():
