@@ -35,6 +35,8 @@ class TruncatedBracket:
 
     def __init__(self, algebra: ColorHomAlgebra, order: int, terms: list,
                  alpha_terms: list = None, endomorphism_failing_orders: list = None):
+        if order < 0:
+            raise DeformationError(f"order must be non-negative, got {order}")
         if len(terms) != order + 1:
             raise DeformationError(
                 f"order {order} needs {order + 1} bracket terms, got {len(terms)}")
@@ -229,6 +231,8 @@ def composition_deformation(L: ColorHomAlgebra, alphas, order: int = None,
     never identically zero, yet the deformation equations still close; the
     relaxed default keeps that construction available.)
     """
+    if derived < 0:
+        raise DeformationError("derived level must be non-negative")
     if not linalg.mat_eq(L.alpha, linalg.identity(L.dim, L.m)):
         raise DeformationError("composition deformation starts from an untwisted algebra")
     if order is None:

@@ -28,45 +28,6 @@ class GroupMismatchError(ValueError):
 # cyclotomic polynomials
 # ---------------------------------------------------------------------------
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def _poly_mul(a, b):
-    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
-    for i, ca in enumerate(a):
-        if ca == 0:
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] += ca * cb
-    return _poly_trim(out)
-
-
-def _poly_sub(a, b):
-    n = max(len(a), len(b))
-    out = [Fraction(0)] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
-    return _poly_trim(out)
-
-
-def _poly_divmod(num, den):
-    num = list(num)
-    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
-    inv_lead = 1 / den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        c = num[i + len(den) - 1] * inv_lead
-        if c != 0:
-            q[i] = c
-            for j, d in enumerate(den):
-                num[i + j] -= c * d
-    return q, _poly_trim(num)
-
-
 def euler_phi(m: int) -> int:
     n, result, p = m, m, 2
     while p * p <= n:
@@ -82,43 +43,46 @@ def euler_phi(m: int) -> int:
 
 @lru_cache(maxsize=None)
 def cyclotomic_polynomial(m: int):
-    """Phi_m as a coefficient tuple, computed by dividing x^m - 1 by all Phi_d, d|m, d<m."""
+    """Phi_m as an integer coefficient tuple: x^m - 1 divided exactly by the
+    monic Phi_d of every d | m, d < m."""
     if m < 1:
         raise ScalarError(f"root order must be >= 1, got {m}")
-    num = [Fraction(0)] * (m + 1)
-    num[0], num[m] = Fraction(-1), Fraction(1)
-    num = _poly_trim(num)
+    num = [-1] + [0] * (m - 1) + [1]
     for d in range(1, m):
         if m % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_polynomial(d)))
-            if rem:
-                raise ScalarError(f"cyclotomic division left a remainder at m={m}, d={d}")
+            # synthetic division: num[i] becomes the quotient's x^(i - top)
+            den = cyclotomic_polynomial(d)
+            top = len(den) - 1
+            for i in range(len(num) - 1, top - 1, -1):
+                for j in range(top):
+                    num[i - top + j] -= num[i] * den[j]
+            num = num[top:]
     return tuple(num)
 
 
 @lru_cache(maxsize=None)
-def _reduction_rows(m: int):
-    """x^k mod Phi_m for k = phi(m) .. 2*phi(m)-2, as integer tuples (Phi_m is monic)."""
-    phi = euler_phi(m)
-    phim = list(cyclotomic_polynomial(m))
-    rows = []
-    for k in range(phi, 2 * phi - 1):
-        p = [Fraction(0)] * (k + 1)
-        p[k] = Fraction(1)
-        _, rem = _poly_divmod(p, phim)
-        rows.append(tuple(int(c) for c in rem) + (0,) * (phi - len(rem)))
+def _powers(m: int):
+    """zeta_m^k in the power basis for k = 0 .. m-1, as integer tuples: each
+    is x times the one before, less its top coefficient times Phi_m."""
+    phim = cyclotomic_polynomial(m)
+    rows = [(1,) + (0,) * (len(phim) - 2)]
+    while len(rows) < m:
+        row = rows[-1]
+        rows.append(tuple([c - row[-1] * p for c, p in zip((0,) + row[:-1], phim)]))
     return tuple(rows)
 
 
-def cyclo_reduce(raw_coeffs, m: int) -> "CycloScalar":
-    """Canonical representative of a rational polynomial in zeta_m modulo Phi_m."""
+@lru_cache(maxsize=None)
+def _reduction_rows(m: int):
+    """x^k mod Phi_m for k = phi(m) .. 2*phi(m)-2, as integer tuples."""
     phi = euler_phi(m)
-    coeffs = [Fraction(c) for c in raw_coeffs]
-    if len(coeffs) > phi:
-        _, rem = _poly_divmod(_poly_trim(coeffs), list(cyclotomic_polynomial(m)))
-        coeffs = rem
-    coeffs = coeffs + [Fraction(0)] * (phi - len(coeffs))
-    return CycloScalar(tuple(coeffs[:phi]), m)
+    return tuple(_powers(m)[k % m] for k in range(phi, 2 * phi - 1))
+
+
+def cyclo_reduce(raw_coeffs, m: int) -> "CycloScalar":
+    """Canonical representative of sum_k c_k zeta_m^k for rational c_k."""
+    roots = _roots(m)
+    return sum((c * roots[k % m] for k, c in enumerate(raw_coeffs) if c), CycloScalar.zero(m))
 
 
 _new = object.__new__
@@ -236,10 +200,7 @@ class CycloScalar:
     @staticmethod
     def root_of_unity(m: int, k: int = 1) -> "CycloScalar":
         """zeta_m^k, reduced."""
-        k %= m
-        p = [Fraction(0)] * (k + 1)
-        p[k] = Fraction(1)
-        return cyclo_reduce(p, m)
+        return _make(_powers(m)[k % m], 1, m)
 
     # -- ring structure ----------------------------------------------------
 
@@ -297,7 +258,7 @@ class CycloScalar:
         return _coerce(other, self.root_order) - self
 
     def inverse(self) -> "CycloScalar":
-        """Field inverse: closed form for phi(m) <= 2, else extended Euclid on Phi_m."""
+        """Field inverse: closed form for phi(m) <= 2, else conjugates over the norm."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         m, a, d = self.root_order, self.num, self.den
@@ -310,19 +271,15 @@ class CycloScalar:
             a0, a1 = a
             norm = a0 * a0 + r1 * a0 * a1 - r0 * a1 * a1
             return _make(((a0 + r1 * a1) * d, -a1 * d), norm, m)
-        # extended gcd of Phi_m and self; invariant s_i * self = r_i  (mod Phi_m)
-        r0 = list(cyclotomic_polynomial(m))
-        r1 = _poly_trim(list(self.coeffs))
-        s0, s1 = [], [Fraction(1)]
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            s = _poly_sub(s0, _poly_mul(q, s1))
-            r0, r1 = r1, r
-            s0, s1 = s1, s
-        if len(r0) != 1:
-            raise ScalarError("scalar is a zero divisor; Phi_m should be irreducible")
-        inv = [c / r0[0] for c in s0]
-        return cyclo_reduce(inv, m)
+        # a^-1 = conj / (a conj), conj the product of the conjugates sigma_k(a):
+        # zeta -> zeta^k over the units k != 1 mod m; a conj, the norm, is rational
+        roots, conj = _roots(m), CycloScalar.one(m)
+        for k in range(2, m):
+            if gcd(k, m) == 1:
+                conj = conj * sum((c * roots[i * k % m] for i, c in enumerate(self.coeffs) if c),
+                                  CycloScalar.zero(m))
+        norm = self * conj
+        return conj * Fraction(norm.den, norm.num[0])
 
     def __truediv__(self, other):
         other = _coerce(other, self.root_order)

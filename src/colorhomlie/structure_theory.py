@@ -340,6 +340,8 @@ def quasi_centroid_jordan(A: ColorHomAlgebra, max_power: int = 2,
     One echelon form of the collected span picks the elements and gives the
     coordinates of every product and conjugate, formed on sparse rows.
     """
+    if max_power < 0:
+        raise ValueError("twist power must be non-negative")
     try:
         alpha_inv = A.alpha_sparse(-1)
     except AlgebraStructureError:

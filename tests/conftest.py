@@ -19,9 +19,7 @@ from colorhomlie.structure_theory import (_COMMUTE, NotClosedError, _defining_ro
                                           _pattern_matrix, degree_pattern, solve_space)
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup, ScalarError,
-                                         _poly_divmod, _poly_mul, _poly_sub,
-                                         _poly_trim, cyclotomic_polynomial,
-                                         euler_phi)
+                                         cyclotomic_polynomial, euler_phi)
 
 import importlib.resources as resources
 
@@ -1397,11 +1395,59 @@ def rng():
 # the Fraction-tuple scalar: oracle for the integer-numerator CycloScalar
 # ---------------------------------------------------------------------------
 
+# Fraction polynomials, lowest degree first.  The engine reduces by a table of
+# the powers of zeta_m and inverts by the norm; this oracle divides
+# polynomials and inverts by extended Euclid, so the two share no algorithm.
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def _poly_mul(a, b):
+    out = [Fraction(0)] * (len(a) + len(b) - 1) if a and b else []
+    for i, ca in enumerate(a):
+        if ca == 0:
+            continue
+        for j, cb in enumerate(b):
+            out[i + j] += ca * cb
+    return _poly_trim(out)
+
+
+def _poly_sub(a, b):
+    n = max(len(a), len(b))
+    out = [Fraction(0)] * n
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] -= c
+    return _poly_trim(out)
+
+
+def _poly_divmod(num, den):
+    num = list(num)
+    q = [Fraction(0)] * max(len(num) - len(den) + 1, 0)
+    inv_lead = 1 / den[-1]
+    for i in range(len(num) - len(den), -1, -1):
+        c = num[i + len(den) - 1] * inv_lead
+        if c != 0:
+            q[i] = c
+            for j, d in enumerate(den):
+                num[i + j] -= c * d
+    return q, _poly_trim(num)
+
+
+def _fraction_phi(m: int) -> list:
+    """Phi_m with Fraction coefficients."""
+    return [Fraction(c) for c in cyclotomic_polynomial(m)]
+
+
 @lru_cache(maxsize=None)
 def _fraction_reduction_rows(m: int):
     """x^k mod Phi_m for k = phi(m) .. 2*phi(m)-2, as coefficient tuples."""
     phi = euler_phi(m)
-    phim = list(cyclotomic_polynomial(m))
+    phim = _fraction_phi(m)
     rows = []
     for k in range(phi, 2 * phi - 1):
         p = [Fraction(0)] * (k + 1)
@@ -1417,7 +1463,7 @@ def _fraction_reduce(raw_coeffs, m: int):
     phi = euler_phi(m)
     coeffs = [Fraction(c) for c in raw_coeffs]
     if len(coeffs) > phi:
-        _, rem = _poly_divmod(_poly_trim(coeffs), list(cyclotomic_polynomial(m)))
+        _, rem = _poly_divmod(_poly_trim(coeffs), _fraction_phi(m))
         coeffs = rem
     coeffs = coeffs + [Fraction(0)] * (phi - len(coeffs))
     return FractionScalar(tuple(coeffs[:phi]), m)
@@ -1510,7 +1556,7 @@ class FractionScalar:
         if len(self.coeffs) == 1:
             return FractionScalar((1 / self.coeffs[0],), self.root_order)
         # extended gcd of Phi_m and self; invariant s_i * self = r_i  (mod Phi_m)
-        r0 = list(cyclotomic_polynomial(self.root_order))
+        r0 = _fraction_phi(self.root_order)
         r1 = _poly_trim(list(self.coeffs))
         s0, s1 = [], [Fraction(1)]
         while r1:

@@ -260,13 +260,19 @@ def test_hls_cli_zeta3_all_green(capsys):
         assert rep["ok"], name
 
 
+ALPHA_TERMS = {"schema": 1, "terms": [
+    [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
+    [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]],
+]}
+BRACKET_TERMS = {"schema": 1, "terms": [
+    {"e1,e2": {"e3": "1"}, "e1,e3": {"e2": "-1"}, "e2,e3": {"e1": "-1"}},
+    {"e1,e2": {"e2": "1"}, "e1,e3": {"e3": "1"}},
+]}
+
+
 def test_deform_compose_cli(tmp_path, capsys):
-    terms = {"schema": 1, "terms": [
-        [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]],
-        [["-1", "0", "0"], ["0", "-1", "0"], ["0", "0", "1"]],
-    ]}
     f = tmp_path / "alpha_terms.json"
-    f.write_text(json.dumps(terms))
+    f.write_text(json.dumps(ALPHA_TERMS))
     code, out, _ = run_cli([
         "deform", "compose", "--algebra", data_path("sl2c_z2z3.alg"),
         "--alpha-terms", str(f), "--order", "3"], capsys)
@@ -277,18 +283,42 @@ def test_deform_compose_cli(tmp_path, capsys):
 
 
 def test_deform_check_cli(tmp_path, capsys):
-    terms = {"schema": 1, "terms": [
-        {"e1,e2": {"e3": "1"}, "e1,e3": {"e2": "-1"}, "e2,e3": {"e1": "-1"}},
-        {"e1,e2": {"e2": "1"}, "e1,e3": {"e3": "1"}},
-    ]}
     f = tmp_path / "terms.json"
-    f.write_text(json.dumps(terms))
+    f.write_text(json.dumps(BRACKET_TERMS))
     code, out, _ = run_cli([
         "deform", "check", "--algebra", data_path("sl2c_z2z2.alg"),
         "--bracket-terms", str(f)], capsys)
     assert code == 0
     doc = json.loads(out)
     assert doc["first_order"]["is_cocycle"] is True
+
+
+NEGATIVE_ARGUMENTS = {
+    "deform-check-order": (["deform", "check", "--algebra", data_path("sl2c_z2z2.alg"),
+                            "--bracket-terms", "{terms}", "--order", "-1"],
+                           "order must be non-negative"),
+    "deform-compose-order": (["deform", "compose", "--algebra", data_path("sl2c_z2z3.alg"),
+                              "--alpha-terms", "{alphas}", "--order", "-1"],
+                             "order must be non-negative"),
+    "deform-compose-derived": (["deform", "compose", "--algebra", data_path("sl2c_z2z3.alg"),
+                                "--alpha-terms", "{alphas}", "--derived", "-1"],
+                               "derived level must be non-negative"),
+    "jordan-k": (["jordan", "--algebra", data_path("sl2c_z2z2.alg"), "--k", "-1"],
+                 "twist power must be non-negative"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_ARGUMENTS))
+def test_a_negative_order_level_or_power_exits_two_with_one_error_line(case, tmp_path,
+                                                                       capsys):
+    argv, message = NEGATIVE_ARGUMENTS[case]
+    files = {"terms": tmp_path / "terms.json", "alphas": tmp_path / "alpha_terms.json"}
+    files["terms"].write_text(json.dumps(BRACKET_TERMS))
+    files["alphas"].write_text(json.dumps(ALPHA_TERMS))
+    code, out, err = run_cli([arg.format(**files) for arg in argv], capsys)
+    assert code == 2 and out == ""
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"error: {message}")
 
 
 def test_reports_are_byte_identical_across_runs(capsys):

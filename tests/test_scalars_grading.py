@@ -7,6 +7,7 @@ from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
+import sympy
 from hypothesis import example, given, settings, strategies as st
 
 from colorhomlie import scalars_grading
@@ -27,6 +28,30 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == (Fraction(1), Fraction(0), Fraction(1))
     assert cyclotomic_polynomial(12) == (Fraction(1), Fraction(0), Fraction(-1),
                                          Fraction(0), Fraction(1))
+
+
+SYMPY_ORDERS = range(1, 37)
+X = sympy.Symbol("x")
+
+
+def sympy_phi(m):
+    return sympy.Poly(sympy.cyclotomic_poly(m, X), X)
+
+
+def test_cyclotomic_polynomials_match_sympy():
+    for m in SYMPY_ORDERS:
+        assert cyclotomic_polynomial(m) == tuple(int(c) for c in sympy_phi(m).all_coeffs()[::-1])
+        assert all(type(c) is int for c in cyclotomic_polynomial(m))
+
+
+def test_roots_of_unity_are_the_remainders_of_x_to_the_k_mod_phi_m():
+    # k runs past m, so the reduction k -> k mod m is checked too
+    for m in SYMPY_ORDERS:
+        phim, phi = sympy_phi(m), euler_phi(m)
+        for k in range(2 * m):
+            rem = [int(c) for c in sympy.Poly(X ** k, X).rem(phim).all_coeffs()[::-1]]
+            z = CycloScalar.root_of_unity(m, k)
+            assert z.num == tuple(rem + [0] * (phi - len(rem))) and z.den == 1, (m, k)
 
 
 def test_reduce_zeta4_squared_is_minus_one():
@@ -111,10 +136,11 @@ COEFF = st.one_of(st.just(Fraction(0)),
 
 
 @st.composite
-def operand_pairs(draw):
-    """(m, x, y, ox, oy): two scalars of Q(zeta_m) and their oracle copies,
-    with mixed denominators and zero operands (whole or per coefficient)."""
-    m = draw(st.sampled_from(ORDERS))
+def operand_pairs(draw, orders=ORDERS):
+    """(m, x, y, ox, oy): two scalars of Q(zeta_m), m in orders, and their
+    oracle copies, with mixed denominators and zero operands (whole or per
+    coefficient)."""
+    m = draw(st.sampled_from(orders))
     phi = euler_phi(m)
     vec = st.one_of(st.just((Fraction(0),) * phi), st.tuples(*[COEFF] * phi))
     a, b = draw(vec), draw(vec)
@@ -222,6 +248,22 @@ def test_inverse_matches_fraction_oracle(case):
     assert_matches(x.inverse(), ox.inverse())
     assert_matches(y / x, oy / ox)
     assert (x * x.inverse()) == CycloScalar.one(m)
+
+
+# phi(m) = 6, 6, 8: the inverse by Galois conjugates beyond the phi <= 4 of ORDERS
+LARGE_ORDERS = (7, 9, 15)
+
+
+@settings(PROPERTY, max_examples=60)
+@given(operand_pairs(LARGE_ORDERS))
+def test_inverse_at_phi_six_and_eight_matches_fraction_oracle(case):
+    m, x, y, ox, oy = case
+    if x.is_zero():
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+        return
+    assert_matches(x.inverse(), ox.inverse())
+    assert x * x.inverse() == CycloScalar.one(m)
 
 
 @PROPERTY
