@@ -11,12 +11,13 @@ genuinely needs more.
 from __future__ import annotations
 
 import copy
+from collections import namedtuple
 from itertools import product
 
 from . import linalg
 from .linalg import _add_scaled, _transpose
 from .scalars_grading import (BiCharacter, FiniteAbelianGroup,
-                              GroupElement, Immutable, format_scalar)
+                              GroupElement, format_scalar)
 
 
 class AlgebraStructureError(ValueError):
@@ -31,10 +32,10 @@ class NotMultiplicativeError(AlgebraStructureError):
     pass
 
 
-class GradedBasis(Immutable):
-    __slots__ = ("names", "degrees", "group")  # degrees: a GroupElement per name
+class GradedBasis(namedtuple("GradedBasis", "names degrees group")):
+    __slots__ = ()  # degrees: a GroupElement per name
 
-    def __init__(self, names: tuple, degrees: tuple, group: FiniteAbelianGroup):
+    def __new__(cls, names: tuple, degrees: tuple, group: FiniteAbelianGroup):
         if len(set(names)) != len(names):
             raise AlgebraStructureError(f"duplicate basis names in {names}")
         if len(degrees) != len(names):
@@ -44,18 +45,7 @@ class GradedBasis(Immutable):
             if d.group != group:
                 raise AlgebraStructureError(
                     f"degree {d} does not live in the declared grading group")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "group", group)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.names, self.degrees, self.group)
-                == (other.names, other.degrees, other.group))
-
-    def __hash__(self):
-        return hash((self.names, self.degrees, self.group))
+        return super().__new__(cls, names, degrees, group)
 
     @property
     def dim(self) -> int:

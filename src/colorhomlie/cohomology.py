@@ -362,7 +362,7 @@ def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
             coeff = factor * coeff
             for k, l, v in rho_entries[tup[s]]:
                 row, c = block[k], pos * mdim + l
-                if any((y := _muladd(row.get(c), coeff, v)).num):
+                if any((y := _muladd(v, coeff, row.get(c))).num):
                     row[c] = y
                 else:
                     del row[c]

@@ -109,10 +109,8 @@ def first_order_class(A: ColorHomAlgebra, B: TruncatedBracket) -> dict:
                              "formulation is unavailable, using r=0")
     if is_cocycle:
         # coords less its part in B^2, the rref image of the compatible 1-cochains
-        residue = dict(coords)
-        for row in _complex(A, R).coboundaries(2, A.basis.group.zero(), 0):
-            if min(row) in residue:
-                linalg._add_scaled(residue, -residue[min(row)], row)
+        b2 = _complex(A, R).coboundaries(2, A.basis.group.zero(), 0)
+        residue = linalg.Echelon(b2)._reduce(coords)
         result["class_is_zero"] = not residue
         result["class_representative"] = Cochain(space, residue)
     return result

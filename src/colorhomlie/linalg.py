@@ -87,7 +87,7 @@ def _add_scaled(acc, coeff, row):
                 del acc[k]
     else:
         for k, c in row.items():
-            if any((y := _muladd(acc.get(k), coeff, c)).num):
+            if any((y := _muladd(c, coeff, acc.get(k))).num):
                 acc[k] = y
             else:
                 acc.pop(k, None)

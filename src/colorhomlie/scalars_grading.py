@@ -9,6 +9,7 @@ numerator is a single integer, so a product is one integer multiply.
 from __future__ import annotations
 
 import re
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -99,46 +100,6 @@ def _make(num, den, m):
     return s
 
 
-def _muladd(x, f, b):
-    """x + f * b, x = None read as zero: the step of elimination and of
-    sparse products.  When phi(m) <= 2 it builds one scalar with at most one
-    gcd instead of a product and a sum that each normalise."""
-    m = b.root_order
-    if f.__class__ is not CycloScalar:
-        f = CycloScalar.from_rational(f, m)
-    n = len(b.num)
-    if n > 2:
-        return f * b if x is None else x + f * b
-    if f.root_order != m or x is not None and x.root_order != m:
-        raise ScalarError(f"mixed cyclotomic orders in {x!r} + {f!r} * {b!r}")
-    den = f.den * b.den
-    if n == 2:
-        (r0, r1), = _reduction_rows(m)
-        (a0, a1), (b0, b1) = f.num, b.num
-        top = a1 * b1
-        p, q = a0 * b0 + r0 * top, a0 * b1 + a1 * b0 + r1 * top
-        if x is not None:
-            (x0, x1), xd = x.num, x.den
-            if xd == den:
-                p, q = p + x0, q + x1
-            else:
-                p, q, den = p * xd + x0 * den, q * xd + x1 * den, den * xd
-        return _make((p, q), den, m)
-    p = f.num[0] * b.num[0]
-    if x is not None:
-        xd = x.den
-        if xd == den:
-            p += x.num[0]
-        else:
-            p, den = p * xd + x.num[0] * den, den * xd
-    if den != 1:
-        g = gcd(p, den)
-        p, den = p // g, den // g
-    s = _new(CycloScalar)
-    s.num, s.den, s.root_order = (p,), den, m
-    return s
-
-
 def _additive(op):
     """The method x op y for op = operator.add or operator.sub."""
     def method(self, other):
@@ -176,6 +137,9 @@ class CycloScalar:
 
     def __init__(self, coeffs, root_order: int):
         fracs = [Fraction(c) for c in coeffs]
+        if root_order < 1 or len(fracs) != euler_phi(root_order):
+            raise ScalarError(f"Q(zeta_{root_order}) needs phi({root_order}) coefficients, "
+                              f"got {len(fracs)}")
         den = lcm(*(c.denominator for c in fracs))
         self.num = tuple(c.numerator * (den // c.denominator) for c in fracs)
         self.den, self.root_order = den, root_order
@@ -212,33 +176,44 @@ class CycloScalar:
         s.num, s.den, s.root_order = tuple(map(neg, self.num)), self.den, self.root_order
         return s
 
-    def __mul__(self, other):
+    def __mul__(self, other, plus=None):
+        """self * other + plus, plus None read as zero: the product, and the
+        step v + f * b of elimination and of sparse products.  When phi(m) <= 2
+        it builds one scalar with at most one gcd, instead of a product and a
+        sum that each normalise."""
         m = self.root_order
         if other.__class__ is not CycloScalar:
             other = CycloScalar.from_rational(other, m)
-        if other.root_order != m:
-            raise ScalarError(f"mixed cyclotomic orders {m} and {other.root_order}")
+        if other.root_order != m or plus is not None and plus.root_order != m:
+            raise ScalarError(f"mixed cyclotomic orders in {self!r} * {other!r} + {plus!r}")
         a, b = self.num, other.num
         den = self.den * other.den
-        if len(a) == 1:
+        n = len(a)
+        if n == 1:
             p = a[0] * b[0]
+            if plus is not None:
+                if plus.den == den:
+                    p += plus.num[0]
+                else:
+                    p, den = p * plus.den + plus.num[0] * den, den * plus.den
             if den != 1:
                 g = gcd(p, den)
                 p, den = p // g, den // g
             s = _new(CycloScalar)
             s.num, s.den, s.root_order = (p,), den, m
             return s
-        if not any(a):
-            return self
-        if not any(b):
-            return other
-        n = len(a)
         if n == 2:
             (r0, r1), = _reduction_rows(m)
-            a0, a1 = a
-            b0, b1 = b
+            (a0, a1), (b0, b1) = a, b
             top = a1 * b1
-            return _make((a0 * b0 + r0 * top, a0 * b1 + a1 * b0 + r1 * top), den, m)
+            p, q = a0 * b0 + r0 * top, a0 * b1 + a1 * b0 + r1 * top
+            if plus is not None:
+                (x0, x1), xd = plus.num, plus.den
+                if xd == den:
+                    p, q = p + x0, q + x1
+                else:
+                    p, q, den = p * xd + x0 * den, q * xd + x1 * den, den * xd
+            return _make((p, q), den, m)
         prod = [0] * (2 * n - 1)
         for i, ca in enumerate(a):
             if ca:
@@ -249,7 +224,8 @@ class CycloScalar:
             if c:
                 for t in range(n):
                     out[t] += c * row[t]
-        return _make(tuple(out), den, m)
+        out = _make(tuple(out), den, m)
+        return out if plus is None else plus + out
 
     __radd__ = __add__
     __rmul__ = __mul__
@@ -328,6 +304,9 @@ class CycloScalar:
         return format_scalar(self)
 
 
+_muladd = CycloScalar.__mul__  # _muladd(b, f, x) = b * f + x, with no wrapper call
+
+
 @lru_cache(maxsize=None)
 def _roots(m: int):
     """zeta_m^0 .. zeta_m^(m-1); scalars are immutable, so callers share them."""
@@ -387,39 +366,15 @@ def format_scalar(s: CycloScalar) -> str:
 # finite abelian groups
 # ---------------------------------------------------------------------------
 
-class Immutable:
-    """Base of the dict-key value types: slots are set once, by ``__init__``."""
+class FiniteAbelianGroup(namedtuple("FiniteAbelianGroup", "orders")):
+    """Direct product of cyclic groups Z_{n_1} x ... x Z_{n_r}."""
 
     __slots__ = ()
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __repr__(self):
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-
-class FiniteAbelianGroup(Immutable):
-    """Direct product of cyclic groups Z_{n_1} x ... x Z_{n_r}."""
-
-    __slots__ = ("orders",)
-
-    def __init__(self, orders: tuple):
+    def __new__(cls, orders: tuple):
         if any(n < 1 for n in orders):
             raise GroupMismatchError(f"cyclic orders must be positive: {orders}")
-        object.__setattr__(self, "orders", orders)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self is other or self.orders == other.orders
-
-    def __hash__(self):
-        return hash((self.orders,))
+        return super().__new__(cls, orders)
 
     @property
     def rank(self) -> int:
@@ -443,27 +398,12 @@ class FiniteAbelianGroup(Immutable):
             yield GroupElement(comps, self)
 
 
-class GroupElement(Immutable):
-    __slots__ = ("components", "group")
-
-    def __init__(self, components: tuple, group: FiniteAbelianGroup):
-        object.__setattr__(self, "components", components)
-        object.__setattr__(self, "group", group)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.components, self.group) == (other.components, other.group)
-
-    def __hash__(self):
-        return hash((self.components, self.group))
-
-    def _check(self, other: "GroupElement"):
-        if self.group != other.group:
-            raise GroupMismatchError("elements of different groups")
+class GroupElement(namedtuple("GroupElement", "components group")):
+    __slots__ = ()
 
     def __add__(self, other: "GroupElement") -> "GroupElement":
-        self._check(other)
+        if self.group != other.group:
+            raise GroupMismatchError("elements of different groups")
         return GroupElement(tuple((a + b) % n for a, b, n in
                                   zip(self.components, other.components, self.group.orders)),
                             self.group)
@@ -501,6 +441,8 @@ class BiCharacter:
     """
 
     def __init__(self, group: FiniteAbelianGroup, exponent_matrix, root_order: int):
+        if root_order < 1:
+            raise BiCharacterError(f"root order must be >= 1, got {root_order}")
         self.group = group
         self.root_order = root_order
         E = [[int(e) % root_order for e in row] for row in exponent_matrix]

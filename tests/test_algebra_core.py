@@ -1,6 +1,8 @@
 """Axiom checks, commutator construction, derived Hom-algebras, and the
 structure-constant type."""
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 from itertools import product
@@ -15,7 +17,9 @@ from colorhomlie.algebra_core import (AlgebraStructureError, BracketTable,
                                       NotMultiplicativeError, StructureConstants,
                                       check_color_hom_lie, commutator_algebra,
                                       derived_algebra)
-from colorhomlie.fileio import parse_commutative_algebra_file
+from colorhomlie.cohomology import cohomology_group
+from colorhomlie.fileio import parse_algebra_file, parse_commutative_algebra_file
+from colorhomlie.representations import adjoint
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup, euler_phi, parse_scalar)
 
@@ -527,3 +531,22 @@ def test_graded_basis_refuses_names_and_degrees_of_different_lengths():
     for names, degrees in ((("a", "b", "c"), (G.zero(),)), (("a",), (G.zero(), G.zero()))):
         with pytest.raises(AlgebraStructureError, match="basis names but"):
             GradedBasis(names, degrees, G)
+
+
+def test_values_and_algebras_copy_and_pickle():
+    """Groups, degrees, bases and whole algebras survive copy, deepcopy and
+    pickle as equal values, and a deep copy gives the same reports."""
+    A = parse_algebra_file(data_path("sl2c_z2z2.alg"))
+    G = A.basis.group
+    for value in (G, G.element((1, 0)), A.basis):
+        for clone in (copy.copy(value), copy.deepcopy(value),
+                      pickle.loads(pickle.dumps(value))):
+            assert type(clone) is type(value)
+            assert clone == value and hash(clone) == hash(value)
+    for clone in (copy.copy(A), copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
+        assert clone.basis == A.basis and clone.alpha == A.alpha
+        assert clone.bracket.rows == A.bracket.rows
+    B = copy.deepcopy(A)
+    assert check_color_hom_lie(B).to_dict() == check_color_hom_lie(A).to_dict()
+    assert (cohomology_group(B, adjoint(B), 2, 0, G.zero()).to_dict()
+            == cohomology_group(A, adjoint(A), 2, 0, G.zero()).to_dict())

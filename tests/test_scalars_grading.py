@@ -127,6 +127,16 @@ def test_bad_literal_rejected():
             parse_scalar(bad, 2)
 
 
+def test_scalar_refuses_a_coefficient_tuple_of_the_wrong_length():
+    """Each case once built a scalar that arithmetic then got wrong."""
+    for coeffs, m in (((1, 2, 3), 3), ((5,), 3), ((), 3), ((1, 1), 1), ((), 0), ((1,), -2)):
+        with pytest.raises(ScalarError):
+            CycloScalar(coeffs, m)
+    one = CycloScalar.one(3)
+    assert CycloScalar((5, 0), 3) + one == CycloScalar.from_rational(6, 3)
+    assert str(CycloScalar((1, 2), 3) * one) == "[1;2]"
+
+
 # -- integer representation against the Fraction-tuple oracle -----------------
 
 ORDERS = (1, 2, 3, 4, 5, 6, 8, 12)
@@ -191,13 +201,13 @@ def _rationals(m, *values):
 @example((1,) + _rationals(1, "-1/2", "2/3", "3/4"))    # cancels; 1/2 against the unreduced 12
 def test_fused_multiply_add_matches_multiply_then_add(case):
     m, x, f, b = case
-    for got, want in ((_muladd(x, f, b), x + f * b), (_muladd(None, f, b), f * b)):
+    for got, want in ((_muladd(b, f, x), x + f * b), (_muladd(b, f, None), f * b)):
         assert got == want
         assert len(got.num) == euler_phi(m) and got.den > 0 and gcd(got.den, *got.num) == 1
     if x == -(f * b):
-        assert _muladd(x, f, b) == CycloScalar.zero(m)
+        assert _muladd(b, f, x) == CycloScalar.zero(m)
     other = CycloScalar.one(2 if m != 2 else 3)
-    for args in ((other, f, b), (x, other, b), (x, f, other), (None, f, other)):
+    for args in ((b, f, other), (b, other, x), (other, f, x), (other, f, None)):
         with pytest.raises(ScalarError):
             _muladd(*args)
 
@@ -223,15 +233,15 @@ def quadratic_muladd_operands(draw):
 def test_fused_step_at_phi_two_is_multiply_then_add(case):
     m, x, f, b = case
     fb = b * f if isinstance(f, Fraction) else f * b
-    got, want = _muladd(x, f, b), fb if x is None else x + fb
+    got, want = _muladd(b, f, x), fb if x is None else x + fb
     assert (got.num, got.den, got.root_order, hash(got)) == \
         (want.num, want.den, want.root_order, hash(want))
     if x is not None and (x + fb).is_zero():
         assert got.num == (0, 0) and got.den == 1
     for other in {3: (4, 6), 4: (3, 6), 6: (3, 4)}[m] + (2,):
         z = CycloScalar.root_of_unity(other)
-        for args in ((z, f, b), (x, z, b), (x, f, z), (None, z, b)):
-            if args[0] is None and isinstance(args[1], Fraction):
+        for args in ((b, f, z), (b, z, x), (z, f, x), (b, z, None)):
+            if args[2] is None and isinstance(args[1], Fraction):
                 continue  # a plain rational takes the order of b
             with pytest.raises(ScalarError):
                 _muladd(*args)
@@ -409,6 +419,13 @@ def test_bicharacter_rejects_order_mismatch():
     G = FiniteAbelianGroup((2,))
     with pytest.raises(BiCharacterError):
         BiCharacter(G, [[1]], 4)  # 2 * 1 != 0 mod 4
+
+
+def test_bicharacter_refuses_a_root_order_below_one():
+    G = FiniteAbelianGroup((2,))
+    for m in (0, -2):
+        with pytest.raises(BiCharacterError, match="root order must be >= 1"):
+            BiCharacter(G, [[0]], m)
 
 
 @pytest.mark.parametrize("orders,m", [((2, 2, 2), 2), ((4,), 4), ((2, 6), 6)])
