@@ -15,7 +15,7 @@ from collections import namedtuple
 from itertools import product
 
 from . import linalg
-from .linalg import _add_scaled, _transpose
+from .linalg import _add_scaled, _product, _transpose
 from .scalars_grading import (BiCharacter, FiniteAbelianGroup,
                               GroupElement, format_scalar)
 
@@ -159,6 +159,16 @@ class StructureConstants:
                                                                    cols.get(j, {})):
                 yield i, j
 
+    def commutation_failures(self, degrees, eps: BiCharacter, sign: int):
+        """The basis pairs (i, j), in row-major order, with c(e_i, e_j) !=
+        sign * eps(d_i, d_j) c(e_j, e_i): sign +1 is eps-commutativity, -1
+        eps-skew-symmetry."""
+        rows = self.rows
+        for i, j in product(range(self.dim), repeat=2):
+            e = eps(degrees[i], degrees[j]) if sign > 0 else -eps(degrees[i], degrees[j])
+            if rows.get((i, j), {}) != {k: e * c for k, c in rows.get((j, i), {}).items()}:
+                yield i, j
+
     def is_zero(self) -> bool:
         return not self.rows
 
@@ -291,7 +301,6 @@ class ColorHomAlgebra:
         self.alpha = alpha
         self.m = m
         self.name = name
-        self._alpha_pows = {0: linalg.identity(basis.dim, m), 1: alpha}
         self._sparse_pows = {}  # k -> alpha^k in linalg's sparse form
         self._spaces = {}       # (kind, k, gamma, commute) -> spanning matrices
         self._precomposed = {}  # k -> rows of [e_i, a^k e_y] and [a^k e_x, e_i]
@@ -306,24 +315,24 @@ class ColorHomAlgebra:
         return self.basis.degrees[i]
 
     def alpha_power(self, k: int):
-        """alpha^k, cached for every k; negative k needs an invertible twist."""
-        if k not in self._alpha_pows:
-            if k == -1:
+        """alpha^k as a fresh dense matrix; negative k needs an invertible twist."""
+        return linalg.dense(self.alpha_sparse(k), self.dim, self.m)
+
+    def alpha_sparse(self, k: int):
+        """alpha^k in linalg's sparse form, formed once per k."""
+        if k not in self._sparse_pows:
+            if k in (0, 1):
+                power = linalg.sparse(linalg.identity(self.dim, self.m) if k == 0 else self.alpha)
+            elif k == -1:
                 try:
-                    self._alpha_pows[-1] = linalg.inverse(self.alpha)
+                    power = linalg.sparse(linalg.inverse(self.alpha))
                 except ValueError:
                     raise AlgebraStructureError(
                         "negative twist power requested but alpha is singular")
             else:
                 step = 1 if k > 0 else -1
-                self._alpha_pows[k] = linalg.mat_mul(self.alpha_power(step),
-                                                     self.alpha_power(k - step))
-        return self._alpha_pows[k]
-
-    def alpha_sparse(self, k: int):
-        """alpha^k in linalg's sparse form, formed once per k."""
-        if k not in self._sparse_pows:
-            self._sparse_pows[k] = linalg.sparse(self.alpha_power(k))
+                power = _product(self.alpha_sparse(step), self.alpha_sparse(k - step))
+            self._sparse_pows[k] = power
         return self._sparse_pows[k]
 
     # -- exhaustive axiom checks --------------------------------------------
@@ -414,10 +423,7 @@ class HomAssociativeColorAlgebra:
         return CheckResult(not failures, failures)
 
     def is_eps_commutative(self) -> bool:
-        degrees, rows = self.basis.degrees, self.mu.rows
-        return all(rows.get((i, j), {}) == {k: self.eps(degrees[i], degrees[j]) * c
-                                           for k, c in rows.get((j, i), {}).items()}
-                   for i, j in product(range(self.dim), repeat=2))
+        return not any(self.mu.commutation_failures(self.basis.degrees, self.eps, 1))
 
 
 def commutator_algebra(H: HomAssociativeColorAlgebra) -> ColorHomAlgebra:

@@ -144,7 +144,7 @@ def cmd_jordan(args) -> tuple:
     A = parse_algebra_file(args.algebra)
     J = quasi_centroid_jordan(A, max_power=args.k)
     report = check_hom_jordan(J)
-    body = {"algebra": A.name, "source": args.source, "k": args.k,
+    body = {"algebra": A.name, "source": "qcentroid", "k": args.k,
             "span_dim": J.dim,
             "elements": [serialize_matrix(M) for M in J.matrices],
             "product_table": [[[str(c) for c in cell] for cell in row]
@@ -152,7 +152,7 @@ def cmd_jordan(args) -> tuple:
             "hcj1": report["hcj1"].to_dict(),
             "hcj2": report["hcj2"].to_dict()}
     ok = report["hcj1"].ok and report["hcj2"].ok
-    return (body, ok, f"jordan on {args.source} k={args.k}: "
+    return (body, ok, f"jordan on qcentroid k={args.k}: "
                       f"{'Hom-Jordan axioms pass' if ok else 'FAILED'}")
 
 
@@ -261,7 +261,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_structure)
 
     p = sub.add_parser("jordan", parents=[algebra], help="product on the quasi-centroid")
-    p.add_argument("--source", choices=("qcentroid",), default="qcentroid")
     p.add_argument("--k", type=int, default=2,
                    help="largest twist power collected into the span")
     p.set_defaults(func=cmd_jordan)

@@ -78,11 +78,10 @@ class CochainSpace:
 
     def evaluate_basis(self, coords, indices):
         """Value {carrier index: nonzero scalar} on a tuple of basis indices,
-        via the sorting sign."""
+        via the sorting sign; empty off the canonical tuples."""
         A, mdim = self.algebra, self.module.dim
         sorted_tup, sign = sort_with_sign(indices, A.basis.degrees, A.eps)
-        if any(a == b and not A.eps.sign_is_minus_one(A.degree(a), A.degree(a))
-               for a, b in zip(sorted_tup, sorted_tup[1:])):
+        if sorted_tup not in self.positions:  # a repeat that every skew map kills
             return {}
         base = self.positions[sorted_tup] * mdim
         block = ((k, coords.get(base + k)) for k in range(mdim)) if isinstance(coords, dict) \
@@ -126,13 +125,13 @@ class _Complex:
     sparse rows of delta_r^n and their product with the compatible basis;
     per (n, r, mode) and (n, r), the rref bases of Z^n and of B^n at their
     anchor gamma_0, moved to other degrees by D if alpha keeps degrees and the
-    bracket is graded (checked once, on the first move), else solved again.
+    bracket is graded (``graded``, checked at construction), else solved again.
 
     The complex takes the carrier dimension, beta and rho from R when it is
     built and keeps no reference to R, so R (which keeps the complex) frees
     it by reference counting alone.  Entries are filled on first use, so A
     and R must not be mutated after construction
-    (``ColorHomAlgebra.alpha_power`` assumes the same).  An entry is stored
+    (``ColorHomAlgebra.alpha_sparse`` assumes the same).  An entry is stored
     only once computed: a negative power of a singular twist raises on
     every call.  Callers receive fresh containers, never the stored ones.
     ``coboundary_of_coords`` and ``CochainSpace.evaluate`` never read the
@@ -154,7 +153,9 @@ class _Complex:
         self._rho = {}           # p -> per e_i, (k, l, value) of rho(alpha^p e_i)
         self.keeps_degrees = all(A.degree(j) == A.degree(i)
                                  for i in range(A.dim) for j, _ in self.alpha_cols[i])
-        self._graded = None      # keeps_degrees and a graded bracket, on the first move
+        self.graded = self.keeps_degrees and all(A.degree(k) == A.degree(i) + A.degree(j)
+                                                 for (i, j), row in A.bracket.rows.items()
+                                                 for k in row)
         self._delta = {}         # (n, gamma, r) -> sparse rows of delta_r^n
         self._restricted = {}    # (n, gamma, r) -> delta_r^n on the compatible basis
         self._cocycles = {}      # (n, r, restrict) -> (gamma_0, rref rows of Z^n at gamma_0)
@@ -176,11 +177,22 @@ class _Complex:
         if combo not in self._located:
             A = self.algebra
             sorted_tup, sign = sort_with_sign(combo, A.basis.degrees, A.eps)
-            vanishes = any(a == b and not A.eps.sign_is_minus_one(A.degree(a), A.degree(a))
-                           for a, b in zip(sorted_tup, sorted_tup[1:]))
-            self._located[combo] = None if vanishes else \
-                (self.arity(len(combo))[1][sorted_tup], sign)
+            pos = self.arity(len(combo))[1].get(sorted_tup)
+            self._located[combo] = None if pos is None else (pos, sign)
         return self._located[combo]
+
+    def expand(self, coeffs, supports):
+        """Add f(x_1, ..., x_n) for x_i = sum of a e_j over the (j, a) in
+        supports[i] into coeffs {tuple position: scalar}, by multilinearity:
+        over the products of the supports, each located on a canonical tuple."""
+        for picks in product(*supports):
+            if (hit := self.locate(tuple(j for j, _ in picks))) is None:
+                continue
+            pos, coeff = hit
+            for _, a in picks:
+                coeff = coeff * a
+            coeffs[pos] = coeffs[pos] + coeff if pos in coeffs else coeff
+        return coeffs
 
     def compat(self, n: int):
         if n not in self._compat:
@@ -245,11 +257,7 @@ class _Complex:
         gamma0, basis = store[key]
         if gamma == gamma0:
             return [dict(v) for v in basis]
-        if self._graded is None:
-            self._graded = self.keeps_degrees and all(A.degree(k) == A.degree(i) + A.degree(j)
-                                                      for (i, j), row in A.bracket.rows.items()
-                                                      for k in row)
-        if not self._graded:
+        if not self.graded:
             return solve(gamma)
         eps, m, mdim = A.eps, A.eps.root_order, self.mdim
         shift = [eps.exponent(gamma, d) - eps.exponent(gamma0, d) for d in A.basis.degrees]
@@ -290,15 +298,7 @@ def _compat_rows(cx: _Complex, n: int):
     for block, combo in enumerate(combos):
         base = block * mdim
         # f(alpha x_1, ..., alpha x_n): the same carrier component k
-        coeffs = {}
-        for picks in product(*(alpha_cols[i] for i in combo)):
-            hit = locate(tuple(j for j, _ in picks))
-            if hit is None:
-                continue
-            pos, coeff = hit
-            for _, a in picks:
-                coeff = coeff * a
-            coeffs[pos] = coeffs[pos] + coeff if pos in coeffs else coeff
+        coeffs = cx.expand({}, [alpha_cols[i] for i in combo])
         # - beta f(x_1, ..., x_n)
         hit = locate(combo)
         for k in range(mdim):
@@ -338,17 +338,10 @@ def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
             for s in range(t):
                 sign = roots[sum(ex[tup[u]][tup[t]] for u in range(s + 1, t)) % m]
                 factor = sign if t % 2 == 0 else -sign  # (-1)^t
-                supports = [A.bracket.rows.get((tup[s], tup[t]), {}).items() if pos == s
-                            else alpha_cols[tup[pos]] for pos in range(n + 1) if pos != t]
-                for picks in product(*supports):
-                    hit = locate(tuple(j for j, _ in picks))
-                    if hit is None:
-                        continue
-                    pos, coeff = hit
-                    coeff = factor * coeff
-                    for _, a in picks:
-                        coeff = coeff * a
-                    coeffs[pos] = coeffs[pos] + coeff if pos in coeffs else coeff
+                inserted = [(j, factor * b)  # the factor rides on [x_s, x_t]
+                            for j, b in A.bracket.rows.get((tup[s], tup[t]), {}).items()]
+                cx.expand(coeffs, [inserted if pos == s else alpha_cols[tup[pos]]
+                                   for pos in range(n + 1) if pos != t])
         block = [{pos * mdim + k: coeff for pos, coeff in coeffs.items() if any(coeff.num)}
                  for k in range(mdim)]
         # action terms (-1)^s eps(gamma + x_0 + ... + x_{s-1}, x_s) rho(...) f(...)

@@ -51,16 +51,13 @@ class TruncatedBracket:
         # the twist series alpha_0..alpha_order, sparse and zero-padded
         self.alphas = _padded(alpha_terms or [algebra.alpha], order)
 
-    def _term_report(self, check) -> CheckResult:
-        """An axiom check of ColorHomAlgebra run on every term's table."""
+    def skew_report(self) -> CheckResult:
+        """``ColorHomAlgebra.check_skew`` run on every term's table."""
         A = self.algebra
         failures = [{"order": s, **failure} for s, table in enumerate(self.terms)
-                    for failure in check(ColorHomAlgebra(A.basis, A.eps, table,
-                                                         A.alpha, A.m)).failures]
+                    for failure in ColorHomAlgebra(A.basis, A.eps, table, A.alpha,
+                                                   A.m).check_skew().failures]
         return CheckResult(not failures, failures)
-
-    def skew_report(self) -> CheckResult:
-        return self._term_report(ColorHomAlgebra.check_skew)
 
 
 def check_deformation(A: ColorHomAlgebra, B: TruncatedBracket) -> dict:

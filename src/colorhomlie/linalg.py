@@ -13,8 +13,8 @@ keeps its output so by dropping an entry where it cancels: only dense rows
 are filtered, at the edge.  The dense kernels left serve those edges only:
 
 * ``identity``: the public identity twist, and the phi_0 = alpha_0 = Id checks;
-* ``mat_mul``: the public twist powers and twisted twists, one small product
-  each, where a sparse round trip costs more than the product;
+* ``mat_mul``: the twisted twists, one small product each, where a sparse
+  round trip costs more than the product;
 * ``transpose`` and ``mat_eq``: public matrices turned or compared as given.
 
 Elimination is Gauss-Jordan with exact division and canonical pivot
@@ -32,18 +32,13 @@ def identity(n: int, m: int):
     return [[o if i == j else z for j in range(n)] for i in range(n)]
 
 
-def _root_order(a, b) -> int:
-    """The shared root order of two entries: the kernels multiply no zero."""
-    if a.root_order != b.root_order:
-        raise ScalarError(f"mixed cyclotomic orders {a.root_order} and {b.root_order}")
-    return b.root_order
-
-
 def mat_mul(A, B):
     """A B on dense lists: the nonzero entries of each row of B are listed
     once, and each output row is accumulated as {column: scalar}."""
     p = len(B[0]) if B else 0
-    m = _root_order(A[0][0], B[0][0]) if A and p else 1
+    m = B[0][0].root_order if A and p else 1
+    if A and p and A[0][0].root_order != m:  # a skipped zero would hide it
+        raise ScalarError(f"mixed cyclotomic orders {A[0][0].root_order} and {m}")
     z = CycloScalar.zero(m)
     supports = [[(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in B]
     out = []
@@ -143,9 +138,7 @@ def _product(rows, other):
 
 class Echelon:
     """A fully reduced echelon form {pivot column: sparse row}, grown one
-    vector at a time.  With ``coordinates`` each pivot row also carries its
-    combination {index: scalar} of the absorbed vectors, numbered in the
-    order they were absorbed, so that ``coords`` can write a vector in them.
+    vector at a time.
 
     ``holders`` maps each non-pivot column to a list of the pivot rows that
     may be nonzero there, so that a new pivot column is cleared from those
@@ -154,24 +147,19 @@ class Echelon:
     the column.
     """
 
-    __slots__ = ("rows", "combos", "holders")
+    __slots__ = ("rows", "holders")
 
-    def __init__(self, vectors=(), coordinates: bool = False):
-        self.rows, self.combos, self.holders = {}, {} if coordinates else None, {}
+    def __init__(self, vectors=()):
+        self.rows, self.holders = {}, {}
         for vec in vectors:
             self.add(vec)
 
-    def _reduce(self, vec, combo=None):
+    def _reduce(self, vec):
         """vec as a fresh sparse dict, reduced in one pass against every pivot:
-        empty exactly when vec lies in the span.  The combination of absorbed
-        vectors taken off vec is subtracted from combo, when one is given."""
+        empty exactly when vec lies in the span."""
         v, rows = dict(vec) if isinstance(vec, dict) else _sparse(vec), self.rows
-        used = [(p, -v[p]) for p in v if p in rows]
-        for p, f in used:
+        for p, f in [(p, -v[p]) for p in v if p in rows]:
             _add_scaled(v, f, rows[p])
-        if combo is not None:
-            for p, f in used:
-                _add_scaled(combo, f, self.combos[p])
         return v
 
     def __contains__(self, vec) -> bool:
@@ -180,8 +168,7 @@ class Echelon:
     def add(self, vec) -> bool:
         """Absorb vec: reduced, scaled to 1 at its leftmost nonzero column and
         that column cleared from the other rows; False, changing nothing, in the span."""
-        combo = None if self.combos is None else {}
-        v = self._reduce(vec, combo)
+        v = self._reduce(vec)
         if not v:
             return False
         c = min(v)
@@ -189,20 +176,13 @@ class Echelon:
         if inv != CycloScalar.one(inv.root_order):
             inv = inv.inverse()
             v = {k: inv * a for k, a in v.items()}
-        if combo is not None:
-            combo = {k: inv * a for k, a in combo.items()}
-            combo[len(self.rows)] = inv
-            self.combos[c] = combo
         rows, holders = self.rows, self.holders
         cleared = [c]
         for p in holders.pop(c, ()):
             prow = rows[p]
             if c not in prow:
                 continue
-            f = -prow[c]
-            _add_scaled(prow, f, v)
-            if combo is not None:
-                _add_scaled(self.combos[p], f, combo)
+            _add_scaled(prow, -prow[c], v)
             cleared.append(p)
         # the rows just cleared, and the new one, may be nonzero wherever v is
         for k in v:
@@ -210,14 +190,6 @@ class Echelon:
                 holders.setdefault(k, []).extend(cleared)
         rows[c] = v
         return True
-
-    def coords(self, vec, m: int):
-        """vec in the coordinates of the absorbed vectors; None outside the span."""
-        combo = {}
-        if self._reduce(vec, combo):
-            return None
-        z = CycloScalar.zero(m)
-        return [-combo[i] if i in combo else z for i in range(len(self.rows))]
 
 
 def rref(rows):

@@ -337,8 +337,10 @@ def quasi_centroid_jordan(A: ColorHomAlgebra, max_power: int = 2,
     conjugation D -> alpha D alpha^(-1); an invertible twist is required.
     Raises NotClosedError when the product or the twist action leaves the
     collected span (e.g. when max_power is too small for the algebra).
-    One echelon form of the collected span picks the elements and gives the
-    coordinates of every product and conjugate, formed on sparse rows.
+    One echelon form of the collected span picks the elements.  The picked
+    flats are independent, so their entries at the span's pivot columns P form
+    an invertible matrix C, and a product or conjugate v of the span, formed
+    on sparse rows, has the coordinates C^-1 v[P].
     """
     if max_power < 0:
         raise ValueError("twist power must be non-negative")
@@ -346,22 +348,27 @@ def quasi_centroid_jordan(A: ColorHomAlgebra, max_power: int = 2,
         alpha_inv = A.alpha_sparse(-1)
     except AlgebraStructureError:
         raise AlgebraStructureError("quasi-centroid twist action needs invertible alpha")
-    span = linalg.Echelon(coordinates=True)
+    span, flats = linalg.Echelon(), []
     matrices, degrees = [], []
     for k in range(max_power + 1):
         for gamma in A.basis.group.elements():
             for M in solve_space(A, "qcentroid", k, gamma, commute_with_alpha).basis:
-                if span.add(_flat(M)):
+                if span.add(flat := _flat(M)):
+                    flats.append(flat)
                     matrices.append(M)
                     degrees.append(gamma)
+    n, pivots, zero = len(matrices), sorted(span.rows), CycloScalar.zero(A.m)
+    # row k of the inverse of C's transpose is column k of C^-1
+    inverse_cols = linalg.sparse(linalg.inverse([[flat.get(p, zero) for p in pivots]
+                                                 for flat in flats])) if flats else {}
     def coords(rows, pair=None):
-        vec = span.coords(_flat(rows), A.m)
-        if vec is None:
+        if (vec := _flat(rows)) not in span:
             raise NotClosedError(
                 "twist conjugation leaves the quasi-centroid span" if pair is None else
                 f"quasi-centroid is not closed under the product at pair ({pair[0]},{pair[1]})")
-        return vec
-    n, sparse = len(matrices), [linalg.sparse(M) for M in matrices]
+        at_pivots = {k: vec[p] for k, p in enumerate(pivots) if p in vec}
+        return linalg.dense([_product({0: at_pivots}, inverse_cols).get(0, {})], n, A.m)[0]
+    sparse = [linalg.sparse(M) for M in matrices]
     table = [[coords(_anticommutator(sparse[i], sparse[j], A.eps(degrees[i], degrees[j])),
                      (i, j)) for j in range(n)] for i in range(n)]
     alpha = A.alpha_sparse(1)
@@ -383,11 +390,7 @@ def check_hom_jordan(J: ProductAlgebraData) -> dict:
     n, mu, rows = J.dim, J.mu, J.mu.rows
     one, minus = CycloScalar.one(J.m), -CycloScalar.one(J.m)
     alpha = _transpose(linalg.sparse(J.alpha_action))  # alpha[t] = alpha e_t
-    hcj1 = []
-    for i, j in product(range(n), repeat=2):
-        e = J.eps(J.degrees[i], J.degrees[j])
-        if rows.get((i, j), {}) != {k: e * c for k, c in rows.get((j, i), {}).items()}:
-            hcj1.append({"pair": [i, j]})
+    hcj1 = [{"pair": [i, j]} for i, j in mu.commutation_failures(J.degrees, J.eps, 1)]
     # Hom-associators as(u,v,w) = (u.v).alpha(w) - alpha(u).(v.w) at
     # u = e_k, v = alpha e_z, w = alpha e_c: assoc[k][(z, c)], the nonzero ones
     alpha2 = _product(alpha, alpha)  # alpha2[c] = alpha(alpha e_c)

@@ -1058,8 +1058,8 @@ def hom_jordan_direct(J):
 def _express_in_span(matrices, M, m):
     """The coordinates of M in the given matrices by one fresh
     ``linalg.solve`` of the flattened system, or None: an oracle for the
-    coordinates ``quasi_centroid_jordan`` reads from one growing
-    ``linalg.Echelon``."""
+    coordinates ``quasi_centroid_jordan`` forms as C^-1 v[P], from the one
+    inverse of the picks' entries at the pivot columns of its echelon form."""
     flat_basis, flat = [[c for row in B for c in row] for B in matrices], \
         [c for row in M for c in row]
     rows = [[fb[i] for fb in flat_basis] for i in range(len(flat))]

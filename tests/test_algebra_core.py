@@ -236,7 +236,7 @@ def test_twist_powers_are_cached_for_negative_exponents():
     inv = [[sc(1), sc(Fraction(-1, 2))], [sc(0), sc(Fraction(1, 2))]]
     for k in (1, 2, 3):
         power = A.alpha_power(-k)
-        assert A.alpha_power(-k) is power
+        assert A.alpha_sparse(-k) is A.alpha_sparse(-k)
         assert linalg.mat_eq(power, mat_pow(inv, k, A.m))
         assert linalg.mat_eq(linalg.mat_mul(A.alpha_power(k), power), linalg.identity(2, A.m))
     S = zero_algebra([2, 2], [[0, 1], [1, 0]], 2, [(1, 0), (0, 1)],
@@ -244,6 +244,21 @@ def test_twist_powers_are_cached_for_negative_exponents():
     for _ in range(2):  # a singular twist is refused on every call
         with pytest.raises(AlgebraStructureError):
             S.alpha_power(-1)
+
+
+def test_edited_twist_powers_leave_the_algebra_unchanged():
+    # every power handed out is a fresh copy: editing one reaches neither a
+    # later call, nor a power formed from it, nor the algebra behind a derived one
+    A = zero_algebra([2, 2], [[0, 1], [1, 0]], 2, [(1, 0), (1, 0)], alpha=[[1, 1], [0, 2]])
+    want = {k: mat_pow(A.alpha, k, A.m) for k in (1, 2, 3)}
+    for k in (1, 2):
+        A.alpha_power(k)[0][0] = sc(7)
+    assert all(linalg.mat_eq(A.alpha_power(k), want[k]) for k in (1, 2, 3))
+    assert linalg.sparse(want[3]) == A.alpha_sparse(3)
+    D = derived_algebra(A, 1)
+    D.alpha[0][0] = sc(7)
+    assert linalg.mat_eq(A.alpha_power(2), want[2])
+    assert linalg.mat_eq(A.alpha, want[1])
 
 
 def test_derived_zero_bracket_any_level():

@@ -451,7 +451,7 @@ def test_each_half_of_the_guard_keeps_direct_solves(case):
              for restrict in ("free", "compatible")]
     _sweep_matches_fresh_modules(A, R, calls, 7)
     cx = cohomology._complex(A, R)
-    assert cx._graded is False and cx.keeps_degrees is (case == 1)
+    assert cx.graded is False and cx.keeps_degrees is (case == 1)
 
 
 @pytest.mark.parametrize("restrict", ["free", "compatible"])
@@ -559,6 +559,20 @@ def test_reverify_accepts_every_result():
         for gamma in A.basis.group.elements():
             res = cohomology_group(A, R, 2, 1, gamma, restrict="free")
             assert reverify(A, R, res).ok, A.name
+
+
+@pytest.mark.parametrize("family, arities", [(sl2c_z2z2, (2, 3)), (heis_zeta3, (2, 3)),
+                                             (clock3_twisted, (2,))])
+def test_coboundary_dimension_is_rank_nullity_of_the_previous_coboundary(family, arities):
+    """dim B^n = dim C^(n-1)_compatible - dim Z^(n-1)_compatible at the same
+    (gamma, r): B^n is the image of delta_r^(n-1) on the compatible
+    (n-1)-cochains and Z^(n-1) its kernel, each from its own elimination."""
+    A = family()
+    for R in (adjoint(A), alpha_s_adjoint(A, -1)):
+        for n, r, gamma in product(arities, (0, 1), A.basis.group.elements()):
+            below = cohomology_group(A, R, n - 1, r, gamma)
+            assert cohomology_group(A, R, n, r, gamma).dim_B == \
+                below.space.compat_dim - below.dim_Z, (A.name, n, r, gamma.components)
 
 
 def test_reverify_flags_a_perturbed_cocycle():

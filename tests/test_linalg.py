@@ -187,11 +187,9 @@ def test_kernel_and_echelon_leave_their_input_rows_unchanged(system, data):
     inputs = mixed + [as_sparse(combination(data.draw, rows, m, ncols))]
     before = copy.deepcopy(inputs)
     linalg.sparse_kernel_basis(mixed, ncols, m)
-    for echelon in (linalg.Echelon(mixed), linalg.Echelon(mixed, coordinates=True)):
-        assert inputs[-1] in echelon
-        echelon.add(inputs[-1])
-        if echelon.combos is not None:
-            echelon.coords(inputs[-1], m)
+    echelon = linalg.Echelon(mixed)
+    assert inputs[-1] in echelon
+    echelon.add(inputs[-1])
     assert inputs == before
 
 
@@ -266,36 +264,6 @@ def test_quotient_representatives_match_greedy_oracle(system, data):
         quotient_direct(rows, subspace)
 
 
-@PROPERTY
-@given(st.sampled_from((1, 2, 3)), st.data())
-def test_echelon_coordinates_match_solve(m, data):
-    # the picks are the greedy rank picks; a vector's coordinates in them are
-    # what linalg.solve gives on the picks as columns, None outside the span
-    ncols = data.draw(st.integers(1, 5))
-    entry = scalars(m, data.draw(st.booleans()))
-    vectors = data.draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols),
-                                 max_size=4))
-    # dependent inputs: a repeated vector and a combination of the others
-    if vectors and data.draw(st.booleans()):
-        vectors.append(list(vectors[data.draw(st.integers(0, len(vectors) - 1))]))
-    if data.draw(st.booleans()):
-        vectors.append(combination(data.draw, vectors, m, ncols))
-    echelon, picks = linalg.Echelon(coordinates=True), []
-    for v in vectors:
-        raises = rank_direct(picks + [v]) > rank_direct(picks)
-        assert echelon.add(as_sparse(v) if data.draw(st.booleans()) else v) == raises
-        if raises:
-            picks.append(v)
-    columns = [[v[c] for v in picks] for c in range(ncols)]
-    inside = combination(data.draw, vectors, m, ncols)
-    arbitrary = data.draw(st.lists(scalars(m, sparse=True), min_size=ncols, max_size=ncols))
-    for target in (inside, arbitrary):
-        want = linalg.solve(columns, target, m)
-        assert target is arbitrary or want is not None
-        assert echelon.coords(target, m) == echelon.coords(as_sparse(target), m) == want
-        assert (target in echelon) == (want is not None)
-
-
 # -- the column index of Echelon ---------------------------------------------------
 
 class CountingHolders(dict):
@@ -335,7 +303,7 @@ def test_stale_holders_are_skipped_and_the_form_stays_exact():
                {1: n[1], 2: n[1], 4: n[2]},
                [n[0], n[0], n[1], half, n[0]],  # clears column 2: column 3 cancels from row 0
                {3: n[5], 4: n[1]}]              # column 3 becomes a pivot
-    echelon = linalg.Echelon(vectors[:3], coordinates=True)
+    echelon = linalg.Echelon(vectors[:3])
     assert 3 not in echelon.rows[0] and 0 in echelon.holders[3]
     assert echelon.add(vectors[3])
     dense_rows = [as_dense(v, 5, m) if isinstance(v, dict) else v for v in vectors]
@@ -344,10 +312,6 @@ def test_stale_holders_are_skipped_and_the_form_stays_exact():
     assert pivots == want_pivots == [0, 1, 2, 3]
     assert [as_dense(r, 5, m) for r in red] == want_rows
     assert [as_dense(echelon.rows[p], 5, m) for p in pivots] == want_rows
-    for k, vec in enumerate(dense_rows):
-        assert echelon.coords(vec, m) == [n[1] if i == k else n[0] for i in range(4)]
-    mixed = [a * 2 - b for a, b in zip(dense_rows[0], dense_rows[3])]
-    assert echelon.coords(mixed, m) == [n[2], n[0], n[0], -n[1]]
 
 
 # -- the zero-skipping dense products ---------------------------------------------
