@@ -203,13 +203,17 @@ def cyclic_residual(pairs, degrees, eps: BiCharacter, x: int, y: int, z: int):
 
 def cyclic_failures(pairs, basis: GradedBasis, eps: BiCharacter):
     """The basis triples, in order, whose cyclic residual is nonzero, with
-    the residual as dense entry strings."""
-    failures, m = [], pairs[0][0].m
-    for x, y, z in product(range(basis.dim), repeat=3):
-        res = cyclic_residual(pairs, basis.degrees, eps, x, y, z)
-        if res:
-            failures.append({"triple": [basis.names[t] for t in (x, y, z)],
-                             "residual": [str(c) for c in linalg.dense([res], basis.dim, m)[0]]})
+    the residual as dense entry strings.  Rotations share a residual, formed
+    once at the least rotation of each class, which row-major order meets first."""
+    failures, m, strings = [], pairs[0][0].m, {}
+    for t in product(range(basis.dim), repeat=3):
+        key = min(t, t[1:] + t[:1], t[2:] + t[:2])
+        if key == t:
+            res = cyclic_residual(pairs, basis.degrees, eps, *t)
+            strings[t] = res and [str(c) for c in linalg.dense([res], basis.dim, m)[0]]
+        if strings[key]:
+            failures.append({"triple": [basis.names[i] for i in t],
+                             "residual": list(strings[key])})
     return failures
 
 
@@ -319,7 +323,7 @@ class ColorHomAlgebra:
         return linalg.dense(self.alpha_sparse(k), self.dim, self.m)
 
     def alpha_sparse(self, k: int):
-        """alpha^k in linalg's sparse form, formed once per k."""
+        """alpha^k in linalg's sparse form, formed once per k by repeated squaring."""
         if k not in self._sparse_pows:
             if k in (0, 1):
                 power = linalg.sparse(linalg.identity(self.dim, self.m) if k == 0 else self.alpha)
@@ -331,7 +335,10 @@ class ColorHomAlgebra:
                         "negative twist power requested but alpha is singular")
             else:
                 step = 1 if k > 0 else -1
-                power = _product(self.alpha_sparse(step), self.alpha_sparse(k - step))
+                half = self.alpha_sparse(step * (abs(k) // 2))
+                power = _product(half, half)
+                if k % 2:
+                    power = _product(self.alpha_sparse(step), power)
             self._sparse_pows[k] = power
         return self._sparse_pows[k]
 

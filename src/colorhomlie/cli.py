@@ -18,8 +18,7 @@ from .algebra_core import check_color_hom_lie, derived_algebra
 from .fileio import (ParseError, _parse_square, parse_algebra_file, parse_alpha_terms,
                      parse_bracket_terms, parse_commutative_algebra_file,
                      parse_representation_document, serialize_matrix)
-from .morphisms_twists import (BudgetExceededError, _twisted, enumerate_morphisms,
-                               morphism_is_invertible)
+from .morphisms_twists import BudgetExceededError, enumerate_morphisms, morphism_is_invertible
 from .representations import adjoint, alpha_s_adjoint
 from .scalars_grading import parse_scalar
 
@@ -97,7 +96,7 @@ def cmd_twists(args) -> tuple:
                                  budget=args.budget)
     items = [{"matrix": serialize_matrix(matrix), "even": even,
               "invertible": morphism_is_invertible(matrix),
-              "twisted_bracket": _twisted(A, matrix).bracket.report(A.basis.names)}
+              "twisted_bracket": A.bracket.compose_with(matrix).report(A.basis.names)}
              for matrix, even in morphs]
     body = {"algebra": A.name, "entry_set": [str(s) for s in entry_set],
             "count": len(items), "morphisms": items}

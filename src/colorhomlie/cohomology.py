@@ -483,9 +483,10 @@ def cohomology_group(A: ColorHomAlgebra, R: Representation, n: int, r: int,
         raise ValueError(f"unknown restrict mode {restrict!r}")
     cx = _complex(A, R)
     Z, B = cx.cocycles(n, gamma, r, restrict), cx.coboundaries(n, gamma, r)
-    reps = linalg.quotient_representatives(Z, B)
-    # Z and B are independent, so rank(Z + B) = len(B) + len(reps)
-    if len(B) + len(reps) != len(Z):
+    # rref bases of equal length span one space exactly when they are equal;
+    # otherwise Z and B are independent, so rank(Z + B) = len(B) + len(reps)
+    reps = [] if len(Z) == len(B) else linalg.quotient_representatives(Z, B)
+    if len(B) + len(reps) != len(Z) or len(Z) == len(B) and Z != B:
         raise CochainError(
             "coboundary escaped the cocycle space; the complex is inconsistent here")
     space = cochain_basis(A, R, n, gamma)

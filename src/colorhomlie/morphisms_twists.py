@@ -11,6 +11,7 @@ import os
 from itertools import product
 
 from . import linalg
+from .linalg import _add_scaled
 from .algebra_core import AlgebraStructureError, ColorHomAlgebra
 
 DEFAULT_BUDGET = 10 ** 8
@@ -46,11 +47,6 @@ def twist(A: ColorHomAlgebra, beta, name: str = "") -> ColorHomAlgebra:
     """Yau twist: bracket beta o [.,.] with twist map beta . alpha."""
     if not verify_morphism(A, beta):
         raise NotAMorphismError("twist requires a verified algebra endomorphism")
-    return _twisted(A, beta, name)
-
-
-def _twisted(A: ColorHomAlgebra, beta, name: str = "") -> ColorHomAlgebra:
-    """The Yau twist by beta, which the caller has verified to be a morphism."""
     return ColorHomAlgebra(A.basis, A.eps, A.bracket.compose_with(beta),
                            linalg.mat_mul(beta, A.alpha), A.m, name=name)
 
@@ -71,7 +67,10 @@ def enumerate_morphisms(A: ColorHomAlgebra, entry_set, strict_even: bool = False
     of the basis vectors) in order and checks f([e_i, e_j]) = [f e_i, f e_j]
     once columns i, j and the support of [e_i, e_j] are fixed, evaluating
     each bracket of two candidate columns once; verify_morphism re-checks
-    each result.  Results are in the canonical order of their row-major entries.
+    each result.  A pair (i, j), i, j < d, whose row sum_k c_k e_k ends at d
+    fixes column d: f e_d = ([f e_i, f e_j] - sum_(k<d) c_k f e_k) / c_d is
+    computed and looked up in the grid, not searched for.  Results are in
+    the canonical order of their row-major entries.
     """
     entries = sorted(set(entry_set), key=lambda s: s.sort_key())
     n, bracket = A.dim, A.bracket
@@ -86,9 +85,14 @@ def enumerate_morphisms(A: ColorHomAlgebra, entry_set, strict_even: bool = False
             for d in range(n)]
     # per column d, the pairs checked once it is fixed, and those that need it alone
     alone, checks = [[] for _ in range(n)], [[] for _ in range(n)]
+    lead = [None] * n  # per column d, the first pair that fixes it: (i, j, 1/c_d, -c_k/c_d)
     for i, j in product(range(n), repeat=2):
         row = bracket.rows.get((i, j), {})
         (alone if i == j and set(row) <= {i} else checks)[max(i, j, *row)].append((i, j))
+        if row and max(i, j) < (d := max(row)) and lead[d] is None:
+            inv = row[d].inverse()
+            lead[d] = (i, j, inv, {k: -c * inv for k, c in row.items() if k < d})
+    grid = {frozenset(col.items()): p for p, col in enumerate(sparse)}
     chosen, cols = [0] * n, {}
 
     @functools.cache
@@ -106,12 +110,21 @@ def enumerate_morphisms(A: ColorHomAlgebra, entry_set, strict_even: bool = False
             yield ([[columns[chosen[j]][i] for j in range(n)] for i in range(n)],
                    all(chosen[t] in even[t] for t in range(n)))
             return
-        for p in per_index[d]:
+        picks = per_index[d]
+        if lead[d] is not None:
+            i, j, inv, terms = lead[d]
+            col = {k: v * inv for k, v in image(chosen[i], chosen[j]).items()}
+            for k, c in terms.items():
+                _add_scaled(col, c, cols[k])
+            p = grid.get(frozenset(col.items()))
+            picks = [p] if p in allowed[d] else []
+        for p in picks:
             if fits(d, p, checks[d]):
                 yield from extend(d + 1)
 
     per_index = [[p for p in range(len(columns)) if (not strict_even or p in even[d])
                   and fits(d, p, alone[d])] for d in range(n)]
+    allowed = [set(ps) for ps in per_index]
     found = [(f, e) for f, e in extend(0)
              if verify_morphism(A, f, strict_even=strict_even)]
     found.sort(key=lambda f: tuple(entries.index(c) for row in f[0] for c in row))

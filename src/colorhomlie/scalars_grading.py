@@ -333,6 +333,7 @@ _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/[1-9]\d*)?$")
 
 
 def parse_scalar(text: str, m: int) -> CycloScalar:
+    """The scalar of a literal, its coefficients read as integers over their lcm."""
     text = text.strip()
     if text.startswith("["):
         if not text.endswith("]"):
@@ -342,15 +343,16 @@ def parse_scalar(text: str, m: int) -> CycloScalar:
         if len(parts) != phi:
             raise ScalarError(
                 f"cyclotomic literal {text!r} needs {phi} coefficients for m={m}, got {len(parts)}")
-        coeffs = []
         for p in parts:
             if not _RATIONAL_RE.match(p):
                 raise ScalarError(f"bad rational {p!r} in literal {text!r}")
-            coeffs.append(Fraction(p))
-        return CycloScalar(tuple(coeffs), m)
-    if not _RATIONAL_RE.match(text):
+    elif _RATIONAL_RE.match(text):
+        parts = [text] + ["0"] * (euler_phi(m) - 1)
+    else:
         raise ScalarError(f"bad scalar literal {text!r}")
-    return CycloScalar.from_rational(Fraction(text), m)
+    fracs = [(int(a), int(b or 1)) for a, _, b in (p.partition("/") for p in parts)]
+    den = lcm(*(b for _, b in fracs))
+    return _make(tuple([a * (den // b) for a, b in fracs]), den, m)
 
 
 def format_scalar(s: CycloScalar) -> str:

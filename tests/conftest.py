@@ -223,6 +223,17 @@ def assert_zero_free(M):
         assert not any(c.is_zero() for c in row.values()), row
 
 
+def assert_rotations_share_residuals(failures):
+    """Every rotation of a failing triple fails too, with equal residual
+    strings in a list of its own; returns how many failing triples have
+    distinct rotations."""
+    seen = {tuple(f["triple"]): f["residual"] for f in failures}
+    for (x, y, z), residual in seen.items():
+        assert seen[(y, z, x)] == seen[(z, x, y)] == residual
+    assert len({id(f["residual"]) for f in failures}) == len(failures)
+    return sum(len(set(t)) > 1 for t in seen)
+
+
 def assert_rref(vectors):
     """Dense or sparse vectors in reduced row echelon form: strictly
     increasing leading columns, a 1 at each, and a 0 at every other

@@ -9,7 +9,7 @@ from itertools import product
 
 import pytest
 
-from colorhomlie import linalg
+from colorhomlie import algebra_core, linalg
 from colorhomlie.algebra_core import (AlgebraStructureError, BracketTable,
                                       ColorHomAlgebra, GradedBasis,
                                       HomAssociativeColorAlgebra,
@@ -23,7 +23,8 @@ from colorhomlie.representations import adjoint
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup, euler_phi, parse_scalar)
 
-from conftest import (as_rational, basis_vector, bilinear_direct, build_algebra,
+from conftest import (as_rational, assert_rotations_share_residuals, basis_vector,
+                      bilinear_direct, build_algebra,
                       check_hom_associative_direct, check_jacobi_direct,
                       check_multiplicative_direct, data_path, heis_zeta3,
                       is_eps_commutative_direct, mat_pow, mat_vec_direct, sc, sl2c_z2z2, zero_algebra,
@@ -246,6 +247,23 @@ def test_twist_powers_are_cached_for_negative_exponents():
             S.alpha_power(-1)
 
 
+def test_deep_twist_powers_are_formed_by_repeated_squaring(monkeypatch):
+    # alpha = [[1,1],[0,2]]: alpha^1500 and alpha^-1500 against the repeated
+    # products, in O(log k) products and no deep recursion
+    A = zero_algebra([2, 2], [[0, 1], [1, 0]], 2, [(1, 0), (1, 0)], alpha=[[1, 1], [0, 2]])
+    products = []
+    product_of = algebra_core._product
+    monkeypatch.setattr(algebra_core, "_product",
+                        lambda a, b: products.append(1) or product_of(a, b))
+    for k in (1500, -1500):
+        step = A.alpha_sparse(1 if k > 0 else -1)
+        want = step
+        for _ in range(abs(k) - 1):
+            want = product_of(want, step)
+        assert A.alpha_sparse(k) == want
+    assert len(products) <= 4 * (1500).bit_length()
+
+
 def test_edited_twist_powers_leave_the_algebra_unchanged():
     # every power handed out is a fresh copy: editing one reaches neither a
     # later call, nor a power formed from it, nor the algebra behind a derived one
@@ -458,21 +476,29 @@ def test_hom_associativity_and_commutativity_match_the_dense_oracles(m):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4])
-def test_axiom_reports_match_the_pointwise_oracles(m):
+def test_axiom_reports_match_the_pointwise_oracles(monkeypatch, m):
     # random brackets and twists, almost never Hom-Jacobi or multiplicative:
-    # the failure lists and residual strings equal the pointwise loops'
+    # the failure lists and residual strings equal the pointwise loops'.  The
+    # cyclic residual is formed once per rotation class, n + (n^3 - n)/3
+    # times (11 at dim 3), and every failing rotation still gets its entry
     rng = random.Random(20261019 + m)
-    failing = 0
+    residual, formed = algebra_core.cyclic_residual, []
+    monkeypatch.setattr(algebra_core, "cyclic_residual",
+                        lambda *args: formed.append(args[-3:]) or residual(*args))
+    failing = rotated = 0
     for _ in range(8):
         table, _, basis, eps = _random_table(rng, m, "skew")
-        alpha = [_random_vector(rng, m, table.dim) for _ in range(table.dim)]
-        A = ColorHomAlgebra(basis, eps, table, alpha, m)
+        n = table.dim
+        A = ColorHomAlgebra(basis, eps, table, [_random_vector(rng, m, n) for _ in range(n)], m)
+        formed.clear()
         jacobi, mult = A.check_jacobi(), A.check_multiplicative()
+        assert len(formed) == len(set(formed)) == n + (n ** 3 - n) // 3
         assert json.dumps(jacobi.to_dict()) == json.dumps(check_jacobi_direct(A).to_dict())
         assert json.dumps(mult.to_dict()) == json.dumps(
             check_multiplicative_direct(A).to_dict())
         failing += (not jacobi.ok) + (not mult.ok)
-    assert failing >= 8
+        rotated += assert_rotations_share_residuals(jacobi.failures)
+    assert failing >= 8 and rotated
 
 
 @pytest.mark.parametrize("key", [(0, 2), (2, 0), (-1, 0), (0, 5)])

@@ -3,6 +3,7 @@ import io
 import json
 import os
 import sys
+import time
 
 import pytest
 
@@ -232,6 +233,24 @@ def test_derived_cli(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["report"]["is_color_hom_lie"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["derived", "--n", "40"], ["derived", "--n", "10"],
+    ["structure", "--kind", "der", "--k", "1200"],
+    ["cohomology", "--module", "adjoint", "--n", "1", "--r", "1500"]],
+    ids=["derived-n40", "derived-n10", "structure-k1200", "cohomology-r1500"])
+def test_deep_twist_powers_exit_zero_at_once(capsys, argv):
+    # alpha^(2^40 - 1), alpha^1200 and alpha^1500 by repeated squaring, with no
+    # recursion per power; sl2c_z2z2's alpha is an involution
+    start = time.perf_counter()
+    code, out, err = run_cli(argv + ["--algebra", data_path("sl2c_z2z2.alg")], capsys)
+    assert (code, "Traceback" in err) == (0, False)
+    assert time.perf_counter() - start < 1.0
+    if argv[0] == "derived":
+        doc = json.loads(out)
+        assert doc["report"]["is_color_hom_lie"] is True
+        assert doc["alpha"] == [["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]]
 
 
 def test_hls_cli(capsys):

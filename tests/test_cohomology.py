@@ -756,6 +756,35 @@ def test_coboundaries_inside_cocycles_every_mode(rng):
                 assert res.dim_H == res.dim_Z - res.dim_B
 
 
+def test_equal_lengths_compare_z_and_b_instead_of_eliminating(monkeypatch):
+    # sl2c_z2z2's compatible H^n is (1, 1, 0), (4, 4, 0), (1, 1, 0) at every
+    # degree: Z and B are the same rref list, with no quotient elimination
+    A = sl2c_z2z2()
+    R = adjoint(A)
+    monkeypatch.setattr(linalg, "quotient_representatives", None)
+    for n, gamma in product((1, 2, 3), A.basis.group.elements()):
+        res = cohomology_group(A, R, n, 0, gamma)
+        assert (res.dim_Z, res.dim_H, res.representatives) == (res.dim_B, 0, [])
+        assert res.cocycle_basis == res.coboundary_basis
+
+
+def test_an_equal_length_b_outside_z_is_refused(monkeypatch):
+    # a corrupted B with as many vectors as Z: the last one replaced by a unit
+    # vector outside span(Z), so B is not inside Z
+    A = sl2c_z2z2()
+    R = adjoint(A)
+    gamma = A.basis.group.zero()
+    Z = cohomology_group(A, R, 2, 0, gamma).cocycle_basis
+    one = CycloScalar.one(A.m)
+    outside = next({c: one} for c in range(cochain_basis(A, R, 2, gamma).free_dim)
+                   if linalg.Echelon(Z).add({c: one}))
+    coboundaries = cohomology._Complex.coboundaries
+    monkeypatch.setattr(cohomology._Complex, "coboundaries",
+                        lambda self, *args: coboundaries(self, *args)[:-1] + [outside])
+    with pytest.raises(CochainError, match="coboundary escaped the cocycle space"):
+        cohomology_group(A, R, 2, 0, gamma)
+
+
 def test_h1_inner_coboundaries():
     # arity-1 coboundaries of fixed points are the inner maps [x, .]
     A = sl2c_z2z2()

@@ -20,9 +20,10 @@ from colorhomlie.hls_bracket import (CommutativeColorAlgebra, HLSError,
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup, euler_phi)
 
-from conftest import (annihilator_direct, assert_rref, basis_vector, check_fgh_direct,
-                      check_ijkl_direct, check_mnop_direct, check_sigma_derivation_direct,
-                      data_path, hls_bracket_element_direct, mat_vec_direct, zeros)
+from conftest import (annihilator_direct, assert_rotations_share_residuals, assert_rref,
+                      basis_vector, check_fgh_direct, check_ijkl_direct, check_mnop_direct,
+                      check_sigma_derivation_direct, data_path, hls_bracket_element_direct,
+                      mat_vec_direct, zeros)
 
 
 def _sc(v, m=1):
@@ -331,7 +332,7 @@ def _instances():
 
 def test_hls_identities_match_the_pointwise_oracles():
     rng = random.Random(20261024)
-    failing = reduced = 0
+    failing = reduced = rotated = 0
     for A, D in _instances():
         ann = annihilator(A, D)
         quotient = QuotientSpace(A, ann)
@@ -340,7 +341,10 @@ def test_hls_identities_match_the_pointwise_oracles():
             got = check_mnop(A, _with_delta(D, d), quotient)
             assert json.dumps(got.to_dict()) == json.dumps(
                 check_mnop_direct(A, D, quotient, delta_scalar=d).to_dict())
+            # the full report's deformed Jacobi check is the same list
+            assert check_hls_jacobi(A, _with_delta(D, d))["mnop"].to_dict() == got.to_dict()
             failing += not got.ok
+            rotated += assert_rotations_share_residuals(got.failures)
         assert check_fgh(A, D, quotient).to_dict() == \
             check_fgh_direct(A, D, quotient).to_dict()
         # basis vectors and inhomogeneous ones
@@ -359,7 +363,7 @@ def test_hls_identities_match_the_pointwise_oracles():
         assert check_hls_jacobi(A, D)["induced_bracket"] == want
         reduced += bool(ann) and not got.ok
     # the q = 2 line at delta = 1 fails, and so does a quotient with ann != 0
-    assert failing >= 4 and reduced >= 1
+    assert failing >= 4 and reduced >= 1 and rotated
 
 
 def test_derivation_laws_and_annihilator_match_the_dense_oracles():

@@ -5,12 +5,14 @@ from itertools import product
 import pytest
 
 from colorhomlie import linalg, morphisms_twists
-from colorhomlie.algebra_core import StructureConstants, check_color_hom_lie
+from colorhomlie.algebra_core import (BracketTable, ColorHomAlgebra, GradedBasis,
+                                      StructureConstants, check_color_hom_lie)
 from colorhomlie.fileio import parse_algebra_file, parse_commutative_algebra_file
 from colorhomlie.morphisms_twists import (BudgetExceededError,
                                           NotAMorphismError, enumerate_morphisms,
                                           morphism_is_invertible, twist,
                                           verify_morphism)
+from colorhomlie.scalars_grading import BiCharacter, CycloScalar, FiniteAbelianGroup
 from conftest import (as_rational, build_algebra, data_path, endomorphism_failures_direct,
                       enumerate_morphisms_direct, heis_zeta3, mat_vec_direct, motion_z2z3, sc,
                       parse_matrix_bundle, sl2c_z2z2, sl2c_z2z2_untwisted, sl2c_z2z3,
@@ -230,6 +232,43 @@ def test_column_search_matches_the_full_product_on_other_tables(make, values,
     found = enumerate_morphisms(A, entries, strict_even=strict_even)
     assert found == enumerate_morphisms_direct(A, entries, strict_even=strict_even)
     assert found
+
+
+def _one_row(m, row, degrees=((0,), (0,), (0,))):
+    """[e1, e2] = row on e1, e2, e3 over Z2 with the trivial bi-character: the
+    pair (e1, e2) fixes the image of e3 once the first two are chosen."""
+    G = FiniteAbelianGroup((2,))
+    eps = BiCharacter(G, [[0]], m)
+    basis = GradedBasis(("e1", "e2", "e3"), tuple(G.element(d) for d in degrees), G)
+    zero = CycloScalar.zero(m)
+    table = BracketTable(basis, eps, {(0, 1): [c if c else zero for c in row]}, m)
+    return ColorHomAlgebra(basis, eps, table, linalg.identity(3, m), m, name="one_row")
+
+
+_ZETA = CycloScalar.root_of_unity(3)
+
+
+@pytest.mark.parametrize("strict_even", [False, True])
+@pytest.mark.parametrize("make", [
+    # f e1 = e2, f e2 = e1 gives f e3 = -e3, not a grid column: the branch ends
+    lambda: _one_row(2, [0, 0, sc(1)]),
+    lambda: _one_row(2, [0, 0, sc(2)]),
+    lambda: _one_row(3, [0, 0, _ZETA]),
+    lambda: _one_row(2, [sc(1), sc(-1), sc(2)]),
+    # e3 odd: f e1 = f e2 = e1 gives the grid column f e3 = e1, not even
+    lambda: _one_row(2, [sc(-1), 0, sc(1)], ((0,), (0,), (1,))),
+], ids=["outside-grid", "leading-2", "leading-zeta", "multi-term", "odd-target"])
+def test_computed_columns_match_the_full_product(monkeypatch, make, strict_even):
+    # a computed column is kept only if it is one of column d's candidates,
+    # so no matrix that verify_morphism refuses is completed
+    A = make()
+    entries = _entries((0, 1), A.m)
+    verified, verify = [], morphisms_twists.verify_morphism
+    monkeypatch.setattr(morphisms_twists, "verify_morphism",
+                        lambda *args, **kwargs: verified.append(1) or verify(*args, **kwargs))
+    found = enumerate_morphisms(A, entries, strict_even=strict_even)
+    assert found == enumerate_morphisms_direct(A, entries, strict_even=strict_even)
+    assert found and len(verified) == len(found)
 
 
 def test_repeated_entries_count_once():

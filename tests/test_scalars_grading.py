@@ -120,6 +120,32 @@ def test_literals_round_trip():
         assert format_scalar(s) == text or parse_scalar(format_scalar(s), m) == s
 
 
+@pytest.mark.parametrize("text, m, coeffs", [
+    ("+3", 2, ("3",)), ("-0", 2, ("0",)), ("4/2", 1, ("2",)), ("0/5", 3, ("0", "0")),
+    (" 7 ", 3, ("7", "0")), ("[1/2;-3]", 3, ("1/2", "-3")), ("[ -4/6 ; +0/3 ]", 4, ("-4/6", "0")),
+    ("[0/5;10/4;-3/9;0]", 5, ("0", "5/2", "-1/3", "0")), ("-12/8", 7, ("-3/2",) + ("0",) * 5)])
+def test_integer_literal_parsing_gives_the_fraction_value(text, m, coeffs):
+    # numerators and denominators read as ints give the scalar that the
+    # Fraction-based constructor gives: reduced, with the same structure
+    want = CycloScalar(tuple(Fraction(c) for c in coeffs), m)
+    got = parse_scalar(text, m)
+    assert got == want and (got.num, got.den) == (want.num, want.den)
+    assert isinstance(got.num, tuple) and all(type(n) is int for n in got.num + (got.den,))
+    if not text.strip().startswith("["):
+        assert got == CycloScalar.from_rational(Fraction(text.strip()), m)
+
+
+def test_bad_literal_messages_are_kept():
+    for bad, m, message in (("1//2", 2, "bad scalar literal '1//2'"),
+                            ("[1;2", 3, "unterminated cyclotomic literal '[1;2'"),
+                            ("[1;2;3]", 3, "needs 2 coefficients for m=3, got 3"),
+                            ("[1;x]", 3, "bad rational 'x' in literal '[1;x]'"),
+                            ("[1;1/0]", 3, "bad rational '1/0' in literal '[1;1/0]'"),
+                            ("1/-2", 2, "bad scalar literal '1/-2'")):
+        with pytest.raises(ScalarError, match=re.escape(message)):
+            parse_scalar(bad, m)
+
+
 def test_bad_literal_rejected():
     from colorhomlie.scalars_grading import ScalarError
     for bad in ("1//2", "x", "[1;2]", "1/0"):
