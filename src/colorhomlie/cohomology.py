@@ -37,10 +37,9 @@ from itertools import product
 
 from . import linalg
 from .algebra_core import AlgebraStructureError, CheckResult, ColorHomAlgebra
-from .linalg import _add_scaled, _combine, _product, _sparse, _transpose, sparse
-from .representations import Representation
-from .scalars_grading import (CycloScalar, GroupElement, GroupMismatchError, _muladd,
-                              sort_with_sign)
+from .linalg import _add_scaled, _product, _sparse, _transpose
+from .representations import Representation, _rho_sum
+from .scalars_grading import GroupElement, GroupMismatchError, _muladd, sort_with_sign
 
 
 class CochainError(AlgebraStructureError):
@@ -127,9 +126,9 @@ class _Complex:
     anchor gamma_0, moved to other degrees by D if alpha keeps degrees and the
     bracket is graded (``graded``, checked at construction), else solved again.
 
-    The complex takes the carrier dimension, beta and rho from R when it is
-    built and keeps no reference to R, so R (which keeps the complex) frees
-    it by reference counting alone.  Entries are filled on first use, so A
+    The complex takes the carrier dimension and R's sparse rho and beta when
+    it is built and keeps no reference to R, so R (which keeps the complex)
+    frees it by reference counting alone.  Entries are filled on first use, so A
     and R must not be mutated after construction
     (``ColorHomAlgebra.alpha_sparse`` assumes the same).  An entry is stored
     only once computed: a negative power of a singular twist raises on
@@ -140,8 +139,7 @@ class _Complex:
 
     def __init__(self, A: ColorHomAlgebra, R: Representation):
         self.algebra, self.mdim = A, R.dim
-        self.beta = sparse(R.beta)
-        self.rho_basis = [sparse(mat) for mat in R.rho]
+        self.rho_basis, self.beta = R.action
         alpha_cols = _transpose(A.alpha_sparse(1))
         self.alpha_cols = [list(alpha_cols.get(i, {}).items()) for i in range(A.dim)]
         # eps(d_i, d_j) = zeta_m^k[i][j] on the basis degrees
@@ -205,8 +203,7 @@ class _Complex:
         if p not in self._rho:
             cols, images = _transpose(self.algebra.alpha_sparse(p)), []
             for i in range(self.algebra.dim):
-                # rho(sum_j a_j e_j) = sum_j a_j rho(e_j)
-                image = _combine((a, self.rho_basis[j]) for j, a in cols.get(i, {}).items())
+                image = _rho_sum(self.rho_basis, cols.get(i, {}))
                 images.append([(k, l, v) for k, row in sorted(image.items())
                                for l, v in sorted(row.items())])
             self._rho[p] = images
@@ -286,9 +283,6 @@ def _compat_rows(cx: _Complex, n: int):
     gives zero rows, so only the canonical tuples are used.
     """
     A, mdim = cx.algebra, cx.mdim
-    if n == 0:
-        one = CycloScalar.one(A.m)
-        return _combine([(None, {k: {k: one} for k in range(mdim)}), (-one, cx.beta)])
     rows = {}
     if cx.free_dim(n) == 0:
         return rows
@@ -383,9 +377,9 @@ def coboundary_of_coords(A: ColorHomAlgebra, R: Representation, space: CochainSp
     coords = _sparse(coords)
     target = CochainSpace(A, R, n + 1, gamma, canonical_tuples(A, n + 1), [])
     # alpha e_i and the columns of rho(alpha^(r+n-1) e_i), once per call
-    alpha_img = _transpose(A.alpha_sparse(1))
+    alpha_img, rho = _transpose(A.alpha_sparse(1)), R.action[0]
     powers = _transpose(A.alpha_sparse(r + n - 1))
-    rho_cols = [_transpose(sparse(R.rho_of(powers.get(i, {})))) for i in range(A.dim)]
+    rho_cols = [_transpose(_rho_sum(rho, powers.get(i, {}))) for i in range(A.dim)]
     out = {}
     for t_index, tup in enumerate(target.tuples):
         acc, degs = {}, [A.degree(i) for i in tup]

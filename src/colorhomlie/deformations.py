@@ -240,12 +240,9 @@ def composition_deformation(L: ColorHomAlgebra, alphas, order: int = None,
         raise DeformationError(
             f"alpha_t is not a coefficient-wise endomorphism; failing orders "
             f"{failing_orders}")
-    if not linalg.mat_eq(alphas[0], linalg.identity(L.dim, L.m)):
-        # the family starts at the alpha_0-composed algebra
-        base = ColorHomAlgebra(L.basis, L.eps, L.bracket.compose_with(alphas[0]),
-                               alphas[0], L.m, name=L.name)
-    else:
-        base = L
+    # the family starts at the alpha_0-composed algebra (L itself when alpha_0 = Id)
+    base = ColorHomAlgebra(L.basis, L.eps, L.bracket.compose_with(alphas[0]),
+                           alphas[0], L.m, name=L.name)
     # bracket alpha_t^(2^n - 1) o [.,.]_t = alpha_t^(2^n) o [.,.], twist alpha_t^(2^n)
     power = reduce(_series_product, [series] * (1 << derived))
     return TruncatedBracket(base, order, [L.bracket.compose_with(a) for a in power],

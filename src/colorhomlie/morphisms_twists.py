@@ -66,11 +66,12 @@ def enumerate_morphisms(A: ColorHomAlgebra, entry_set, strict_even: bool = False
     The budget counts the whole grid.  The search fixes the columns (images
     of the basis vectors) in order and checks f([e_i, e_j]) = [f e_i, f e_j]
     once columns i, j and the support of [e_i, e_j] are fixed, evaluating
-    each bracket of two candidate columns once; verify_morphism re-checks
-    each result.  A pair (i, j), i, j < d, whose row sum_k c_k e_k ends at d
-    fixes column d: f e_d = ([f e_i, f e_j] - sum_(k<d) c_k f e_k) / c_d is
-    computed and looked up in the grid, not searched for.  Results are in
-    the canonical order of their row-major entries.
+    each bracket of two candidate columns once; each ordered pair is checked
+    at exactly one column, so no result is checked again.  A pair (i, j),
+    i, j < d, whose row sum_k c_k e_k ends at d fixes column d: f e_d =
+    ([f e_i, f e_j] - sum_(k<d) c_k f e_k) / c_d is computed and looked up
+    in the grid, not searched for.  Results are in the canonical order of
+    their row-major entries.
     """
     entries = sorted(set(entry_set), key=lambda s: s.sort_key())
     n, bracket = A.dim, A.bracket
@@ -125,10 +126,8 @@ def enumerate_morphisms(A: ColorHomAlgebra, entry_set, strict_even: bool = False
     per_index = [[p for p in range(len(columns)) if (not strict_even or p in even[d])
                   and fits(d, p, alone[d])] for d in range(n)]
     allowed = [set(ps) for ps in per_index]
-    found = [(f, e) for f, e in extend(0)
-             if verify_morphism(A, f, strict_even=strict_even)]
-    found.sort(key=lambda f: tuple(entries.index(c) for row in f[0] for c in row))
-    return found
+    return sorted(extend(0),
+                  key=lambda f: tuple(entries.index(c) for row in f[0] for c in row))
 
 
 def morphism_is_invertible(matrix) -> bool:

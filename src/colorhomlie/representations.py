@@ -16,22 +16,19 @@ from .scalars_grading import CycloScalar
 
 
 class Representation:
-    __slots__ = ("carrier", "rho", "beta", "m", "_cochain_complexes", "__weakref__")
+    __slots__ = ("carrier", "rho", "beta", "m", "action", "_cochain_complexes", "__weakref__")
 
     def __init__(self, carrier: GradedBasis, rho: list, beta: list, m: int):
         # rho[i] is the matrix of rho(e_i) on the carrier
         self.carrier, self.rho, self.beta, self.m = carrier, rho, beta, m
-        # algebra -> cohomology._Complex; R must not be mutated once it is used
-        self._cochain_complexes = {}
+        # (rho(e_i) per i, beta) in linalg's sparse form, formed once here, so
+        # R must not be mutated after construction
+        self.action = ([linalg.sparse(mat) for mat in rho], linalg.sparse(beta))
+        self._cochain_complexes = {}  # algebra -> cohomology._Complex
 
     @property
     def dim(self) -> int:
         return self.carrier.dim
-
-    def rho_of(self, coords):
-        """rho extended linearly to an algebra element given by coordinates."""
-        image = _combine((c, linalg.sparse(self.rho[j])) for j, c in linalg._sparse(coords).items())
-        return linalg.dense(image, self.dim, self.m)
 
 
 def _rho_sum(rho, vec):
@@ -41,8 +38,8 @@ def _rho_sum(rho, vec):
 
 def _sparse_action(A: ColorHomAlgebra, R: Representation):
     """rho(e_i), beta and rho(alpha e_i) in linalg's sparse form."""
-    rho, alpha = [linalg.sparse(mat) for mat in R.rho], _transpose(A.alpha_sparse(1))
-    return rho, linalg.sparse(R.beta), [_rho_sum(rho, alpha.get(i, {})) for i in range(A.dim)]
+    (rho, beta), alpha = R.action, _transpose(A.alpha_sparse(1))
+    return rho, beta, [_rho_sum(rho, alpha.get(i, {})) for i in range(A.dim)]
 
 
 def _leibniz(A: ColorHomAlgebra, R: Representation):

@@ -166,9 +166,18 @@ def basis_vector(A, i):
     return [CycloScalar.one(A.m) if j == i else CycloScalar.zero(A.m) for j in range(A.dim)]
 
 
+def rho_of(R, coords):
+    """rho(x) = sum_j x_j rho(e_j) on the dense matrices R.rho, for the
+    algebra element x with the given dense coordinates."""
+    out = zeros(R.dim, R.dim, R.m)
+    for x, mat in zip(coords, R.rho):
+        out = mat_add(out, mat_scale(x, mat))
+    return out
+
+
 def act(R, coords, mvec):
     """rho(x) m for the algebra element x with the given coordinates."""
-    return mat_vec_direct(R.rho_of(coords), mvec)
+    return mat_vec_direct(rho_of(R, coords), mvec)
 
 
 def coord_index(space, tup, k):
@@ -1198,10 +1207,10 @@ def is_eps_commutative_direct(H):
 def check_representation_direct(A, R):
     failures = []
     for i in range(A.dim):
-        rho_ai = R.rho_of(mat_vec_direct(A.alpha_power(1), basis_vector(A, i)))
+        rho_ai = rho_of(R, mat_vec_direct(A.alpha_power(1), basis_vector(A, i)))
         for j in range(A.dim):
-            rho_aj = R.rho_of(mat_vec_direct(A.alpha_power(1), basis_vector(A, j)))
-            lhs = mat_mul_direct(R.rho_of(A.bracket.of_basis(i, j)), R.beta)
+            rho_aj = rho_of(R, mat_vec_direct(A.alpha_power(1), basis_vector(A, j)))
+            lhs = mat_mul_direct(rho_of(R, A.bracket.of_basis(i, j)), R.beta)
             e = A.eps(A.degree(i), A.degree(j))
             rhs = mat_add(mat_mul_direct(rho_ai, R.rho[j]),
                                  mat_scale(-e, mat_mul_direct(rho_aj, R.rho[i])))
@@ -1243,13 +1252,13 @@ def check_coadjoint_direct(A, R):
     failures = []
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = mat_mul_direct(R.beta, R.rho_of(A.bracket.of_basis(i, j)))
+            lhs = mat_mul_direct(R.beta, rho_of(R, A.bracket.of_basis(i, j)))
             e = A.eps(A.degree(i), A.degree(j))
             rhs = mat_add(
                 mat_scale(e, mat_mul_direct(
-                    R.rho[i], R.rho_of(mat_vec_direct(A.alpha_power(1), basis_vector(A, j))))),
+                    R.rho[i], rho_of(R, mat_vec_direct(A.alpha_power(1), basis_vector(A, j))))),
                 mat_scale(CycloScalar.from_rational(-1, A.m), mat_mul_direct(
-                    R.rho[j], R.rho_of(mat_vec_direct(A.alpha_power(1), basis_vector(A, i))))))
+                    R.rho[j], rho_of(R, mat_vec_direct(A.alpha_power(1), basis_vector(A, i))))))
             if not linalg.mat_eq(lhs, rhs):
                 failures.append({"pair": [A.basis.names[i], A.basis.names[j]]})
     return CheckResult(not failures, failures)

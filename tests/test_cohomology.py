@@ -10,6 +10,7 @@ compared with a fresh one result for result.
 """
 import gc
 import random
+import sys
 import weakref
 from itertools import product
 
@@ -22,15 +23,16 @@ from colorhomlie.cohomology import (Cochain, CochainError, CochainSpace, canonic
                                     cochain_basis, coboundary_of_coords,
                                     cohomology_group, delta_matrix, reverify)
 from colorhomlie.morphisms_twists import enumerate_morphisms, twist
-from colorhomlie.representations import Representation, adjoint, alpha_s_adjoint
+from colorhomlie.representations import (Representation, adjoint, alpha_s_adjoint,
+                                         check_module, check_representation)
 from colorhomlie.scalars_grading import CycloScalar, FiniteAbelianGroup, GroupMismatchError
 
 from conftest import (SL2C_Z2Z2_CASE_FAMILIES, as_rational, assert_rref, assert_zero_free,
                       basis_vector, build_algebra, clock3, clock3_twisted, clock_shift,
                       compat_rows_direct, coord_index, delta1_direct,
                       delta2_direct, densify, direct_sum, heis_zeta3, in_span, kernel_basis,
-                      mat_vec_direct, motion_z2z3, random_multiplicative_algebra, sc, sl2c_z2z2,
-                      sl2c_z2z3, zero_algebra, zeros)
+                      mat_vec_direct, motion_z2z3, random_multiplicative_algebra, rref_direct,
+                      sc, sl2c_z2z2, sl2c_z2z3, zero_algebra, zeros)
 
 
 def gamma_elems(A):
@@ -288,6 +290,56 @@ def test_compat_rows_use_canonical_tuples_only_when_alpha_keeps_degrees(case):
         oracle = compat_rows_direct(A, R, n, space.tuples)
         assert densify(space, space.compat_basis) == \
             kernel_basis(oracle, space.free_dim, A.m), (A.name, n)
+
+
+@pytest.mark.parametrize("make, s", [(heis_zeta3, 0), (clock3_twisted, 0), (sl2c_z2z2, -1)],
+                         ids=["heis_zeta3", "clock3_twisted", "sl2c_z2z2-ad_-1"])
+def test_arity_zero_compatible_basis_is_the_rref_fixed_space_of_beta(make, s):
+    # compat(0) comes from the rows _compat_rows builds for every arity, here
+    # on the empty tuple; the oracle is the dense rref of ker(I - beta)
+    A = make()
+    R = alpha_s_adjoint(A, s)
+    n, one, zero = R.dim, CycloScalar.one(A.m), CycloScalar.zero(A.m)
+    red, pivots = rref_direct([[(one if r == c else zero) - R.beta[r][c] for c in range(n)]
+                               for r in range(n)])
+    kernel = []
+    for free in (c for c in range(n) if c not in pivots):
+        v = [one if c == free else zero for c in range(n)]
+        for row, p in zip(red, pivots):
+            v[p] = -row[free]
+        kernel.append(v)
+    space = cochain_basis(A, R, 0, A.basis.group.zero())
+    assert densify(space, space.compat_basis) == rref_direct(kernel)[0]
+
+
+def test_a_module_forms_its_sparse_action_once(monkeypatch):
+    # rho(e_i) and beta pass through linalg.sparse when R is built; no check,
+    # cohomology solve or coboundary converts them again
+    A = heis_zeta3()
+    A.alpha_sparse(1)  # alpha is also R's beta; the algebra forms its own sparse copy once
+    seen, sparse = [], linalg.sparse
+
+    def counted(M):
+        seen.append(M)
+        return sparse(M)
+    for module in [m for name, m in sys.modules.items() if name.startswith("colorhomlie.")]:
+        if getattr(module, "sparse", None) is sparse:
+            monkeypatch.setattr(module, "sparse", counted)
+    R = adjoint(A)
+    mats = R.rho + [R.beta]
+
+    def conversions():
+        return sum(any(M is mat for mat in mats) for M in seen)
+    assert conversions() == A.dim + 1
+    assert check_representation(A, R).ok and check_module(A, R).ok
+    gamma = A.basis.group.zero()
+    for n in (1, 2):
+        for restrict in ("compatible", "free"):
+            result = cohomology_group(A, R, n, 0, gamma, restrict=restrict)
+            for vec in result.cocycle_basis:
+                image = coboundary_of_coords(A, R, result.space, vec, 0)[0]
+                assert all(c.is_zero() for c in image)
+    assert conversions() == A.dim + 1
 
 
 def test_compatible_delta_columns_are_images_of_the_compatible_basis():

@@ -260,7 +260,7 @@ _ZETA = CycloScalar.root_of_unity(3)
 ], ids=["outside-grid", "leading-2", "leading-zeta", "multi-term", "odd-target"])
 def test_computed_columns_match_the_full_product(monkeypatch, make, strict_even):
     # a computed column is kept only if it is one of column d's candidates,
-    # so no matrix that verify_morphism refuses is completed
+    # so every completed matrix is an endomorphism with no verify_morphism call
     A = make()
     entries = _entries((0, 1), A.m)
     verified, verify = [], morphisms_twists.verify_morphism
@@ -268,7 +268,7 @@ def test_computed_columns_match_the_full_product(monkeypatch, make, strict_even)
                         lambda *args, **kwargs: verified.append(1) or verify(*args, **kwargs))
     found = enumerate_morphisms(A, entries, strict_even=strict_even)
     assert found == enumerate_morphisms_direct(A, entries, strict_even=strict_even)
-    assert found and len(verified) == len(found)
+    assert found and verified == []
 
 
 def test_repeated_entries_count_once():
@@ -303,7 +303,7 @@ def test_column_search_evaluates_each_column_bracket_once(monkeypatch):
     columns = 3 ** A.dim
     pruning = columns  # [v, v] for every column, once per column index at most
     assert calls["bilinear"] <= columns * columns + pruning
-    assert calls["verify"] == len(found) == 25
+    assert calls["verify"] == 0 and len(found) == 25
 
 
 def test_endomorphism_failures_match_the_dense_pair_loop():

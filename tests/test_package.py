@@ -40,6 +40,14 @@ serialize_algebra solve_space transport_bracket twist verify_morphism
 """.split()
 
 
+def package_trees():
+    """(file name, parsed module) for every module of the package."""
+    for name in sorted(os.listdir(PACKAGE_DIR)):
+        if name.endswith(".py"):
+            with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
+                yield name, ast.parse(fh.read(), name)
+
+
 def run_fresh(script: str) -> dict:
     """Run ``script`` in a new interpreter; it prints one JSON document."""
     env = dict(os.environ, PYTHONPATH=SRC)
@@ -117,11 +125,7 @@ def test_no_module_imports_dataclasses():
     """Decorating a class costs more than compiling it; the package writes
     plain slotted classes."""
     offenders = []
-    for name in sorted(os.listdir(PACKAGE_DIR)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in package_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
                 modules = [alias.name for alias in node.names]
@@ -132,6 +136,21 @@ def test_no_module_imports_dataclasses():
             if any(m.split(".")[0] == "dataclasses" for m in modules):
                 offenders.append(f"{name}:{node.lineno}")
     assert offenders == []
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    """Every name an import binds is read somewhere in its module, so a
+    change that removes the last use of a name also removes its import."""
+    unused = []
+    for name, tree in package_trees():
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                unused += [f"{name}:{node.lineno}:{bound}" for alias in node.names
+                           if (bound := alias.asname or alias.name.split(".")[0]) not in used]
+    assert unused == []
 
 
 # Package functions that no package code calls, each kept for a reason.
@@ -153,11 +172,7 @@ def test_every_package_function_is_called_by_the_package_or_exported():
     references only functions outside classes."""
     exported = {name for names in colorhomlie._EXPORTS.values() for name in names.split()}
     defined, names, attributes = [], set(), set()
-    for name in sorted(os.listdir(PACKAGE_DIR)):
-        if not name.endswith(".py"):
-            continue
-        with open(os.path.join(PACKAGE_DIR, name), encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), name)
+    for name, tree in package_trees():
         methods = {id(item) for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
                    for item in node.body}
         for node in ast.walk(tree):

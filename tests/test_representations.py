@@ -15,8 +15,8 @@ from colorhomlie.representations import (CoadjointUnavailableError,
 from conftest import (alpha_s_adjoint_direct, basis_vector, build_algebra,
                       check_coadjoint_direct, check_module_direct,
                       check_representation_direct, degree_report, is_zero_matrix,
-                      mat_scale, mat_vec_direct, random_multiplicative_algebra, sc, sl2c_z2z2,
-                      zero_algebra, zeros)
+                      mat_scale, mat_vec_direct, random_multiplicative_algebra, rho_of, sc,
+                      sl2c_z2z2, zero_algebra, zeros)
 
 
 def test_adjoint_of_z2z2_example_passes():
@@ -123,7 +123,7 @@ def test_ad_s_intertwining_identities():
         R = alpha_s_adjoint(A, s)
         for i in range(3):
             alpha_ei = mat_vec_direct(A.alpha_power(1), basis_vector(A, i))
-            lhs = linalg.mat_mul(R.rho_of(alpha_ei), A.alpha)
+            lhs = linalg.mat_mul(rho_of(R, alpha_ei), A.alpha)
             rhs = linalg.mat_mul(A.alpha, R.rho[i])
             assert linalg.mat_eq(lhs, rhs), (s, i)
 
