@@ -329,7 +329,7 @@ class ColorHomAlgebra:
                 power = linalg.sparse(linalg.identity(self.dim, self.m) if k == 0 else self.alpha)
             elif k == -1:
                 try:
-                    power = linalg.sparse(linalg.inverse(self.alpha))
+                    power = linalg.inverse(self.alpha_sparse(1), self.dim, self.m)
                 except ValueError:
                     raise AlgebraStructureError(
                         "negative twist power requested but alpha is singular")

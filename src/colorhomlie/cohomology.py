@@ -478,8 +478,12 @@ def cohomology_group(A: ColorHomAlgebra, R: Representation, n: int, r: int,
     cx = _complex(A, R)
     Z, B = cx.cocycles(n, gamma, r, restrict), cx.coboundaries(n, gamma, r)
     # rref bases of equal length span one space exactly when they are equal;
-    # otherwise Z and B are independent, so rank(Z + B) = len(B) + len(reps)
-    reps = [] if len(Z) == len(B) else linalg.quotient_representatives(Z, B)
+    # otherwise the representatives are the vectors of Z, in order, that one
+    # echelon form of B takes, and rank(Z + B) = len(B) + len(reps)
+    reps = []
+    if len(Z) != len(B):
+        quotient = linalg.Echelon(B)
+        reps = [v for v in Z if quotient.add(v)]
     if len(B) + len(reps) != len(Z) or len(Z) == len(B) and Z != B:
         raise CochainError(
             "coboundary escaped the cocycle space; the complex is inconsistent here")

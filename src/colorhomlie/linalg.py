@@ -19,8 +19,13 @@ are filtered, at the edge.  The dense kernels left serve those edges only:
 
 Elimination is Gauss-Jordan with exact division and canonical pivot
 normalization.  The reduced row echelon form is unique over a field, and
-``rref`` and ``sparse_kernel_basis`` each return one, so reported bases are
-reproducible and no caller reduces a kernel again.
+``rref`` returns one, so each question below is asked of one ``Echelon``:
+
+* kernel: ``sparse_kernel_basis``, itself rref(ker M), reduced by no caller again;
+* span membership: ``vec in Echelon(rows)``;
+* consistency of M x = b: column ``ncols`` is no pivot of ``Echelon`` on [M | b];
+* quotient Z/B: the vectors of Z, in order, that ``Echelon(B).add`` takes;
+* inverse: ``inverse`` of [M | I], sparse in and out.
 """
 from __future__ import annotations
 
@@ -224,52 +229,11 @@ def sparse_kernel_basis(M, ncols: int, m: int):
     return list(basis.values())
 
 
-def solve(M, target, m: int):
-    """One solution x of M x = target, or None.  M is a list of dense or
-    sparse rows; x has one entry per column they reach (a dense row's
-    length, one past a sparse row's last column)."""
-    rows = [row if isinstance(row, dict) else _sparse(row) for row in M]
-    ncols = max((max(row, default=-1) + 1 if isinstance(row, dict) else len(row)
-                 for row in M), default=0)
-    red, pivots = rref([{**row, ncols: t} if any(t.num) else row
-                        for row, t in zip(rows, target)])
-    z = CycloScalar.zero(m)
-    x = [z] * ncols
-    for row, pc in zip(red, pivots):
-        if pc == ncols:
-            return None  # inconsistent row 0 ... 0 | 1
-        x[pc] = row.get(ncols, z)
-    # verify (cheap; guards the free-variable positions)
-    for row, t in zip(rows, target):
-        acc = None
-        for c, a in row.items():
-            term = a * x[c]
-            acc = term if acc is None else acc + term
-        if acc is None:
-            if not t.is_zero():
-                return None
-        elif not (acc - t).is_zero():
-            return None
-    return x
-
-
-def inverse(M):
-    """Exact inverse via Gauss-Jordan; raises ValueError when singular."""
-    n, m = len(M), M[0][0].root_order
-    z, o = CycloScalar.zero(m), CycloScalar.one(m)
-    red, pivots = rref([{**_sparse(row), n + i: o} for i, row in enumerate(M)])
-    if pivots != list(range(n)):
+def inverse(M, n: int, m: int):
+    """The inverse of the n x n sparse matrix M, sparse, from one echelon form
+    of the rows [M | I]; raises ValueError when M is singular."""
+    o = CycloScalar.one(m)
+    red = Echelon({**M.get(i, {}), n + i: o} for i in range(n)).rows
+    if any(c >= n for c in red):
         raise ValueError("matrix is singular")
-    return [[row.get(n + j, z) for j in range(n)] for row in red]
-
-
-def quotient_representatives(z_basis, b_basis):
-    """Vectors from z_basis completing a basis of span(b_basis) to span(z_basis).
-
-    Both inputs are lists of coordinate vectors with span(b) <= span(z); the
-    returned representatives are drawn greedily from z_basis, so they are
-    reproducible for a fixed input order.  Each vector is reduced once
-    against a growing echelon form of b_basis and the representatives so far.
-    """
-    echelon = Echelon(b_basis)
-    return [v for v in z_basis if echelon.add(v)]
+    return {r: {c - n: a for c, a in red[r].items() if c >= n} for r in range(n)}

@@ -211,8 +211,8 @@ def reverify_space(A: ColorHomAlgebra, space: HomogeneousMapSpace) -> CheckResul
     [D, alpha] = 0 where the space requires it, by direct evaluation on basis
     pairs (independent of the solver's row assembly).
 
-    For the existential kinds (gder, qder) an exact linear solve shows that
-    partner maps exist.
+    For the existential kinds (gder, qder) partner maps exist when their
+    augmented system is consistent in one echelon form.
     """
     # a kind that admits only [D, alpha] = 0 is checked for it in any case
     commute = space.commute or _COMMUTE[space.kind] == (True,)
@@ -227,7 +227,8 @@ def reverify_space(A: ColorHomAlgebra, space: HomogeneousMapSpace) -> CheckResul
 
 
 def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str, pattern):
-    """Equations (rows, rhs) on the partner maps of a qder/gder D.
+    """Augmented equations (rows, aug) on the partner maps of a qder/gder D,
+    the right-hand side at column aug, past every unknown.
 
     qder: one unknown P with P([x,y]) = [D x, a^k y] + eps(gamma,x)[a^k x, D y];
     gder: unknowns (P1, P2) with P2([x,y]) - eps(gamma,x)[a^k x, P1 y] = [D x, a^k y].
@@ -240,9 +241,9 @@ def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str,
     """
     dim, nD = A.dim, len(pattern)
     blocks = _BLOCKS[kind] - 1
-    bracket, zero, one = A.bracket, CycloScalar.zero(A.m), CycloScalar.one(A.m)
+    bracket, one, aug = A.bracket, CycloScalar.one(A.m), blocks * nD
     ak_e, d_e = _transpose(A.alpha_sparse(k)), _transpose(linalg.sparse(D))
-    rows, rhs = [], []
+    rows = []
     for x in range(dim):
         e = A.eps(gamma, A.degree(x))
         if kind == "gder":
@@ -261,12 +262,11 @@ def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str,
                     for comp, v in right[i].items():
                         group[comp][t] = -e * v
             for comp, row in enumerate(group):
-                value = target.get(comp, zero)
-                if row or not value.is_zero():
+                if comp in target:
+                    row[aug] = target[comp]
+                if row:
                     rows.append(row)
-                    rhs.append(value)
-    commute = _commute_rows(A, gamma, pattern, blocks)
-    return rows + commute, rhs + [zero] * len(commute)
+    return rows + _commute_rows(A, gamma, pattern, blocks), aug
 
 
 def _direct_identity_holds(A: ColorHomAlgebra, space: HomogeneousMapSpace, D,
@@ -292,9 +292,10 @@ def _direct_identity_holds(A: ColorHomAlgebra, space: HomogeneousMapSpace, D,
         return all(identity(x, y) for x in range(A.dim) for y in range(A.dim)
                    if x in d_e or y in d_e or (x, y) in bracket.rows)
     # qder, gder: partner maps exist, and commute with alpha as the definitions ask
-    rows, rhs = _partner_rows(A, space.k, space.gamma, D, kind,
+    # the system is inconsistent exactly when some row reduces to 0 ... 0 | c
+    rows, aug = _partner_rows(A, space.k, space.gamma, D, kind,
                               degree_pattern(A, space.gamma))
-    return linalg.solve(rows, rhs, A.m) is not None
+    return aug not in linalg.Echelon(rows).rows
 
 
 def jordan_product(D1, gamma1: GroupElement, D2, gamma2: GroupElement,
@@ -357,10 +358,10 @@ def quasi_centroid_jordan(A: ColorHomAlgebra, max_power: int = 2,
                     flats.append(flat)
                     matrices.append(M)
                     degrees.append(gamma)
-    n, pivots, zero = len(matrices), sorted(span.rows), CycloScalar.zero(A.m)
+    n, pivots = len(matrices), sorted(span.rows)
     # row k of the inverse of C's transpose is column k of C^-1
-    inverse_cols = linalg.sparse(linalg.inverse([[flat.get(p, zero) for p in pivots]
-                                                 for flat in flats])) if flats else {}
+    inverse_cols = linalg.inverse({k: {t: flat[p] for t, p in enumerate(pivots) if p in flat}
+                                   for k, flat in enumerate(flats)}, n, A.m)
     def coords(rows, pair=None):
         if (vec := _flat(rows)) not in span:
             raise NotClosedError(

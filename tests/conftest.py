@@ -92,6 +92,20 @@ def heis_zeta3():
     return twist(H, beta, name="heis_zeta3")
 
 
+def heis_zeta(m):
+    """The Heisenberg algebra over Z_m x Z_m with eps((a,b),(c,d)) =
+    zeta^(ad - bc), |x| = (1,0), |y| = (0,1), |z| = (1,1) and [x,y] = z;
+    alpha = diag(2,3,6), Yau-twisted by diag(zeta, zeta^2, zeta^3).  Its
+    scalars lie in Q(zeta_m), of degree phi(m) > 2 for m = 5, 7, 8."""
+    H = build_algebra([m, m], [[0, 1], [m - 1, 0]], m, ["x", "y", "z"],
+                      [(1, 0), (0, 1), (1, 1)], {(0, 1): [0, 0, 1]},
+                      [[2, 0, 0], [0, 3, 0], [0, 0, 6]], name=f"heis_z{m}z{m}")
+    o = CycloScalar.zero(m)
+    beta = [[CycloScalar.root_of_unity(m, i + 1) if i == j else o for j in range(3)]
+            for i in range(3)]
+    return twist(H, beta, name=f"heis_zeta{m}")
+
+
 def direct_sum(A, B, name):
     """Block-diagonal sum of two algebras over the same grading and root order."""
     zero = CycloScalar.zero(A.m)
@@ -362,6 +376,30 @@ def rref_direct(rows):
         if r == nrows:
             break
     return rows[:r], pivots
+
+
+def solve_direct(M, target, m):
+    """One solution x of M x = target on dense rows, from ``rref_direct`` of
+    [M | target], or None when the system is inconsistent."""
+    ncols = len(M[0]) if M else 0
+    red, pivots = rref_direct([list(row) + [t] for row, t in zip(M, target)])
+    x = [CycloScalar.zero(m)] * ncols
+    for ri, pc in enumerate(pivots):
+        if pc == ncols:
+            return None
+        x[pc] = red[ri][ncols]
+    return x
+
+
+def inverse_direct(M, m):
+    """The dense inverse of M from ``rref_direct`` of [M | I], or None when M
+    is singular."""
+    n, zero, one = len(M), CycloScalar.zero(m), CycloScalar.one(m)
+    red, pivots = rref_direct([list(row) + [one if j == i else zero for j in range(n)]
+                               for i, row in enumerate(M)])
+    if pivots != list(range(n)):
+        return None
+    return [row[n:] for row in red]
 
 
 def bilinear_direct(table, u, v):
@@ -1076,14 +1114,14 @@ def hom_jordan_direct(J):
 
 
 def _express_in_span(matrices, M, m):
-    """The coordinates of M in the given matrices by one fresh
-    ``linalg.solve`` of the flattened system, or None: an oracle for the
+    """The coordinates of M in the given matrices by one fresh dense
+    ``solve_direct`` of the flattened system, or None: an oracle for the
     coordinates ``quasi_centroid_jordan`` forms as C^-1 v[P], from the one
     inverse of the picks' entries at the pivot columns of its echelon form."""
     flat_basis, flat = [[c for row in B for c in row] for B in matrices], \
         [c for row in M for c in row]
     rows = [[fb[i] for fb in flat_basis] for i in range(len(flat))]
-    return linalg.solve(rows, flat, m)
+    return solve_direct(rows, flat, m)
 
 
 def quasi_centroid_jordan_direct(A, max_power=2, commute_with_alpha=False):
@@ -1092,7 +1130,7 @@ def quasi_centroid_jordan_direct(A, max_power=2, commute_with_alpha=False):
     formed densely and every coordinate vector a fresh ``_express_in_span``;
     NotClosedError as ``quasi_centroid_jordan`` raises it: an oracle for that
     function."""
-    alpha_inv = linalg.inverse(A.alpha)
+    alpha_inv = inverse_direct(A.alpha, A.m)
     matrices, degrees = [], []
     for k in range(max_power + 1):
         for gamma in A.basis.group.elements():

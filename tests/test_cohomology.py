@@ -30,9 +30,10 @@ from colorhomlie.scalars_grading import CycloScalar, FiniteAbelianGroup, GroupMi
 from conftest import (SL2C_Z2Z2_CASE_FAMILIES, as_rational, assert_rref, assert_zero_free,
                       basis_vector, build_algebra, clock3, clock3_twisted, clock_shift,
                       compat_rows_direct, coord_index, delta1_direct,
-                      delta2_direct, densify, direct_sum, heis_zeta3, in_span, kernel_basis,
-                      mat_vec_direct, motion_z2z3, random_multiplicative_algebra, rref_direct,
-                      sc, sl2c_z2z2, sl2c_z2z3, zero_algebra, zeros)
+                      delta2_direct, densify, direct_sum, heis_zeta, heis_zeta3, in_span,
+                      kernel_basis, mat_scale, mat_vec_direct, motion_z2z3,
+                      random_multiplicative_algebra, rref_direct, sc, sl2c_z2z2, sl2c_z2z3,
+                      zero_algebra, zeros)
 
 
 def gamma_elems(A):
@@ -446,6 +447,60 @@ def test_one_solve_serves_every_degree_on_clock3_twisted():
         assert (res.dim_Z, res.dim_B, res.dim_H) == (30, 24, 6), gamma.components
 
 
+def _eps_shifted(A, R, gamma):
+    """R with each rho(e_i) scaled by eps(gamma, |e_i|): its delta at degree 0
+    is the delta of R at degree gamma."""
+    rho = [mat_scale(A.eps(gamma, A.degree(i)), M) for i, M in enumerate(R.rho)]
+    return Representation(R.carrier, rho, R.beta, R.m)
+
+
+@pytest.mark.parametrize("family, top", [(sl2c_z2z2, 3), (heis_zeta3, 3), (motion_z2z3, 3),
+                                         (lambda: heis_zeta(5), 1)],
+                         ids=["sl2c_z2z2", "heis_zeta3", "motion_z2z3", "heis_zeta5"])
+def test_a_moved_basis_is_the_direct_solve_on_an_eps_shifted_module(family, top):
+    """Z, B and the representatives at degree gamma, moved from the anchor
+    degree, are those a fresh complex solves at degree 0 on the module whose
+    action carries the factor eps(gamma, |x|): a path that shares neither the
+    complex nor the move."""
+    A = family()
+    G = A.basis.group
+    for R in (adjoint(A), alpha_s_adjoint(A, -1)):
+        for gamma in G.elements():
+            shifted = _eps_shifted(A, R, gamma)
+            for n, r, restrict in product(range(1, top + 1), (0, 1), ("free", "compatible")):
+                got = cohomology_group(A, R, n, r, gamma, restrict=restrict)
+                want = cohomology_group(A, shifted, n, r, G.zero(), restrict=restrict)
+                assert (got.cocycle_basis, got.coboundary_basis, got.representatives) == \
+                    (want.cocycle_basis, want.coboundary_basis, want.representatives), \
+                    (A.name, n, r, gamma.components, restrict)
+
+
+@pytest.mark.parametrize("family", [sl2c_z2z2, heis_zeta3, motion_z2z3, clock3_twisted,
+                                    lambda: heis_zeta(5)],
+                         ids=["sl2c_z2z2", "heis_zeta3", "motion_z2z3", "clock3_twisted",
+                              "heis_zeta5"])
+def test_cocycles_and_coboundaries_lie_in_homogeneous_blocks(family):
+    """Each Z and B vector at label gamma lies in one block C^n_d, d = (carrier
+    degree) - sum |x_i|; the blocks d = gamma at label gamma, which are the
+    homogeneous cochains of degree gamma, add up to H^n at label 0."""
+    A = family()
+    G, R = A.basis.group, adjoint(A)
+    for n, restrict in product((1, 2, 3) if A.dim == 3 else (1, 2), ("free", "compatible")):
+        homogeneous = 0
+        for gamma in G.elements():
+            res = cohomology_group(A, R, n, 0, gamma, restrict=restrict)
+            degrees = [R.carrier.degrees[k] - sum((A.degree(i) for i in tup), G.zero())
+                       for tup in res.space.tuples for k in range(R.dim)]
+            blocks = []
+            for vec in res.cocycle_basis + res.coboundary_basis:
+                block = {degrees[c] for c in vec}
+                assert len(block) == 1, (A.name, n, restrict, gamma.components)
+                blocks.append(block.pop() == gamma)
+            homogeneous += sum(blocks[:res.dim_Z]) - sum(blocks[res.dim_Z:])
+        assert homogeneous == cohomology_group(A, R, n, 0, G.zero(), restrict=restrict).dim_H, \
+            (A.name, n, restrict)
+
+
 @pytest.mark.parametrize("family", [sl2c_z2z2, heis_zeta3, clock3_twisted])
 def test_delta_at_gamma_is_similar_to_delta_at_zero(family):
     """Entry by entry, delta_gamma = D_gamma delta_0 D_gamma^-1, where D_gamma
@@ -727,20 +782,23 @@ def test_cochain_space_lookup_by_tuple():
     assert space.evaluate_basis(coords, (1, 1)) == {}
 
 
-def test_quotient_representatives_are_the_greedy_picks(rng):
-    """Same picks, in the same order, as testing each z by span membership."""
-    m = 2
-    for _ in range(30):
-        ncols = rng.randint(1, 6)
-        vec = lambda: [sc(rng.choice([0, 0, 1, -1, 2]), m) for _ in range(ncols)]
-        z_basis = [vec() for _ in range(rng.randint(0, 6))]
-        b_basis = [vec() for _ in range(rng.randint(0, 3))]
-        expected, current = [], list(b_basis)
-        for v in z_basis:
-            if not in_span(current, v):
-                expected.append(v)
-                current.append(v)
-        assert linalg.quotient_representatives(z_basis, b_basis) == expected
+def test_quotient_representatives_are_the_greedy_picks():
+    """cohomology_group's representatives are the vectors of Z, in order,
+    that are not in the span of B and the earlier picks."""
+    nontrivial = 0
+    for A in (sl2c_z2z2(), heis_zeta3(), heis_zeta(5)):
+        R = adjoint(A)
+        for n, gamma, restrict in product((1, 2), A.basis.group.elements(),
+                                          ("free", "compatible")):
+            res = cohomology_group(A, R, n, 0, gamma, restrict=restrict)
+            expected, current = [], list(res.coboundary_basis)
+            for v in res.cocycle_basis:
+                if not in_span(current, v):
+                    expected.append(v)
+                    current.append(v)
+            assert res.representatives == linalg.dense(expected, res.space.free_dim, A.m)
+            nontrivial += res.dim_H > 0
+    assert nontrivial >= 30
 
 
 # -- cohomology groups -----------------------------------------------------------
@@ -813,11 +871,21 @@ def test_equal_lengths_compare_z_and_b_instead_of_eliminating(monkeypatch):
     # degree: Z and B are the same rref list, with no quotient elimination
     A = sl2c_z2z2()
     R = adjoint(A)
-    monkeypatch.setattr(linalg, "quotient_representatives", None)
-    for n, gamma in product((1, 2, 3), A.basis.group.elements()):
-        res = cohomology_group(A, R, n, 0, gamma)
-        assert (res.dim_Z, res.dim_H, res.representatives) == (res.dim_B, 0, [])
-        assert res.cocycle_basis == res.coboundary_basis
+    calls = [(n, gamma, restrict) for n, gamma in product((1, 2, 3), A.basis.group.elements())
+             for restrict in ("free", "compatible")]
+    for n, gamma, restrict in calls:  # Z and B are solved here and kept on R
+        cohomology_group(A, R, n, 0, gamma, restrict=restrict)
+    added, add = [], linalg.Echelon.add
+    monkeypatch.setattr(linalg.Echelon, "add", lambda self, vec: added.append(vec) or add(self, vec))
+    for n, gamma, restrict in calls:
+        del added[:]
+        res = cohomology_group(A, R, n, 0, gamma, restrict=restrict)
+        if restrict == "compatible":
+            assert (res.dim_Z, res.dim_H, res.representatives) == (res.dim_B, 0, [])
+            assert res.cocycle_basis == res.coboundary_basis
+            assert added == []
+        else:  # one echelon form of B, then each vector of Z offered to it
+            assert res.dim_Z != res.dim_B and len(added) == res.dim_B + res.dim_Z
 
 
 def test_an_equal_length_b_outside_z_is_refused(monkeypatch):
@@ -923,6 +991,26 @@ def test_character_twisted_clock3_pins_cohomology_with_alpha_not_the_identity():
         assert (res.dim_Z, res.dim_B, res.dim_H) == dims, (n, restrict)
         assert_rref(res.cocycle_basis)
         assert reverify(A, R, res).ok, (n, restrict)
+
+
+@pytest.mark.parametrize("m", [5, 7, 8])
+def test_a_heisenberg_algebra_beyond_degree_two_pins_cohomology(m):
+    # heis_zeta(m): scalars of degree phi(m) = 4, 6, 4 over Q, beyond the
+    # phi <= 2 of the other algebras here.  Every result is re-checked on the
+    # multilinear path, and B^2 has the dimension rank-nullity gives it.
+    A = heis_zeta(m)
+    assert check_color_hom_lie(A).all_ok
+    R = adjoint(A)
+    assert check_module(A, R).ok
+    gamma = A.basis.group.zero()
+    for n, restrict, dims in ((1, "free", (6, 0, 6)), (1, "compatible", (2, 0, 2)),
+                              (2, "free", (8, 1, 7)), (2, "compatible", (1, 1, 0))):
+        res = cohomology_group(A, R, n, 0, gamma, restrict=restrict)
+        assert (res.dim_Z, res.dim_B, res.dim_H) == dims, (n, restrict)
+        assert_rref(res.cocycle_basis)
+        assert reverify(A, R, res).ok, (n, restrict)
+    h1 = cohomology_group(A, R, 1, 0, gamma)
+    assert (h1.space.compat_dim, h1.dim_Z) == (3, 2)
 
 
 def test_clock2_cocycle_dimensions_match_a_sympy_rank_over_qq():

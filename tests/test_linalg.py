@@ -6,7 +6,7 @@ Every solver goes through one sparse row type, {column: nonzero scalar}, and
 takes dense lists, sparse dicts or a mix of both.  The reduced row echelon
 form is unique over a field, so each result must equal the one the dense
 oracle gives on the same matrix: the same rows, pivots, kernel and image
-bases, solutions and greedy picks.
+bases, consistency verdicts, inverses and greedy picks.
 """
 import copy
 from fractions import Fraction
@@ -20,7 +20,8 @@ from colorhomlie.algebra_core import StructureConstants, cyclic_residual
 from colorhomlie.scalars_grading import BiCharacter, CycloScalar, FiniteAbelianGroup, ScalarError
 
 from conftest import (assert_rref, assert_zero_free, bilinear_direct, direct_sum, in_span,
-                      kernel_basis, mat_mul_direct, mat_vec_direct, rref_direct, sl2c_z2z2)
+                      inverse_direct, kernel_basis, mat_mul_direct, mat_vec_direct, rref_direct,
+                      sl2c_z2z2, solve_direct)
 
 PROPERTY = settings(derandomize=True, max_examples=100, deadline=None, database=None)
 ROOT_ORDERS = (1, 2, 3, 4)
@@ -103,24 +104,14 @@ def kernel_direct(M, ncols, m):
     return basis
 
 
-def solve_direct(M, target, m):
-    ncols = len(M[0]) if M else 0
-    red, pivots = rref_direct([list(row) + [t] for row, t in zip(M, target)])
-    x = [CycloScalar.zero(m)] * ncols
-    for ri, pc in enumerate(pivots):
-        if pc == ncols:
-            return None
-        x[pc] = red[ri][ncols]
-    return x
-
-
-def inverse_direct(M, m):
-    n = len(M)
-    ident = linalg.identity(n, m)
-    red, pivots = rref_direct([list(row) + list(e) for row, e in zip(M, ident)])
-    if pivots != list(range(n)):
-        return None
-    return [row[n:] for row in red]
+def consistent(rows, target, ncols):
+    """Whether M x = target has a solution, asked as the package asks it:
+    column ncols is no pivot of one echelon form of [M | target], each row
+    augmented in the layout it came in (a zero entry left out of a sparse one)."""
+    augmented = [list(row) + [t] if not isinstance(row, dict) else
+                 {**row, ncols: t} if not t.is_zero() else row
+                 for row, t in zip(rows, target)]
+    return ncols not in linalg.Echelon(augmented).rows
 
 
 def quotient_direct(z_basis, b_basis):
@@ -213,21 +204,14 @@ def test_solve_matches_dense_oracle(system, data):
     m, ncols, rows, mixed = system
     zero = CycloScalar.zero(m)
     x0 = data.draw(st.lists(scalars(m, sparse=True), min_size=ncols, max_size=ncols))
-    consistent = [sum((a * b for a, b in zip(row, x0)), zero) for row in rows]
+    reachable = [sum((a * b for a, b in zip(row, x0)), zero) for row in rows]
     arbitrary = data.draw(st.lists(scalars(m, sparse=True), min_size=len(rows),
                                    max_size=len(rows)))
-    for target in (consistent, arbitrary):
-        want = solve_direct(rows, target, m)
-        got = linalg.solve(mixed, target, m)
-        if target is consistent:
-            assert got is not None
-        if want is None:
-            assert got is None
-            continue
-        # a solution has one entry per column the rows reach; past the last
-        # column a sparse-only system reaches, the oracle's entries are 0
-        assert len(got) <= len(want) and got + [zero] * (len(want) - len(got)) == want
-        assert linalg.solve(rows, target, m) == want
+    for target in (reachable, arbitrary):
+        want = solve_direct(rows, target, m) is not None
+        assert consistent(mixed, target, ncols) == consistent(rows, target, ncols) == want
+        if target is reachable:
+            assert want
 
 
 @PROPERTY
@@ -244,13 +228,18 @@ def test_inverse_matches_dense_oracle(system, invertible, data):
         upper = [[diag[i] if i == j else (rows[i][j] if j > i else CycloScalar.zero(m))
                   for j in range(n)] for i in range(n)]
         rows = linalg.mat_mul(lower, upper)
-    want = inverse_direct(rows, m)
+    want, given_rows = inverse_direct(rows, m), linalg.sparse(rows)
+    before = copy.deepcopy(given_rows)
     if want is None:
         assert not invertible
         with pytest.raises(ValueError):
-            linalg.inverse(rows)
+            linalg.inverse(given_rows, n, m)
     else:
-        assert linalg.inverse(rows) == want
+        got = linalg.inverse(given_rows, n, m)
+        assert_zero_free(got)
+        assert got == linalg.sparse(want)
+    assert given_rows == before
+    assert linalg.inverse({}, 0, m) == {}
 
 
 @PROPERTY
@@ -259,7 +248,10 @@ def test_quotient_representatives_match_greedy_oracle(system, data):
     m, ncols, rows, mixed = system
     subspace = [combination(data.draw, rows, m, ncols)
                 for _ in range(data.draw(st.integers(0, 3)))]
-    got = linalg.quotient_representatives(mixed, subspace)
+    # the quotient as cohomology_group asks it: the vectors one echelon form
+    # of the subspace takes, in order
+    quotient = linalg.Echelon(subspace)
+    got = [v for v in mixed if quotient.add(v)]
     assert [as_dense(v, ncols, m) if isinstance(v, dict) else v for v in got] == \
         quotient_direct(rows, subspace)
 
@@ -473,12 +465,13 @@ def test_eliminations_filter_dense_rows_and_leave_out_a_zero_right_hand_side(cas
         assert sorted(echelon.rows) == pivots
     # the zero right-hand side; a consistent one holding zeros; an arbitrary one
     x0 = data.draw(st.lists(st.sampled_from([zero] + units), min_size=n, max_size=n))
-    consistent = mat_vec_direct(rows, x0)
+    reachable = mat_vec_direct(rows, x0)
     arbitrary = data.draw(st.lists(st.sampled_from([zero, zero] + units), min_size=n,
                                    max_size=n))
-    for target in ([zero] * n, consistent, arbitrary):
-        want = solve_direct(rows, target, m)
-        assert linalg.solve(rows, target, m) == want
+    for target in ([zero] * n, reachable, arbitrary):
+        want = solve_direct(rows, target, m) is not None
+        assert consistent(rows, target, n) == want
         if target is not arbitrary:
-            assert want is not None
-    assert linalg.solve(rows, [zero] * n, m) == [zero] * n
+            assert want
+    # a zero right-hand side appended to the dense rows is filtered out
+    assert linalg.Echelon([row + [zero] for row in rows]).rows == linalg.Echelon(rows).rows

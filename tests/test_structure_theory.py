@@ -20,12 +20,13 @@ from colorhomlie.structure_theory import (KINDS, HomogeneousMapSpace,
                                           quasi_centroid_jordan,
                                           reverify_space, solve_space)
 from conftest import (_express_in_span, assert_rref, assert_zero_free, build_algebra,
-                      defining_rows_direct, direct_sum, heis_zeta3, hom_jordan_direct,
-                      identity_holds_on_all_pairs_direct, inclusion_lattice_direct, mat_add,
+                      defining_rows_direct, direct_sum, heis_zeta, heis_zeta3, hom_jordan_direct,
+                      identity_holds_on_all_pairs_direct, inclusion_lattice_direct,
+                      inverse_direct, mat_add, mat_mul_direct,
                       mat_scale, member_of, motion_z2z3, partner_rows_direct,
                       quasi_centroid_jordan_direct, random_multiplicative_algebra, sc,
-                      sl2c_z2z2, sl2c_z2z3, solve_space_two_pass_direct, zero_algebra,
-                      zeros)
+                      sl2c_z2z2, sl2c_z2z3, solve_direct, solve_space_two_pass_direct,
+                      zero_algebra, zeros)
 
 
 def all_degrees(A):
@@ -217,7 +218,8 @@ JORDAN_INPUTS = [(heis_zeta3(), p, c) for p in (0, 1, 2) for c in (False, True)]
     (build_algebra([2], [[0]], 2, ["e1", "e2", "e3"], [(0,), (0,), (0,)],
                    {(0, 1): [0, 0, 1]}, [[1, 0, 0], [0, 1, 1], [0, 0, 1]]), p, False)
     for p in (0, 1)] + [
-    (_plain_heisenberg([[1, 0, 0], [0, 2, 0], [0, 0, -1]]), 1, False)]
+    (_plain_heisenberg([[1, 0, 0], [0, 2, 0], [0, 0, -1]]), 1, False)] + [
+    (heis_zeta(5), 2, False)]
 
 
 @pytest.mark.parametrize("case", range(len(JORDAN_INPUTS)))
@@ -231,6 +233,28 @@ def test_quasi_centroid_jordan_matches_per_call_solve(case):
         return
     J = quasi_centroid_jordan(A, max_power, commute)
     assert (J.matrices, J.degrees, J.table, J.alpha_action) == want
+
+
+def test_a_degree_four_field_solves_every_kind_and_inverts_sparse():
+    # heis_zeta(5): every pivot and inverse is a scalar of Q(zeta_5), whose
+    # inverse goes through its conjugates over its norm at phi = 4
+    A = heis_zeta(5)
+    gamma = A.basis.group.zero()
+    dims = {}
+    for kind in KINDS:
+        space = solve_space(A, kind, 1, gamma)
+        dims[kind] = len(space.basis)
+        assert reverify_space(A, space).ok, kind
+    assert dims == {"der": 2, "gder": 3, "qder": 3, "centroid": 1, "qcentroid": 2}
+    J = quasi_centroid_jordan(A)
+    assert J.dim == 5
+    # the twist, the twist action on J and a Vandermonde matrix in zeta_5
+    zeta = [CycloScalar.root_of_unity(A.m, k) for k in range(A.m)]
+    vandermonde = [[zeta[i * j % A.m] for j in range(4)] for i in range(4)]
+    for M in (A.alpha, J.alpha_action, vandermonde):
+        want = linalg.sparse(inverse_direct(M, A.m))
+        assert linalg.inverse(linalg.sparse(M), len(M), A.m) == want
+    assert A.alpha_sparse(-1) == linalg.sparse(inverse_direct(A.alpha, A.m))
 
 
 def test_jordan_inputs_cover_both_closure_failures():
@@ -584,15 +608,11 @@ def _row_cases():
 ROW_CASES = _row_cases()
 
 
-def _nonzero_rows(rows, rhs=None):
+def _nonzero_rows(rows):
     """The dense oracle's rows as sparse {column: value} dicts, in order, less
-    the rows that vanish; with right-hand sides, a row is kept when either
-    side is nonzero, and (rows, rhs) is returned."""
+    the rows that vanish."""
     sparse = [{c: a for c, a in enumerate(row) if not a.is_zero()} for row in rows]
-    if rhs is None:
-        return [row for row in sparse if row]
-    kept = [(row, t) for row, t in zip(sparse, rhs) if row or not t.is_zero()]
-    return [row for row, _ in kept], [t for _, t in kept]
+    return [row for row in sparse if row]
 
 
 TWO_PASS_CASES = [heis_zeta3(), sl2c_z2z2(), sl2c_z2z3(), motion_z2z3()] + [
@@ -677,10 +697,40 @@ def test_partner_rows_match_dense_oracle(case):
                 basis = solve_space(A, kind, k, gamma).basis
                 solved += len(basis)
                 for D in basis + [probe]:
+                    # the oracle's rows augmented by their right-hand sides, past every unknown
+                    rows, rhs = partner_rows_direct(A, k, gamma, D, kind)
+                    aug = len(rows[0])
                     got = _partner_rows(A, k, gamma, D, kind, pattern)
-                    assert got == _nonzero_rows(*partner_rows_direct(A, k, gamma, D, kind)), \
+                    assert got == (_nonzero_rows([row + [t] for row, t in zip(rows, rhs)]), aug), \
                         (A.name, kind, k, gamma.components)
     assert solved > 0
+
+
+def test_partner_maps_exist_exactly_when_the_dense_system_is_solvable():
+    # every spanning matrix of a qder/gder space, and the first one plus E_ij
+    # at each pattern cell: reverify_space accepts exactly the matrices that
+    # commute with alpha and whose dense partner system solve_direct solves;
+    # on motion_z2z3 some matrices commute with alpha and still have no partner
+    A = motion_z2z3()
+    verdicts = set()
+    for kind in ("qder", "gder"):
+        for k in (0, 1):
+            for g in all_degrees(A):
+                space = solve_space(A, kind, k, g)
+                base = space.basis[0] if space.basis else zeros(A.dim, A.dim, A.m)
+                matrices = list(space.basis)
+                for i, j in degree_pattern(A, g):
+                    M = [list(row) for row in base]
+                    M[i][j] = M[i][j] + sc(1, A.m)
+                    matrices.append(M)
+                for M in matrices:
+                    if mat_mul_direct(M, A.alpha) != mat_mul_direct(A.alpha, M):
+                        continue
+                    want = solve_direct(*partner_rows_direct(A, k, g, M, kind), A.m) is not None
+                    single = HomogeneousMapSpace(kind, k, g, [M], space.commute)
+                    assert reverify_space(A, single).ok == want, (A.name, kind, k, g, M)
+                    verdicts.add(want)
+    assert verdicts == {True, False}
 
 
 def test_gder_includes_centroid_construction():
