@@ -248,8 +248,6 @@ class BracketTable(StructureConstants):
     def __init__(self, basis: GradedBasis, eps: BiCharacter, entries, m: int):
         super().__init__(basis.dim, m, _complete(basis.dim, m, entries, basis.degrees,
                                                  eps, -1, "skew-symmetry"))
-        self.basis = basis
-        self.eps = eps
 
     @property
     def pairs(self):
@@ -455,6 +453,6 @@ def derived_algebra(A: ColorHomAlgebra, n: int) -> ColorHomAlgebra:
         raise NotMultiplicativeError(
             f"derived Hom-algebra needs a multiplicative twist; witness: {mult.failures[0]}")
     power = (1 << n) - 1
-    bracket = A.bracket.compose_with(A.alpha_power(power))
+    bracket = A.bracket.compose_with(A.alpha_sparse(power))
     return ColorHomAlgebra(A.basis, A.eps, bracket, A.alpha_power(1 << n), A.m,
                            name=f"{A.name}^({n})" if A.name else "")

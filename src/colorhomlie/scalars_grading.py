@@ -30,16 +30,8 @@ class GroupMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 
 def euler_phi(m: int) -> int:
-    n, result, p = m, m, 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            result -= result // p
-        p += 1
-    if n > 1:
-        result -= result // n
-    return result
+    """phi(m), the degree of the cached Phi_m; m < 1 is refused there."""
+    return len(cyclotomic_polynomial(m)) - 1
 
 
 @lru_cache(maxsize=None)
@@ -71,13 +63,6 @@ def _powers(m: int):
         row = rows[-1]
         rows.append(tuple([c - row[-1] * p for c, p in zip((0,) + row[:-1], phim)]))
     return tuple(rows)
-
-
-@lru_cache(maxsize=None)
-def _reduction_rows(m: int):
-    """x^k mod Phi_m for k = phi(m) .. 2*phi(m)-2, as integer tuples."""
-    phi = euler_phi(m)
-    return tuple(_powers(m)[k % m] for k in range(phi, 2 * phi - 1))
 
 
 def cyclo_reduce(raw_coeffs, m: int) -> "CycloScalar":
@@ -137,7 +122,7 @@ class CycloScalar:
 
     def __init__(self, coeffs, root_order: int):
         fracs = [Fraction(c) for c in coeffs]
-        if root_order < 1 or len(fracs) != euler_phi(root_order):
+        if len(fracs) != euler_phi(root_order):
             raise ScalarError(f"Q(zeta_{root_order}) needs phi({root_order}) coefficients, "
                               f"got {len(fracs)}")
         den = lcm(*(c.denominator for c in fracs))
@@ -203,7 +188,7 @@ class CycloScalar:
             s.num, s.den, s.root_order = (p,), den, m
             return s
         if n == 2:
-            (r0, r1), = _reduction_rows(m)
+            r0, r1 = _powers(m)[2]
             (a0, a1), (b0, b1) = a, b
             top = a1 * b1
             p, q = a0 * b0 + r0 * top, a0 * b1 + a1 * b0 + r1 * top
@@ -220,10 +205,10 @@ class CycloScalar:
                 for j, cb in enumerate(b):
                     prod[i + j] += ca * cb
         out = prod[:n]
-        for row, c in zip(_reduction_rows(m), prod[n:]):
+        for k, c in enumerate(prod[n:], n):
             if c:
-                for t in range(n):
-                    out[t] += c * row[t]
+                for t, r in enumerate(_powers(m)[k % m]):
+                    out[t] += c * r
         out = _make(tuple(out), den, m)
         return out if plus is None else plus + out
 
@@ -243,7 +228,7 @@ class CycloScalar:
         if len(a) == 2:
             # (a0 + a1 z)^-1 = (a0 + r1 a1 - a1 z) / N with z^2 = r0 + r1 z and
             # the norm N = a0^2 + r1 a0 a1 - r0 a1^2, positive for m = 3, 4, 6
-            (r0, r1), = _reduction_rows(m)
+            r0, r1 = _powers(m)[2]
             a0, a1 = a
             norm = a0 * a0 + r1 * a0 * a1 - r0 * a1 * a1
             return _make(((a0 + r1 * a1) * d, -a1 * d), norm, m)
@@ -439,7 +424,9 @@ class BiCharacter:
     eps(g_i, g_j) = zeta_m^(E[i][j]), extended bimultiplicatively.  Both are
     checked at construction time: compatibility with the cyclic orders on
     every entry, and skewness on the generators, which by bilinearity is
-    skewness on the whole group.
+    skewness on the whole group.  A non-skew matrix is refused with the
+    failing pair of generators that the generator check finds, which is
+    also the first failing pair of group elements in ``elements()`` order.
     """
 
     def __init__(self, group: FiniteAbelianGroup, exponent_matrix, root_order: int):
@@ -462,24 +449,20 @@ class BiCharacter:
         # generator order consistency: n_j * E[i][j] == 0 (mod m), both slots
         for i in range(r):
             for j in range(r):
-                if (self.group.orders[j] * E[i][j]) % m != 0:
-                    raise BiCharacterError(
-                        f"exponent E[{i}][{j}]={E[i][j]} incompatible with cyclic order "
-                        f"{self.group.orders[j]} modulo {m}")
-                if (self.group.orders[i] * E[i][j]) % m != 0:
-                    raise BiCharacterError(
-                        f"exponent E[{i}][{j}]={E[i][j]} incompatible with cyclic order "
-                        f"{self.group.orders[i]} modulo {m}")
+                for n in (self.group.orders[j], self.group.orders[i]):
+                    if (n * E[i][j]) % m != 0:
+                        raise BiCharacterError(
+                            f"exponent E[{i}][{j}]={E[i][j]} incompatible with cyclic order "
+                            f"{n} modulo {m}")
         # skewness eps(a,b) eps(b,a) = 1 holds on the group iff it holds on
-        # the generators (bilinearity); on failure the exhaustive search
-        # names the first failing pair of group elements
-        if all((E[i][j] + E[j][i]) % m == 0 for i in range(r) for j in range(r)):
-            return
-        for a in self.group.elements():
-            for b in self.group.elements():
-                if (self.exponent(a, b) + self.exponent(b, a)) % m != 0:
-                    raise BiCharacterError(
-                        f"bi-character is not skew at ({a}, {b})")
+        # the generators (bilinearity); the first failing pair of group
+        # elements in elements() order is then (g_i, g_j), for i the last row
+        # of E + E^T nonzero mod m and j the last nonzero column in that row
+        failing = [(i, j) for i in range(r) for j in range(r) if (E[i][j] + E[j][i]) % m]
+        if failing:
+            a, b = (GroupElement(tuple(int(t == k) for t in range(r)), self.group)
+                    for k in failing[-1])
+            raise BiCharacterError(f"bi-character is not skew at ({a}, {b})")
 
     def exponent(self, a: GroupElement, b: GroupElement) -> int:
         """The k in 0..m-1 with eps(a, b) = zeta_m^k, so eps(a, b) is roots[k]."""

@@ -608,3 +608,15 @@ def test_inconsistent_redundant_bracket_exits_two(tmp_path, capsys):
     path.write_text(json.dumps(_with(doc, {"e3": "-1"}, "bracket", "e2,e1")))
     code, _, err = run_cli(["validate", str(path)], capsys)
     assert code == 2 and "skew-symmetry" in err
+
+
+def test_a_non_skew_epsilon_on_a_large_group_exits_two_at_once(tmp_path, capsys):
+    doc = {"schema": 1, "group": {"orders": [200, 200]}, "root_order": 200,
+           "epsilon": {"exponents": [[1, 0], [0, 0]]},
+           "basis": [{"name": "e1", "degree": [0, 0]}], "bracket": {}, "alpha": [["1"]]}
+    path = tmp_path / "nonskew.alg"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, _, err = run_cli(["validate", str(path)], capsys)
+    assert code == 2 and "not skew at ((1,0), (1,0))" in err, err
+    assert time.perf_counter() - start < 0.5

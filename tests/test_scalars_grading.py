@@ -1,6 +1,7 @@
 """Cyclotomic scalars, groups, bi-characters, reorder signs."""
 import random
 import re
+import time
 import types
 from collections import Counter
 from fractions import Fraction
@@ -42,6 +43,20 @@ def test_cyclotomic_polynomials_match_sympy():
     for m in SYMPY_ORDERS:
         assert cyclotomic_polynomial(m) == tuple(int(c) for c in sympy_phi(m).all_coeffs()[::-1])
         assert all(type(c) is int for c in cyclotomic_polynomial(m))
+
+
+def test_euler_phi_matches_sympy_totient():
+    for m in SYMPY_ORDERS:
+        assert euler_phi(m) == sympy.totient(m), m
+
+
+@pytest.mark.parametrize("make, args", [
+    (euler_phi, (0,)), (CycloScalar.from_rational, (1, 0)), (CycloScalar.zero, (0,)),
+    (CycloScalar.one, (-2,)), (CycloScalar, ([1], 0)), (parse_scalar, ("1", 0)),
+    (parse_scalar, ("[1;2]", -1))], ids=lambda v: getattr(v, "__name__", None))
+def test_every_scalar_entry_point_refuses_a_root_order_below_one(make, args):
+    with pytest.raises(ScalarError, match="root order must be >= 1"):
+        make(*args)
 
 
 def test_roots_of_unity_are_the_remainders_of_x_to_the_k_mod_phi_m():
@@ -454,7 +469,9 @@ def test_bicharacter_refuses_a_root_order_below_one():
             BiCharacter(G, [[0]], m)
 
 
-@pytest.mark.parametrize("orders,m", [((2, 2, 2), 2), ((4,), 4), ((2, 6), 6)])
+# ((2, 4, 4), 4) has failing rows at several generators, so the witness
+# rule "last failing row, then last failing column" is met in full
+@pytest.mark.parametrize("orders,m", [((2, 2, 2), 2), ((4,), 4), ((2, 6), 6), ((2, 4, 4), 4)])
 def test_generator_skew_check_matches_the_exhaustive_oracle(orders, m):
     # entries are multiples of the step every cyclic order admits, so each
     # matrix passes the order check and only skewness decides
@@ -469,6 +486,15 @@ def test_generator_skew_check_matches_the_exhaustive_oracle(orders, m):
         a, b = (G.element(c) for c in failure)
         with pytest.raises(BiCharacterError, match=re.escape(f"not skew at ({a}, {b})")):
             BiCharacter(G, E, m)
+
+
+def test_a_non_skew_matrix_on_a_large_group_is_refused_at_once():
+    # 40000 elements: an exhaustive search over pairs of them takes seconds
+    G = FiniteAbelianGroup((200, 200))
+    start = time.perf_counter()
+    with pytest.raises(BiCharacterError, match=re.escape("not skew at ((1,0), (1,0))")):
+        BiCharacter(G, [[1, 0], [0, 0]], 200)
+    assert time.perf_counter() - start < 0.5
 
 
 def test_z3_has_only_trivial_bicharacter():
