@@ -15,7 +15,7 @@ from collections import namedtuple
 from itertools import product
 
 from . import linalg
-from .linalg import _add_scaled, _product, _transpose
+from .linalg import _add_scaled, _combine, _product, _transpose
 from .scalars_grading import (BiCharacter, FiniteAbelianGroup,
                               GroupElement, format_scalar)
 
@@ -117,19 +117,15 @@ class StructureConstants:
 
     def __add__(self, other: "StructureConstants") -> "StructureConstants":
         """The plain table of the pointwise sum."""
-        acc = {key: dict(row) for key, row in self.rows.items()}
-        for key, row in other.rows.items():
-            _add_scaled(acc.setdefault(key, {}), None, row)
-        return StructureConstants(self.dim, self.m, acc)
+        return StructureConstants(self.dim, self.m,
+                                  _combine([(None, self.rows), (None, other.rows)]))
 
     def commutator(self, degrees, eps: BiCharacter) -> "StructureConstants":
         """The plain table of c(x, y) - eps(x, y) c(y, x) on the homogeneous
         basis with the given degrees."""
-        acc = {}
-        for (j, i), row in self.rows.items():
-            _add_scaled(acc.setdefault((j, i), {}), None, row)
-            _add_scaled(acc.setdefault((i, j), {}), -eps(degrees[i], degrees[j]), row)
-        return StructureConstants(self.dim, self.m, acc)
+        return StructureConstants(self.dim, self.m, _combine(
+            [(None, self.rows)] + [(-eps(degrees[i], degrees[j]), {(i, j): row})
+                                   for (j, i), row in self.rows.items()]))
 
     def differing_pairs(self, other: "StructureConstants"):
         """The basis pairs (i, j), in row-major order, where the tables differ."""

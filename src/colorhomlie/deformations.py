@@ -244,6 +244,8 @@ def composition_deformation(L: ColorHomAlgebra, alphas, order: int = None,
     base = ColorHomAlgebra(L.basis, L.eps, L.bracket.compose_with(alphas[0]),
                            alphas[0], L.m, name=L.name)
     # bracket alpha_t^(2^n - 1) o [.,.]_t = alpha_t^(2^n) o [.,.], twist alpha_t^(2^n)
-    power = reduce(_series_product, [series] * (1 << derived))
+    power = series
+    for _ in range(derived):
+        power = _series_product(power, power)
     return TruncatedBracket(base, order, [L.bracket.compose_with(a) for a in power],
                             [linalg.dense(a, L.dim, L.m) for a in power], failing_orders)

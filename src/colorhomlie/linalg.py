@@ -13,8 +13,8 @@ keeps its output so by dropping an entry where it cancels: only dense rows
 are filtered, at the edge.  The dense kernels left serve those edges only:
 
 * ``identity``: the public identity twist, and the phi_0 = alpha_0 = Id checks;
-* ``mat_mul``: the twisted twists, one small product each, where a sparse
-  round trip costs more than the product;
+* ``mat_mul``: the dense face of ``_product``, for the twisted twists and
+  the other products of public matrices;
 * ``transpose`` and ``mat_eq``: public matrices turned or compared as given.
 
 Elimination is Gauss-Jordan with exact division and canonical pivot
@@ -38,24 +38,13 @@ def identity(n: int, m: int):
 
 
 def mat_mul(A, B):
-    """A B on dense lists: the nonzero entries of each row of B are listed
-    once, and each output row is accumulated as {column: scalar}."""
+    """A B on dense lists, the dense face of ``_product``."""
     p = len(B[0]) if B else 0
     m = B[0][0].root_order if A and p else 1
     if A and p and A[0][0].root_order != m:  # a skipped zero would hide it
         raise ScalarError(f"mixed cyclotomic orders {A[0][0].root_order} and {m}")
-    z = CycloScalar.zero(m)
-    supports = [[(j, b) for j, b in enumerate(row) if not b.is_zero()] for row in B]
-    out = []
-    for row in A:
-        acc = {}
-        for a, support in zip(row, supports):
-            if a.is_zero():
-                continue
-            for j, b in support:
-                acc[j] = acc[j] + a * b if j in acc else a * b
-        out.append([acc.get(j, z) for j in range(p)])
-    return out
+    P = _product(sparse(A), sparse(B))
+    return dense([P.get(r, {}) for r in range(len(A))], p, m)
 
 
 def transpose(M):

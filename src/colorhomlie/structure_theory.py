@@ -107,13 +107,13 @@ _COMMUTE = {"der": (True,), "gder": (True,), "qder": (True,),
 
 
 def _term_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, pattern, name: str):
-    """One term of the identities as rows {component: {t: nonzero value}} per
-    basis pair (x, y), at x * dim + y: "d" is D([x,y]), "L" is [D x, a^k y],
-    "-L" its negative and "-R" is -eps(gamma,x)[a^k x, D y].  Unknown t is
-    the coefficient of E_ij, (i, j) = pattern[t]: it contributes [x,y][j] to
-    component i of D([x,y]), [e_i, a^k e_y] to [D x, a^k y] when j = x, and
-    [a^k e_x, e_i] to [a^k x, D y] when j = y, read from the rows of the
-    bracket and of its two precomposed tables, kept on A per k."""
+    """One term of the identities as a sparse matrix whose row
+    (x * dim + y, component) is {t: nonzero value}: "d" is D([x,y]), "L" is
+    [D x, a^k y], "-L" its negative and "-R" is -eps(gamma,x)[a^k x, D y].
+    Unknown t is the coefficient of E_ij, (i, j) = pattern[t]: it contributes
+    [x,y][j] to component i of D([x,y]), [e_i, a^k e_y] to [D x, a^k y] when
+    j = x, and [a^k e_x, e_i] to [a^k x, D y] when j = y, read from the rows
+    of the bracket and of its two precomposed tables, kept on A per k."""
     dim = A.dim
     if k not in A._precomposed:
         ak, ident = A.alpha_sparse(k), A.alpha_sparse(0)
@@ -124,7 +124,7 @@ def _term_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, pattern, name: s
     in_column = [[] for _ in range(dim)]  # j -> [(t, i) : pattern[t] = (i, j)]
     for t, (i, j) in enumerate(pattern):
         in_column[j].append((t, i))
-    table = []
+    table = {}
     for x in range(dim):
         e = -A.eps(gamma, A.degree(x)) if name == "-R" else None
         for y in range(dim):
@@ -137,10 +137,8 @@ def _term_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, pattern, name: s
             else:
                 terms = [(c, t, v if name == "L" else -v) for t, i in in_column[x]
                          for c, v in L.get((i, y), {}).items()]
-            rows = {}
             for comp, t, v in terms:
-                rows.setdefault(comp, {})[t] = v
-            table.append(rows)
+                table.setdefault((x * dim + y, comp), {})[t] = v
     return table
 
 
@@ -150,30 +148,20 @@ def _defining_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, kind: str,
 
     Unknown layout: der/centroid/qcentroid use one block D; qder uses (D, D');
     gder uses (D, D', D'').  Each term table is built on first request and
-    kept on A per (k, gamma) for every kind.  A group's rows merge its terms
-    per pair and component, each column shifted by its block; terms of one
-    block add where they meet, and a sum that cancels is dropped."""
+    kept on A per (k, gamma) for every kind.  Each group of the identities is
+    one ``_combine`` of its term tables, each with its columns shifted by its
+    block; the rows are read out by (pair, group, component)."""
     nD, tables = len(pattern), A._terms.setdefault((k, gamma), {})
     for name in dict.fromkeys(name for group in _IDENTITIES[kind] for _, name in group):
         if name not in tables:
             tables[name] = _term_rows(A, k, gamma, pattern, name)
-    groups = [[(block * nD, tables[name]) for block, name in group]
+    groups = [_combine([(None, {key: {block * nD + t: v for t, v in row.items()}
+                                for key, row in tables[name].items()} if block
+                         else tables[name]) for block, name in group])
               for group in _IDENTITIES[kind]]
-    rows = []
-    for pair in range(A.dim ** 2):
-        for group in groups:
-            merged = {}  # component -> row
-            for base, table in group:
-                for comp, part in table[pair].items():
-                    acc = merged.setdefault(comp, {})
-                    for t, v in part.items():
-                        if (col := base + t) in acc and (v := acc[col] + v).is_zero():
-                            del acc[col]
-                        else:
-                            acc[col] = v
-            for comp in sorted(merged):
-                if merged[comp]:
-                    rows.append(merged[comp])
+    rows = [groups[g][pair, comp]
+            for pair, g, comp in sorted((pair, g, comp) for g, M in enumerate(groups)
+                                        for pair, comp in M)]
     if commute:
         rows.extend(_commute_rows(A, gamma, pattern, _BLOCKS[kind]))
     return rows, _BLOCKS[kind] * nD, nD

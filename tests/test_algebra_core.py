@@ -23,8 +23,8 @@ from colorhomlie.representations import adjoint
 from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
                                          FiniteAbelianGroup, euler_phi, parse_scalar)
 
-from conftest import (as_rational, assert_rotations_share_residuals, basis_vector,
-                      bilinear_direct, build_algebra,
+from conftest import (as_rational, assert_rotations_share_residuals, assert_zero_free,
+                      basis_vector, bilinear_direct, build_algebra,
                       check_hom_associative_direct, check_jacobi_direct,
                       check_multiplicative_direct, data_path, heis_zeta3,
                       is_eps_commutative_direct, mat_pow, mat_vec_direct, sc, sl2c_z2z2, zero_algebra,
@@ -438,6 +438,18 @@ def test_structure_constants_match_dense_oracle(m, kind):
                 e = eps(basis.degrees[i], basis.degrees[j])
                 assert comm.of_basis(i, j) == [a - e * b for a, b in zip(
                     table.of_basis(i, j), table.of_basis(j, i))]
+        for derived in (pre, total, comm):
+            assert_zero_free(derived.rows)
+        # sums that cancel entirely: table - table, and the commutator of an
+        # eps-commutative table (a diagonal entry survives where eps(d, d) = -1)
+        minus = [[-c for c in row] for row in linalg.identity(dim, m)]
+        assert (table + table.compose_with(minus)).rows == {}
+        degrees, one = basis.degrees, CycloScalar.one(m)
+        commutative = StructureConstants(dim, m, algebra_core._complete(
+            dim, m, {(i, j): vec for (i, j), vec in entries.items()
+                     if i < j or (i == j and eps(degrees[i], degrees[i]) == one)},
+            degrees, eps, +1, "eps-commutativity"))
+        assert commutative.commutator(degrees, eps).rows == {}
         empty = StructureConstants(dim, m, {})
         for a, b in [(table, t) for t in others + [pre, total, empty]] + [(empty, table)]:
             assert a.differing_pairs(b) == [

@@ -301,6 +301,19 @@ def test_deform_compose_cli(tmp_path, capsys):
     assert doc["endomorphism_failing_orders"] == [1, 2]
 
 
+def test_deep_composition_levels_exit_zero_at_once(tmp_path, capsys):
+    # alpha_t^(2^40) by 40 squarings of the series, not 2^40 - 1 products
+    f = tmp_path / "alpha_terms.json"
+    f.write_text(json.dumps(ALPHA_TERMS))
+    start = time.perf_counter()
+    code, out, err = run_cli([
+        "deform", "compose", "--algebra", data_path("sl2c_z2z3.alg"),
+        "--alpha-terms", str(f), "--order", "3", "--derived", "40"], capsys)
+    assert (code, "Traceback" in err) == (0, False)
+    assert time.perf_counter() - start < 1.0
+    assert all(v["ok"] for v in json.loads(out)["orders"].values())
+
+
 def test_deform_check_cli(tmp_path, capsys):
     f = tmp_path / "terms.json"
     f.write_text(json.dumps(BRACKET_TERMS))

@@ -390,7 +390,7 @@ def _series_eq(got, want):
 @example(m=3, order=3, phi_tail=[None, CELLS], alpha_tails=([None, CELLS], [None]),
          derived=2)
 @given(m=st.sampled_from((2, 3)), order=st.integers(1, 3), phi_tail=TAIL,
-       alpha_tails=st.tuples(TAIL, TAIL), derived=st.integers(0, 2))
+       alpha_tails=st.tuples(TAIL, TAIL), derived=st.integers(0, 3))
 def test_series_arithmetic_matches_the_dense_convolution(m, order, phi_tail, alpha_tails,
                                                          derived):
     A, L = (build() for build in SERIES_ALGEBRAS[m])
