@@ -12,8 +12,8 @@ import functools
 import json
 import sys
 
-# Every subcommand loads fileio (and so algebra_core, representations and
-# scalars_grading); a handler imports the solver modules it runs itself.
+# Every subcommand loads fileio (so algebra_core, morphisms_twists, representations
+# and scalars_grading); a handler imports the solver modules it runs itself.
 from .algebra_core import check_color_hom_lie, derived_algebra
 from .fileio import (ParseError, _parse_square, parse_algebra_file, parse_alpha_terms,
                      parse_bracket_terms, parse_commutative_algebra_file,

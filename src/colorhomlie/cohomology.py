@@ -34,12 +34,13 @@ compatible subspace, so the inclusion B <= Z holds in both modes.
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 
 from . import linalg
 from .algebra_core import AlgebraStructureError, CheckResult, ColorHomAlgebra
 from .linalg import _add_scaled, _product, _sparse, _transpose
 from .representations import Representation, _rho_sum
-from .scalars_grading import GroupElement, GroupMismatchError, _muladd, sort_with_sign
+from .scalars_grading import CycloScalar, GroupElement, GroupMismatchError, _muladd, sort_with_sign
 
 
 class CochainError(AlgebraStructureError):
@@ -119,7 +120,10 @@ class _Complex:
     Per arity n: the canonical tuples with their positions, and the
     compatible basis {f : f o alpha^(x)n = beta o f} as sparse vectors with
     its transpose; the compatibility equations involve alpha and beta only,
-    so the basis is the same for every degree gamma and power r.  Per power
+    so the basis is the same for every degree gamma and power r.  When both
+    are diagonal (``weights``, checked at construction) the basis is the
+    unit vectors whose weights match, the rref kernel of those equations;
+    otherwise it is solved from ``_compat_rows``.  Per power
     p: the sparse entries of rho(alpha^p e_i).  Per (n, gamma, r): the
     sparse rows of delta_r^n and their product with the compatible basis;
     per (n, r, mode) and (n, r), the rref bases of Z^n and of B^n at their
@@ -154,6 +158,13 @@ class _Complex:
         self.graded = self.keeps_degrees and all(A.degree(k) == A.degree(i) + A.degree(j)
                                                  for (i, j), row in A.bracket.rows.items()
                                                  for k in row)
+        # (a_i, b_k) with alpha e_i = a_i e_i and beta v_k = b_k v_k, a zero
+        # entry the weight 0; None unless both are diagonal
+        zero, self.weights = CycloScalar.zero(A.m), None
+        if all(j == i for i, col in enumerate(self.alpha_cols) for j, _ in col) \
+                and all(set(row) <= {k} for k, row in self.beta.items()):
+            self.weights = ([col[0][1] if col else zero for col in self.alpha_cols],
+                            [self.beta.get(k, {}).get(k, zero) for k in range(self.mdim)])
         self._delta = {}         # (n, gamma, r) -> sparse rows of delta_r^n
         self._restricted = {}    # (n, gamma, r) -> delta_r^n on the compatible basis
         self._cocycles = {}      # (n, r, restrict) -> (gamma_0, rref rows of Z^n at gamma_0)
@@ -194,8 +205,14 @@ class _Complex:
 
     def compat(self, n: int):
         if n not in self._compat:
-            basis = linalg.sparse_kernel_basis(list(_compat_rows(self, n).values()),
-                                               self.free_dim(n), self.algebra.m)
+            if self.weights is None:
+                basis = linalg.sparse_kernel_basis(list(_compat_rows(self, n).values()),
+                                                   self.free_dim(n), self.algebra.m)
+            else:  # row (t, k) is (prod of a_i over t - b_k) f_(t,k): its kernel by weight
+                (a, b), one, basis = self.weights, CycloScalar.one(self.algebra.m), []
+                for t, tup in enumerate(self.arity(n)[0]):
+                    w = prod((a[i] for i in tup), start=one)
+                    basis += [{t * self.mdim + k: one} for k, bk in enumerate(b) if bk == w]
             self._compat[n] = (basis, _transpose(dict(enumerate(basis))))
         return self._compat[n]
 

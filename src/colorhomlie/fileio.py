@@ -24,6 +24,7 @@ import json
 from . import linalg
 from .algebra_core import (BracketTable, ColorHomAlgebra, GradedBasis,
                            StructureConstants, _complete)
+from .morphisms_twists import BUDGET_ENV_VAR, current_budget
 from .representations import Representation
 from .scalars_grading import (BiCharacter, CycloScalar, FiniteAbelianGroup,
                               ScalarError, format_scalar, parse_scalar)
@@ -116,6 +117,11 @@ def _parse_header(doc):
                  "algebra document key 'root_order'")
     if m < 1:
         raise ParseError(f"algebra document key 'root_order' must be positive, got {m}")
+    # Phi_m divides out each Phi_d, d | m, in about m (m - phi(m)) steps, and the
+    # zeta^k table has m phi(m) entries: m^2 in all
+    if m * m > (limit := current_budget()):
+        raise ParseError(f"root order {m} needs about {m * m} steps to build Phi_{m} and "
+                         f"its zeta^k table, over budget {limit} (set {BUDGET_ENV_VAR})")
     exponents = _typed(doc.get("epsilon", {}), dict,
                        "algebra document key 'epsilon'").get("exponents")
     if exponents is None:

@@ -55,7 +55,10 @@ def current_budget(budget=None) -> int:
     if budget is not None:
         return int(budget)
     env = os.environ.get(BUDGET_ENV_VAR)
-    return int(env) if env else DEFAULT_BUDGET
+    try:
+        return int(env) if env else DEFAULT_BUDGET
+    except ValueError:  # the parser reads it for every algebra file
+        raise ValueError(f"{BUDGET_ENV_VAR} must be an integer, got {env!r}") from None
 
 
 def enumerate_morphisms(A: ColorHomAlgebra, entry_set, strict_even: bool = False,

@@ -419,6 +419,33 @@ def test_budget_env_override(capsys, monkeypatch):
     assert "exceed budget 10" in err
 
 
+def test_a_huge_root_order_is_refused_at_parse_time(tmp_path, capsys, monkeypatch):
+    # the default root order is the group's exponent: building Phi_720720 and
+    # its 720720-row zeta^k table would take hours, so the parser refuses it
+    monkeypatch.delenv("COLORHOM_BUDGET", raising=False)
+    path = tmp_path / "huge_order.alg"
+    path.write_text(json.dumps({"schema": 1, "group": {"orders": [720720]},
+                                "basis": [{"name": "e1", "degree": [1]}]}))
+    start = time.perf_counter()
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "root order 720720 needs about 519437318400 steps" in err
+    assert "over budget 100000000" in err
+    # the estimate is m^2 against the same budget as twist enumeration
+    monkeypatch.setenv("COLORHOM_BUDGET", "35")
+    doc = {"schema": 1, "group": {"orders": [6]}, "basis": [{"name": "e1", "degree": [1]}]}
+    with pytest.raises(ParseError, match="root order 6 needs about 36 steps"):
+        parse_algebra_document(json.dumps(doc))
+    monkeypatch.setenv("COLORHOM_BUDGET", "36")
+    assert parse_algebra_document(json.dumps(doc)).m == 6
+    # every command parses an algebra file, so a malformed budget is named
+    monkeypatch.setenv("COLORHOM_BUDGET", "1e8")
+    code, out, err = run_cli(["validate", data_path("sl2c_z2z2.alg")], capsys)
+    assert (code, out) == (2, "")
+    assert "COLORHOM_BUDGET must be an integer, got '1e8'" in err
+
+
 def test_cohomology_with_shifted_adjoint(capsys):
     code, out, _ = run_cli([
         "cohomology", "--algebra", data_path("sl2c_z2z2.alg"),

@@ -296,8 +296,8 @@ def test_compat_rows_use_canonical_tuples_only_when_alpha_keeps_degrees(case):
 @pytest.mark.parametrize("make, s", [(heis_zeta3, 0), (clock3_twisted, 0), (sl2c_z2z2, -1)],
                          ids=["heis_zeta3", "clock3_twisted", "sl2c_z2z2-ad_-1"])
 def test_arity_zero_compatible_basis_is_the_rref_fixed_space_of_beta(make, s):
-    # compat(0) comes from the rows _compat_rows builds for every arity, here
-    # on the empty tuple; the oracle is the dense rref of ker(I - beta)
+    # alpha and beta are diagonal here, so compat(0) is read off the weights,
+    # with the empty product 1; the oracle is the dense rref of ker(I - beta)
     A = make()
     R = alpha_s_adjoint(A, s)
     n, one, zero = R.dim, CycloScalar.one(A.m), CycloScalar.zero(A.m)
@@ -311,6 +311,79 @@ def test_arity_zero_compatible_basis_is_the_rref_fixed_space_of_beta(make, s):
         kernel.append(v)
     space = cochain_basis(A, R, 0, A.basis.group.zero())
     assert densify(space, space.compat_basis) == rref_direct(kernel)[0]
+
+
+def _solved_compat(cx, n):
+    """The compatible basis as every non-diagonal input gets it: the rref
+    kernel of the compatibility rows.  The oracle of the weight path."""
+    return linalg.sparse_kernel_basis(list(cohomology._compat_rows(cx, n).values()),
+                                      cx.free_dim(n), cx.algebra.m)
+
+
+def _trivial(A, beta_rows=None):
+    """rho = 0 on A's own basis with beta = Id, or beta_rows if given."""
+    beta = linalg.identity(A.dim, A.m) if beta_rows is None else \
+        [[sc(v, A.m) for v in row] for row in beta_rows]
+    return Representation(A.basis, [zeros(A.dim, A.dim, A.m)] * A.dim, beta, A.m)
+
+
+def _swapped_square():
+    """sl2c_z2z2^2 Yau-twisted by the swap of its two summands: alpha is the
+    swap times diag(-1, -1, 1, -1, -1, 1), so it is not diagonal."""
+    S = direct_sum(sl2c_z2z2(), sl2c_z2z2(), "sl2c_z2z2^2")
+    swap = [[sc(int(j == (i + 3) % 6), S.m) for j in range(6)] for i in range(6)]
+    return twist(S, swap, name="sl2c_z2z2^2_swapped")
+
+
+def _weight_cases():
+    """(name, A, R) with alpha and beta diagonal: the shipped Z2xZ2 example and
+    its square, the phi(m) = 2 and phi(m) = 4 Heisenberg algebras, the twisted
+    clock3, inverse-twist adjoints, a trivial module and a singular alpha
+    with zero weights on an eps(a, a) = -1 grading (repeated indices)."""
+    A, H, C = sl2c_z2z2(), heis_zeta3(), clock3_twisted()
+    S = direct_sum(sl2c_z2z2(), sl2c_z2z2(), "sl2c_z2z2^2")
+    singular = zero_algebra([2], [[1]], 2, [(1,), (0,), (1,)],
+                            alpha=[[0, 0, 0], [0, 2, 0], [0, 0, -1]])
+    five = heis_zeta(5)
+    return [("sl2c_z2z2", A, adjoint(A)), ("sl2c_z2z2-ad_-1", A, alpha_s_adjoint(A, -1)),
+            ("sl2c_z2z2-trivial", A, _trivial(A)), ("sl2c_z2z2^2", S, adjoint(S)),
+            ("heis_zeta3", H, adjoint(H)), ("heis_zeta5", five, adjoint(five)),
+            ("clock3_twisted", C, adjoint(C)), ("clock3_twisted-ad_-1", C, alpha_s_adjoint(C, -1)),
+            ("singular", singular, adjoint(singular))]
+
+
+@pytest.mark.parametrize("case", range(9), ids=[name for name, _, _ in _weight_cases()])
+def test_diagonal_twists_read_the_compatible_basis_off_the_weights(case, monkeypatch):
+    _, A, R = _weight_cases()[case]
+    cx = cohomology._complex(A, R)
+    assert cx.weights is not None
+    solved = {n: _solved_compat(cx, n) for n in range(4)}
+    rows = []
+    monkeypatch.setattr(cohomology, "_compat_rows", lambda *args: rows.append(args))
+    for n in range(4):
+        basis = cx.compat(n)[0]
+        assert basis == solved[n], (A.name, n)
+        assert all(len(v) == 1 and list(v.values()) == [CycloScalar.one(A.m)] for v in basis)
+    assert rows == []
+    if case == 8:  # weights (0, 2, -1) on both sides: the zero weights match too
+        assert [min(v) for v in cx.compat(1)[0]] == [0, 4, 8]
+
+
+def test_non_diagonal_twists_keep_the_solve():
+    """Each of alpha and beta off the diagonal sends compat to the solve: the
+    swapped square's adjoint (both), the sheared square with beta = Id
+    (alpha only), and sl2c_z2z2 with a trivial module whose beta is a shear
+    (beta only)."""
+    A, S = sl2c_z2z2(), _swapped_square()
+    assert check_color_hom_lie(S).all_ok
+    sheared = _twist_cases()[1][0]
+    shear3 = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
+    for B, R in ((S, adjoint(S)), (sheared, _trivial(sheared)), (A, _trivial(A, shear3))):
+        cx = cohomology._complex(B, R)
+        assert cx.weights is None
+        for n in range(3):
+            assert cx.compat(n)[0] == _solved_compat(cx, n), (B.name, n)
+    assert len(cohomology._complex(S, adjoint(S)).compat(2)[0]) > 0
 
 
 def test_a_module_forms_its_sparse_action_once(monkeypatch):
@@ -738,8 +811,11 @@ def test_the_complex_is_freed_with_its_module_by_refcounting():
 
 def test_each_operator_is_assembled_once_per_ladder(monkeypatch):
     """The benchmark's cohomology ladder: 29 calls over 9 distinct (A, R, n)
-    compatible bases, and delta_r^n built at the first degree only: 11
-    distinct (A, R, n, gamma, r) against 23 when each degree is solved."""
+    compatible bases, all read off the diagonal twists' weights with no
+    compatibility rows, and delta_r^n built at the first degree only: 11
+    distinct (A, R, n, gamma, r) against 23 when each degree is solved.  On
+    the swapped square, whose alpha is not diagonal, the rows are built once
+    per (A, R, n)."""
     A3 = sl2c_z2z2()
     A6 = direct_sum(sl2c_z2z2(), sl2c_z2z2(), "sl2c_z2z2^2")
     R3, R3_inv, R6 = adjoint(A3), alpha_s_adjoint(A3, -1), adjoint(A6)
@@ -765,8 +841,14 @@ def test_each_operator_is_assembled_once_per_ladder(monkeypatch):
     for A, R, n, r, gamma, restrict in calls:
         cohomology_group(A, R, n, r, gamma, restrict=restrict)
     assert len(calls) == 29
-    assert len(compat) == len(set(compat)) == 9
+    assert compat == []
     assert len(delta) == len(set(delta)) == 11
+    S = _swapped_square()
+    RS = adjoint(S)
+    for n, restrict in product((1, 2), ("free", "compatible")):
+        for gamma in G.elements():
+            cohomology_group(S, RS, n, 0, gamma, restrict=restrict)
+    assert len(compat) == len(set(compat)) == 3  # C^0, C^1 and C^2 of (S, RS)
 
 
 def test_cochain_space_lookup_by_tuple():
