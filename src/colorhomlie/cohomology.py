@@ -123,8 +123,7 @@ class _Complex:
     so the basis is the same for every degree gamma and power r.  When both
     are diagonal (``weights``, checked at construction) the basis is the
     unit vectors whose weights match, the rref kernel of those equations;
-    otherwise it is solved from ``_compat_rows``.  Per power
-    p: the sparse entries of rho(alpha^p e_i).  Per (n, gamma, r): the
+    otherwise it is solved from ``_compat_rows``.  Per (n, gamma, r): the
     sparse rows of delta_r^n and their product with the compatible basis;
     per (n, r, mode) and (n, r), the rref bases of Z^n and of B^n at their
     anchor gamma_0, moved to other degrees by D if alpha keeps degrees and the
@@ -152,7 +151,6 @@ class _Complex:
         self._arity = {}         # n -> (canonical tuples, their positions)
         self._located = {}       # argument index combo -> locate(combo)
         self._compat = {}        # n -> (compatible basis, its transpose)
-        self._rho = {}           # p -> per e_i, (k, l, value) of rho(alpha^p e_i)
         self.keeps_degrees = all(A.degree(j) == A.degree(i)
                                  for i in range(A.dim) for j, _ in self.alpha_cols[i])
         self.graded = self.keeps_degrees and all(A.degree(k) == A.degree(i) + A.degree(j)
@@ -215,16 +213,6 @@ class _Complex:
                     basis += [{t * self.mdim + k: one} for k, bk in enumerate(b) if bk == w]
             self._compat[n] = (basis, _transpose(dict(enumerate(basis))))
         return self._compat[n]
-
-    def rho_entries(self, p: int):
-        if p not in self._rho:
-            cols, images = _transpose(self.algebra.alpha_sparse(p)), []
-            for i in range(self.algebra.dim):
-                image = _rho_sum(self.rho_basis, cols.get(i, {}))
-                images.append([(k, l, v) for k, row in sorted(image.items())
-                               for l, v in sorted(row.items())])
-            self._rho[p] = images
-        return self._rho[p]
 
     def delta(self, n: int, gamma: GroupElement, r: int):
         key = (n, gamma, r)
@@ -334,8 +322,12 @@ def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
     rows = {}
     if cx.free_dim(n) == 0:
         return rows
-    locate, alpha_cols = cx.locate, cx.alpha_cols
-    rho_entries = cx.rho_entries(r + n - 1)
+    positions, alpha_cols = cx.arity(n)[1], cx.alpha_cols
+    # per e_i, the entries (k, l, value) of rho(alpha^(r+n-1) e_i)
+    powers = _transpose(A.alpha_sparse(r + n - 1))
+    images = (_rho_sum(cx.rho_basis, powers.get(i, {})) for i in range(A.dim))
+    rho_entries = [[(k, l, v) for k, row in sorted(image.items()) for l, v in sorted(row.items())]
+                   for image in images]
     if gamma.group != A.basis.group:
         raise GroupMismatchError("degree gamma is not in the grading group")
     # eps is bimultiplicative: the exponent of eps(sum of degrees, d) is a sum
@@ -359,14 +351,11 @@ def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
         for s in range(n + 1):
             sign = roots[(gx[tup[s]] + sum(ex[tup[u]][tup[s]] for u in range(s))) % m]
             factor = sign if s % 2 == 0 else -sign
-            hit = locate(tup[:s] + tup[s + 1:])
-            if hit is None:
-                continue
-            pos, coeff = hit
-            coeff = factor * coeff
+            # a canonical tuple less one entry is canonical: no sort, no sign
+            pos = positions[tup[:s] + tup[s + 1:]]
             for k, l, v in rho_entries[tup[s]]:
                 row, c = block[k], pos * mdim + l
-                if any((y := _muladd(v, coeff, row.get(c))).num):
+                if any((y := _muladd(v, factor, row.get(c))).num):
                     row[c] = y
                 else:
                     del row[c]

@@ -13,7 +13,7 @@ from colorhomlie.algebra_core import (BracketTable, CheckResult, ColorHomAlgebra
                                       GradedBasis, HomAssociativeColorAlgebra,
                                       StructureConstants, check_color_hom_lie,
                                       commutator_algebra)
-from colorhomlie.cohomology import CochainSpace
+from colorhomlie.cohomology import CochainSpace, cochain_basis
 from colorhomlie.morphisms_twists import twist
 from colorhomlie.structure_theory import (_COMMUTE, NotClosedError, _defining_rows,
                                           _pattern_matrix, degree_pattern, solve_space)
@@ -153,6 +153,39 @@ def clock3_twisted():
     beta = [[CycloScalar.root_of_unity(A.m, A.degree(i).components[0]) if i == j else zero
              for j in range(A.dim)] for i in range(A.dim)]
     return twist(A, beta, name="clock3_twisted")
+
+
+def semidirect(A, R, coords, gamma, r):
+    """The abelian extension L x_omega V[gamma] of A by the module R, for the
+    arity-2 cochain omega of degree gamma with free canonical coordinates
+    coords: L + V with [x, y] = [x, y]_L + omega(x, y),
+    [x, v] = eps(gamma, |x|) rho(alpha^r x) v, [v, w] = 0, twist alpha + beta,
+    and v_k of degree |v_k| - gamma, so that omega(x, y) has degree |x| + |y|.
+    For omega in the cochain-degree block gamma it is graded, and it is a
+    color Hom-Lie algebra exactly when omega is a cocycle of delta_r^2 at
+    gamma; built on dense matrices, not on the cochain complex."""
+    space, zero = cochain_basis(A, R, 2, gamma), CycloScalar.zero(A.m)
+    dim, power = A.dim + R.dim, mat_pow(A.alpha, r, A.m)
+    entries = {}
+    for i in range(A.dim):
+        for j in range(i, A.dim):
+            vec = [zero] * dim
+            for k, c in A.bracket.rows.get((i, j), {}).items():
+                vec[k] = c
+            for k, c in space.evaluate_basis(coords, (i, j)).items():
+                vec[A.dim + k] = c
+            entries[(i, j)] = vec
+        # [e_i, v_l] is column l of eps(gamma, |e_i|) rho(alpha^r e_i)
+        action = mat_scale(A.eps(gamma, A.degree(i)), rho_of(R, [row[i] for row in power]))
+        for l in range(R.dim):
+            entries[(i, A.dim + l)] = [zero] * A.dim + [row[l] for row in action]
+    basis = GradedBasis(A.basis.names + tuple(f"v_{name}" for name in R.carrier.names),
+                        A.basis.degrees + tuple(d - gamma for d in R.carrier.degrees),
+                        A.basis.group)
+    alpha = ([list(row) + [zero] * R.dim for row in A.alpha]
+             + [[zero] * A.dim + list(row) for row in R.beta])
+    return ColorHomAlgebra(basis, A.eps, BracketTable(basis, A.eps, entries, A.m), alpha, A.m,
+                           name=f"{A.name} x V[{gamma}]")
 
 
 def zero_algebra(orders, eps_exponents, m, degrees, alpha=None):

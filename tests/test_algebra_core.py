@@ -215,6 +215,11 @@ def test_derived_level_zero_is_identity():
     assert derived_algebra(A, 0) is A
 
 
+def test_a_negative_derived_level_is_refused():
+    with pytest.raises(ValueError, match="derived level must be non-negative"):
+        derived_algebra(sl2c_z2z2(), -1)
+
+
 def test_derived_level_one_matches_matrix_power_oracle():
     A = sl2c_z2z2()
     D = derived_algebra(A, 1)

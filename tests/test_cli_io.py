@@ -62,6 +62,13 @@ def test_malformed_scalar_reports_location():
     assert "1//2" in str(err.value)
 
 
+def test_invalid_json_reports_line_and_column():
+    with pytest.raises(ParseError) as err:
+        parse_algebra_document('{\n  "schema": 1,\n  "name": }')
+    assert (err.value.line, err.value.column) == (3, 11)
+    assert "(line 3, column 11)" in str(err.value)
+
+
 def test_zero_bracket_section_parses_to_zero_algebra():
     doc = {
         "schema": 1, "name": "abelian", "group": {"orders": [2, 2]},
@@ -264,6 +271,15 @@ def test_hls_cli(capsys):
     assert doc["checks"]["mnop"]["ok"] is True
     assert doc["checks"]["cd2"]["ok"] is False  # truncation boundary
     assert code == 1  # a reported mathematical failure exits 1
+
+
+def test_hls_cli_reads_sigma_from_a_file(tmp_path, capsys):
+    args = ["hls", "--algebra", data_path("qwitt_trunc_q2.alg")] + _HLS_ARGS
+    inline = run_cli(args, capsys)
+    path = tmp_path / "sigma.json"
+    path.write_text(args[4])
+    args[4] = str(path)
+    assert run_cli(args, capsys) == inline
 
 
 def test_hls_cli_zeta3_all_green(capsys):
@@ -591,6 +607,9 @@ MALFORMED = {
     "module-without-rho": (lambda: _module(_without(_adjoint_doc(), "rho")), "'rho'"),
     "rho-wrong-shape": (lambda: _module(_with(_adjoint_doc(), [["1"]], "rho", "e1")),
                         "rho['e1']"),
+    "bracket-key-not-a-pair": (lambda: _validate(_with(
+        _data_doc("sl2c_z2z2.alg"), {"e3": "1"}, "bracket", "e1,e2,e3")),
+        "bad bracket entry 'e1,e2,e3'"),
     "product-key-unknown-name": (lambda: _hls(_with(
         _data_doc("qwitt_trunc_q2.alg"), {"u1": "1"}, "product", "u0,b")),
         "unknown basis name 'b'"),

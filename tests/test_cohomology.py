@@ -32,8 +32,8 @@ from conftest import (SL2C_Z2Z2_CASE_FAMILIES, as_rational, assert_rref, assert_
                       compat_rows_direct, coord_index, delta1_direct,
                       delta2_direct, densify, direct_sum, heis_zeta, heis_zeta3, in_span,
                       kernel_basis, mat_scale, mat_vec_direct, motion_z2z3,
-                      random_multiplicative_algebra, rref_direct, sc, sl2c_z2z2, sl2c_z2z3,
-                      zero_algebra, zeros)
+                      random_multiplicative_algebra, rref_direct, sc, semidirect, sl2c_z2z2,
+                      sl2c_z2z3, zero_algebra, zeros)
 
 
 def gamma_elems(A):
@@ -62,6 +62,21 @@ def test_canonical_tuples_with_minus_one_diagonal():
     # combinatorial count oracle at arity 2 for mixed signs:
     # strictly increasing pairs + repeats on the minus-one degrees
     assert len(tup2) == 1 + 1
+
+
+@pytest.mark.parametrize("A, repeats", [
+    (sl2c_z2z2(), False), (zero_algebra([2], [[1]], 2, [(1,), (0,), (1,)]), True),
+], ids=["sl2c_z2z2", "odd_repeats"])
+def test_a_canonical_tuple_less_one_entry_is_canonical(A, repeats):
+    # delta's action terms read f(x_0, ..., ^x_s, ..., x_n) at this position
+    # directly, with no sort and no sign
+    cx = cohomology._complex(A, adjoint(A))
+    for n in range(4):
+        positions = cx.arity(n)[1]
+        for tup in cx.arity(n + 1)[0]:
+            for s in range(n + 1):
+                assert tup[:s] + tup[s + 1:] in positions, (n, tup, s)
+    assert any(len(set(tup)) < len(tup) for tup in cx.arity(4)[0]) == repeats
 
 
 def test_full_skew_space_dimension_count_oracle():
@@ -443,6 +458,16 @@ def test_unknown_modes_are_refused_before_assembly(monkeypatch):
         cohomology_group(A, R, 2, 0, A.basis.group.zero(), restrict="free")
     with pytest.raises(AssertionError):
         delta_matrix(A, R, 1, 0, A.basis.group.zero(), domain="free")
+
+
+def test_arities_out_of_range_are_refused_before_assembly(monkeypatch):
+    A = sl2c_z2z2()
+    R = adjoint(A)
+    monkeypatch.setattr(cohomology, "_complex", None)  # never reached
+    with pytest.raises(CochainError, match="cochain arity must be non-negative"):
+        cochain_basis(A, R, -1, A.basis.group.zero())
+    with pytest.raises(CochainError, match="cohomology needs arity >= 1"):
+        cohomology_group(A, R, 0, 0, A.basis.group.zero())
 
 
 # -- the per-(A, R) cochain complex ---------------------------------------------
@@ -881,6 +906,50 @@ def test_quotient_representatives_are_the_greedy_picks():
             assert res.representatives == linalg.dense(expected, res.space.free_dim, A.m)
             nontrivial += res.dim_H > 0
     assert nontrivial >= 30
+
+
+# -- abelian extensions: delta against the axiom checker --------------------------
+
+def _extension_verdicts(A, r, gamma, stride=1):
+    """(grading ok, Hom-Jacobi ok) of ``semidirect`` on the adjoint at r and
+    gamma, for the free 2-cocycles in cochain degree block gamma (|v_k| - |t|
+    = gamma at every coordinate (t, k)), then for every stride-th unit vector
+    of that block whose coboundary, evaluated multilinearly, is nonzero."""
+    R, one, zero = adjoint(A), CycloScalar.one(A.m), A.basis.group.zero()
+    space = cochain_basis(A, R, 2, gamma)
+    block = [t * R.dim + k for t, tup in enumerate(space.tuples) for k in range(R.dim)
+             if R.carrier.degrees[k] - sum((A.degree(i) for i in tup), zero) == gamma]
+    cocycles = [v for v in cohomology_group(A, R, 2, r, gamma, "free").cocycle_basis
+                if set(v) <= set(block)]
+    others = [{c: one} for c in block
+              if linalg._sparse(coboundary_of_coords(A, R, space, {c: one}, r)[0])][::stride]
+    def verdict(coords):
+        E = semidirect(A, R, coords, gamma, r)
+        return E.check_grading().ok, E.check_jacobi().ok
+    return [verdict(v) for v in cocycles], [verdict(v) for v in others]
+
+
+@pytest.mark.parametrize("make, counts", [(sl2c_z2z2, (12, 12)), (heis_zeta3, (16, 4))])
+def test_homogeneous_2_cocycles_are_exactly_the_abelian_extensions(make, counts):
+    # a homogeneous free 2-cocycle at label gamma gives a graded color Hom-Lie
+    # algebra, and a homogeneous single-entry non-cocycle a graded algebra
+    # that fails Hom-Jacobi, at r = 0 and 1 and every gamma
+    A, found = make(), [0, 0]
+    for r, gamma in product((0, 1), A.basis.group.elements()):
+        cocycles, others = _extension_verdicts(A, r, gamma)
+        assert all(v == (True, True) for v in cocycles), (r, gamma.components)
+        assert all(v == (True, False) for v in others), (r, gamma.components)
+        found[0], found[1] = found[0] + len(cocycles), found[1] + len(others)
+    assert tuple(found) == counts
+
+
+def test_the_eps_shifted_action_on_the_twisted_clock3_extensions():
+    # gamma = (0,1), r = 0: the degree where the plain action rho in place of
+    # eps(gamma, .) rho breaks the cocycles; every fourth non-cocycle is checked
+    A = clock3_twisted()
+    cocycles, others = _extension_verdicts(A, 0, A.basis.group.element((0, 1)), stride=4)
+    assert cocycles == [(True, True)] * 8
+    assert others == [(True, False)] * 9  # of 36
 
 
 # -- cohomology groups -----------------------------------------------------------

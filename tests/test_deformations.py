@@ -18,7 +18,7 @@ from conftest import (assert_rotations_share_residuals, build_algebra, check_def
                       check_equivalence_direct, composition_failing_orders_direct, coord_index,
                       heis_zeta3, in_span, mat_add, mat_scale, motion_z2z3, phi_coefficient, sc,
                       series_product_direct, sl2c_z2z2, sl2c_z2z3, transport_bracket_direct,
-                      zeros)
+                      zero_algebra, zeros)
 
 
 def _alpha1(A):
@@ -97,6 +97,30 @@ def test_trivial_deformation_first_order():
     B = TruncatedBracket(A, 2, [A.bracket, _zero_term(A), _zero_term(A)])
     res = first_order_class(A, B)
     assert res["is_cocycle"] and res["class_is_zero"]
+    assert "warning" not in res and res["adjoint_convention"].startswith("r=0")
+
+
+def test_first_order_class_warns_on_a_singular_twist():
+    A = zero_algebra([2], [[0]], 2, [(0,), (1,)], alpha=[[1, 0], [0, 0]])
+    res = first_order_class(A, TruncatedBracket(A, 1, [A.bracket, _zero_term(A)]))
+    assert res["warning"].startswith("twist is singular") and "adjoint_convention" not in res
+    assert res["is_cocycle"] and res["class_is_zero"]
+
+
+def test_malformed_series_are_refused():
+    A = sl2c_z2z2()
+    with pytest.raises(DeformationError, match="order 1 needs 2 bracket terms, got 1"):
+        TruncatedBracket(A, 1, [A.bracket])
+    with pytest.raises(DeformationError, match="alpha_terms must be None or non-empty"):
+        TruncatedBracket(A, 0, [A.bracket], alpha_terms=[])
+    with pytest.raises(DeformationError, match="formal automorphism needs at least phi_0"):
+        FormalAutomorphism([])
+    base = TruncatedBracket(A, 0, [A.bracket])
+    with pytest.raises(DeformationError, match="first-order analysis needs order >= 1"):
+        first_order_class(A, base)
+    with pytest.raises(DeformationError, match="must share the truncation order"):
+        check_equivalence(A, base, TruncatedBracket(A, 1, [A.bracket, _zero_term(A)]),
+                          FormalAutomorphism([linalg.identity(A.dim, A.m)]))
 
 
 def test_composition_deformation_identity_series():

@@ -273,6 +273,17 @@ def test_completed_product_is_eps_commutative_under_asymmetric_eps():
         CycloScalar([-1, -1], 3)]
 
 
+def test_a_product_that_is_not_eps_commutative_is_reported_first():
+    A = parse_commutative_algebra_document(json.dumps(_z3z3_product_doc(
+        {"x,y": {"z": "1"}})))
+    cells = [[A.mu.of_basis(i, j) for j in range(A.dim)] for i in range(A.dim)]
+    cells[2][1] = cells[1][2]  # y.x = x.y, where eps(y,x) = zeta^2 asks zeta^2 z
+    B = CommutativeColorAlgebra(A.basis, A.eps, cells, A.m)
+    report = B.check_commutative_associative()
+    assert not report.ok and report.failures[0] == {"kind": "commutativity"}
+    assert report.failures[1:] == B.check_hom_associative().failures
+
+
 def test_product_either_order_gives_the_same_table():
     A = parse_commutative_algebra_document(json.dumps(_z3z3_product_doc(
         {"x,y": {"z": "1"}})))

@@ -151,6 +151,11 @@ def test_strict_even_filters_component_movers():
     assert len(strict) < len(relaxed)
     for f, even in strict:
         assert even and verify_morphism(A, f, strict_even=True)
+    # the endomorphisms that move a component are refused by strict_even alone
+    movers = [f for f, even in relaxed if not even]
+    assert len(movers) == len(relaxed) - len(strict) == 20
+    for f in movers:
+        assert verify_morphism(A, f) and not verify_morphism(A, f, strict_even=True)
 
 
 def test_enumeration_is_deterministic_and_lexicographic():

@@ -100,6 +100,8 @@ def test_alpha_s_adjoint_family():
     for a, b in zip(R_minus.rho, R_plus.rho):
         assert linalg.mat_eq(a, b)
     assert check_representation(A, R_minus).ok
+    with pytest.raises(ValueError, match="adjoint twist power must be >= -1"):
+        alpha_s_adjoint(A, -2)
 
 
 def test_alpha_s_adjoint_zero_bracket():

@@ -328,6 +328,48 @@ def test_hom_jordan_matches_quadruple_oracle(case):
     assert (got["hcj1"]["ok"], got["hcj2"]["ok"]) == verdicts
 
 
+def test_heis_zeta3_jordan_and_lattice_verdicts_are_pinned():
+    # the quasi-centroid of heis_zeta3 does not commute with alpha by default;
+    # these verdicts are pinned so that settling that default shows up as an
+    # intended change of output
+    import sympy
+    A = heis_zeta3()
+    J = quasi_centroid_jordan(A, max_power=2)
+    report = check_hom_jordan(J)
+    assert J.dim == 5 and report["hcj1"].ok and len(report["hcj2"].failures) == 162
+    [failure] = [f for f in report["hcj2"].failures if f["quadruple"] == [0, 0, 0, 2]]
+    assert failure["residual"] == ["0", "0", "[-34;-54]", "0", "0"]
+    # that residual again, by sympy over Q[x]/(x^2 + x + 1): the eps-weighted
+    # cyclic sum over (p, q, r) of as(e_p e_q, alpha e_z, alpha e_r) at z = 0
+    x, n = sympy.Symbol("x"), J.dim
+    def sym(c):
+        return sum(sympy.Rational(a, c.den) * x ** i for i, a in enumerate(c.num))
+    def reduce(expr):
+        return sympy.rem(sympy.expand(expr), x ** 2 + x + 1, x)
+    def mul(u, v):
+        return [reduce(sum(u[i] * v[j] * sym(J.table[i][j][k])
+                           for i in range(n) for j in range(n))) for k in range(n)]
+    def alpha(u):
+        return [reduce(sum(sym(J.alpha_action[k][i]) * u[i] for i in range(n)))
+                for k in range(n)]
+    def unit(i):
+        return [sympy.Integer(int(i == k)) for k in range(n)]
+    residual, d, z = [0] * n, J.degrees, 0
+    for p, q, r in ((0, 0, 2), (0, 2, 0), (2, 0, 0)):
+        u, v, w = mul(unit(p), unit(q)), alpha(unit(z)), alpha(unit(r))
+        e = sym(J.eps(d[r], d[p] + d[z]))
+        residual = [acc + e * (a - b) for acc, a, b in
+                    zip(residual, mul(mul(u, v), alpha(w)), mul(alpha(u), mul(v, w)))]
+    assert [reduce(c) for c in residual] == [0, 0, -54 * x - 34, 0, 0]
+    # the alpha-commuting quasi-centroid passes both laws
+    J = quasi_centroid_jordan(A, max_power=2, commute_with_alpha=True)
+    report = check_hom_jordan(J)
+    assert J.dim == 3 and report["hcj1"].ok and report["hcj2"].ok
+    lattice = check_inclusion_lattice(A, range(3), all_degrees(A))
+    assert {name: len(res.failures) for name, res in lattice.items()} == \
+        {"centroid_in_qder": 0, "centroid_compose_gder": 0, "qcentroid_brackets": 72}
+
+
 def sparse_random_jordan(seed, n):
     """A random sparse product and twist on n basis elements of heis_zeta3's
     grading, over Q(zeta_3).  Every square e_p.e_p is nonzero, so the
