@@ -18,7 +18,7 @@ _EXPORTS = {
     "morphisms_twists": "BudgetExceededError enumerate_morphisms twist verify_morphism",
     "representations": "Representation adjoint alpha_s_adjoint check_coadjoint_condition "
                        "check_module check_representation dual_representation",
-    "cohomology": "Cochain CochainSpace cochain_basis coboundary cohomology_group delta_matrix",
+    "cohomology": "Cochain CochainSpace cochain_basis cohomology_group delta_matrix",
     "hls_bracket": "CommutativeColorAlgebra SigmaDerivation annihilator check_ann_invariance "
                    "check_hls_jacobi check_sigma_derivation hls_bracket",
     "structure_theory": "HomogeneousMapSpace check_hom_jordan check_inclusion_lattice "

@@ -2,7 +2,7 @@
 
 Every bilinear table of the package (brackets, products, induced brackets)
 is a ``StructureConstants``.  A ``ColorHomAlgebra`` carries a homogeneous
-basis, a bi-character, a skew ``BracketTable`` and a twist matrix.
+basis, a bi-character, a skew ``BracketTable`` and a sparse twist matrix.
 Validation is reported, never enforced at construction: non-multiplicative
 algebras (and twisted algebras whose bracket leaves the original grading)
 are legal values everywhere except the few operations whose mathematics
@@ -16,7 +16,7 @@ from itertools import product
 
 from . import linalg
 from .linalg import _add_scaled, _combine, _product, _transpose
-from .scalars_grading import (BiCharacter, FiniteAbelianGroup,
+from .scalars_grading import (BiCharacter, CycloScalar, FiniteAbelianGroup,
                               GroupElement, format_scalar)
 
 
@@ -59,7 +59,8 @@ class StructureConstants:
     """A bilinear map by its structure constants on a basis of dim vectors.
 
     ``rows[(i, j)]`` is the image of (e_i, e_j) as ``{k: nonzero scalar}``; a
-    pair without a row maps to zero.  Input vectors may be dense or sparse.
+    pair without a row maps to zero.  Vectors and matrices are sparse, but
+    for the dense face ``bilinear``.
     """
 
     mirrored = False  # pairs with i > j follow from a commutation rule
@@ -90,11 +91,9 @@ class StructureConstants:
         return linalg.dense([self.rows.get((i, j), {})], self.dim, self.m)[0]
 
     def sparse_bilinear(self, u, v):
-        """The image of (u, v) as {k: nonzero scalar}.  A dense vector is made
-        sparse; a {k: scalar} one is read as it is."""
+        """The image of sparse vectors (u, v) as {k: nonzero scalar}."""
         acc, rows = {}, self.rows
-        v = v if isinstance(v, dict) else linalg._sparse(v)
-        for i, a in (u if isinstance(u, dict) else linalg._sparse(u)).items():
+        for i, a in u.items():
             for j, b in v.items():
                 row = rows.get((i, j))
                 if row is not None:
@@ -102,13 +101,13 @@ class StructureConstants:
         return acc
 
     def bilinear(self, u, v):
-        """The image of (u, v) as a dense coordinate vector."""
+        """The image of dense or sparse vectors (u, v) as a dense coordinate vector."""
+        u, v = (linalg.sparse([u, v]).get(r, {}) for r in (0, 1))
         return linalg.dense([self.sparse_bilinear(u, v)], self.dim, self.m)[0]
 
     def precompose(self, left, right) -> "StructureConstants":
-        """The plain table of (x, y) -> c(left x, right y) for matrices left,
-        right (read through ``linalg.sparse``)."""
-        left, right, acc = linalg.sparse(left), linalg.sparse(right), {}
+        """The plain table of (x, y) -> c(left x, right y) for matrices left, right."""
+        acc = {}
         for (a, b), row in self.rows.items():
             for i, l in left.get(a, {}).items():
                 for j, r in right.get(b, {}).items():
@@ -134,7 +133,7 @@ class StructureConstants:
 
     def compose_with(self, matrix) -> "StructureConstants":
         """Structure constants of matrix o (this map), under the same rule."""
-        out, cols = copy.copy(self), _transpose(linalg.sparse(matrix))
+        out, cols = copy.copy(self), _transpose(matrix)
         out.rows = {key: row for key in self.rows if (row := self.mapped_row(*key, cols))}
         return out
 
@@ -149,7 +148,7 @@ class StructureConstants:
     def endomorphism_failures(self, matrix):
         """The basis pairs (i, j), in row-major order, with matrix(c(e_i, e_j))
         != c(matrix e_i, matrix e_j), both sides formed on sparse columns."""
-        cols = _transpose(linalg.sparse(matrix))
+        cols = _transpose(matrix)
         for i, j in product(range(self.dim), repeat=2):
             if self.mapped_row(i, j, cols) != self.sparse_bilinear(cols.get(i, {}),
                                                                    cols.get(j, {})):
@@ -287,6 +286,7 @@ class AxiomReport:
 class ColorHomAlgebra:
     """Quadruple (basis/grading, bracket, bi-character, twist matrix).
 
+    The twist, dense or sparse, is stored once, as ``alpha_sparse(1)``.
     Treated as immutable once built: twist powers and solved spaces are kept
     on the instance, a module keeps its ``cohomology`` cochain complex over it.
     """
@@ -296,31 +296,27 @@ class ColorHomAlgebra:
         self.basis = basis
         self.eps = eps
         self.bracket = bracket
-        self.alpha = alpha
         self.m = m
         self.name = name
-        self._sparse_pows = {}  # k -> alpha^k in linalg's sparse form
+        self._sparse_pows = {1: linalg.sparse(alpha)}  # k -> alpha^k in linalg's sparse form
         self._spaces = {}       # (kind, k, gamma, commute) -> spanning matrices
         self._precomposed = {}  # k -> rows of [e_i, a^k e_y] and [a^k e_x, e_i]
         self._terms = {}        # (k, gamma) -> term tables
         self._commute, self._patterns = {}, {}  # gamma -> [D, alpha] rows; degree pattern
 
-    @property
-    def dim(self) -> int:
-        return self.basis.dim
+    dim = property(lambda self: self.basis.dim)
 
     def degree(self, i: int) -> GroupElement:
         return self.basis.degrees[i]
 
-    def alpha_power(self, k: int):
-        """alpha^k as a fresh dense matrix; negative k needs an invertible twist."""
-        return linalg.dense(self.alpha_sparse(k), self.dim, self.m)
+    alpha = property(lambda self: linalg.dense(self._sparse_pows[1], self.dim, self.m),
+                     doc="The twist as a fresh dense matrix.")
 
     def alpha_sparse(self, k: int):
-        """alpha^k in linalg's sparse form, formed once per k by repeated squaring."""
+        """alpha^k, formed once per k by repeated squaring and kept: never edit it."""
         if k not in self._sparse_pows:
-            if k in (0, 1):
-                power = linalg.sparse(linalg.identity(self.dim, self.m) if k == 0 else self.alpha)
+            if k == 0:
+                power = {i: {i: CycloScalar.one(self.m)} for i in range(self.dim)}
             elif k == -1:
                 try:
                     power = linalg.inverse(self.alpha_sparse(1), self.dim, self.m)
@@ -375,7 +371,7 @@ class ColorHomAlgebra:
     def check_multiplicative(self) -> CheckResult:
         """alpha[e_i, e_j] against [alpha e_i, alpha e_j], on sparse columns."""
         failures, cols = [], _transpose(self.alpha_sparse(1))
-        for i, j in self.bracket.endomorphism_failures(self.alpha):
+        for i, j in self.bracket.endomorphism_failures(self.alpha_sparse(1)):
             lhs, rhs = linalg.dense([self.bracket.mapped_row(i, j, cols),
                                      self.bracket.sparse_bilinear(cols.get(i, {}),
                                                                   cols.get(j, {}))],
@@ -397,7 +393,7 @@ class HomAssociativeColorAlgebra:
     """Graded algebra (mu, alpha) with the twisted associativity law.
 
     mu is a ``StructureConstants`` or a dense table mu[i][j] of the images
-    of (e_i, e_j).
+    of (e_i, e_j); the twist, dense or sparse, is kept sparse.
     """
 
     def __init__(self, basis: GradedBasis, eps: BiCharacter, mu, alpha, m: int):
@@ -405,18 +401,18 @@ class HomAssociativeColorAlgebra:
         self.eps = eps
         self.mu = mu if isinstance(mu, StructureConstants) else \
             StructureConstants.of_cells(mu, m)
-        self.alpha = alpha
+        self._alpha = linalg.sparse(alpha)
         self.m = m
 
-    @property
-    def dim(self):
-        return self.basis.dim
+    dim = property(lambda self: self.basis.dim)
+    alpha = property(lambda self: linalg.dense(self._alpha, self.dim, self.m),
+                     doc="The twist as a fresh dense matrix.")
 
     def check_hom_associative(self) -> CheckResult:
         """alpha(x).(y.z) = (x.y).alpha(z) on basis triples, from the rows of
         mu and the columns of alpha."""
         mu, rows = self.mu, self.mu.rows
-        alpha = _transpose(linalg.sparse(self.alpha))
+        alpha = _transpose(self._alpha)
         failures = [{"triple": [self.basis.names[t] for t in (x, y, z)]}
                     for x, y, z in product(range(self.dim), repeat=3)
                     if mu.sparse_bilinear(alpha.get(x, {}), rows.get((y, z), {}))
@@ -435,7 +431,7 @@ def commutator_algebra(H: HomAssociativeColorAlgebra) -> ColorHomAlgebra:
         raise NotHomAssociativeError(
             f"input is not Hom-associative; first failing triple: {assoc.failures[0]}")
     bracket = BracketTable(H.basis, H.eps, H.mu.commutator(H.basis.degrees, H.eps).rows, H.m)
-    return ColorHomAlgebra(H.basis, H.eps, bracket, H.alpha, H.m)
+    return ColorHomAlgebra(H.basis, H.eps, bracket, H._alpha, H.m)
 
 
 def derived_algebra(A: ColorHomAlgebra, n: int) -> ColorHomAlgebra:
@@ -450,5 +446,5 @@ def derived_algebra(A: ColorHomAlgebra, n: int) -> ColorHomAlgebra:
             f"derived Hom-algebra needs a multiplicative twist; witness: {mult.failures[0]}")
     power = (1 << n) - 1
     bracket = A.bracket.compose_with(A.alpha_sparse(power))
-    return ColorHomAlgebra(A.basis, A.eps, bracket, A.alpha_power(1 << n), A.m,
+    return ColorHomAlgebra(A.basis, A.eps, bracket, A.alpha_sparse(1 << n), A.m,
                            name=f"{A.name}^({n})" if A.name else "")

@@ -14,6 +14,7 @@ import sys
 
 # Every subcommand loads fileio (so algebra_core, morphisms_twists, representations
 # and scalars_grading); a handler imports the solver modules it runs itself.
+from . import linalg
 from .algebra_core import check_color_hom_lie, derived_algebra
 from .fileio import (ParseError, _parse_square, parse_algebra_file, parse_alpha_terms,
                      parse_bracket_terms, parse_commutative_algebra_file,
@@ -95,9 +96,9 @@ def cmd_twists(args) -> tuple:
     morphs = enumerate_morphisms(A, entry_set, strict_even=args.strict_even,
                                  budget=args.budget)
     items = [{"matrix": serialize_matrix(matrix), "even": even,
-              "invertible": morphism_is_invertible(matrix),
-              "twisted_bracket": A.bracket.compose_with(matrix).report(A.basis.names)}
-             for matrix, even in morphs]
+              "invertible": morphism_is_invertible(A, f),
+              "twisted_bracket": A.bracket.compose_with(f).report(A.basis.names)}
+             for matrix, even in morphs for f in [linalg.sparse(matrix)]]
     body = {"algebra": A.name, "entry_set": [str(s) for s in entry_set],
             "count": len(items), "morphisms": items}
     return body, True, f"twists: {len(items)} morphisms over {{{','.join(body['entry_set'])}}}"
@@ -173,7 +174,7 @@ def cmd_hls(args) -> tuple:
     delta_map = _matrix_arg(args.delta_map, C, "--delta-map")
     grade = _degree(C, args.grade) if args.grade else C.basis.group.zero()
     delta_scalar = parse_scalar(args.delta_scalar, C.m)
-    D = SigmaDerivation(sigma, delta_map, grade, delta_scalar)
+    D = SigmaDerivation(sigma, delta_map, grade, delta_scalar, C.dim, C.m)
     report = check_hls_jacobi(C, D)
     checks = ("sigma_endomorphism", "cd1", "cd2", "abc", "ijkl", "fgh", "mnop")
     body = {"algebra": args.algebra,

@@ -17,13 +17,13 @@ assembles each as a sparse matrix, term by term on basis tuples, once.
 If alpha keeps degrees and the bracket is graded, delta_gamma^n = D^(n+1)
 delta_0^n (D^n)^-1 with D^n scaling the tuple x by eps(gamma, |x|), so Z^n
 and B^n, solved at the first degree gamma_0 asked for, move to others by D.
-The compatible, cocycle and coboundary bases are sparse {coordinate:
-scalar} vectors, the dim H representatives dense lists.
-``coboundary_of_coords`` and ``CochainSpace.evaluate`` read either form and
-compute the same values through the multilinear extension without the
-complex; they are the independent path of ``reverify`` and the tests.  They
-accumulate sparse {carrier index: scalar} values, which ``evaluate`` and
-``evaluate_basis`` return; the coboundary comes back as dense coordinates.
+The compatible, cocycle and coboundary bases, the dim H representatives and
+every cochain read below are sparse {coordinate: scalar} vectors.
+``coboundary_of_coords`` and ``CochainSpace.evaluate`` compute the same
+values through the multilinear extension without the complex; they are the
+independent path of ``reverify`` and the tests.  They accumulate sparse
+{carrier index: scalar} values, which ``evaluate`` and ``evaluate_basis``
+return; the coboundary comes back as dense coordinates.
 
 ``cohomology_group`` exposes two kernel modes.  In "compatible" mode (the
 default) cocycles are computed inside the compatible subspace, which is the
@@ -38,7 +38,7 @@ from math import prod
 
 from . import linalg
 from .algebra_core import AlgebraStructureError, CheckResult, ColorHomAlgebra
-from .linalg import _add_scaled, _product, _sparse, _transpose
+from .linalg import _add_scaled, _product, _transpose
 from .representations import Representation, _rho_sum
 from .scalars_grading import CycloScalar, GroupElement, GroupMismatchError, _muladd, sort_with_sign
 
@@ -77,22 +77,20 @@ class CochainSpace:
         return len(self.compat_basis)
 
     def evaluate_basis(self, coords, indices):
-        """Value {carrier index: nonzero scalar} on a tuple of basis indices,
-        via the sorting sign; empty off the canonical tuples."""
+        """Value {carrier index: nonzero scalar} of the sparse coords on a tuple
+        of basis indices, via the sorting sign; empty off the canonical tuples."""
         A, mdim = self.algebra, self.module.dim
         sorted_tup, sign = sort_with_sign(indices, A.basis.degrees, A.eps)
         if sorted_tup not in self.positions:  # a repeat that every skew map kills
             return {}
         base = self.positions[sorted_tup] * mdim
-        block = ((k, coords.get(base + k)) for k in range(mdim)) if isinstance(coords, dict) \
-            else enumerate(coords[base:base + mdim])
-        return {k: sign * c for k, c in block if c is not None and any(c.num)}
+        return {k: sign * c for k in range(mdim) if (c := coords.get(base + k)) is not None}
 
     def evaluate(self, coords, vectors):
-        """Multilinear extension to dense or sparse coordinate-vector
-        arguments, summed over the products of their supports."""
+        """Multilinear extension to sparse coordinate-vector arguments,
+        summed over the products of their supports."""
         out = {}
-        for picks in product(*(_sparse(vec).items() for vec in vectors)):
+        for picks in product(*(vec.items() for vec in vectors)):
             coeff = None
             for _, c in picks:
                 coeff = c if coeff is None else coeff * c
@@ -103,12 +101,12 @@ class CochainSpace:
 class Cochain:
     __slots__ = ("space", "coords")
 
-    def __init__(self, space: CochainSpace, coords: list):
+    def __init__(self, space: CochainSpace, coords: dict):
         self.space = space
-        self.coords = coords  # free canonical coordinates
+        self.coords = coords  # sparse free canonical coordinates
 
     def is_zero(self) -> bool:
-        return not _sparse(self.coords)
+        return not self.coords
 
 
 # -- sparse operators assembled from basis terms ------------------------------
@@ -380,7 +378,7 @@ def coboundary_of_coords(A: ColorHomAlgebra, R: Representation, space: CochainSp
     Raises when r + n - 1 < 0 and the twist is singular (negative power).
     """
     n, gamma, mdim = space.n, space.gamma, R.dim
-    coords = _sparse(coords)
+    coords = linalg.sparse([coords]).get(0, {})
     target = CochainSpace(A, R, n + 1, gamma, canonical_tuples(A, n + 1), [])
     # alpha e_i and the columns of rho(alpha^(r+n-1) e_i), once per call
     alpha_img, rho = _transpose(A.alpha_sparse(1)), R.action[0]
@@ -409,11 +407,6 @@ def coboundary_of_coords(A: ColorHomAlgebra, R: Representation, space: CochainSp
     return linalg.dense([out], target.free_dim, A.m)[0], target
 
 
-def coboundary(A: ColorHomAlgebra, R: Representation, f: Cochain, r: int) -> Cochain:
-    coords, target = coboundary_of_coords(A, R, f.space, f.coords, r)
-    return Cochain(target, coords)
-
-
 def delta_matrix(A: ColorHomAlgebra, R: Representation, n: int, r: int,
                  gamma: GroupElement, domain: str = "free"):
     """Matrix of delta_r^n as columns over the chosen domain basis.
@@ -436,7 +429,7 @@ def delta_matrix(A: ColorHomAlgebra, R: Representation, n: int, r: int,
 
 class CohomologyResult:
     __slots__ = ("n", "r", "gamma", "restrict", "dim_Z", "dim_B", "dim_H",
-                 "cocycle_basis", "coboundary_basis", "representatives", "space")
+                 "cocycle_basis", "coboundary_basis", "_representatives", "space")
 
     def __init__(self, n: int, r: int, gamma: GroupElement, restrict: str,
                  dim_Z: int, dim_B: int, dim_H: int, cocycle_basis: list,
@@ -444,21 +437,28 @@ class CohomologyResult:
         self.n, self.r, self.gamma, self.restrict = n, r, gamma, restrict
         self.dim_Z, self.dim_B, self.dim_H = dim_Z, dim_B, dim_H
         self.cocycle_basis, self.coboundary_basis = cocycle_basis, coboundary_basis
-        self.representatives, self.space = representatives, space
+        self.space, self.representatives = space, representatives
+
+    @property
+    def representatives(self) -> list:
+        """The representatives, stored sparse, as fresh dense vectors; set dense or sparse."""
+        return linalg.dense(self._representatives, self.space.free_dim, self.space.algebra.m)
+
+    @representatives.setter
+    def representatives(self, vectors):
+        self._representatives = [linalg.sparse([v]).get(0, {}) for v in vectors]
 
     def to_dict(self):
         def cochain_dicts(vectors):
             out = []
-            mdim = self.space.module.dim
-            names = self.space.algebra.basis.names
+            mdim, tuples = self.space.module.dim, self.space.tuples
+            names, carrier = self.space.algebra.basis.names, self.space.module.carrier.names
             for v in vectors:
                 entry = {}
-                for t, tup in enumerate(self.space.tuples):
-                    vals = v[t * mdim:(t + 1) * mdim]
-                    if any(not c.is_zero() for c in vals):
-                        key = ",".join(names[i] for i in tup)
-                        entry[key] = {self.space.module.carrier.names[k]: str(c)
-                                      for k, c in enumerate(vals) if not c.is_zero()}
+                for c in sorted(v):
+                    t, k = divmod(c, mdim)
+                    entry.setdefault(",".join(names[i] for i in tuples[t]), {})[carrier[k]] = \
+                        str(v[c])
                 out.append(entry)
             return out
         return {
@@ -469,7 +469,7 @@ class CohomologyResult:
             "dim_Z": self.dim_Z,
             "dim_B": self.dim_B,
             "dim_H": self.dim_H,
-            "representatives": cochain_dicts(self.representatives),
+            "representatives": cochain_dicts(self._representatives),
         }
 
 
@@ -495,7 +495,7 @@ def cohomology_group(A: ColorHomAlgebra, R: Representation, n: int, r: int,
             "coboundary escaped the cocycle space; the complex is inconsistent here")
     space = cochain_basis(A, R, n, gamma)
     return CohomologyResult(n, r, gamma, restrict, len(Z), len(B), len(Z) - len(B),
-                            Z, B, linalg.dense(reps, space.free_dim, A.m), space)
+                            Z, B, reps, space)
 
 
 def reverify(A: ColorHomAlgebra, R: Representation, result: CohomologyResult) -> CheckResult:
@@ -503,11 +503,11 @@ def reverify(A: ColorHomAlgebra, R: Representation, result: CohomologyResult) ->
     coboundary 0 (multilinear path) and each representative is new mod B."""
     failures = [{"kind": kind, "index": i, "reason": "nonzero coboundary"}
                 for kind, vectors in (("cocycle", result.cocycle_basis),
-                                      ("representative", result.representatives))
+                                      ("representative", result._representatives))
                 for i, vec in enumerate(vectors)
-                if _sparse(coboundary_of_coords(A, R, result.space, vec, result.r)[0])]
+                if any(coboundary_of_coords(A, R, result.space, vec, result.r)[0])]
     quotient = linalg.Echelon(result.coboundary_basis)
     failures += [{"kind": "representative", "index": i,
                   "reason": "in the span of B and the earlier representatives"}
-                 for i, vec in enumerate(result.representatives) if not quotient.add(vec)]
+                 for i, vec in enumerate(result._representatives) if not quotient.add(vec)]
     return CheckResult(not failures, failures)

@@ -10,7 +10,7 @@ reads, for every s,
 
 which for a fixed twist is the usual convolution system and for a deformed
 twist is exactly what the composition construction satisfies.  Matrix series
-are kept sparse; ``alpha_terms`` and ``inverse_series`` give them dense.
+are taken dense or sparse and kept sparse; ``inverse_series`` returns dense.
 """
 from __future__ import annotations
 
@@ -46,16 +46,17 @@ class TruncatedBracket:
             raise DeformationError("alpha_terms must be None or non-empty")
         self.algebra, self.order = algebra, order
         self.terms = terms  # BracketTable per power of t; terms[0] = base bracket
-        self.alpha_terms = alpha_terms  # matrix series for the twist; None = fixed
+        # the sparse matrix series of the twist; None = fixed
+        self.alpha_terms = alpha_terms and [linalg.sparse(M) for M in alpha_terms]
         self.endomorphism_failing_orders = endomorphism_failing_orders or []
-        # the twist series alpha_0..alpha_order, sparse and zero-padded
-        self.alphas = _padded(alpha_terms or [algebra.alpha], order)
+        # the twist series alpha_0..alpha_order, zero-padded, sharing its matrices
+        self.alphas = _padded(self.alpha_terms or [algebra.alpha_sparse(1)], order)
 
     def skew_report(self) -> CheckResult:
         """``ColorHomAlgebra.check_skew`` run on every term's table."""
         A = self.algebra
         failures = [{"order": s, **failure} for s, table in enumerate(self.terms)
-                    for failure in ColorHomAlgebra(A.basis, A.eps, table, A.alpha,
+                    for failure in ColorHomAlgebra(A.basis, A.eps, table, A.alpha_sparse(1),
                                                    A.m).check_skew().failures]
         return CheckResult(not failures, failures)
 
@@ -99,7 +100,7 @@ def first_order_class(A: ColorHomAlgebra, B: TruncatedBracket) -> dict:
     image, _ = coboundary_of_coords(A, R, space, coords, r=0)
     is_cocycle = all(c.is_zero() for c in image)
     result = {"is_cocycle": is_cocycle}
-    if linalg.rank(A.alpha) == A.dim:
+    if linalg.rank(list(A.alpha_sparse(1).values())) == A.dim:
         result["adjoint_convention"] = "r=0; equals the inverse-twist adjoint pattern"
     else:
         result["warning"] = ("twist is singular; the inverse-twist adjoint "
@@ -119,29 +120,33 @@ class FormalAutomorphism:
     def __init__(self, phis: list):
         if not phis:
             raise DeformationError("formal automorphism needs at least phi_0")
-        self.phis = phis  # matrices phi_0, phi_1, ..., phi_k with phi_0 = Id
+        self.phis = [linalg.sparse(M) for M in phis]  # phi_0, phi_1, ... with phi_0 = Id
 
     def validate(self, A: ColorHomAlgebra) -> CheckResult:
         failures = []
-        if not linalg.mat_eq(self.phis[0], linalg.identity(A.dim, A.m)):
+        if self.phis[0] != A.alpha_sparse(0):
             failures.append({"kind": "phi0-not-identity"})
         failures += [{"kind": "not-even", "order": s, "entry": [i, j]}
-                     for s, mat in enumerate(self.phis) for i, row in linalg.sparse(mat).items()
+                     for s, mat in enumerate(self.phis) for i, row in mat.items()
                      for j in row if A.degree(i) != A.degree(j)]
         return CheckResult(not failures, failures)
 
-    def inverse_series(self, A: ColorHomAlgebra, order: int):
-        """psi with phi_t o psi_t = Id mod t^(order+1); needs phi_0 = Id."""
+    def _inverse(self, A: ColorHomAlgebra, order: int):
+        """The sparse psi with phi_t o psi_t = Id mod t^(order+1); needs phi_0 = Id."""
         phis = _padded(self.phis, order)
         psis = [A.alpha_sparse(0)]
         for s in range(1, order + 1):
             psis.append(_combine((-1, _product(phis[i], psis[s - i])) for i in range(1, s + 1)))
-        return [linalg.dense(psi, A.dim, A.m) for psi in psis]
+        return psis
+
+    def inverse_series(self, A: ColorHomAlgebra, order: int):
+        """psi with phi_t o psi_t = Id mod t^(order+1), dense; needs phi_0 = Id."""
+        return [linalg.dense(psi, A.dim, A.m) for psi in self._inverse(A, order)]
 
 
 def _padded(series, order: int):
-    """The coefficients 0..order of a matrix series, sparse, filled with {}."""
-    return [linalg.sparse(M) for M in series[:order + 1]] + [{}] * (order + 1 - len(series))
+    """The coefficients 0..order of a sparse matrix series, filled with {}."""
+    return series[:order + 1] + [{}] * (order + 1 - len(series))
 
 
 def _series_product(f, g):
@@ -199,7 +204,7 @@ def transport_bracket(A: ColorHomAlgebra, B1: TruncatedBracket,
         raise DeformationError(f"transport needs a skew deformation: {skew.failures[0]}")
     k = B1.order
     phis = _padded(phi.phis, k)
-    psis = _padded(phi.inverse_series(A, k), k)
+    psis = phi._inverse(A, k)
     # inner[u](x, y) = sum_(b+c+d=u) [psi_b x, psi_c y]_d
     inner = [reduce(add, (B1.terms[u - b - c].precompose(psis[b], psis[c])
                           for b in range(u + 1) for c in range(u - b + 1)))
@@ -211,7 +216,7 @@ def transport_bracket(A: ColorHomAlgebra, B1: TruncatedBracket,
         new_terms.append(BracketTable(A.basis, A.eps, {
             (i, j): row for (i, j), row in table.rows.items() if i <= j}, A.m))
     new_alpha = _series_product(_series_product(phis, B1.alphas), psis)
-    return TruncatedBracket(A, k, new_terms, [linalg.dense(a, A.dim, A.m) for a in new_alpha])
+    return TruncatedBracket(A, k, new_terms, new_alpha)
 
 
 def composition_deformation(L: ColorHomAlgebra, alphas, order: int = None,
@@ -228,12 +233,13 @@ def composition_deformation(L: ColorHomAlgebra, alphas, order: int = None,
     """
     if derived < 0:
         raise DeformationError("derived level must be non-negative")
-    if not linalg.mat_eq(L.alpha, linalg.identity(L.dim, L.m)):
+    if L.alpha_sparse(1) != L.alpha_sparse(0):
         raise DeformationError("composition deformation starts from an untwisted algebra")
     if order is None:
         order = len(alphas) - 1
     # the bracket as the constant series [.,.] + 0 t + 0 t^2 + ...
     terms = [L.bracket] + [StructureConstants(L.dim, L.m, {})] * order
+    alphas = [linalg.sparse(M) for M in alphas]
     series = _padded(alphas, order)
     failing_orders = [s for s, pairs in _morphism_failures(series, terms, terms, order) if pairs]
     if failing_orders and require_endomorphism:
@@ -248,4 +254,4 @@ def composition_deformation(L: ColorHomAlgebra, alphas, order: int = None,
     for _ in range(derived):
         power = _series_product(power, power)
     return TruncatedBracket(base, order, [L.bracket.compose_with(a) for a in power],
-                            [linalg.dense(a, L.dim, L.m) for a in power], failing_orders)
+                            power, failing_orders)

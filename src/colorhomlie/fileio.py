@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 
-from . import linalg
 from .algebra_core import (BracketTable, ColorHomAlgebra, GradedBasis,
                            StructureConstants, _complete)
 from .morphisms_twists import BUDGET_ENV_VAR, current_budget
@@ -161,7 +160,7 @@ def parse_algebra_document(text: str) -> ColorHomAlgebra:
     if "alpha" in doc:
         alpha = _parse_square(doc["alpha"], basis.dim, m, text, "alpha")
     else:
-        alpha = linalg.identity(basis.dim, m)
+        alpha = {i: {i: CycloScalar.one(m)} for i in range(basis.dim)}
     return ColorHomAlgebra(basis, eps, bracket, alpha, m,
                            name=str(doc.get("name", "")))
 

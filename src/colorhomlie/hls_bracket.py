@@ -25,7 +25,7 @@ class CommutativeColorAlgebra(HomAssociativeColorAlgebra):
     algebra whose twist is the identity."""
 
     def __init__(self, basis: GradedBasis, eps: BiCharacter, mu, m: int):
-        super().__init__(basis, eps, mu, linalg.identity(basis.dim, m), m)
+        super().__init__(basis, eps, mu, {i: {i: CycloScalar.one(m)} for i in range(basis.dim)}, m)
 
     def check_commutative_associative(self) -> CheckResult:
         assoc = self.check_hom_associative()
@@ -35,17 +35,23 @@ class CommutativeColorAlgebra(HomAssociativeColorAlgebra):
 
 
 class SigmaDerivation:
-    __slots__ = ("sigma", "delta_map", "grade_d", "delta_scalar")
+    __slots__ = ("maps", "grade_d", "delta_scalar", "size", "m")
 
-    def __init__(self, sigma: list, delta_map: list, grade_d: GroupElement,
-                 delta_scalar: CycloScalar):
-        # sigma: an even algebra endomorphism; delta_map: the twisted
-        # derivation, of degree grade_d; both are matrices
-        self.sigma, self.delta_map, self.grade_d = sigma, delta_map, grade_d
-        self.delta_scalar = delta_scalar
+    def __init__(self, sigma, delta_map, grade_d: GroupElement, delta_scalar: CycloScalar,
+                 size: int, m: int):
+        # sigma: an even algebra endomorphism; delta_map: the twisted derivation of
+        # degree grade_d; size x size, dense or sparse, kept once, sparse, as maps
+        self.maps = tuple(linalg.sparse(M) for M in (sigma, delta_map))
+        self.grade_d, self.delta_scalar = grade_d, delta_scalar
+        self.size, self.m = size, m
+
+    # fresh dense copies of sigma and Delta
+    sigma = property(lambda self: linalg.dense(self.maps[0], self.size, self.m))
+    delta_map = property(lambda self: linalg.dense(self.maps[1], self.size, self.m))
 
 
 def check_sigma_endomorphism(A: CommutativeColorAlgebra, sigma) -> CheckResult:
+    """sigma [x, y] = [sigma x, sigma y] on basis pairs, for a sparse sigma."""
     failures = [{"pair": [i, j]} for i, j in A.mu.endomorphism_failures(sigma)]
     return CheckResult(not failures, failures)
 
@@ -58,7 +64,7 @@ def _strings(A: CommutativeColorAlgebra, **vectors):
 
 def check_sigma_derivation(A: CommutativeColorAlgebra, D: SigmaDerivation) -> dict:
     """Degree pattern (CD1) and the twisted Leibniz rule (CD2), exhaustively."""
-    sigma, delta = (_transpose(linalg.sparse(M)) for M in (D.sigma, D.delta_map))
+    sigma, delta = (_transpose(M) for M in D.maps)
     degrees, names = A.basis.degrees, A.basis.names
     cd1_failures = [{"from": names[j], "to": names[i]} for j, col in sorted(delta.items())
                     for i in col if degrees[i] != degrees[j] + D.grade_d]
@@ -73,36 +79,38 @@ def check_sigma_derivation(A: CommutativeColorAlgebra, D: SigmaDerivation) -> di
             cd2_failures.append({"pair": [names[i], names[j]],
                                  **_strings(A, lhs=lhs, rhs=rhs)})
     return {
-        "sigma_endomorphism": check_sigma_endomorphism(A, D.sigma),
+        "sigma_endomorphism": check_sigma_endomorphism(A, D.maps[0]),
         "cd1": CheckResult(not cd1_failures, cd1_failures),
         "cd2": CheckResult(not cd2_failures, cd2_failures),
     }
 
 
 def annihilator(A: CommutativeColorAlgebra, D: SigmaDerivation):
-    """Basis of Ann(Delta) = {a : a . Delta = 0 as an operator on A}: one
-    equation row per (w, component) of e_a . Delta(e_w) over the unknowns a."""
-    one, delta, rows = CycloScalar.one(A.m), _transpose(linalg.sparse(D.delta_map)), {}
+    """rref basis of Ann(Delta) = {a : a . Delta = 0 as an operator on A}, as
+    sparse vectors: one equation row per (w, component) of e_a . Delta(e_w)
+    over the unknowns a."""
+    one, delta, rows = CycloScalar.one(A.m), _transpose(D.maps[1]), {}
     for w, a in product(range(A.dim), repeat=2):
         for comp, c in A.mu.sparse_bilinear({a: one}, delta.get(w, {})).items():
             rows.setdefault((w, comp), {})[a] = c
-    return linalg.dense(linalg.sparse_kernel_basis(list(rows.values()), A.dim, A.m),
-                        A.dim, A.m)
+    return linalg.sparse_kernel_basis(list(rows.values()), A.dim, A.m)
 
 
 def _invariant(ann: linalg.Echelon, sigma) -> bool:
-    """sigma(span ann) <= span ann: the rows of ann sigma^T lie in span ann."""
-    images = _product(ann.rows, _transpose(linalg.sparse(sigma)))
+    """sigma(span ann) <= span ann for a sparse sigma: the rows of ann
+    sigma^T lie in span ann."""
+    images = _product(ann.rows, _transpose(sigma))
     return all(v in ann for v in images.values())
 
 
 def check_ann_invariance(A: CommutativeColorAlgebra, D: SigmaDerivation) -> bool:
     """sigma(Ann) <= Ann."""
-    return _invariant(linalg.Echelon(annihilator(A, D)), D.sigma)
+    return _invariant(linalg.Echelon(annihilator(A, D)), D.maps[0])
 
 
 class QuotientSpace:
-    """A / span(ann), a class represented by its reduction against ``ann``."""
+    """A / span(ann), a class represented by its reduction against ``ann``,
+    sparse vectors such as ``annihilator`` returns."""
 
     def __init__(self, A: CommutativeColorAlgebra, ann_basis):
         self.A = A
@@ -115,7 +123,7 @@ class QuotientSpace:
         the first call for D and kept for later calls with the same D."""
         if self._induced is None or self._induced[0] is not D:
             A = self.A
-            table = A.mu.precompose(D.sigma, D.delta_map).commutator(A.basis.degrees, A.eps)
+            table = A.mu.precompose(*D.maps).commutator(A.basis.degrees, A.eps)
             self._induced = (D, StructureConstants(A.dim, A.m, {
                 key: self.ann._reduce(row) for key, row in table.rows.items()}))
         return self._induced[1]
@@ -138,14 +146,14 @@ def hls_bracket(A: CommutativeColorAlgebra, D: SigmaDerivation, x, y):
     check ``check_ann_invariance(A, D)`` once, build ``QuotientSpace(A,
     annihilator(A, D))`` once, and call ``hls_bracket_element`` with it."""
     quotient = QuotientSpace(A, annihilator(A, D))
-    if not _invariant(quotient.ann, D.sigma):
+    if not _invariant(quotient.ann, D.maps[0]):
         raise HLSError("sigma(Ann) <= Ann fails; the bracket is not well defined")
     return hls_bracket_element(A, D, x, y, quotient)
 
 
 def check_ijkl(A: CommutativeColorAlgebra, D: SigmaDerivation) -> CheckResult:
     """Delta(sigma(x)) = delta . sigma(Delta(x)) on the basis."""
-    sigma, delta = linalg.sparse(D.sigma), linalg.sparse(D.delta_map)
+    sigma, delta = D.maps
     # column i of Delta o sigma against column i of delta sigma o Delta
     lhs = _transpose(_product(delta, sigma))
     rhs = _transpose(_combine([(D.delta_scalar, _product(sigma, delta))]))
@@ -169,7 +177,7 @@ def check_mnop(A: CommutativeColorAlgebra, D: SigmaDerivation,
     cyclic residual with outer(x, w) = [(sigma + delta Id)(x).Delta, w]."""
     H = quotient.induced_table(D)
     I = {i: {i: CycloScalar.one(A.m)} for i in range(A.dim)}
-    outer = H.precompose(_combine([(None, linalg.sparse(D.sigma)), (D.delta_scalar, I)]), I)
+    outer = H.precompose(_combine([(None, D.maps[0]), (D.delta_scalar, I)]), I)
     failures = cyclic_failures([(outer, H)], A.basis, A.eps)
     return CheckResult(not failures, failures)
 
@@ -182,7 +190,7 @@ def check_hls_jacobi(A: CommutativeColorAlgebra, D: SigmaDerivation) -> dict:
     base = check_sigma_derivation(A, D)
     ann = annihilator(A, D)
     quotient = QuotientSpace(A, ann)
-    invariance = _invariant(quotient.ann, D.sigma)
+    invariance = _invariant(quotient.ann, D.maps[0])
     report = dict(base)
     report["abc"] = CheckResult(invariance, [] if invariance else
                                 [{"reason": "sigma image escapes the annihilator"}])

@@ -4,18 +4,15 @@ Inside the engine a matrix has one form, {row: {column: nonzero scalar}}
 without empty rows, and a vector is {index: nonzero scalar}; the columns of
 a matrix (the images of the basis vectors) are the rows of its
 ``_transpose``, and ``_product`` and ``_combine`` are its product and its
-linear combinations.  Dense lists of lists of ``CycloScalar`` stay at the
-edges: parsed files, public values (a twist, a representation, a spanning
-matrix, a series coefficient) and reports.  ``sparse`` is the one way in,
-applied once to a matrix that a public entry point receives, and ``dense``
-the one way out.  A dict handed to a kernel is zero-free, and each kernel
-keeps its output so by dropping an entry where it cancels: only dense rows
-are filtered, at the edge.  The dense kernels left serve those edges only:
-
-* ``identity``: the public identity twist, and the phi_0 = alpha_0 = Id checks;
-* ``mat_mul``: the dense face of ``_product``, for the twisted twists and
-  the other products of public matrices;
-* ``transpose`` and ``mat_eq``: public matrices turned or compared as given.
+linear combinations.  Every object that owns an operator (a twist, a
+representation, a sigma-derivation, a spanning matrix, a series
+coefficient) stores it in this form only.  ``sparse`` is the one way in,
+called once by the constructor that receives a matrix in either form, and
+``dense`` the one way out, for files, reports and the read-only dense
+views.  A dict handed to a kernel is zero-free, and each kernel keeps its
+output so by dropping an entry where it cancels; no kernel reads a dense
+row.  ``mat_mul`` is the one dense product, a face of ``_product`` for
+callers that hold dense lists.
 
 Elimination is Gauss-Jordan with exact division and canonical pivot
 normalization.  The reduced row echelon form is unique over a field, and
@@ -32,11 +29,6 @@ from __future__ import annotations
 from .scalars_grading import CycloScalar, ScalarError, _muladd
 
 
-def identity(n: int, m: int):
-    z, o = CycloScalar.zero(m), CycloScalar.one(m)
-    return [[o if i == j else z for j in range(n)] for i in range(n)]
-
-
 def mat_mul(A, B):
     """A B on dense lists, the dense face of ``_product``."""
     p = len(B[0]) if B else 0
@@ -45,22 +37,6 @@ def mat_mul(A, B):
         raise ScalarError(f"mixed cyclotomic orders {A[0][0].root_order} and {m}")
     P = _product(sparse(A), sparse(B))
     return dense([P.get(r, {}) for r in range(len(A))], p, m)
-
-
-def transpose(M):
-    return [list(col) for col in zip(*M)] if M else []
-
-
-def mat_eq(A, B):
-    return len(A) == len(B) and all(
-        len(ra) == len(rb) and all((a - b).is_zero() for a, b in zip(ra, rb))
-        for ra, rb in zip(A, B))
-
-
-def _sparse(row):
-    """A dense or sparse vector as a fresh {index: nonzero scalar} dict."""
-    items = row.items() if isinstance(row, dict) else enumerate(row)
-    return {c: a for c, a in items if any(a.num)}
 
 
 def _add_scaled(acc, coeff, row):
@@ -86,7 +62,9 @@ def sparse(M):
     """A dense matrix (a list of rows), or a sparse one, in the sparse form:
     fresh rows without zero entries, and no empty rows."""
     rows = M.items() if isinstance(M, dict) else enumerate(M)
-    return {r: kept for r, row in rows if (kept := _sparse(row))}
+    return {r: kept for r, row in rows if (kept := {
+        c: a for c, a in (row.items() if isinstance(row, dict) else enumerate(row))
+        if any(a.num)})}
 
 
 def dense(vectors, length: int, m: int):
@@ -149,9 +127,9 @@ class Echelon:
             self.add(vec)
 
     def _reduce(self, vec):
-        """vec as a fresh sparse dict, reduced in one pass against every pivot:
-        empty exactly when vec lies in the span."""
-        v, rows = dict(vec) if isinstance(vec, dict) else _sparse(vec), self.rows
+        """The sparse vec as a fresh dict, reduced in one pass against every
+        pivot: empty exactly when vec lies in the span."""
+        v, rows = dict(vec), self.rows
         for p, f in [(p, -v[p]) for p in v if p in rows]:
             _add_scaled(v, f, rows[p])
         return v
@@ -187,9 +165,9 @@ class Echelon:
 
 
 def rref(rows):
-    """Reduced row echelon form of dense or zero-free sparse rows: (rows, pivot_cols),
+    """Reduced row echelon form of zero-free sparse rows: (rows, pivot_cols),
     the nonzero rows as sparse dicts sorted by pivot column.  It is unique
-    over a field, so neither the row order nor the row type changes it."""
+    over a field, so the row order does not change it."""
     echelon = Echelon(rows).rows
     pivots = sorted(echelon)
     return [echelon[c] for c in pivots], pivots
@@ -201,13 +179,12 @@ def rank(rows) -> int:
 
 def sparse_kernel_basis(M, ncols: int, m: int):
     """rref(ker M): the reduced row echelon basis of {v : M v = 0}, sparse
-    vectors sorted by leading column; M is a list of dense or zero-free
-    sparse equation rows.  M is eliminated once, with its columns reversed,
+    vectors sorted by leading column; M is a list of zero-free sparse
+    equation rows.  M is eliminated once, with its columns reversed,
     so each vector is 1 at its own free column, its leftmost nonzero, and
     otherwise nonzero only at pivot columns, where no vector leads."""
     last = ncols - 1
-    red, pivots = rref([{last - c: a for c, a in (row if isinstance(row, dict)
-                                                  else _sparse(row)).items()} for row in M])
+    red, pivots = rref([{last - c: a for c, a in row.items()} for row in M])
     o = CycloScalar.one(m)
     pivot_set = set(pivots)
     basis = {fc: {last - fc: o} for fc in range(last, -1, -1) if fc not in pivot_set}

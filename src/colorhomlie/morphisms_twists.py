@@ -3,6 +3,7 @@
 Matrices act in the column convention: the image of the j-th basis vector is
 the j-th column.  Twisting composes the bracket with an algebra endomorphism
 and multiplies the twist map from the left (new twist = beta . alpha).
+The checks read sparse matrices; ``enumerate_morphisms`` returns dense ones.
 """
 from __future__ import annotations
 
@@ -11,7 +12,7 @@ import os
 from itertools import product
 
 from . import linalg
-from .linalg import _add_scaled
+from .linalg import _add_scaled, _product
 from .algebra_core import AlgebraStructureError, ColorHomAlgebra
 
 DEFAULT_BUDGET = 10 ** 8
@@ -28,12 +29,11 @@ class NotAMorphismError(AlgebraStructureError):
 
 def _is_even(A: ColorHomAlgebra, matrix) -> bool:
     """Even = maps each graded component into itself (sparsity vs degrees)."""
-    return all(A.degree(i) == A.degree(j)
-               for i, row in linalg.sparse(matrix).items() for j in row)
+    return all(A.degree(i) == A.degree(j) for i, row in matrix.items() for j in row)
 
 
 def verify_morphism(A: ColorHomAlgebra, f, strict_even: bool = False) -> bool:
-    """f([x,y]) = [f(x), f(y)] on all ordered basis pairs.
+    """f([x,y]) = [f(x), f(y)] on all ordered basis pairs, for a sparse f.
 
     All ordered pairs are needed: for maps that move vectors across graded
     components the skew rule does not transport the (i,j) identity to (j,i).
@@ -44,11 +44,12 @@ def verify_morphism(A: ColorHomAlgebra, f, strict_even: bool = False) -> bool:
 
 
 def twist(A: ColorHomAlgebra, beta, name: str = "") -> ColorHomAlgebra:
-    """Yau twist: bracket beta o [.,.] with twist map beta . alpha."""
+    """Yau twist: bracket beta o [.,.] with twist map beta . alpha; beta dense or sparse."""
+    beta = linalg.sparse(beta)
     if not verify_morphism(A, beta):
         raise NotAMorphismError("twist requires a verified algebra endomorphism")
     return ColorHomAlgebra(A.basis, A.eps, A.bracket.compose_with(beta),
-                           linalg.mat_mul(beta, A.alpha), A.m, name=name)
+                           _product(beta, A.alpha_sparse(1)), A.m, name=name)
 
 
 def current_budget(budget=None) -> int:
@@ -83,8 +84,8 @@ def enumerate_morphisms(A: ColorHomAlgebra, entry_set, strict_even: bool = False
     if total > limit:
         raise BudgetExceededError(
             f"{len(entries)}^{n * n} = {total} candidates exceed budget {limit}")
-    columns = [list(col) for col in product(entries, repeat=n)]
-    sparse = [linalg._sparse(col) for col in columns]
+    columns = list(product(entries, repeat=n))
+    sparse = [{k: c for k, c in enumerate(col) if any(c.num)} for col in columns]
     even = [{p for p, col in enumerate(sparse) if all(A.degree(k) == A.degree(d) for k in col)}
             for d in range(n)]
     # per column d, the pairs checked once it is fixed, and those that need it alone
@@ -133,5 +134,6 @@ def enumerate_morphisms(A: ColorHomAlgebra, entry_set, strict_even: bool = False
                   key=lambda f: tuple(entries.index(c) for row in f[0] for c in row))
 
 
-def morphism_is_invertible(matrix) -> bool:
-    return linalg.rank(matrix) == len(matrix)
+def morphism_is_invertible(A: ColorHomAlgebra, matrix) -> bool:
+    """Whether the sparse matrix has full rank A.dim."""
+    return linalg.rank(list(matrix.values())) == A.dim

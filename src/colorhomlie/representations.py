@@ -1,8 +1,9 @@
 """Modules and representations of a color Hom-Lie algebra.
 
 A representation stores one carrier-space matrix per algebra basis vector
-(column convention) plus the carrier twist beta.  The adjoint family ad_s
-acts by x -> [alpha^s(a), x]; s = -1 needs an invertible twist.
+(column convention) plus the carrier twist beta, each once, sparse; ``rho``
+and ``beta`` are fresh dense copies.  The adjoint family ad_s acts by
+x -> [alpha^s(a), x]; s = -1 needs an invertible twist.
 """
 from __future__ import annotations
 
@@ -16,19 +17,20 @@ from .scalars_grading import CycloScalar
 
 
 class Representation:
-    __slots__ = ("carrier", "rho", "beta", "m", "action", "_cochain_complexes", "__weakref__")
+    __slots__ = ("carrier", "m", "action", "_cochain_complexes", "__weakref__")
 
-    def __init__(self, carrier: GradedBasis, rho: list, beta: list, m: int):
-        # rho[i] is the matrix of rho(e_i) on the carrier
-        self.carrier, self.rho, self.beta, self.m = carrier, rho, beta, m
-        # (rho(e_i) per i, beta) in linalg's sparse form, formed once here, so
-        # R must not be mutated after construction
-        self.action = ([linalg.sparse(mat) for mat in rho], linalg.sparse(beta))
+    def __init__(self, carrier: GradedBasis, rho: list, beta, m: int):
+        # rho[i], dense or sparse, is the matrix of rho(e_i) on the carrier;
+        # action = (rho(e_i) per i, beta), sparse, is the only copy
+        self.carrier, self.m = carrier, m
+        *rho, beta = (linalg.sparse(mat) for mat in (*rho, beta))
+        self.action = (rho, beta)
         self._cochain_complexes = {}  # algebra -> cohomology._Complex
 
-    @property
-    def dim(self) -> int:
-        return self.carrier.dim
+    dim = property(lambda self: self.carrier.dim)
+    # fresh dense copies of rho(e_i) and beta
+    rho = property(lambda self: [linalg.dense(M, self.dim, self.m) for M in self.action[0]])
+    beta = property(lambda self: linalg.dense(self.action[1], self.dim, self.m))
 
 
 def _rho_sum(rho, vec):
@@ -86,9 +88,9 @@ def alpha_s_adjoint(A: ColorHomAlgebra, s: int) -> Representation:
         raise ValueError("adjoint twist power must be >= -1")
     # the columns [alpha^s e_i, e_j] of rho(e_i) are rows of the precomposed bracket
     table = A.bracket.precompose(A.alpha_sparse(s), A.alpha_sparse(0)).rows
-    rho = [linalg.transpose(linalg.dense([table.get((i, j), {}) for j in range(A.dim)],
-                                         A.dim, A.m)) for i in range(A.dim)]
-    return Representation(A.basis, rho, A.alpha, A.m)
+    rho = [_transpose({j: row for j in range(A.dim) if (row := table.get((i, j)))})
+           for i in range(A.dim)]
+    return Representation(A.basis, rho, A.alpha_sparse(1), A.m)
 
 
 def adjoint(A: ColorHomAlgebra) -> Representation:
@@ -130,5 +132,6 @@ def dual_representation(A: ColorHomAlgebra, R: Representation) -> Representation
     dual_degrees = tuple(-d for d in R.carrier.degrees)
     dual_basis = GradedBasis(tuple(n + "*" for n in R.carrier.names),
                              dual_degrees, R.carrier.group)
-    rho = [[[-a for a in row] for row in linalg.transpose(mat)] for mat in R.rho]
-    return Representation(dual_basis, rho, linalg.transpose(R.beta), R.m)
+    rho = [{r: {c: -a for c, a in row.items()} for r, row in _transpose(mat).items()}
+           for mat in R.action[0]]
+    return Representation(dual_basis, rho, _transpose(R.action[1]), R.m)

@@ -20,17 +20,18 @@ KINDS = ("der", "gder", "qder", "centroid", "qcentroid")
 
 
 class HomogeneousMapSpace:
-    __slots__ = ("kind", "k", "gamma", "basis", "commute")
+    __slots__ = ("kind", "k", "gamma", "_basis", "size", "m", "commute")
 
-    def __init__(self, kind: str, k: int, gamma: GroupElement, basis: list,
-                 commute: bool = False):
+    def __init__(self, kind: str, k: int, gamma: GroupElement, basis: list, size: int,
+                 m: int, commute: bool = False):
         self.kind, self.k, self.gamma = kind, k, gamma
-        self.basis = basis  # spanning matrices
+        # the spanning size x size matrices, dense or sparse, kept sparse only
+        self._basis, self.size, self.m = [linalg.sparse(M) for M in basis], size, m
         self.commute = commute  # [D, alpha] = 0 is part of the definition
 
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
+    dim = property(lambda self: len(self._basis))
+    basis = property(lambda self: [linalg.dense(M, self.size, self.m) for M in self._basis],
+                     doc="The spanning matrices as fresh dense copies.")
 
 
 def degree_pattern(A: ColorHomAlgebra, gamma: GroupElement):
@@ -44,8 +45,8 @@ def degree_pattern(A: ColorHomAlgebra, gamma: GroupElement):
 
 
 def _flat(M):
-    """A dense or sparse matrix as the vector {(i, j): nonzero scalar}."""
-    return {(i, j): c for i, row in linalg.sparse(M).items() for j, c in row.items()}
+    """A sparse matrix as the vector {(i, j): nonzero scalar}."""
+    return {(i, j): c for i, row in M.items() for j, c in row.items()}
 
 
 def _anticommutator(X, Y, e):
@@ -53,13 +54,13 @@ def _anticommutator(X, Y, e):
     return _combine([(None, _product(X, Y)), (e, _product(Y, X))])
 
 
-def _pattern_matrix(A: ColorHomAlgebra, pattern, coeffs):
-    """The dense matrix with coeffs[t] ({t: nonzero scalar}) at pattern[t]."""
+def _pattern_matrix(pattern, coeffs):
+    """The sparse matrix with coeffs[t] ({t: nonzero scalar}) at pattern[t]."""
     rows = {}
     for t, c in coeffs.items():
         i, j = pattern[t]
         rows.setdefault(i, {})[j] = c
-    return linalg.dense(rows, A.dim, A.m)
+    return rows
 
 
 def _commute_rows(A: ColorHomAlgebra, gamma: GroupElement, pattern, blocks: int):
@@ -79,7 +80,7 @@ def _commute_rows(A: ColorHomAlgebra, gamma: GroupElement, pattern, blocks: int)
                 cell = cells.setdefault((a, j), {})
                 cell[t] = cell[t] - v if t in cell else -v
         A._commute[gamma] = [row for key in sorted(cells)
-                             if (row := linalg._sparse(cells[key]))]
+                             if (row := {t: v for t, v in cells[key].items() if any(v.num)})]
     rows, n = A._commute[gamma], len(pattern)
     return rows + [{block * n + t: v for t, v in row.items()}
                    for block in range(1, blocks) for row in rows]
@@ -172,7 +173,8 @@ def solve_space(A: ColorHomAlgebra, kind: str, k: int, gamma: GroupElement,
     """The space of the given kind (one of KINDS) at twist power k and degree
     gamma.  commute_with_alpha=None takes the kind's default, [D, alpha] = 0
     for all but qcentroid; only centroid and qcentroid accept the other value.
-    Solved once per (kind, k, gamma, commute) and kept on A; returned fresh."""
+    Solved once per (kind, k, gamma, commute) and kept on A, sparse; the
+    space holds a fresh copy."""
     if kind not in _COMMUTE:
         raise ValueError(f"unknown space kind {kind!r}")
     if k < 0:
@@ -188,10 +190,9 @@ def solve_space(A: ColorHomAlgebra, kind: str, k: int, gamma: GroupElement,
             # rref(ker) on the D block: vectors leading past it vanish, the rest stay rref
             flats = [{t: c for t, c in v.items() if t < nD}
                      for v in linalg.sparse_kernel_basis(rows, nvars, A.m)]
-            mats = [_pattern_matrix(A, pattern, v) for v in flats if v]
+            mats = [_pattern_matrix(pattern, v) for v in flats if v]
         A._spaces[key] = mats
-    return HomogeneousMapSpace(kind, k, gamma, [[list(row) for row in M]
-                                                for M in A._spaces[key]], commute)
+    return HomogeneousMapSpace(kind, k, gamma, A._spaces[key], A.dim, A.m, commute)
 
 
 def reverify_space(A: ColorHomAlgebra, space: HomogeneousMapSpace) -> CheckResult:
@@ -207,10 +208,9 @@ def reverify_space(A: ColorHomAlgebra, space: HomogeneousMapSpace) -> CheckResul
     # a^k e_x as sparse columns and eps(gamma, x), formed once per space
     ak_e = _transpose(A.alpha_sparse(space.k))
     eps = [A.eps(space.gamma, A.degree(x)) for x in range(A.dim)]
-    failures = []
-    for D in space.basis:
-        if not _direct_identity_holds(A, space, D, commute, ak_e, eps):
-            failures.append({"matrix": [[str(c) for c in row] for row in D]})
+    failures = [{"matrix": [[str(c) for c in row] for row in space.basis[i]]}
+                for i, D in enumerate(space._basis)
+                if not _direct_identity_holds(A, space, D, commute, ak_e, eps)]
     return CheckResult(not failures, failures)
 
 
@@ -230,7 +230,7 @@ def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str,
     dim, nD = A.dim, len(pattern)
     blocks = _BLOCKS[kind] - 1
     bracket, one, aug = A.bracket, CycloScalar.one(A.m), blocks * nD
-    ak_e, d_e = _transpose(A.alpha_sparse(k)), _transpose(linalg.sparse(D))
+    ak_e, d_e = _transpose(A.alpha_sparse(k)), _transpose(D)
     rows = []
     for x in range(dim):
         e = A.eps(gamma, A.degree(x))
@@ -259,12 +259,12 @@ def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str,
 
 def _direct_identity_holds(A: ColorHomAlgebra, space: HomogeneousMapSpace, D,
                            commute: bool, ak_e, eps) -> bool:
-    kind, sparse_D, alpha = space.kind, linalg.sparse(D), A.alpha_sparse(1)
-    if commute and _product(sparse_D, alpha) != _product(alpha, sparse_D):
+    kind, alpha = space.kind, A.alpha_sparse(1)
+    if commute and _product(D, alpha) != _product(alpha, D):
         return False
     if kind in ("der", "centroid", "qcentroid"):
         # D e_x is a sparse column too; D and the bracket act per pair, on supports
-        bracket, d_e = A.bracket, _transpose(sparse_D)
+        bracket, d_e = A.bracket, _transpose(D)
         def identity(x, y):
             left = bracket.sparse_bilinear(d_e.get(x, {}), ak_e.get(y, {}))
             right = {c: eps[x] * v for c, v in
@@ -294,22 +294,26 @@ def jordan_product(D1, gamma1: GroupElement, D2, gamma2: GroupElement,
 
 
 class ProductAlgebraData:
-    """A graded product on an operator span: basis matrices with degrees,
-    dense product table in span coordinates, and the twist action."""
+    """A graded product on an operator span: size x size basis matrices with
+    degrees, the product table mu in span coordinates (table[i][j] is the
+    image of (e_i, e_j)), and the twist action by conjugation.  Each is given
+    dense or sparse and kept sparse only."""
 
-    __slots__ = ("matrices", "degrees", "table", "alpha_action", "eps", "m", "mu")
+    __slots__ = ("_matrices", "size", "degrees", "mu", "_alpha_action", "eps", "m")
 
-    def __init__(self, matrices: list, degrees: list, table: list,
-                 alpha_action: list, eps: BiCharacter, m: int):
-        self.matrices, self.degrees = matrices, degrees
-        self.table = table  # table[i][j] -> coordinate vector over the span
-        self.alpha_action = alpha_action  # conjugation by alpha on the span
-        self.eps, self.m = eps, m
-        self.mu = StructureConstants.of_cells(table, m)  # the product
+    def __init__(self, matrices: list, size: int, degrees: list, table: list,
+                 alpha_action, eps: BiCharacter, m: int):
+        *self._matrices, self._alpha_action = (linalg.sparse(M)
+                                               for M in (*matrices, alpha_action))
+        self.size, self.degrees, self.eps, self.m = size, degrees, eps, m
+        self.mu = StructureConstants.of_cells(table, m)
 
-    @property
-    def dim(self):
-        return len(self.matrices)
+    dim = property(lambda self: len(self._matrices))
+    # fresh dense copies of the basis matrices, the table and the twist action
+    matrices = property(lambda self: [linalg.dense(M, self.size, self.m) for M in self._matrices])
+    table = property(lambda self: [[self.mu.of_basis(i, j) for j in range(self.dim)]
+                                   for i in range(self.dim)])
+    alpha_action = property(lambda self: linalg.dense(self._alpha_action, self.dim, self.m))
 
 
 class NotClosedError(AlgebraStructureError):
@@ -341,7 +345,7 @@ def quasi_centroid_jordan(A: ColorHomAlgebra, max_power: int = 2,
     matrices, degrees = [], []
     for k in range(max_power + 1):
         for gamma in A.basis.group.elements():
-            for M in solve_space(A, "qcentroid", k, gamma, commute_with_alpha).basis:
+            for M in solve_space(A, "qcentroid", k, gamma, commute_with_alpha)._basis:
                 if span.add(flat := _flat(M)):
                     flats.append(flat)
                     matrices.append(M)
@@ -356,14 +360,14 @@ def quasi_centroid_jordan(A: ColorHomAlgebra, max_power: int = 2,
                 "twist conjugation leaves the quasi-centroid span" if pair is None else
                 f"quasi-centroid is not closed under the product at pair ({pair[0]},{pair[1]})")
         at_pivots = {k: vec[p] for k, p in enumerate(pivots) if p in vec}
-        return linalg.dense([_product({0: at_pivots}, inverse_cols).get(0, {})], n, A.m)[0]
-    sparse = [linalg.sparse(M) for M in matrices]
-    table = [[coords(_anticommutator(sparse[i], sparse[j], A.eps(degrees[i], degrees[j])),
-                     (i, j)) for j in range(n)] for i in range(n)]
+        return _product({0: at_pivots}, inverse_cols).get(0, {})
+    table = [[coords(_anticommutator(M, N, A.eps(degrees[i], degrees[j])), (i, j))
+              for j, N in enumerate(matrices)] for i, M in enumerate(matrices)]
     alpha = A.alpha_sparse(1)
-    action_cols = [coords(_product(alpha, _product(M, alpha_inv))) for M in sparse]
-    alpha_action = linalg.transpose(action_cols) if action_cols else []
-    return ProductAlgebraData(matrices, degrees, table, alpha_action, A.eps, A.m)
+    action_cols = {k: coords(_product(alpha, _product(M, alpha_inv)))
+                   for k, M in enumerate(matrices)}
+    return ProductAlgebraData(matrices, A.dim, degrees, table, _transpose(action_cols),
+                              A.eps, A.m)
 
 
 def check_hom_jordan(J: ProductAlgebraData) -> dict:
@@ -378,7 +382,7 @@ def check_hom_jordan(J: ProductAlgebraData) -> dict:
     """
     n, mu, rows = J.dim, J.mu, J.mu.rows
     one, minus = CycloScalar.one(J.m), -CycloScalar.one(J.m)
-    alpha = _transpose(linalg.sparse(J.alpha_action))  # alpha[t] = alpha e_t
+    alpha = _transpose(J._alpha_action)  # alpha[t] = alpha e_t
     hcj1 = [{"pair": [i, j]} for i, j in mu.commutation_failures(J.degrees, J.eps, 1)]
     # Hom-associators as(u,v,w) = (u.v).alpha(w) - alpha(u).(v.w) at
     # u = e_k, v = alpha e_z, w = alpha e_c: assoc[k][(z, c)], the nonzero ones
@@ -432,7 +436,7 @@ def check_inclusion_lattice(A: ColorHomAlgebra, k_range, gamma_range) -> dict:
     bases, tests = {}, {}
     def basis(*key):  # key = (kind, k, gamma)
         if key not in bases:
-            bases[key] = [linalg.sparse(B) for B in solve_space(A, *key).basis]
+            bases[key] = solve_space(A, *key)._basis
         return bases[key]
     def member(flat, *key):
         if key not in tests:

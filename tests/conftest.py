@@ -134,8 +134,9 @@ def clock_shift(n, exponents, name=""):
     mu = [[[zero] * len(cells) for _ in cells] for _ in cells]
     for (i, (a, b)), (j, (c, d)) in product(enumerate(cells), repeat=2):
         mu[i][j][cells.index(((a + c) % n, (b + d) % n))] = CycloScalar.root_of_unity(n, b * c)
+    one = CycloScalar.one(n)
     A = commutator_algebra(HomAssociativeColorAlgebra(
-        basis, BiCharacter(group, exponents, n), mu, linalg.identity(len(cells), n), n))
+        basis, BiCharacter(group, exponents, n), mu, {i: {i: one} for i in range(len(cells))}, n))
     return ColorHomAlgebra(A.basis, A.eps, A.bracket, A.alpha, n, name=name)
 
 
@@ -232,9 +233,9 @@ def coord_index(space, tup, k):
     return space.positions[tup] * space.module.dim + k
 
 
-def phi_coefficient(phi, s):
-    """phi_s of a formal automorphism; None past its last coefficient."""
-    return phi.phis[s] if s < len(phi.phis) else None
+def phi_coefficient(phi, s, A):
+    """phi_s of a formal automorphism on A, dense; None past its last coefficient."""
+    return linalg.dense(phi.phis[s], A.dim, A.m) if s < len(phi.phis) else None
 
 
 def zeros(rows, cols, m):
@@ -250,17 +251,30 @@ def mat_scale(c, M):
     return [[c * a for a in row] for row in M]
 
 
+def sparse_rows(rows):
+    """Dense or sparse rows as the zero-free sparse rows the kernels read, in
+    order, an empty row dropped."""
+    return list(linalg.sparse(list(rows)).values())
+
+
+def sparse_vector(vec):
+    """A dense or sparse vector as a zero-free sparse one."""
+    return linalg.sparse([vec]).get(0, {})
+
+
 def in_span(rows, vec) -> bool:
-    return vec in linalg.Echelon(rows)
+    return sparse_vector(vec) in linalg.Echelon(sparse_rows(rows))
 
 
 def kernel_basis(M, ncols, m):
-    """``linalg.sparse_kernel_basis`` as dense vectors."""
-    return linalg.dense(linalg.sparse_kernel_basis(M, ncols, m), ncols, m)
+    """``linalg.sparse_kernel_basis`` of dense or sparse rows, as dense vectors."""
+    return linalg.dense(linalg.sparse_kernel_basis(sparse_rows(M), ncols, m), ncols, m)
 
 
 def span_equal(rows_a, rows_b) -> bool:
-    return linalg.rank(rows_a) == linalg.rank(rows_b) == linalg.rank(rows_a + rows_b)
+    def rank(rows):
+        return linalg.rank(sparse_rows(rows))
+    return rank(rows_a) == rank(rows_b) == rank(list(rows_a) + list(rows_b))
 
 
 def is_zero_matrix(M) -> bool:
@@ -307,7 +321,9 @@ def assert_rref(vectors):
 
 def mat_pow(M, e, m):
     """M^e by repeated squaring, dense."""
-    result, base = linalg.identity(len(M), m), [list(r) for r in M]
+    one, zero, n = CycloScalar.one(m), CycloScalar.zero(m), len(M)
+    result = [[one if i == j else zero for j in range(n)] for i in range(n)]
+    base = [list(r) for r in M]
     while e:
         if e & 1:
             result = linalg.mat_mul(result, base)
@@ -464,7 +480,7 @@ def jacobi_residual_direct(A, x, y, z):
     for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
         e = A.eps(A.degree(c), A.degree(a))
         inner = A.bracket.of_basis(b, c)
-        outer = A.bracket.bilinear(mat_vec_direct(A.alpha_power(1), basis_vector(A, a)), inner)
+        outer = A.bracket.bilinear(mat_vec_direct(A.alpha, basis_vector(A, a)), inner)
         acc = [t + e * o for t, o in zip(acc, outer)]
     return acc
 
@@ -488,9 +504,9 @@ def check_multiplicative_direct(A):
     failures = []
     for i in range(A.dim):
         for j in range(A.dim):
-            lhs = mat_vec_direct(A.alpha_power(1), A.bracket.of_basis(i, j))
-            rhs = A.bracket.bilinear(mat_vec_direct(A.alpha_power(1), basis_vector(A, i)),
-                                     mat_vec_direct(A.alpha_power(1), basis_vector(A, j)))
+            lhs = mat_vec_direct(A.alpha, A.bracket.of_basis(i, j))
+            rhs = A.bracket.bilinear(mat_vec_direct(A.alpha, basis_vector(A, i)),
+                                     mat_vec_direct(A.alpha, basis_vector(A, j)))
             if any(not (a - b).is_zero() for a, b in zip(lhs, rhs)):
                 failures.append({
                     "pair": [A.basis.names[i], A.basis.names[j]],
@@ -549,7 +565,7 @@ def _alpha_coefficient_direct(B, l):
             return B.algebra.alpha
         return None
     if l < len(B.alpha_terms):
-        return B.alpha_terms[l]
+        return linalg.dense(B.alpha_terms[l], B.algebra.dim, B.algebra.m)
     return None
 
 
@@ -601,19 +617,19 @@ def check_equivalence_direct(A, B1, B2, phi):
             for y in range(A.dim):
                 lhs = [CycloScalar.zero(A.m)] * A.dim
                 for i in range(s + 1):
-                    phi_i = phi_coefficient(phi, i)
+                    phi_i = phi_coefficient(phi, i, A)
                     if phi_i is None:
                         continue
                     lhs = [u + v for u, v in zip(
                         lhs, mat_vec_direct(phi_i, B1.terms[s - i].of_basis(x, y)))]
                 rhs = [CycloScalar.zero(A.m)] * A.dim
                 for a in range(s + 1):
-                    pa = phi_coefficient(phi, a)
+                    pa = phi_coefficient(phi, a, A)
                     if pa is None:
                         continue
                     fx = mat_vec_direct(pa, basis_vector(A, x))
                     for b in range(s - a + 1):
-                        pb = phi_coefficient(phi, b)
+                        pb = phi_coefficient(phi, b, A)
                         if pb is None:
                             continue
                         fy = mat_vec_direct(pb, basis_vector(A, y))
@@ -625,7 +641,7 @@ def check_equivalence_direct(A, B1, B2, phi):
         for x in range(A.dim):
             lhs = [CycloScalar.zero(A.m)] * A.dim
             for i in range(s + 1):
-                phi_i = phi_coefficient(phi, i)
+                phi_i = phi_coefficient(phi, i, A)
                 alpha_j = _alpha_coefficient_direct(B1, s - i)
                 if phi_i is None or alpha_j is None:
                     continue
@@ -635,7 +651,7 @@ def check_equivalence_direct(A, B1, B2, phi):
             rhs = [CycloScalar.zero(A.m)] * A.dim
             for a in range(s + 1):
                 alpha_a = _alpha_coefficient_direct(B2, a)
-                phi_b = phi_coefficient(phi, s - a)
+                phi_b = phi_coefficient(phi, s - a, A)
                 if alpha_a is None or phi_b is None:
                     continue
                 rhs = [u + v for u, v in zip(
@@ -662,7 +678,7 @@ def transport_bracket_direct(A, B1, phi):
             for j in range(i, A.dim):
                 acc = [CycloScalar.zero(A.m)] * A.dim
                 for a in range(s + 1):
-                    pa = phi_coefficient(phi, a)
+                    pa = phi_coefficient(phi, a, A)
                     if pa is None:
                         continue
                     for b in range(s - a + 1):
@@ -681,12 +697,12 @@ def transport_bracket_direct(A, B1, phi):
     if B1.alpha_terms is None:
         base_alpha = [A.alpha]
     else:
-        base_alpha = B1.alpha_terms
+        base_alpha = [linalg.dense(M, A.dim, A.m) for M in B1.alpha_terms]
     new_alpha = []
     for s in range(k + 1):
         acc = zeros(A.dim, A.dim, A.m)
         for a in range(s + 1):
-            pa = phi_coefficient(phi, a)
+            pa = phi_coefficient(phi, a, A)
             if pa is None:
                 continue
             for b in range(s - a + 1):
@@ -809,14 +825,14 @@ def check_mnop_direct(A, D, quotient, delta_scalar=None):
 
 def delta1_direct(A, R, fmat, gamma, r):
     """eps(g,x) rho(a^r x)(f(y)) - eps(g+x,y) rho(a^r y)(f(x)) - f([x,y])."""
-    out = {}
+    out, ar = {}, linalg.dense(A.alpha_sparse(r), A.dim, A.m)
     for x in range(A.dim):
         for y in range(A.dim):
             dx, dy = A.degree(x), A.degree(y)
             fx = [fmat[i][x] for i in range(A.dim)]
             fy = [fmat[i][y] for i in range(A.dim)]
-            t1 = act(R, mat_vec_direct(A.alpha_power(r), basis_vector(A, x)), fy)
-            t2 = act(R, mat_vec_direct(A.alpha_power(r), basis_vector(A, y)), fx)
+            t1 = act(R, mat_vec_direct(ar, basis_vector(A, x)), fy)
+            t2 = act(R, mat_vec_direct(ar, basis_vector(A, y)), fx)
             fb = mat_vec_direct(fmat, A.bracket.of_basis(x, y))
             c1 = A.eps(gamma, dx)
             c2 = A.eps(gamma + dx, dy)
@@ -845,19 +861,19 @@ def delta2_direct(A, R, psi, gamma, r):
                 coeff = a * b
                 out = [o + coeff * c for o, c in zip(out, ev(i, j))]
         return out
-    out = {}
+    out, ar = {}, linalg.dense(A.alpha_sparse(r + 1), A.dim, A.m)
     for x, y, z in product(range(A.dim), repeat=3):
         dx, dy, dz = A.degree(x), A.degree(y), A.degree(z)
         acc = [CycloScalar.zero(A.m)] * R.dim
-        t1 = act(R, mat_vec_direct(A.alpha_power(r + 1), basis_vector(A, x)), ev(y, z))
-        t2 = act(R, mat_vec_direct(A.alpha_power(r + 1), basis_vector(A, y)), ev(x, z))
-        t3 = act(R, mat_vec_direct(A.alpha_power(r + 1), basis_vector(A, z)), ev(x, y))
+        t1 = act(R, mat_vec_direct(ar, basis_vector(A, x)), ev(y, z))
+        t2 = act(R, mat_vec_direct(ar, basis_vector(A, y)), ev(x, z))
+        t3 = act(R, mat_vec_direct(ar, basis_vector(A, z)), ev(x, y))
         c1 = A.eps(gamma, dx)
         c2 = A.eps(gamma + dx, dy)
         c3 = A.eps(gamma + dx + dy, dz)
-        u1 = ev_vec(A.bracket.of_basis(x, y), mat_vec_direct(A.alpha_power(1), basis_vector(A, z)))
-        u2 = ev_vec(A.bracket.of_basis(x, z), mat_vec_direct(A.alpha_power(1), basis_vector(A, y)))
-        u3 = ev_vec(mat_vec_direct(A.alpha_power(1), basis_vector(A, x)), A.bracket.of_basis(y, z))
+        u1 = ev_vec(A.bracket.of_basis(x, y), mat_vec_direct(A.alpha, basis_vector(A, z)))
+        u2 = ev_vec(A.bracket.of_basis(x, z), mat_vec_direct(A.alpha, basis_vector(A, y)))
+        u3 = ev_vec(mat_vec_direct(A.alpha, basis_vector(A, x)), A.bracket.of_basis(y, z))
         s02 = A.eps(dy, dz)
         for k in range(R.dim):
             acc[k] = (c1 * t1[k] - c2 * t2[k] + c3 * t3[k]
@@ -894,12 +910,12 @@ def compat_rows_direct(A, R, n, tuples):
         return rows
     if free_dim == 0:
         return []
-    alpha_images = [mat_vec_direct(A.alpha_power(1), basis_vector(A, i)) for i in range(A.dim)]
+    alpha_images = [sparse_vector(mat_vec_direct(A.alpha, basis_vector(A, i)))
+                    for i in range(A.dim)]
     # one constraint column per free coordinate, then transpose into rows
     cols = []
     for ci in range(free_dim):
-        unit = [CycloScalar.zero(A.m)] * free_dim
-        unit[ci] = one
+        unit = {ci: one}
         col = []
         for combo in product(range(A.dim), repeat=n):
             lhs, value = linalg.dense([space.evaluate(unit, [alpha_images[i] for i in combo]),
@@ -964,7 +980,7 @@ def identity_holds_on_all_pairs_direct(A, space, D):
                 holds = dxy == left == right
             else:
                 linalg._add_scaled(left, None, right)
-                holds = dxy == linalg._sparse(left)
+                holds = dxy == left
         if not holds:
             return False
     return True
@@ -985,12 +1001,12 @@ def defining_rows_direct(A, k, gamma, kind, pattern, commute):
     nvars = blocks * nD
     z = CycloScalar.zero(A.m)
     rows = []
-    E = [basis_vector(A, i) for i in range(A.dim)]
+    E, ak = [basis_vector(A, i) for i in range(A.dim)], linalg.dense(A.alpha_sparse(k), A.dim, A.m)
     for x in range(A.dim):
-        akx = mat_vec_direct(A.alpha_power(k), E[x])
+        akx = mat_vec_direct(ak, E[x])
         e = A.eps(gamma, A.degree(x))
         for y in range(A.dim):
-            aky = mat_vec_direct(A.alpha_power(k), E[y])
+            aky = mat_vec_direct(ak, E[y])
             bxy = A.bracket.of_basis(x, y)
             # per unit matrix, the three bracket-type contributions
             d_of_bracket = [mat_vec_direct(U, bxy) for U in units]
@@ -1032,7 +1048,7 @@ def forward_kernel_basis_direct(M, ncols, m):
     """Basis of {v : M v = 0}, one vector per free column of the forward
     rref of M, read off it: the kernel as ``linalg.sparse_kernel_basis``
     gave it before that returned the reduced row echelon basis."""
-    red, pivots = linalg.rref(M)
+    red, pivots = linalg.rref(sparse_rows(M))
     o, pivot_set = CycloScalar.one(m), set(pivots)
     basis = {fc: {fc: o} for fc in range(ncols) if fc not in pivot_set}
     for row, pc in zip(red, pivots):
@@ -1052,7 +1068,8 @@ def solve_space_two_pass_direct(A, kind, k, gamma):
     rows, nvars, nD = _defining_rows(A, k, gamma, kind, pattern, _COMMUTE[kind][0])
     flats = [{t: c for t, c in v.items() if t < nD}
              for v in forward_kernel_basis_direct(rows, nvars, A.m)]
-    return [_pattern_matrix(A, pattern, v) for v in linalg.rref(flats)[0]]
+    return [linalg.dense(_pattern_matrix(pattern, v), A.dim, A.m)
+            for v in linalg.rref(flats)[0]]
 
 
 def partner_rows_direct(A, k, gamma, D, kind):
@@ -1071,12 +1088,12 @@ def partner_rows_direct(A, k, gamma, D, kind):
     nvars = blocks * nD
     z = CycloScalar.zero(A.m)
     rows, rhs = [], []
-    E = [basis_vector(A, i) for i in range(A.dim)]
+    E, ak = [basis_vector(A, i) for i in range(A.dim)], linalg.dense(A.alpha_sparse(k), A.dim, A.m)
     for x in range(A.dim):
-        akx = mat_vec_direct(A.alpha_power(k), E[x])
+        akx = mat_vec_direct(ak, E[x])
         e = A.eps(gamma, A.degree(x))
         for y in range(A.dim):
-            aky = mat_vec_direct(A.alpha_power(k), E[y])
+            aky = mat_vec_direct(ak, E[y])
             bxy = A.bracket.of_basis(x, y)
             p_of_bracket = [mat_vec_direct(U, bxy) for U in units]
             t1 = A.bracket.bilinear(mat_vec_direct(D, E[x]), aky)
@@ -1109,7 +1126,7 @@ def hom_jordan_direct(J):
     oracle for ``structure_theory.check_hom_jordan``."""
     n = J.dim
     m = J.m
-    E = linalg.identity(n, m)
+    E = [basis_vector(J, i) for i in range(n)]
     hcj1 = []
     for i in range(n):
         for j in range(n):
@@ -1250,7 +1267,7 @@ SL2C_Z2Z2_CASE_FAMILIES = {
 def check_hom_associative_direct(H):
     failures = []
     mu = H.mu
-    E = linalg.identity(H.dim, H.m)
+    E = [basis_vector(H, i) for i in range(H.dim)]
     for x in range(H.dim):
         ax = mat_vec_direct(H.alpha, E[x])
         for y in range(H.dim):
@@ -1278,14 +1295,14 @@ def is_eps_commutative_direct(H):
 def check_representation_direct(A, R):
     failures = []
     for i in range(A.dim):
-        rho_ai = rho_of(R, mat_vec_direct(A.alpha_power(1), basis_vector(A, i)))
+        rho_ai = rho_of(R, mat_vec_direct(A.alpha, basis_vector(A, i)))
         for j in range(A.dim):
-            rho_aj = rho_of(R, mat_vec_direct(A.alpha_power(1), basis_vector(A, j)))
+            rho_aj = rho_of(R, mat_vec_direct(A.alpha, basis_vector(A, j)))
             lhs = mat_mul_direct(rho_of(R, A.bracket.of_basis(i, j)), R.beta)
             e = A.eps(A.degree(i), A.degree(j))
             rhs = mat_add(mat_mul_direct(rho_ai, R.rho[j]),
                                  mat_scale(-e, mat_mul_direct(rho_aj, R.rho[i])))
-            if not linalg.mat_eq(lhs, rhs):
+            if lhs != rhs:
                 failures.append({"pair": [A.basis.names[i], A.basis.names[j]]})
     return CheckResult(not failures, failures)
 
@@ -1293,9 +1310,9 @@ def check_representation_direct(A, R):
 def check_module_direct(A, M):
     failures = []
     n = M.carrier.dim
-    E = linalg.identity(n, M.m)
+    E = [basis_vector(M, mv) for mv in range(n)]
     for i in range(A.dim):
-        ai = mat_vec_direct(A.alpha_power(1), basis_vector(A, i))
+        ai = mat_vec_direct(A.alpha, basis_vector(A, i))
         for mv in range(n):
             lhs = mat_vec_direct(M.beta, act(M, basis_vector(A, i), E[mv]))
             rhs = act(M, ai, mat_vec_direct(M.beta, E[mv]))
@@ -1303,9 +1320,9 @@ def check_module_direct(A, M):
                 failures.append({"kind": "twist-compatibility",
                                  "witness": [A.basis.names[i], mv]})
     for i in range(A.dim):
-        ai = mat_vec_direct(A.alpha_power(1), basis_vector(A, i))
+        ai = mat_vec_direct(A.alpha, basis_vector(A, i))
         for j in range(A.dim):
-            aj = mat_vec_direct(A.alpha_power(1), basis_vector(A, j))
+            aj = mat_vec_direct(A.alpha, basis_vector(A, j))
             e = A.eps(A.degree(i), A.degree(j))
             bij = A.bracket.of_basis(i, j)
             for mv in range(n):
@@ -1327,10 +1344,10 @@ def check_coadjoint_direct(A, R):
             e = A.eps(A.degree(i), A.degree(j))
             rhs = mat_add(
                 mat_scale(e, mat_mul_direct(
-                    R.rho[i], rho_of(R, mat_vec_direct(A.alpha_power(1), basis_vector(A, j))))),
+                    R.rho[i], rho_of(R, mat_vec_direct(A.alpha, basis_vector(A, j))))),
                 mat_scale(CycloScalar.from_rational(-1, A.m), mat_mul_direct(
-                    R.rho[j], rho_of(R, mat_vec_direct(A.alpha_power(1), basis_vector(A, i))))))
-            if not linalg.mat_eq(lhs, rhs):
+                    R.rho[j], rho_of(R, mat_vec_direct(A.alpha, basis_vector(A, i))))))
+            if lhs != rhs:
                 failures.append({"pair": [A.basis.names[i], A.basis.names[j]]})
     return CheckResult(not failures, failures)
 
@@ -1339,9 +1356,10 @@ def alpha_s_adjoint_direct(A, s):
     """The matrices rho(e_i) of ad_s: column j is [alpha^s e_i, e_j]."""
     rho = []
     for i in range(A.dim):
-        shifted = mat_vec_direct(A.alpha_power(s), basis_vector(A, i))
+        shifted = mat_vec_direct(linalg.dense(A.alpha_sparse(s), A.dim, A.m),
+                                 basis_vector(A, i))
         cols = [A.bracket.bilinear(shifted, basis_vector(A, j)) for j in range(A.dim)]
-        rho.append(linalg.transpose(cols))
+        rho.append([[col[k] for col in cols] for k in range(A.dim)])
     return rho
 
 

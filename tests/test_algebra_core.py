@@ -190,7 +190,7 @@ def test_commutator_output_is_skew_on_random_products():
                 for k in range(2):
                     if degs[k] == target:
                         mu[i][j][k] = sc(rng.randint(-3, 3))
-        H = HomAssociativeColorAlgebra(basis, eps, mu, linalg.identity(2, 2), 2)
+        H = HomAssociativeColorAlgebra(basis, eps, mu, {0: {0: sc(1)}, 1: {1: sc(1)}}, 2)
         entries = {}
         for i in range(2):
             for j in range(i, 2):
@@ -228,9 +228,9 @@ def test_derived_level_one_matches_matrix_power_oracle():
         want = mat_vec_direct(A.alpha, A.bracket.of_basis(i, j))
         got = D.bracket.of_basis(i, j)
         assert all((a - b).is_zero() for a, b in zip(got, want))
-    assert linalg.mat_eq(D.alpha, linalg.mat_mul(A.alpha, A.alpha))
+    assert D.alpha == linalg.mat_mul(A.alpha, A.alpha)
     # alpha is an involution here, so the derived twist is the identity
-    assert linalg.mat_eq(D.alpha, linalg.identity(3, 2))
+    assert D.alpha_sparse(1) == D.alpha_sparse(0)
     assert check_color_hom_lie(D).is_color_hom_lie
 
 
@@ -241,15 +241,15 @@ def test_twist_powers_are_cached_for_negative_exponents():
                      alpha=[[1, 1], [0, 2]])
     inv = [[sc(1), sc(Fraction(-1, 2))], [sc(0), sc(Fraction(1, 2))]]
     for k in (1, 2, 3):
-        power = A.alpha_power(-k)
-        assert A.alpha_sparse(-k) is A.alpha_sparse(-k)
-        assert linalg.mat_eq(power, mat_pow(inv, k, A.m))
-        assert linalg.mat_eq(linalg.mat_mul(A.alpha_power(k), power), linalg.identity(2, A.m))
+        power = A.alpha_sparse(-k)
+        assert A.alpha_sparse(-k) is power
+        assert power == linalg.sparse(mat_pow(inv, k, A.m))
+        assert linalg._product(A.alpha_sparse(k), power) == A.alpha_sparse(0)
     S = zero_algebra([2, 2], [[0, 1], [1, 0]], 2, [(1, 0), (0, 1)],
                      alpha=[[1, 0], [0, 0]])
     for _ in range(2):  # a singular twist is refused on every call
         with pytest.raises(AlgebraStructureError):
-            S.alpha_power(-1)
+            S.alpha_sparse(-1)
 
 
 def test_deep_twist_powers_are_formed_by_repeated_squaring(monkeypatch):
@@ -270,18 +270,18 @@ def test_deep_twist_powers_are_formed_by_repeated_squaring(monkeypatch):
 
 
 def test_edited_twist_powers_leave_the_algebra_unchanged():
-    # every power handed out is a fresh copy: editing one reaches neither a
-    # later call, nor a power formed from it, nor the algebra behind a derived one
+    # every dense twist handed out is a fresh copy: editing one reaches neither
+    # a later call, nor a power formed from it, nor the algebra behind a derived one
     A = zero_algebra([2, 2], [[0, 1], [1, 0]], 2, [(1, 0), (1, 0)], alpha=[[1, 1], [0, 2]])
     want = {k: mat_pow(A.alpha, k, A.m) for k in (1, 2, 3)}
-    for k in (1, 2):
-        A.alpha_power(k)[0][0] = sc(7)
-    assert all(linalg.mat_eq(A.alpha_power(k), want[k]) for k in (1, 2, 3))
-    assert linalg.sparse(want[3]) == A.alpha_sparse(3)
+    A.alpha[0][0] = sc(7)
+    linalg.dense(A.alpha_sparse(2), A.dim, A.m)[0][0] = sc(7)
+    assert A.alpha == want[1]
+    assert all(A.alpha_sparse(k) == linalg.sparse(want[k]) for k in (1, 2, 3))
     D = derived_algebra(A, 1)
     D.alpha[0][0] = sc(7)
-    assert linalg.mat_eq(A.alpha_power(2), want[2])
-    assert linalg.mat_eq(A.alpha, want[1])
+    assert D.alpha == want[2] and A.alpha_sparse(2) == linalg.sparse(want[2])
+    assert A.alpha == want[1]
 
 
 def test_derived_zero_bracket_any_level():
@@ -289,7 +289,7 @@ def test_derived_zero_bracket_any_level():
                      alpha=[[1, 0], [0, -1]])
     D = derived_algebra(A, 3)
     assert D.bracket.is_zero()
-    assert linalg.mat_eq(D.alpha, mat_pow(A.alpha, 8, 2))
+    assert D.alpha == mat_pow(A.alpha, 8, 2)
 
 
 def test_derived_closure_under_axioms():
@@ -390,6 +390,8 @@ def test_bilinear_takes_dense_and_sparse_vectors(build):
         want = bilinear_direct(A.bracket, u, v)
         for fu, fv in product(forms(u), forms(v)):
             assert A.bracket.bilinear(fu, fv) == want
+        # sparse_bilinear reads the sparse forms only
+        for fu, fv in product(forms(u)[1:], forms(v)[1:]):
             assert A.bracket.sparse_bilinear(fu, fv) == \
                 {k: c for k, c in enumerate(want) if not c.is_zero()}
 
@@ -414,7 +416,7 @@ def test_structure_constants_match_dense_oracle(m, kind):
             for v in vectors:
                 assert table.bilinear(u, v) == bilinear_direct(table, u, v)
         M = [_random_vector(rng, m, dim) for _ in range(dim)]
-        composed = table.compose_with(M)
+        composed = table.compose_with(linalg.sparse(M))
         assert type(composed) is type(table)
         for i in range(dim):
             for j in range(dim):
@@ -422,8 +424,8 @@ def test_structure_constants_match_dense_oracle(m, kind):
         for u in vectors[:3]:
             for v in vectors[:3]:
                 assert composed.bilinear(u, v) == mat_vec_direct(M, bilinear_direct(table, u, v))
-        others = [composed, table.compose_with(linalg.identity(dim, m)),
-                  table.compose_with(zeros(dim, dim, m))]
+        others = [composed, table.compose_with({t: {t: CycloScalar.one(m)} for t in range(dim)}),
+                  table.compose_with(linalg.sparse(zeros(dim, dim, m)))]
         for other in others:
             assert table.equals(other) == _dense_equal(table, other)
             assert other.is_zero() == all(c.is_zero() for i in range(dim)
@@ -431,7 +433,7 @@ def test_structure_constants_match_dense_oracle(m, kind):
         assert table.equals(others[1]) and others[2].is_zero()
         # derived tables: precompose, sum, eps-commutator, differing pairs
         L, R = ([_random_vector(rng, m, dim) for _ in range(dim)] for _ in range(2))
-        pre = table.precompose(L, R)
+        pre = table.precompose(linalg.sparse(L), linalg.sparse(R))
         total = table + composed
         comm = table.commutator(basis.degrees, eps)
         for i in range(dim):
@@ -447,7 +449,7 @@ def test_structure_constants_match_dense_oracle(m, kind):
             assert_zero_free(derived.rows)
         # sums that cancel entirely: table - table, and the commutator of an
         # eps-commutative table (a diagonal entry survives where eps(d, d) = -1)
-        minus = [[-c for c in row] for row in linalg.identity(dim, m)]
+        minus = {t: {t: -CycloScalar.one(m)} for t in range(dim)}
         assert (table + table.compose_with(minus)).rows == {}
         degrees, one = basis.degrees, CycloScalar.one(m)
         commutative = StructureConstants(dim, m, algebra_core._complete(
@@ -480,7 +482,7 @@ def test_hom_associativity_and_commutativity_match_the_dense_oracles(m):
     for _ in range(4):
         table, _, basis, eps = _random_table(rng, m, "product")
         for alpha in ([_random_vector(rng, m, table.dim) for _ in range(table.dim)],
-                      linalg.identity(table.dim, m)):
+                      {t: {t: CycloScalar.one(m)} for t in range(table.dim)}):
             algebras.append(HomAssociativeColorAlgebra(basis, eps, table, alpha, m))
     failing = 0
     for H in algebras:
@@ -608,3 +610,10 @@ def test_values_and_algebras_copy_and_pickle():
     assert check_color_hom_lie(B).to_dict() == check_color_hom_lie(A).to_dict()
     assert (cohomology_group(B, adjoint(B), 2, 0, G.zero()).to_dict()
             == cohomology_group(A, adjoint(A), 2, 0, G.zero()).to_dict())
+
+
+def test_a_basis_refuses_an_unknown_name():
+    basis = sl2c_z2z2().basis
+    assert basis.index("e3") == 2
+    with pytest.raises(ValueError, match="^tuple.index\\(x\\): x not in tuple$"):
+        basis.index("e4")

@@ -28,8 +28,43 @@ def test_round_trip_bit_exact():
     assert serialize_algebra(B) == text
     assert B.bracket.equals(A.bracket)
     assert B.basis.names == A.basis.names
-    from colorhomlie import linalg
-    assert linalg.mat_eq(B.alpha, A.alpha)
+    assert B.alpha == A.alpha and B.alpha_sparse(1) == A.alpha_sparse(1)
+
+
+def test_editing_a_dense_copy_changes_neither_the_checks_nor_the_file():
+    # alpha and rho(e_i) are stored once, sparse; A.alpha and R.rho hand out
+    # fresh dense copies, so an edited copy reaches no check and no file, also
+    # once the twist powers are formed
+    from colorhomlie.algebra_core import check_color_hom_lie
+    from colorhomlie.representations import adjoint, check_representation
+    from colorhomlie.scalars_grading import CycloScalar
+    A = parse_algebra_file(data_path("sl2c_z2z2.alg"))
+    R = adjoint(A)
+    A.alpha_sparse(2)
+    report, text = check_color_hom_lie(A).to_dict(), serialize_algebra(A)
+    module = check_representation(A, R).to_dict()
+    seven = CycloScalar.from_rational(7, A.m)
+    alpha, rho = A.alpha, R.rho
+    alpha[0][0] = rho[0][0][0] = seven
+    assert A.alpha != alpha and R.rho != rho
+    assert check_color_hom_lie(A).to_dict() == report and serialize_algebra(A) == text
+    assert check_representation(A, R).to_dict() == module
+    assert check_color_hom_lie(parse_algebra_document(text)).to_dict() == report
+
+
+def test_a_literal_not_found_in_the_text_is_reported_without_a_location():
+    # JSON reads 1e0 as the float 1.0, whose text "1.0" occurs nowhere in the
+    # document, so the error carries no line and column
+    from colorhomlie.fileio import _locate
+    with open(data_path("sl2c_z2z2.alg"), encoding="utf-8") as fh:
+        text = fh.read()
+    doc = json.loads(text)
+    doc["alpha"][0][0] = "@"
+    bad = json.dumps(doc).replace('"@"', "1e0")
+    assert _locate(bad, "1.0") == (None, None) and _locate(bad, "1e0")[0] == 1
+    with pytest.raises(ParseError, match=r"^bad scalar literal '1\.0'$") as caught:
+        parse_algebra_document(bad)
+    assert (caught.value.line, caught.value.column) == (None, None)
 
 
 def test_round_trip_preserves_fraction_literals():

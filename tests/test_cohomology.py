@@ -33,7 +33,7 @@ from conftest import (SL2C_Z2Z2_CASE_FAMILIES, as_rational, assert_rref, assert_
                       delta2_direct, densify, direct_sum, heis_zeta, heis_zeta3, in_span,
                       kernel_basis, mat_scale, mat_vec_direct, motion_z2z3,
                       random_multiplicative_algebra, rref_direct, sc, semidirect, sl2c_z2z2,
-                      sl2c_z2z3, zero_algebra, zeros)
+                      sl2c_z2z3, sparse_vector, zero_algebra, zeros)
 
 
 def gamma_elems(A):
@@ -83,7 +83,7 @@ def test_full_skew_space_dimension_count_oracle():
     # zero action, identity twists: the compatible space is the whole skew space
     A = zero_algebra([2, 2], [[0, 1], [1, 0]], 2, [(1, 0), (0, 1), (1, 1)])
     zero = zeros(3, 3, A.m)
-    R = Representation(A.basis, [zero] * 3, linalg.identity(3, A.m), A.m)
+    R = Representation(A.basis, [zero] * 3, A.alpha_sparse(0), A.m)
     space = cochain_basis(A, R, 2, A.basis.group.zero())
     # oracle: pairs i<j (eps(a,a)=+1 everywhere) times carrier dimension
     assert space.free_dim == 3 * 3
@@ -95,7 +95,7 @@ def test_cochain_evaluation_is_skew():
     R = adjoint(A)
     rng = random.Random(2)
     space = cochain_basis(A, R, 2, gamma_elems(A)["g1"])
-    coords = [sc(rng.randint(-3, 3), A.m) for _ in range(space.free_dim)]
+    coords = sparse_vector([sc(rng.randint(-3, 3), A.m) for _ in range(space.free_dim)])
     for i in range(3):
         for j in range(3):
             val = space.evaluate_basis(coords, (i, j))
@@ -144,8 +144,8 @@ def test_delta1_matches_direct_operator_form():
             oracle = delta1_direct(A, R, fmat, gamma, r)
             tgt_space = target
             for (x, y), want in oracle.items():
-                got = tgt_space.evaluate_basis(img, (x, y))
-                assert got == linalg._sparse(want), (gname, r, x, y)
+                got = tgt_space.evaluate_basis(sparse_vector(img), (x, y))
+                assert got == sparse_vector(want), (gname, r, x, y)
 
 
 def test_single_entry_1cochain_example():
@@ -160,8 +160,8 @@ def test_single_entry_1cochain_example():
     fmat = zeros(3, 3, A.m)
     fmat[2][1] = sc(1, A.m)
     oracle = delta1_direct(A, R, fmat, gamma, 0)
-    got = target.evaluate_basis(img, (0, 1))
-    assert got == linalg._sparse(oracle[(0, 1)])
+    got = target.evaluate_basis(sparse_vector(img), (0, 1))
+    assert got == sparse_vector(oracle[(0, 1)])
     # the independently evaluated operator form fixes the e3 coefficient
     assert linalg.dense([got], 3, A.m)[0][2] == oracle[(0, 1)][2]
 
@@ -178,8 +178,8 @@ def test_delta2_matches_direct_operator_form():
         img, target = coboundary_of_coords(A, R, space, coords, 0)
         oracle = delta2_direct(A, R, psi, gamma, 0)
         for (x, y, z), want in oracle.items():
-            got = target.evaluate_basis(img, (x, y, z))
-            assert got == linalg._sparse(want), (gname, x, y, z)
+            got = target.evaluate_basis(sparse_vector(img), (x, y, z))
+            assert got == sparse_vector(want), (gname, x, y, z)
 
 
 def test_coboundary_preserves_compatibility():
@@ -191,13 +191,13 @@ def test_coboundary_preserves_compatibility():
             space = cochain_basis(A, R, n, gamma)
             for v in space.compat_basis:
                 img, target = coboundary_of_coords(A, R, space, v, 0)
-                rows = []
-                alpha_img = [mat_vec_direct(A.alpha_power(1), basis_vector(A, i))
+                img = sparse_vector(img)
+                alpha_img = [sparse_vector(mat_vec_direct(A.alpha, basis_vector(A, i)))
                              for i in range(3)]
                 for combo in product(range(3), repeat=n + 1):
                     lhs = target.evaluate(img, [alpha_img[i] for i in combo])
                     value = linalg.dense([target.evaluate_basis(img, combo)], R.dim, A.m)[0]
-                    assert lhs == linalg._sparse(mat_vec_direct(R.beta, value))
+                    assert lhs == sparse_vector(mat_vec_direct(R.beta, value))
 
 
 def test_square_zero_on_compatible_domain():
@@ -337,7 +337,7 @@ def _solved_compat(cx, n):
 
 def _trivial(A, beta_rows=None):
     """rho = 0 on A's own basis with beta = Id, or beta_rows if given."""
-    beta = linalg.identity(A.dim, A.m) if beta_rows is None else \
+    beta = A.alpha_sparse(0) if beta_rows is None else \
         [[sc(v, A.m) for v in row] for row in beta_rows]
     return Representation(A.basis, [zeros(A.dim, A.dim, A.m)] * A.dim, beta, A.m)
 
@@ -402,10 +402,12 @@ def test_non_diagonal_twists_keep_the_solve():
 
 
 def test_a_module_forms_its_sparse_action_once(monkeypatch):
-    # rho(e_i) and beta pass through linalg.sparse when R is built; no check,
-    # cohomology solve or coboundary converts them again
+    # the dense rho(e_i) and beta pass through linalg.sparse when R is built;
+    # no check, cohomology solve or coboundary converts them, or the sparse
+    # action that R keeps, again
     A = heis_zeta3()
-    A.alpha_sparse(1)  # alpha is also R's beta; the algebra forms its own sparse copy once
+    ad = adjoint(A)
+    mats = ad.rho + [ad.beta]
     seen, sparse = [], linalg.sparse
 
     def counted(M):
@@ -414,10 +416,12 @@ def test_a_module_forms_its_sparse_action_once(monkeypatch):
     for module in [m for name, m in sys.modules.items() if name.startswith("colorhomlie.")]:
         if getattr(module, "sparse", None) is sparse:
             monkeypatch.setattr(module, "sparse", counted)
-    R = adjoint(A)
-    mats = R.rho + [R.beta]
+    R = Representation(A.basis, mats[:-1], mats[-1], A.m)
+    assert R.rho + [R.beta] == mats and R.action == ad.action
+    stored = R.action[0] + [R.action[1]]
 
     def conversions():
+        assert not any(M is mat for mat in stored for M in seen)
         return sum(any(M is mat for mat in mats) for M in seen)
     assert conversions() == A.dim + 1
     assert check_representation(A, R).ok and check_module(A, R).ok
@@ -698,29 +702,34 @@ def test_returned_bases_do_not_alias_the_complex():
 @pytest.mark.parametrize("case", _FAMILY_CASES)
 def test_sparse_and_dense_coordinates_give_equal_values(case):
     """Every compatible basis vector, sparse and densified, has the same
-    values under ``evaluate``, ``evaluate_basis`` and ``coboundary_of_coords``
-    and is nonzero as a ``Cochain``."""
+    coboundary under ``coboundary_of_coords``, the one cochain reader that
+    takes either form; read back through ``linalg.sparse`` the densified
+    vector is the sparse one again, with the same zero-free values under
+    ``evaluate`` and ``evaluate_basis``, and it is nonzero as a ``Cochain``."""
     A, R = ORACLE_CASES[case]
     rng = random.Random(case)
     for n in (0, 1, 2):
         for gamma in A.basis.group.elements():
             space = cochain_basis(A, R, n, gamma)
-            args = [[sc(rng.randint(-2, 2), A.m) for _ in range(A.dim)] for _ in range(n)]
+            args = [sparse_vector([sc(rng.randint(-2, 2), A.m) for _ in range(A.dim)])
+                    for _ in range(n)]
             for v, dense in zip(space.compat_basis, densify(space, space.compat_basis)):
-                values = [space.evaluate(v, args), space.evaluate(dense, args)]
+                again = sparse_vector(dense)
+                assert again == v
+                values = [space.evaluate(v, args), space.evaluate(again, args)]
                 for combo in product(range(A.dim), repeat=n):
-                    values += [space.evaluate_basis(v, combo), space.evaluate_basis(dense, combo)]
+                    values += [space.evaluate_basis(v, combo), space.evaluate_basis(again, combo)]
                 for got, want in zip(values[::2], values[1::2]):
                     assert_zero_free(got)
                     assert_zero_free(want)
                     assert got == want
-                assert not Cochain(space, v).is_zero() and not Cochain(space, dense).is_zero()
+                assert not Cochain(space, v).is_zero() and not Cochain(space, again).is_zero()
                 for r in (0, 1) if n else (1,):
                     assert coboundary_of_coords(A, R, space, v, r)[0] == \
                         coboundary_of_coords(A, R, space, dense, r)[0], (A.name, n, r)
     zero = cochain_basis(A, R, 1, A.basis.group.zero())
     assert Cochain(zero, {}).is_zero()
-    assert Cochain(zero, [CycloScalar.zero(A.m)] * zero.free_dim).is_zero()
+    assert Cochain(zero, sparse_vector([CycloScalar.zero(A.m)] * zero.free_dim)).is_zero()
 
 
 PROPERTY = settings(derandomize=True, max_examples=40, deadline=None, database=None)
@@ -735,7 +744,7 @@ def test_sparse_compatible_bases_square_to_zero_and_b_lies_in_z(seed, n, r, data
     space = cochain_basis(A, R, n, gamma)
     for v in space.compat_basis:
         image, target = coboundary_of_coords(A, R, space, v, r)
-        again, _ = coboundary_of_coords(A, R, target, linalg._sparse(image), r)
+        again, _ = coboundary_of_coords(A, R, target, sparse_vector(image), r)
         assert all(c.is_zero() for c in again)
     # the same on the complex's sparse rows
     cx = cohomology._complex(A, R)
@@ -807,8 +816,9 @@ def test_reverify_flags_a_perturbed_cocycle():
     assert reverify(A, R, res).failures == [
         {"kind": "representative", "index": i,
          "reason": "in the span of B and the earlier representatives"} for i in (0, 2)]
-    res.representatives = [reps[0], list(reps[1])]
-    res.representatives[1][k] = res.representatives[1][k] + one
+    moved = list(reps[1])
+    moved[k] = moved[k] + one
+    res.representatives = [reps[0], moved]
     assert reverify(A, R, res).failures == [
         {"kind": "representative", "index": 1, "reason": "nonzero coboundary"}]
 
@@ -883,7 +893,7 @@ def test_cochain_space_lookup_by_tuple():
     space = CochainSpace(A, R, 2, A.basis.group.zero(), tuples, [])
     for t, tup in enumerate(tuples):
         assert space.positions[tup] == t
-    coords = [sc(i + 1) for i in range(space.free_dim)]
+    coords = sparse_vector([sc(i + 1) for i in range(space.free_dim)])
     # f(e2, e1) = -eps(g2, g1) f(e1, e2) = f(e1, e2) on this grading
     assert space.evaluate_basis(coords, (1, 0)) == {0: sc(1), 1: sc(2), 2: sc(3)}
     assert space.evaluate_basis(coords, (1, 1)) == {}
@@ -922,7 +932,7 @@ def _extension_verdicts(A, r, gamma, stride=1):
     cocycles = [v for v in cohomology_group(A, R, 2, r, gamma, "free").cocycle_basis
                 if set(v) <= set(block)]
     others = [{c: one} for c in block
-              if linalg._sparse(coboundary_of_coords(A, R, space, {c: one}, r)[0])][::stride]
+              if any(coboundary_of_coords(A, R, space, {c: one}, r)[0])][::stride]
     def verdict(coords):
         E = semidirect(A, R, coords, gamma, r)
         return E.check_grading().ok, E.check_jacobi().ok
@@ -1133,7 +1143,7 @@ def test_character_twisted_clock3_pins_cohomology_with_alpha_not_the_identity():
     # at H^2.  Every result is re-checked on the multilinear path.
     A = clock3_twisted()
     assert check_color_hom_lie(A).all_ok
-    assert A.alpha != linalg.identity(A.dim, A.m)
+    assert A.alpha_sparse(1) != A.alpha_sparse(0)
     R = adjoint(A)
     gamma = A.basis.group.element((1, 0))
     for n, restrict, dims in ((1, "free", (3, 2, 1)), (1, "compatible", (3, 2, 1)),
@@ -1179,3 +1189,16 @@ def test_clock2_cocycle_dimensions_match_a_sympy_rank_over_qq():
             columns, space = delta_matrix(A, R, n, 0, gamma, domain="free")
             rank = sympy.Matrix([[as_rational(c) for c in col] for col in columns]).rank()
             assert res.dim_Z == space.free_dim - rank, (gamma.components, n)
+
+
+def test_an_empty_cochain_domain_has_no_compatibility_rows():
+    # two basis vectors of one degree with eps(a, a) = +1 have no canonical
+    # 3-tuple; alpha is not diagonal, so the compatible basis is solved from
+    # the (empty) rows
+    A = zero_algebra([2], [[0]], 2, [(1,), (1,)], alpha=[[1, 1], [0, 1]])
+    R = adjoint(A)
+    cx = cohomology._complex(A, R)
+    assert cx.weights is None and cx.free_dim(3) == 0
+    assert cohomology._compat_rows(cx, 3) == {}
+    space = cochain_basis(A, R, 3, A.basis.group.zero())
+    assert space.free_dim == 0 and space.compat_basis == []

@@ -14,11 +14,12 @@ from colorhomlie.deformations import (DeformationError, FormalAutomorphism,
                                       composition_deformation, first_order_class,
                                       transport_bracket)
 from colorhomlie.scalars_grading import CycloScalar, euler_phi
-from conftest import (assert_rotations_share_residuals, build_algebra, check_deformation_direct,
-                      check_equivalence_direct, composition_failing_orders_direct, coord_index,
-                      heis_zeta3, in_span, mat_add, mat_scale, motion_z2z3, phi_coefficient, sc,
-                      series_product_direct, sl2c_z2z2, sl2c_z2z3, transport_bracket_direct,
-                      zero_algebra, zeros)
+from conftest import (assert_rotations_share_residuals, assert_zero_free, build_algebra,
+                      check_deformation_direct, check_equivalence_direct,
+                      composition_failing_orders_direct, coord_index, heis_zeta3, in_span,
+                      mat_add, mat_scale, motion_z2z3, phi_coefficient, sc,
+                      series_product_direct, sl2c_z2z2, sl2c_z2z3, sparse_vector,
+                      transport_bracket_direct, zero_algebra, zeros)
 
 
 def _alpha1(A):
@@ -81,7 +82,7 @@ def test_first_order_class_works_on_sparse_coordinates():
                       coord_index(space, (0, 2), 2): sc(1)}
     for i in range(A.dim):
         for j in range(A.dim):
-            assert space.evaluate_basis(coords, (i, j)) == linalg._sparse(term.of_basis(i, j))
+            assert space.evaluate_basis(coords, (i, j)) == sparse_vector(term.of_basis(i, j))
     B = TruncatedBracket(A, 1, [A.bracket, term])
     rep = first_order_class(A, B)["class_representative"]
     # the term less a coboundary of a compatible 1-cochain, and not zero
@@ -120,12 +121,12 @@ def test_malformed_series_are_refused():
         first_order_class(A, base)
     with pytest.raises(DeformationError, match="must share the truncation order"):
         check_equivalence(A, base, TruncatedBracket(A, 1, [A.bracket, _zero_term(A)]),
-                          FormalAutomorphism([linalg.identity(A.dim, A.m)]))
+                          FormalAutomorphism([A.alpha_sparse(0)]))
 
 
 def test_composition_deformation_identity_series():
     L = sl2c_z2z3()
-    B = composition_deformation(L, [linalg.identity(3, L.m)])
+    B = composition_deformation(L, [L.alpha_sparse(0)])
     assert B.order == 0
     assert B.terms[0].equals(L.bracket)
     assert B.endomorphism_failing_orders == []
@@ -133,12 +134,12 @@ def test_composition_deformation_identity_series():
 
 def test_composition_deformation_no_endomorphism_orders_recorded():
     L = sl2c_z2z3()
-    B = composition_deformation(L, [linalg.identity(3, L.m), _alpha1(L)], order=3)
+    B = composition_deformation(L, [L.alpha_sparse(0), _alpha1(L)], order=3)
     # Id + t a1 never satisfies the coefficient-wise endomorphism law:
     # order 1 wants a derivation, order 2 wants vanishing pairwise brackets
     assert B.endomorphism_failing_orders == [1, 2]
     with pytest.raises(DeformationError):
-        composition_deformation(L, [linalg.identity(3, L.m), _alpha1(L)],
+        composition_deformation(L, [L.alpha_sparse(0), _alpha1(L)],
                                 order=3, require_endomorphism=True)
 
 
@@ -148,7 +149,7 @@ def test_composition_deformation_closes_orderwise():
                  [[-1, 0, 0], [0, 1, 0], [0, 0, -1]],
                  [[-1, 0, 0], [0, 0, 1], [0, -1, 0]]):
         a1 = [[sc(v, L.m) for v in row] for row in rows]
-        B = composition_deformation(L, [linalg.identity(3, L.m), a1], order=3)
+        B = composition_deformation(L, [L.alpha_sparse(0), a1], order=3)
         per = check_deformation(B.algebra, B)
         assert all(res.ok for res in per.values()), rows
         assert first_order_class(B.algebra, B)["is_cocycle"]
@@ -157,23 +158,23 @@ def test_composition_deformation_closes_orderwise():
 def test_composition_requires_untwisted_start():
     A = sl2c_z2z2()  # alpha != Id
     with pytest.raises(DeformationError):
-        composition_deformation(A, [linalg.identity(3, A.m)])
+        composition_deformation(A, [A.alpha_sparse(0)])
 
 
 def test_derived_composition_series_expansion():
     # level 1: bracket (Id + t a)^2 o [.,.] = [.,.] + 2t a[.,.] + t^2 a^2 [.,.]
     L = sl2c_z2z3()
     a1 = _alpha1(L)
-    B = composition_deformation(L, [linalg.identity(3, L.m), a1],
+    B = composition_deformation(L, [L.alpha_sparse(0), a1],
                                 order=2, derived=1)
     two_a = mat_scale(sc(2, L.m), a1)
-    want1 = L.bracket.compose_with(two_a)
+    want1 = L.bracket.compose_with(linalg.sparse(two_a))
     assert B.terms[1].equals(want1)
-    want2 = L.bracket.compose_with(linalg.mat_mul(a1, a1))
+    want2 = L.bracket.compose_with(linalg.sparse(linalg.mat_mul(a1, a1)))
     assert B.terms[2].equals(want2)
     # twist series Id + 2t a + t^2 a^2
-    assert linalg.mat_eq(B.alpha_terms[1], two_a)
-    assert linalg.mat_eq(B.alpha_terms[2], linalg.mat_mul(a1, a1))
+    assert B.alpha_terms[1] == linalg.sparse(two_a)
+    assert B.alpha_terms[2] == linalg.sparse(linalg.mat_mul(a1, a1))
     per = check_deformation(B.algebra, B)
     assert all(res.ok for res in per.values())
 
@@ -190,7 +191,7 @@ def test_skew_and_grading_reports():
 def test_equivalence_reflexive():
     A = sl2c_z2z2()
     B = TruncatedBracket(A, 1, [A.bracket, _zero_term(A)])
-    phi = FormalAutomorphism([linalg.identity(3, A.m)])
+    phi = FormalAutomorphism([A.alpha_sparse(0)])
     rep = check_equivalence(A, B, B, phi)
     assert rep["bracket"].ok and rep["twist"].ok and rep["automorphism"].ok
 
@@ -204,7 +205,7 @@ def test_transport_round_trip():
     B1 = TruncatedBracket(A, 2, [A.bracket, term, _zero_term(A)])
     # phi_1 even: diagonal works (all components are one-dimensional)
     phi1 = [[sc(2), sc(0), sc(0)], [sc(0), sc(-1), sc(0)], [sc(0), sc(0), sc(3)]]
-    phi = FormalAutomorphism([linalg.identity(3, A.m), phi1,
+    phi = FormalAutomorphism([A.alpha_sparse(0), phi1,
                               zeros(3, 3, A.m)])
     B2 = transport_bracket(A, B1, phi)
     rep = check_equivalence(A, B1, B2, phi)
@@ -215,10 +216,10 @@ def test_transport_round_trip():
 def test_equivalence_twist_mismatch_detected():
     A = sl2c_z2z2()
     B1 = TruncatedBracket(A, 1, [A.bracket, _zero_term(A)])
-    other_alpha = [linalg.identity(3, A.m), zeros(3, 3, A.m)]
+    other_alpha = [A.alpha_sparse(0), zeros(3, 3, A.m)]
     B2 = TruncatedBracket(A, 1, [A.bracket, _zero_term(A)],
                           alpha_terms=other_alpha)
-    phi = FormalAutomorphism([linalg.identity(3, A.m)])
+    phi = FormalAutomorphism([A.alpha_sparse(0)])
     rep = check_equivalence(A, B1, B2, phi)
     assert not rep["twist"].ok
     assert rep["twist"].failures[0]["order"] == 0
@@ -230,7 +231,7 @@ def test_formal_automorphism_validation():
     assert not bad.validate(A).ok
     odd = zeros(3, 3, A.m)
     odd[0][1] = sc(1, A.m)  # moves e2 into the e1 component
-    phi = FormalAutomorphism([linalg.identity(3, A.m), odd])
+    phi = FormalAutomorphism([A.alpha_sparse(0), odd])
     assert not phi.validate(A).ok
     with pytest.raises(DeformationError):
         transport_bracket(A, TruncatedBracket(A, 1, [A.bracket, _zero_term(A)]),
@@ -240,18 +241,18 @@ def test_formal_automorphism_validation():
 def test_inverse_series_is_exact():
     A = sl2c_z2z2()
     phi1 = [[sc(1), sc(0), sc(0)], [sc(0), sc(2), sc(0)], [sc(0), sc(0), sc(-1)]]
-    phi = FormalAutomorphism([linalg.identity(3, A.m), phi1])
+    phi = FormalAutomorphism([A.alpha_sparse(0), phi1])
     psis = phi.inverse_series(A, 3)
     # convolution phi * psi must be the identity series
     for s in range(4):
         acc = zeros(3, 3, A.m)
         for i in range(s + 1):
-            pi = phi_coefficient(phi, i)
+            pi = phi_coefficient(phi, i, A)
             if pi is None:
                 continue
             acc = mat_add(acc, linalg.mat_mul(pi, psis[s - i]))
-        want = linalg.identity(3, A.m) if s == 0 else zeros(3, 3, A.m)
-        assert linalg.mat_eq(acc, want)
+        want = linalg.dense(A.alpha_sparse(0), A.dim, A.m) if s == 0 else zeros(3, 3, A.m)
+        assert acc == want
 
 
 # -- the derived-table evaluations against the pointwise oracles --------------
@@ -280,7 +281,7 @@ def _rand_deformation(rng, A, order):
 
 
 def _rand_automorphism(rng, A, order, even=False):
-    return FormalAutomorphism([linalg.identity(A.dim, A.m)] + [
+    return FormalAutomorphism([A.alpha_sparse(0)] + [
         _rand_matrix(rng, A, even) for _ in range(rng.randint(0, order + 1))])
 
 
@@ -335,7 +336,7 @@ def test_equivalence_and_transport_match_the_pointwise_oracles(make):
         T = transport_bracket(A, B1, even)
         terms, alphas = transport_bracket_direct(A, B1, even)
         assert all(t.equals(u) for t, u in zip(T.terms, terms))
-        assert all(linalg.mat_eq(a, b) for a, b in zip(T.alpha_terms, alphas))
+        assert all(a == linalg.sparse(b) for a, b in zip(T.alpha_terms, alphas))
         rep = check_equivalence(A, B1, T, even)
         assert rep["twist"].ok and rep["bracket"].ok
         assert _dump(rep) == _dump(check_equivalence_direct(A, B1, T, even))
@@ -352,7 +353,7 @@ def test_transport_refuses_a_non_skew_deformation():
     B1 = TruncatedBracket(A, 2, [A.bracket, term, _zero_term(A)])
     phi1 = zeros(A.dim, A.dim, A.m)
     phi1[0][1] = sc(1, A.m)
-    phi = FormalAutomorphism([linalg.identity(A.dim, A.m), phi1])
+    phi = FormalAutomorphism([A.alpha_sparse(0), phi1])
     assert phi.validate(A).ok
     assert B1.skew_report().failures[0]["pair"] == ["e1", "e1"]
     with pytest.raises(DeformationError, match="e1"):
@@ -363,7 +364,7 @@ def test_transport_refuses_a_non_skew_deformation():
 def test_composition_failing_orders_match_the_pointwise_oracle(make):
     L, rng = make(), random.Random(20261022)
     for n in (1, 2, 3):
-        alphas = [linalg.identity(L.dim, L.m)] + [_rand_matrix(rng, L) for _ in range(n)]
+        alphas = [L.alpha] + [_rand_matrix(rng, L) for _ in range(n)]
         for order in (n - 1, n, n + 1):
             B = composition_deformation(L, alphas, order=order)
             assert B.endomorphism_failing_orders == \
@@ -403,7 +404,8 @@ def _is_dense_series(series, n):
 
 
 def _series_eq(got, want):
-    return len(got) == len(want) and all(linalg.mat_eq(a, b) for a, b in zip(got, want))
+    return len(got) == len(want) and all(linalg.sparse(a) == linalg.sparse(b)
+                                         for a, b in zip(got, want))
 
 
 # order 3 takes four coefficients: each explicit series is shorter, padded
@@ -418,7 +420,7 @@ def _series_eq(got, want):
 def test_series_arithmetic_matches_the_dense_convolution(m, order, phi_tail, alpha_tails,
                                                          derived):
     A, L = (build() for build in SERIES_ALGEBRAS[m])
-    n, ident = A.dim, linalg.identity(A.dim, m)
+    n, ident = A.dim, linalg.dense(A.alpha_sparse(0), A.dim, m)
     phis = _series(A, ident, phi_tail)
     phi = FormalAutomorphism(phis)
     # inverse_series: phi_t psi_t = Id mod t^(order+1), dense
@@ -426,13 +428,14 @@ def test_series_arithmetic_matches_the_dense_convolution(m, order, phi_tail, alp
     assert _is_dense_series(psis, n)
     assert _series_eq(series_product_direct(phis, psis, order, n, m),
                       [ident] + [zeros(n, n, m)] * order)
-    # the composition family's twist series alpha_t^(2^derived), dense
+    # the composition family's twist series alpha_t^(2^derived), kept sparse
     alphas = _series(L, ident, alpha_tails[0])
     want = [ident]
     for _ in range(1 << derived):
         want = series_product_direct(want, alphas, order, n, m)
     B = composition_deformation(L, alphas, order=order, derived=derived)
-    assert _is_dense_series(B.alpha_terms, n)
+    assert all(isinstance(M, dict) for M in B.alpha_terms)
+    assert_zero_free([row for M in B.alpha_terms for row in M.values()])
     assert _series_eq(B.alpha_terms, want)
     # the twist verdicts, column x of phi_t alpha_t against alpha'_t phi_t, on
     # a drawn alpha'_t and on the conjugate phi_t alpha_t psi_t, which passes

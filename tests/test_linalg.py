@@ -3,10 +3,11 @@ column-by-column Gauss-Jordan ``rref_direct``; and the zero-skipping dense
 product ``mat_mul`` against the every-cell loop.
 
 Every solver goes through one sparse row type, {column: nonzero scalar}, and
-takes dense lists, sparse dicts or a mix of both.  The reduced row echelon
-form is unique over a field, so each result must equal the one the dense
-oracle gives on the same matrix: the same rows, pivots, kernel and image
-bases, consistency verdicts, inverses and greedy picks.
+takes only that: a dense test matrix goes in through ``linalg.sparse`` or
+``as_sparse``.  The reduced row echelon form is unique over a field, so each
+result must equal the one the dense oracle gives on the same matrix: the
+same rows, pivots, kernel and image bases, consistency verdicts, inverses
+and greedy picks.
 """
 import copy
 from fractions import Fraction
@@ -49,8 +50,7 @@ def as_dense(row, ncols, m):
 
 @st.composite
 def systems(draw, square=False):
-    """(m, ncols, dense rows, the same rows given all dense, all as sparse
-    dicts, or as a mix of both).
+    """(m, ncols, dense rows, the same rows as sparse dicts).
 
     The rows are drawn sparse or dense; an all-zero row, an all-zero column
     and a duplicated row are each put in about half the time, and ncols = 0
@@ -70,10 +70,7 @@ def systems(draw, square=False):
         rows = [row[:c] + [zero] + row[c + 1:] for row in rows]
     if rows and not square and draw(st.booleans()):
         rows.append(list(rows[draw(st.integers(0, len(rows) - 1))]))
-    layout = draw(st.sampled_from(("dense", "sparse", "mixed")))
-    mixed = [as_sparse(row) if layout == "sparse" or (layout == "mixed" and draw(st.booleans()))
-             else row for row in rows]
-    return m, ncols, rows, mixed
+    return m, ncols, rows, [as_sparse(row) for row in rows]
 
 
 def combination(draw, rows, m, ncols):
@@ -106,10 +103,9 @@ def kernel_direct(M, ncols, m):
 
 def consistent(rows, target, ncols):
     """Whether M x = target has a solution, asked as the package asks it:
-    column ncols is no pivot of one echelon form of [M | target], each row
-    augmented in the layout it came in (a zero entry left out of a sparse one)."""
-    augmented = [list(row) + [t] if not isinstance(row, dict) else
-                 {**row, ncols: t} if not t.is_zero() else row
+    column ncols is no pivot of one echelon form of [M | target], each sparse
+    row augmented by its entry of target (a zero entry left out)."""
+    augmented = [{**row, ncols: t} if not t.is_zero() else row
                  for row, t in zip(rows, target)]
     return ncols not in linalg.Echelon(augmented).rows
 
@@ -128,27 +124,27 @@ def quotient_direct(z_basis, b_basis):
 @PROPERTY
 @given(systems())
 def test_rref_matches_dense_oracle(system):
-    m, ncols, rows, mixed = system
-    before = [dict(r) if isinstance(r, dict) else list(r) for r in mixed]
-    red, pivots = linalg.rref(mixed)
+    m, ncols, rows, srows = system
+    before = [dict(r) for r in srows]
+    red, pivots = linalg.rref(srows)
     want_rows, want_pivots = rref_direct(rows) if rows else ([], [])
     assert pivots == want_pivots
     assert [as_dense(r, ncols, m) for r in red] == want_rows
     # the sparse row type: no stored zeros, 1 at the pivot; inputs untouched
     assert all(not a.is_zero() for r in red for a in r.values())
     assert all(r[p] == CycloScalar.one(m) and min(r) == p for r, p in zip(red, pivots))
-    assert mixed == before
+    assert srows == before
 
 
 @PROPERTY
 @given(systems())
 def test_kernel_and_rank_match_dense_oracle(system):
-    m, ncols, rows, mixed = system
+    m, ncols, rows, srows = system
     # the kernel comes back in reduced row echelon form, so it equals the
     # oracle's forward kernel basis once that is reduced
-    assert kernel_basis(mixed, ncols, m) == rref_direct(kernel_direct(rows, ncols, m))[0]
-    assert_rref(linalg.sparse_kernel_basis(mixed, ncols, m))
-    assert linalg.rank(mixed) == rank_direct(rows)
+    assert kernel_basis(srows, ncols, m) == rref_direct(kernel_direct(rows, ncols, m))[0]
+    assert_rref(linalg.sparse_kernel_basis(srows, ncols, m))
+    assert linalg.rank(srows) == rank_direct(rows)
 
 
 @PROPERTY
@@ -162,7 +158,9 @@ def test_the_kernel_is_the_rref_of_the_forward_kernel(m, ncols, nrows, as_dicts,
                                        max_size=ncols), min_size=nrows, max_size=nrows))
     if rows and data.draw(st.booleans()):
         rows.append([a + b for a, b in zip(rows[0], rows[-1])])
-    given_rows = [as_sparse(row) for row in rows] if as_dicts else rows
+    # per row, or through linalg.sparse, which leaves out the zero rows
+    given_rows = [as_sparse(row) for row in rows] if as_dicts else \
+        list(linalg.sparse(rows).values())
     got = linalg.sparse_kernel_basis(given_rows, ncols, m)
     assert_rref(got)
     assert_zero_free(got)
@@ -174,11 +172,11 @@ def test_the_kernel_is_the_rref_of_the_forward_kernel(m, ncols, nrows, as_dicts,
 def test_kernel_and_echelon_leave_their_input_rows_unchanged(system, data):
     # structure_theory hands one kept row to several eliminations, so no
     # elimination may write to the rows it is given
-    m, ncols, rows, mixed = system
-    inputs = mixed + [as_sparse(combination(data.draw, rows, m, ncols))]
+    m, ncols, rows, srows = system
+    inputs = srows + [as_sparse(combination(data.draw, rows, m, ncols))]
     before = copy.deepcopy(inputs)
-    linalg.sparse_kernel_basis(mixed, ncols, m)
-    echelon = linalg.Echelon(mixed)
+    linalg.sparse_kernel_basis(srows, ncols, m)
+    echelon = linalg.Echelon(srows)
     assert inputs[-1] in echelon
     echelon.add(inputs[-1])
     assert inputs == before
@@ -187,21 +185,21 @@ def test_kernel_and_echelon_leave_their_input_rows_unchanged(system, data):
 @PROPERTY
 @given(systems(), st.data())
 def test_in_span_matches_dense_oracle(system, data):
-    m, ncols, rows, mixed = system
+    m, ncols, rows, srows = system
     if data.draw(st.booleans()):
         vec = combination(data.draw, rows, m, ncols)
     else:
         vec = data.draw(st.lists(scalars(m, sparse=True), min_size=ncols, max_size=ncols))
     want = (rank_direct(rows + [vec]) == rank_direct(rows) if rows
             else all(a.is_zero() for a in vec))
-    assert in_span(mixed, vec) == want
-    assert in_span(mixed, as_sparse(vec)) == want
+    assert in_span(srows, vec) == want
+    assert in_span(srows, as_sparse(vec)) == want
 
 
 @PROPERTY
 @given(systems(), st.data())
 def test_solve_matches_dense_oracle(system, data):
-    m, ncols, rows, mixed = system
+    m, ncols, rows, srows = system
     zero = CycloScalar.zero(m)
     x0 = data.draw(st.lists(scalars(m, sparse=True), min_size=ncols, max_size=ncols))
     reachable = [sum((a * b for a, b in zip(row, x0)), zero) for row in rows]
@@ -209,7 +207,7 @@ def test_solve_matches_dense_oracle(system, data):
                                    max_size=len(rows)))
     for target in (reachable, arbitrary):
         want = solve_direct(rows, target, m) is not None
-        assert consistent(mixed, target, ncols) == consistent(rows, target, ncols) == want
+        assert consistent(srows, target, ncols) == want
         if target is reachable:
             assert want
 
@@ -245,15 +243,14 @@ def test_inverse_matches_dense_oracle(system, invertible, data):
 @PROPERTY
 @given(systems(), st.data())
 def test_quotient_representatives_match_greedy_oracle(system, data):
-    m, ncols, rows, mixed = system
+    m, ncols, rows, srows = system
     subspace = [combination(data.draw, rows, m, ncols)
                 for _ in range(data.draw(st.integers(0, 3)))]
     # the quotient as cohomology_group asks it: the vectors one echelon form
     # of the subspace takes, in order
-    quotient = linalg.Echelon(subspace)
-    got = [v for v in mixed if quotient.add(v)]
-    assert [as_dense(v, ncols, m) if isinstance(v, dict) else v for v in got] == \
-        quotient_direct(rows, subspace)
+    quotient = linalg.Echelon(as_sparse(v) for v in subspace)
+    got = [v for v in srows if quotient.add(v)]
+    assert [as_dense(v, ncols, m) for v in got] == quotient_direct(rows, subspace)
 
 
 # -- the column index of Echelon ---------------------------------------------------
@@ -291,14 +288,14 @@ def test_stale_holders_are_skipped_and_the_form_stays_exact():
     m = 2
     half = CycloScalar([Fraction(3, 2)], m)
     n = [CycloScalar.from_rational(k, m) for k in range(6)]
-    vectors = [[n[1], n[0], n[2], n[3], n[1]],
+    vectors = [{0: n[1], 2: n[2], 3: n[3], 4: n[1]},
                {1: n[1], 2: n[1], 4: n[2]},
-               [n[0], n[0], n[1], half, n[0]],  # clears column 2: column 3 cancels from row 0
-               {3: n[5], 4: n[1]}]              # column 3 becomes a pivot
+               {2: n[1], 3: half},  # clears column 2: column 3 cancels from row 0
+               {3: n[5], 4: n[1]}]  # column 3 becomes a pivot
     echelon = linalg.Echelon(vectors[:3])
     assert 3 not in echelon.rows[0] and 0 in echelon.holders[3]
     assert echelon.add(vectors[3])
-    dense_rows = [as_dense(v, 5, m) if isinstance(v, dict) else v for v in vectors]
+    dense_rows = [as_dense(v, 5, m) for v in vectors]
     want_rows, want_pivots = rref_direct(dense_rows)
     red, pivots = linalg.rref(vectors)
     assert pivots == want_pivots == [0, 1, 2, 3]
@@ -361,7 +358,7 @@ def test_sparse_form_round_trips_and_multiplies_like_the_dense_kernels(m, n, k, 
     assert linalg.sparse([as_sparse(row) for row in A]) == SA
     assert linalg.dense([SA.get(r, {}) for r in range(n)], k, m) == A
     assert linalg._product(SA, SB) == linalg.sparse(mat_mul_direct(A, B))
-    assert linalg._transpose(SA) == linalg.sparse(linalg.transpose(A))
+    assert linalg._transpose(SA) == linalg.sparse([[row[j] for row in A] for j in range(k)])
     twice = linalg._combine([(None, SA), (c, SA)])
     assert twice == linalg.sparse([[a + c * a for a in row] for row in A])
     assert all(row and all(not v.is_zero() for v in row.values()) for row in twice.values())
@@ -402,7 +399,7 @@ def test_kernels_drop_what_cancels_and_keep_no_empty_row(case, data):
     P = linalg._product(S, S)
     C = linalg._combine([(None, S), (minus, linalg._transpose(S))])
     for got, want in ((P, linalg.sparse(mat_mul_direct(rows, rows))),
-                      (C, dense_sum(rows, minus, linalg.transpose(rows))),
+                      (C, dense_sum(rows, minus, [[row[j] for row in rows] for j in range(n)])),
                       (linalg._combine([(None, P), (minus, linalg._product(S, S))]), {}),
                       (linalg._combine([(f, S), (None, S), (-f, S)]), S)):
         assert_zero_free(got)
@@ -424,14 +421,14 @@ def test_kernels_drop_what_cancels_and_keep_no_empty_row(case, data):
     assert table.sparse_bilinear({0: f}, {0: f, n - 1: -f}) == {}
     cols = linalg._transpose(S)  # cols[k] = rows e_k
     for u, v in ((rows[0], rows[n - 1]), (rows[1 % n], rows[0]), (rows[0], rows[0])):
-        got = table.sparse_bilinear(u, v)
+        got = table.sparse_bilinear(as_sparse(u), as_sparse(v))
         assert_zero_free(got)
-        assert got == linalg._sparse(bilinear_direct(table, u, v))
+        assert got == as_sparse(bilinear_direct(table, u, v))
     for i in range(n):
         for j in range(n):
             got = table.mapped_row(i, j, cols)
             assert_zero_free(got)
-            assert got == linalg._sparse(mat_vec_direct(rows, table.of_basis(i, j)))
+            assert got == as_sparse(mat_vec_direct(rows, table.of_basis(i, j)))
     # the cyclic residual of a Lie bracket vanishes on every triple; that of
     # the table above is compared with the dense sum over the rotations
     group = FiniteAbelianGroup((1,))
@@ -448,7 +445,7 @@ def test_kernels_drop_what_cancels_and_keep_no_empty_row(case, data):
         for a, b, c in ((x, y, z), (y, z, x), (z, x, y)):
             unit = [one if t == a else zero for t in range(n)]
             want = [w + t for w, t in zip(want, bilinear_direct(table, unit, table.of_basis(b, c)))]
-        assert got == linalg._sparse(want)
+        assert got == as_sparse(want)
 
 
 @PROPERTY
@@ -457,7 +454,7 @@ def test_eliminations_filter_dense_rows_and_leave_out_a_zero_right_hand_side(cas
     m, rows, units = case
     n, zero = len(rows), CycloScalar.zero(m)
     red, pivots = rref_direct(rows)
-    for given_rows in (rows, [as_sparse(row) for row in rows]):
+    for given_rows in (list(linalg.sparse(rows).values()), [as_sparse(row) for row in rows]):
         got, got_pivots = linalg.rref(given_rows)
         assert got_pivots == pivots and [as_dense(r, n, m) for r in got] == red
         echelon = linalg.Echelon(given_rows)
@@ -470,8 +467,9 @@ def test_eliminations_filter_dense_rows_and_leave_out_a_zero_right_hand_side(cas
                                    max_size=n))
     for target in ([zero] * n, reachable, arbitrary):
         want = solve_direct(rows, target, m) is not None
-        assert consistent(rows, target, n) == want
+        assert consistent([as_sparse(row) for row in rows], target, n) == want
         if target is not arbitrary:
             assert want
-    # a zero right-hand side appended to the dense rows is filtered out
-    assert linalg.Echelon([row + [zero] for row in rows]).rows == linalg.Echelon(rows).rows
+    # a zero right-hand side appended to the dense rows is filtered out on the way in
+    assert linalg.Echelon(linalg.sparse([row + [zero] for row in rows]).values()).rows == \
+        linalg.Echelon(linalg.sparse(rows).values()).rows

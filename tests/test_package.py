@@ -30,7 +30,7 @@ StructureConstants TruncatedBracket adjoint alpha_s_adjoint annihilator
 check_ann_invariance check_coadjoint_condition
 check_color_hom_lie check_deformation check_equivalence check_hls_jacobi
 check_hom_jordan check_inclusion_lattice check_module check_representation
-check_sigma_derivation coboundary cochain_basis cohomology_group
+check_sigma_derivation cochain_basis cohomology_group
 commutator_algebra composition_deformation cyclo_reduce delta_matrix
 derived_algebra dual_representation enumerate_morphisms
 first_order_class format_scalar hls_bracket
@@ -160,6 +160,9 @@ UNCALLED_ALLOWED = {
     "reverify": "the documented opt-in re-check of a cohomology result (README)",
     "pairs": "the dense view of a bracket table that the tests and the benchmark's "
              "workloads (rescale, direct_sum) read",
+    "mat_mul": "the dense product that the benchmark's workloads (rescale) and the tests call",
+    "inverse_series": "the dense face of a formal automorphism's inverse series; the "
+                      "package reads the sparse series it is built from",
 }
 
 
@@ -188,3 +191,86 @@ def test_every_package_function_is_called_by_the_package_or_exported():
                 and fn not in exported}
     assert sorted(set(uncalled) - set(UNCALLED_ALLOWED)) == []
     assert sorted(UNCALLED_ALLOWED) == sorted(uncalled)  # no stale allowlist entry
+
+
+# Every call of linalg.dense or linalg.sparse in the package, by module and
+# function, with the edge it serves.  Each operator is stored once, sparse, by
+# the object that owns it; a matrix changes form only where it enters (a
+# constructor, or an entry point that takes a caller's matrix as a
+# constructor does) or where a file, a report, a dense view or a frozen
+# benchmark face reads it.
+FORM_EDGES = {
+    # constructors: either form in, one sparse store
+    "algebra_core.ColorHomAlgebra.__init__": "constructor",
+    "algebra_core.HomAssociativeColorAlgebra.__init__": "constructor",
+    "representations.Representation.__init__": "constructor",
+    "hls_bracket.SigmaDerivation.__init__": "constructor",
+    "structure_theory.HomogeneousMapSpace.__init__": "constructor",
+    "structure_theory.ProductAlgebraData.__init__": "constructor",
+    "deformations.TruncatedBracket.__init__": "constructor",
+    "deformations.FormalAutomorphism.__init__": "constructor",
+    "morphisms_twists.twist": "entry point: beta dense or sparse (the benchmark passes it dense)",
+    "deformations.composition_deformation": "entry point: the caller's twist series",
+    # read-only dense views, each a fresh copy of the store
+    "algebra_core.ColorHomAlgebra.alpha": "dense view",
+    "algebra_core.HomAssociativeColorAlgebra.alpha": "dense view",
+    "representations.Representation.rho": "dense view",
+    "representations.Representation.beta": "dense view",
+    "hls_bracket.SigmaDerivation.sigma": "dense view",
+    "hls_bracket.SigmaDerivation.delta_map": "dense view",
+    "structure_theory.HomogeneousMapSpace.basis": "dense view",
+    "structure_theory.ProductAlgebraData.matrices": "dense view",
+    "structure_theory.ProductAlgebraData.alpha_action": "dense view",
+    "cohomology.CohomologyResult.representatives": "dense view; the benchmark's tests set it",
+    # dense faces of sparse kernels, for callers that hold dense lists
+    "algebra_core.StructureConstants.of_basis": "dense face",
+    "algebra_core.StructureConstants.bilinear": "dense face",
+    "structure_theory.jordan_product": "dense face",
+    "deformations.FormalAutomorphism.inverse_series": "dense face",
+    "cohomology.delta_matrix": "dense face",
+    "linalg.mat_mul": "dense face the benchmark's workloads call",
+    "cohomology.coboundary_of_coords": "dense face the benchmark's workloads call",
+    # reports
+    "algebra_core.cyclic_failures": "report: residual strings",
+    "algebra_core.ColorHomAlgebra.check_multiplicative": "report: failure strings",
+    "hls_bracket._strings": "report: failure strings",
+    "cli.cmd_twists": "report: each enumerated matrix, twisted and tested for rank",
+}
+
+
+def form_conversions(name, tree):
+    """module.function (a method as Class.name, a nested function as the
+    function around it) of each linalg.dense/linalg.sparse call in a module."""
+    module, found = name[:-3], set()
+
+    def visit(node, path, in_function):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:  # a class-level property = ... names its attribute
+                target = (item.targets[0].id if isinstance(item, ast.Assign)
+                          and isinstance(item.targets[0], ast.Name) else None)
+                visit(item.value if target else item,
+                      path + [node.name] + ([target] if target else []), bool(target))
+            return
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not in_function:
+            path, in_function = path + [node.name], True
+        if isinstance(node, ast.Call):
+            f = node.func
+            if (isinstance(f, ast.Attribute) and isinstance(f.value, ast.Name)
+                    and f.value.id == "linalg" and f.attr in ("dense", "sparse")) or \
+                    (module == "linalg" and isinstance(f, ast.Name)
+                     and f.id in ("dense", "sparse")):
+                found.add(".".join([module] + path))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, in_function)
+
+    visit(tree, [], False)
+    return found
+
+
+def test_operators_change_form_only_at_the_allowed_edges():
+    """A second, dense copy of an operator cannot creep back in: a new
+    linalg.dense or linalg.sparse call outside FORM_EDGES fails here with
+    its module and function, and an edge that lost its last call does too."""
+    found = set().union(*(form_conversions(name, tree) for name, tree in package_trees()))
+    assert sorted(found - set(FORM_EDGES)) == []
+    assert sorted(set(FORM_EDGES) - found) == []

@@ -618,3 +618,42 @@ def test_element_refuses_a_degree_of_the_wrong_length():
         with pytest.raises(scalars_grading.GroupMismatchError, match="group rank is 2"):
             G.element(components)
     assert G.element((3, 2)).components == (1, 0)
+
+
+# -- refusals ------------------------------------------------------------------
+
+def test_mixed_root_orders_are_refused_by_the_arithmetic():
+    half, third = CycloScalar.one(2), CycloScalar.root_of_unity(3)
+    for op in (lambda a, b: a + b, lambda a, b: a - b):
+        with pytest.raises(ScalarError, match="^mixed cyclotomic orders 2 and 3$"):
+            op(half, third)
+    with pytest.raises(ScalarError, match=r"^mixed cyclotomic orders in .* \* .* \+ None$"):
+        half * third
+    with pytest.raises(ScalarError, match="^mixed cyclotomic orders in "):
+        _muladd(half, half, third)
+
+
+def test_group_elements_and_bi_characters_refuse_foreign_groups_and_shapes():
+    from colorhomlie.scalars_grading import GroupMismatchError
+    G, H = FiniteAbelianGroup((2, 2)), FiniteAbelianGroup((3,))
+    a, b = G.element((1, 0)), H.element((1,))
+    with pytest.raises(GroupMismatchError, match="^elements of different groups$"):
+        a + b
+    with pytest.raises(BiCharacterError, match="^exponent matrix must be 2x2$"):
+        BiCharacter(G, [[0, 1]], 2)
+    with pytest.raises(BiCharacterError, match="^exponent matrix must be 2x2$"):
+        BiCharacter(G, [[0, 1], [1]], 2)
+    eps = BiCharacter(G, [[0, 1], [1, 0]], 2)
+    for x, y in ((a, b), (b, a), (b, b)):
+        with pytest.raises(GroupMismatchError,
+                           match="^bi-character applied to foreign group elements$"):
+            eps(x, y)
+
+
+def test_reorder_sign_refuses_a_non_permutation():
+    G = FiniteAbelianGroup((2,))
+    eps = BiCharacter(G, [[1]], 2)
+    degrees = [G.element((1,))] * 3
+    for bad in ((0, 1), (0, 0, 1), (1, 2, 3)):
+        with pytest.raises(ValueError, match=re.escape(f"{bad} is not a permutation of 0..2")):
+            reorder_sign(degrees, bad, eps)

@@ -20,7 +20,8 @@ from colorhomlie.structure_theory import (KINDS, HomogeneousMapSpace,
                                           quasi_centroid_jordan,
                                           reverify_space, solve_space)
 from conftest import (_express_in_span, assert_rref, assert_zero_free, build_algebra,
-                      defining_rows_direct, direct_sum, heis_zeta, heis_zeta3, hom_jordan_direct,
+                      clock3, clock3_twisted, defining_rows_direct, direct_sum, heis_zeta,
+                      heis_zeta3, hom_jordan_direct,
                       identity_holds_on_all_pairs_direct, inclusion_lattice_direct,
                       inverse_direct, mat_add, mat_mul_direct,
                       mat_scale, member_of, motion_z2z3, partner_rows_direct,
@@ -75,14 +76,14 @@ def test_every_space_reverifies_independently():
 def test_identity_in_centroid_when_alpha_is_identity():
     A = zero_algebra([2, 2], [[0, 1], [1, 0]], 2, [(1, 0), (0, 1)])
     space = solve_space(A, "centroid", 0, A.basis.group.zero())
-    assert member_of(space, linalg.identity(2, A.m), A.m)
+    assert member_of(space, linalg.dense(A.alpha_sparse(0), A.dim, A.m), A.m)
 
 
 def test_centroid_of_twisted_example():
     # k = 0 centroid is the scalar line; k = 1 is spanned by diag(1,1,-1)
     A = sl2c_z2z2()
     c0 = solve_space(A, "centroid", 0, A.basis.group.zero())
-    assert member_of(c0, linalg.identity(3, A.m), A.m)
+    assert member_of(c0, linalg.dense(A.alpha_sparse(0), A.dim, A.m), A.m)
     c1 = solve_space(A, "centroid", 1, A.basis.group.zero())
     want = [[sc(1), sc(0), sc(0)], [sc(0), sc(1), sc(0)], [sc(0), sc(0), sc(-1)]]
     assert member_of(c1, want, A.m)
@@ -159,7 +160,7 @@ def test_jordan_product_square():
     D = [[sc(1), sc(0), sc(0)], [sc(0), sc(2), sc(0)], [sc(0), sc(0), sc(3)]]
     P = jordan_product(D, g0, D, g0, A.eps)
     DD = linalg.mat_mul(D, D)
-    assert linalg.mat_eq(P, mat_add(DD, DD))
+    assert P == mat_add(DD, DD)
 
 
 def test_jordan_product_eps_symmetry():
@@ -174,7 +175,7 @@ def test_jordan_product_eps_symmetry():
         e = A.eps(g1, g2)
         lhs = jordan_product(D1, g1, D2, g2, A.eps)
         rhs = mat_scale(e, jordan_product(D2, g2, D1, g1, A.eps))
-        assert linalg.mat_eq(lhs, rhs)
+        assert lhs == rhs
 
 
 def test_quasi_centroid_jordan_closure_and_axioms():
@@ -272,7 +273,7 @@ def plain_matrix_pair_jordan():
     A = sl2c_z2z2()
     G = A.basis.group
     m = A.m
-    mats = [linalg.identity(3, m),
+    mats = [linalg.dense(A.alpha_sparse(0), A.dim, m),
             [[sc(1), sc(0), sc(0)], [sc(0), sc(1), sc(0)], [sc(0), sc(0), sc(-1)]]]
     degs = [G.zero(), G.zero()]
     table = []
@@ -284,7 +285,7 @@ def plain_matrix_pair_jordan():
             assert coords is not None
             row.append(coords)
         table.append(row)
-    return ProductAlgebraData(mats, degs, table, linalg.identity(2, m), A.eps, m)
+    return ProductAlgebraData(mats, A.dim, degs, table, {0: {0: sc(1)}, 1: {1: sc(1)}}, A.eps, m)
 
 
 def test_hom_jordan_on_plain_matrix_pair():
@@ -304,7 +305,7 @@ def random_table_jordan():
     table = [[[entry() for _ in range(3)] for _ in range(3)] for _ in range(3)]
     alpha = [[entry() for _ in range(3)] for _ in range(3)]
     # no operator span behind it: the checker reads only the count of matrices
-    return ProductAlgebraData([None] * 3, list(A.basis.degrees), table, alpha, A.eps, A.m)
+    return ProductAlgebraData([{}] * 3, A.dim, list(A.basis.degrees), table, alpha, A.eps, A.m)
 
 
 # builder and (hcj1, hcj2) verdicts; the failing cases compare their failure
@@ -385,7 +386,7 @@ def sparse_random_jordan(seed, n):
     for p in range(n):
         table[p][p][rng.randrange(n)] = sc(rng.choice((-1, 1, 2)), A.m)
     alpha = [[entry(0.8 if i == j else 0.2) for j in range(n)] for i in range(n)]
-    return ProductAlgebraData([None] * n, degrees, table, alpha, A.eps, A.m)
+    return ProductAlgebraData([{}] * n, A.dim, degrees, table, alpha, A.eps, A.m)
 
 
 # no shrinking: each example runs the n^4 oracle, about 1.5 s
@@ -496,11 +497,15 @@ def test_mutating_a_returned_space_leaves_the_next_call_unchanged():
         for k in (0, 1):
             for g in all_degrees(A):
                 space = solve_space(A, kind, k, g)
-                want = [[list(row) for row in M] for M in space.basis]
-                if space.basis:
-                    space.basis[0][0][0] = sc(7, A.m)
-                    space.basis[0].append([])
-                space.basis.append(linalg.identity(A.dim, A.m))
+                want, dense = space.basis, space.basis
+                # the dense basis is a fresh copy, and the space's own sparse
+                # matrices are a copy of what A keeps
+                if dense:
+                    dense[0][0][0] = sc(7, A.m)
+                    dense[0].append([])
+                    space._basis[0][0] = {0: sc(7, A.m)}
+                dense.append(linalg.dense(A.alpha_sparse(0), A.dim, A.m))
+                space._basis.append(A.alpha_sparse(0))
                 again = solve_space(A, kind, k, g)
                 assert again is not space and again.basis == want
                 assert solve_space(fresh, kind, k, g).basis == want
@@ -594,7 +599,7 @@ def test_reverify_rejects_a_matrix_pushed_out_of_the_space(build):
                     M = [list(row) for row in base]
                     M[i][j] = M[i][j] + sc(1, A.m)
                     if not member_of(space, M, A.m):
-                        mutated = HomogeneousMapSpace(kind, k, g, [M], space.commute)
+                        mutated = HomogeneousMapSpace(kind, k, g, [M], A.dim, A.m, space.commute)
                         assert not reverify_space(A, mutated).ok, (kind, k, g, (i, j))
                         checked.add(kind)
     assert checked == set(KINDS)
@@ -627,7 +632,7 @@ def test_support_only_reverification_matches_the_all_pairs_oracle(case):
                     untouched += all(row[j].is_zero() for row in base)
                 for M in matrices:
                     want = identity_holds_on_all_pairs_direct(A, space, M)
-                    single = HomogeneousMapSpace(kind, k, g, [M], space.commute)
+                    single = HomogeneousMapSpace(kind, k, g, [M], A.dim, A.m, space.commute)
                     assert reverify_space(A, single).ok == want, (A.name, kind, k, g, M)
                     verdicts.add(want)
     assert verdicts == {True, False} and untouched
@@ -742,7 +747,7 @@ def test_partner_rows_match_dense_oracle(case):
                     # the oracle's rows augmented by their right-hand sides, past every unknown
                     rows, rhs = partner_rows_direct(A, k, gamma, D, kind)
                     aug = len(rows[0])
-                    got = _partner_rows(A, k, gamma, D, kind, pattern)
+                    got = _partner_rows(A, k, gamma, linalg.sparse(D), kind, pattern)
                     assert got == (_nonzero_rows([row + [t] for row, t in zip(rows, rhs)]), aug), \
                         (A.name, kind, k, gamma.components)
     assert solved > 0
@@ -769,7 +774,7 @@ def test_partner_maps_exist_exactly_when_the_dense_system_is_solvable():
                     if mat_mul_direct(M, A.alpha) != mat_mul_direct(A.alpha, M):
                         continue
                     want = solve_direct(*partner_rows_direct(A, k, g, M, kind), A.m) is not None
-                    single = HomogeneousMapSpace(kind, k, g, [M], space.commute)
+                    single = HomogeneousMapSpace(kind, k, g, [M], A.dim, A.m, space.commute)
                     assert reverify_space(A, single).ok == want, (A.name, kind, k, g, M)
                     verdicts.add(want)
     assert verdicts == {True, False}
@@ -784,3 +789,61 @@ def test_gder_includes_centroid_construction():
             gder = solve_space(A, "gder", k, g)
             for M in cent.basis:
                 assert member_of(gder, M, A.m)
+
+
+# -- the eps argument orders on the clock algebras --------------------------------
+#
+# eps(b, a) = eps(a, b)^-1, so the two orders differ only where eps(a, b) is
+# not +-1, which needs m >= 3, a nonzero degree gamma and brackets that do not
+# vanish on it.  The clock algebras have all three: m = 3, and [e_i, e_j] != 0
+# for most pairs of distinct degrees.
+
+CLOCKS = {"clock3": clock3, "clock3_twisted": clock3_twisted}
+# the space dimensions per (kind, k), at the degrees in group order
+CLOCK_DIMS = {
+    "clock3": {("der", 0): [1] * 9, ("gder", 0): [2] * 9, ("qder", 0): [2] * 9,
+               ("centroid", 0): [2] + [0] * 8, ("qcentroid", 0): [2] + [1] * 8},
+    "clock3_twisted": {("der", 0): [1] * 3 + [0] * 6, ("gder", 0): [2] * 3 + [0] * 6,
+                       ("qder", 0): [2] * 3 + [0] * 6, ("centroid", 0): [2] + [0] * 8,
+                       ("qcentroid", 0): [2] + [1] * 8},
+}
+
+
+@pytest.mark.parametrize("name", sorted(CLOCKS))
+def test_every_kind_reverifies_on_the_clock_algebras_at_all_nine_degrees(name):
+    # every space at k = 0, 1 and each degree: reverify_space accepts it, and
+    # each der, centroid and qcentroid matrix holds on all pairs of the
+    # dense-pair oracle, which forms its own eps(gamma, x)
+    A = CLOCKS[name]()
+    dims = {}
+    for kind, k in product(KINDS, (0, 1)):
+        for g in all_degrees(A):
+            space = solve_space(A, kind, k, g)
+            assert reverify_space(A, space).ok, (name, kind, k, g.components)
+            if kind in ("der", "centroid", "qcentroid"):
+                assert all(identity_holds_on_all_pairs_direct(A, space, M)
+                           for M in space.basis), (name, kind, k, g.components)
+            dims.setdefault((kind, k), []).append(space.dim)
+    assert dims == {(kind, k): want for (kind, _), want in CLOCK_DIMS[name].items()
+                    for k in (0, 1)}
+
+
+# the dense oracle costs about 0.3 s per system at dim 9, so it checks two:
+# a one-block kind and the three-block gder, each at a degree where
+# eps(gamma, x) != eps(x, gamma) for some x
+@pytest.mark.parametrize("name, kind, k, degree", [("clock3", "der", 0, (1, 0)),
+                                                   ("clock3_twisted", "gder", 1, (2, 1))])
+def test_clock_rows_match_the_dense_oracle(name, kind, k, degree):
+    A = CLOCKS[name]()
+    gamma = A.basis.group.element(degree)
+    pattern = degree_pattern(A, gamma)
+    rows, nvars, nD = defining_rows_direct(A, k, gamma, kind, pattern, True)
+    assert _defining_rows(A, k, gamma, kind, pattern, True) == (_nonzero_rows(rows), nvars, nD)
+
+
+def test_the_quasi_centroid_product_refuses_a_singular_twist():
+    from colorhomlie.algebra_core import AlgebraStructureError
+    A = zero_algebra([2, 2], [[0, 1], [1, 0]], 2, [(1, 0), (0, 1)], alpha=[[1, 0], [0, 0]])
+    with pytest.raises(AlgebraStructureError,
+                       match="^quasi-centroid twist action needs invertible alpha$"):
+        quasi_centroid_jordan(A)
