@@ -52,6 +52,8 @@ class GradedBasis(namedtuple("GradedBasis", "names degrees group")):
         return len(self.names)
 
     def index(self, name: str) -> int:
+        if name not in self.names:
+            raise AlgebraStructureError(f"unknown basis name {name!r}")
         return self.names.index(name)
 
 

@@ -19,11 +19,11 @@ delta_0^n (D^n)^-1 with D^n scaling the tuple x by eps(gamma, |x|), so Z^n
 and B^n, solved at the first degree gamma_0 asked for, move to others by D.
 The compatible, cocycle and coboundary bases, the dim H representatives and
 every cochain read below are sparse {coordinate: scalar} vectors.
-``coboundary_of_coords`` and ``CochainSpace.evaluate`` compute the same
-values through the multilinear extension without the complex; they are the
-independent path of ``reverify`` and the tests.  They accumulate sparse
+``_coboundary`` and ``CochainSpace.evaluate`` compute the same values
+through the multilinear extension without the complex: the independent path
+of ``reverify``, ``first_order_class`` and the tests.  They accumulate sparse
 {carrier index: scalar} values, which ``evaluate`` and ``evaluate_basis``
-return; the coboundary comes back as dense coordinates.
+return; ``coboundary_of_coords`` is the coboundary's dense face.
 
 ``cohomology_group`` exposes two kernel modes.  In "compatible" mode (the
 default) cocycles are computed inside the compatible subspace, which is the
@@ -134,8 +134,7 @@ class _Complex:
     (``ColorHomAlgebra.alpha_sparse`` assumes the same).  An entry is stored
     only once computed: a negative power of a singular twist raises on
     every call.  Callers receive fresh containers, never the stored ones.
-    ``coboundary_of_coords`` and ``CochainSpace.evaluate`` never read the
-    complex.
+    ``_coboundary`` and ``CochainSpace.evaluate`` never read the complex.
     """
 
     def __init__(self, A: ColorHomAlgebra, R: Representation):
@@ -312,7 +311,7 @@ def _delta_rows(cx: _Complex, n: int, gamma: GroupElement, r: int):
     """Sparse rows of delta_r^n from the arity-n to the arity-(n+1) free
     coordinates.
 
-    Term by term the same sum as ``coboundary_of_coords``.  The twist power
+    Term by term the same sum as ``_coboundary``.  The twist power
     alpha^(r+n-1) is only formed when the domain is nonzero, so a singular
     twist raises exactly where the per-vector evaluation would.
     """
@@ -373,12 +372,18 @@ def cochain_basis(A: ColorHomAlgebra, R: Representation, n: int,
 
 def coboundary_of_coords(A: ColorHomAlgebra, R: Representation, space: CochainSpace,
                          coords, r: int):
-    """delta_r^n applied to dense or sparse free coordinates; returns dense ones.
+    """delta_r^n applied to dense or sparse free coordinates; returns dense
+    ones and the target space: the dense face of ``_coboundary``."""
+    image, target = _coboundary(A, R, space, linalg.sparse([coords]).get(0, {}), r)
+    return linalg.dense([image], target.free_dim, A.m)[0], target
+
+
+def _coboundary(A: ColorHomAlgebra, R: Representation, space: CochainSpace, coords, r: int):
+    """delta_r^n of sparse free coordinates as (sparse image, target space).
 
     Raises when r + n - 1 < 0 and the twist is singular (negative power).
     """
     n, gamma, mdim = space.n, space.gamma, R.dim
-    coords = linalg.sparse([coords]).get(0, {})
     target = CochainSpace(A, R, n + 1, gamma, canonical_tuples(A, n + 1), [])
     # alpha e_i and the columns of rho(alpha^(r+n-1) e_i), once per call
     alpha_img, rho = _transpose(A.alpha_sparse(1)), R.action[0]
@@ -404,7 +409,7 @@ def coboundary_of_coords(A: ColorHomAlgebra, R: Representation, space: CochainSp
                 if l in cols:
                     _add_scaled(acc, factor * v, cols[l])
         out.update((t_index * mdim + k, c) for k, c in acc.items())
-    return linalg.dense([out], target.free_dim, A.m)[0], target
+    return out, target
 
 
 def delta_matrix(A: ColorHomAlgebra, R: Representation, n: int, r: int,
@@ -505,7 +510,7 @@ def reverify(A: ColorHomAlgebra, R: Representation, result: CohomologyResult) ->
                 for kind, vectors in (("cocycle", result.cocycle_basis),
                                       ("representative", result._representatives))
                 for i, vec in enumerate(vectors)
-                if any(coboundary_of_coords(A, R, result.space, vec, result.r)[0])]
+                if _coboundary(A, R, result.space, vec, result.r)[0]]
     quotient = linalg.Echelon(result.coboundary_basis)
     failures += [{"kind": "representative", "index": i,
                   "reason": "in the span of B and the earlier representatives"}

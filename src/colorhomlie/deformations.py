@@ -21,7 +21,7 @@ from . import linalg
 from .linalg import _combine, _product, _transpose
 from .algebra_core import (AlgebraStructureError, BracketTable, CheckResult,
                            ColorHomAlgebra, StructureConstants, cyclic_failures)
-from .cohomology import Cochain, _complex, cochain_basis, coboundary_of_coords
+from .cohomology import Cochain, _coboundary, _complex, cochain_basis
 from .representations import adjoint
 
 
@@ -97,8 +97,7 @@ def first_order_class(A: ColorHomAlgebra, B: TruncatedBracket) -> dict:
         raise DeformationError("first-order analysis needs order >= 1")
     space, coords = bracket_term_as_cochain(A, B.terms[1])
     R = space.module
-    image, _ = coboundary_of_coords(A, R, space, coords, r=0)
-    is_cocycle = all(c.is_zero() for c in image)
+    is_cocycle = not _coboundary(A, R, space, coords, r=0)[0]
     result = {"is_cocycle": is_cocycle}
     if linalg.rank(list(A.alpha_sparse(1).values())) == A.dim:
         result["adjoint_convention"] = "r=0; equals the inverse-twist adjoint pattern"

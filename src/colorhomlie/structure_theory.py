@@ -200,23 +200,36 @@ def reverify_space(A: ColorHomAlgebra, space: HomogeneousMapSpace) -> CheckResul
     [D, alpha] = 0 where the space requires it, by direct evaluation on basis
     pairs (independent of the solver's row assembly).
 
-    For the existential kinds (gder, qder) partner maps exist when their
-    augmented system is consistent in one echelon form.
+    For the existential kinds (gder, qder) the partner systems of all the
+    spanning matrices are one augmented system, D_i's right-hand side at
+    column aug + i, eliminated once: D_i has partner maps exactly when
+    column aug + i vanishes on every echelon row led at or past aug.
     """
+    kind, alpha = space.kind, A.alpha_sparse(1)
     # a kind that admits only [D, alpha] = 0 is checked for it in any case
-    commute = space.commute or _COMMUTE[space.kind] == (True,)
-    # a^k e_x as sparse columns and eps(gamma, x), formed once per space
-    ak_e = _transpose(A.alpha_sparse(space.k))
-    eps = [A.eps(space.gamma, A.degree(x)) for x in range(A.dim)]
+    commute = space.commute or _COMMUTE[kind] == (True,)
+    if kind in ("qder", "gder"):
+        # the rows led past the unknowns span the combinations vanishing on them
+        rows, aug = _partner_rows(A, space.k, space.gamma, space._basis, kind,
+                                  degree_pattern(A, space.gamma)) if space._basis else ([], 0)
+        stuck = {c - aug for p, row in linalg.Echelon(rows).rows.items() if p >= aug
+                 for c in row}
+        holds = lambda i, D: i not in stuck
+    else:
+        # a^k e_x as sparse columns and eps(gamma, x), formed once per space
+        ak_e = _transpose(A.alpha_sparse(space.k))
+        eps = [A.eps(space.gamma, A.degree(x)) for x in range(A.dim)]
+        holds = lambda i, D: _direct_identity_holds(A, kind, D, ak_e, eps)
     failures = [{"matrix": [[str(c) for c in row] for row in space.basis[i]]}
                 for i, D in enumerate(space._basis)
-                if not _direct_identity_holds(A, space, D, commute, ak_e, eps)]
+                if commute and _product(D, alpha) != _product(alpha, D) or not holds(i, D)]
     return CheckResult(not failures, failures)
 
 
-def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str, pattern):
-    """Augmented equations (rows, aug) on the partner maps of a qder/gder D,
-    the right-hand side at column aug, past every unknown.
+def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, Ds, kind: str, pattern):
+    """Augmented equations (rows, aug) on the partner maps of each qder/gder
+    matrix of the list Ds, the right-hand side of Ds[i] at column aug + i,
+    past every unknown.
 
     qder: one unknown P with P([x,y]) = [D x, a^k y] + eps(gamma,x)[a^k x, D y];
     gder: unknowns (P1, P2) with P2([x,y]) - eps(gamma,x)[a^k x, P1 y] = [D x, a^k y].
@@ -224,13 +237,13 @@ def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str,
     (E_ij v)[a] = delta_ai v[j]: it contributes [x,y][j] at component i of
     P([x,y]) and, when j = y, [a^k e_x, e_i] to [a^k x, P1 y].  Rows run over
     (x, y, component), then the [P, alpha] = 0 rows of each block; the rows
-    are sparse, and a row whose coefficients and right-hand side both vanish
+    are sparse, and a row whose coefficients and right-hand sides all vanish
     is dropped.
     """
     dim, nD = A.dim, len(pattern)
     blocks = _BLOCKS[kind] - 1
     bracket, one, aug = A.bracket, CycloScalar.one(A.m), blocks * nD
-    ak_e, d_e = _transpose(A.alpha_sparse(k)), _transpose(D)
+    ak_e, d_es = _transpose(A.alpha_sparse(k)), [_transpose(D) for D in Ds]
     rows = []
     for x in range(dim):
         e = A.eps(gamma, A.degree(x))
@@ -238,10 +251,6 @@ def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str,
             right = [bracket.sparse_bilinear(ak_e.get(x, {}), {i: one}) for i in range(dim)]
         for y in range(dim):
             bxy = bracket.rows.get((x, y), {})
-            target = bracket.sparse_bilinear(d_e.get(x, {}), ak_e.get(y, {}))
-            if kind == "qder":
-                _add_scaled(target, e, bracket.sparse_bilinear(ak_e.get(x, {}),
-                                                               d_e.get(y, {})))
             group = [{} for _ in range(dim)]
             for t, (i, j) in enumerate(pattern):
                 if j in bxy:
@@ -249,41 +258,35 @@ def _partner_rows(A: ColorHomAlgebra, k: int, gamma: GroupElement, D, kind: str,
                 if kind == "gder" and j == y:
                     for comp, v in right[i].items():
                         group[comp][t] = -e * v
-            for comp, row in enumerate(group):
-                if comp in target:
-                    row[aug] = target[comp]
-                if row:
-                    rows.append(row)
+            for col, d_e in enumerate(d_es, aug):
+                target = bracket.sparse_bilinear(d_e.get(x, {}), ak_e.get(y, {}))
+                if kind == "qder":
+                    _add_scaled(target, e, bracket.sparse_bilinear(ak_e.get(x, {}),
+                                                                   d_e.get(y, {})))
+                for comp, v in target.items():
+                    group[comp][col] = v
+            rows.extend(row for row in group if row)
     return rows + _commute_rows(A, gamma, pattern, blocks), aug
 
 
-def _direct_identity_holds(A: ColorHomAlgebra, space: HomogeneousMapSpace, D,
-                           commute: bool, ak_e, eps) -> bool:
-    kind, alpha = space.kind, A.alpha_sparse(1)
-    if commute and _product(D, alpha) != _product(alpha, D):
-        return False
-    if kind in ("der", "centroid", "qcentroid"):
-        # D e_x is a sparse column too; D and the bracket act per pair, on supports
-        bracket, d_e = A.bracket, _transpose(D)
-        def identity(x, y):
-            left = bracket.sparse_bilinear(d_e.get(x, {}), ak_e.get(y, {}))
-            right = {c: eps[x] * v for c, v in
-                     bracket.sparse_bilinear(ak_e.get(x, {}), d_e.get(y, {})).items()}
-            if kind == "qcentroid":
-                return left == right
-            dxy = bracket.mapped_row(x, y, d_e)
-            if kind == "centroid":
-                return dxy == left == right
-            _add_scaled(left, None, right)
-            return dxy == left
-        # where D e_x = D e_y = 0 and [e_x, e_y] = 0 every term vanishes
-        return all(identity(x, y) for x in range(A.dim) for y in range(A.dim)
-                   if x in d_e or y in d_e or (x, y) in bracket.rows)
-    # qder, gder: partner maps exist, and commute with alpha as the definitions ask
-    # the system is inconsistent exactly when some row reduces to 0 ... 0 | c
-    rows, aug = _partner_rows(A, space.k, space.gamma, D, kind,
-                              degree_pattern(A, space.gamma))
-    return aug not in linalg.Echelon(rows).rows
+def _direct_identity_holds(A: ColorHomAlgebra, kind: str, D, ak_e, eps) -> bool:
+    """The der, centroid or qcentroid identity of D on every basis pair."""
+    # D e_x is a sparse column too; D and the bracket act per pair, on supports
+    bracket, d_e = A.bracket, _transpose(D)
+    def identity(x, y):
+        left = bracket.sparse_bilinear(d_e.get(x, {}), ak_e.get(y, {}))
+        right = {c: eps[x] * v for c, v in
+                 bracket.sparse_bilinear(ak_e.get(x, {}), d_e.get(y, {})).items()}
+        if kind == "qcentroid":
+            return left == right
+        dxy = bracket.mapped_row(x, y, d_e)
+        if kind == "centroid":
+            return dxy == left == right
+        _add_scaled(left, None, right)
+        return dxy == left
+    # where D e_x = D e_y = 0 and [e_x, e_y] = 0 every term vanishes
+    return all(identity(x, y) for x in range(A.dim) for y in range(A.dim)
+               if x in d_e or y in d_e or (x, y) in bracket.rows)
 
 
 def jordan_product(D1, gamma1: GroupElement, D2, gamma2: GroupElement,
@@ -430,21 +433,27 @@ def check_inclusion_lattice(A: ColorHomAlgebra, k_range, gamma_range) -> dict:
     centroid o gder lands in gder at the summed power and degree, centroid
     embeds in qder, and eps-commutators of quasi-centroid elements are gder.
     Each (kind, k, gamma) basis is read once per call, as sparse rows, and
-    membership in it is tested on one echelon form."""
+    membership in it is tested on one echelon form, solved only when needed:
+    zero is in every space, and qder and gder both ask [D, alpha] = 0, so a
+    matrix that does not commute with alpha is in neither.  [D2, D1] =
+    -eps(g', g)[D1, D2] lies in the same gder space as [D1, D2], so each
+    unordered pair of quasi-centroid elements is decided once."""
     failures = {"centroid_in_qder": [], "centroid_compose_gder": [],
                 "qcentroid_brackets": []}
-    bases, tests = {}, {}
+    bases, tests, alpha = {}, {}, A.alpha_sparse(1)
     def basis(*key):  # key = (kind, k, gamma)
         if key not in bases:
             bases[key] = solve_space(A, *key)._basis
         return bases[key]
-    def member(flat, *key):
+    def member(M, *key):  # key = ("qder" or "gder", k, gamma)
+        if not M or _product(M, alpha) != _product(alpha, M):
+            return not M
         if key not in tests:
             tests[key] = linalg.Echelon(_flat(B) for B in basis(*key))
-        return flat in tests[key]
+        return _flat(M) in tests[key]
     for k, gamma in product(k_range, gamma_range):
         for M in basis("centroid", k, gamma):
-            if not member(_flat(M), "qder", k, gamma):
+            if not member(M, "qder", k, gamma):
                 failures["centroid_in_qder"].append({"k": k, "degree": list(gamma.components)})
     quadruples = list(product(k_range, k_range, gamma_range, gamma_range))
     for k, kp, gamma, gp in quadruples:
@@ -453,18 +462,21 @@ def check_inclusion_lattice(A: ColorHomAlgebra, k_range, gamma_range) -> dict:
             continue
         for C in cent:
             for D in gder:
-                if not member(_flat(_product(C, D)), "gder", k + kp, gamma + gp):
+                if not member(_product(C, D), "gder", k + kp, gamma + gp):
                     failures["centroid_compose_gder"].append(
                         {"k": k, "kp": kp, "degree": list((gamma + gp).components)})
+    verdicts = {}  # ((k, gamma, a), (kp, gp, b)) -> [D1_a, D2_b] in gder
     for k, kp, gamma, gp in quadruples:
         qc1, qc2 = basis("qcentroid", k, gamma), basis("qcentroid", kp, gp)
         if not qc1 or not qc2:
             continue
         e = A.eps(gamma, gp)
-        for D1 in qc1:
-            for D2 in qc2:
-                brk = _flat(_anticommutator(D1, D2, -e))
-                if not member(brk, "gder", k + kp, gamma + gp):
-                    failures["qcentroid_brackets"].append(
-                        {"k": k, "kp": kp, "degree": list((gamma + gp).components)})
+        for (a, D1), (b, D2) in product(enumerate(qc1), enumerate(qc2)):
+            pair = ((k, gamma, a), (kp, gp, b))
+            if (ok := verdicts.get(pair[::-1])) is None:
+                ok = verdicts[pair] = member(_anticommutator(D1, D2, -e), "gder",
+                                             k + kp, gamma + gp)
+            if not ok:
+                failures["qcentroid_brackets"].append(
+                    {"k": k, "kp": kp, "degree": list((gamma + gp).components)})
     return {name: CheckResult(not items, items) for name, items in failures.items()}

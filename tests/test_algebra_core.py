@@ -615,5 +615,5 @@ def test_values_and_algebras_copy_and_pickle():
 def test_a_basis_refuses_an_unknown_name():
     basis = sl2c_z2z2().basis
     assert basis.index("e3") == 2
-    with pytest.raises(ValueError, match="^tuple.index\\(x\\): x not in tuple$"):
+    with pytest.raises(AlgebraStructureError, match="^unknown basis name 'e4'$"):
         basis.index("e4")

@@ -154,6 +154,53 @@ def test_inclusion_lattice_matches_per_use_oracle(build, verdicts):
                                            "qcentroid_brackets")) == verdicts
 
 
+def test_inclusion_lattice_matches_per_use_oracle_on_the_twisted_clock3():
+    # m = 3 at all nine degrees: 272 of the 400 commutators are zero, 96 do
+    # not commute with alpha and fail, and 32 are tested in a solved space
+    A = clock3_twisted()
+    got = check_inclusion_lattice(A, range(2), all_degrees(A))
+    want = inclusion_lattice_direct(A, range(2), all_degrees(A))
+    assert {name: res.to_dict() for name, res in got.items()} == \
+        {name: res.to_dict() for name, res in want.items()}
+    assert {name: len(res.failures) for name, res in got.items()} == \
+        {"centroid_in_qder": 0, "centroid_compose_gder": 0, "qcentroid_brackets": 96}
+
+
+def test_heis_zeta3_brackets_are_settled_by_the_definitions(monkeypatch):
+    # each of the 144 eps-commutators of heis_zeta3's quasi-centroid elements
+    # is zero or does not commute with alpha, and the 72 failures are exactly
+    # the latter; so the lattice never solves gder(3, (1)) or gder(4, (1)),
+    # which only such commutators reach, and it forms each unordered pair's
+    # commutator once
+    A = heis_zeta3()
+    degrees = all_degrees(A)
+    qc = {(k, g): solve_space(A, "qcentroid", k, g).basis for k in range(3) for g in degrees}
+    want, zero = [], 0
+    for k, kp, g, gp in product(range(3), range(3), degrees, degrees):
+        for D1, D2 in product(qc[(k, g)], qc[(kp, gp)]):
+            e = A.eps(g, gp)
+            C = mat_add(mat_mul_direct(D1, D2), mat_scale(-e, mat_mul_direct(D2, D1)))
+            if all(c.is_zero() for row in C for c in row):
+                zero += 1
+            else:
+                assert mat_mul_direct(C, A.alpha) != mat_mul_direct(A.alpha, C)
+                want.append({"k": k, "kp": kp, "degree": list((g + gp).components)})
+    assert zero == len(want) == 72
+    B, formed = heis_zeta3(), []
+    anticommutator = structure_theory._anticommutator
+    def counting(X, Y, e):
+        formed.append(1)
+        return anticommutator(X, Y, e)
+    monkeypatch.setattr(structure_theory, "_anticommutator", counting)
+    report = check_inclusion_lattice(B, range(3), degrees)
+    assert report["qcentroid_brackets"].failures == want
+    n = sum(len(basis) for basis in qc.values())
+    assert n * n == 144 and len(formed) == n * (n + 1) // 2
+    one = B.basis.group.element((1,))
+    assert {("gder", 3, one, True), ("gder", 4, one, True)}.isdisjoint(B._spaces)
+    assert len(B._spaces) == 32
+
+
 def test_jordan_product_square():
     A = sl2c_z2z2()
     g0 = A.basis.group.zero()
@@ -747,9 +794,17 @@ def test_partner_rows_match_dense_oracle(case):
                     # the oracle's rows augmented by their right-hand sides, past every unknown
                     rows, rhs = partner_rows_direct(A, k, gamma, D, kind)
                     aug = len(rows[0])
-                    got = _partner_rows(A, k, gamma, linalg.sparse(D), kind, pattern)
+                    got = _partner_rows(A, k, gamma, [linalg.sparse(D)], kind, pattern)
                     assert got == (_nonzero_rows([row + [t] for row, t in zip(rows, rhs)]), aug), \
                         (A.name, kind, k, gamma.components)
+                # two matrices: the probe's right-hand side at aug, the other's at aug + 1
+                other = basis[0] if basis else zeros(A.dim, A.dim, A.m)
+                (rows, rhs), (_, rhs2) = (partner_rows_direct(A, k, gamma, D, kind)
+                                          for D in (probe, other))
+                got = _partner_rows(A, k, gamma, [linalg.sparse(probe), linalg.sparse(other)],
+                                    kind, pattern)
+                assert got == (_nonzero_rows([row + [t, u] for row, t, u in zip(rows, rhs, rhs2)]),
+                               len(rows[0])), (A.name, kind, k, gamma.components)
     assert solved > 0
 
 
@@ -777,6 +832,32 @@ def test_partner_maps_exist_exactly_when_the_dense_system_is_solvable():
                     single = HomogeneousMapSpace(kind, k, g, [M], A.dim, A.m, space.commute)
                     assert reverify_space(A, single).ok == want, (A.name, kind, k, g, M)
                     verdicts.add(want)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("build", [motion_z2z3, heis_zeta3])
+def test_one_partner_elimination_per_space_gives_the_single_matrix_verdicts(build):
+    # a qder/gder space of the solved basis and the E_ij perturbations of its
+    # first matrix is checked on one partner system: its failures are
+    # exactly, in order, the matrices that fail alone under the dense oracle
+    A = build()
+    verdicts = set()
+    for kind, k, g in product(("qder", "gder"), (0, 1), all_degrees(A)):
+        space = solve_space(A, kind, k, g)
+        base = space.basis[0] if space.basis else zeros(A.dim, A.dim, A.m)
+        matrices = list(space.basis)
+        for i, j in degree_pattern(A, g):
+            M = [list(row) for row in base]
+            M[i][j] = M[i][j] + sc(1, A.m)
+            matrices.append(M)
+        alone = [mat_mul_direct(M, A.alpha) == mat_mul_direct(A.alpha, M) and
+                 solve_direct(*partner_rows_direct(A, k, g, M, kind), A.m) is not None
+                 for M in matrices]
+        batched = HomogeneousMapSpace(kind, k, g, matrices, A.dim, A.m, space.commute)
+        assert reverify_space(A, batched).failures == \
+            [{"matrix": [[str(c) for c in row] for row in M]}
+             for M, ok in zip(matrices, alone) if not ok], (A.name, kind, k, g)
+        verdicts.update(alone)
     assert verdicts == {True, False}
 
 
