@@ -22,6 +22,7 @@ from .linalg import _combine, _product, _transpose
 from .algebra_core import (AlgebraStructureError, BracketTable, CheckResult,
                            ColorHomAlgebra, StructureConstants, cyclic_failures)
 from .cohomology import Cochain, _coboundary, _complex, cochain_basis
+from .morphisms_twists import BUDGET_ENV_VAR, BudgetExceededError, current_budget
 from .representations import adjoint
 
 
@@ -249,8 +250,15 @@ def composition_deformation(L: ColorHomAlgebra, alphas, order: int = None,
     base = ColorHomAlgebra(L.basis, L.eps, L.bracket.compose_with(alphas[0]),
                            alphas[0], L.m, name=L.name)
     # bracket alpha_t^(2^n - 1) o [.,.]_t = alpha_t^(2^n) o [.,.], twist alpha_t^(2^n)
-    power = series
-    for _ in range(derived):
+    # each squaring doubles the bits of a growing entry: refuse before they run away
+    power, limit = series, current_budget()
+    for n in range(1, derived + 1):
         power = _series_product(power, power)
+        bits = max((x.bit_length() for M in power for row in M.values()
+                    for c in row.values() for x in (*c.num, c.den)), default=0)
+        if bits > limit:
+            raise BudgetExceededError(
+                f"derived level {derived}: after {n} squarings a twist series entry needs "
+                f"{bits} bits, over budget {limit} (set {BUDGET_ENV_VAR})")
     return TruncatedBracket(base, order, [L.bracket.compose_with(a) for a in power],
                             power, failing_orders)

@@ -96,37 +96,30 @@ def annihilator(A: CommutativeColorAlgebra, D: SigmaDerivation):
     return linalg.sparse_kernel_basis(list(rows.values()), A.dim, A.m)
 
 
-def _invariant(ann: linalg.Echelon, sigma) -> bool:
-    """sigma(span ann) <= span ann for a sparse sigma: the rows of ann
-    sigma^T lie in span ann."""
-    images = _product(ann.rows, _transpose(sigma))
-    return all(v in ann for v in images.values())
-
-
 def check_ann_invariance(A: CommutativeColorAlgebra, D: SigmaDerivation) -> bool:
     """sigma(Ann) <= Ann."""
-    return _invariant(linalg.Echelon(annihilator(A, D)), D.maps[0])
+    return QuotientSpace(A, D).invariant
+
+
+def _induced(A: CommutativeColorAlgebra, D: SigmaDerivation) -> StructureConstants:
+    """Structure constants of the induced bracket of D, unreduced: the
+    eps-commutator of (x, y) -> sigma(x) Delta(y)."""
+    return A.mu.precompose(*D.maps).commutator(A.basis.degrees, A.eps)
 
 
 class QuotientSpace:
-    """A / span(ann), a class represented by its reduction against ``ann``,
-    sparse vectors such as ``annihilator`` returns."""
+    """A / Ann(Delta) of one sigma-derivation D, or of any D' with its sigma
+    and Delta: a class is its reduction against ``ann``, the echelon form of
+    Ann(Delta); ``table`` is the induced bracket, every value reduced; and
+    ``invariant`` is sigma(Ann) <= Ann, the rows of ann sigma^T in span ann."""
 
-    def __init__(self, A: CommutativeColorAlgebra, ann_basis):
+    def __init__(self, A: CommutativeColorAlgebra, D: SigmaDerivation):
         self.A = A
-        self.ann = linalg.Echelon(ann_basis)
-        self._induced = None
-
-    def induced_table(self, D: SigmaDerivation) -> StructureConstants:
-        """Structure constants of the induced bracket of D, every value
-        reduced: the eps-commutator of (x, y) -> sigma(x) Delta(y).  Built on
-        the first call for D and kept for later calls with the same D."""
-        if self._induced is None or self._induced[0] is not D:
-            A = self.A
-            table = A.mu.precompose(*D.maps).commutator(A.basis.degrees, A.eps)
-            self._induced = (D, StructureConstants(A.dim, A.m, {
-                key: self.ann._reduce(row) for key, row in table.rows.items()}))
-        return self._induced[1]
+        self.ann = ann = linalg.Echelon(annihilator(A, D))
+        self.table = StructureConstants(A.dim, A.m, {
+            key: ann._reduce(row) for key, row in _induced(A, D).rows.items()})
+        images = _product(ann.rows, _transpose(D.maps[0]))
+        self.invariant = all(v in ann for v in images.values())
 
 
 def hls_bracket_element(A: CommutativeColorAlgebra, D: SigmaDerivation, x, y,
@@ -137,16 +130,15 @@ def hls_bracket_element(A: CommutativeColorAlgebra, D: SigmaDerivation, x, y,
     non-homogeneous inputs are expanded bilinearly.  Without a quotient the
     value is not reduced.
     """
-    return (quotient or QuotientSpace(A, [])).induced_table(D).bilinear(x, y)
+    return (_induced(A, D) if quotient is None else quotient.table).bilinear(x, y)
 
 
 def hls_bracket(A: CommutativeColorAlgebra, D: SigmaDerivation, x, y):
     """Class of the induced bracket in A/Ann(Delta); refused without invariance.
-    Each call solves Ann(Delta) and builds the induced table: for many pairs,
-    check ``check_ann_invariance(A, D)`` once, build ``QuotientSpace(A,
-    annihilator(A, D))`` once, and call ``hls_bracket_element`` with it."""
-    quotient = QuotientSpace(A, annihilator(A, D))
-    if not _invariant(quotient.ann, D.maps[0]):
+    Each call builds the quotient of D; for many pairs, build it once and
+    pass it to ``hls_bracket_element``."""
+    quotient = QuotientSpace(A, D)
+    if not quotient.invariant:
         raise HLSError("sigma(Ann) <= Ann fails; the bracket is not well defined")
     return hls_bracket_element(A, D, x, y, quotient)
 
@@ -163,10 +155,9 @@ def check_ijkl(A: CommutativeColorAlgebra, D: SigmaDerivation) -> CheckResult:
     return CheckResult(not failures, failures)
 
 
-def check_fgh(A: CommutativeColorAlgebra, D: SigmaDerivation,
-              quotient: QuotientSpace) -> CheckResult:
+def check_fgh(A: CommutativeColorAlgebra, quotient: QuotientSpace) -> CheckResult:
     failures = [{"pair": [A.basis.names[i], A.basis.names[j]]} for i, j in
-                quotient.induced_table(D).commutation_failures(A.basis.degrees, A.eps, -1)]
+                quotient.table.commutation_failures(A.basis.degrees, A.eps, -1)]
     return CheckResult(not failures, failures)
 
 
@@ -175,7 +166,7 @@ def check_mnop(A: CommutativeColorAlgebra, D: SigmaDerivation,
     """Cyclic sum eps(z,x)([sigma(x).Delta, [y.Delta, z.Delta]] +
     delta [x.Delta, [y.Delta, z.Delta]]) = 0 on basis triples, mod Ann: the
     cyclic residual with outer(x, w) = [(sigma + delta Id)(x).Delta, w]."""
-    H = quotient.induced_table(D)
+    H = quotient.table
     I = {i: {i: CycloScalar.one(A.m)} for i in range(A.dim)}
     outer = H.precompose(_combine([(None, D.maps[0]), (D.delta_scalar, I)]), I)
     failures = cyclic_failures([(outer, H)], A.basis, A.eps)
@@ -186,17 +177,14 @@ def check_hls_jacobi(A: CommutativeColorAlgebra, D: SigmaDerivation) -> dict:
     """Full report: derivation laws, annihilator invariance, the scalar
     intertwining law, skewness, the deformed Jacobi identity, and the
     induced bracket on basis pairs, reduced to the quotient representatives;
-    Ann(Delta) is solved, and its echelon form and the induced table built once."""
-    base = check_sigma_derivation(A, D)
-    ann = annihilator(A, D)
-    quotient = QuotientSpace(A, ann)
-    invariance = _invariant(quotient.ann, D.maps[0])
-    report = dict(base)
-    report["abc"] = CheckResult(invariance, [] if invariance else
+    one quotient holds Ann(Delta), the invariance verdict and the table."""
+    quotient = QuotientSpace(A, D)
+    report = check_sigma_derivation(A, D)
+    report["abc"] = CheckResult(quotient.invariant, [] if quotient.invariant else
                                 [{"reason": "sigma image escapes the annihilator"}])
     report["ijkl"] = check_ijkl(A, D)
-    report["fgh"] = check_fgh(A, D, quotient)
+    report["fgh"] = check_fgh(A, quotient)
     report["mnop"] = check_mnop(A, D, quotient)
-    report["annihilator_dim"] = len(ann)
-    report["induced_bracket"] = quotient.induced_table(D).report(A.basis.names)
+    report["annihilator_dim"] = len(quotient.ann.rows)
+    report["induced_bracket"] = quotient.table.report(A.basis.names)
     return report

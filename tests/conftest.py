@@ -14,6 +14,7 @@ from colorhomlie.algebra_core import (BracketTable, CheckResult, ColorHomAlgebra
                                       StructureConstants, check_color_hom_lie,
                                       commutator_algebra)
 from colorhomlie.cohomology import CochainSpace, cochain_basis
+from colorhomlie.hls_bracket import CommutativeColorAlgebra, SigmaDerivation
 from colorhomlie.morphisms_twists import twist
 from colorhomlie.structure_theory import (_COMMUTE, NotClosedError, _defining_rows,
                                           _pattern_matrix, degree_pattern, solve_space)
@@ -81,15 +82,19 @@ def motion_z2z3():
         [[1, 0, 0], [0, 1, 0], [0, 0, 1]], name="motion_z2z3")
 
 
+def heis_z3():
+    """The Z3 Heisenberg algebra [e1, e2] = e3 with alpha = diag(2,3,6)."""
+    return build_algebra([3], [[0]], 3, ["e1", "e2", "e3"], [(1,), (1,), (2,)],
+                         {(0, 1): [0, 0, 1]}, [[2, 0, 0], [0, 3, 0], [0, 0, 6]],
+                         name="heis_z3")
+
+
 def heis_zeta3():
-    """The Z3 Heisenberg algebra with alpha = diag(2,3,6), Yau-twisted by
-    diag(zeta, zeta, zeta^2); its structure constants lie in Q(zeta_3)."""
-    H = build_algebra([3], [[0]], 3, ["e1", "e2", "e3"], [(1,), (1,), (2,)],
-                      {(0, 1): [0, 0, 1]}, [[2, 0, 0], [0, 3, 0], [0, 0, 6]],
-                      name="heis_z3")
+    """heis_z3 Yau-twisted by diag(zeta, zeta, zeta^2); its structure
+    constants lie in Q(zeta_3)."""
     z, o = CycloScalar.root_of_unity(3, 1), CycloScalar.zero(3)
     beta = [[z, o, o], [o, z, o], [o, o, z * z]]
-    return twist(H, beta, name="heis_zeta3")
+    return twist(heis_z3(), beta, name="heis_zeta3")
 
 
 def heis_zeta(m):
@@ -154,6 +159,38 @@ def clock3_twisted():
     beta = [[CycloScalar.root_of_unity(A.m, A.degree(i).components[0]) if i == j else zero
              for j in range(A.dim)] for i in range(A.dim)]
     return twist(A, beta, name="clock3_twisted")
+
+
+def quantum_plane_z3z3():
+    """The truncated quantum plane over Z_3 x Z_3 (m = 3, exponents
+    [[0, 1], [2, 0]]) with an inner sigma-derivation of nonzero degree, as
+    (A, D).  The basis is a^i b^j, i, j < 3, of degree (i, j); the product
+    moves b^j past a^k as b^j a^k = eps(b^j, a^k) a^k b^j and vanishes past
+    the truncation.  sigma(a^i b^j) = 2^i 3^j a^i b^j is an algebra
+    endomorphism, and Delta(x) = a x - eps(a, x) sigma(x) a, of degree
+    (1, 0), satisfies the twisted Leibniz rule identically; delta = 1."""
+    m, cells = 3, list(product(range(3), repeat=2))
+    group = FiniteAbelianGroup((3, 3))
+    eps = BiCharacter(group, [[0, 1], [2, 0]], m)
+    degrees = tuple(group.element(cell) for cell in cells)
+    basis = GradedBasis(tuple(f"a{i}b{j}" for i, j in cells), degrees, group)
+    zero, one = CycloScalar.zero(m), CycloScalar.one(m)
+    mu = [[[zero] * len(cells) for _ in cells] for _ in cells]
+    for (p, (i, j)), (q, (k, l)) in product(enumerate(cells), repeat=2):
+        if i + k < 3 and j + l < 3:
+            mu[p][q][cells.index((i + k, j + l))] = eps(group.element((0, j)),
+                                                        group.element((k, 0)))
+    A = CommutativeColorAlgebra(basis, eps, mu, m)
+    sigma = {p: {p: sc(2 ** i * 3 ** j, m)} for p, (i, j) in enumerate(cells)}
+    ia = cells.index((1, 0))
+    a = {ia: one}
+    delta = {}  # row r, column p: the coefficient of e_r in Delta(e_p)
+    for p, d in enumerate(degrees):
+        col = A.mu.sparse_bilinear(a, {p: one})
+        linalg._add_scaled(col, -eps(degrees[ia], d), A.mu.sparse_bilinear(sigma[p], a))
+        for r, c in col.items():
+            delta.setdefault(r, {})[p] = c
+    return A, SigmaDerivation(sigma, delta, degrees[ia], one, A.dim, m)
 
 
 def semidirect(A, R, coords, gamma, r):

@@ -365,6 +365,26 @@ def test_deep_composition_levels_exit_zero_at_once(tmp_path, capsys):
     assert all(v["ok"] for v in json.loads(out)["orders"].values())
 
 
+def test_a_runaway_composition_level_is_refused_within_the_budget(tmp_path, capsys,
+                                                                  monkeypatch):
+    # alpha_0 = 2 Id: after n squarings the entries hold about 2^n bits, and
+    # term 0 is 2^(2^n) [.,.], not the base bracket; the series is refused as
+    # soon as an entry outgrows COLORHOM_BUDGET, before term 0 is compared
+    monkeypatch.setenv("COLORHOM_BUDGET", "64")
+    doubled = {"schema": 1, "terms": [[["2", "0", "0"], ["0", "2", "0"], ["0", "0", "2"]],
+                                      ALPHA_TERMS["terms"][1]]}
+    f = tmp_path / "alpha_terms.json"
+    f.write_text(json.dumps(doubled))
+    start = time.perf_counter()
+    code, out, err = run_cli([
+        "deform", "compose", "--algebra", data_path("sl2c_z2z3.alg"),
+        "--alpha-terms", str(f), "--order", "3", "--derived", "33"], capsys)
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err == ("error: derived level 33: after 6 squarings a twist series entry "
+                   "needs 77 bits, over budget 64 (set COLORHOM_BUDGET)\n")
+
+
 def test_deform_check_cli(tmp_path, capsys):
     f = tmp_path / "terms.json"
     f.write_text(json.dumps(BRACKET_TERMS))

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from colorhomlie import linalg
-from colorhomlie.algebra_core import GradedBasis, StructureConstants
+from colorhomlie.algebra_core import CheckResult, GradedBasis, StructureConstants
 from colorhomlie.cli import run_command
 from colorhomlie.fileio import (parse_commutative_algebra_document,
                                 parse_commutative_algebra_file)
@@ -23,7 +23,7 @@ from colorhomlie.scalars_grading import (BiCharacter, CycloScalar,
 from conftest import (annihilator_direct, assert_rotations_share_residuals, assert_rref,
                       basis_vector, check_fgh_direct, check_ijkl_direct, check_mnop_direct,
                       check_sigma_derivation_direct, data_path, hls_bracket_element_direct,
-                      mat_vec_direct, zeros)
+                      mat_vec_direct, quantum_plane_z3z3, zeros)
 
 
 def _sc(v, m=1):
@@ -82,7 +82,7 @@ def test_q2_instance_identities():
     assert check_ann_invariance(A, D)
     assert check_ijkl(A, D).ok
     assert not check_ijkl(A, _with_delta(D, _sc(1))).ok
-    quotient = QuotientSpace(A, [])
+    quotient = QuotientSpace(A, D)
     assert check_mnop(A, D, quotient).ok
     assert not check_mnop(A, _with_delta(D, _sc(1)), quotient).ok
 
@@ -109,7 +109,7 @@ def test_bracket_table_reproduces_the_weighted_shift_relations():
             acc = acc + p
             p = p * q
         return acc
-    quotient = QuotientSpace(A, annihilator(A, D))
+    quotient = QuotientSpace(A, D)
     for i in range(3):
         for j in range(3):
             got = hls_bracket_element(A, D, basis_vector(A, i), basis_vector(A, j),
@@ -162,7 +162,7 @@ def test_nontrivial_annihilator_and_well_definedness():
     ann = annihilator(A, D)
     assert len(ann) == 1 and 1 in ann[0]
     assert check_ann_invariance(A, D)
-    quotient = QuotientSpace(A, ann)
+    quotient = QuotientSpace(A, D)
     x = [_sc(1), _sc(5)]
     x_shifted = [a + b for a, b in zip(x, linalg.dense(ann, A.dim, A.m)[0])]  # same class
     y = [_sc(0), _sc(1)]
@@ -175,11 +175,11 @@ def test_nontrivial_annihilator_and_well_definedness():
 
 
 def test_one_quotient_serves_every_pair_as_hls_bracket_does():
-    # hls_bracket's docstring: for many pairs, check invariance once, build
-    # one quotient and hand it to hls_bracket_element
+    # hls_bracket's docstring: for many pairs, build one quotient and hand it
+    # to hls_bracket_element
     A, D = _euler_instance()
     assert check_ann_invariance(A, D)
-    quotient = QuotientSpace(A, annihilator(A, D))
+    quotient = QuotientSpace(A, D)
     for i in range(A.dim):
         for j in range(A.dim):
             x, y = basis_vector(A, i), basis_vector(A, j)
@@ -346,7 +346,7 @@ def test_hls_identities_match_the_pointwise_oracles():
     failing = reduced = rotated = 0
     for A, D in _instances():
         ann = annihilator(A, D)
-        quotient = QuotientSpace(A, ann)
+        quotient = QuotientSpace(A, D)
         one = CycloScalar.one(A.m)
         for d in (D.delta_scalar, one, D.delta_scalar + D.delta_scalar):
             got = check_mnop(A, _with_delta(D, d), quotient)
@@ -356,7 +356,7 @@ def test_hls_identities_match_the_pointwise_oracles():
             assert check_hls_jacobi(A, _with_delta(D, d))["mnop"].to_dict() == got.to_dict()
             failing += not got.ok
             rotated += assert_rotations_share_residuals(got.failures)
-        assert check_fgh(A, D, quotient).to_dict() == \
+        assert check_fgh(A, quotient).to_dict() == \
             check_fgh_direct(A, D, quotient).to_dict()
         # basis vectors and inhomogeneous ones
         vectors = [basis_vector(A, i) for i in range(A.dim)] + [
@@ -398,7 +398,7 @@ def test_derivation_laws_and_annihilator_match_the_dense_oracles():
 def test_a_rational_delta_scalar_reads_as_the_scalar_it_names():
     # an int or Fraction delta_scalar is coerced as scalar arithmetic coerces it
     for A, D in _instances():
-        quotient = QuotientSpace(A, annihilator(A, D))
+        quotient = QuotientSpace(A, D)
         for d in (1, 0, Fraction(1, 2), -3):
             rational = _with_delta(D, d)
             scalar = _with_delta(D, CycloScalar.from_rational(d, A.m))
@@ -427,3 +427,36 @@ def test_an_hls_run_solves_the_annihilator_and_builds_the_induced_table_once(
                         "--delta-scalar", "2"])
     assert code == 1 and json.loads(capsys.readouterr().out)["induced_bracket"]
     assert (len(solves), len(builds)) == (1, 1)
+
+
+def test_the_graded_quantum_plane_pins_the_whole_hls_report():
+    # eps is not symmetric on Z_3 x Z_3 and Delta has degree (1, 0), so CD2
+    # reads eps(d, x) where eps(x, d) differs; Ann(Delta) = span(a1b2, a2b0,
+    # a2b1, a2b2) is nonzero, so the quotient reduces table values carrying zeta
+    A, D = quantum_plane_z3z3()
+    assert A.check_commutative_associative().ok
+    report = {key: value.to_dict() if isinstance(value, CheckResult) else value
+              for key, value in check_hls_jacobi(A, D).items()}
+    def ijkl(name, k, lhs):  # Delta sigma = sigma Delta / 2, not delta sigma Delta
+        entries = lambda c: ["0"] * k + [str(c)] + ["0"] * (A.dim - 1 - k)
+        return {"basis": name, "lhs": entries(lhs), "rhs": entries(2 * lhs)}
+    passing = {"ok": True, "failures": []}
+    assert report == {
+        "sigma_endomorphism": passing, "cd1": passing, "cd2": passing, "abc": passing,
+        "ijkl": {"ok": False, "failures": [
+            ijkl("a0b1", 4, -6), ijkl("a0b2", 5, -72), ijkl("a1b0", 6, -2),
+            ijkl("a1b1", 7, -30), ijkl("a1b2", 8, -306)]},
+        "fgh": passing, "mnop": passing, "annihilator_dim": 4,
+        "induced_bracket": {"a0b0,a0b1": {"a1b1": "-2"}, "a0b1,a0b0": {"a1b1": "2"}}}
+    # the quotient's table and its unreduced form against the pointwise oracles
+    quotient = QuotientSpace(A, D)
+    assert check_fgh(A, quotient).to_dict() == check_fgh_direct(A, D, quotient).to_dict()
+    unreduced = 0
+    vectors = [basis_vector(A, i) for i in range(A.dim)]
+    for x in vectors:
+        for y in vectors:
+            for q in (quotient, None):
+                assert hls_bracket_element(A, D, x, y, q) == \
+                    hls_bracket_element_direct(A, D, x, y, q)
+            unreduced += any(not c.is_zero() for c in hls_bracket_element(A, D, x, y))
+    assert unreduced == 16

@@ -14,9 +14,9 @@ from colorhomlie.morphisms_twists import (BudgetExceededError,
                                           verify_morphism)
 from colorhomlie.scalars_grading import BiCharacter, CycloScalar, FiniteAbelianGroup
 from conftest import (as_rational, build_algebra, data_path, endomorphism_failures_direct,
-                      enumerate_morphisms_direct, heis_zeta3, mat_vec_direct, motion_z2z3, sc,
-                      parse_matrix_bundle, sl2c_z2z2, sl2c_z2z2_untwisted, sl2c_z2z3,
-                      zero_algebra)
+                      enumerate_morphisms_direct, heis_z3, heis_zeta3, mat_vec_direct,
+                      motion_z2z3, sc, parse_matrix_bundle, sl2c_z2z2, sl2c_z2z2_untwisted,
+                      sl2c_z2z3, zero_algebra)
 
 
 def _mat(A, rows):
@@ -70,6 +70,18 @@ def test_twist_by_identity_is_unchanged():
     T = twist(A, A.alpha_sparse(0))
     assert T.bracket.equals(A.bracket)
     assert T.alpha == A.alpha
+
+
+def test_a_twist_by_a_beta_that_does_not_commute_with_alpha_keeps_beta_alpha():
+    # e1 <-> e2, e3 -> -e3 is a bracket automorphism of heis_z3 and
+    # beta alpha != alpha beta; the Yau twist's map is beta alpha, and its
+    # Hom-Jacobi sum is beta^2 applied to the base's, so the axioms still hold
+    H = heis_z3()
+    beta = _mat(H, [[0, 1, 0], [1, 0, 0], [0, 0, -1]])
+    assert linalg.mat_mul(beta, H.alpha) != linalg.mat_mul(H.alpha, beta)
+    T = twist(H, beta)
+    assert T.alpha == linalg.mat_mul(beta, H.alpha)
+    assert check_color_hom_lie(T).is_color_hom_lie
 
 
 def test_twist_requires_morphism():

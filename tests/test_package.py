@@ -153,6 +153,21 @@ def test_no_module_imports_a_name_it_never_uses():
     assert unused == []
 
 
+def test_every_mutant_of_the_table_changes_one_text_and_names_its_test():
+    """Each entry of tests/mutants.py changes a text that occurs exactly once
+    in its module, and names a test function its test file defines, or is
+    marked equivalent (no test) with a reason."""
+    from mutants import MUTANTS, ROOT
+    for mutant in MUTANTS:
+        with open(os.path.join(PACKAGE_DIR, mutant.module), encoding="utf-8") as fh:
+            assert fh.read().count(mutant.old) == 1, mutant.reason
+        assert mutant.new != mutant.old and mutant.reason
+        if mutant.test is not None:
+            path, function = mutant.test.split("::")
+            with open(os.path.join(ROOT, path), encoding="utf-8") as fh:
+                assert f"\ndef {function}(" in fh.read(), mutant.test
+
+
 # Package functions that no package code calls, each kept for a reason.
 UNCALLED_ALLOWED = {
     "check_commutative_associative": "the HLS hypothesis check that `colorhom hls` is "

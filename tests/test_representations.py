@@ -14,7 +14,7 @@ from colorhomlie.representations import (CoadjointUnavailableError,
                                          dual_representation)
 from conftest import (alpha_s_adjoint_direct, basis_vector, build_algebra,
                       check_coadjoint_direct, check_module_direct, clock3, clock3_twisted,
-                      check_representation_direct, degree_report, is_zero_matrix,
+                      check_representation_direct, degree_report, heis_zeta3, is_zero_matrix,
                       mat_scale, mat_vec_direct, random_multiplicative_algebra, rho_of, sc,
                       sl2c_z2z2, zero_algebra, zeros)
 
@@ -244,3 +244,22 @@ def test_the_clock_algebras_act_on_themselves(build):
     A = build()
     for R in (adjoint(A), alpha_s_adjoint(A, 1)):
         assert check_representation(A, R).ok and check_module(A, R).ok
+
+
+@pytest.mark.parametrize("build, failing", [(clock3, 48), (clock3_twisted, 48),
+                                            (heis_zeta3, 0)])
+def test_the_coadjoint_condition_is_the_leibniz_rule_of_the_raw_dual(build, failing):
+    # transposed, the condition at (x, y) is the Leibniz rule at (x, y) of the
+    # dual module (-rho(e_i)^T, beta^T), built here without the refusal of
+    # dual_representation; on the twisted clock3 the pairs where they fail
+    # move if eps(y, x) stands for eps(x, y) in the condition
+    A = build()
+    R = adjoint(A)
+    dual = Representation(
+        GradedBasis(tuple(n + "*" for n in R.carrier.names),
+                    tuple(-d for d in R.carrier.degrees), R.carrier.group),
+        [[[-c for c in row] for row in zip(*M)] for M in R.rho],
+        [list(row) for row in zip(*R.beta)], R.m)
+    condition = check_coadjoint_condition(A, R).failures
+    assert condition == check_representation(A, dual).failures
+    assert len(condition) == failing
