@@ -237,6 +237,8 @@ def composition_deformation(L: ColorHomAlgebra, alphas, order: int = None,
         raise DeformationError("composition deformation starts from an untwisted algebra")
     if order is None:
         order = len(alphas) - 1
+    if order < 0:
+        raise DeformationError(f"order must be non-negative, got {order}")
     # the bracket as the constant series [.,.] + 0 t + 0 t^2 + ...
     terms = [L.bracket] + [StructureConstants(L.dim, L.m, {})] * order
     alphas = [linalg.sparse(M) for M in alphas]
@@ -246,19 +248,19 @@ def composition_deformation(L: ColorHomAlgebra, alphas, order: int = None,
         raise DeformationError(
             f"alpha_t is not a coefficient-wise endomorphism; failing orders "
             f"{failing_orders}")
-    # the family starts at the alpha_0-composed algebra (L itself when alpha_0 = Id)
-    base = ColorHomAlgebra(L.basis, L.eps, L.bracket.compose_with(alphas[0]),
-                           alphas[0], L.m, name=L.name)
     # bracket alpha_t^(2^n - 1) o [.,.]_t = alpha_t^(2^n) o [.,.], twist alpha_t^(2^n)
-    # each squaring doubles the bits of a growing entry: refuse before they run away
+    # each squaring doubles an entry's bits b: refuse once a product, b^2 steps, is too dear
     power, limit = series, current_budget()
     for n in range(1, derived + 1):
         power = _series_product(power, power)
         bits = max((x.bit_length() for M in power for row in M.values()
                     for c in row.values() for x in (*c.num, c.den)), default=0)
-        if bits > limit:
+        if bits * bits > limit:
             raise BudgetExceededError(
                 f"derived level {derived}: after {n} squarings a twist series entry needs "
-                f"{bits} bits, over budget {limit} (set {BUDGET_ENV_VAR})")
-    return TruncatedBracket(base, order, [L.bracket.compose_with(a) for a in power],
-                            power, failing_orders)
+                f"{bits} bits, about {bits * bits} steps per product, over budget {limit} "
+                f"(set {BUDGET_ENV_VAR})")
+    family = [L.bracket.compose_with(a) for a in power]
+    # level n of the alpha_0-composed algebra, (L, alpha_0^(2^n) o [.,.], alpha_0^(2^n))
+    base = ColorHomAlgebra(L.basis, L.eps, family[0], power[0], L.m, name=L.name)
+    return TruncatedBracket(base, order, family, power, failing_orders)

@@ -15,8 +15,11 @@ row.  ``mat_mul`` is the one dense product, a face of ``_product`` for
 callers that hold dense lists.
 
 Elimination is Gauss-Jordan with exact division and canonical pivot
-normalization.  The reduced row echelon form is unique over a field, and
-``rref`` returns one, so each question below is asked of one ``Echelon``:
+normalization, so a one-entry pivot row is the unit row {p: 1}, stored
+without an inverse; reducing against it or clearing its column deletes one
+entry, with no scalar arithmetic.  The reduced row echelon form is unique
+over a field, and ``rref`` returns one, so each question below is asked of
+one ``Echelon``:
 
 * kernel: ``sparse_kernel_basis``, itself rref(ker M), reduced by no caller again;
 * span membership: ``vec in Echelon(rows)``;
@@ -116,7 +119,8 @@ class Echelon:
     may be nonzero there, so that a new pivot column is cleared from those
     rows only.  An entry may be stale, naming a row where the column has
     since cancelled, or repeated; ``add`` skips a row that no longer holds
-    the column.
+    the column.  Every row is 1 at its pivot, so a one-entry row is {p: 1},
+    and ``_reduce`` and ``add`` meet it by deleting an entry.
     """
 
     __slots__ = ("rows", "holders")
@@ -128,10 +132,14 @@ class Echelon:
 
     def _reduce(self, vec):
         """The sparse vec as a fresh dict, reduced in one pass against every
-        pivot: empty exactly when vec lies in the span."""
+        pivot, against a unit row {p: 1} by deleting the entry at p: empty
+        exactly when vec lies in the span."""
         v, rows = dict(vec), self.rows
-        for p, f in [(p, -v[p]) for p in v if p in rows]:
-            _add_scaled(v, f, rows[p])
+        for p in [p for p in v if p in rows]:
+            if len(row := rows[p]) == 1:
+                del v[p]
+            else:
+                _add_scaled(v, -v[p], row)
         return v
 
     def __contains__(self, vec) -> bool:
@@ -143,10 +151,12 @@ class Echelon:
         v = self._reduce(vec)
         if not v:
             return False
-        c = min(v)
-        inv = v[c]
-        if inv != CycloScalar.one(inv.root_order):
-            inv = inv.inverse()
+        c, unit = min(v), len(v) == 1
+        one = CycloScalar.one(v[c].root_order)
+        if unit:
+            v = {c: one}
+        elif v[c] != one:
+            inv = v[c].inverse()
             v = {k: inv * a for k, a in v.items()}
         rows, holders = self.rows, self.holders
         cleared = [c]
@@ -154,7 +164,10 @@ class Echelon:
             prow = rows[p]
             if c not in prow:
                 continue
-            _add_scaled(prow, -prow[c], v)
+            if unit:
+                del prow[c]
+            else:
+                _add_scaled(prow, -prow[c], v)
             cleared.append(p)
         # the rows just cleared, and the new one, may be nonzero wherever v is
         for k in v:

@@ -365,24 +365,46 @@ def test_deep_composition_levels_exit_zero_at_once(tmp_path, capsys):
     assert all(v["ok"] for v in json.loads(out)["orders"].values())
 
 
+def test_a_derived_composition_by_an_automorphism_exits_zero(tmp_path, capsys):
+    # alpha_t = diag(-1, -1, 1), constant: the family starts at (L, [.,.], Id)
+    f = tmp_path / "alpha_terms.json"
+    f.write_text(json.dumps({"schema": 1, "terms": ALPHA_TERMS["terms"][1:]}))
+    for derived in ("1", "2"):
+        code, out, _ = run_cli([
+            "deform", "compose", "--algebra", data_path("sl2c_z2z3.alg"),
+            "--alpha-terms", str(f), "--order", "2", "--derived", derived,
+            "--require-endomorphism"], capsys)
+        assert code == 0
+        orders = json.loads(out)["orders"]
+        assert set(orders) == {"0", "1", "2"} and all(v["ok"] for v in orders.values())
+
+
 def test_a_runaway_composition_level_is_refused_within_the_budget(tmp_path, capsys,
                                                                   monkeypatch):
-    # alpha_0 = 2 Id: after n squarings the entries hold about 2^n bits, and
-    # term 0 is 2^(2^n) [.,.], not the base bracket; the series is refused as
-    # soon as an entry outgrows COLORHOM_BUDGET, before term 0 is compared
-    monkeypatch.setenv("COLORHOM_BUDGET", "64")
+    # alpha_0 = 2 Id: after n squarings the entries hold about 2^n bits, and term 0,
+    # 2^(2^n) [.,.], is the base bracket of level n; the series is refused as soon
+    # as one product of two of its entries, b^2 steps for b bits, outgrows
+    # COLORHOM_BUDGET: under the default budget at squaring 14, whatever the level
     doubled = {"schema": 1, "terms": [[["2", "0", "0"], ["0", "2", "0"], ["0", "0", "2"]],
                                       ALPHA_TERMS["terms"][1]]}
     f = tmp_path / "alpha_terms.json"
     f.write_text(json.dumps(doubled))
-    start = time.perf_counter()
-    code, out, err = run_cli([
-        "deform", "compose", "--algebra", data_path("sl2c_z2z3.alg"),
-        "--alpha-terms", str(f), "--order", "3", "--derived", "33"], capsys)
-    assert time.perf_counter() - start < 1.0
-    assert (code, out) == (2, "")
-    assert err == ("error: derived level 33: after 6 squarings a twist series entry "
-                   "needs 77 bits, over budget 64 (set COLORHOM_BUDGET)\n")
+    for budget, derived, refusal in (
+            ("64", "33", "after 3 squarings a twist series entry needs 11 bits, about "
+                         "121 steps per product, over budget 64"),
+            (None, "24", "after 14 squarings a twist series entry needs 16421 bits, about "
+                         "269649241 steps per product, over budget 100000000")):
+        if budget is None:
+            monkeypatch.delenv("COLORHOM_BUDGET", raising=False)
+        else:
+            monkeypatch.setenv("COLORHOM_BUDGET", budget)
+        start = time.perf_counter()
+        code, out, err = run_cli([
+            "deform", "compose", "--algebra", data_path("sl2c_z2z3.alg"),
+            "--alpha-terms", str(f), "--order", "3", "--derived", derived], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (2, "")
+        assert err == f"error: derived level {derived}: {refusal} (set COLORHOM_BUDGET)\n"
 
 
 def test_deform_check_cli(tmp_path, capsys):

@@ -7,14 +7,16 @@ structure-theory elimination together through two independent code paths.
 """
 import random
 
+import pytest
+
 from colorhomlie import linalg
 from colorhomlie.cohomology import cohomology_group
 from colorhomlie.representations import adjoint, alpha_s_adjoint
 from colorhomlie.scalars_grading import CycloScalar
 from colorhomlie.structure_theory import degree_pattern, solve_space
 
-from conftest import (densify, kernel_basis, random_multiplicative_algebra, sl2c_z2z2,
-                      span_equal)
+from conftest import (clock3, clock3_twisted, densify, heis_zeta, kernel_basis,
+                      random_multiplicative_algebra, sl2c_z2z2, span_equal)
 
 
 def _pattern_part(A, vectors, gamma):
@@ -65,6 +67,15 @@ def test_one_cocycles_are_twisted_derivations_shipped():
     A = sl2c_z2z2()
     _assert_match(A, adjoint(A), r=1, k=1)
     # invertible twist: the shifted action at s = -1 matches plain derivations
+    _assert_match(A, alpha_s_adjoint(A, -1), r=1, k=0)
+
+
+@pytest.mark.parametrize("build", (clock3, clock3_twisted, lambda: heis_zeta(5)),
+                         ids=("clock3", "clock3_twisted", "heis_zeta5"))
+def test_one_cocycles_are_twisted_derivations_on_indecomposable_inputs(build):
+    # m = 3 and m = 5 inputs whose twists are all invertible
+    A = build()
+    _assert_match(A, adjoint(A), r=1, k=1)
     _assert_match(A, alpha_s_adjoint(A, -1), r=1, k=0)
 
 

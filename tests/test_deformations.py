@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from colorhomlie import linalg
-from colorhomlie.algebra_core import BracketTable, ColorHomAlgebra
+from colorhomlie.algebra_core import BracketTable, ColorHomAlgebra, derived_algebra
 from colorhomlie.cohomology import delta_matrix
 from colorhomlie.deformations import (DeformationError, FormalAutomorphism,
                                       TruncatedBracket, bracket_term_as_cochain,
@@ -177,6 +177,21 @@ def test_derived_composition_series_expansion():
     assert B.alpha_terms[2] == linalg.sparse(linalg.mat_mul(a1, a1))
     per = check_deformation(B.algebra, B)
     assert all(res.ok for res in per.values())
+
+
+def test_a_derived_composition_family_starts_at_level_n_of_the_alpha0_composed_algebra():
+    # alpha_t = alpha_0 = diag(-1, -1, 1), a constant automorphism: level n of
+    # the alpha_0-composed algebra is (L, [.,.], Id), and every order passes
+    L = sl2c_z2z3()
+    a0 = linalg.sparse(_alpha1(L))
+    composed = ColorHomAlgebra(L.basis, L.eps, L.bracket.compose_with(a0), a0, L.m)
+    for n in (1, 2):
+        B = composition_deformation(L, [_alpha1(L)], order=2, derived=n,
+                                    require_endomorphism=True)
+        D = derived_algebra(composed, n)
+        assert B.algebra.bracket.equals(D.bracket) and D.bracket.equals(L.bracket)
+        assert B.algebra.alpha_sparse(1) == D.alpha_sparse(1) == L.alpha_sparse(0)
+        assert all(res.ok for res in check_deformation(B.algebra, B).values())
 
 
 def test_skew_and_grading_reports():

@@ -303,6 +303,60 @@ def test_stale_holders_are_skipped_and_the_form_stays_exact():
     assert [as_dense(echelon.rows[p], 5, m) for p in pivots] == want_rows
 
 
+# -- unit pivot rows ----------------------------------------------------------------
+
+def counting_inverse(monkeypatch):
+    """Patch ``CycloScalar.inverse`` to count its calls; returns the count."""
+    calls, inverse = [0], CycloScalar.inverse
+
+    def counted(self):
+        calls[0] += 1
+        return inverse(self)
+    monkeypatch.setattr(CycloScalar, "inverse", counted)
+    return calls
+
+
+@pytest.mark.parametrize("m", (2, 3))
+def test_unit_rows_are_stored_met_and_cleared_without_an_inverse(m, monkeypatch):
+    w = CycloScalar.root_of_unity(m)  # -1 or zeta_3, so p + q w is never 0 or 1 below
+    r = [CycloScalar.from_rational(p, m) + q * w
+         for p, q in ((3, 1), (1, 2), (5, 1), (2, 3), (1, -1), (4, 1))]
+    one = CycloScalar.one(m)
+    calls = counting_inverse(monkeypatch)
+    echelon = linalg.Echelon()
+    assert echelon.add({0: r[0], 1: r[1]}) and calls[0] == 1  # leads with r[0] != 1
+    # a one-entry vector becomes a pivot, and its column is deleted from row 0
+    assert echelon.add({1: r[2]}) and 1 not in echelon.holders
+    assert echelon.rows == {0: {0: one}, 1: {1: one}}
+    # reduced against the unit rows 0 and 1 to one entry: another unit row
+    assert echelon.add({0: r[3], 1: r[4], 2: r[5]}) and echelon.rows[2] == {2: one}
+    # reduced against unit row 1 to a multi-entry pivot row that leads with r[1]
+    assert echelon.add({1: r[0], 3: r[1], 4: r[2]}) and calls[0] == 2
+    # a multi-entry pivot row that leads with 1 clears column 4 from row 3
+    assert echelon.add({4: one, 5: r[3]}) and 4 not in echelon.rows[3]
+    assert not echelon.add({0: r[4], 4: r[5], 5: r[5] * r[3]})
+    assert {0: r[4], 2: r[0]} in echelon and {5: r[0]} not in echelon
+    assert calls[0] == 2
+    vectors = [{0: r[0], 1: r[1]}, {1: r[2]}, {0: r[3], 1: r[4], 2: r[5]},
+               {1: r[0], 3: r[1], 4: r[2]}, {4: one, 5: r[3]}]
+    want_rows, want_pivots = rref_direct([as_dense(v, 6, m) for v in vectors])
+    assert sorted(echelon.rows) == want_pivots == [0, 1, 2, 3, 4]
+    assert [as_dense(echelon.rows[p], 6, m) for p in want_pivots] == want_rows
+    red, pivots = linalg.rref(vectors)
+    assert pivots == want_pivots and [as_dense(v, 6, m) for v in red] == want_rows
+
+
+def test_the_heis_zeta3_structure_solves_take_few_inverses(monkeypatch):
+    from colorhomlie.structure_theory import KINDS, solve_space
+    from conftest import heis_zeta3
+    A = heis_zeta3()
+    calls = counting_inverse(monkeypatch)
+    for kind, k, gamma in product(KINDS, (0, 1), A.basis.group.elements()):
+        solve_space(A, kind, k, gamma)
+    # 106 with an inverse per one-entry pivot row, 18 with unit rows
+    assert calls[0] <= 30
+
+
 # -- the zero-skipping dense products ---------------------------------------------
 
 @st.composite
